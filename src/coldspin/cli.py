@@ -252,9 +252,31 @@ def _read_rows_csv(path: str, columns: tuple[str, ...]) -> list[tuple[float, ...
     return rows
 
 
+def _null_nonfinite(value, key: str, found: list):
+    """Copy of a JSON-ready value with every non-finite float replaced by
+    None; the dotted key of each replacement is appended to found."""
+    if isinstance(value, float) and not math.isfinite(value):
+        found.append(key)
+        return None
+    if isinstance(value, dict):
+        return {
+            k: _null_nonfinite(v, f"{key}.{k}" if key else k, found)
+            for k, v in value.items()
+        }
+    if isinstance(value, (list, tuple)):
+        return [_null_nonfinite(v, f"{key}[{i}]", found) for i, v in enumerate(value)]
+    return value
+
+
 def _write_json(path: str, document: dict) -> None:
+    """Strict JSON: a non-finite float (an undefined fit sigma, say) is
+    written as null and its key listed under "nonfinite"."""
+    found: list[str] = []
+    document = _null_nonfinite(document, "", found)
+    if found:
+        document["nonfinite"] = sorted(found)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
+        json.dump(document, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
 
 
@@ -719,7 +741,11 @@ def build_parser() -> argparse.ArgumentParser:
     scan = commands.add_parser("scan", help="synthesize a detuning scan CSV")
     _add_common_flags(scan)
     scan.add_argument("--atoms", type=float, help="override ensemble.n_atoms")
-    scan.add_argument("--threads", type=int, help="worker threads for the scan")
+    scan.add_argument(
+        "--threads",
+        type=int,
+        help="accepted for manifest compatibility; scans run single-threaded",
+    )
     scan.set_defaults(func=cmd_scan)
 
     fit = commands.add_parser("fit", help="fit column density to a scan CSV")

@@ -7,22 +7,27 @@ pulses_per_sample pulses, and aggregates per-point statistics the way the
 measured datasets are reported: mean over runs, sample standard deviation
 over runs, and standard error of that mean.
 
+Each (detuning, run) cell is one array kernel: the per-pulse <J_z> is a
+running product, and the pulse noise is one vector draw from the cell's
+stream.  The kernel performs the same floating-point operations in the
+same order as probing pulse by pulse, so its output is bit-identical to
+that loop.
+
 Randomness is fully deterministic: every (detuning index, run index) cell
 draws from its own child stream derived from the scan seed, so results are
-identical regardless of execution order or worker count.
+identical regardless of execution order.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .atomic_data import AtomSpec
-from .detector import DetectorSpec, TransmissionSpec, extract_angle, simulate_pulse_detection
+from .detector import DetectorSpec, TransmissionSpec
 from .errors import NearResonanceError, ValidationError
 from .spin_optics import (
     DEFAULT_GUARD_LINEWIDTHS,
@@ -31,10 +36,7 @@ from .spin_optics import (
     StokesState,
     coherent_pulse,
     coupling_constant,
-    decay_mean_z,
     detuning_factor,
-    faraday_angle,
-    scale_atom_number,
 )
 
 SCAN_CSV_COLUMNS = (
@@ -153,6 +155,41 @@ def child_stream(seed: int, detuning_index: int, run_index: int) -> np.random.Ge
     return np.random.Generator(np.random.PCG64(sequence))
 
 
+def _pulse_kernel(
+    n_pulses: int,
+    j_z0: float,
+    g: float,
+    n_photons: float,
+    per_pulse_decay: float,
+    det: DetectorSpec,
+    tr: TransmissionSpec,
+    stream: np.random.Generator | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pulse train as arrays: <J_z> before each pulse plus the
+    post-train value (n_pulses + 1 entries), the measured imbalances and
+    the extracted angles.
+
+    Every element is computed with the operations of the scalar chain
+    faraday_angle -> simulate_pulse_detection -> extract_angle ->
+    decay_mean_z, in the same order: cumprod multiplies sequentially, and
+    one vector draw of n_pulses normals yields the same values as
+    n_pulses scalar draws.
+    """
+    if not n_photons > 0:
+        raise ValidationError(f"n_photons must be positive, got {n_photons!r}")
+    denominator = n_photons * tr.t_h * tr.t_v
+    if denominator == 0.0:
+        raise ValidationError("t_h * t_v must be nonzero")
+    factors = np.full(n_pulses + 1, 1.0 - per_pulse_decay)
+    factors[0] = j_z0
+    j_z = np.cumprod(factors)
+    delta = g * j_z[:-1] * n_photons * tr.t_h * tr.t_v
+    if stream is not None:
+        sigma = math.sqrt(n_photons + det.electronic_noise_var)
+        delta = delta + sigma * stream.standard_normal(n_pulses)
+    return j_z, delta, delta / denominator
+
+
 def run_pulse_train(
     n_pulses: int,
     atoms: CollectiveSpinState,
@@ -172,16 +209,18 @@ def run_pulse_train(
     """
     if not (isinstance(n_pulses, int) and n_pulses >= 0):
         raise ValidationError(f"n_pulses must be an integer >= 0, got {n_pulses!r}")
-    records: list[tuple[int, float, float]] = []
-    for pulse_index in range(n_pulses):
-        theta = faraday_angle(atoms, cp.g)
-        delta_count = simulate_pulse_detection(
-            theta, light_template.n_photons, det, tr, stream
+    if not 0.0 <= dm.per_pulse_decay <= 1.0:
+        raise ValidationError(
+            f"per_pulse_decay must be in [0, 1], got {dm.per_pulse_decay!r}"
         )
-        theta_hat = extract_angle(delta_count, light_template.n_photons, tr)
-        records.append((pulse_index, delta_count, theta_hat))
-        atoms = decay_mean_z(atoms, dm.per_pulse_decay)
-    return records, atoms
+    j_x, j_y, j_z0 = atoms.mean_j
+    j_z, delta, theta_hat = _pulse_kernel(
+        n_pulses, j_z0, cp.g, light_template.n_photons, dm.per_pulse_decay,
+        det, tr, stream,
+    )
+    records = list(zip(range(n_pulses), delta.tolist(), theta_hat.tolist()))
+    after = CollectiveSpinState((j_x, j_y, float(j_z[-1])), atoms.var_j, atoms.n_atoms)
+    return records, after
 
 
 def _scan_cell(
@@ -200,11 +239,12 @@ def _scan_cell(
     factor = 1.0
     if cfg.atom_number_spread > 0.0:
         factor = max(0.0, 1.0 + cfg.atom_number_spread * float(stream.standard_normal()))
-    sample = scale_atom_number(atoms_template, factor)
-    records, _ = run_pulse_train(
-        cfg.pulses_per_sample, sample, cp, light, dm, det, tr, stream
+    _, _, theta_hat = _pulse_kernel(
+        cfg.pulses_per_sample, atoms_template.mean_j[2] * factor, cp.g,
+        light.n_photons, dm.per_pulse_decay, det, tr, stream,
     )
-    return sum(r[2] for r in records) / len(records)
+    # Python's sum, in pulse order, as the per-pulse loop summed
+    return sum(theta_hat.tolist()) / cfg.pulses_per_sample
 
 
 def run_detuning_scan(
@@ -223,9 +263,10 @@ def run_detuning_scan(
     """Full synthetic detuning scan.
 
     Every detuning must pass the near-resonance guard (checked up front so
-    the failure names the offending detuning).  Cells run on up to n_workers
-    threads; aggregation order is fixed by (detuning, run) indices, so the
-    dataset is bit-identical for any worker count.
+    the failure names the offending detuning).  Cells run one after another
+    in (detuning, run) order.  n_workers is validated and otherwise ignored:
+    it is kept so existing callers and recorded configurations still work,
+    and the dataset is the same for any value.
     """
     if not (isinstance(n_workers, int) and n_workers >= 1):
         raise ValidationError(f"n_workers must be an integer >= 1, got {n_workers!r}")
@@ -247,24 +288,14 @@ def run_detuning_scan(
             ) from exc
     light = coherent_pulse(cfg.photons_per_pulse, cfg.pulse_duration_s, "x")
 
-    cells = [
-        (d_index, run_index)
-        for d_index in range(len(cfg.detunings_hz))
-        for run_index in range(cfg.runs_per_point)
-    ]
-
-    def evaluate(cell: tuple[int, int]) -> float:
-        d_index, run_index = cell
-        return _scan_cell(
+    run_means = [
+        _scan_cell(
             cfg, d_index, run_index, atoms_template, couplings[d_index],
             light, dm, det, tr,
         )
-
-    if n_workers == 1:
-        run_means = [evaluate(cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            run_means = list(pool.map(evaluate, cells))
+        for d_index in range(len(cfg.detunings_hz))
+        for run_index in range(cfg.runs_per_point)
+    ]
 
     points = []
     for d_index, detuning in enumerate(cfg.detunings_hz):

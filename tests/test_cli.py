@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -195,6 +196,27 @@ def test_tof_round_trip(in_tmp_dir):
 def test_tof_simulate_replay(in_tmp_dir):
     cli.main(["tof", "simulate", "--out", "tof.csv"])
     assert cli.main(["tof", "--manifest", "tof.csv.manifest.json"]) == 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_tof_fit_writes_strict_json_for_undefined_sigma(in_tmp_dir):
+    # sigma^2 = b t^2 - c: a negative fitted intercept clamps sigma0 to 0,
+    # where its propagated uncertainty is undefined (infinite)
+    rows = ["time_s,sigma_m"]
+    for t in (1e-3, 2e-3, 3e-3, 4e-3, 5e-3):
+        rows.append(f"{t:.11e},{(2.4e-3 * t * t - 1e-9) ** 0.5:.11e}")
+    (in_tmp_dir / "tof.csv").write_text("\n".join(rows) + "\n")
+    assert cli.main(["tof", "fit", "--in", "tof.csv", "--out", "tof_fit.json"]) == 0
+    for name in ("tof_fit.json", "tof_fit.json.manifest.json"):
+        json.loads((in_tmp_dir / name).read_text(), parse_constant=_reject_constant)
+    document = json.loads((in_tmp_dir / "tof_fit.json").read_text())
+    assert document["params"]["sigma0_m"] == 0.0
+    assert document["sigmas"]["sigma0_m"] is None
+    assert document["nonfinite"] == ["sigmas.sigma0_m"]
+    assert math.isfinite(document["sigmas"]["temperature_k"])
 
 
 def test_atom_data_env_override(in_tmp_dir, monkeypatch):

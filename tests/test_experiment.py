@@ -16,11 +16,16 @@ from coldspin import (
     coherent_pulse,
     coherent_spin_state,
     coupling_constant,
+    decay_mean_z,
     default_atom_spec,
+    extract_angle,
+    faraday_angle,
     read_scan_csv,
     run_detuning_scan,
     run_pulse_train,
+    scale_atom_number,
     scattering_probability,
+    simulate_pulse_detection,
     write_scan_csv,
 )
 
@@ -89,6 +94,42 @@ def test_pulse_train_input_not_mutated():
     light = coherent_pulse(4e6, 1e-6, "x")
     run_pulse_train(5, atoms, cp, light, DestructionModel(), DET, TR, None)
     assert atoms == coherent_spin_state(1e6, "z")
+
+
+def reference_pulse_train(n_pulses, atoms, cp, light, dm, det, tr, stream):
+    """The scalar per-pulse chain the array kernel must reproduce bit for bit."""
+    records = []
+    for pulse_index in range(n_pulses):
+        theta = faraday_angle(atoms, cp.g)
+        delta_count = simulate_pulse_detection(theta, light.n_photons, det, tr, stream)
+        theta_hat = extract_angle(delta_count, light.n_photons, tr)
+        records.append((pulse_index, delta_count, theta_hat))
+        atoms = decay_mean_z(atoms, dm.per_pulse_decay)
+    return records, atoms
+
+
+@pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "noiseless"])
+@pytest.mark.parametrize("decay", [0.0, 1e-4, 0.5])
+@pytest.mark.parametrize("n_pulses", [0, 1, 7, 1000])
+def test_pulse_train_matches_per_pulse_reference_exactly(n_pulses, decay, seeded):
+    # non-unit transmissions and an off-grid atom number so that any change
+    # in the order of the floating-point operations shows in the last bit
+    cp = coupling_constant(-1.37e9, AREA, SPEC)
+    atoms = scale_atom_number(coherent_spin_state(1e6, "-z"), 0.9371)
+    light = coherent_pulse(3.3e6, 1e-6, "x")
+    dm = DestructionModel(decay)
+    tr = TransmissionSpec(t_h=0.93, t_v=0.87)
+
+    def stream():
+        return child_stream(11, 2, 5) if seeded else None
+
+    expected, expected_after = reference_pulse_train(
+        n_pulses, atoms, cp, light, dm, DET, tr, stream()
+    )
+    records, after = run_pulse_train(n_pulses, atoms, cp, light, dm, DET, tr, stream())
+    assert records == expected
+    assert after == expected_after
+    assert all(type(value) is float for record in records for value in record[1:])
 
 
 def run_scan(cfg, n_workers=1, n_atoms=1e6):
