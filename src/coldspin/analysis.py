@@ -9,7 +9,6 @@ temperatures come from an ordinary linear fit of sigma^2 against t^2.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -21,6 +20,7 @@ from .atomic_data import AtomSpec
 from .detector import DetectorSpec
 from .errors import FitError, ValidationError
 from .experiment import ScanDataset
+from .jsonio import decode_nonfinite, write_json
 from .spin_optics import DEFAULT_GUARD_LINEWIDTHS, rotation_cross_section
 
 # Gauss-Newton controls: deterministic, testable stopping
@@ -71,6 +71,9 @@ class FitResult:
 
 
 def fit_result_from_json_dict(document: Mapping) -> FitResult:
+    """FitResult from to_json_dict output or from a written fit file, whose
+    undefined sigmas are null and listed under "nonfinite"."""
+    document = decode_nonfinite(document)
     try:
         return FitResult(
             params=dict(document["params"]),
@@ -84,9 +87,7 @@ def fit_result_from_json_dict(document: Mapping) -> FitResult:
 
 
 def write_fit_json(fit: FitResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        json.dump(fit.to_json_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, fit.to_json_dict())
 
 
 def fit_column_density(

@@ -56,6 +56,7 @@ from .experiment import (
     run_detuning_scan,
     write_scan_csv,
 )
+from .jsonio import decode_nonfinite, write_json
 from .spin_optics import coherent_spin_state, rotation_cross_section
 
 _SQRT_8LN2 = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -252,32 +253,8 @@ def _read_rows_csv(path: str, columns: tuple[str, ...]) -> list[tuple[float, ...
     return rows
 
 
-def _null_nonfinite(value, key: str, found: list):
-    """Copy of a JSON-ready value with every non-finite float replaced by
-    None; the dotted key of each replacement is appended to found."""
-    if isinstance(value, float) and not math.isfinite(value):
-        found.append(key)
-        return None
-    if isinstance(value, dict):
-        return {
-            k: _null_nonfinite(v, f"{key}.{k}" if key else k, found)
-            for k, v in value.items()
-        }
-    if isinstance(value, (list, tuple)):
-        return [_null_nonfinite(v, f"{key}[{i}]", found) for i, v in enumerate(value)]
-    return value
-
-
 def _write_json(path: str, document: dict) -> None:
-    """Strict JSON: a non-finite float (an undefined fit sigma, say) is
-    written as null and its key listed under "nonfinite"."""
-    found: list[str] = []
-    document = _null_nonfinite(document, "", found)
-    if found:
-        document["nonfinite"] = sorted(found)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
+    write_json(path, document)
 
 
 def _write_manifest(path: str, command: str, cfg: dict, outputs: dict) -> None:
@@ -573,7 +550,7 @@ def _finish_run(command: str, cfg: dict, args) -> int:
 
 
 def _replay(command: str, manifest_path: str) -> int:
-    document = _load_json_file(manifest_path)
+    document = decode_nonfinite(_load_json_file(manifest_path))
     for key in ("command", "config", "outputs"):
         if key not in document:
             raise ValidationError(f"{manifest_path} is missing manifest key {key!r}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic_data import AtomSpec
-from .detector import DetectorSpec, TransmissionSpec
+from .detector import DetectorSpec, TransmissionSpec, extract_angle
 from .errors import NearResonanceError, ValidationError
 from .spin_optics import (
     DEFAULT_GUARD_LINEWIDTHS,
@@ -175,11 +175,6 @@ def _pulse_kernel(
     one vector draw of n_pulses normals yields the same values as
     n_pulses scalar draws.
     """
-    if not n_photons > 0:
-        raise ValidationError(f"n_photons must be positive, got {n_photons!r}")
-    denominator = n_photons * tr.t_h * tr.t_v
-    if denominator == 0.0:
-        raise ValidationError("t_h * t_v must be nonzero")
     factors = np.full(n_pulses + 1, 1.0 - per_pulse_decay)
     factors[0] = j_z0
     j_z = np.cumprod(factors)
@@ -187,7 +182,7 @@ def _pulse_kernel(
     if stream is not None:
         sigma = math.sqrt(n_photons + det.electronic_noise_var)
         delta = delta + sigma * stream.standard_normal(n_pulses)
-    return j_z, delta, delta / denominator
+    return j_z, delta, extract_angle(delta, n_photons, tr)
 
 
 def run_pulse_train(

@@ -369,6 +369,26 @@ def test_fit_result_json_round_trip(tmp_path):
     assert fit_result_from_json_dict(json.loads(raw)) == fit
 
 
+def test_fit_result_json_round_trip_with_undefined_sigma(tmp_path):
+    fit = FitResult(
+        params={"sigma0_m": 0.0, "temperature_k": 2.5e-5},
+        sigmas={"sigma0_m": math.inf, "temperature_k": 1e-6},
+        chi2=1.0,
+        dof=3,
+        converged=True,
+    )
+    path = tmp_path / "fit.json"
+    write_fit_json(fit, path)
+
+    def reject(name):
+        raise ValueError(name)
+
+    document = json.loads(path.read_text(), parse_constant=reject)
+    assert document["sigmas"]["sigma0_m"] is None
+    assert document["nonfinite"] == {"/sigmas/sigma0_m": "inf"}
+    assert fit_result_from_json_dict(document) == fit
+
+
 def test_fit_result_from_json_rejects_malformed():
     with pytest.raises(ValidationError):
         fit_result_from_json_dict({"params": {"a": 1.0}})

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from coldspin import cli
+from coldspin.analysis import fit_result_from_json_dict
 from coldspin.atomic_data import default_atom_document
 
 HEX64 = re.compile(r"^[0-9a-f]{64}$")
@@ -215,8 +216,28 @@ def test_tof_fit_writes_strict_json_for_undefined_sigma(in_tmp_dir):
     document = json.loads((in_tmp_dir / "tof_fit.json").read_text())
     assert document["params"]["sigma0_m"] == 0.0
     assert document["sigmas"]["sigma0_m"] is None
-    assert document["nonfinite"] == ["sigmas.sigma0_m"]
+    assert document["nonfinite"] == {"/sigmas/sigma0_m": "inf"}
     assert math.isfinite(document["sigmas"]["temperature_k"])
+
+    # the library reads the CLI's fit document back, undefined sigma included
+    fit = fit_result_from_json_dict(document)
+    assert fit.params["sigma0_m"] == 0.0
+    assert fit.sigmas["sigma0_m"] == math.inf
+    assert fit.sigmas["temperature_k"] == document["sigmas"]["temperature_k"]
+
+
+def test_decay_with_infinite_lifetime_replays(in_tmp_dir, capsys):
+    # 1e999 is strict JSON that parses as inf: pure two-body loss
+    (in_tmp_dir / "cfg.json").write_text('{"decay": {"tau_s": 1e999}}\n')
+    argv = ["decay", "simulate", "--config", "cfg.json", "--out", "decay.csv"]
+    assert cli.main(argv) == 0
+    raw = (in_tmp_dir / "decay.csv.manifest.json").read_text()
+    manifest = json.loads(raw, parse_constant=_reject_constant)
+    assert manifest["config"]["decay"]["tau_s"] is None
+    assert manifest["nonfinite"] == {"/config/decay/tau_s": "inf"}
+    capsys.readouterr()
+    assert cli.main(["decay", "--manifest", "decay.csv.manifest.json"]) == 0
+    assert "reproduced decay.csv" in capsys.readouterr().out
 
 
 def test_atom_data_env_override(in_tmp_dir, monkeypatch):
