@@ -254,6 +254,7 @@ def _read_rows_csv(path: str, columns: tuple[str, ...]) -> list[tuple[float, ...
 
 
 def _write_json(path: str, document: dict) -> None:
+    # one named function for every CLI JSON write: bench/tracing.py times it
     write_json(path, document)
 
 

@@ -52,10 +52,6 @@ def encode_nonfinite(document: Mapping) -> dict:
 
     encoded = walk(document, "")
     if found:
-        if NONFINITE_KEY in encoded:
-            raise ValidationError(
-                f"document already has a {NONFINITE_KEY!r} key and holds non-finite values"
-            )
         encoded[NONFINITE_KEY] = found
     return encoded
 
