@@ -66,7 +66,7 @@ def decode_nonfinite(document: Mapping) -> Mapping:
     if not isinstance(listed, dict):
         raise ValidationError(f"{NONFINITE_KEY!r} must be an object")
     for pointer, name in listed.items():
-        if name not in _VALUES or not pointer.startswith("/"):
+        if not (isinstance(name, str) and name in _VALUES and pointer.startswith("/")):
             raise ValidationError(f"bad {NONFINITE_KEY!r} entry {pointer!r}: {name!r}")
         *parents, last = [_unescape(token) for token in pointer[1:].split("/")]
         node = decoded

@@ -46,6 +46,7 @@ def test_nonfinite_values_round_trip(tmp_path):
     [
         ["/a"],
         {"/a": "infinity"},
+        {"/a": ["inf"]},
         {"a": "inf"},
         {"/missing": "inf"},
         {"/list/9": "inf"},
