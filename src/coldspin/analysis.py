@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import constants as csts
 
-from .atomic_data import AtomSpec
+from .atomic_data import BOLTZMANN_J_PER_K, AtomSpec
 from .detector import DetectorSpec
 from .errors import FitError, ValidationError
 from .experiment import ScanDataset
@@ -290,15 +289,8 @@ def fit_two_body_decay(
             return np.inf
         return float(r @ r)
 
-    span = float(t[-1] - t[0])
-    if span <= 0:
-        raise FitError("sample times must span a nonzero interval")
-    p = _decay_start(t, n, v_eff)
-
-    converged = False
-    current = cost(p)
-    for _ in range(GN_MAX_ITERATIONS):
-        # central-difference Jacobian
+    def jacobian(p: np.ndarray) -> np.ndarray:
+        """Central-difference Jacobian of the residuals at p."""
         jac = np.empty((len(t), 3))
         for k in range(3):
             step = GN_JACOBIAN_STEP * max(abs(p[k]), 1e-300)
@@ -307,6 +299,17 @@ def fit_two_body_decay(
             forward[k] += step
             backward[k] -= step
             jac[:, k] = (residuals(forward) - residuals(backward)) / (2.0 * step)
+        return jac
+
+    span = float(t[-1] - t[0])
+    if span <= 0:
+        raise FitError("sample times must span a nonzero interval")
+    p = _decay_start(t, n, v_eff)
+
+    converged = False
+    current = cost(p)
+    for _ in range(GN_MAX_ITERATIONS):
+        jac = jacobian(p)
         if not np.all(np.isfinite(jac)):
             break
         # column-scale before solving: raw columns differ by the parameter
@@ -352,14 +355,7 @@ def fit_two_body_decay(
 
     # covariance from the Jacobian at the solution (sigma-weighted
     # residuals), inverted in column-scaled form for the same reason
-    jac = np.empty((len(t), 3))
-    for k in range(3):
-        step = GN_JACOBIAN_STEP * max(abs(p[k]), 1e-300)
-        forward = p.copy()
-        backward = p.copy()
-        forward[k] += step
-        backward[k] -= step
-        jac[:, k] = (residuals(forward) - residuals(backward)) / (2.0 * step)
+    jac = jacobian(p)
     try:
         norms = np.linalg.norm(jac, axis=0)
         norms = np.where(norms > 0.0, norms, 1.0)
@@ -421,7 +417,7 @@ def fit_tof_temperature(
             f"fitted expansion slope is negative ({slope:.3e} m^2/s^2): "
             "the cloud cannot shrink with time of flight"
         )
-    kb_over_m = csts.k / mass_kg
+    kb_over_m = BOLTZMANN_J_PER_K / mass_kg
     temperature = slope / kb_over_m
     temperature_sigma = slope_sigma / kb_over_m
     sigma0 = math.sqrt(max(intercept, 0.0))

@@ -7,7 +7,8 @@ standard published line-data tables (Steck, "Rubidium 87 D Line Data"):
 vacuum wavelength 780.241209686 nm, natural linewidth 6.0666 MHz, excited
 state hyperfine intervals 72.218 MHz (F'=0 to F'=1) and 156.947 MHz (F'=1 to
 F'=2), atomic mass 1.44316060e-25 kg.  Any JSON document with the same keys
-can replace them.
+can replace them.  The general constants k_B, h and c are the exact values
+fixed by the 2019 SI (BIPM SI Brochure, 9th ed.).
 
 All frequencies are linear frequencies in Hz.  The light-atom coupling only
 ever uses the ratio of the linewidth to a detuning, so no 2*pi bookkeeping
@@ -24,6 +25,10 @@ from typing import Any, Mapping
 
 from .errors import ValidationError
 
+BOLTZMANN_J_PER_K = 1.380649e-23
+PLANCK_J_S = 6.62607015e-34
+SPEED_OF_LIGHT_M_PER_S = 299792458.0
+
 ATOM_KEYS = (
     "wavelength_m",
     "linewidth_hz",
@@ -34,23 +39,33 @@ ATOM_KEYS = (
 TRAP_KEYS = ("wavelength_m", "power_w", "waist_m")
 
 
-def _require_positive_number(value: Any, name: str) -> float:
+def _require_number(value: Any, name: str, *, allow_zero: bool = False) -> float:
+    """value as a float if it is a finite number > 0 (>= 0 with allow_zero)."""
     # bool is an int subclass; reject it explicitly
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    if not math.isfinite(value) or value < 0.0 or (value == 0.0 and not allow_zero):
+        bound = ">= 0" if allow_zero else "positive"
+        raise ValidationError(f"{name} must be {bound} and finite, got {value!r}")
     return value
 
 
-def _require_nonnegative_number(value: Any, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise ValidationError(f"{name} must be >= 0 and finite, got {value!r}")
-    return value
+def _require_shape(
+    document: Any, keys: tuple[str, ...], what: str, extra: tuple[str, ...] = ()
+) -> None:
+    """Reject a non-mapping document, a missing key or a key outside
+    keys + extra, so typos fail loudly; values are checked by the spec."""
+    if not isinstance(document, Mapping):
+        raise ValidationError(
+            f"{what} must be a JSON object, got {type(document).__name__}"
+        )
+    for key in keys:
+        if key not in document:
+            raise ValidationError(f"{what} is missing key {key!r}")
+    unknown = set(document) - set(keys) - set(extra)
+    if unknown:
+        raise ValidationError(f"{what} has unknown key {sorted(unknown)[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -70,9 +85,8 @@ class AtomSpec:
     cross_section_m2: float = field(init=False)
 
     def __post_init__(self):
-        _require_positive_number(self.wavelength_m, "wavelength_m")
-        _require_positive_number(self.linewidth_hz, "linewidth_hz")
-        _require_positive_number(self.mass_kg, "mass_kg")
+        for name in ("wavelength_m", "linewidth_hz", "mass_kg"):
+            object.__setattr__(self, name, _require_number(getattr(self, name), name))
         splittings = dict(self.hyperfine_splittings)
         if set(splittings) != {0, 1, 2}:
             raise ValidationError(
@@ -83,12 +97,14 @@ class AtomSpec:
             raise ValidationError(
                 f"hyperfine_splittings[0] must be 0, got {splittings[0]!r}"
             )
-        if not (0.0 <= splittings[1] < splittings[2]):
+        f1 = _require_number(splittings[1], "hf_splitting_f1_hz")
+        f2 = _require_number(splittings[2], "hf_splitting_f2_hz")
+        if not f1 < f2:
             raise ValidationError(
-                "hyperfine splittings must satisfy 0 <= F'=1 < F'=2, got "
-                f"{splittings[1]!r} and {splittings[2]!r}"
+                "hf_splitting_f1_hz must be smaller than hf_splitting_f2_hz, got "
+                f"{f1!r} >= {f2!r}"
             )
-        object.__setattr__(self, "hyperfine_splittings", splittings)
+        object.__setattr__(self, "hyperfine_splittings", {0: 0.0, 1: f1, 2: f2})
         object.__setattr__(
             self, "cross_section_m2", self.wavelength_m**2 / math.pi
         )
@@ -96,112 +112,44 @@ class AtomSpec:
 
 @dataclass(frozen=True)
 class TrapSpec:
-    """Dipole trap laser parameters.
-
-    waist_m is the 1/e^2 intensity radius.  depth_k (temperature-equivalent
-    trap depth in K) is a derived quantity; loaders leave it None and the
-    ensemble-dynamics trap depth function computes it, since it also needs
-    the atomic line data.
-    """
+    """Dipole trap laser parameters; waist_m is the 1/e^2 intensity radius."""
 
     wavelength_m: float
     power_w: float
     waist_m: float
-    depth_k: float | None = None
 
     def __post_init__(self):
-        _require_positive_number(self.wavelength_m, "trap.wavelength_m")
-        # power 0 is legal: a switched-off trap has zero depth
-        _require_nonnegative_number(self.power_w, "trap.power_w")
-        _require_positive_number(self.waist_m, "trap.waist_m")
-        if self.depth_k is not None:
-            _require_positive_number(self.depth_k, "trap.depth_k")
+        for name in TRAP_KEYS:
+            # power 0 is legal: a switched-off trap has zero depth
+            value = _require_number(
+                getattr(self, name), f"trap.{name}", allow_zero=name == "power_w"
+            )
+            object.__setattr__(self, name, value)
 
 
 def load_atom_spec(document: Mapping[str, Any]) -> AtomSpec:
     """Build a validated AtomSpec from a parsed JSON document.
 
-    The document must contain all of ATOM_KEYS with positive numeric values;
-    a nested "trap" section is permitted (see load_trap_spec) and any other
-    key is rejected so typos fail loudly.
+    The document must contain exactly ATOM_KEYS, plus an optional nested
+    "trap" section (see load_trap_spec); AtomSpec checks the values.
     """
-    if not isinstance(document, Mapping):
-        raise ValidationError(
-            f"atom data document must be a JSON object, got {type(document).__name__}"
-        )
-    for key in ATOM_KEYS:
-        if key not in document:
-            raise ValidationError(f"atom data document is missing key {key!r}")
-    unknown = set(document) - set(ATOM_KEYS) - {"trap"}
-    if unknown:
-        raise ValidationError(
-            f"atom data document has unknown key {sorted(unknown)[0]!r}"
-        )
-    values = {key: _require_positive_number(document[key], key) for key in ATOM_KEYS}
-    if values["hf_splitting_f1_hz"] >= values["hf_splitting_f2_hz"]:
-        raise ValidationError(
-            "hf_splitting_f1_hz must be smaller than hf_splitting_f2_hz, got "
-            f"{values['hf_splitting_f1_hz']!r} >= {values['hf_splitting_f2_hz']!r}"
-        )
+    _require_shape(document, ATOM_KEYS, "atom data document", extra=("trap",))
     return AtomSpec(
-        wavelength_m=values["wavelength_m"],
-        linewidth_hz=values["linewidth_hz"],
+        wavelength_m=document["wavelength_m"],
+        linewidth_hz=document["linewidth_hz"],
         hyperfine_splittings={
             0: 0.0,
-            1: values["hf_splitting_f1_hz"],
-            2: values["hf_splitting_f2_hz"],
+            1: document["hf_splitting_f1_hz"],
+            2: document["hf_splitting_f2_hz"],
         },
-        mass_kg=values["mass_kg"],
+        mass_kg=document["mass_kg"],
     )
 
 
 def load_trap_spec(document: Mapping[str, Any]) -> TrapSpec:
     """Build a validated TrapSpec from the "trap" section of a document."""
-    if not isinstance(document, Mapping):
-        raise ValidationError(
-            f"trap section must be a JSON object, got {type(document).__name__}"
-        )
-    for key in TRAP_KEYS:
-        if key not in document:
-            raise ValidationError(f"trap section is missing key {key!r}")
-    unknown = set(document) - set(TRAP_KEYS)
-    if unknown:
-        raise ValidationError(f"trap section has unknown key {sorted(unknown)[0]!r}")
-    return TrapSpec(
-        wavelength_m=_require_positive_number(document["wavelength_m"], "trap.wavelength_m"),
-        power_w=_require_nonnegative_number(document["power_w"], "trap.power_w"),
-        waist_m=_require_positive_number(document["waist_m"], "trap.waist_m"),
-    )
-
-
-def load_atom_file(path) -> AtomSpec:
-    """Load an AtomSpec from a JSON file path."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise ValidationError(f"cannot read atom data file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"atom data file {path} is not valid JSON (line {exc.lineno}): {exc.msg}"
-        ) from exc
-    return load_atom_spec(document)
-
-
-def load_trap_file(path) -> TrapSpec:
-    """Load the TrapSpec from the "trap" section of a JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise ValidationError(f"cannot read atom data file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"atom data file {path} is not valid JSON (line {exc.lineno}): {exc.msg}"
-        ) from exc
-    if "trap" not in document:
-        raise ValidationError(f"atom data file {path} has no trap section")
-    return load_trap_spec(document["trap"])
+    _require_shape(document, TRAP_KEYS, "trap section")
+    return TrapSpec(**{key: document[key] for key in TRAP_KEYS})
 
 
 def default_atom_document() -> dict:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import copy
 import hashlib
-import json
 import math
 import os
 import sys
@@ -56,7 +55,7 @@ from .experiment import (
     run_detuning_scan,
     write_scan_csv,
 )
-from .jsonio import decode_nonfinite, write_json
+from .jsonio import decode_nonfinite, read_json, write_json
 from .spin_optics import coherent_spin_state, rotation_cross_section
 
 _SQRT_8LN2 = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -148,21 +147,6 @@ _DEFAULT_CONFIG = {
 # ---------------------------------------------------------------- config
 
 
-def _load_json_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path} is not valid JSON (line {exc.lineno}): {exc.msg}"
-        ) from exc
-    if not isinstance(document, dict):
-        raise ValidationError(f"{path} must hold a JSON object at top level")
-    return document
-
-
 def _merge_config(base: dict, override: dict, context: str) -> dict:
     """Recursive dict merge that rejects keys the base does not define, so
     configuration typos fail loudly instead of silently using defaults."""
@@ -184,7 +168,7 @@ def _merge_config(base: dict, override: dict, context: str) -> dict:
 def _resolve_config(config_path: str | None) -> dict:
     cfg = copy.deepcopy(_DEFAULT_CONFIG)
     if config_path is not None:
-        cfg = _merge_config(cfg, _load_json_file(config_path), "")
+        cfg = _merge_config(cfg, read_json(config_path), "")
     return cfg
 
 
@@ -196,9 +180,9 @@ def _attach_atom_constants(cfg: dict) -> None:
         return
     env_path = os.environ.get("COLDSPIN_ATOM_DATA")
     if env_path:
-        cfg["atom_constants"] = _load_json_file(env_path)
+        cfg["atom_constants"] = read_json(env_path)
     elif cfg.get("atom_data"):
-        cfg["atom_constants"] = _load_json_file(cfg["atom_data"])
+        cfg["atom_constants"] = read_json(cfg["atom_data"])
     else:
         cfg["atom_constants"] = default_atom_document()
 
@@ -345,7 +329,6 @@ def _run_scan(cfg: dict) -> dict:
         dm,
         convention=cfg["convention"],
         guard_linewidths=float(cfg["guard_linewidths"]),
-        n_workers=threads,
     )
     out = cfg["out"]
     write_scan_csv(dataset, out)
@@ -512,12 +495,7 @@ def _run_pulse(cfg: dict) -> dict:
         tr,
         noise_stream=stream,
     )
-    record = synthesize_waveform(
-        delta,
-        det,
-        float(section["pulse_duration_s"]),
-        n_photons_in=float(section["n_photons"]),
-    )
+    record = synthesize_waveform(delta, det, float(section["pulse_duration_s"]))
     out = cfg["out"]
     write_pulse_csv(record, out)
     return _digest_map([out])
@@ -551,7 +529,7 @@ def _finish_run(command: str, cfg: dict, args) -> int:
 
 
 def _replay(command: str, manifest_path: str) -> int:
-    document = decode_nonfinite(_load_json_file(manifest_path))
+    document = decode_nonfinite(read_json(manifest_path))
     for key in ("command", "config", "outputs"):
         if key not in document:
             raise ValidationError(f"{manifest_path} is missing manifest key {key!r}")
@@ -563,7 +541,12 @@ def _replay(command: str, manifest_path: str) -> int:
     cfg = document["config"]
     if "atom_constants" not in cfg:
         raise ValidationError(f"{manifest_path} config lacks atom_constants")
-    outputs = _RUNNERS[command](cfg)
+    try:
+        outputs = _RUNNERS[command](cfg)
+    except KeyError as exc:
+        raise ValidationError(
+            f"{manifest_path} config is missing key {exc.args[0]!r}"
+        ) from exc
     recorded = document["outputs"]
     if outputs != recorded:
         for path in sorted(set(recorded) | set(outputs)):
@@ -722,7 +705,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument(
         "--threads",
         type=int,
-        help="accepted for manifest compatibility; scans run single-threaded",
+        help="validated and recorded in the manifest; scans run single-threaded "
+        "and the value changes no output",
     )
     scan.set_defaults(func=cmd_scan)
 

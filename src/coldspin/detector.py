@@ -68,15 +68,14 @@ class PulseRecord:
 
     samples are in output signal units (photon number times the calibration
     factor); [window_start, window_end) delimits the integration window in
-    sample indices.  integrated_imbalance and n_photons_in record the
-    photon-number imbalance the trace encodes and the pulse photon number.
+    sample indices.  integrated_imbalance records the photon-number
+    imbalance the trace encodes.
     """
 
     samples: tuple[float, ...]
     window_start: int
     window_end: int
     integrated_imbalance: float
-    n_photons_in: float
     sample_rate_hz: float
 
     def __post_init__(self):
@@ -133,7 +132,6 @@ def synthesize_waveform(
     delta_count: float,
     det: DetectorSpec,
     pulse_duration_s: float,
-    n_photons_in: float = 0.0,
 ) -> PulseRecord:
     """Sampled detector trace encoding one pulse imbalance.
 
@@ -165,7 +163,6 @@ def synthesize_waveform(
         window_start=window_start,
         window_end=window_end,
         integrated_imbalance=float(delta_count),
-        n_photons_in=float(n_photons_in),
         sample_rate_hz=det.sample_rate_hz,
     )
 

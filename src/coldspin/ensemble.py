@@ -14,9 +14,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import constants as csts
 
-from .atomic_data import AtomSpec, TrapSpec
+from .atomic_data import (
+    BOLTZMANN_J_PER_K,
+    PLANCK_J_S,
+    SPEED_OF_LIGHT_M_PER_S,
+    AtomSpec,
+    TrapSpec,
+)
 from .errors import NearResonanceError, ValidationError
 from .spin_optics import DEFAULT_GUARD_LINEWIDTHS
 
@@ -135,7 +140,7 @@ def tof_radius(sigma0_m: float, temperature_k: float, t_s: float, mass_kg: float
         raise ValidationError(f"t_s must be >= 0, got {t_s!r}")
     if not mass_kg > 0:
         raise ValidationError(f"mass_kg must be positive, got {mass_kg!r}")
-    return math.sqrt(sigma0_m**2 + (csts.k * temperature_k / mass_kg) * t_s**2)
+    return math.sqrt(sigma0_m**2 + (BOLTZMANN_J_PER_K * temperature_k / mass_kg) * t_s**2)
 
 
 def _trap_potential_j(trap: TrapSpec, spec: AtomSpec,
@@ -151,8 +156,8 @@ def _trap_potential_j(trap: TrapSpec, spec: AtomSpec,
         raise ValidationError(
             f"guard_linewidths must be >= 0, got {guard_linewidths!r}"
         )
-    omega0 = 2.0 * math.pi * csts.c / spec.wavelength_m
-    omega_t = 2.0 * math.pi * csts.c / trap.wavelength_m
+    omega0 = 2.0 * math.pi * SPEED_OF_LIGHT_M_PER_S / spec.wavelength_m
+    omega_t = 2.0 * math.pi * SPEED_OF_LIGHT_M_PER_S / trap.wavelength_m
     gamma_w = 2.0 * math.pi * spec.linewidth_hz
     if abs(omega0 - omega_t) < guard_linewidths * gamma_w:
         raise NearResonanceError(
@@ -162,7 +167,7 @@ def _trap_potential_j(trap: TrapSpec, spec: AtomSpec,
         )
     intensity = 2.0 * trap.power_w / (math.pi * trap.waist_m**2)
     u = (
-        (3.0 * math.pi * csts.c**2 / (2.0 * omega0**3))
+        (3.0 * math.pi * SPEED_OF_LIGHT_M_PER_S**2 / (2.0 * omega0**3))
         * gamma_w
         * (1.0 / (omega0 - omega_t) + 1.0 / (omega0 + omega_t))
         * intensity
@@ -177,7 +182,7 @@ def dipole_trap_depth(
     guard_linewidths: float = DEFAULT_GUARD_LINEWIDTHS,
 ) -> float:
     """Trap depth |U|/k_B in kelvin at the focus."""
-    return _trap_potential_j(trap, spec, guard_linewidths) / csts.k
+    return _trap_potential_j(trap, spec, guard_linewidths) / BOLTZMANN_J_PER_K
 
 
 def light_shift(
@@ -193,4 +198,4 @@ def light_shift(
     transition moves by 2|U|/h.  This is what a probe-frequency scan on the
     trapped cloud measures.
     """
-    return 2.0 * _trap_potential_j(trap, spec, guard_linewidths) / csts.h
+    return 2.0 * _trap_potential_j(trap, spec, guard_linewidths) / PLANCK_J_S

@@ -253,18 +253,14 @@ def run_detuning_scan(
     *,
     convention: str = "physical",
     guard_linewidths: float = DEFAULT_GUARD_LINEWIDTHS,
-    n_workers: int = 1,
 ) -> ScanDataset:
     """Full synthetic detuning scan.
 
     Every detuning must pass the near-resonance guard (checked up front so
     the failure names the offending detuning).  Cells run one after another
-    in (detuning, run) order.  n_workers is validated and otherwise ignored:
-    it is kept so existing callers and recorded configurations still work,
-    and the dataset is the same for any value.
+    in (detuning, run) order, so the dataset depends only on its inputs
+    and their seeds.
     """
-    if not (isinstance(n_workers, int) and n_workers >= 1):
-        raise ValidationError(f"n_workers must be an integer >= 1, got {n_workers!r}")
     couplings = []
     for detuning in cfg.detunings_hz:
         try:

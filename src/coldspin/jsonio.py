@@ -83,6 +83,24 @@ def decode_nonfinite(document: Mapping) -> Mapping:
     return decoded
 
 
+def read_json(path) -> dict:
+    """Parse a JSON file that must hold an object at top level; unreadable,
+    malformed (reported with its line) or non-object files raise
+    ValidationError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"{path} is not valid JSON (line {exc.lineno}): {exc.msg}"
+        ) from exc
+    if not isinstance(document, dict):
+        raise ValidationError(f"{path} must hold a JSON object at top level")
+    return document
+
+
 def write_json(path, document: Mapping) -> None:
     """Write document as strict, indented, key-sorted JSON."""
     with open(path, "w", encoding="utf-8", newline="") as handle:

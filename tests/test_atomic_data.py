@@ -9,12 +9,12 @@ from coldspin import (
     ValidationError,
     default_atom_spec,
     default_trap_spec,
-    load_atom_file,
     load_atom_spec,
     load_trap_spec,
     resonant_cross_section,
 )
 from coldspin.atomic_data import default_atom_document
+from coldspin.jsonio import read_json
 
 
 def test_default_spec_loads_and_derives_cross_section():
@@ -36,7 +36,6 @@ def test_default_trap_spec():
     assert trap.wavelength_m == pytest.approx(1.03e-6)
     assert trap.power_w == pytest.approx(7.0)
     assert trap.waist_m == pytest.approx(50e-6)
-    assert trap.depth_k is None
 
 
 def test_atom_document_round_trip():
@@ -78,6 +77,26 @@ def test_nonpositive_wavelength_rejected(bad):
         load_atom_spec(doc)
 
 
+@pytest.mark.parametrize(
+    "key", ["linewidth_hz", "hf_splitting_f1_hz", "hf_splitting_f2_hz", "mass_kg"]
+)
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), True, "x", None])
+def test_every_atom_number_rejected_by_name(key, bad):
+    doc = default_atom_document()
+    doc[key] = bad
+    with pytest.raises(ValidationError, match=key):
+        load_atom_spec(doc)
+
+
+@pytest.mark.parametrize("key", ["wavelength_m", "power_w", "waist_m"])
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), True, "x", None])
+def test_every_trap_number_rejected_by_name(key, bad):
+    doc = default_atom_document()["trap"]
+    doc[key] = bad
+    with pytest.raises(ValidationError, match=f"trap.{key}"):
+        load_trap_spec(doc)
+
+
 def test_atom_spec_requires_exact_fprime_keys():
     with pytest.raises(ValidationError):
         AtomSpec(
@@ -113,16 +132,16 @@ def test_load_trap_spec_rejects_unknown_keys():
 def test_load_atom_file(tmp_path):
     path = tmp_path / "atom.json"
     path.write_text(json.dumps(default_atom_document()))
-    assert load_atom_file(path) == default_atom_spec()
+    assert load_atom_spec(read_json(path)) == default_atom_spec()
 
 
 def test_load_atom_file_reports_json_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "wavelength_m": ,\n}\n')
     with pytest.raises(ValidationError, match="line 2"):
-        load_atom_file(path)
+        load_atom_spec(read_json(path))
 
 
 def test_load_atom_file_missing(tmp_path):
     with pytest.raises(ValidationError):
-        load_atom_file(tmp_path / "nope.json")
+        load_atom_spec(read_json(tmp_path / "nope.json"))

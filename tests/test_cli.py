@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -293,6 +297,43 @@ def test_malformed_config_json(in_tmp_dir, capsys):
 
 def test_scan_rejects_negative_atoms(in_tmp_dir):
     assert run_scan(in_tmp_dir, extra=["--atoms", "-1"]) == 2
+
+
+def test_scan_rejects_zero_threads(in_tmp_dir, capsys):
+    assert run_scan(in_tmp_dir, extra=["--threads", "0"]) == 2
+    assert "threads" in capsys.readouterr().err
+
+
+def test_bad_atom_data_exits_2(in_tmp_dir, monkeypatch, capsys):
+    document = default_atom_document()
+    document["hf_splitting_f1_hz"] = 0.0
+    (in_tmp_dir / "atom.json").write_text(json.dumps(document))
+    monkeypatch.setenv("COLDSPIN_ATOM_DATA", str(in_tmp_dir / "atom.json"))
+    assert run_scan(in_tmp_dir) == 2
+    assert "hf_splitting_f1_hz" in capsys.readouterr().err
+
+
+def test_replay_of_manifest_missing_a_config_key_exits_2(in_tmp_dir, capsys):
+    run_scan(in_tmp_dir)
+    manifest_path = in_tmp_dir / "scan.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["config"]["scan"]["atom_number_spread"]
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["scan", "--manifest", "scan.csv.manifest.json"]) == 2
+    assert "atom_number_spread" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, coldspin.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_bad_sigma_source_choice_is_usage_error(in_tmp_dir):

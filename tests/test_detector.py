@@ -85,10 +85,9 @@ def test_transmission_spec_validation():
 
 def test_waveform_window_sum_recovers_imbalance_exactly():
     delta = 107200.0
-    record = synthesize_waveform(delta, DET, 1e-6, n_photons_in=4e6)
+    record = synthesize_waveform(delta, DET, 1e-6)
     assert integrate_window(record, DET) == pytest.approx(delta, rel=1e-12)
     assert record.integrated_imbalance == delta
-    assert record.n_photons_in == 4e6
     assert record.sample_rate_hz == DET.sample_rate_hz
 
 
@@ -169,7 +168,6 @@ def test_pulse_record_window_bounds_validated():
             window_start=1,
             window_end=3,
             integrated_imbalance=1.0,
-            n_photons_in=0.0,
             sample_rate_hz=1e8,
         )
 

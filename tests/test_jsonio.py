@@ -4,7 +4,7 @@ import math
 import pytest
 
 from coldspin.errors import ValidationError
-from coldspin.jsonio import decode_nonfinite, encode_nonfinite, write_json
+from coldspin.jsonio import decode_nonfinite, encode_nonfinite, read_json, write_json
 
 
 def test_finite_documents_pass_through_unchanged():
@@ -58,3 +58,11 @@ def test_malformed_nonfinite_listing_is_rejected(listed):
     document = {"a": None, "b": 2.0, "list": [None], "nonfinite": listed}
     with pytest.raises(ValidationError):
         decode_nonfinite(document)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]\n", "3\n", "null\n"])
+def test_read_json_rejects_non_object_top_level(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match="JSON object"):
+        read_json(path)
