@@ -147,22 +147,65 @@ _DEFAULT_CONFIG = {
 # ---------------------------------------------------------------- config
 
 
+# keys whose default is null, with the JSON type of any other value
+_NULLABLE = {
+    "atom_data": "string",
+    "scan.detunings_hz": "array",
+    "budget.theta_rad": "number",
+    "budget.photons_per_pulse": "number",
+}
+
+
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, int):
+        return "integer"
+    if isinstance(value, float):
+        return "number"
+    return {dict: "object", list: "array", str: "string"}[type(value)]
+
+
+def _check_type(default, value, path: str) -> None:
+    """Reject a config value whose JSON type differs from its default's:
+    a number also takes an integer, a null default takes null or its
+    _NULLABLE type, and a boolean is never a number."""
+    expected = _NULLABLE[path] if default is None else _json_type(default)
+    actual = _json_type(value)
+    if actual == expected or (expected, actual) == ("number", "integer"):
+        return
+    if default is None and actual == "null":
+        return
+    raise ValidationError(f"config key {path!r} must be a JSON {expected}, got {value!r}")
+
+
 def _merge_config(base: dict, override: dict, context: str) -> dict:
-    """Recursive dict merge that rejects keys the base does not define, so
-    configuration typos fail loudly instead of silently using defaults."""
+    """Recursive dict merge that rejects keys the base does not define and
+    values of the wrong JSON type, so configuration typos fail loudly
+    instead of silently using defaults or failing mid-run."""
     merged = copy.deepcopy(base)
     for key, value in override.items():
         if key not in base:
             raise ValidationError(f"unknown config key {context}{key!r}")
+        _check_type(base[key], value, context + key)
         if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ValidationError(
-                    f"config key {context}{key!r} must be an object"
-                )
             merged[key] = _merge_config(base[key], value, f"{context}{key}.")
         else:
             merged[key] = value
     return merged
+
+
+def _check_types(base: dict, cfg: dict, context: str) -> None:
+    """_check_type over every key of cfg that base defines, recursively;
+    other keys (a manifest's inlined atom constants, paths, mode) are the
+    runner's to check."""
+    for key, value in cfg.items():
+        if key in base:
+            _check_type(base[key], value, context + key)
+            if isinstance(value, dict):
+                _check_types(base[key], value, f"{context}{key}.")
 
 
 def _resolve_config(config_path: str | None) -> dict:
@@ -274,8 +317,8 @@ def _scan_curve_path(out: str) -> str:
 def _scan_detunings(section: dict) -> list[float]:
     if section.get("detunings_hz") is not None:
         values = section["detunings_hz"]
-        if not isinstance(values, (list, tuple)) or not values:
-            raise ValidationError("scan.detunings_hz must be a non-empty list")
+        if not values or any(_json_type(v) not in ("number", "integer") for v in values):
+            raise ValidationError("scan.detunings_hz must be a non-empty array of numbers")
         return [float(v) for v in values]
     n = section["n_detunings"]
     if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
@@ -539,8 +582,18 @@ def _replay(command: str, manifest_path: str) -> int:
             f"not {command!r}"
         )
     cfg = document["config"]
+    for key in ("config", "outputs"):
+        if not isinstance(document[key], dict):
+            raise ValidationError(f"{manifest_path}: manifest key {key!r} must be an object")
     if "atom_constants" not in cfg:
         raise ValidationError(f"{manifest_path} config lacks atom_constants")
+    try:
+        _check_types(_DEFAULT_CONFIG, cfg, "")
+        for key in ("out", "in"):  # a number would open that file descriptor
+            if key in cfg:
+                _check_type("", cfg[key], key)
+    except ValidationError as exc:
+        raise ValidationError(f"{manifest_path}: {exc}") from exc
     try:
         outputs = _RUNNERS[command](cfg)
     except KeyError as exc:

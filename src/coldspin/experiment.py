@@ -7,21 +7,26 @@ pulses_per_sample pulses, and aggregates per-point statistics the way the
 measured datasets are reported: mean over runs, sample standard deviation
 over runs, and standard error of that mean.
 
-Each (detuning, run) cell is one array kernel: the per-pulse <J_z> is a
-running product, and the pulse noise is one vector draw from the cell's
-stream.  The kernel performs the same floating-point operations in the
-same order as probing pulse by pulse, so its output is bit-identical to
-that loop.
+Each detuning is one array kernel over all its runs, with one row per
+(detuning, run) cell: the per-pulse <J_z> is a running product along the
+row, and the row's pulse noise is one vector draw from the cell's stream.
+The kernel performs the same floating-point operations in the same order
+as probing pulse by pulse, so its output is bit-identical to that loop.
 
 Randomness is fully deterministic: every (detuning index, run index) cell
-draws from its own child stream derived from the scan seed, so results are
-identical regardless of execution order.
+draws from its own stream, exactly
+np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed,
+spawn_key=(detuning_index, run_index)))), so results are identical
+regardless of execution order.  The scan computes those streams' seeded
+states for a whole detuning at once (_cell_states) and sets each in turn
+on one reused generator instead of constructing a generator per cell.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,40 +153,148 @@ class ScanDataset:
             raise ValidationError("a scan dataset needs at least one point")
 
 
+# numpy's SeedSequence (bit_generator.pyx) and PCG64 (pcg64.h) seeding
+# constants; _cell_states reproduces their arithmetic exactly
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(value: int) -> list[int]:
+    """A non-negative int as SeedSequence splits it: little-endian 32-bit
+    words, at least one."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"seed and spawn key entries must be >= 0, got {value!r}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """numpy's SeedSequence hash step over uint32 arrays; every call
+    advances one hash constant shared by all cells."""
+    hash_const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * mult) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    return hashmix
+
+
+def _cell_states(seed: int, detuning_index: int, run_indices) -> list[tuple[int, int]]:
+    """(state, inc) of np.random.PCG64(np.random.SeedSequence(seed,
+    spawn_key=(detuning_index, r))) for every r in run_indices at once.
+
+    The SeedSequence hashing runs as uint32 array arithmetic with one
+    element per cell; its hash constants depend only on word positions, so
+    they are the same for every cell.  The run indices must share one
+    32-bit word count, as every index below 2**32 does.
+    """
+    lead = _uint32_words(seed)
+    lead += [0] * (_POOL_SIZE - len(lead))  # spawned sequences pad to the pool
+    lead += _uint32_words(detuning_index)
+    runs = np.array(run_indices, dtype=object)  # Python ints of any size
+    width = len(_uint32_words(runs.max()))
+    if len(_uint32_words(runs.min())) != width:
+        raise ValueError("run indices must share one 32-bit word count")
+    # one array per entropy word, one element per cell
+    entropy = [np.full(len(runs), word, dtype=np.uint32) for word in lead]
+    entropy += [((runs >> 32 * k) & _MASK32).astype(np.uint32) for k in range(width)]
+
+    # mix_entropy; the padded entropy always fills the pool
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    # generate_state(4, np.uint64): eight 32-bit words, read as four
+    # little-endian 64-bit words
+    generate = _hasher(_INIT_B, _MULT_B)
+    words = np.stack([generate(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
+    seeds = words.astype("<u4").view("<u8").astype(object)
+
+    # PCG64 seeding in Python ints, over all cells at once:
+    # pcg_setseq_128_srandom_r(initstate, initseq) with 128-bit wraparound
+    initstate = (seeds[:, 0] << 64) | seeds[:, 1]
+    inc = ((((seeds[:, 2] << 64) | seeds[:, 3]) << 1) | 1) & _MASK128
+    state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+    return list(zip(state.tolist(), inc.tolist()))
+
+
+def _set_cell_state(generator: np.random.Generator, state: int, inc: int) -> None:
+    generator.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def child_stream(seed: int, detuning_index: int, run_index: int) -> np.random.Generator:
-    """Independent generator for one (detuning, run) cell; the spawn-key
-    construction is deterministic and schedule-independent."""
-    sequence = np.random.SeedSequence(entropy=seed, spawn_key=(detuning_index, run_index))
-    return np.random.Generator(np.random.PCG64(sequence))
+    """Independent generator for one (detuning, run) cell: exactly
+    np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed,
+    spawn_key=(detuning_index, run_index)))), deterministic and
+    schedule-independent."""
+    generator = np.random.Generator(np.random.PCG64(0))
+    _set_cell_state(generator, *_cell_states(seed, detuning_index, (run_index,))[0])
+    return generator
 
 
 def _pulse_kernel(
     n_pulses: int,
-    j_z0: float,
+    j_z0: np.ndarray,
     g: float,
     n_photons: float,
     per_pulse_decay: float,
     det: DetectorSpec,
     tr: TransmissionSpec,
-    stream: np.random.Generator | None,
+    noise: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One pulse train as arrays: <J_z> before each pulse plus the
-    post-train value (n_pulses + 1 entries), the measured imbalances and
-    the extracted angles.
+    """Pulse trains as (rows x pulses) arrays, one row per sample with its
+    initial <J_z> in j_z0: <J_z> before each pulse plus the post-train
+    value (n_pulses + 1 columns), the measured imbalances and the extracted
+    angles.  noise holds each row's standard normals, or None for
+    noiseless detection.
 
     Every element is computed with the operations of the scalar chain
     faraday_angle -> simulate_pulse_detection -> extract_angle ->
-    decay_mean_z, in the same order: cumprod multiplies sequentially, and
-    one vector draw of n_pulses normals yields the same values as
-    n_pulses scalar draws.
+    decay_mean_z, in the same order: cumprod multiplies sequentially along
+    each row, and n_pulses normals drawn at once equal n_pulses scalar
+    draws.
     """
-    factors = np.full(n_pulses + 1, 1.0 - per_pulse_decay)
-    factors[0] = j_z0
-    j_z = np.cumprod(factors)
-    delta = g * j_z[:-1] * n_photons * tr.t_h * tr.t_v
-    if stream is not None:
+    factors = np.full((len(j_z0), n_pulses + 1), 1.0 - per_pulse_decay)
+    factors[:, 0] = j_z0
+    j_z = np.cumprod(factors, axis=1)
+    delta = g * j_z[:, :-1] * n_photons * tr.t_h * tr.t_v
+    if noise is not None:
         sigma = math.sqrt(n_photons + det.electronic_noise_var)
-        delta = delta + sigma * stream.standard_normal(n_pulses)
+        delta = delta + sigma * noise
     return j_z, delta, extract_angle(delta, n_photons, tr)
 
 
@@ -209,37 +322,14 @@ def run_pulse_train(
             f"per_pulse_decay must be in [0, 1], got {dm.per_pulse_decay!r}"
         )
     j_x, j_y, j_z0 = atoms.mean_j
+    noise = None if stream is None else stream.standard_normal(n_pulses)[np.newaxis]
     j_z, delta, theta_hat = _pulse_kernel(
-        n_pulses, j_z0, cp.g, light_template.n_photons, dm.per_pulse_decay,
-        det, tr, stream,
+        n_pulses, np.array([j_z0]), cp.g, light_template.n_photons,
+        dm.per_pulse_decay, det, tr, noise,
     )
-    records = list(zip(range(n_pulses), delta.tolist(), theta_hat.tolist()))
-    after = CollectiveSpinState((j_x, j_y, float(j_z[-1])), atoms.var_j, atoms.n_atoms)
+    records = list(zip(range(n_pulses), delta[0].tolist(), theta_hat[0].tolist()))
+    after = CollectiveSpinState((j_x, j_y, float(j_z[0, -1])), atoms.var_j, atoms.n_atoms)
     return records, after
-
-
-def _scan_cell(
-    cfg: ScanConfig,
-    detuning_index: int,
-    run_index: int,
-    atoms_template: CollectiveSpinState,
-    cp: CouplingParams,
-    light: StokesState,
-    dm: DestructionModel,
-    det: DetectorSpec,
-    tr: TransmissionSpec,
-) -> float:
-    """Mean extracted angle of one freshly prepared sample."""
-    stream = child_stream(cfg.seed, detuning_index, run_index)
-    factor = 1.0
-    if cfg.atom_number_spread > 0.0:
-        factor = max(0.0, 1.0 + cfg.atom_number_spread * float(stream.standard_normal()))
-    _, _, theta_hat = _pulse_kernel(
-        cfg.pulses_per_sample, atoms_template.mean_j[2] * factor, cp.g,
-        light.n_photons, dm.per_pulse_decay, det, tr, stream,
-    )
-    # Python's sum, in pulse order, as the per-pulse loop summed
-    return sum(theta_hat.tolist()) / cfg.pulses_per_sample
 
 
 def run_detuning_scan(
@@ -257,9 +347,9 @@ def run_detuning_scan(
     """Full synthetic detuning scan.
 
     Every detuning must pass the near-resonance guard (checked up front so
-    the failure names the offending detuning).  Cells run one after another
-    in (detuning, run) order, so the dataset depends only on its inputs
-    and their seeds.
+    the failure names the offending detuning).  Each detuning's runs are
+    drawn in run order and probed by one kernel call, so the dataset
+    depends only on its inputs and their seeds.
     """
     couplings = []
     for detuning in cfg.detunings_hz:
@@ -279,33 +369,46 @@ def run_detuning_scan(
             ) from exc
     light = coherent_pulse(cfg.photons_per_pulse, cfg.pulse_duration_s, "x")
 
-    run_means = [
-        _scan_cell(
-            cfg, d_index, run_index, atoms_template, couplings[d_index],
-            light, dm, det, tr,
-        )
-        for d_index in range(len(cfg.detunings_hz))
-        for run_index in range(cfg.runs_per_point)
-    ]
-
+    n_runs = cfg.runs_per_point
+    n_pulses = cfg.pulses_per_sample
+    j_z_template = atoms_template.mean_j[2]
+    generator = np.random.Generator(np.random.PCG64(0))
     points = []
     for d_index, detuning in enumerate(cfg.detunings_hz):
-        start = d_index * cfg.runs_per_point
-        values = np.array(run_means[start : start + cfg.runs_per_point])
+        # each run draws from its own cell stream, in the order a fresh
+        # child_stream would: the atom-number normal, then the pulse noise
+        j_z0 = []
+        noise = np.empty((n_runs, n_pulses))
+        states = _cell_states(cfg.seed, d_index, range(n_runs))
+        for run_index, (state, inc) in enumerate(states):
+            _set_cell_state(generator, state, inc)
+            factor = 1.0
+            if cfg.atom_number_spread > 0.0:
+                factor = max(
+                    0.0, 1.0 + cfg.atom_number_spread * float(generator.standard_normal())
+                )
+            j_z0.append(j_z_template * factor)
+            generator.standard_normal(out=noise[run_index])
+        _, _, theta_hat = _pulse_kernel(
+            n_pulses, np.array(j_z0), couplings[d_index].g, light.n_photons,
+            dm.per_pulse_decay, det, tr, noise,
+        )
+        # Python's sum, in pulse order, as the per-pulse loop summed
+        values = np.array([sum(row) / n_pulses for row in theta_hat.tolist()])
         mean = float(values.mean())
-        if cfg.runs_per_point > 1:
+        if n_runs > 1:
             stddev = float(values.std(ddof=1))
         else:
             stddev = 0.0
-        stderr = stddev / math.sqrt(cfg.runs_per_point)
+        stderr = stddev / math.sqrt(n_runs)
         points.append(
             ScanPoint(
                 detuning_hz=detuning,
                 theta_mean_rad=mean,
                 theta_stderr_rad=stderr,
                 theta_stddev_rad=stddev,
-                n_runs=cfg.runs_per_point,
-                n_pulses=cfg.pulses_per_sample,
+                n_runs=n_runs,
+                n_pulses=n_pulses,
             )
         )
     return ScanDataset(points=tuple(points), seed=cfg.seed)

@@ -324,6 +324,62 @@ def test_replay_of_manifest_missing_a_config_key_exits_2(in_tmp_dir, capsys):
     assert "atom_number_spread" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda manifest: manifest["config"].update(scan=5), "'scan'"),
+        (lambda manifest: manifest.update(outputs=[]), "'outputs'"),
+        (lambda manifest: manifest.update(config=5), "'config'"),
+        (lambda manifest: manifest["config"].update(out=1), "'out'"),
+    ],
+    ids=["config-section", "outputs", "config", "out-path"],
+)
+def test_replay_of_malformed_manifest_shape_exits_2(in_tmp_dir, capsys, edit, key):
+    run_scan(in_tmp_dir)
+    manifest_path = in_tmp_dir / "scan.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["scan", "--manifest", "scan.csv.manifest.json"]) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ({"scan": {"photons_per_pulse": "abc"}}, "'scan.photons_per_pulse'"),
+        ({"ensemble": {"n_atoms": None}}, "'ensemble.n_atoms'"),
+        ({"scan": {"runs_per_point": 4.0}}, "'scan.runs_per_point'"),
+        ({"threads": True}, "'threads'"),
+        ({"scan": {"detunings_hz": ["-1.6e9"]}}, "scan.detunings_hz"),
+        ({"atom_data": 5}, "'atom_data'"),
+    ],
+    ids=["string-for-number", "null-for-number", "float-for-int", "bool-for-int",
+         "string-detuning", "number-for-path"],
+)
+def test_wrongly_typed_config_value_exits_2(in_tmp_dir, capsys, override, key):
+    (in_tmp_dir / "bad.json").write_text(json.dumps(override))
+    assert cli.main(["scan", "--config", "bad.json", "--out", "s.csv"]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_int_for_float_and_null_overrides_pass(in_tmp_dir):
+    override = {"ensemble": {"n_atoms": 1000000}, "atom_data": None,
+                "scan": {"photons_per_pulse": 4000000, "runs_per_point": 4,
+                         "pulses_per_sample": 3}}
+    (in_tmp_dir / "ok.json").write_text(json.dumps(override))
+    assert cli.main(["scan", "--config", "ok.json", "--out", "a.csv"]) == 0
+    (in_tmp_dir / "floats.json").write_text(json.dumps(
+        {**override, "ensemble": {"n_atoms": 1.0e6}, "scan": {
+            **override["scan"], "photons_per_pulse": 4.0e6}}
+    ))
+    assert cli.main(["scan", "--config", "floats.json", "--out", "b.csv"]) == 0
+    assert (in_tmp_dir / "a.csv").read_bytes() == (in_tmp_dir / "b.csv").read_bytes()
+
+
 def test_import_loads_no_scipy():
     code = (
         "import sys, coldspin.cli; "

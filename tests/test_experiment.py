@@ -12,6 +12,7 @@ from coldspin import (
     DetectorSpec,
     TransmissionSpec,
     ValidationError,
+    angle_variance,
     child_stream,
     coherent_pulse,
     coherent_spin_state,
@@ -28,6 +29,7 @@ from coldspin import (
     simulate_pulse_detection,
     write_scan_csv,
 )
+from coldspin.experiment import _cell_states
 
 SPEC = default_atom_spec()
 AREA = 1.0e6 / 2.65e14
@@ -59,6 +61,29 @@ def test_child_stream_is_deterministic_and_distinct():
     e = child_stream(8, 2, 3).standard_normal(4)
     for other in (c, d, e):
         assert not np.array_equal(a, other)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 10**30])
+def test_child_stream_is_numpy_spawned_seed_sequence(seed):
+    # the cell seeding re-derives numpy's SeedSequence and PCG64 arithmetic;
+    # numpy's own construction is the oracle
+    indices = (0, 1, 399, 2**16 + 3, 2**31)
+    for detuning_index in indices:
+        for run_index in indices:
+            expected = np.random.Generator(
+                np.random.PCG64(
+                    np.random.SeedSequence(seed, spawn_key=(detuning_index, run_index))
+                )
+            )
+            stream = child_stream(seed, detuning_index, run_index)
+            assert stream.bit_generator.state == expected.bit_generator.state
+            assert np.array_equal(stream.standard_normal(16), expected.standard_normal(16))
+
+
+def test_cell_states_reject_run_indices_of_mixed_word_counts():
+    # the cells of one call share their entropy layout
+    with pytest.raises(ValueError, match="word count"):
+        _cell_states(7, 2, [1, 2**32])
 
 
 def test_pulse_train_noiseless_signal_decays_geometrically():
@@ -142,6 +167,73 @@ def run_scan(cfg, n_atoms=1e6):
         TR,
         DestructionModel(),
     )
+
+
+def reference_scan(cfg, atoms, dm):
+    """Each cell through its own child_stream and run_pulse_train, with the
+    scan's aggregation."""
+    points = []
+    light = coherent_pulse(cfg.photons_per_pulse, cfg.pulse_duration_s, "x")
+    for d_index, detuning in enumerate(cfg.detunings_hz):
+        cp = coupling_constant(detuning, AREA, SPEC)
+        means = []
+        for run_index in range(cfg.runs_per_point):
+            stream = child_stream(cfg.seed, d_index, run_index)
+            factor = 1.0
+            if cfg.atom_number_spread > 0.0:
+                factor = max(0.0, 1.0 + cfg.atom_number_spread * float(stream.standard_normal()))
+            records, _ = run_pulse_train(
+                cfg.pulses_per_sample, scale_atom_number(atoms, factor), cp, light, dm,
+                DET, TR, stream,
+            )
+            means.append(sum(theta for _, _, theta in records) / cfg.pulses_per_sample)
+        values = np.array(means)
+        stddev = float(values.std(ddof=1)) if cfg.runs_per_point > 1 else 0.0
+        points.append(
+            ScanPoint(
+                detuning_hz=detuning,
+                theta_mean_rad=float(values.mean()),
+                theta_stderr_rad=stddev / math.sqrt(cfg.runs_per_point),
+                theta_stddev_rad=stddev,
+                n_runs=cfg.runs_per_point,
+                n_pulses=cfg.pulses_per_sample,
+            )
+        )
+    return ScanDataset(points=tuple(points), seed=cfg.seed)
+
+
+@pytest.mark.parametrize("spread", [0.0, 0.1])
+@pytest.mark.parametrize("seed", [3, 2**64 + 7])
+def test_scan_matches_per_cell_reference_exactly(seed, spread):
+    cfg = small_config(pulses_per_sample=4, atom_number_spread=spread, seed=seed)
+    atoms = coherent_spin_state(1e6, "z")
+    dm = DestructionModel(0.01)
+    scan = run_detuning_scan(cfg, atoms, SPEC, AREA, DET, TR, dm)
+    assert scan == reference_scan(cfg, atoms, dm)
+
+
+@pytest.mark.parametrize("seed", [5, 20260816])
+def test_scan_stddev_matches_analytic_error_bar(seed):
+    # per-run mean of P pulses: atom-number scatter s times the mean
+    # destruction-weighted angle, plus detection noise averaged over P
+    spread, n_runs, n_pulses, decay = 0.1, 4000, 10, 1.0e-4
+    detuning = -1.6e9
+    cfg = small_config(
+        detunings_hz=(detuning,), runs_per_point=n_runs, pulses_per_sample=n_pulses,
+        atom_number_spread=spread, seed=seed,
+    )
+    atoms = coherent_spin_state(1e6, "z")
+    (point,) = run_detuning_scan(
+        cfg, atoms, SPEC, AREA, DET, TR, DestructionModel(decay)
+    ).points
+    theta0 = faraday_angle(atoms, coupling_constant(detuning, AREA, SPEC).g)
+    mean_destruction = (1.0 - (1.0 - decay) ** n_pulses) / (n_pulses * decay)
+    predicted = math.sqrt(
+        (spread * theta0 * mean_destruction) ** 2
+        + angle_variance(cfg.photons_per_pulse, DET, TR) / n_pulses
+    )
+    relative_sigma = 1.0 / math.sqrt(2 * (n_runs - 1))
+    assert abs(point.theta_stddev_rad / predicted - 1.0) < 5 * relative_sigma
 
 
 def test_scan_shape_and_ordering():
