@@ -1,13 +1,17 @@
 """Command-line front end.
 
-Subcommands: scan, fit, budget, decay, tof, pulse.  Every run resolves a
-full configuration (packaged defaults, then the --config file, then
-overriding flags), executes, and writes a manifest recording the command,
-tool version, seed, the fully resolved config with atomic constants
-inlined, and a SHA-256 digest of every output file.  Re-invoking a command
-with only `--manifest PATH` replays that run from the stored config and
-verifies the digests, so any (config, seed) pair is reproducible
-byte-for-byte.
+Subcommands: scan, fit, budget, decay, tof, pulse.  One table,
+_COMMANDS, declares each subcommand: its help, the config section whose
+seed --seed sets, whether it takes a simulate|fit mode, and each of its
+flags with the one config key the flag overrides.  build_parser and
+_run_command both read it.  Every run resolves a full configuration
+(packaged defaults, then the --config file, then the flags, merged with
+the same type checks), executes, and writes a manifest recording the
+command, tool version, seed, the fully resolved config with atomic
+constants inlined, and a SHA-256 digest of every output file.
+Re-invoking a command with only `--manifest PATH` replays that run from
+the stored config and verifies the digests, so any (config, seed) pair is
+reproducible byte-for-byte.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 numeric failure
 (fit non-convergence, near-resonance guard, replay digest mismatch).
@@ -21,6 +25,7 @@ import hashlib
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -325,12 +330,9 @@ def _scan_detunings(section: dict) -> list[float]:
         raise ValidationError(f"scan.n_detunings must be a positive int, got {n!r}")
     if n == 1:
         return [float(section["detuning_start_hz"])]
-    return [
-        float(v)
-        for v in np.linspace(
-            section["detuning_start_hz"], section["detuning_stop_hz"], n
-        )
-    ]
+    start = float(section["detuning_start_hz"])
+    stop = float(section["detuning_stop_hz"])
+    return [float(v) for v in np.linspace(start, stop, n)]
 
 
 def _run_scan(cfg: dict) -> dict:
@@ -451,6 +453,13 @@ DECAY_CSV_COLUMNS = ("time_s", "atom_count", "count_sigma")
 TOF_CSV_COLUMNS = ("time_s", "sigma_m")
 
 
+def _generator(cfg: dict, section: str) -> np.random.Generator:
+    seed = cfg[section]["seed"]
+    if seed < 0:
+        raise ValidationError(f"{section}.seed must be >= 0, got {seed!r}")
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def _times(section: dict, what: str) -> np.ndarray:
     n = section["n_times"]
     if not (isinstance(n, int) and not isinstance(n, bool) and n >= 2):
@@ -477,7 +486,7 @@ def _run_decay(cfg: dict) -> dict:
         noise = float(section["noise_fraction"])
         if noise < 0:
             raise ValidationError(f"decay.noise_fraction must be >= 0, got {noise!r}")
-        rng = np.random.Generator(np.random.PCG64(section["seed"]))
+        rng = _generator(cfg, "decay")
         rows = []
         for t in _times(section, "decay"):
             model = evolve_trap_population(params, float(t))
@@ -502,7 +511,7 @@ def _run_tof(cfg: dict) -> dict:
         noise = float(section["noise_m"])
         if noise < 0:
             raise ValidationError(f"tof.noise_m must be >= 0, got {noise!r}")
-        rng = np.random.Generator(np.random.PCG64(section["seed"]))
+        rng = _generator(cfg, "tof")
         rows = []
         for t in _times(section, "tof"):
             radius = tof_radius(
@@ -526,11 +535,7 @@ def _run_pulse(cfg: dict) -> dict:
     section = cfg["pulse"]
     det = DetectorSpec(**{k: float(v) for k, v in cfg["detector"].items()})
     tr = TransmissionSpec(**{k: float(v) for k, v in cfg["transmission"].items()})
-    stream = (
-        np.random.Generator(np.random.PCG64(section["seed"]))
-        if section["noisy"]
-        else None
-    )
+    stream = _generator(cfg, "pulse") if section["noisy"] else None
     delta = simulate_pulse_detection(
         float(section["theta_rad"]),
         float(section["n_photons"]),
@@ -557,18 +562,54 @@ _RUNNERS = {
 # ------------------------------------------------------------- commands
 
 
-def _default_manifest_path(out: str) -> str:
-    return out + ".manifest.json"
+class _Flag(NamedTuple):
+    option: str
+    key: str  # the config key the flag overrides, dotted below a section
+    help: str
+    type: type | None = float
+    choices: tuple | None = None
+    switch: bool | None = None  # a switch takes no value and stores this one
 
 
-def _finish_run(command: str, cfg: dict, args) -> int:
-    outputs = _RUNNERS[command](cfg)
-    manifest_path = args.manifest or _default_manifest_path(cfg["out"])
-    _write_manifest(manifest_path, command, cfg, outputs)
-    for path in sorted(outputs):
-        print(f"wrote {path}")
-    print(f"wrote {manifest_path}")
-    return 0
+class _Command(NamedTuple):
+    help: str
+    seeded: str | None  # section whose seed --seed sets; None records seed null
+    modes: bool  # takes a simulate|fit mode
+    input_help: str | None  # help of --in; None when the command reads no file
+    flags: tuple[_Flag, ...] = ()
+
+
+_COMMANDS = {
+    "scan": _Command("synthesize a detuning scan CSV", "scan", False, None, (
+        _Flag("--atoms", "ensemble.n_atoms", "override ensemble.n_atoms"),
+        _Flag("--threads", "threads", "validated and recorded in the manifest; scans "
+              "run single-threaded and the value changes no output", int),
+    )),
+    "fit": _Command("fit column density to a scan CSV", None, False, "scan CSV to fit", (
+        _Flag("--unweighted", "fit.weighted", "ignore per-point spreads in the fit",
+              switch=False),
+        _Flag("--sigma-source", "fit.sigma_source", "which reported spread weights the fit",
+              None, ("stddev", "stderr")),
+    )),
+    "budget": _Command("photon budget for a target variance ratio", None, False, None, (
+        _Flag("--a", "budget.a", "atomic-to-shot variance ratio"),
+        _Flag("--atoms", "budget.n_atoms", "atom number"),
+        _Flag("--theta", "budget.theta_rad", "single-pass rotation angle (rad)"),
+        _Flag("--photons-per-pulse", "budget.photons_per_pulse", "also report the pulse count"),
+    )),
+    "decay": _Command(
+        "trap-population decay (simulate or fit)", "decay", True, "decay CSV to fit"
+    ),
+    "tof": _Command(
+        "ballistic expansion (simulate or fit)", "tof", True, "expansion CSV to fit"
+    ),
+    "pulse": _Command("emit a single balanced-detection waveform", "pulse", False, None, (
+        _Flag("--theta", "pulse.theta_rad", "rotation angle (rad)"),
+        _Flag("--photons", "pulse.n_photons", "photons in the pulse"),
+        _Flag("--noisy", "pulse.noisy", "add shot and electronic noise to the imbalance",
+              switch=True),
+    )),
+}
 
 
 def _replay(command: str, manifest_path: str) -> int:
@@ -614,134 +655,49 @@ def _replay(command: str, manifest_path: str) -> int:
     return 0
 
 
-def _is_replay(args, fields: tuple[str, ...]) -> bool:
-    if args.manifest is None:
-        return False
-    return all(getattr(args, field) is None for field in fields)
-
-
-def _require_out(args) -> str:
-    if args.out is None:
-        raise ValidationError("--out is required (or replay with --manifest only)")
-    return args.out
-
-
-def _apply_seed(cfg: dict, section: str, args) -> None:
-    if args.seed is not None:
-        cfg[section]["seed"] = args.seed
-    cfg["seed"] = cfg[section]["seed"]
-
-
-def cmd_scan(args) -> int:
-    if _is_replay(args, ("config", "seed", "out", "atoms", "threads")):
-        return _replay("scan", args.manifest)
-    cfg = _resolve_config(args.config)
-    if args.atoms is not None:
-        if args.atoms < 0:
-            raise ValidationError(f"--atoms must be >= 0, got {args.atoms!r}")
-        cfg["ensemble"]["n_atoms"] = args.atoms
-    if args.threads is not None:
-        cfg["threads"] = args.threads
-    _apply_seed(cfg, "scan", args)
-    _attach_atom_constants(cfg)
-    cfg["out"] = _require_out(args)
-    return _finish_run("scan", cfg, args)
-
-
-def cmd_fit(args) -> int:
-    if _is_replay(args, ("config", "seed", "out", "in_path", "sigma_source", "unweighted")):
-        return _replay("fit", args.manifest)
-    cfg = _resolve_config(args.config)
-    if args.in_path is None:
-        raise ValidationError("--in is required (or replay with --manifest only)")
-    if args.unweighted:
-        cfg["fit"]["weighted"] = False
-    if args.sigma_source is not None:
-        cfg["fit"]["sigma_source"] = args.sigma_source
-    cfg["seed"] = None  # deterministic command, no randomness to seed
-    _attach_atom_constants(cfg)
-    cfg["in"] = args.in_path
-    cfg["out"] = _require_out(args)
-    return _finish_run("fit", cfg, args)
-
-
-def cmd_budget(args) -> int:
-    if _is_replay(args, ("config", "seed", "out", "a", "atoms", "theta", "photons_per_pulse")):
-        return _replay("budget", args.manifest)
-    cfg = _resolve_config(args.config)
-    section = cfg["budget"]
-    if args.a is not None:
-        section["a"] = args.a
-    if args.atoms is not None:
-        section["n_atoms"] = args.atoms
-    if args.theta is not None:
-        section["theta_rad"] = args.theta
-    if args.photons_per_pulse is not None:
-        section["photons_per_pulse"] = args.photons_per_pulse
-    cfg["seed"] = None
-    _attach_atom_constants(cfg)
-    cfg["out"] = _require_out(args)
-    return _finish_run("budget", cfg, args)
-
-
-def _cmd_decay_or_tof(command: str, args) -> int:
-    if args.mode is None:
-        if _is_replay(args, ("config", "seed", "out", "in_path")):
-            return _replay(command, args.manifest)
+def _run_command(args) -> int:
+    command = args.command
+    row = _COMMANDS[command]
+    given = {dest for dest, value in vars(args).items() if value is not None}
+    if given == {"command", "manifest"}:
+        return _replay(command, args.manifest)
+    mode = getattr(args, "mode", None)
+    if row.modes and mode is None:
         raise ValidationError(
             f"{command} needs a mode (simulate or fit), or --manifest alone to replay"
         )
-    cfg = _resolve_config(args.config)
-    cfg["mode"] = args.mode
-    _apply_seed(cfg, command, args)
-    _attach_atom_constants(cfg)
-    if args.mode == "fit":
+
+    # flag values take the typed merge that --config values take
+    overrides: dict = {}
+    for flag in row.flags:
+        value = getattr(args, flag.option[2:].replace("-", "_"))
+        if value is not None:
+            section, _, key = flag.key.rpartition(".")
+            target = overrides.setdefault(section, {}) if section else overrides
+            target[key] = value if flag.switch is None else flag.switch
+    if row.seeded and args.seed is not None:
+        overrides.setdefault(row.seeded, {})["seed"] = args.seed
+    cfg = _merge_config(_resolve_config(args.config), overrides, "")
+    # fit and budget draw no random numbers, so record no seed
+    cfg["seed"] = cfg[row.seeded]["seed"] if row.seeded else None
+    if row.modes:
+        cfg["mode"] = mode
+    if row.input_help and mode in (None, "fit"):  # simulate modes read no file
         if args.in_path is None:
-            raise ValidationError(f"{command} fit requires --in")
+            raise ValidationError("--in is required to fit (or replay with --manifest only)")
         cfg["in"] = args.in_path
-    cfg["out"] = _require_out(args)
-    return _finish_run(command, cfg, args)
-
-
-def cmd_decay(args) -> int:
-    return _cmd_decay_or_tof("decay", args)
-
-
-def cmd_tof(args) -> int:
-    return _cmd_decay_or_tof("tof", args)
-
-
-def cmd_pulse(args) -> int:
-    if _is_replay(args, ("config", "seed", "out", "theta", "photons", "noisy")):
-        return _replay("pulse", args.manifest)
-    cfg = _resolve_config(args.config)
-    section = cfg["pulse"]
-    if args.theta is not None:
-        section["theta_rad"] = args.theta
-    if args.photons is not None:
-        if not args.photons > 0:
-            raise ValidationError(f"--photons must be positive, got {args.photons!r}")
-        section["n_photons"] = args.photons
-    if args.noisy:
-        section["noisy"] = True
-    _apply_seed(cfg, "pulse", args)
+    if args.out is None:
+        raise ValidationError("--out is required (or replay with --manifest only)")
+    cfg["out"] = args.out
     _attach_atom_constants(cfg)
-    cfg["out"] = _require_out(args)
-    return _finish_run("pulse", cfg, args)
 
-
-# -------------------------------------------------------------- parser
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="JSON configuration file")
-    parser.add_argument("--seed", type=int, metavar="INT", help="override the RNG seed")
-    parser.add_argument("--out", metavar="PATH", help="primary output file")
-    parser.add_argument(
-        "--manifest",
-        metavar="PATH",
-        help="manifest path; given alone, replay that manifest and verify digests",
-    )
+    outputs = _RUNNERS[command](cfg)
+    manifest_path = args.manifest or cfg["out"] + ".manifest.json"
+    _write_manifest(manifest_path, command, cfg, outputs)
+    for path in sorted(outputs):
+        print(f"wrote {path}")
+    print(f"wrote {manifest_path}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -751,83 +707,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"coldspin {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    scan = commands.add_parser("scan", help="synthesize a detuning scan CSV")
-    _add_common_flags(scan)
-    scan.add_argument("--atoms", type=float, help="override ensemble.n_atoms")
-    scan.add_argument(
-        "--threads",
-        type=int,
-        help="validated and recorded in the manifest; scans run single-threaded "
-        "and the value changes no output",
-    )
-    scan.set_defaults(func=cmd_scan)
-
-    fit = commands.add_parser("fit", help="fit column density to a scan CSV")
-    _add_common_flags(fit)
-    fit.add_argument("--in", dest="in_path", metavar="PATH", help="scan CSV to fit")
-    fit.add_argument(
-        "--unweighted",
-        action="store_const",
-        const=True,
-        help="ignore per-point spreads in the fit",
-    )
-    fit.add_argument(
-        "--sigma-source",
-        choices=("stddev", "stderr"),
-        help="which reported spread weights the fit",
-    )
-    fit.set_defaults(func=cmd_fit)
-
-    budget = commands.add_parser("budget", help="photon budget for a target variance ratio")
-    _add_common_flags(budget)
-    budget.add_argument("--a", type=float, help="atomic-to-shot variance ratio")
-    budget.add_argument("--atoms", type=float, help="atom number")
-    budget.add_argument("--theta", type=float, help="single-pass rotation angle (rad)")
-    budget.add_argument(
-        "--photons-per-pulse", type=float, help="also report the pulse count"
-    )
-    budget.set_defaults(func=cmd_budget)
-
-    decay = commands.add_parser("decay", help="trap-population decay (simulate or fit)")
-    decay.add_argument("mode", nargs="?", choices=("simulate", "fit"))
-    _add_common_flags(decay)
-    decay.add_argument("--in", dest="in_path", metavar="PATH", help="decay CSV to fit")
-    decay.set_defaults(func=cmd_decay)
-
-    tof = commands.add_parser("tof", help="ballistic expansion (simulate or fit)")
-    tof.add_argument("mode", nargs="?", choices=("simulate", "fit"))
-    _add_common_flags(tof)
-    tof.add_argument("--in", dest="in_path", metavar="PATH", help="expansion CSV to fit")
-    tof.set_defaults(func=cmd_tof)
-
-    pulse = commands.add_parser("pulse", help="emit a single balanced-detection waveform")
-    _add_common_flags(pulse)
-    pulse.add_argument("--theta", type=float, help="rotation angle (rad)")
-    pulse.add_argument("--photons", type=float, help="photons in the pulse")
-    pulse.add_argument(
-        "--noisy",
-        action="store_const",
-        const=True,
-        help="add shot and electronic noise to the imbalance",
-    )
-    pulse.set_defaults(func=cmd_pulse)
-
+    for name, row in _COMMANDS.items():
+        sub = commands.add_parser(name, help=row.help)
+        if row.modes:
+            sub.add_argument("mode", nargs="?", choices=("simulate", "fit"))
+        sub.add_argument("--config", metavar="PATH", help="JSON configuration file")
+        sub.add_argument("--seed", type=int, metavar="INT", help="override the RNG seed")
+        sub.add_argument("--out", metavar="PATH", help="primary output file")
+        sub.add_argument(
+            "--manifest",
+            metavar="PATH",
+            help="manifest path; given alone, replay that manifest and verify digests",
+        )
+        if row.input_help:
+            sub.add_argument("--in", dest="in_path", metavar="PATH", help=row.input_help)
+        for flag in row.flags:
+            if flag.switch is None:
+                sub.add_argument(flag.option, type=flag.type, choices=flag.choices,
+                                 help=flag.help)
+            else:
+                sub.add_argument(flag.option, action="store_const", const=True,
+                                 help=flag.help)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run_command(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NearResonanceError, FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (FloatingPointError, ZeroDivisionError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -21,6 +21,11 @@ import numpy as np
 
 from .errors import ValidationError
 
+# Longest trace synthesize_waveform builds: the default pulse takes 500
+# samples, and a duration or filter width mistyped by orders of magnitude
+# would otherwise allocate gigabytes.
+MAX_WAVEFORM_SAMPLES = 2**22
+
 
 @dataclass(frozen=True)
 class DetectorSpec:
@@ -147,6 +152,11 @@ def synthesize_waveform(
     dt = 1.0 / det.sample_rate_hz
     pad = 8.0 * det.filter_sigma_s
     total = pulse_duration_s + 2.0 * pad
+    if not total / dt <= MAX_WAVEFORM_SAMPLES:
+        raise ValidationError(
+            f"the waveform would take {total / dt:.3g} samples, more than "
+            f"{MAX_WAVEFORM_SAMPLES}: shorten pulse_duration_s or filter_sigma_s"
+        )
     n_samples = int(math.ceil(total / dt))
     t = (np.arange(n_samples) + 0.5) * dt
     center = total / 2.0

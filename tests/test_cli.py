@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -396,3 +397,197 @@ def test_bad_sigma_source_choice_is_usage_error(in_tmp_dir):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["fit", "--in", "x.csv", "--out", "y.json", "--sigma-source", "var"])
     assert excinfo.value.code == 2
+
+
+def test_pulse_rejects_zero_photons(in_tmp_dir, capsys):
+    assert cli.main(["pulse", "--photons", "0", "--out", "pulse.csv"]) == 2
+    assert "photons" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize(
+    "argv", [["decay", "simulate"], ["tof", "simulate"], ["pulse", "--noisy"]],
+    ids=["decay", "tof", "pulse"],
+)
+def test_negative_seed_exits_2(in_tmp_dir, capsys, argv, via):
+    section = argv[0]
+    if via == "flag":
+        extra = ["--seed", "-1"]
+    else:
+        (in_tmp_dir / "cfg.json").write_text(json.dumps({section: {"seed": -1}}))
+        extra = ["--config", "cfg.json"]
+    assert cli.main([*argv, *extra, "--out", "out.csv"]) == 2
+    err = capsys.readouterr().err
+    assert f"{section}.seed" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, override, code",
+    [
+        (["scan"], {"scan": {"photons_per_pulse": 1e308}}, 3),
+        (["decay", "simulate"], {"decay": {"sigma_r_m": 1e308}}, 3),
+        (["tof", "simulate"], {"tof": {"sigma0_m": 1e308}}, 3),
+        (["tof", "simulate"], {"tof": {"t_stop_s": 1e308}}, 3),
+        (["scan", "--atoms", "1e308"], {}, 3),
+        # a finite scan once the integer is cast to float, not a crash
+        (["scan"], {"scan": {"detuning_start_hz": 2**70}}, 0),
+    ],
+    ids=["photons-per-pulse", "sigma-r", "sigma0", "t-stop", "atoms-flag",
+         "huge-int-detuning"],
+)
+def test_extreme_values_honour_exit_codes(in_tmp_dir, capsys, argv, override, code):
+    (in_tmp_dir / "cfg.json").write_text(json.dumps(override))
+    assert cli.main([*argv, "--config", "cfg.json", "--out", "out.csv"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert bool(err) == (code != 0)
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"pulse": {"pulse_duration_s": 3.5}}, {"detector": {"filter_sigma_s": 3.5}}],
+    ids=["pulse-duration", "filter-sigma"],
+)
+def test_oversized_waveform_exits_2(in_tmp_dir, capsys, override):
+    # unbounded, these traces would take 3.5e8 and 5.6e9 samples
+    (in_tmp_dir / "big.json").write_text(json.dumps(override))
+    assert cli.main(["pulse", "--config", "big.json", "--out", "pulse.csv"]) == 2
+    assert "samples" in capsys.readouterr().err
+    assert not (in_tmp_dir / "pulse.csv").exists()
+
+
+# Every subcommand's parser: its help, then per action the option strings,
+# dest, type, choices, const, nargs, metavar and help.
+COMMON_ACTIONS = [
+    (("--config",), "config", None, None, None, None, "PATH", "JSON configuration file"),
+    (("--seed",), "seed", int, None, None, None, "INT", "override the RNG seed"),
+    (("--out",), "out", None, None, None, None, "PATH", "primary output file"),
+    (("--manifest",), "manifest", None, None, None, None, "PATH",
+     "manifest path; given alone, replay that manifest and verify digests"),
+]
+MODE_ACTION = ((), "mode", None, ("simulate", "fit"), None, "?", None, None)
+PARSER_SURFACE = {
+    "scan": ("synthesize a detuning scan CSV", [
+        *COMMON_ACTIONS,
+        (("--atoms",), "atoms", float, None, None, None, None, "override ensemble.n_atoms"),
+        (("--threads",), "threads", int, None, None, None, None,
+         "validated and recorded in the manifest; scans run single-threaded "
+         "and the value changes no output"),
+    ]),
+    "fit": ("fit column density to a scan CSV", [
+        *COMMON_ACTIONS,
+        (("--in",), "in_path", None, None, None, None, "PATH", "scan CSV to fit"),
+        (("--unweighted",), "unweighted", None, None, True, 0, None,
+         "ignore per-point spreads in the fit"),
+        (("--sigma-source",), "sigma_source", None, ("stddev", "stderr"), None, None, None,
+         "which reported spread weights the fit"),
+    ]),
+    "budget": ("photon budget for a target variance ratio", [
+        *COMMON_ACTIONS,
+        (("--a",), "a", float, None, None, None, None, "atomic-to-shot variance ratio"),
+        (("--atoms",), "atoms", float, None, None, None, None, "atom number"),
+        (("--theta",), "theta", float, None, None, None, None,
+         "single-pass rotation angle (rad)"),
+        (("--photons-per-pulse",), "photons_per_pulse", float, None, None, None, None,
+         "also report the pulse count"),
+    ]),
+    "decay": ("trap-population decay (simulate or fit)", [
+        MODE_ACTION,
+        *COMMON_ACTIONS,
+        (("--in",), "in_path", None, None, None, None, "PATH", "decay CSV to fit"),
+    ]),
+    "tof": ("ballistic expansion (simulate or fit)", [
+        MODE_ACTION,
+        *COMMON_ACTIONS,
+        (("--in",), "in_path", None, None, None, None, "PATH", "expansion CSV to fit"),
+    ]),
+    "pulse": ("emit a single balanced-detection waveform", [
+        *COMMON_ACTIONS,
+        (("--theta",), "theta", float, None, None, None, None, "rotation angle (rad)"),
+        (("--photons",), "photons", float, None, None, None, None, "photons in the pulse"),
+        (("--noisy",), "noisy", None, None, True, 0, None,
+         "add shot and electronic noise to the imbalance"),
+    ]),
+}
+
+
+def test_parser_surface_is_unchanged():
+    parser = cli.build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    helps = {choice.dest: choice.help for choice in commands._choices_actions}
+    surface = {
+        name: (helps[name], [
+            (tuple(a.option_strings), a.dest, a.type, a.choices, a.const, a.nargs,
+             a.metavar, a.help)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        ])
+        for name, sub in commands.choices.items()
+    }
+    assert surface == PARSER_SURFACE
+
+
+# (subcommand, flag, value or None for a switch, config key, recorded value);
+# "seed" is the manifest's top-level seed, null for fit and budget
+FLAG_ROWS = [
+    ("scan", "--atoms", "2e5", "ensemble.n_atoms", 2e5),
+    ("scan", "--threads", "3", "threads", 3),
+    ("scan", "--seed", "5", "scan.seed", 5),
+    ("fit", "--unweighted", None, "fit.weighted", False),
+    ("fit", "--sigma-source", "stderr", "fit.sigma_source", "stderr"),
+    ("fit", "--seed", "5", "seed", None),
+    ("budget", "--a", "2", "budget.a", 2.0),
+    ("budget", "--atoms", "2e5", "budget.n_atoms", 2e5),
+    ("budget", "--theta", "0.03", "budget.theta_rad", 0.03),
+    ("budget", "--photons-per-pulse", "1e6", "budget.photons_per_pulse", 1e6),
+    ("budget", "--seed", "5", "seed", None),
+    ("decay", "--seed", "5", "decay.seed", 5),
+    ("tof", "--seed", "5", "tof.seed", 5),
+    ("pulse", "--theta", "0.01", "pulse.theta_rad", 0.01),
+    ("pulse", "--photons", "1e6", "pulse.n_photons", 1e6),
+    ("pulse", "--noisy", None, "pulse.noisy", True),
+    ("pulse", "--seed", "5", "pulse.seed", 5),
+]
+
+
+def test_flag_rows_cover_every_command_flag():
+    table = {(name, flag.option) for name, row in cli._COMMANDS.items() for flag in row.flags}
+    table |= {(name, "--seed") for name in cli._COMMANDS}
+    assert table == {(command, flag) for command, flag, *_ in FLAG_ROWS}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, key, expected", FLAG_ROWS,
+    ids=[f"{command}{flag}" for command, flag, *_ in FLAG_ROWS],
+)
+def test_flag_sets_its_config_key(in_tmp_dir, capsys, command, flag, value, key, expected):
+    base = {
+        "scan": ["scan", "--config", write_small_scan_config(in_tmp_dir / "cfg.json")],
+        "fit": ["fit", "--in", "scan.csv"],
+        "budget": ["budget", "--theta", "0.02"],
+        "decay": ["decay", "simulate"],
+        "tof": ["tof", "simulate"],
+        "pulse": ["pulse"],
+    }[command]
+    if command == "fit":
+        run_scan(in_tmp_dir)
+    given = [flag] if value is None else [flag, value]
+    assert cli.main([*base, *given, "--out", "out.dat", "--manifest", "m.json"]) == 0
+    manifest = json.loads((in_tmp_dir / "m.json").read_text())
+    recorded = manifest["config"]
+    for part in key.split("."):
+        recorded = recorded[part]
+    assert recorded == expected
+    assert type(recorded) is type(expected)
+    if flag == "--seed":
+        assert manifest["seed"] == expected
+
+    # --manifest with any other flag is a new run (which lacks --out or a
+    # mode here), never a replay; --manifest alone replays
+    capsys.readouterr()
+    assert cli.main([command, "--manifest", "m.json", *given]) == 2
+    assert "reproduced" not in capsys.readouterr().out
+    assert cli.main([command, "--manifest", "m.json"]) == 0
