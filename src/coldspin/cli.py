@@ -39,7 +39,10 @@ from .analysis import (
     photon_budget,
 )
 from .atomic_data import default_atom_document, load_atom_spec
+# bench/tracing.py times the CSV table I/O under these names
+from .csvio import read_table as _read_rows_csv, write_table as _write_rows_csv
 from .detector import (
+    MAX_ARRAY_SIZE,
     DetectorSpec,
     TransmissionSpec,
     simulate_pulse_detection,
@@ -65,6 +68,9 @@ from .spin_optics import coherent_spin_state, rotation_cross_section
 
 _SQRT_8LN2 = 2.0 * math.sqrt(2.0 * math.log(2.0))
 CURVE_SAMPLES = 200
+CURVE_CSV_COLUMNS = {"detuning_hz": float, "theta_model_rad": float}
+DECAY_CSV_COLUMNS = {"time_s": float, "atom_count": float, "count_sigma": float}
+TOF_CSV_COLUMNS = {"time_s": float, "sigma_m": float}
 
 # Fully resolved fallback configuration. A --config file overrides
 # section-by-section; flags override the file. The numbers are the
@@ -246,45 +252,6 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_rows_csv(path: str, columns: tuple[str, ...], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(columns) + "\n")
-        for row in rows:
-            handle.write(",".join(f"{value:.11e}" for value in row) + "\n")
-
-
-def _read_rows_csv(path: str, columns: tuple[str, ...]) -> list[tuple[float, ...]]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise ValidationError(f"{path} is empty")
-    if tuple(lines[0].split(",")) != columns:
-        raise ValidationError(
-            f"{path} row 1: expected header {','.join(columns)!r}, "
-            f"got {lines[0]!r}"
-        )
-    rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(columns):
-            raise ValidationError(
-                f"{path} row {number}: expected {len(columns)} fields, "
-                f"got {len(parts)}"
-            )
-        try:
-            rows.append(tuple(float(part) for part in parts))
-        except ValueError as exc:
-            raise ValidationError(f"{path} row {number}: {exc}") from exc
-    if not rows:
-        raise ValidationError(f"{path} contains a header but no data rows")
-    return rows
-
-
 def _write_json(path: str, document: dict) -> None:
     # one named function for every CLI JSON write: bench/tracing.py times it
     write_json(path, document)
@@ -326,8 +293,10 @@ def _scan_detunings(section: dict) -> list[float]:
             raise ValidationError("scan.detunings_hz must be a non-empty array of numbers")
         return [float(v) for v in values]
     n = section["n_detunings"]
-    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
-        raise ValidationError(f"scan.n_detunings must be a positive int, got {n!r}")
+    if not (isinstance(n, int) and not isinstance(n, bool) and 1 <= n <= MAX_ARRAY_SIZE):
+        raise ValidationError(
+            f"scan.n_detunings must be an int in [1, {MAX_ARRAY_SIZE}], got {n!r}"
+        )
     if n == 1:
         return [float(section["detuning_start_hz"])]
     start = float(section["detuning_start_hz"])
@@ -392,7 +361,7 @@ def _run_scan(cfg: dict) -> dict:
         )
         curve_rows.append((float(detuning), 0.5 * column_density * g_tilde))
     curve_path = _scan_curve_path(out)
-    _write_rows_csv(curve_path, ("detuning_hz", "theta_model_rad"), curve_rows)
+    _write_rows_csv(curve_path, CURVE_CSV_COLUMNS, curve_rows)
     return _digest_map([out, curve_path])
 
 
@@ -449,10 +418,6 @@ def _run_budget(cfg: dict) -> dict:
     return _digest_map([out])
 
 
-DECAY_CSV_COLUMNS = ("time_s", "atom_count", "count_sigma")
-TOF_CSV_COLUMNS = ("time_s", "sigma_m")
-
-
 def _generator(cfg: dict, section: str) -> np.random.Generator:
     seed = cfg[section]["seed"]
     if seed < 0:
@@ -462,8 +427,10 @@ def _generator(cfg: dict, section: str) -> np.random.Generator:
 
 def _times(section: dict, what: str) -> np.ndarray:
     n = section["n_times"]
-    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 2):
-        raise ValidationError(f"{what}.n_times must be an int >= 2, got {n!r}")
+    if not (isinstance(n, int) and not isinstance(n, bool) and 2 <= n <= MAX_ARRAY_SIZE):
+        raise ValidationError(
+            f"{what}.n_times must be an int in [2, {MAX_ARRAY_SIZE}], got {n!r}"
+        )
     start = float(section["t_start_s"])
     stop = float(section["t_stop_s"])
     if not stop > start:

@@ -13,18 +13,21 @@ imbalance.  integrate_window is its exact inverse in the noiseless case.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import read_table, write_table
 from .errors import ValidationError
 
-# Longest trace synthesize_waveform builds: the default pulse takes 500
-# samples, and a duration or filter width mistyped by orders of magnitude
-# would otherwise allocate gigabytes.
-MAX_WAVEFORM_SAMPLES = 2**22
+# Most elements of any one array a run allocates: a waveform's samples (the
+# default pulse takes 500), a scan detuning's runs x (pulses + 1) block,
+# the scan detunings, and the decay and expansion times.  A value mistyped
+# by orders of magnitude would otherwise allocate gigabytes.
+MAX_ARRAY_SIZE = 2**22
+
+PULSE_CSV_COLUMNS = {"sample_index": int, "value": float}
 
 
 @dataclass(frozen=True)
@@ -152,10 +155,10 @@ def synthesize_waveform(
     dt = 1.0 / det.sample_rate_hz
     pad = 8.0 * det.filter_sigma_s
     total = pulse_duration_s + 2.0 * pad
-    if not total / dt <= MAX_WAVEFORM_SAMPLES:
+    if not total / dt <= MAX_ARRAY_SIZE:
         raise ValidationError(
             f"the waveform would take {total / dt:.3g} samples, more than "
-            f"{MAX_WAVEFORM_SAMPLES}: shorten pulse_duration_s or filter_sigma_s"
+            f"{MAX_ARRAY_SIZE}: shorten pulse_duration_s or filter_sigma_s"
         )
     n_samples = int(math.ceil(total / dt))
     t = (np.arange(n_samples) + 0.5) * dt
@@ -185,27 +188,10 @@ def integrate_window(record: PulseRecord, det: DetectorSpec) -> float:
 
 
 def write_pulse_csv(record: PulseRecord, path) -> None:
-    """Serialize a trace as CSV with columns sample_index, value."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["sample_index", "value"])
-        for index, value in enumerate(record.samples):
-            writer.writerow([index, f"{value:.11e}"])
+    """Serialize a trace as a CSV table with columns sample_index, value."""
+    write_table(path, PULSE_CSV_COLUMNS, enumerate(record.samples))
 
 
 def read_pulse_samples(path) -> list[float]:
     """Parse the sample values back from a pulse CSV."""
-    values: list[float] = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["sample_index", "value"]:
-            raise ValidationError(f"{path} is not a pulse CSV (bad header {header!r})")
-        for row_number, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise ValidationError(f"{path}: malformed row {row_number}")
-            try:
-                values.append(float(row[1]))
-            except ValueError as exc:
-                raise ValidationError(f"{path}: malformed row {row_number}") from exc
-    return values
+    return [value for _, value in read_table(path, PULSE_CSV_COLUMNS)]

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .atomic_data import (
     BOLTZMANN_J_PER_K,
     PLANCK_J_S,

@@ -24,7 +24,6 @@ on one reused generator instead of constructing a generator per cell.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 from dataclasses import dataclass
@@ -32,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic_data import AtomSpec
-from .detector import DetectorSpec, TransmissionSpec, extract_angle
+from .csvio import read_table, write_table
+from .detector import MAX_ARRAY_SIZE, DetectorSpec, TransmissionSpec, extract_angle
 from .errors import NearResonanceError, ValidationError
 from .spin_optics import (
     DEFAULT_GUARD_LINEWIDTHS,
@@ -44,14 +44,16 @@ from .spin_optics import (
     detuning_factor,
 )
 
-SCAN_CSV_COLUMNS = (
-    "detuning_hz",
-    "theta_mean_rad",
-    "theta_stderr_rad",
-    "theta_stddev_rad",
-    "n_runs",
-    "n_pulses",
-)
+# ScanPoint's fields, in order, with their types: read_scan_csv builds
+# each point from its row's fields positionally
+SCAN_CSV_COLUMNS = {
+    "detuning_hz": float,
+    "theta_mean_rad": float,
+    "theta_stderr_rad": float,
+    "theta_stddev_rad": float,
+    "n_runs": int,
+    "n_pulses": int,
+}
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,9 @@ class ScanConfig:
     number from run to run (trap loading noise); it dominates the scan error
     bars at realistic settings, far above shot noise.  Detunings are stored
     sorted ascending; child streams are keyed by position in the sorted
-    list.
+    list.  pulse_period_s is validated (it must exceed pulse_duration_s)
+    and recorded, but changes no output: nothing in the model depends on
+    the time between pulses.
     """
 
     detunings_hz: tuple[float, ...]
@@ -117,6 +121,12 @@ class ScanConfig:
             value = getattr(self, name)
             if not (isinstance(value, int) and value >= 1):
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        block = self.runs_per_point * (self.pulses_per_sample + 1)
+        if block > MAX_ARRAY_SIZE:
+            raise ValidationError(
+                f"runs_per_point * (pulses_per_sample + 1) is {block}, more than "
+                f"the {MAX_ARRAY_SIZE} elements one array may take"
+            )
         if not (0.0 <= self.atom_number_spread and math.isfinite(self.atom_number_spread)):
             raise ValidationError(
                 f"atom_number_spread must be >= 0, got {self.atom_number_spread!r}"
@@ -448,54 +458,11 @@ def scattering_probability(
 
 
 def write_scan_csv(dataset: ScanDataset, path) -> None:
-    """Serialize a scan as CSV (12 significant digits, scientific)."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SCAN_CSV_COLUMNS)
-        for p in dataset.points:
-            writer.writerow(
-                [
-                    f"{p.detuning_hz:.11e}",
-                    f"{p.theta_mean_rad:.11e}",
-                    f"{p.theta_stderr_rad:.11e}",
-                    f"{p.theta_stddev_rad:.11e}",
-                    p.n_runs,
-                    p.n_pulses,
-                ]
-            )
+    """Serialize a scan as a CSV table, one row per point."""
+    rows = map(operator.attrgetter(*SCAN_CSV_COLUMNS), dataset.points)
+    write_table(path, SCAN_CSV_COLUMNS, rows)
 
 
 def read_scan_csv(path) -> ScanDataset:
     """Parse a scan CSV back into a dataset; errors name the bad row."""
-    points = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{path} is empty")
-        if tuple(header) != SCAN_CSV_COLUMNS:
-            raise ValidationError(
-                f"{path} header does not match the scan schema: {header!r}"
-            )
-        for row_number, row in enumerate(reader, start=2):
-            if len(row) != len(SCAN_CSV_COLUMNS):
-                raise ValidationError(
-                    f"{path}: row {row_number} has {len(row)} fields, expected "
-                    f"{len(SCAN_CSV_COLUMNS)}"
-                )
-            try:
-                points.append(
-                    ScanPoint(
-                        detuning_hz=float(row[0]),
-                        theta_mean_rad=float(row[1]),
-                        theta_stderr_rad=float(row[2]),
-                        theta_stddev_rad=float(row[3]),
-                        n_runs=int(row[4]),
-                        n_pulses=int(row[5]),
-                    )
-                )
-            except (ValueError, ValidationError) as exc:
-                raise ValidationError(f"{path}: malformed row {row_number}: {exc}") from exc
-    if not points:
-        raise ValidationError(f"{path} contains a header but no data rows")
-    return ScanDataset(points=tuple(points))
+    return ScanDataset(points=tuple(read_table(path, SCAN_CSV_COLUMNS, ScanPoint)))

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .atomic_data import AtomSpec
+from .atomic_data import SPEED_OF_LIGHT_M_PER_S, AtomSpec
 from .errors import NearResonanceError, ValidationError
 
 # The first-order interaction map grows |mean| at second order in the
@@ -196,8 +196,15 @@ def detuning_factor(
     sign, 1/(Delta + Delta_0,F'), for comparison against analyses written in
     the reversed detuning convention.  A guard band of guard_linewidths
     natural linewidths around each pole is refused: the dispersive model
-    neglects absorption there.
+    neglects absorption there.  A detuning at or beyond the probe's optical
+    frequency c/lambda would make that frequency negative and is refused.
     """
+    optical_hz = SPEED_OF_LIGHT_M_PER_S / spec.wavelength_m
+    if not abs(detuning_hz) < optical_hz:
+        raise ValidationError(
+            f"detuning {detuning_hz:.6g} Hz is not below the probe's optical "
+            f"frequency {optical_hz:.6g} Hz in magnitude"
+        )
     if f_prime not in (0, 1, 2):
         raise ValidationError(f"f_prime must be 0, 1, or 2, got {f_prime!r}")
     if convention not in ("physical", "literal"):

@@ -422,6 +422,24 @@ def test_negative_seed_exits_2(in_tmp_dir, capsys, argv, via):
     assert "Traceback" not in err
 
 
+# Counts whose arrays would not fit in memory (up to 75 GiB, or past
+# numpy's maximum size for 2**70): each exits 2 before any allocation, and
+# its message names the key it holds.
+OVERSIZED_COUNTS = {
+    "runs": (["scan"], {"scan": {"runs_per_point": 10**9}}, "runs_per_point"),
+    "pulses": (["scan"], {"scan": {"pulses_per_sample": 2 * 10**9, "runs_per_point": 1}},
+               "pulses_per_sample"),
+    "detunings": (["scan"], {"scan": {"n_detunings": 10**10}}, "scan.n_detunings"),
+    "decay-times": (["decay", "simulate"], {"decay": {"n_times": 10**10}}, "decay.n_times"),
+    "2**70-detunings": (["scan"], {"scan": {"n_detunings": 2**70}}, "scan.n_detunings"),
+    "2**70-pulses": (["scan"], {"scan": {"pulses_per_sample": 2**70}}, "pulses_per_sample"),
+    "2**70-runs": (["scan"], {"scan": {"runs_per_point": 2**70}}, "runs_per_point"),
+    "2**70-decay-times": (["decay", "simulate"], {"decay": {"n_times": 2**70}},
+                          "decay.n_times"),
+    "2**70-tof-times": (["tof", "simulate"], {"tof": {"n_times": 2**70}}, "tof.n_times"),
+}
+
+
 @pytest.mark.parametrize(
     "argv, override, code",
     [
@@ -430,11 +448,12 @@ def test_negative_seed_exits_2(in_tmp_dir, capsys, argv, via):
         (["tof", "simulate"], {"tof": {"sigma0_m": 1e308}}, 3),
         (["tof", "simulate"], {"tof": {"t_stop_s": 1e308}}, 3),
         (["scan", "--atoms", "1e308"], {}, 3),
-        # a finite scan once the integer is cast to float, not a crash
-        (["scan"], {"scan": {"detuning_start_hz": 2**70}}, 0),
+        # beyond the probe's optical frequency
+        (["scan"], {"scan": {"detuning_start_hz": 2**70}}, 2),
+        *((argv, override, 2) for argv, override, _ in OVERSIZED_COUNTS.values()),
     ],
     ids=["photons-per-pulse", "sigma-r", "sigma0", "t-stop", "atoms-flag",
-         "huge-int-detuning"],
+         "huge-int-detuning", *OVERSIZED_COUNTS],
 )
 def test_extreme_values_honour_exit_codes(in_tmp_dir, capsys, argv, override, code):
     (in_tmp_dir / "cfg.json").write_text(json.dumps(override))
@@ -442,6 +461,30 @@ def test_extreme_values_honour_exit_codes(in_tmp_dir, capsys, argv, override, co
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert bool(err) == (code != 0)
+
+
+@pytest.mark.parametrize("argv, override, key", OVERSIZED_COUNTS.values(),
+                         ids=list(OVERSIZED_COUNTS))
+def test_oversized_counts_name_their_key(in_tmp_dir, capsys, argv, override, key):
+    (in_tmp_dir / "cfg.json").write_text(json.dumps(override))
+    assert cli.main([*argv, "--config", "cfg.json", "--out", "out.csv"]) == 2
+    assert key in capsys.readouterr().err
+    assert not (in_tmp_dir / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "simulate, fit",
+    [(["scan"], ["fit"]), (["decay", "simulate"], ["decay", "fit"]),
+     (["tof", "simulate"], ["tof", "fit"])],
+    ids=["scan", "decay", "tof"],
+)
+def test_fit_accepts_trailing_blank_line(in_tmp_dir, simulate, fit):
+    assert cli.main([*simulate, "--out", "data.csv"]) == 0
+    assert cli.main([*fit, "--in", "data.csv", "--out", "a.json"]) == 0
+    with open(in_tmp_dir / "data.csv", "a") as handle:
+        handle.write("\n")
+    assert cli.main([*fit, "--in", "data.csv", "--out", "b.json"]) == 0
+    assert (in_tmp_dir / "a.json").read_bytes() == (in_tmp_dir / "b.json").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -150,6 +150,11 @@ def test_pulse_csv_rejects_bad_header(tmp_path):
     path.write_text("t,v\n0,1.0\n")
     with pytest.raises(ValidationError, match="header"):
         read_pulse_samples(path)
+    path.write_text("sample_index,value\n")
+    with pytest.raises(ValidationError, match="no data rows"):
+        read_pulse_samples(path)
+    with pytest.raises(ValidationError, match="cannot read"):
+        read_pulse_samples(tmp_path / "absent.csv")
 
 
 def test_pulse_csv_names_malformed_row(tmp_path):
@@ -157,6 +162,12 @@ def test_pulse_csv_names_malformed_row(tmp_path):
     path.write_text("sample_index,value\n0,1.0\n1,oops\n")
     with pytest.raises(ValidationError, match="row 3"):
         read_pulse_samples(path)
+    # rows are numbered by file line, blank lines included
+    path.write_text("sample_index,value\n0,1.0\n\n1.5,2.0\n")
+    with pytest.raises(ValidationError, match="row 4: sample_index"):
+        read_pulse_samples(path)
+    path.write_text("sample_index,value\n0,1.0\n1,2.0\n\n")
+    assert read_pulse_samples(path) == [1.0, 2.0]
 
 
 def test_pulse_record_window_bounds_validated():

@@ -413,6 +413,15 @@ def test_scan_csv_error_reporting(tmp_path):
     with pytest.raises(ValidationError, match="row 3"):
         read_scan_csv(junk_row)
 
+    blank_line = tmp_path / "blank.csv"
+    blank_line.write_text(good + "\n")
+    complete = tmp_path / "complete.csv"
+    complete.write_text(good)
+    assert read_scan_csv(blank_line) == read_scan_csv(complete)
+
+    with pytest.raises(ValidationError, match="cannot read"):
+        read_scan_csv(tmp_path / "absent.csv")
+
 
 def test_scan_point_validation():
     with pytest.raises(ValidationError):
