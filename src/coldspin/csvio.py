@@ -4,12 +4,13 @@ A table is a header line of column names, then one line per row.  Each
 column declares a type: a float field is written with 12 significant
 digits (".11e"), an int field as a plain decimal.  Lines end with "\\n".
 read_table checks the header, skips blank lines, checks each row's field
-count and parses each field by its column's type; every error is a
-ValidationError that names the file and the row.
+count and parses each field by its column's type, refusing nan and inf;
+every error is a ValidationError that names the file and the row.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Mapping
 
 from .errors import ValidationError
@@ -59,6 +60,10 @@ def read_table(path, columns: Mapping[str, type], record: Callable | None = None
                 raise ValidationError(
                     f"{path} row {number}: {name} must be {kind.__name__}, got {field!r}"
                 ) from None
+            if kind is float and not math.isfinite(values[-1]):
+                raise ValidationError(
+                    f"{path} row {number}: {name} must be finite, got {field!r}"
+                )
         try:
             rows.append(tuple(values) if record is None else record(*values))
         except ValidationError as exc:

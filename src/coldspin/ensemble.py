@@ -70,12 +70,37 @@ class TrapPopulationParams:
         )
 
 
-def evolve_trap_population(p: TrapPopulationParams, t_s: float) -> float:
-    """Closed-form population at time t under dN/dt = -N/tau - (beta/V)N^2.
+def _two_body_terms(t, n0, tau, beta, v_eff) -> tuple[float, float, float]:
+    # e = e^(-t/tau), g = 1 - e (expm1: no cancellation), D = 1 + N0 (beta tau / V_eff) g
+    decay = math.exp(-t / tau)
+    growth = -math.expm1(-t / tau)
+    return decay, growth, 1.0 + n0 * (beta * tau / v_eff) * growth
 
-    N(t) = N0 e^(-t/tau) / (1 + N0 (beta tau / V_eff)(1 - e^(-t/tau))),
-    with 1 - e^(-t/tau) computed via expm1 so short times do not cancel.
-    """
+
+def two_body_population(t, n0, tau, beta, v_eff) -> float:
+    """The two-body decay law N(t) = N0 e / D for finite tau > 0; a
+    non-positive D, reachable only with beta < 0, gives +inf."""
+    decay, _, denominator = _two_body_terms(t, n0, tau, beta, v_eff)
+    return n0 * decay / denominator if denominator > 0.0 else math.inf
+
+
+def two_body_gradient(t, n0, tau, beta, v_eff) -> tuple[float, float, float]:
+    """Exact dN/dN0 = e/D^2, dN/dtau = N (t/tau^2 - N0 (beta/V_eff)(g - e t/tau)/D)
+    and dN/dbeta = -N N0 tau g/(V_eff D) where D > 0, by successive divisions
+    so that plain floats overflow to inf or underflow to 0, never raise."""
+    decay, growth, denominator = _two_body_terms(t, n0, tau, beta, v_eff)
+    n = n0 * decay / denominator
+    ratio = t / tau
+    return (
+        decay / denominator / denominator,
+        n * (ratio / tau - n0 * (beta / v_eff) * (growth - decay * ratio) / denominator),
+        -n * n0 * tau * growth / v_eff / denominator,
+    )
+
+
+def evolve_trap_population(p: TrapPopulationParams, t_s: float) -> float:
+    """Population at time t under dN/dt = -N/tau - (beta/V)N^2, from the
+    closed form two_body_population, with tau = inf taken to its limit."""
     if not t_s >= 0:
         raise ValidationError(f"t_s must be >= 0, got {t_s!r}")
     if p.n0 == 0.0:
@@ -83,11 +108,7 @@ def evolve_trap_population(p: TrapPopulationParams, t_s: float) -> float:
     if math.isinf(p.tau_s):
         # tau*(1 - e^(-t/tau)) -> t
         return p.n0 / (1.0 + p.n0 * p.beta_m3_per_s * t_s / p.v_eff_m3)
-    decay = math.exp(-t_s / p.tau_s)
-    growth = -math.expm1(-t_s / p.tau_s)
-    return p.n0 * decay / (
-        1.0 + p.n0 * (p.beta_m3_per_s * p.tau_s / p.v_eff_m3) * growth
-    )
+    return two_body_population(t_s, p.n0, p.tau_s, p.beta_m3_per_s, p.v_eff_m3)
 
 
 def evolve_trap_population_rk4(

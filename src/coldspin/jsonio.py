@@ -84,13 +84,13 @@ def decode_nonfinite(document: Mapping) -> Mapping:
 
 
 def read_json(path) -> dict:
-    """Parse a JSON file that must hold an object at top level; unreadable,
-    malformed (reported with its line) or non-object files raise
-    ValidationError."""
+    """Parse a JSON file that must hold an object at top level; unreadable
+    or non-UTF-8, malformed (reported with its line) or non-object files
+    raise ValidationError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(

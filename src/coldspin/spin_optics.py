@@ -17,9 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from .atomic_data import SPEED_OF_LIGHT_M_PER_S, AtomSpec
 from .errors import NearResonanceError, ValidationError
@@ -30,18 +27,6 @@ from .errors import NearResonanceError, ValidationError
 NORM_SLACK = 0.05
 
 DEFAULT_GUARD_LINEWIDTHS = 10.0
-
-_SQRT2 = math.sqrt(2.0)
-
-# Spin-1 matrices in the (m=-1, m=0, m=+1) basis.
-F_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / _SQRT2
-F_Y = np.array([[0, 1j, 0], [-1j, 0, 1j], [0, -1j, 0]], dtype=complex) / _SQRT2
-F_Z = np.diag([-1.0, 0.0, 1.0]).astype(complex)
-
-# Quadratic forms whose half-expectations are the pseudo-spin components.
-_OP_JX = F_X @ F_X - F_Y @ F_Y
-_OP_JY = F_X @ F_Y + F_Y @ F_X
-_OP_JZ = F_Z
 
 _AXES = {
     "x": (1.0, 0),
@@ -367,25 +352,27 @@ def alignment_interact(
 
 
 def _pseudospin_moments(amplitudes) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    psi = np.asarray(amplitudes, dtype=complex)
-    if psi.shape != (3,):
+    """Means and variances of (j_x, j_y, j_z) for amplitudes (a, b, c) over
+    m = -1, 0, +1: j_x + i j_y = conj(c) a, j_z = (|c|^2 - |a|^2)/2, and
+    each squared component has expectation (|a|^2 + |c|^2)/4."""
+    try:
+        if isinstance(amplitudes, (str, bytes)):
+            raise TypeError("a string is not a vector")
+        a, b, c = (complex(v) for v in amplitudes)
+    except (TypeError, ValueError) as exc:
         raise ValidationError(
-            f"amplitudes must be a complex 3-vector over m = -1, 0, +1, got shape {psi.shape}"
-        )
-    norm_sq = float(np.vdot(psi, psi).real)
-    if abs(norm_sq - 1.0) > 1e-12:
+            f"amplitudes must be a complex 3-vector over m = -1, 0, +1, got {amplitudes!r}"
+        ) from exc
+    pop_minus, pop_plus = (z.real * z.real + z.imag * z.imag for z in (a, c))
+    norm_sq = pop_minus + (b.real * b.real + b.imag * b.imag) + pop_plus
+    if not abs(norm_sq - 1.0) <= 1e-12:  # NaN fails too
         raise ValidationError(
             f"amplitudes must be normalized within 1e-12, got |psi|^2 = {norm_sq!r}"
         )
-    means = []
-    variances = []
-    for op in (_OP_JX, _OP_JY, _OP_JZ):
-        half = op / 2.0
-        first = float(np.vdot(psi, half @ psi).real)
-        second = float(np.vdot(psi, half @ (half @ psi)).real)
-        means.append(first)
-        variances.append(max(second - first * first, 0.0))
-    return tuple(means), tuple(variances)
+    coherence = c.conjugate() * a
+    means = (coherence.real, coherence.imag, (pop_plus - pop_minus) / 2.0)
+    second = (pop_minus + pop_plus) / 4.0
+    return means, tuple(max(second - m * m, 0.0) for m in means)
 
 
 def single_atom_pseudospin(amplitudes) -> tuple[float, float, float]:
@@ -393,8 +380,8 @@ def single_atom_pseudospin(amplitudes) -> tuple[float, float, float]:
 
     amplitudes are the complex state amplitudes over m = -1, 0, +1 (must be
     normalized within 1e-12).  Components are the half-expectations of the
-    quadratic forms F_x^2 - F_y^2, F_x F_y + F_y F_x, and F_z, evaluated by
-    explicit 3x3 matrix algebra.
+    quadratic forms F_x^2 - F_y^2, F_x F_y + F_y F_x, and F_z, evaluated in
+    closed form.
     """
     means, _ = _pseudospin_moments(amplitudes)
     return means

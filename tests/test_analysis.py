@@ -256,6 +256,26 @@ def test_decay_fit_noisy_recovery():
     assert fit.chi2 < 3.0 * fit.dof
 
 
+def test_decay_fit_converges_over_seeds():
+    """Seeds 0-99 of the CLI's decay draw: PCG64(seed), 0.2 % noise, 46
+    times.  Every fit converges and recovers n0 and beta within 5 sigma, the
+    benchmark's recovery gate.  Some seeds (43 is the first) end in a line
+    search that finds no descent from a step at the cost's rounding floor,
+    so this fails if GN_STALL_TOLERANCE's rule is removed."""
+    times = np.linspace(0.0, 90.0, 46)
+    truth = {"n0": DECAY_TRUE.n0, "beta_m3_per_s": DECAY_TRUE.beta_m3_per_s}
+    for seed in range(100):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        rows = []
+        for t in times:
+            n = evolve_trap_population(DECAY_TRUE, float(t))
+            rows.append((float(t), n * (1.0 + 0.002 * rng.standard_normal()), 0.002 * n))
+        fit = fit_two_body_decay(rows, DECAY_TRUE.v_eff_m3)
+        assert fit.converged, seed
+        for key, value in truth.items():
+            assert abs(fit.params[key] - value) < 5.0 * fit.sigmas[key], (seed, key)
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     n0=st.floats(min_value=2e5, max_value=5e6),

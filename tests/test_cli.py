@@ -488,6 +488,45 @@ def test_fit_accepts_trailing_blank_line(in_tmp_dir, simulate, fit):
 
 
 @pytest.mark.parametrize(
+    "simulate, fit, column",
+    [(["scan"], ["fit"], "theta_mean_rad"),
+     (["decay", "simulate"], ["decay", "fit"], "atom_count"),
+     (["tof", "simulate"], ["tof", "fit"], "sigma_m")],
+    ids=["scan", "decay", "tof"],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_fit_rejects_nonfinite_fields(in_tmp_dir, capsys, simulate, fit, column, value):
+    assert cli.main([*simulate, "--out", "data.csv"]) == 0
+    header, first, *rest = (in_tmp_dir / "data.csv").read_text().splitlines()
+    fields = first.split(",")
+    fields[header.split(",").index(column)] = value
+    (in_tmp_dir / "data.csv").write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+    capsys.readouterr()
+    assert cli.main([*fit, "--in", "data.csv", "--out", "fit.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"row 2: {column} must be finite, got '{value}'" in err
+    assert "Traceback" not in err
+    assert not (in_tmp_dir / "fit.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [(["scan", "--config", "bad.json", "--out", "scan.csv"], False),
+     (["scan", "--manifest", "bad.json"], False),
+     (["tof", "simulate", "--out", "tof.csv"], True)],
+    ids=["config", "manifest", "atom-data-env"],
+)
+def test_non_utf8_json_exits_2(in_tmp_dir, monkeypatch, capsys, argv, env):
+    (in_tmp_dir / "bad.json").write_bytes(b"\xff\xfe\x00")
+    if env:
+        monkeypatch.setenv("COLDSPIN_ATOM_DATA", str(in_tmp_dir / "bad.json"))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "cannot read" in err and "bad.json" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "override",
     [{"pulse": {"pulse_duration_s": 3.5}}, {"detector": {"filter_sigma_s": 3.5}}],
     ids=["pulse-duration", "filter-sigma"],

@@ -40,8 +40,12 @@ def test_blank_lines_and_crlf_are_accepted(tmp_path):
         ("time_s,count\n\n1.0,1.5\n", "row 3: count must be int"),
         ("time_s,count\nx,1\n", "row 2: time_s must be float"),
         ('time_s,count\n"1.0",1\n', "row 2: time_s"),
+        ("time_s,count\n1.0,1\nnan,1\n", "row 3: time_s must be finite, got 'nan'"),
+        ("time_s,count\n\ninf,1\n", "row 3: time_s must be finite, got 'inf'"),
+        ("time_s,count\n-inf,1\n", "row 2: time_s must be finite, got '-inf'"),
     ],
-    ids=["empty", "blank", "header-only", "header", "fields", "int", "float", "quoted"],
+    ids=["empty", "blank", "header-only", "header", "fields", "int", "float", "quoted",
+         "nan", "inf", "-inf"],
 )
 def test_errors_name_the_file_and_row(tmp_path, text, message):
     path = tmp_path / "t.csv"

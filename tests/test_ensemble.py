@@ -18,6 +18,7 @@ from coldspin import (
     peak_density,
     tof_radius,
 )
+from coldspin.ensemble import two_body_gradient, two_body_population
 
 SPEC = default_atom_spec()
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
@@ -34,6 +35,40 @@ def params(n0=1.2e6, tau=1500.0, beta=8.0e-20):
         sigma_r_m=SIGMA_R,
         temperature_k=25e-6,
     )
+
+
+def central_difference(t, point, k, v_eff, rel_step=1e-6):
+    up, down = list(point), list(point)
+    up[k] += rel_step * abs(point[k])
+    down[k] -= rel_step * abs(point[k])
+    rise = two_body_population(t, *up, v_eff) - two_body_population(t, *down, v_eff)
+    return rise / (up[k] - down[k])
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(1.2e6, 1500.0, 8.0e-20), (3.0e5, 400.0, 3.0e-19), (5.0e6, 4000.0, 1.0e-20),
+     (1.2e6, 1500.0, -2.0e-20)],
+    ids=["default", "fast", "slow", "negative-beta"],
+)
+def test_two_body_gradient_matches_central_differences(point):
+    v_eff = params().v_eff_m3
+    for t in (0.0, 1.0, 10.0, 45.0, 90.0):
+        gradient = two_body_gradient(t, *point, v_eff)
+        for k in range(3):
+            assert gradient[k] == pytest.approx(
+                central_difference(t, point, k, v_eff), rel=1e-6, abs=0.0
+            ), (t, k)
+
+
+def test_two_body_population_is_the_evolved_law():
+    p = params()
+    for t in (0.0, 0.5, 30.0, 90.0):
+        assert evolve_trap_population(p, t) == two_body_population(
+            t, p.n0, p.tau_s, p.beta_m3_per_s, p.v_eff_m3
+        )
+    # a collapsing denominator, reachable with beta < 0, reads as +inf
+    assert two_body_population(90.0, 1.2e6, 1500.0, -1e-15, p.v_eff_m3) == math.inf
 
 
 # 40-digit closed-form references for the benchmark trap

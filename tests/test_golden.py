@@ -45,8 +45,8 @@ GOLDEN = {
         "decay.csv.manifest.json": "ea91b6eb092bfacec24bb1779bb0ade8a248d4083d6f3b83c33f9a5f7f105d83",
     },
     "decay_fit": {
-        "decay_fit.json": "4425f446eeec28275f223026d5e4aa829a3cb385ead50015740a61d1508884ed",
-        "decay_fit.json.manifest.json": "fd2a4c0a6a8fb6bde751c7e5acef0c9fa8e04bf7ea4da551a5b290a370c2c516",
+        "decay_fit.json": "3250750d6ec21433f5edf59f3bd071cd1caf3fbd20231f6566f25ccf8079c295",
+        "decay_fit.json.manifest.json": "0914a7955114fd7370ae8622de3c67c7968757ee7ad693a6047501423374807e",
     },
     "tof_simulate": {
         "tof.csv": "286b949fc63fa969fb095f7b04b772ac5f62901966e6f664a5cf83df974d573b",

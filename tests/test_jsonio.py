@@ -66,3 +66,10 @@ def test_read_json_rejects_non_object_top_level(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ValidationError, match="JSON object"):
         read_json(path)
+
+
+def test_read_json_rejects_non_utf8(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(ValidationError, match="cannot read"):
+        read_json(path)

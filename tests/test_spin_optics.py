@@ -265,6 +265,51 @@ def test_single_atom_pseudospin_superpositions():
 def test_single_atom_pseudospin_rejects_unnormalized():
     with pytest.raises(ValidationError):
         single_atom_pseudospin((1.0, 0.0, 1.0))
+    with pytest.raises(ValidationError, match="normalized"):
+        single_atom_pseudospin((math.nan, 0.0, 0.0))
+
+
+def matrix_moments(amplitudes):
+    """Oracle: means and variances of the pseudo-spin from explicit spin-1
+    matrices in the (m=-1, m=0, m=+1) basis."""
+    f_plus = np.zeros((3, 3), dtype=complex)
+    f_plus[1, 0] = f_plus[2, 1] = math.sqrt(2.0)
+    f_x = (f_plus + f_plus.conj().T) / 2.0
+    f_y = (f_plus - f_plus.conj().T) / 2.0j
+    f_z = np.diag([-1.0, 0.0, 1.0]).astype(complex)
+    ops = ((f_x @ f_x - f_y @ f_y) / 2.0, (f_x @ f_y + f_y @ f_x) / 2.0, f_z / 2.0)
+    psi = np.asarray(amplitudes, dtype=complex)
+    means = [float(np.vdot(psi, op @ psi).real) for op in ops]
+    seconds = [float(np.vdot(psi, op @ op @ psi).real) for op in ops]
+    return means, [s - m * m for s, m in zip(seconds, means)]
+
+
+def test_pseudospin_matches_matrix_oracle():
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    assert single_atom_pseudospin((inv_sqrt2, 0.0, 1j * inv_sqrt2)) == pytest.approx(
+        (0.0, -0.5, 0.0), abs=1e-15
+    )
+    rng = np.random.default_rng(7)
+    states = [(inv_sqrt2, 0.0, 1j * inv_sqrt2)]
+    for _ in range(200):
+        psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        states.append(tuple(psi / np.linalg.norm(psi)))
+    for psi in states:
+        means, variances = matrix_moments(psi)
+        assert single_atom_pseudospin(psi) == pytest.approx(means, abs=1e-15)
+        atoms = collective_from_amplitudes(psi, 1e6)
+        assert atoms.mean_j == pytest.approx([1e6 * m for m in means], abs=1e-9)
+        assert atoms.var_j == pytest.approx([1e6 * v for v in variances], abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "amplitudes",
+    [(1.0, 0.0), (1.0, 0.0, 0.0, 0.0), [[1.0, 0.0, 0.0]], "100", None, (1.0, "x", 0.0)],
+    ids=["short", "long", "nested", "string", "none", "text-entry"],
+)
+def test_pseudospin_rejects_non_vectors(amplitudes):
+    with pytest.raises(ValidationError, match="complex 3-vector"):
+        single_atom_pseudospin(amplitudes)
 
 
 def test_collective_from_amplitudes_scales_linearly():
