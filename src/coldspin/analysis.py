@@ -186,6 +186,9 @@ def compute_od(fit: FitResult, spec: AtomSpec) -> tuple[float, float]:
 def photon_budget(a: float, n_atoms: float, theta_rad: float) -> float:
     """Total probe photons for an atomic-to-shot variance ratio of a:
     N_L = a N_a / theta^2."""
+    for name, value in (("a", a), ("n_atoms", n_atoms), ("theta_rad", theta_rad)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
     if theta_rad == 0.0:
         raise ValidationError("theta_rad must be nonzero")
     if a < 0 or n_atoms < 0:

@@ -1,14 +1,14 @@
 """Command-line front end.
 
 Subcommands: scan, fit, budget, decay, tof, pulse.  One table,
-_COMMANDS, declares each subcommand: its help, the config section whose
-seed --seed sets, whether it takes a simulate|fit mode, and each of its
-flags with the one config key the flag overrides.  build_parser and
-_run_command both read it.  Every run resolves a full configuration
-(packaged defaults, then the --config file, then the flags, merged with
-the same type checks), executes, and writes a manifest recording the
-command, tool version, seed, the fully resolved config with atomic
-constants inlined, and a SHA-256 digest of every output file.
+_COMMANDS, declares each subcommand: its help and runner, the config
+section whose seed --seed sets, whether it takes a simulate|fit mode, and
+each of its flags with the one config key the flag overrides.
+build_parser and _run_command both read it.  Every run resolves a full
+configuration (packaged defaults, then the --config file, then the
+flags), checks it once (_check_config), executes, and writes a manifest
+recording the command, tool version, seed, the fully resolved config with
+atomic constants inlined, and a SHA-256 digest of every output file.
 Re-invoking a command with only `--manifest PATH` replays that run from
 the stored config and verifies the digests, so any (config, seed) pair is
 reproducible byte-for-byte.
@@ -25,7 +25,7 @@ import hashlib
 import math
 import os
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -155,9 +155,6 @@ _DEFAULT_CONFIG = {
 }
 
 
-# ---------------------------------------------------------------- config
-
-
 # keys whose default is null, with the JSON type of any other value
 _NULLABLE = {
     "atom_data": "string",
@@ -167,56 +164,87 @@ _NULLABLE = {
 }
 
 
-def _json_type(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, int):
-        return "integer"
-    if isinstance(value, float):
-        return "number"
-    return {dict: "object", list: "array", str: "string"}[type(value)]
+def _count(low: int) -> tuple:
+    return lambda v: low <= v <= MAX_ARRAY_SIZE, f"be in [{low}, {MAX_ARRAY_SIZE}]"
 
 
-def _check_type(default, value, path: str) -> None:
-    """Reject a config value whose JSON type differs from its default's:
-    a number also takes an integer, a null default takes null or its
-    _NULLABLE type, and a boolean is never a number."""
-    expected = _NULLABLE[path] if default is None else _json_type(default)
-    actual = _json_type(value)
-    if actual == expected or (expected, actual) == ("number", "integer"):
-        return
+_POSITIVE = (lambda v: v > 0, "be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "be >= 0")
+
+# The range of each key beyond its JSON type, as (test, what the value
+# must be); a key without a row takes any value of its type but NaN, and
+# a null default's null always passes.  The library's constructors check
+# the rest (ScanConfig, DetectorSpec, TrapPopulationParams, ...).
+_RULES = {
+    "threads": (lambda v: v >= 1, "be >= 1"),
+    "ensemble.polarization": (lambda v: v in (1, -1), "be 1 or -1"),
+    "ensemble.interaction_area_m2": _POSITIVE,
+    "scan.detunings_hz": (bool, "be a non-empty array"),
+    "scan.n_detunings": _count(1),
+    "scan.seed": _NON_NEGATIVE,
+    "budget.photons_per_pulse": _POSITIVE,
+    "decay.n_times": _count(2),
+    "decay.noise_fraction": _NON_NEGATIVE,
+    "decay.seed": _NON_NEGATIVE,
+    "tof.n_times": _count(2),
+    "tof.noise_m": _NON_NEGATIVE,
+    "tof.seed": _NON_NEGATIVE,
+    "pulse.seed": _NON_NEGATIVE,
+}
+
+
+# ---------------------------------------------------------------- config
+
+
+# the JSON type of each Python type json.load returns (bool is not int here)
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "integer", float: "number",
+               str: "string", list: "array", dict: "object"}
+
+
+def _check_config(value, default=_DEFAULT_CONFIG, path: str = ""):
+    """The one check of a config value against its default, recursively:
+    an object holds every key of its default, each value has its default's
+    JSON type (a null default takes null or its _NULLABLE type, an array
+    holds numbers, a boolean is never a number), a number is never NaN,
+    and _RULES bounds it.  Returns the value with an integer given for a
+    number as a float; objects are typed in place."""
+    expected = _NULLABLE[path] if default is None else _JSON_TYPES[type(default)]
+    actual = _JSON_TYPES[type(value)]
     if default is None and actual == "null":
-        return
-    raise ValidationError(f"config key {path!r} must be a JSON {expected}, got {value!r}")
+        return value
+    if (expected, actual) == ("number", "integer"):
+        value, actual = float(value), "number"
+    if actual != expected:
+        raise ValidationError(f"config key {path!r} must be a JSON {expected}, got {value!r}")
+    if actual == "number" and math.isnan(value):
+        raise ValidationError(f"config key {path!r} must not be NaN")
+    if actual == "array":
+        value = [_check_config(item, 0.0, f"{path}[{i}]") for i, item in enumerate(value)]
+    if actual == "object":
+        for key, base in default.items():
+            key_path = f"{path}.{key}" if path else key
+            if key not in value:
+                raise ValidationError(f"config key {key_path!r} is missing")
+            value[key] = _check_config(value[key], base, key_path)
+    test, must = _RULES.get(path, (None, None))
+    if test and not test(value):
+        raise ValidationError(f"config key {path!r} must {must}, got {value!r}")
+    return value
 
 
 def _merge_config(base: dict, override: dict, context: str) -> dict:
-    """Recursive dict merge that rejects keys the base does not define and
-    values of the wrong JSON type, so configuration typos fail loudly
-    instead of silently using defaults or failing mid-run."""
+    """Recursive dict merge that rejects keys the base does not define, so
+    configuration typos fail loudly instead of silently using defaults;
+    _check_config then checks the values."""
     merged = copy.deepcopy(base)
     for key, value in override.items():
         if key not in base:
             raise ValidationError(f"unknown config key {context}{key!r}")
-        _check_type(base[key], value, context + key)
-        if isinstance(base[key], dict):
+        if isinstance(base[key], dict) and isinstance(value, dict):
             merged[key] = _merge_config(base[key], value, f"{context}{key}.")
         else:
             merged[key] = value
     return merged
-
-
-def _check_types(base: dict, cfg: dict, context: str) -> None:
-    """_check_type over every key of cfg that base defines, recursively;
-    other keys (a manifest's inlined atom constants, paths, mode) are the
-    runner's to check."""
-    for key, value in cfg.items():
-        if key in base:
-            _check_type(base[key], value, context + key)
-            if isinstance(value, dict):
-                _check_types(base[key], value, f"{context}{key}.")
 
 
 def _resolve_config(config_path: str | None) -> dict:
@@ -276,9 +304,9 @@ def _digest_map(paths) -> dict:
 
 # ------------------------------------------------------------- runners
 #
-# Each runner consumes a fully resolved config (atom constants inlined,
-# output paths stored under "out") and returns the digest map of every
-# file it wrote. Replay calls the same runner with the stored config.
+# Each runner consumes a fully resolved, checked config (atom constants
+# inlined, output paths stored under "out") and returns the digest map of
+# every file it wrote. Replay calls the same runner with the stored config.
 
 
 def _scan_curve_path(out: str) -> str:
@@ -287,79 +315,57 @@ def _scan_curve_path(out: str) -> str:
 
 
 def _scan_detunings(section: dict) -> list[float]:
-    if section.get("detunings_hz") is not None:
-        values = section["detunings_hz"]
-        if not values or any(_json_type(v) not in ("number", "integer") for v in values):
-            raise ValidationError("scan.detunings_hz must be a non-empty array of numbers")
-        return [float(v) for v in values]
-    n = section["n_detunings"]
-    if not (isinstance(n, int) and not isinstance(n, bool) and 1 <= n <= MAX_ARRAY_SIZE):
-        raise ValidationError(
-            f"scan.n_detunings must be an int in [1, {MAX_ARRAY_SIZE}], got {n!r}"
-        )
-    if n == 1:
-        return [float(section["detuning_start_hz"])]
-    start = float(section["detuning_start_hz"])
-    stop = float(section["detuning_stop_hz"])
-    return [float(v) for v in np.linspace(start, stop, n)]
+    if section["detunings_hz"] is not None:
+        return section["detunings_hz"]
+    if section["n_detunings"] == 1:
+        return [section["detuning_start_hz"]]
+    return np.linspace(
+        section["detuning_start_hz"], section["detuning_stop_hz"], section["n_detunings"]
+    ).tolist()
 
 
 def _run_scan(cfg: dict) -> dict:
     spec = load_atom_spec(cfg["atom_constants"])
     ens = cfg["ensemble"]
-    if ens["polarization"] not in (1, -1):
-        raise ValidationError(
-            f"ensemble.polarization must be 1 or -1, got {ens['polarization']!r}"
-        )
-    area = float(ens["interaction_area_m2"])
-    if not area > 0:
-        raise ValidationError(f"ensemble.interaction_area_m2 must be positive, got {area!r}")
     section = cfg["scan"]
     scan_cfg = ScanConfig(
         detunings_hz=tuple(_scan_detunings(section)),
-        photons_per_pulse=float(section["photons_per_pulse"]),
-        pulse_duration_s=float(section["pulse_duration_s"]),
-        pulse_period_s=float(section["pulse_period_s"]),
+        photons_per_pulse=section["photons_per_pulse"],
+        pulse_duration_s=section["pulse_duration_s"],
+        pulse_period_s=section["pulse_period_s"],
         pulses_per_sample=section["pulses_per_sample"],
         runs_per_point=section["runs_per_point"],
-        atom_number_spread=float(section["atom_number_spread"]),
+        atom_number_spread=section["atom_number_spread"],
         seed=section["seed"],
     )
     axis = "z" if ens["polarization"] == 1 else "-z"
-    atoms = coherent_spin_state(float(ens["n_atoms"]), axis)
-    det = DetectorSpec(**{k: float(v) for k, v in cfg["detector"].items()})
-    tr = TransmissionSpec(**{k: float(v) for k, v in cfg["transmission"].items()})
-    dm = DestructionModel(float(cfg["destruction"]["per_pulse_decay"]))
-    threads = cfg["threads"]
-    if not (isinstance(threads, int) and not isinstance(threads, bool) and threads >= 1):
-        raise ValidationError(f"threads must be a positive int, got {threads!r}")
     dataset = run_detuning_scan(
         scan_cfg,
-        atoms,
+        coherent_spin_state(ens["n_atoms"], axis),
         spec,
-        area,
-        det,
-        tr,
-        dm,
+        ens["interaction_area_m2"],
+        DetectorSpec(**cfg["detector"]),
+        TransmissionSpec(**cfg["transmission"]),
+        DestructionModel(**cfg["destruction"]),
         convention=cfg["convention"],
-        guard_linewidths=float(cfg["guard_linewidths"]),
+        guard_linewidths=cfg["guard_linewidths"],
     )
     out = cfg["out"]
     write_scan_csv(dataset, out)
 
     # noiseless forward-model curve for plotting, theta = +/- n_c g~/2
-    column_density = float(ens["n_atoms"]) / area * ens["polarization"]
+    column_density = ens["n_atoms"] / ens["interaction_area_m2"] * ens["polarization"]
     low = min(scan_cfg.detunings_hz)
     high = max(scan_cfg.detunings_hz)
     curve_rows = []
-    for detuning in np.linspace(low, high, CURVE_SAMPLES):
+    for detuning in np.linspace(low, high, CURVE_SAMPLES).tolist():
         g_tilde = rotation_cross_section(
-            float(detuning),
+            detuning,
             spec,
             convention=cfg["convention"],
-            guard_linewidths=float(cfg["guard_linewidths"]),
+            guard_linewidths=cfg["guard_linewidths"],
         )
-        curve_rows.append((float(detuning), 0.5 * column_density * g_tilde))
+        curve_rows.append((detuning, 0.5 * column_density * g_tilde))
     curve_path = _scan_curve_path(out)
     _write_rows_csv(curve_path, CURVE_CSV_COLUMNS, curve_rows)
     return _digest_map([out, curve_path])
@@ -372,10 +378,10 @@ def _run_fit(cfg: dict) -> dict:
     fit = fit_column_density(
         dataset,
         spec,
-        weighted=bool(section["weighted"]),
+        weighted=section["weighted"],
         sigma_source=section["sigma_source"],
         convention=cfg["convention"],
-        guard_linewidths=float(cfg["guard_linewidths"]),
+        guard_linewidths=cfg["guard_linewidths"],
     )
     od, od_sigma = compute_od(fit, spec)
     merged = FitResult(
@@ -396,70 +402,47 @@ def _run_budget(cfg: dict) -> dict:
         raise ValidationError(
             "budget needs a rotation angle: pass --theta or set budget.theta_rad"
         )
-    total = photon_budget(
-        float(section["a"]), float(section["n_atoms"]), float(section["theta_rad"])
-    )
-    document = {
-        "a": float(section["a"]),
-        "n_atoms": float(section["n_atoms"]),
-        "theta_rad": float(section["theta_rad"]),
-        "photons_total": total,
-    }
+    document = {key: section[key] for key in ("a", "n_atoms", "theta_rad")}
+    total = photon_budget(**document)
+    document["photons_total"] = total
     if section["photons_per_pulse"] is not None:
-        per_pulse = float(section["photons_per_pulse"])
-        if not per_pulse > 0:
-            raise ValidationError(
-                f"budget.photons_per_pulse must be positive, got {per_pulse!r}"
-            )
-        document["photons_per_pulse"] = per_pulse
-        document["n_pulses"] = total / per_pulse
+        document["photons_per_pulse"] = section["photons_per_pulse"]
+        document["n_pulses"] = total / section["photons_per_pulse"]
     out = cfg["out"]
     _write_json(out, document)
     return _digest_map([out])
 
 
 def _generator(cfg: dict, section: str) -> np.random.Generator:
-    seed = cfg[section]["seed"]
-    if seed < 0:
-        raise ValidationError(f"{section}.seed must be >= 0, got {seed!r}")
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(cfg[section]["seed"]))
 
 
-def _times(section: dict, what: str) -> np.ndarray:
-    n = section["n_times"]
-    if not (isinstance(n, int) and not isinstance(n, bool) and 2 <= n <= MAX_ARRAY_SIZE):
-        raise ValidationError(
-            f"{what}.n_times must be an int in [2, {MAX_ARRAY_SIZE}], got {n!r}"
-        )
-    start = float(section["t_start_s"])
-    stop = float(section["t_stop_s"])
-    if not stop > start:
+def _times(section: dict, what: str) -> list[float]:
+    if not section["t_stop_s"] > section["t_start_s"]:
         raise ValidationError(f"{what}: t_stop_s must exceed t_start_s")
-    return np.linspace(start, stop, n)
+    return np.linspace(section["t_start_s"], section["t_stop_s"], section["n_times"]).tolist()
 
 
 def _run_decay(cfg: dict) -> dict:
     section = cfg["decay"]
     params = TrapPopulationParams(
-        n0=float(section["n0"]),
-        tau_s=float(section["tau_s"]),
-        beta_m3_per_s=float(section["beta_m3_per_s"]),
-        sigma_z_m=float(section["sigma_z_m"]),
-        sigma_r_m=float(section["sigma_r_m"]),
-        temperature_k=float(section["temperature_k"]),
+        n0=section["n0"],
+        tau_s=section["tau_s"],
+        beta_m3_per_s=section["beta_m3_per_s"],
+        sigma_z_m=section["sigma_z_m"],
+        sigma_r_m=section["sigma_r_m"],
+        temperature_k=section["temperature_k"],
     )
     out = cfg["out"]
     if cfg["mode"] == "simulate":
-        noise = float(section["noise_fraction"])
-        if noise < 0:
-            raise ValidationError(f"decay.noise_fraction must be >= 0, got {noise!r}")
+        noise = section["noise_fraction"]
         rng = _generator(cfg, "decay")
         rows = []
         for t in _times(section, "decay"):
-            model = evolve_trap_population(params, float(t))
+            model = evolve_trap_population(params, t)
             count = model * (1.0 + noise * rng.standard_normal()) if noise else model
             sigma = noise * model if noise else 1.0
-            rows.append((float(t), count, sigma))
+            rows.append((t, count, sigma))
         _write_rows_csv(out, DECAY_CSV_COLUMNS, rows)
         return _digest_map([out])
     samples = _read_rows_csv(cfg["in"], DECAY_CSV_COLUMNS)
@@ -475,21 +458,14 @@ def _run_tof(cfg: dict) -> dict:
     section = cfg["tof"]
     out = cfg["out"]
     if cfg["mode"] == "simulate":
-        noise = float(section["noise_m"])
-        if noise < 0:
-            raise ValidationError(f"tof.noise_m must be >= 0, got {noise!r}")
+        noise = section["noise_m"]
         rng = _generator(cfg, "tof")
         rows = []
         for t in _times(section, "tof"):
-            radius = tof_radius(
-                float(section["sigma0_m"]),
-                float(section["temperature_k"]),
-                float(t),
-                spec.mass_kg,
-            )
+            radius = tof_radius(section["sigma0_m"], section["temperature_k"], t, spec.mass_kg)
             if noise:
                 radius = abs(radius + noise * rng.standard_normal())
-            rows.append((float(t), radius))
+            rows.append((t, radius))
         _write_rows_csv(out, TOF_CSV_COLUMNS, rows)
         return _digest_map([out])
     samples = _read_rows_csv(cfg["in"], TOF_CSV_COLUMNS)
@@ -500,30 +476,18 @@ def _run_tof(cfg: dict) -> dict:
 
 def _run_pulse(cfg: dict) -> dict:
     section = cfg["pulse"]
-    det = DetectorSpec(**{k: float(v) for k, v in cfg["detector"].items()})
-    tr = TransmissionSpec(**{k: float(v) for k, v in cfg["transmission"].items()})
-    stream = _generator(cfg, "pulse") if section["noisy"] else None
+    det = DetectorSpec(**cfg["detector"])
     delta = simulate_pulse_detection(
-        float(section["theta_rad"]),
-        float(section["n_photons"]),
+        section["theta_rad"],
+        section["n_photons"],
         det,
-        tr,
-        noise_stream=stream,
+        TransmissionSpec(**cfg["transmission"]),
+        noise_stream=_generator(cfg, "pulse") if section["noisy"] else None,
     )
-    record = synthesize_waveform(delta, det, float(section["pulse_duration_s"]))
+    record = synthesize_waveform(delta, det, section["pulse_duration_s"])
     out = cfg["out"]
     write_pulse_csv(record, out)
     return _digest_map([out])
-
-
-_RUNNERS = {
-    "scan": _run_scan,
-    "fit": _run_fit,
-    "budget": _run_budget,
-    "decay": _run_decay,
-    "tof": _run_tof,
-    "pulse": _run_pulse,
-}
 
 
 # ------------------------------------------------------------- commands
@@ -540,6 +504,7 @@ class _Flag(NamedTuple):
 
 class _Command(NamedTuple):
     help: str
+    runner: Callable[[dict], dict]  # runs a resolved config, returns its output digests
     seeded: str | None  # section whose seed --seed sets; None records seed null
     modes: bool  # takes a simulate|fit mode
     input_help: str | None  # help of --in; None when the command reads no file
@@ -547,30 +512,31 @@ class _Command(NamedTuple):
 
 
 _COMMANDS = {
-    "scan": _Command("synthesize a detuning scan CSV", "scan", False, None, (
+    "scan": _Command("synthesize a detuning scan CSV", _run_scan, "scan", False, None, (
         _Flag("--atoms", "ensemble.n_atoms", "override ensemble.n_atoms"),
         _Flag("--threads", "threads", "validated and recorded in the manifest; scans "
               "run single-threaded and the value changes no output", int),
     )),
-    "fit": _Command("fit column density to a scan CSV", None, False, "scan CSV to fit", (
+    "fit": _Command("fit column density to a scan CSV", _run_fit, None, False,
+                    "scan CSV to fit", (
         _Flag("--unweighted", "fit.weighted", "ignore per-point spreads in the fit",
               switch=False),
         _Flag("--sigma-source", "fit.sigma_source", "which reported spread weights the fit",
               None, ("stddev", "stderr")),
     )),
-    "budget": _Command("photon budget for a target variance ratio", None, False, None, (
+    "budget": _Command("photon budget for a target variance ratio", _run_budget, None,
+                       False, None, (
         _Flag("--a", "budget.a", "atomic-to-shot variance ratio"),
         _Flag("--atoms", "budget.n_atoms", "atom number"),
         _Flag("--theta", "budget.theta_rad", "single-pass rotation angle (rad)"),
         _Flag("--photons-per-pulse", "budget.photons_per_pulse", "also report the pulse count"),
     )),
-    "decay": _Command(
-        "trap-population decay (simulate or fit)", "decay", True, "decay CSV to fit"
-    ),
-    "tof": _Command(
-        "ballistic expansion (simulate or fit)", "tof", True, "expansion CSV to fit"
-    ),
-    "pulse": _Command("emit a single balanced-detection waveform", "pulse", False, None, (
+    "decay": _Command("trap-population decay (simulate or fit)", _run_decay, "decay", True,
+                      "decay CSV to fit"),
+    "tof": _Command("ballistic expansion (simulate or fit)", _run_tof, "tof", True,
+                    "expansion CSV to fit"),
+    "pulse": _Command("emit a single balanced-detection waveform", _run_pulse, "pulse",
+                      False, None, (
         _Flag("--theta", "pulse.theta_rad", "rotation angle (rad)"),
         _Flag("--photons", "pulse.n_photons", "photons in the pulse"),
         _Flag("--noisy", "pulse.noisy", "add shot and electronic noise to the imbalance",
@@ -581,7 +547,7 @@ _COMMANDS = {
 
 def _replay(command: str, manifest_path: str) -> int:
     document = decode_nonfinite(read_json(manifest_path))
-    for key in ("command", "config", "outputs"):
+    for key in ("command", "version", "config", "outputs"):
         if key not in document:
             raise ValidationError(f"{manifest_path} is missing manifest key {key!r}")
     if document["command"] != command:
@@ -589,21 +555,19 @@ def _replay(command: str, manifest_path: str) -> int:
             f"{manifest_path} records command {document['command']!r}, "
             f"not {command!r}"
         )
-    cfg = document["config"]
     for key in ("config", "outputs"):
         if not isinstance(document[key], dict):
             raise ValidationError(f"{manifest_path}: manifest key {key!r} must be an object")
-    if "atom_constants" not in cfg:
-        raise ValidationError(f"{manifest_path} config lacks atom_constants")
+    cfg = document["config"]
+    # the stored config also holds the inlined atom constants and the file
+    # paths; a path must be a string, as a number would open that descriptor
+    paths = {key: "" for key in ("out", "in") if key in cfg}
     try:
-        _check_types(_DEFAULT_CONFIG, cfg, "")
-        for key in ("out", "in"):  # a number would open that file descriptor
-            if key in cfg:
-                _check_type("", cfg[key], key)
+        _check_config(cfg, {**_DEFAULT_CONFIG, "atom_constants": {}, **paths})
     except ValidationError as exc:
         raise ValidationError(f"{manifest_path}: {exc}") from exc
     try:
-        outputs = _RUNNERS[command](cfg)
+        outputs = _COMMANDS[command].runner(cfg)
     except KeyError as exc:
         raise ValidationError(
             f"{manifest_path} config is missing key {exc.args[0]!r}"
@@ -615,6 +579,9 @@ def _replay(command: str, manifest_path: str) -> int:
             new = outputs.get(path, "missing")
             marker = "ok" if old == new else "MISMATCH"
             print(f"{marker}: {path}", file=sys.stderr)
+        if document["version"] != __version__:
+            print(f"the manifest was written by coldspin {document['version']}, "
+                  f"this is coldspin {__version__}", file=sys.stderr)
         print(f"replay of {manifest_path} did not reproduce outputs", file=sys.stderr)
         return 3
     for path in sorted(outputs):
@@ -634,7 +601,7 @@ def _run_command(args) -> int:
             f"{command} needs a mode (simulate or fit), or --manifest alone to replay"
         )
 
-    # flag values take the typed merge that --config values take
+    # flag values are merged and checked as --config values are
     overrides: dict = {}
     for flag in row.flags:
         value = getattr(args, flag.option[2:].replace("-", "_"))
@@ -644,7 +611,7 @@ def _run_command(args) -> int:
             target[key] = value if flag.switch is None else flag.switch
     if row.seeded and args.seed is not None:
         overrides.setdefault(row.seeded, {})["seed"] = args.seed
-    cfg = _merge_config(_resolve_config(args.config), overrides, "")
+    cfg = _check_config(_merge_config(_resolve_config(args.config), overrides, ""))
     # fit and budget draw no random numbers, so record no seed
     cfg["seed"] = cfg[row.seeded]["seed"] if row.seeded else None
     if row.modes:
@@ -658,7 +625,7 @@ def _run_command(args) -> int:
     cfg["out"] = args.out
     _attach_atom_constants(cfg)
 
-    outputs = _RUNNERS[command](cfg)
+    outputs = row.runner(cfg)
     manifest_path = args.manifest or cfg["out"] + ".manifest.json"
     _write_manifest(manifest_path, command, cfg, outputs)
     for path in sorted(outputs):

@@ -51,8 +51,8 @@ class TrapPopulationParams:
     v_eff_m3: float = field(init=False)
 
     def __post_init__(self):
-        if not self.n0 >= 0:
-            raise ValidationError(f"n0 must be >= 0, got {self.n0!r}")
+        if not 0 <= self.n0 < math.inf:
+            raise ValidationError(f"n0 must be finite and >= 0, got {self.n0!r}")
         if not self.tau_s > 0:  # math.inf passes
             raise ValidationError(f"tau_s must be positive, got {self.tau_s!r}")
         if not self.beta_m3_per_s >= 0:

@@ -327,10 +327,6 @@ def run_pulse_train(
     """
     if not (isinstance(n_pulses, int) and n_pulses >= 0):
         raise ValidationError(f"n_pulses must be an integer >= 0, got {n_pulses!r}")
-    if not 0.0 <= dm.per_pulse_decay <= 1.0:
-        raise ValidationError(
-            f"per_pulse_decay must be in [0, 1], got {dm.per_pulse_decay!r}"
-        )
     j_x, j_y, j_z0 = atoms.mean_j
     noise = None if stream is None else stream.standard_normal(n_pulses)[np.newaxis]
     j_z, delta, theta_hat = _pulse_kernel(
@@ -405,6 +401,8 @@ def run_detuning_scan(
         )
         # Python's sum, in pulse order, as the per-pulse loop summed
         values = np.array([sum(row) / n_pulses for row in theta_hat.tolist()])
+        if not np.isfinite(values).all():
+            raise OverflowError(f"scan detuning {detuning:.6g} Hz: a mean angle overflows")
         mean = float(values.mean())
         if n_runs > 1:
             stddev = float(values.std(ddof=1))

@@ -190,6 +190,10 @@ def test_photon_budget_validation():
         photon_budget(-1.0, 1e6, 0.01)
     with pytest.raises(ValidationError):
         photon_budget(1.0, -1e6, 0.01)
+    for bad in (math.inf, -math.inf, math.nan):
+        for args in ((bad, 1e6, 0.01), (1.0, bad, 0.01), (1.0, 1e6, bad)):
+            with pytest.raises(ValidationError, match="must be finite"):
+                photon_budget(*args)
 
 
 def test_snr_report_anchor():

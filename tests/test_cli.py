@@ -3,11 +3,15 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coldspin import cli
 from coldspin.analysis import fit_result_from_json_dict
@@ -102,6 +106,37 @@ def test_scan_replay_and_tamper(in_tmp_dir, capsys):
     captured = capsys.readouterr()
     assert "MISMATCH: scan.csv" in captured.err
     assert "ok: scan_curve.csv" in captured.err
+
+
+def test_replay_requires_manifest_version(in_tmp_dir, capsys):
+    run_scan(in_tmp_dir)
+    manifest_path = in_tmp_dir / "scan.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["version"]
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["scan", "--manifest", "scan.csv.manifest.json"]) == 2
+    assert "missing manifest key 'version'" in capsys.readouterr().err
+
+
+def test_replay_mismatch_names_both_versions(in_tmp_dir, capsys):
+    run_scan(in_tmp_dir)
+    manifest_path = in_tmp_dir / "scan.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["version"] = "0.0.1"
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    # another version that reproduces the outputs replays as before
+    assert cli.main(["scan", "--manifest", "scan.csv.manifest.json"]) == 0
+    assert "0.0.1" not in capsys.readouterr().err
+
+    digest = manifest["outputs"]["scan.csv"]
+    manifest["outputs"]["scan.csv"] = ("0" if digest[0] != "0" else "1") + digest[1:]
+    manifest_path.write_text(json.dumps(manifest))
+    assert cli.main(["scan", "--manifest", "scan.csv.manifest.json"]) == 3
+    err = capsys.readouterr().err
+    assert "MISMATCH: scan.csv" in err
+    assert f"written by coldspin 0.0.1, this is coldspin {cli.__version__}" in err
 
 
 def test_replay_rejects_wrong_command(in_tmp_dir):
@@ -379,6 +414,11 @@ def test_int_for_float_and_null_overrides_pass(in_tmp_dir):
     ))
     assert cli.main(["scan", "--config", "floats.json", "--out", "b.csv"]) == 0
     assert (in_tmp_dir / "a.csv").read_bytes() == (in_tmp_dir / "b.csv").read_bytes()
+    # the check returns a number key's integer as a float, so both record 1e6
+    for name in ("a.csv", "b.csv"):
+        manifest = json.loads((in_tmp_dir / f"{name}.manifest.json").read_text())
+        n_atoms = manifest["config"]["ensemble"]["n_atoms"]
+        assert n_atoms == 1e6 and type(n_atoms) is float
 
 
 def test_import_loads_no_scipy():
@@ -422,6 +462,68 @@ def test_negative_seed_exits_2(in_tmp_dir, capsys, argv, via):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, config, key",
+    [
+        (["budget", "--theta", "nan"], None, "budget.theta_rad"),
+        (["pulse", "--theta", "nan"], None, "pulse.theta_rad"),
+        (["decay", "simulate"], '{"decay": {"noise_fraction": NaN}}', "decay.noise_fraction"),
+        (["scan"], '{"guard_linewidths": NaN}', "guard_linewidths"),
+    ],
+    ids=["budget-theta-flag", "pulse-theta-flag", "decay-noise-config", "guard-config"],
+)
+def test_nan_config_value_exits_2(in_tmp_dir, capsys, argv, config, key):
+    extra = []
+    if config is not None:
+        (in_tmp_dir / "cfg.json").write_text(config + "\n")
+        extra = ["--config", "cfg.json"]
+    assert cli.main([*argv, *extra, "--out", "out.dat"]) == 2
+    err = capsys.readouterr().err
+    assert f"config key '{key}' must not be NaN" in err
+    assert "Traceback" not in err
+    assert not (in_tmp_dir / "out.dat").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [(["--theta", "inf"], "theta_rad"), (["--theta=-inf"], "theta_rad"),
+     (["--theta", "0.03", "--atoms", "inf"], "n_atoms")],
+    ids=["theta", "negative-theta", "atoms"],
+)
+def test_budget_rejects_infinite_inputs(in_tmp_dir, capsys, flags, key):
+    assert cli.main(["budget", *flags, "--out", "b.json"]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not (in_tmp_dir / "b.json").exists()
+
+
+# one value per _RULES row that its JSON type admits but its range does not
+# (test_negative_seed_exits_2 covers the decay, tof and pulse seeds)
+RANGE_VIOLATIONS = [
+    (["scan"], {"threads": 0}, "threads"),
+    (["scan"], {"ensemble": {"polarization": 0}}, "ensemble.polarization"),
+    (["scan"], {"ensemble": {"interaction_area_m2": 0.0}}, "ensemble.interaction_area_m2"),
+    (["scan"], {"scan": {"detunings_hz": []}}, "scan.detunings_hz"),
+    (["scan"], {"scan": {"n_detunings": 0}}, "scan.n_detunings"),
+    (["scan"], {"scan": {"seed": -1}}, "scan.seed"),
+    (["budget"], {"budget": {"theta_rad": 0.03, "photons_per_pulse": 0.0}},
+     "budget.photons_per_pulse"),
+    (["decay", "simulate"], {"decay": {"n_times": 1}}, "decay.n_times"),
+    (["decay", "simulate"], {"decay": {"noise_fraction": -0.1}}, "decay.noise_fraction"),
+    (["tof", "simulate"], {"tof": {"n_times": 1}}, "tof.n_times"),
+    (["tof", "simulate"], {"tof": {"noise_m": -1e-6}}, "tof.noise_m"),
+]
+
+
+@pytest.mark.parametrize("argv, override, key", RANGE_VIOLATIONS,
+                         ids=[key for *_, key in RANGE_VIOLATIONS])
+def test_out_of_range_config_value_names_its_key(in_tmp_dir, capsys, argv, override, key):
+    assert key in cli._RULES
+    (in_tmp_dir / "cfg.json").write_text(json.dumps(override))
+    assert cli.main([*argv, "--config", "cfg.json", "--out", "out.dat"]) == 2
+    assert f"config key '{key}' must be" in capsys.readouterr().err
+    assert not (in_tmp_dir / "out.dat").exists()
+
+
 # Counts whose arrays would not fit in memory (up to 75 GiB, or past
 # numpy's maximum size for 2**70): each exits 2 before any allocation, and
 # its message names the key it holds.
@@ -451,9 +553,12 @@ OVERSIZED_COUNTS = {
         # beyond the probe's optical frequency
         (["scan"], {"scan": {"detuning_start_hz": 2**70}}, 2),
         *((argv, override, 2) for argv, override, _ in OVERSIZED_COUNTS.values()),
+        # both once wrote NaN rows and exited 0
+        (["scan"], {"scan": {"atom_number_spread": 1e308}}, 3),
+        (["decay", "simulate"], {"decay": {"n0": math.inf}}, 2),
     ],
     ids=["photons-per-pulse", "sigma-r", "sigma0", "t-stop", "atoms-flag",
-         "huge-int-detuning", *OVERSIZED_COUNTS],
+         "huge-int-detuning", *OVERSIZED_COUNTS, "atom-spread", "infinite-n0"],
 )
 def test_extreme_values_honour_exit_codes(in_tmp_dir, capsys, argv, override, code):
     (in_tmp_dir / "cfg.json").write_text(json.dumps(override))
@@ -673,3 +778,102 @@ def test_flag_sets_its_config_key(in_tmp_dir, capsys, command, flag, value, key,
     assert cli.main([command, "--manifest", "m.json", *given]) == 2
     assert "reproduced" not in capsys.readouterr().out
     assert cli.main([command, "--manifest", "m.json"]) == 0
+
+
+# ------------------------------------------------------ exit-code fuzzing
+#
+# Each example edits one key of a --config document or of a recorded scan
+# manifest and runs the CLI in a subprocess whose address space is capped,
+# so an unbounded allocation fails the test with a MemoryError traceback
+# instead of exhausting the machine.
+
+FUZZ_MEMORY_BYTES = 512 * 2**20
+FUZZ_DELETE = "<delete>"
+FUZZ_VALUES = ["x", [1.0], {}, True, None, math.nan, math.inf, -math.inf, 1e308, -1e308,
+               2**70, -1, 0, FUZZ_DELETE]
+FUZZ_ARGVS = [["scan"], ["budget"], ["decay", "simulate"], ["tof", "simulate"], ["pulse"]]
+NAN_TOKEN = re.compile(r"(?<![a-z_])nan(?![a-z_])", re.IGNORECASE)
+
+
+def _key_paths(document, prefix=()):
+    for key, value in document.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _key_paths(value, (*prefix, key))
+
+
+FUZZ_CONFIG = json.loads(json.dumps(cli._DEFAULT_CONFIG))
+FUZZ_CONFIG["scan"].update(runs_per_point=4, pulses_per_sample=3)
+FUZZ_CONFIG["budget"]["theta_rad"] = 0.03
+FUZZ_CONFIG_PATHS = list(_key_paths(FUZZ_CONFIG))
+FUZZ_MANIFEST_PATHS = [
+    ("command",), ("version",), ("seed",), ("config",), ("outputs",),
+    *(("config", *path) for path in _key_paths(FUZZ_CONFIG)),
+    ("config", "atom_constants"), ("config", "out"), ("config", "seed"),
+]
+
+
+def _edited(document, path, value):
+    document = json.loads(json.dumps(document))
+    *parents, last = path
+    node = document
+    for key in parents:
+        node = node[key]
+    if value == FUZZ_DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return document
+
+
+def _run_capped(argv, cwd):
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (FUZZ_MEMORY_BYTES, FUZZ_MEMORY_BYTES))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    env.pop("COLDSPIN_ATOM_DATA", None)
+    return subprocess.run(
+        [sys.executable, "-m", "coldspin.cli", *argv], cwd=cwd, env=env,
+        preexec_fn=cap_memory, capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.fixture(scope="module")
+def recorded_scan_manifest(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("recorded")
+    (directory / "cfg.json").write_text(json.dumps(FUZZ_CONFIG))
+    result = _run_capped(["scan", "--config", "cfg.json", "--out", "scan.csv"], directory)
+    assert result.returncode == 0, result.stderr
+    return json.loads((directory / "scan.csv.manifest.json").read_text())
+
+
+@settings(max_examples=16, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    edit=st.one_of(
+        st.tuples(st.just("config"), st.sampled_from(FUZZ_ARGVS),
+                  st.sampled_from(FUZZ_CONFIG_PATHS)),
+        st.tuples(st.just("manifest"), st.just(["scan"]),
+                  st.sampled_from(FUZZ_MANIFEST_PATHS)),
+    ),
+    value=st.sampled_from(FUZZ_VALUES),
+)
+def test_edited_documents_honour_exit_codes(recorded_scan_manifest, edit, value):
+    target, argv, path = edit
+    with tempfile.TemporaryDirectory() as directory:
+        if target == "config":
+            document = _edited(FUZZ_CONFIG, path, value)
+            (Path(directory) / "cfg.json").write_text(json.dumps(document))
+            argv = [*argv, "--config", "cfg.json", "--out", "out.dat"]
+        else:
+            document = _edited(recorded_scan_manifest, path, value)
+            (Path(directory) / "m.json").write_text(json.dumps(document))
+            argv = [*argv, "--manifest", "m.json"]
+        result = _run_capped(argv, directory)
+        assert result.returncode in (0, 2, 3), result.stderr
+        assert "Traceback" not in result.stderr
+        if result.returncode == 0:
+            for output in Path(directory).iterdir():
+                if output.name not in ("cfg.json", "m.json"):
+                    assert not NAN_TOKEN.search(output.read_text()), output.name
