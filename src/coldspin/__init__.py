@@ -10,82 +10,49 @@ projection-noise-limited probing, and trap-characterization fits
 (two-body loss, time of flight, dipole trap depth).
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .analysis import (
-    FitResult,
-    compute_od,
-    fit_column_density,
-    fit_result_from_json_dict,
-    fit_tof_temperature,
-    fit_two_body_decay,
-    photon_budget,
-    snr_report,
-    write_fit_json,
-)
-from .atomic_data import (
-    AtomSpec,
-    TrapSpec,
-    default_atom_spec,
-    default_trap_spec,
-    load_atom_spec,
-    load_trap_spec,
-    resonant_cross_section,
-)
-from .detector import (
-    DetectorSpec,
-    PulseRecord,
-    TransmissionSpec,
-    angle_variance,
-    extract_angle,
-    integrate_window,
-    read_pulse_samples,
-    simulate_pulse_detection,
-    synthesize_waveform,
-    write_pulse_csv,
-)
-from .ensemble import (
-    TrapPopulationParams,
-    dipole_trap_depth,
-    effective_two_body_volume,
-    evolve_trap_population,
-    evolve_trap_population_rk4,
-    light_shift,
-    peak_density,
-    tof_radius,
-)
-from .errors import FitError, NearResonanceError, ValidationError
-from .experiment import (
-    DestructionModel,
-    ScanConfig,
-    ScanDataset,
-    ScanPoint,
-    child_stream,
-    read_scan_csv,
-    run_detuning_scan,
-    run_pulse_train,
-    scattering_probability,
-    write_scan_csv,
-)
-from .spin_optics import (
-    CollectiveSpinState,
-    CouplingParams,
-    StokesState,
-    alignment_interact,
-    coherent_pulse,
-    coherent_spin_state,
-    collective_from_amplitudes,
-    coupling_constant,
-    decay_mean_z,
-    detuning_factor,
-    faraday_angle,
-    od_from_angle,
-    output_variance,
-    qnd_interact,
-    rotation_cross_section,
-    scale_atom_number,
-    single_atom_pseudospin,
-)
+# The package loads lazily (PEP 562; Scientific Python SPEC 1): each public
+# name is imported from the submodule that defines it on first access, so
+# `import coldspin` loads no submodule and no numpy.
+_EXPORTS = {
+    "analysis": (
+        "FitResult", "compute_od", "fit_column_density", "fit_result_from_json_dict",
+        "fit_tof_temperature", "fit_two_body_decay", "photon_budget", "snr_report",
+        "write_fit_json",
+    ),
+    "atomic_data": (
+        "AtomSpec", "TrapSpec", "default_atom_spec", "default_trap_spec", "load_atom_spec",
+        "load_trap_spec", "resonant_cross_section",
+    ),
+    "detector": (
+        "DetectorSpec", "PulseRecord", "TransmissionSpec", "angle_variance", "extract_angle",
+        "integrate_window", "read_pulse_samples", "simulate_pulse_detection",
+        "synthesize_waveform", "write_pulse_csv",
+    ),
+    "ensemble": (
+        "TrapPopulationParams", "dipole_trap_depth", "effective_two_body_volume",
+        "evolve_trap_population", "evolve_trap_population_rk4", "light_shift",
+        "peak_density", "tof_radius",
+    ),
+    "errors": ("FitError", "NearResonanceError", "ValidationError"),
+    "experiment": (
+        "DestructionModel", "ScanConfig", "child_stream", "run_detuning_scan",
+        "run_pulse_train", "scattering_probability",
+    ),
+    "scandata": ("ScanDataset", "ScanPoint", "read_scan_csv", "write_scan_csv"),
+    "spin_optics": (
+        "CollectiveSpinState", "CouplingParams", "StokesState", "alignment_interact",
+        "coherent_pulse", "coherent_spin_state", "collective_from_amplitudes",
+        "coupling_constant", "decay_mean_z", "detuning_factor", "faraday_angle",
+        "od_from_angle", "output_variance", "qnd_interact", "rotation_cross_section",
+        "scale_atom_number", "single_atom_pseudospin",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "cli", "csvio", "jsonio"}
 
 __all__ = [
     "AtomSpec",
@@ -153,3 +120,15 @@ __all__ = [
     "write_pulse_csv",
     "write_scan_csv",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SOURCE:
+        return getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

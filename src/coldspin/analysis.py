@@ -5,6 +5,10 @@ The rotation-angle scan is fit by weighted linear least squares for the one
 free parameter (the column density); the trap decay is fit by Gauss-Newton
 with backtracking on the closed-form two-body solution; time-of-flight
 temperatures come from an ordinary linear fit of sigma^2 against t^2.
+
+Only the decay fit needs numpy (for lstsq and inv), and imports it when
+called; the closed-form fits run in plain floats, summing as np.sum does
+(_pairwise_sum), so their results match the numpy formulation bit for bit.
 """
 
 from __future__ import annotations
@@ -13,14 +17,12 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .atomic_data import BOLTZMANN_J_PER_K, AtomSpec
 from .detector import DetectorSpec
 from .ensemble import two_body_gradient, two_body_population
 from .errors import FitError, ValidationError
-from .experiment import ScanDataset
 from .jsonio import decode_nonfinite, write_json
+from .scandata import ScanDataset
 from .spin_optics import DEFAULT_GUARD_LINEWIDTHS, rotation_cross_section
 
 # Gauss-Newton controls: deterministic, testable stopping
@@ -141,20 +143,20 @@ def fit_column_density(
         raise FitError(
             f"column-density fit needs >= 2 usable points (dof >= 1), got {len(rows)}"
         )
-    theta = np.array([r[0] for r in rows])
-    g = np.array([r[1] for r in rows])
+    theta, g, sigma = zip(*rows)
     if weighted:
-        w = 1.0 / np.array([r[2] for r in rows]) ** 2
-        if not np.all(np.isfinite(w)):
+        # a square that underflows to 0 weighs infinitely, as numpy's 1/0
+        w = [1.0 / (s * s) if s * s else math.inf for s in sigma]
+        if not all(map(math.isfinite, w)):
             raise FitError("column-density fit weights are not finite")
     else:
-        w = np.ones_like(theta)
-    denominator = float(np.sum(w * g * g))
+        w = [1.0] * len(rows)
+    denominator = _pairwise_sum([wi * gi * gi for wi, gi in zip(w, g)])
     if denominator == 0.0:
         raise FitError("degenerate design: g_tilde vanishes at every point")
-    n_c = float(np.sum(w * theta * g)) / denominator
-    residuals = theta - n_c * g
-    chi2 = float(np.sum(w * residuals**2))
+    n_c = _pairwise_sum([wi * ti * gi for wi, ti, gi in zip(w, theta, g)]) / denominator
+    residuals = [ti - n_c * gi for ti, gi in zip(theta, g)]
+    chi2 = _pairwise_sum([wi * (r * r) for wi, r in zip(w, residuals)])
     dof = len(rows) - 1
     if weighted:
         sigma_nc = denominator**-0.5
@@ -213,17 +215,52 @@ def snr_report(
     )
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """np.sum of float64 values, bit for bit.
+
+    numpy's add reduction starts from its identity 0.0 and adds
+    pairwise_sum of the values (numpy/_core/src/umath/loops_utils.h.src):
+    below 8 values a sequential loop from -0.0; up to 128 values eight
+    strided partial sums, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the leftover values in turn; above that the two halves, split at
+    n/2 rounded down to a multiple of 8, summed recursively.
+    """
+    return 0.0 + _pairwise(values)
+
+
+def _pairwise(values: Sequence[float]) -> float:
+    n = len(values)
+    if n < 8:
+        total = -0.0
+        for value in values:
+            total += value
+        return total
+    if n <= 128:
+        r = list(values[:8])
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for value in values[stop:]:
+            total += value
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise(values[:half]) + _pairwise(values[half:])
+
+
+def _line_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, float, float]:
     """Ordinary least-squares line y = slope x + intercept: returns slope,
     intercept, mean(x) and S_xx = sum (x - mean(x))^2."""
-    x_mean = float(x.mean())
-    y_mean = float(y.mean())
-    s_xx = float(np.sum((x - x_mean) ** 2))
-    slope = float(np.sum((x - x_mean) * (y - y_mean))) / s_xx
+    x_mean = _pairwise_sum(x) / len(x)
+    y_mean = _pairwise_sum(y) / len(y)
+    dx = [xi - x_mean for xi in x]
+    s_xx = _pairwise_sum([d * d for d in dx])
+    slope = _pairwise_sum([d * (yi - y_mean) for d, yi in zip(dx, y)]) / s_xx
     return slope, y_mean - slope * x_mean, x_mean, s_xx
 
 
-def _decay_start(t: np.ndarray, n: np.ndarray, v_eff: float) -> np.ndarray:
+def _decay_start(t: Sequence[float], n: Sequence[float], v_eff: float) -> list[float]:
     """Starting point for the decay fit from a linearization: the per-atom
     loss rate -dN/dt / N equals 1/tau + (beta/V_eff) N, so regressing the
     finite-difference rate against N splits the two channels before any
@@ -237,17 +274,19 @@ def _decay_start(t: np.ndarray, n: np.ndarray, v_eff: float) -> np.ndarray:
             continue
         rates.append(-(n[i + 1] - n[i - 1]) / dt / n[i])
         densities.append(n[i])
-    n0 = float(n[0])
-    span = float(t[-1] - t[0])
-    fallback_rate = math.log(max(n0 / float(n[-1]), 1.0 + 1e-9)) / span
-    if len(rates) >= 2 and float(np.ptp(densities)) > 0:
-        slope, intercept, _, _ = _line_fit(np.asarray(densities), np.asarray(rates))
+    n0 = n[0]
+    span = t[-1] - t[0]
+    fallback_rate = math.log(max(n0 / n[-1], 1.0 + 1e-9)) / span
+    # np.ptp(densities) > 0: the densities differ and none is NaN
+    if (len(rates) >= 2 and max(densities) > min(densities)
+            and not any(map(math.isnan, densities))):
+        slope, intercept, _, _ = _line_fit(densities, rates)
         floor = max(fallback_rate, 1e-12)
         one_over_tau = min(max(intercept, 1e-3 * floor), 1e6 / span)
         beta = max(slope, 1e-3 * floor / n0) * v_eff
-        return np.array([n0, 1.0 / one_over_tau, beta])
+        return [n0, 1.0 / one_over_tau, beta]
     overall = max(fallback_rate, 1e-12)
-    return np.array([n0, 2.0 / overall, overall * v_eff / (2.0 * n0)])
+    return [n0, 2.0 / overall, overall * v_eff / (2.0 * n0)]
 
 
 def fit_two_body_decay(
@@ -265,8 +304,11 @@ def fit_two_body_decay(
     relative step below GN_STALL_TOLERANCE: such a step's predicted cost
     drop is below the rounding of the cost, as for 18 of seeds 0-999 of the
     default decay config.  The converged flag reports this honestly and the
-    best point is returned either way.
+    best point is returned either way.  A least-squares step that numpy
+    cannot solve raises FitError.
     """
+    import numpy as np  # lstsq and inv; every other fit runs without numpy
+
     if not v_eff > 0:
         raise ValidationError(f"v_eff must be positive, got {v_eff!r}")
     pts = [(float(t), float(n), float(s)) for t, n, s in samples]
@@ -302,7 +344,7 @@ def fit_two_body_decay(
 
     if not t[-1] > t[0]:
         raise FitError("sample times must span a nonzero interval")
-    p = _decay_start(t, n, v_eff)
+    p = np.array(_decay_start(times, n.tolist(), v_eff))
 
     converged = False
     current = cost(p)
@@ -314,7 +356,10 @@ def fit_two_body_decay(
         # magnitudes (counts vs m^3/s), which would starve the SVD cutoff
         norms = np.linalg.norm(jac, axis=0)
         norms = np.where(norms > 0.0, norms, 1.0)
-        scaled, *_ = np.linalg.lstsq(jac / norms, -residuals(p), rcond=None)
+        try:
+            scaled, *_ = np.linalg.lstsq(jac / norms, -residuals(p), rcond=None)
+        except np.linalg.LinAlgError as exc:
+            raise FitError(f"two-body decay fit: least-squares step failed: {exc}") from exc
         delta = scaled / norms
         # stationarity is judged on the full proposed step only; a
         # backtracked step can be arbitrarily small far from the minimum
@@ -388,13 +433,17 @@ def fit_tof_temperature(
     pts = [(float(t), float(s)) for t, s in samples]
     if len(pts) < 3:
         raise FitError(f"time-of-flight fit needs >= 3 points, got {len(pts)}")
-    x = np.array([p[0] ** 2 for p in pts])
-    y = np.array([p[1] ** 2 for p in pts])
-    if np.ptp(x) == 0.0:
+    x = [p[0] ** 2 for p in pts]
+    y = [p[1] ** 2 for p in pts]
+    if all(xi == x[0] for xi in x):
         raise FitError("expansion times must not all coincide")
     slope, intercept, x_mean, s_xx = _line_fit(x, y)
-    residuals = y - slope * x - intercept
-    chi2 = float(residuals @ residuals)
+    # a plain sequential sum: numpy's residuals @ residuals is a BLAS dot,
+    # whose order and fused multiply-adds vary with the CPU and the build
+    chi2 = 0.0
+    for xi, yi in zip(x, y):
+        r = yi - slope * xi - intercept
+        chi2 += r * r
     dof = len(pts) - 2
     residual_var = chi2 / dof
     slope_sigma = math.sqrt(residual_var / s_xx)

@@ -15,6 +15,10 @@ reproducible byte-for-byte.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 numeric failure
 (fit non-convergence, near-resonance guard, replay digest mismatch).
+
+Each runner imports the library modules it uses when it runs, and numpy
+is imported only where it is used (scans, simulations, waveforms and the
+decay fit), so --help, --version, fit, budget and tof fit never load it.
 """
 
 from __future__ import annotations
@@ -27,44 +31,13 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
-from .analysis import (
-    FitResult,
-    compute_od,
-    fit_column_density,
-    fit_tof_temperature,
-    fit_two_body_decay,
-    photon_budget,
-)
 from .atomic_data import default_atom_document, load_atom_spec
 # bench/tracing.py times the CSV table I/O under these names
 from .csvio import read_table as _read_rows_csv, write_table as _write_rows_csv
-from .detector import (
-    MAX_ARRAY_SIZE,
-    DetectorSpec,
-    TransmissionSpec,
-    simulate_pulse_detection,
-    synthesize_waveform,
-    write_pulse_csv,
-)
-from .ensemble import (
-    TrapPopulationParams,
-    effective_two_body_volume,
-    evolve_trap_population,
-    tof_radius,
-)
+from .detector import MAX_ARRAY_SIZE
 from .errors import FitError, NearResonanceError, ValidationError
-from .experiment import (
-    DestructionModel,
-    ScanConfig,
-    read_scan_csv,
-    run_detuning_scan,
-    write_scan_csv,
-)
 from .jsonio import decode_nonfinite, read_json, write_json
-from .spin_optics import coherent_spin_state, rotation_cross_section
 
 _SQRT_8LN2 = 2.0 * math.sqrt(2.0 * math.log(2.0))
 CURVE_SAMPLES = 200
@@ -170,6 +143,7 @@ def _count(low: int) -> tuple:
 
 _POSITIVE = (lambda v: v > 0, "be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "be >= 0")
+_FINITE = (math.isfinite, "be finite")
 
 # The range of each key beyond its JSON type, as (test, what the value
 # must be); a key without a row takes any value of its type but NaN, and
@@ -183,9 +157,13 @@ _RULES = {
     "scan.n_detunings": _count(1),
     "scan.seed": _NON_NEGATIVE,
     "budget.photons_per_pulse": _POSITIVE,
+    "decay.t_start_s": _FINITE,
+    "decay.t_stop_s": _FINITE,
     "decay.n_times": _count(2),
     "decay.noise_fraction": _NON_NEGATIVE,
     "decay.seed": _NON_NEGATIVE,
+    "tof.t_start_s": _FINITE,
+    "tof.t_stop_s": _FINITE,
     "tof.n_times": _count(2),
     "tof.noise_m": _NON_NEGATIVE,
     "tof.seed": _NON_NEGATIVE,
@@ -213,7 +191,12 @@ def _check_config(value, default=_DEFAULT_CONFIG, path: str = ""):
     if default is None and actual == "null":
         return value
     if (expected, actual) == ("number", "integer"):
-        value, actual = float(value), "number"
+        try:
+            value, actual = float(value), "number"
+        except OverflowError:
+            raise ValidationError(
+                f"config key {path!r} must fit a float, got an integer beyond 1.8e308"
+            ) from None
     if actual != expected:
         raise ValidationError(f"config key {path!r} must be a JSON {expected}, got {value!r}")
     if actual == "number" and math.isnan(value):
@@ -307,6 +290,8 @@ def _digest_map(paths) -> dict:
 # Each runner consumes a fully resolved, checked config (atom constants
 # inlined, output paths stored under "out") and returns the digest map of
 # every file it wrote. Replay calls the same runner with the stored config.
+# A runner imports its library names when it runs, from the modules that
+# bench/tracing.py rebinds, so a traced run sees them.
 
 
 def _scan_curve_path(out: str) -> str:
@@ -314,17 +299,27 @@ def _scan_curve_path(out: str) -> str:
     return f"{stem}_curve{extension or '.csv'}"
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    import numpy as np
+
+    return np.linspace(start, stop, num).tolist()
+
+
 def _scan_detunings(section: dict) -> list[float]:
     if section["detunings_hz"] is not None:
         return section["detunings_hz"]
     if section["n_detunings"] == 1:
         return [section["detuning_start_hz"]]
-    return np.linspace(
+    return _linspace(
         section["detuning_start_hz"], section["detuning_stop_hz"], section["n_detunings"]
-    ).tolist()
+    )
 
 
 def _run_scan(cfg: dict) -> dict:
+    from .detector import DetectorSpec, TransmissionSpec
+    from .experiment import DestructionModel, ScanConfig, run_detuning_scan, write_scan_csv
+    from .spin_optics import coherent_spin_state, rotation_cross_section
+
     spec = load_atom_spec(cfg["atom_constants"])
     ens = cfg["ensemble"]
     section = cfg["scan"]
@@ -358,7 +353,7 @@ def _run_scan(cfg: dict) -> dict:
     low = min(scan_cfg.detunings_hz)
     high = max(scan_cfg.detunings_hz)
     curve_rows = []
-    for detuning in np.linspace(low, high, CURVE_SAMPLES).tolist():
+    for detuning in _linspace(low, high, CURVE_SAMPLES):
         g_tilde = rotation_cross_section(
             detuning,
             spec,
@@ -372,6 +367,9 @@ def _run_scan(cfg: dict) -> dict:
 
 
 def _run_fit(cfg: dict) -> dict:
+    from .analysis import FitResult, compute_od, fit_column_density
+    from .scandata import read_scan_csv
+
     spec = load_atom_spec(cfg["atom_constants"])
     dataset = read_scan_csv(cfg["in"])
     section = cfg["fit"]
@@ -397,6 +395,8 @@ def _run_fit(cfg: dict) -> dict:
 
 
 def _run_budget(cfg: dict) -> dict:
+    from .analysis import photon_budget
+
     section = cfg["budget"]
     if section["theta_rad"] is None:
         raise ValidationError(
@@ -413,17 +413,23 @@ def _run_budget(cfg: dict) -> dict:
     return _digest_map([out])
 
 
-def _generator(cfg: dict, section: str) -> np.random.Generator:
+def _generator(cfg: dict, section: str):
+    """The section's numpy Generator, PCG64 seeded with its seed."""
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(cfg[section]["seed"]))
 
 
 def _times(section: dict, what: str) -> list[float]:
     if not section["t_stop_s"] > section["t_start_s"]:
         raise ValidationError(f"{what}: t_stop_s must exceed t_start_s")
-    return np.linspace(section["t_start_s"], section["t_stop_s"], section["n_times"]).tolist()
+    return _linspace(section["t_start_s"], section["t_stop_s"], section["n_times"])
 
 
 def _run_decay(cfg: dict) -> dict:
+    from .analysis import fit_two_body_decay
+    from .ensemble import TrapPopulationParams, evolve_trap_population
+
     section = cfg["decay"]
     params = TrapPopulationParams(
         n0=section["n0"],
@@ -454,6 +460,9 @@ def _run_decay(cfg: dict) -> dict:
 
 
 def _run_tof(cfg: dict) -> dict:
+    from .analysis import fit_tof_temperature
+    from .ensemble import tof_radius
+
     spec = load_atom_spec(cfg["atom_constants"])
     section = cfg["tof"]
     out = cfg["out"]
@@ -475,6 +484,14 @@ def _run_tof(cfg: dict) -> dict:
 
 
 def _run_pulse(cfg: dict) -> dict:
+    from .detector import (
+        DetectorSpec,
+        TransmissionSpec,
+        simulate_pulse_detection,
+        synthesize_waveform,
+        write_pulse_csv,
+    )
+
     section = cfg["pulse"]
     det = DetectorSpec(**cfg["detector"])
     delta = simulate_pulse_detection(
@@ -675,7 +692,7 @@ def main(argv=None) -> int:
     except (NearResonanceError, FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except ArithmeticError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

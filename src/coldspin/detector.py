@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .csvio import read_table, write_table
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Most elements of any one array a run allocates: a waveform's samples (the
 # default pulse takes 500), a scan detuning's runs x (pulses + 1) block,
@@ -148,6 +150,8 @@ def synthesize_waveform(
     the integration window equals delta_count * calibration_factor, so
     integrate_window recovers delta_count exactly.
     """
+    import numpy as np  # the only numpy use here: the rest loads without it
+
     if not pulse_duration_s > 0:
         raise ValidationError(
             f"pulse_duration_s must be positive, got {pulse_duration_s!r}"

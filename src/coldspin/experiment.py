@@ -31,9 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic_data import AtomSpec
-from .csvio import read_table, write_table
 from .detector import MAX_ARRAY_SIZE, DetectorSpec, TransmissionSpec, extract_angle
 from .errors import NearResonanceError, ValidationError
+# the dataset and its CSV table live in scandata, which the fit loads
+# without numpy; read_scan_csv and write_scan_csv are re-exported here
+from .scandata import ScanDataset, ScanPoint, read_scan_csv, write_scan_csv
 from .spin_optics import (
     DEFAULT_GUARD_LINEWIDTHS,
     CollectiveSpinState,
@@ -43,17 +45,6 @@ from .spin_optics import (
     coupling_constant,
     detuning_factor,
 )
-
-# ScanPoint's fields, in order, with their types: read_scan_csv builds
-# each point from its row's fields positionally
-SCAN_CSV_COLUMNS = {
-    "detuning_hz": float,
-    "theta_mean_rad": float,
-    "theta_stderr_rad": float,
-    "theta_stddev_rad": float,
-    "n_runs": int,
-    "n_pulses": int,
-}
 
 
 @dataclass(frozen=True)
@@ -133,34 +124,6 @@ class ScanConfig:
             )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
-
-
-@dataclass(frozen=True)
-class ScanPoint:
-    """Aggregated statistics of one scan detuning."""
-
-    detuning_hz: float
-    theta_mean_rad: float
-    theta_stderr_rad: float
-    theta_stddev_rad: float
-    n_runs: int
-    n_pulses: int
-
-    def __post_init__(self):
-        if self.theta_stderr_rad < 0 or self.theta_stddev_rad < 0:
-            raise ValidationError("scan point spreads must be >= 0")
-
-
-@dataclass(frozen=True)
-class ScanDataset:
-    """One record per configured detuning, ordered by detuning."""
-
-    points: tuple[ScanPoint, ...]
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if not self.points:
-            raise ValidationError("a scan dataset needs at least one point")
 
 
 # numpy's SeedSequence (bit_generator.pyx) and PCG64 (pcg64.h) seeding
@@ -453,14 +416,3 @@ def scattering_probability(
         )
     ratio = spec.linewidth_hz / (2.0 * detuning_hz)
     return n_photons * spec.cross_section_m2 * ratio * ratio / area_m2
-
-
-def write_scan_csv(dataset: ScanDataset, path) -> None:
-    """Serialize a scan as a CSV table, one row per point."""
-    rows = map(operator.attrgetter(*SCAN_CSV_COLUMNS), dataset.points)
-    write_table(path, SCAN_CSV_COLUMNS, rows)
-
-
-def read_scan_csv(path) -> ScanDataset:
-    """Parse a scan CSV back into a dataset; errors name the bad row."""
-    return ScanDataset(points=tuple(read_table(path, SCAN_CSV_COLUMNS, ScanPoint)))

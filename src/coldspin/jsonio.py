@@ -96,6 +96,8 @@ def read_json(path) -> dict:
         raise ValidationError(
             f"{path} is not valid JSON (line {exc.lineno}): {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ValidationError(f"{path} must hold a JSON object at top level")
     return document

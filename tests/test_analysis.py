@@ -28,6 +28,7 @@ from coldspin import (
     snr_report,
     write_fit_json,
 )
+from coldspin.analysis import _pairwise_sum
 
 SPEC = default_atom_spec()
 NC_TRUE = 2.65e14
@@ -126,6 +127,72 @@ def test_column_density_needs_two_usable_points():
         fit_column_density(data, SPEC)
     with pytest.raises(FitError):
         fit_column_density(exact_dataset(DETUNINGS[:1]), SPEC)
+
+
+PAIRWISE_BOUNDARIES = (7, 8, 9, 128, 129, 136, 257)
+
+
+def test_pairwise_sum_is_numpy_sum():
+    # the plain-float fits sum as np.sum does; numpy's reduction is the
+    # oracle, for every length across the short loop, the eight-way
+    # unrolled block (8 to 128) and the recursive halving above it
+    rng = np.random.default_rng(20260816)
+    for n in range(301):
+        for _ in range(3 if n in PAIRWISE_BOUNDARIES else 1):
+            x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+            values = x.tolist()
+            assert _pairwise_sum(values).hex() == float(np.sum(x)).hex(), n
+            if n:
+                assert (_pairwise_sum(values) / n).hex() == float(x.mean()).hex(), n
+    # numpy adds the sum to its identity 0.0, so a -0.0 sum comes out 0.0
+    for n in (0, 1, *PAIRWISE_BOUNDARIES):
+        x = np.full(n, -0.0)
+        assert _pairwise_sum(x.tolist()).hex() == float(np.sum(x)).hex() == "0x0.0p+0"
+    cancelling = [1e8, -1e8, -0.0, 3e-8, -3e-8, -0.0, 2.5, -2.5, -0.0]
+    assert _pairwise_sum(cancelling).hex() == float(np.sum(cancelling)).hex()
+
+
+def _numpy_column_density(data, weighted, sigma_source):
+    """fit_column_density's estimate, chi2 and sigma in numpy arrays."""
+    theta = np.array([p.theta_mean_rad for p in data.points])
+    g = np.array([0.5 * rotation_cross_section(p.detuning_hz, SPEC) for p in data.points])
+    sigma = np.array([getattr(p, f"theta_{sigma_source}_rad") for p in data.points])
+    w = 1.0 / sigma**2 if weighted else np.ones_like(theta)
+    denominator = float(np.sum(w * g * g))
+    n_c = float(np.sum(w * theta * g)) / denominator
+    chi2 = float(np.sum(w * (theta - n_c * g) ** 2))
+    dof = len(theta) - 1
+    sigma_nc = denominator**-0.5 if weighted else math.sqrt(chi2 / dof / denominator)
+    return n_c, chi2, sigma_nc
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+@pytest.mark.parametrize("sigma_source", ["stddev", "stderr"])
+def test_column_density_matches_numpy_formulation(weighted, sigma_source):
+    # the fit runs in plain floats; the numpy formulation it replaced is
+    # the oracle, bit for bit, on noisy scans of 2 to 150 points
+    rng = np.random.default_rng(7)
+    for n in (2, 7, 8, 15, 16, 129, 150):
+        detunings = np.linspace(-2.3e9, -0.8e9, n)
+        theta = 0.5 * NC_TRUE * np.array([rotation_cross_section(d, SPEC) for d in detunings])
+        theta = theta * (1.0 + 0.05 * rng.standard_normal(n))
+        stddev = 10.0 ** rng.uniform(-4.0, -2.0, n)
+        data = ScanDataset(points=tuple(
+            ScanPoint(d, t, s / math.sqrt(40), s, 40, 10)
+            for d, t, s in zip(detunings.tolist(), theta.tolist(), stddev.tolist())
+        ))
+        fit = fit_column_density(data, SPEC, weighted=weighted, sigma_source=sigma_source)
+        n_c, chi2, sigma_nc = _numpy_column_density(data, weighted, sigma_source)
+        assert fit.params["column_density_m2"].hex() == n_c.hex()
+        assert fit.chi2.hex() == chi2.hex()
+        assert fit.sigmas["column_density_m2"].hex() == sigma_nc.hex()
+
+
+def test_column_density_weight_underflow_is_not_finite():
+    # a spread whose square underflows weighs infinitely and is refused
+    points = [ScanPoint(d, 1e-3, 1e-170, 1e-170, 40, 10) for d in DETUNINGS[:3]]
+    with pytest.raises(FitError, match="not finite"):
+        fit_column_density(ScanDataset(points=tuple(points)), SPEC)
 
 
 def test_column_density_rejects_bad_sigma_source():
@@ -348,6 +415,34 @@ def test_tof_fit_exact_recovery():
     # frozen slope k_B T / m for T = 25 uK (reference mass differs from the
     # tabulated constant in the 8th digit)
     assert KB_OVER_M * 25e-6 == pytest.approx(2.391710107976790e-3, rel=1e-6)
+
+
+def test_tof_fit_matches_numpy_formulation():
+    # temperature and sigma0 and their sigmas are bit-identical to the
+    # numpy line fit; chi2 is a plain sequential sum of squares
+    rng = np.random.default_rng(3)
+    for n in (3, 8, 9, 40):
+        times = np.linspace(0.5e-3, 4.0e-3, n)
+        sigmas = np.sqrt(8.5e-6**2 + KB_OVER_M * 25e-6 * times**2)
+        sigmas = sigmas + 0.2e-6 * rng.standard_normal(n)
+        fit = fit_tof_temperature(list(zip(times.tolist(), sigmas.tolist())), SPEC.mass_kg)
+        x = np.array([t**2 for t in times.tolist()])
+        y = np.array([s**2 for s in sigmas.tolist()])
+        x_mean, y_mean = float(x.mean()), float(y.mean())
+        s_xx = float(np.sum((x - x_mean) ** 2))
+        slope = float(np.sum((x - x_mean) * (y - y_mean))) / s_xx
+        intercept = y_mean - slope * x_mean
+        chi2 = 0.0
+        for r in (y - slope * x - intercept).tolist():
+            chi2 += r * r
+        var = chi2 / (n - 2)
+        assert fit.chi2.hex() == chi2.hex()
+        assert fit.params["temperature_k"].hex() == (slope / KB_OVER_M).hex()
+        assert fit.params["sigma0_m"].hex() == math.sqrt(intercept).hex()
+        assert fit.sigmas["temperature_k"].hex() == (math.sqrt(var / s_xx) / KB_OVER_M).hex()
+        intercept_sigma = math.sqrt(var * (1.0 / n + x_mean**2 / s_xx))
+        assert fit.sigmas["sigma0_m"].hex() == (
+            intercept_sigma / (2.0 * math.sqrt(intercept))).hex()
 
 
 def test_tof_fit_zero_temperature():

@@ -349,6 +349,51 @@ def test_bad_atom_data_exits_2(in_tmp_dir, monkeypatch, capsys):
     assert "hf_splitting_f1_hz" in capsys.readouterr().err
 
 
+HUGE_INTEGER = "1" + "0" * 400  # a JSON integer past the float range
+
+
+def test_huge_config_integer_exits_2_naming_its_key(in_tmp_dir, capsys):
+    (in_tmp_dir / "cfg.json").write_text(f'{{"ensemble": {{"n_atoms": {HUGE_INTEGER}}}}}')
+    assert cli.main(["scan", "--config", "cfg.json", "--out", "scan.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "config key 'ensemble.n_atoms' must fit a float" in err
+    assert not (in_tmp_dir / "scan.csv").exists()
+
+
+def test_replayed_huge_integer_exits_2_naming_its_key(in_tmp_dir, capsys):
+    assert cli.main(["budget", "--theta", "0.03", "--out", "b.json"]) == 0
+    manifest_path = in_tmp_dir / "b.json.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["budget"]["n_atoms"] = int(HUGE_INTEGER)
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["budget", "--manifest", "b.json.manifest.json"]) == 2
+    assert "config key 'budget.n_atoms' must fit a float" in capsys.readouterr().err
+
+
+def test_integer_past_the_digit_limit_exits_2(in_tmp_dir, capsys):
+    # Python refuses to parse an integer of over 4300 digits
+    (in_tmp_dir / "cfg.json").write_text('{"threads": 1' + "0" * 5000 + "}")
+    assert cli.main(["scan", "--config", "cfg.json", "--out", "scan.csv"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_decay_fit_lstsq_failure_exits_3(in_tmp_dir, capsys, monkeypatch):
+    import numpy as np
+
+    assert cli.main(["decay", "simulate", "--out", "decay.csv"]) == 0
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    capsys.readouterr()
+    assert cli.main(["decay", "fit", "--in", "decay.csv", "--out", "fit.json"]) == 3
+    err = capsys.readouterr().err
+    assert "least-squares step failed: SVD did not converge" in err
+    assert not (in_tmp_dir / "fit.json").exists()
+
+
 def test_replay_of_manifest_missing_a_config_key_exits_2(in_tmp_dir, capsys):
     run_scan(in_tmp_dir)
     manifest_path = in_tmp_dir / "scan.csv.manifest.json"
@@ -433,6 +478,49 @@ def test_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+@pytest.fixture(scope="module")
+def fit_inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fit-inputs")
+    for argv in (["scan"], ["tof", "simulate"]):
+        out = directory / f"{argv[0]}.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+    return directory
+
+
+# runs cli.main on its arguments, then prints the exit code and every
+# numpy module loaded
+MAIN_AND_NUMPY_MODULES = """
+import sys
+from coldspin import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--in", "scan.csv", "--out", "fit.json"],
+        ["budget", "--theta", "0.0268", "--photons-per-pulse", "4.3e6", "--out", "b.json"],
+        ["tof", "fit", "--in", "tof.csv", "--out", "tof_fit.json"],
+        ["--help"],
+        ["--version"],
+    ],
+    ids=["fit", "budget", "tof-fit", "help", "version"],
+)
+def test_command_loads_no_numpy(fit_inputs, argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop("COLDSPIN_ATOM_DATA", None)
+    result = subprocess.run(
+        [sys.executable, "-c", MAIN_AND_NUMPY_MODULES, *argv], cwd=fit_inputs,
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.splitlines()[-1] == "0 []", result.stderr
+
+
 def test_bad_sigma_source_choice_is_usage_error(in_tmp_dir):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["fit", "--in", "x.csv", "--out", "y.json", "--sigma-source", "var"])
@@ -511,6 +599,11 @@ RANGE_VIOLATIONS = [
     (["decay", "simulate"], {"decay": {"noise_fraction": -0.1}}, "decay.noise_fraction"),
     (["tof", "simulate"], {"tof": {"n_times": 1}}, "tof.n_times"),
     (["tof", "simulate"], {"tof": {"noise_m": -1e-6}}, "tof.noise_m"),
+    # an infinite bound once reached np.linspace and failed on NaN times
+    (["decay", "simulate"], {"decay": {"t_start_s": -math.inf}}, "decay.t_start_s"),
+    (["decay", "simulate"], {"decay": {"t_stop_s": math.inf}}, "decay.t_stop_s"),
+    (["tof", "simulate"], {"tof": {"t_start_s": -math.inf}}, "tof.t_start_s"),
+    (["tof", "simulate"], {"tof": {"t_stop_s": math.inf}}, "tof.t_stop_s"),
 ]
 
 
