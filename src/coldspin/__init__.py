@@ -54,72 +54,7 @@ _EXPORTS = {
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = {*_EXPORTS, "cli", "csvio", "jsonio"}
 
-__all__ = [
-    "AtomSpec",
-    "CollectiveSpinState",
-    "CouplingParams",
-    "DestructionModel",
-    "DetectorSpec",
-    "FitError",
-    "FitResult",
-    "NearResonanceError",
-    "PulseRecord",
-    "ScanConfig",
-    "ScanDataset",
-    "ScanPoint",
-    "StokesState",
-    "TransmissionSpec",
-    "TrapPopulationParams",
-    "TrapSpec",
-    "ValidationError",
-    "alignment_interact",
-    "angle_variance",
-    "child_stream",
-    "coherent_pulse",
-    "coherent_spin_state",
-    "collective_from_amplitudes",
-    "compute_od",
-    "coupling_constant",
-    "decay_mean_z",
-    "default_atom_spec",
-    "default_trap_spec",
-    "detuning_factor",
-    "dipole_trap_depth",
-    "effective_two_body_volume",
-    "evolve_trap_population",
-    "evolve_trap_population_rk4",
-    "extract_angle",
-    "faraday_angle",
-    "fit_column_density",
-    "fit_result_from_json_dict",
-    "fit_tof_temperature",
-    "fit_two_body_decay",
-    "integrate_window",
-    "light_shift",
-    "load_atom_spec",
-    "load_trap_spec",
-    "od_from_angle",
-    "output_variance",
-    "peak_density",
-    "photon_budget",
-    "qnd_interact",
-    "read_pulse_samples",
-    "read_scan_csv",
-    "resonant_cross_section",
-    "rotation_cross_section",
-    "run_detuning_scan",
-    "run_pulse_train",
-    "scale_atom_number",
-    "scattering_probability",
-    "simulate_pulse_detection",
-    "single_atom_pseudospin",
-    "snr_report",
-    "synthesize_waveform",
-    "tof_radius",
-    "write_fit_json",
-    "write_pulse_csv",
-    "write_scan_csv",
-]
+__all__ = sorted(_SOURCE)
 
 
 def __getattr__(name: str):

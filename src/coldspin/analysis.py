@@ -6,9 +6,9 @@ free parameter (the column density); the trap decay is fit by Gauss-Newton
 with backtracking on the closed-form two-body solution; time-of-flight
 temperatures come from an ordinary linear fit of sigma^2 against t^2.
 
-Only the decay fit needs numpy (for lstsq and inv), and imports it when
-called; the closed-form fits run in plain floats, summing as np.sum does
-(_pairwise_sum), so their results match the numpy formulation bit for bit.
+Every fit runs in plain floats, without numpy, summing as np.sum does
+(_pairwise_sum), so the closed-form fits match the numpy formulation bit
+for bit; the decay fit solves its 3x3 steps by a cofactor inverse.
 """
 
 from __future__ import annotations
@@ -289,6 +289,19 @@ def _decay_start(t: Sequence[float], n: Sequence[float], v_eff: float) -> list[f
     return [n0, 2.0 / overall, overall * v_eff / (2.0 * n0)]
 
 
+def _symmetric_inverse(m: Sequence[Sequence[float]]) -> list[list[float]] | None:
+    """Cofactor inverse of a symmetric 3x3 matrix (its upper triangle is read),
+    or None if the determinant is not positive: a singular normal matrix."""
+    (a, b, c), (_, d, e), (_, _, f) = m
+    c11, c12, c13 = d * f - e * e, c * e - b * f, b * e - c * d
+    det = a * c11 + b * c12 + c * c13
+    if not det > 0.0:
+        return None
+    c22, c23, c33 = a * f - c * c, b * c - a * e, a * d - b * b
+    cofactors = ((c11, c12, c13), (c12, c22, c23), (c13, c23, c33))
+    return [[x / det for x in row] for row in cofactors]
+
+
 def fit_two_body_decay(
     samples: Sequence[tuple[float, float, float]], v_eff: float
 ) -> FitResult:
@@ -297,95 +310,88 @@ def fit_two_body_decay(
     samples are (time s, atom count, count uncertainty); v_eff is the
     effective two-body volume the rate constant is referred to.  Residuals
     are sigma-weighted; the model and its exact Jacobian come from
-    ensemble.two_body_population and two_body_gradient; step halving
-    backtracks any trial that does not reduce the cost.  Convergence means a
-    relative parameter or cost change below 1e-10 or 1e-12 within 200
-    iterations, or a line search that finds no descent from a proposed
-    relative step below GN_STALL_TOLERANCE: such a step's predicted cost
-    drop is below the rounding of the cost, as for 18 of seeds 0-999 of the
-    default decay config.  The converged flag reports this honestly and the
-    best point is returned either way.  A least-squares step that numpy
-    cannot solve raises FitError.
+    ensemble.two_body_population and two_body_gradient; each step solves
+    the column-scaled normal equations by the cofactor inverse of their 3x3
+    matrix, and step halving backtracks any trial that does not reduce the
+    cost.  Convergence means a relative parameter or cost change below
+    1e-10 or 1e-12 within 200 iterations, or no descent from a proposed
+    relative step below GN_STALL_TOLERANCE; the best point is returned
+    either way.  A non-finite sample raises ValidationError, a singular
+    normal matrix FitError.
     """
-    import numpy as np  # lstsq and inv; every other fit runs without numpy
-
     if not v_eff > 0:
         raise ValidationError(f"v_eff must be positive, got {v_eff!r}")
     pts = [(float(t), float(n), float(s)) for t, n, s in samples]
+    if not all(math.isfinite(x) for p in pts for x in p):
+        raise ValidationError("sample times, counts and uncertainties must be finite")
     if len(pts) < 4:
         raise FitError(f"two-body decay fit needs >= 4 points, got {len(pts)}")
     pts.sort(key=lambda p: p[0])
-    t, n, sigma = np.array(pts).T
-    if np.any(t < 0):
+    times, n, sigma = zip(*pts)
+    if times[0] < 0:
         raise ValidationError("sample times must be >= 0")
-    if np.any(sigma <= 0):
-        raise FitError("count uncertainties must be positive")
-    if np.any(n <= 0):
-        raise FitError("atom counts must be positive")
-
-    # the law is evaluated in plain floats, which never warn
-    times, v_eff = t.tolist(), float(v_eff)
-
-    def residuals(p: np.ndarray) -> np.ndarray:
-        n0, tau, beta = p.tolist()
-        model = [two_body_population(ti, n0, tau, beta, v_eff) for ti in times]
-        return (n - np.array(model)) / sigma
-
-    def cost(p: np.ndarray) -> float:
-        r = residuals(p)
-        if not np.all(np.isfinite(r)):
-            return np.inf
-        return float(r @ r)
-
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        n0, tau, beta = p.tolist()
-        rows = [two_body_gradient(ti, n0, tau, beta, v_eff) for ti in times]
-        return -np.array(rows) / sigma[:, None]
-
-    if not t[-1] > t[0]:
+    if min(sigma) <= 0 or min(n) <= 0:
+        raise FitError("atom counts and their uncertainties must be positive")
+    if not times[-1] > times[0]:
         raise FitError("sample times must span a nonzero interval")
-    p = np.array(_decay_start(times, n.tolist(), v_eff))
+    v_eff = float(v_eff)
 
+    def residuals(p: Sequence[float]) -> list[float]:
+        return [(ni - two_body_population(ti, *p, v_eff)) / si for ti, ni, si in pts]
+
+    def cost(p: Sequence[float]) -> float:
+        r = residuals(p)
+        return _pairwise_sum([x * x for x in r]) if all(map(math.isfinite, r)) else math.inf
+
+    def normal_system(p: Sequence[float]):
+        # None for a non-finite Jacobian, else its columns scaled to unit norm
+        # (raw, counts vs m^3/s), the norms and the scaled normal inverse
+        rows = [two_body_gradient(ti, *p, v_eff) for ti in times]
+        columns = [[-g / si for g, si in zip(column, sigma)] for column in zip(*rows)]
+        if not all(math.isfinite(x) for column in columns for x in column):
+            return None
+        norms = [math.sqrt(_pairwise_sum([x * x for x in column])) for column in columns]
+        norms = [norm if norm > 0.0 else 1.0 for norm in norms]
+        scaled = [[x / norm for x in column] for column, norm in zip(columns, norms)]
+        normal = [[_pairwise_sum([x * y for x, y in zip(a, b)]) for b in scaled] for a in scaled]
+        return scaled, norms, _symmetric_inverse(normal)
+
+    def relative(step: Sequence[float], p: Sequence[float]) -> float:
+        return max(abs(d) / max(abs(q), 1e-300) for d, q in zip(step, p))
+
+    p = _decay_start(times, n, v_eff)
     converged = False
     current = cost(p)
     for _ in range(GN_MAX_ITERATIONS):
-        jac = jacobian(p)
-        if not np.all(np.isfinite(jac)):
+        system = normal_system(p)
+        if system is None:
             break
-        # column-scale before solving: raw columns differ by the parameter
-        # magnitudes (counts vs m^3/s), which would starve the SVD cutoff
-        norms = np.linalg.norm(jac, axis=0)
-        norms = np.where(norms > 0.0, norms, 1.0)
-        try:
-            scaled, *_ = np.linalg.lstsq(jac / norms, -residuals(p), rcond=None)
-        except np.linalg.LinAlgError as exc:
-            raise FitError(f"two-body decay fit: least-squares step failed: {exc}") from exc
-        delta = scaled / norms
+        scaled, norms, inverse = system
+        if inverse is None:
+            raise FitError(
+                "two-body decay fit: Gauss-Newton step failed: singular normal matrix"
+            )
+        r = residuals(p)
+        rhs = [_pairwise_sum([-x * ri for x, ri in zip(column, r)]) for column in scaled]
+        delta = [_pairwise_sum([a * b for a, b in zip(row, rhs)]) / norm
+                 for row, norm in zip(inverse, norms)]
         # stationarity is judged on the full proposed step only; a
         # backtracked step can be arbitrarily small far from the minimum
-        proposed = float(np.max(np.abs(delta) / np.maximum(np.abs(p), 1e-300)))
+        proposed = relative(delta, p)
         if proposed < GN_RELATIVE_TOLERANCE:
             converged = True
             break
-        # backtracking line search
-        scale = 1.0
-        improved = False
-        for _ in range(GN_MAX_BACKTRACKS):
-            trial = p + scale * delta
-            if trial[0] > 0 and trial[1] > 0:
-                trial_cost = cost(trial)
-                if trial_cost < current:
-                    improved = True
-                    break
-            scale *= 0.5
-        if not improved:
+        # backtracking line search: halve the step until the cost drops
+        for scale in (0.5**k for k in range(GN_MAX_BACKTRACKS)):
+            trial = [q + scale * d for q, d in zip(p, delta)]
+            if trial[0] > 0 and trial[1] > 0 and (trial_cost := cost(trial)) < current:
+                break
+        else:
             # no descent available: a minimum if the step was already down
             # at the rounding floor of the cost, a genuine stall otherwise
             converged = proposed < GN_STALL_TOLERANCE
             break
-        accepted = float(
-            np.max(np.abs(scale * delta) / np.maximum(np.abs(trial), 1e-300))
-        )
+        accepted = relative([scale * d for d in delta], trial)
         gain = (current - trial_cost) / max(current, 1e-300)
         p = trial
         current = trial_cost
@@ -396,26 +402,18 @@ def fit_two_body_decay(
             converged = True
             break
 
-    # covariance from the Jacobian at the solution (sigma-weighted
-    # residuals), inverted in column-scaled form for the same reason
-    jac = jacobian(p)
-    try:
-        norms = np.linalg.norm(jac, axis=0)
-        norms = np.where(norms > 0.0, norms, 1.0)
-        scaled_cov = np.linalg.inv((jac / norms).T @ (jac / norms))
-        covariance = scaled_cov / np.outer(norms, norms)
-        uncertainties = np.sqrt(np.maximum(np.diag(covariance), 0.0))
-    except np.linalg.LinAlgError:
-        uncertainties = np.full(3, math.inf)
+    # covariance from the scaled normal matrix at the solution; inf if singular
+    system = normal_system(p)
+    uncertainties = [math.inf] * 3
+    if system is not None and system[2] is not None:
+        _, norms, inverse = system
+        uncertainties = [
+            math.sqrt(max(inverse[i][i] / (v * v), 0.0)) for i, v in enumerate(norms)
+        ]
 
     names = ("n0", "tau_s", "beta_m3_per_s")
-    return FitResult(
-        params=dict(zip(names, p.tolist())),
-        sigmas=dict(zip(names, uncertainties.tolist())),
-        chi2=current,
-        dof=len(pts) - 3,
-        converged=converged,
-    )
+    return FitResult(dict(zip(names, p)), dict(zip(names, uncertainties)),
+                     chi2=current, dof=len(pts) - 3, converged=converged)
 
 
 def fit_tof_temperature(
@@ -431,6 +429,8 @@ def fit_tof_temperature(
     if not mass_kg > 0:
         raise ValidationError(f"mass_kg must be positive, got {mass_kg!r}")
     pts = [(float(t), float(s)) for t, s in samples]
+    if not all(math.isfinite(x) for p in pts for x in p):
+        raise ValidationError("expansion times and radii must be finite")
     if len(pts) < 3:
         raise FitError(f"time-of-flight fit needs >= 3 points, got {len(pts)}")
     x = [p[0] ** 2 for p in pts]

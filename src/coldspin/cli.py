@@ -17,8 +17,8 @@ Exit codes: 0 success, 2 configuration or usage error, 3 numeric failure
 (fit non-convergence, near-resonance guard, replay digest mismatch).
 
 Each runner imports the library modules it uses when it runs, and numpy
-is imported only where it is used (scans, simulations, waveforms and the
-decay fit), so --help, --version, fit, budget and tof fit never load it.
+is imported only where it is used (scans, simulations and waveforms), so
+--help, --version and every fit and budget never load it.
 """
 
 from __future__ import annotations

@@ -362,8 +362,8 @@ def run_detuning_scan(
             n_pulses, np.array(j_z0), couplings[d_index].g, light.n_photons,
             dm.per_pulse_decay, det, tr, noise,
         )
-        # Python's sum, in pulse order, as the per-pulse loop summed
-        values = np.array([sum(row) / n_pulses for row in theta_hat.tolist()])
+        # a sequential sum in pulse order, as the per-pulse loop summed
+        values = np.cumsum(theta_hat, axis=1)[:, -1] / n_pulses
         if not np.isfinite(values).all():
             raise OverflowError(f"scan detuning {detuning:.6g} Hz: a mean angle overflows")
         mean = float(values.mean())

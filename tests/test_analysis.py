@@ -468,6 +468,25 @@ def test_tof_fit_validation():
         fit_tof_temperature([(1e-3, 9e-6)] * 4, SPEC.mass_kg)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "fit, column",
+    [("decay", 0), ("decay", 1), ("decay", 2), ("tof", 0), ("tof", 1)],
+    ids=["decay-time", "decay-count", "decay-sigma", "tof-time", "tof-radius"],
+)
+def test_fits_reject_nonfinite_samples(fit, column, value):
+    if fit == "decay":
+        rows = decay_samples(np.linspace(0.0, 90.0, 10))
+        run, arg = fit_two_body_decay, DECAY_TRUE.v_eff_m3
+    else:
+        rows, run, arg = tof_samples(), fit_tof_temperature, SPEC.mass_kg
+    row = list(rows[1])
+    row[column] = value
+    rows[1] = tuple(row)
+    with pytest.raises(ValidationError, match="must be finite"):
+        run(rows, arg)
+
+
 def test_fit_result_json_round_trip(tmp_path):
     fit = FitResult(
         params={"b": 2.0, "a": 1.0},

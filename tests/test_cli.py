@@ -378,19 +378,16 @@ def test_integer_past_the_digit_limit_exits_2(in_tmp_dir, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_decay_fit_lstsq_failure_exits_3(in_tmp_dir, capsys, monkeypatch):
-    import numpy as np
+def test_decay_fit_singular_step_exits_3(in_tmp_dir, capsys, monkeypatch):
+    import coldspin.analysis
 
     assert cli.main(["decay", "simulate", "--out", "decay.csv"]) == 0
-
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    # equal Jacobian columns: the scaled normal matrix has rank 1
+    monkeypatch.setattr(coldspin.analysis, "two_body_gradient", lambda *args: (1.0, 1.0, 1.0))
     capsys.readouterr()
     assert cli.main(["decay", "fit", "--in", "decay.csv", "--out", "fit.json"]) == 3
     err = capsys.readouterr().err
-    assert "least-squares step failed: SVD did not converge" in err
+    assert "Gauss-Newton step failed: singular normal matrix" in err
     assert not (in_tmp_dir / "fit.json").exists()
 
 
@@ -481,9 +478,11 @@ def test_import_loads_no_scipy():
 @pytest.fixture(scope="module")
 def fit_inputs(tmp_path_factory):
     directory = tmp_path_factory.mktemp("fit-inputs")
-    for argv in (["scan"], ["tof", "simulate"]):
+    for argv in (["scan"], ["tof", "simulate"], ["decay", "simulate"]):
         out = directory / f"{argv[0]}.csv"
         assert cli.main([*argv, "--out", str(out)]) == 0
+    decay_fit = ["decay", "fit", "--in", str(directory / "decay.csv")]
+    assert cli.main([*decay_fit, "--out", str(directory / "decay_fit.json")]) == 0
     return directory
 
 
@@ -506,10 +505,12 @@ print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))
         ["fit", "--in", "scan.csv", "--out", "fit.json"],
         ["budget", "--theta", "0.0268", "--photons-per-pulse", "4.3e6", "--out", "b.json"],
         ["tof", "fit", "--in", "tof.csv", "--out", "tof_fit.json"],
+        ["decay", "fit", "--in", "decay.csv", "--out", "d.json"],
+        ["decay", "--manifest", "decay_fit.json.manifest.json"],
         ["--help"],
         ["--version"],
     ],
-    ids=["fit", "budget", "tof-fit", "help", "version"],
+    ids=["fit", "budget", "tof-fit", "decay-fit", "decay-replay", "help", "version"],
 )
 def test_command_loads_no_numpy(fit_inputs, argv):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}

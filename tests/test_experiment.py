@@ -186,7 +186,10 @@ def reference_scan(cfg, atoms, dm):
                 cfg.pulses_per_sample, scale_atom_number(atoms, factor), cp, light, dm,
                 DET, TR, stream,
             )
-            means.append(sum(theta for _, _, theta in records) / cfg.pulses_per_sample)
+            total = 0.0  # left to right: the built-in sum compensates on Python >= 3.12
+            for _, _, theta in records:
+                total += theta
+            means.append(total / cfg.pulses_per_sample)
         values = np.array(means)
         stddev = float(values.std(ddof=1)) if cfg.runs_per_point > 1 else 0.0
         points.append(

@@ -45,8 +45,8 @@ GOLDEN = {
         "decay.csv.manifest.json": "ea91b6eb092bfacec24bb1779bb0ade8a248d4083d6f3b83c33f9a5f7f105d83",
     },
     "decay_fit": {
-        "decay_fit.json": "3250750d6ec21433f5edf59f3bd071cd1caf3fbd20231f6566f25ccf8079c295",
-        "decay_fit.json.manifest.json": "0914a7955114fd7370ae8622de3c67c7968757ee7ad693a6047501423374807e",
+        "decay_fit.json": "60b2c5792a6db54fd479bb39ff858a45805936607039655fdbfe5c20ca0c9483",
+        "decay_fit.json.manifest.json": "819d5710a1c435f69a119015fb84bbeca9996cc382f95548dcd6b2811b1039b4",
     },
     "tof_simulate": {
         "tof.csv": "286b949fc63fa969fb095f7b04b772ac5f62901966e6f664a5cf83df974d573b",
