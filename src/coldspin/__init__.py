@@ -52,7 +52,7 @@ _EXPORTS = {
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = {*_EXPORTS, "cli", "csvio", "jsonio"}
+_SUBMODULES = {*_EXPORTS, "cli", "csvio", "jsonio", "rng", "summation"}
 
 __all__ = sorted(_SOURCE)
 

@@ -7,8 +7,9 @@ with backtracking on the closed-form two-body solution; time-of-flight
 temperatures come from an ordinary linear fit of sigma^2 against t^2.
 
 Every fit runs in plain floats, without numpy, summing as np.sum does
-(_pairwise_sum), so the closed-form fits match the numpy formulation bit
-for bit; the decay fit solves its 3x3 steps by a cofactor inverse.
+(summation.pairwise_sum), so the closed-form fits match the numpy
+formulation bit for bit; the decay fit solves its 3x3 steps by a cofactor
+inverse.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import FitError, ValidationError
 from .jsonio import decode_nonfinite, write_json
 from .scandata import ScanDataset
 from .spin_optics import DEFAULT_GUARD_LINEWIDTHS, rotation_cross_section
+from .summation import pairwise_sum
 
 # Gauss-Newton controls: deterministic, testable stopping
 GN_MAX_ITERATIONS = 200
@@ -151,12 +153,12 @@ def fit_column_density(
             raise FitError("column-density fit weights are not finite")
     else:
         w = [1.0] * len(rows)
-    denominator = _pairwise_sum([wi * gi * gi for wi, gi in zip(w, g)])
+    denominator = pairwise_sum([wi * gi * gi for wi, gi in zip(w, g)])
     if denominator == 0.0:
         raise FitError("degenerate design: g_tilde vanishes at every point")
-    n_c = _pairwise_sum([wi * ti * gi for wi, ti, gi in zip(w, theta, g)]) / denominator
+    n_c = pairwise_sum([wi * ti * gi for wi, ti, gi in zip(w, theta, g)]) / denominator
     residuals = [ti - n_c * gi for ti, gi in zip(theta, g)]
-    chi2 = _pairwise_sum([wi * (r * r) for wi, r in zip(w, residuals)])
+    chi2 = pairwise_sum([wi * (r * r) for wi, r in zip(w, residuals)])
     dof = len(rows) - 1
     if weighted:
         sigma_nc = denominator**-0.5
@@ -215,48 +217,14 @@ def snr_report(
     )
 
 
-def _pairwise_sum(values: Sequence[float]) -> float:
-    """np.sum of float64 values, bit for bit.
-
-    numpy's add reduction starts from its identity 0.0 and adds
-    pairwise_sum of the values (numpy/_core/src/umath/loops_utils.h.src):
-    below 8 values a sequential loop from -0.0; up to 128 values eight
-    strided partial sums, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    then the leftover values in turn; above that the two halves, split at
-    n/2 rounded down to a multiple of 8, summed recursively.
-    """
-    return 0.0 + _pairwise(values)
-
-
-def _pairwise(values: Sequence[float]) -> float:
-    n = len(values)
-    if n < 8:
-        total = -0.0
-        for value in values:
-            total += value
-        return total
-    if n <= 128:
-        r = list(values[:8])
-        stop = n - n % 8
-        for i in range(8, stop, 8):
-            for j in range(8):
-                r[j] += values[i + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for value in values[stop:]:
-            total += value
-        return total
-    half = n // 2 - n // 2 % 8
-    return _pairwise(values[:half]) + _pairwise(values[half:])
-
-
 def _line_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, float, float]:
     """Ordinary least-squares line y = slope x + intercept: returns slope,
     intercept, mean(x) and S_xx = sum (x - mean(x))^2."""
-    x_mean = _pairwise_sum(x) / len(x)
-    y_mean = _pairwise_sum(y) / len(y)
+    x_mean = pairwise_sum(x) / len(x)
+    y_mean = pairwise_sum(y) / len(y)
     dx = [xi - x_mean for xi in x]
-    s_xx = _pairwise_sum([d * d for d in dx])
-    slope = _pairwise_sum([d * (yi - y_mean) for d, yi in zip(dx, y)]) / s_xx
+    s_xx = pairwise_sum([d * d for d in dx])
+    slope = pairwise_sum([d * (yi - y_mean) for d, yi in zip(dx, y)]) / s_xx
     return slope, y_mean - slope * x_mean, x_mean, s_xx
 
 
@@ -277,9 +245,7 @@ def _decay_start(t: Sequence[float], n: Sequence[float], v_eff: float) -> list[f
     n0 = n[0]
     span = t[-1] - t[0]
     fallback_rate = math.log(max(n0 / n[-1], 1.0 + 1e-9)) / span
-    # np.ptp(densities) > 0: the densities differ and none is NaN
-    if (len(rates) >= 2 and max(densities) > min(densities)
-            and not any(map(math.isnan, densities))):
+    if len(rates) >= 2 and max(densities) > min(densities):
         slope, intercept, _, _ = _line_fit(densities, rates)
         floor = max(fallback_rate, 1e-12)
         one_over_tau = min(max(intercept, 1e-3 * floor), 1e6 / span)
@@ -336,12 +302,11 @@ def fit_two_body_decay(
         raise FitError("sample times must span a nonzero interval")
     v_eff = float(v_eff)
 
-    def residuals(p: Sequence[float]) -> list[float]:
-        return [(ni - two_body_population(ti, *p, v_eff)) / si for ti, ni, si in pts]
-
-    def cost(p: Sequence[float]) -> float:
-        r = residuals(p)
-        return _pairwise_sum([x * x for x in r]) if all(map(math.isfinite, r)) else math.inf
+    def evaluate(p: Sequence[float]) -> tuple[float, list[float]]:
+        # the cost at p and the sigma-weighted residuals it sums
+        r = [(ni - two_body_population(ti, *p, v_eff)) / si for ti, ni, si in pts]
+        return (pairwise_sum([x * x for x in r]) if all(map(math.isfinite, r))
+                else math.inf), r
 
     def normal_system(p: Sequence[float]):
         # None for a non-finite Jacobian, else its columns scaled to unit norm
@@ -350,10 +315,10 @@ def fit_two_body_decay(
         columns = [[-g / si for g, si in zip(column, sigma)] for column in zip(*rows)]
         if not all(math.isfinite(x) for column in columns for x in column):
             return None
-        norms = [math.sqrt(_pairwise_sum([x * x for x in column])) for column in columns]
+        norms = [math.sqrt(pairwise_sum([x * x for x in column])) for column in columns]
         norms = [norm if norm > 0.0 else 1.0 for norm in norms]
         scaled = [[x / norm for x in column] for column, norm in zip(columns, norms)]
-        normal = [[_pairwise_sum([x * y for x, y in zip(a, b)]) for b in scaled] for a in scaled]
+        normal = [[pairwise_sum([x * y for x, y in zip(a, b)]) for b in scaled] for a in scaled]
         return scaled, norms, _symmetric_inverse(normal)
 
     def relative(step: Sequence[float], p: Sequence[float]) -> float:
@@ -361,7 +326,7 @@ def fit_two_body_decay(
 
     p = _decay_start(times, n, v_eff)
     converged = False
-    current = cost(p)
+    current, r = evaluate(p)
     for _ in range(GN_MAX_ITERATIONS):
         system = normal_system(p)
         if system is None:
@@ -371,9 +336,8 @@ def fit_two_body_decay(
             raise FitError(
                 "two-body decay fit: Gauss-Newton step failed: singular normal matrix"
             )
-        r = residuals(p)
-        rhs = [_pairwise_sum([-x * ri for x, ri in zip(column, r)]) for column in scaled]
-        delta = [_pairwise_sum([a * b for a, b in zip(row, rhs)]) / norm
+        rhs = [pairwise_sum([-x * ri for x, ri in zip(column, r)]) for column in scaled]
+        delta = [pairwise_sum([a * b for a, b in zip(row, rhs)]) / norm
                  for row, norm in zip(inverse, norms)]
         # stationarity is judged on the full proposed step only; a
         # backtracked step can be arbitrarily small far from the minimum
@@ -384,8 +348,10 @@ def fit_two_body_decay(
         # backtracking line search: halve the step until the cost drops
         for scale in (0.5**k for k in range(GN_MAX_BACKTRACKS)):
             trial = [q + scale * d for q, d in zip(p, delta)]
-            if trial[0] > 0 and trial[1] > 0 and (trial_cost := cost(trial)) < current:
-                break
+            if trial[0] > 0 and trial[1] > 0:
+                trial_cost, trial_r = evaluate(trial)
+                if trial_cost < current:
+                    break
         else:
             # no descent available: a minimum if the step was already down
             # at the rounding floor of the cost, a genuine stall otherwise
@@ -393,8 +359,7 @@ def fit_two_body_decay(
             break
         accepted = relative([scale * d for d in delta], trial)
         gain = (current - trial_cost) / max(current, 1e-300)
-        p = trial
-        current = trial_cost
+        p, current, r = trial, trial_cost, trial_r
         # parameter-stationary or cost-stationary, either ends the descent;
         # the cost test is safe because the step direction is solved in
         # scaled form, so a vanishing reduction along it means a minimum

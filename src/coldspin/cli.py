@@ -16,9 +16,10 @@ reproducible byte-for-byte.
 Exit codes: 0 success, 2 configuration or usage error, 3 numeric failure
 (fit non-convergence, near-resonance guard, replay digest mismatch).
 
-Each runner imports the library modules it uses when it runs, and numpy
-is imported only where it is used (scans, simulations and waveforms), so
---help, --version and every fit and budget never load it.
+Each runner imports the library modules it uses when it runs, and only
+scans import numpy: the decay, expansion and pulse simulations draw from
+rng's plain-Python copy of numpy's normal stream, so every command but
+scan, and its replay, runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -300,9 +301,16 @@ def _scan_curve_path(out: str) -> str:
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
-    import numpy as np
-
-    return np.linspace(start, stop, num).tolist()
+    """np.linspace(start, stop, num).tolist() for num >= 2, bit for bit."""
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:  # a subnormal span: numpy scales before multiplying (gh-5437)
+        points = [(i / div) * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
 
 
 def _scan_detunings(section: dict) -> list[float]:
@@ -414,10 +422,11 @@ def _run_budget(cfg: dict) -> dict:
 
 
 def _generator(cfg: dict, section: str):
-    """The section's numpy Generator, PCG64 seeded with its seed."""
-    import numpy as np
+    """The section's normal stream: the draws of numpy's Generator, PCG64
+    seeded with the section's seed, frozen in rng."""
+    from .rng import NormalStream
 
-    return np.random.Generator(np.random.PCG64(cfg[section]["seed"]))
+    return NormalStream(cfg[section]["seed"])
 
 
 def _times(section: dict, what: str) -> list[float]:

@@ -9,19 +9,22 @@ the two polarization paths; extract_angle inverts the same relation.
 Waveform synthesis emits the Fig.-style sampled detector trace: a Gaussian
 bump of width filter_sigma whose integration-window sum encodes the pulse
 imbalance.  integrate_window is its exact inverse in the noiseless case.
+
+The module loads without numpy.  The waveform is computed in plain floats
+with the C library's exp, and its window is summed in np.sum's pairwise
+order (summation.pairwise_sum).  A pulse's noise is drawn from any source
+with a scalar standard_normal(), such as rng.NormalStream.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Protocol
 
 from .csvio import read_table, write_table
 from .errors import ValidationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Most elements of any one array a run allocates: a waveform's samples (the
 # default pulse takes 500), a scan detuning's runs x (pulses + 1) block,
@@ -30,6 +33,13 @@ if TYPE_CHECKING:
 MAX_ARRAY_SIZE = 2**22
 
 PULSE_CSV_COLUMNS = {"sample_index": int, "value": float}
+
+
+class NormalSource(Protocol):
+    """What the noise of a pulse is drawn from: rng.NormalStream or a numpy
+    Generator."""
+
+    def standard_normal(self) -> float: ...
 
 
 @dataclass(frozen=True)
@@ -101,7 +111,7 @@ def simulate_pulse_detection(
     n_photons: float,
     det: DetectorSpec,
     tr: TransmissionSpec,
-    noise_stream: np.random.Generator | None = None,
+    noise_stream: NormalSource | None = None,
 ) -> float:
     """One measured imbalance dN' = theta N_L t_h t_v + noise.
 
@@ -150,7 +160,8 @@ def synthesize_waveform(
     the integration window equals delta_count * calibration_factor, so
     integrate_window recovers delta_count exactly.
     """
-    import numpy as np  # the only numpy use here: the rest loads without it
+    # imported here, as every command's CLI import loads this module
+    from .summation import pairwise_sum
 
     if not pulse_duration_s > 0:
         raise ValidationError(
@@ -165,16 +176,19 @@ def synthesize_waveform(
             f"{MAX_ARRAY_SIZE}: shorten pulse_duration_s or filter_sigma_s"
         )
     n_samples = int(math.ceil(total / dt))
-    t = (np.arange(n_samples) + 0.5) * dt
+    t = [(i + 0.5) * dt for i in range(n_samples)]
     center = total / 2.0
     # window: center of the record +- (pulse half-width + 4 filter sigmas)
     half_window = pulse_duration_s / 2.0 + 4.0 * det.filter_sigma_s
-    window_start = int(np.searchsorted(t, center - half_window, side="left"))
-    window_end = int(np.searchsorted(t, center + half_window, side="right"))
-    shape = np.exp(-0.5 * ((t - center) / det.filter_sigma_s) ** 2)
-    window_weight = float(shape[window_start:window_end].sum())
+    window_start = bisect_left(t, center - half_window)
+    window_end = bisect_right(t, center + half_window)
+    shape = []
+    for ti in t:
+        u = (ti - center) / det.filter_sigma_s
+        shape.append(math.exp(-0.5 * (u * u)))
+    window_weight = pairwise_sum(shape[window_start:window_end])
     scale = delta_count * det.calibration_factor / window_weight
-    samples = tuple(float(v) for v in shape * scale)
+    samples = tuple(value * scale for value in shape)
     return PulseRecord(
         samples=samples,
         window_start=window_start,

@@ -25,7 +25,6 @@ on one reused generator instead of constructing a generator per cell.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,7 @@ import numpy as np
 from .atomic_data import AtomSpec
 from .detector import MAX_ARRAY_SIZE, DetectorSpec, TransmissionSpec, extract_angle
 from .errors import NearResonanceError, ValidationError
+from .rng import POOL_SIZE, pcg64_seed, seed_sequence_words, uint32_words
 # the dataset and its CSV table live in scandata, which the fit loads
 # without numpy; read_scan_csv and write_scan_csv are re-exported here
 from .scandata import ScanDataset, ScanPoint, read_scan_csv, write_scan_csv
@@ -126,97 +126,27 @@ class ScanConfig:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-# numpy's SeedSequence (bit_generator.pyx) and PCG64 (pcg64.h) seeding
-# constants; _cell_states reproduces their arithmetic exactly
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _uint32_words(value: int) -> list[int]:
-    """A non-negative int as SeedSequence splits it: little-endian 32-bit
-    words, at least one."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError(f"seed and spawn key entries must be >= 0, got {value!r}")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _hasher(init: int, mult: int):
-    """numpy's SeedSequence hash step over uint32 arrays; every call
-    advances one hash constant shared by all cells."""
-    hash_const = init
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * mult) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
-
-    return hashmix
-
-
 def _cell_states(seed: int, detuning_index: int, run_indices) -> list[tuple[int, int]]:
     """(state, inc) of np.random.PCG64(np.random.SeedSequence(seed,
     spawn_key=(detuning_index, r))) for every r in run_indices at once.
 
-    The SeedSequence hashing runs as uint32 array arithmetic with one
-    element per cell; its hash constants depend only on word positions, so
-    they are the same for every cell.  The run indices must share one
-    32-bit word count, as every index below 2**32 does.
+    rng's SeedSequence hash runs on uint64 arrays with one element per
+    cell; its hash constants depend only on word positions, so they are the
+    same for every cell.  The run indices must share one 32-bit word count,
+    as every index below 2**32 does.
     """
-    lead = _uint32_words(seed)
-    lead += [0] * (_POOL_SIZE - len(lead))  # spawned sequences pad to the pool
-    lead += _uint32_words(detuning_index)
+    lead = uint32_words(seed)
+    lead += [0] * (POOL_SIZE - len(lead))  # spawned sequences pad to the pool
+    lead += uint32_words(detuning_index)
     runs = np.array(run_indices, dtype=object)  # Python ints of any size
-    width = len(_uint32_words(runs.max()))
-    if len(_uint32_words(runs.min())) != width:
+    width = len(uint32_words(runs.max()))
+    if len(uint32_words(runs.min())) != width:
         raise ValueError("run indices must share one 32-bit word count")
-    # one array per entropy word, one element per cell
-    entropy = [np.full(len(runs), word, dtype=np.uint32) for word in lead]
-    entropy += [((runs >> 32 * k) & _MASK32).astype(np.uint32) for k in range(width)]
-
-    # mix_entropy; the padded entropy always fills the pool
-    hashmix = _hasher(_INIT_A, _MULT_A)
-
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> _XSHIFT)
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-
-    # generate_state(4, np.uint64): eight 32-bit words, read as four
-    # little-endian 64-bit words
-    generate = _hasher(_INIT_B, _MULT_B)
-    words = np.stack([generate(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
-    seeds = words.astype("<u4").view("<u8").astype(object)
-
-    # PCG64 seeding in Python ints, over all cells at once:
-    # pcg_setseq_128_srandom_r(initstate, initseq) with 128-bit wraparound
-    initstate = (seeds[:, 0] << 64) | seeds[:, 1]
-    inc = ((((seeds[:, 2] << 64) | seeds[:, 3]) << 1) | 1) & _MASK128
-    state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+    # the words every cell shares stay ints; each run-index word is an
+    # array with one element per cell
+    entropy = lead + [((runs >> 32 * k) & 0xFFFFFFFF).astype(np.uint64) for k in range(width)]
+    # PCG64 seeding in Python ints, over all cells at once
+    state, inc = pcg64_seed(*(word.astype(object) for word in seed_sequence_words(entropy)))
     return list(zip(state.tolist(), inc.tolist()))
 
 

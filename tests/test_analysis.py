@@ -28,7 +28,7 @@ from coldspin import (
     snr_report,
     write_fit_json,
 )
-from coldspin.analysis import _pairwise_sum
+from coldspin.summation import pairwise_sum
 
 SPEC = default_atom_spec()
 NC_TRUE = 2.65e14
@@ -141,15 +141,15 @@ def test_pairwise_sum_is_numpy_sum():
         for _ in range(3 if n in PAIRWISE_BOUNDARIES else 1):
             x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
             values = x.tolist()
-            assert _pairwise_sum(values).hex() == float(np.sum(x)).hex(), n
+            assert pairwise_sum(values).hex() == float(np.sum(x)).hex(), n
             if n:
-                assert (_pairwise_sum(values) / n).hex() == float(x.mean()).hex(), n
+                assert (pairwise_sum(values) / n).hex() == float(x.mean()).hex(), n
     # numpy adds the sum to its identity 0.0, so a -0.0 sum comes out 0.0
     for n in (0, 1, *PAIRWISE_BOUNDARIES):
         x = np.full(n, -0.0)
-        assert _pairwise_sum(x.tolist()).hex() == float(np.sum(x)).hex() == "0x0.0p+0"
+        assert pairwise_sum(x.tolist()).hex() == float(np.sum(x)).hex() == "0x0.0p+0"
     cancelling = [1e8, -1e8, -0.0, 3e-8, -3e-8, -0.0, 2.5, -2.5, -0.0]
-    assert _pairwise_sum(cancelling).hex() == float(np.sum(cancelling)).hex()
+    assert pairwise_sum(cancelling).hex() == float(np.sum(cancelling)).hex()
 
 
 def _numpy_column_density(data, weighted, sigma_source):

@@ -478,7 +478,7 @@ def test_import_loads_no_scipy():
 @pytest.fixture(scope="module")
 def fit_inputs(tmp_path_factory):
     directory = tmp_path_factory.mktemp("fit-inputs")
-    for argv in (["scan"], ["tof", "simulate"], ["decay", "simulate"]):
+    for argv in (["scan"], ["tof", "simulate"], ["decay", "simulate"], ["pulse", "--noisy"]):
         out = directory / f"{argv[0]}.csv"
         assert cli.main([*argv, "--out", str(out)]) == 0
     decay_fit = ["decay", "fit", "--in", str(directory / "decay.csv")]
@@ -507,10 +507,18 @@ print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))
         ["tof", "fit", "--in", "tof.csv", "--out", "tof_fit.json"],
         ["decay", "fit", "--in", "decay.csv", "--out", "d.json"],
         ["decay", "--manifest", "decay_fit.json.manifest.json"],
+        ["decay", "simulate", "--out", "d.csv"],
+        ["tof", "simulate", "--out", "t.csv"],
+        ["pulse", "--noisy", "--seed", "7", "--out", "p.csv"],
+        ["decay", "--manifest", "decay.csv.manifest.json"],
+        ["tof", "--manifest", "tof.csv.manifest.json"],
+        ["pulse", "--manifest", "pulse.csv.manifest.json"],
         ["--help"],
         ["--version"],
     ],
-    ids=["fit", "budget", "tof-fit", "decay-fit", "decay-replay", "help", "version"],
+    ids=["fit", "budget", "tof-fit", "decay-fit", "decay-replay", "decay-simulate",
+         "tof-simulate", "pulse-noisy", "decay-simulate-replay", "tof-simulate-replay",
+         "pulse-replay", "help", "version"],
 )
 def test_command_loads_no_numpy(fit_inputs, argv):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}

@@ -1,0 +1,113 @@
+"""coldspin.rng against numpy: the normal stream, the SeedSequence hash and
+the CLI's linspace, bit for bit."""
+
+import hashlib
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from coldspin import rng
+from coldspin.cli import _linspace
+from coldspin.rng import NormalStream, POOL_SIZE, seed_sequence_words, uint32_words
+
+# 1 to 6 uint32 words: the pool holds 4, so the last two seeds also run
+# mix_entropy's loop over the remaining entropy
+SEEDS = (0, 1, 7, 20260816, 2**32 - 1, 2**32 + 5, 2**40 + 7, 2**64 + 1, 2**70 + 3,
+         10**30, 2**160 + 3)
+DRAWS = 100_000  # per seed
+SCALAR_DRAWS = 10_000  # per seed, also drawn one numpy call at a time
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def test_normal_stream_is_numpy_standard_normal(monkeypatch):
+    assert len(SEEDS) * DRAWS >= 10**6
+    assert {len(uint32_words(seed)) for seed in SEEDS} >= {1, 2, 3, POOL_SIZE + 2}
+    # the ziggurat's slow branches are the only callers of exp (the wedge
+    # test) and log1p (the tail beyond r); count them to see both taken
+    calls = {"exp": 0, "log1p": 0}
+
+    def counted(name, function):
+        def wrapper(x):
+            calls[name] += 1
+            return function(x)
+        return wrapper
+
+    monkeypatch.setattr(rng, "exp", counted("exp", rng.exp))
+    monkeypatch.setattr(rng, "log1p", counted("log1p", rng.log1p))
+    for seed in SEEDS:
+        stream = NormalStream(seed)
+        ours = [stream.standard_normal() for _ in range(DRAWS)]
+        bulk = np.random.Generator(np.random.PCG64(seed))
+        assert bits(ours) == bits(bulk.standard_normal(DRAWS)), seed
+        scalar = np.random.Generator(np.random.PCG64(seed))
+        drawn = [scalar.standard_normal() for _ in range(SCALAR_DRAWS)]
+        assert bits(ours[:SCALAR_DRAWS]) == bits(drawn), seed
+        assert bulk.bit_generator.state == {
+            "bit_generator": "PCG64",
+            "state": {"state": stream.state, "inc": stream.inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }, seed
+    assert calls["exp"] > 0
+    assert calls["log1p"] > 0
+
+
+def test_seed_sequence_words_are_numpy_generate_state():
+    for seed in SEEDS:
+        expected = np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+        assert seed_sequence_words(uint32_words(seed)) == expected, seed
+        for key in [(0, 0), (3, 2**16 + 1), (2**31, 2**32 + 9)]:
+            spawned = np.random.SeedSequence(seed, spawn_key=key)
+            entropy = uint32_words(seed)
+            entropy += [0] * (POOL_SIZE - len(entropy))
+            for entry in key:
+                entropy += uint32_words(entry)
+            expected = spawned.generate_state(4, np.uint64).tolist()
+            assert seed_sequence_words(entropy) == expected, (seed, key)
+            # the same hash on uint64 arrays, one element per sequence
+            arrays = [np.full(3, word, dtype=np.uint64) for word in entropy]
+            assert [w.tolist() for w in seed_sequence_words(arrays)] == [
+                [word] * 3 for word in expected
+            ], (seed, key)
+
+
+def test_ziggurat_tables_are_numpys():
+    # SHA-256 of ki_double, wi_double and fi_double as they lie in numpy
+    # 2.4.6's libnpyrandom.a (little-endian uint64, double, double): an
+    # entry the draws reach too rarely for the oracle test still counts
+    packed = struct.pack("<256Q256d256d", *rng.ki_double, *rng.wi_double, *rng.fi_double)
+    assert hashlib.sha256(packed).hexdigest() == (
+        "d46841a090f638a74c6bd112345fe681089be798d725b251129f062cad5521a3"
+    )
+
+
+def test_normal_stream_rejects_negative_seeds():
+    with pytest.raises(ValueError, match=">= 0"):
+        NormalStream(-1)
+
+
+# wide spans, and spans among subnormals, where the step underflows to 0
+ENDPOINTS = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.floats(min_value=-1e-305, max_value=1e-305),
+)
+
+
+@given(start=ENDPOINTS, stop=ENDPOINTS, num=st.integers(2, 300))
+@example(start=0.0, stop=0.0, num=5)
+@example(start=-2.3e9, stop=-2.3e9, num=15)
+@example(start=0.0, stop=5e-324, num=3)
+@example(start=-5e-324, stop=1e-323, num=200)
+@example(start=1e-310, stop=1.0000000001e-310, num=40)
+@example(start=-0.0, stop=0.0, num=2)
+@example(start=-2.3e9, stop=-0.8e9, num=15)
+@example(start=0.0, stop=90.0, num=46)
+@example(start=0.5e-3, stop=4.0e-3, num=8)
+def test_linspace_is_numpy_linspace(start, stop, num):
+    assert bits(_linspace(start, stop, num)) == bits(np.linspace(start, stop, num))
