@@ -268,6 +268,15 @@ def _symmetric_inverse(m: Sequence[Sequence[float]]) -> list[list[float]] | None
     return [[x / det for x in row] for row in cofactors]
 
 
+# the decay fit's parameters, in order, and what the data fail to resolve
+# when the model stops depending on one of them
+_DECAY_PARAMETERS = {
+    "n0": "no initial atom number",
+    "tau_s": "no one-body loss",
+    "beta_m3_per_s": "no two-body loss",
+}
+
+
 def fit_two_body_decay(
     samples: Sequence[tuple[float, float, float]], v_eff: float
 ) -> FitResult:
@@ -283,7 +292,9 @@ def fit_two_body_decay(
     1e-10 or 1e-12 within 200 iterations, or no descent from a proposed
     relative step below GN_STALL_TOLERANCE; the best point is returned
     either way.  A non-finite sample raises ValidationError, a singular
-    normal matrix FitError.
+    normal matrix FitError, which names the parameter whose Jacobian
+    column vanished when one did (tau running away to infinity when the
+    data show no one-body loss).
     """
     if not v_eff > 0:
         raise ValidationError(f"v_eff must be positive, got {v_eff!r}")
@@ -333,6 +344,15 @@ def fit_two_body_decay(
             break
         scaled, norms, inverse = system
         if inverse is None:
+            # a column whose squares all underflow is zero to the normal
+            # equations: its diagonal entry is exactly 0
+            for name, column, value in zip(_DECAY_PARAMETERS, scaled, p):
+                if pairwise_sum([x * x for x in column]) == 0.0:
+                    raise FitError(
+                        f"two-body decay fit: the model no longer depends on {name} "
+                        f"(at {value:.6g}, its Jacobian column is zero): the data "
+                        f"resolve {_DECAY_PARAMETERS[name]}"
+                    )
             raise FitError(
                 "two-body decay fit: Gauss-Newton step failed: singular normal matrix"
             )
@@ -376,7 +396,7 @@ def fit_two_body_decay(
             math.sqrt(max(inverse[i][i] / (v * v), 0.0)) for i, v in enumerate(norms)
         ]
 
-    names = ("n0", "tau_s", "beta_m3_per_s")
+    names = tuple(_DECAY_PARAMETERS)
     return FitResult(dict(zip(names, p)), dict(zip(names, uncertainties)),
                      chi2=current, dof=len(pts) - 3, converged=converged)
 

@@ -17,9 +17,10 @@ Exit codes: 0 success, 2 configuration or usage error, 3 numeric failure
 (fit non-convergence, near-resonance guard, replay digest mismatch).
 
 Each runner imports the library modules it uses when it runs, and only
-scans import numpy: the decay, expansion and pulse simulations draw from
-rng's plain-Python copy of numpy's normal stream, so every command but
-scan, and its replay, runs on the standard library alone.
+scans above experiment's plain-scan cutoff import numpy: the decay,
+expansion and pulse simulations, and smaller scans such as the default
+one, draw from rng's plain-Python copy of numpy's normal stream, so they
+and their replays run on the standard library alone.
 """
 
 from __future__ import annotations

@@ -7,32 +7,39 @@ pulses_per_sample pulses, and aggregates per-point statistics the way the
 measured datasets are reported: mean over runs, sample standard deviation
 over runs, and standard error of that mean.
 
-Each detuning is one array kernel over all its runs, with one row per
-(detuning, run) cell: the per-pulse <J_z> is a running product along the
-row, and the row's pulse noise is one vector draw from the cell's stream.
-The kernel performs the same floating-point operations in the same order
-as probing pulse by pulse, so its output is bit-identical to that loop.
-
 Randomness is fully deterministic: every (detuning index, run index) cell
 draws from its own stream, exactly
 np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed,
 spawn_key=(detuning_index, run_index)))), so results are identical
-regardless of execution order.  The scan computes those streams' seeded
-states for a whole detuning at once (_cell_states) and sets each in turn
-on one reused generator instead of constructing a generator per cell.
+regardless of execution order.  The seed words a detuning's cells share
+are hashed once per detuning (_detuning_pool).
+
+A scan draws and probes each detuning on one of two paths, chosen from its
+shape alone (_PLAIN_SCAN_WORK); both give the same values bit for bit.  A
+small scan runs in plain floats: each cell finishes its seeding in ints
+and draws from an rng.NormalStream, and its pulses are computed one by
+one, so it never imports numpy, whose import would cost more than the
+whole scan.  A larger scan imports numpy: it seeds all of a detuning's
+cells at once in uint64 arrays (_cell_states), sets each state in turn on
+one reused generator, and probes all the runs in one array kernel
+(_pulse_kernel), where the per-pulse <J_z> is a running product along each
+row.  Either path performs the floating-point operations of probing pulse
+by pulse, in the same order, and one aggregation (_scan_point) sums the
+runs' mean angles as np.mean and np.std do.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .atomic_data import AtomSpec
 from .detector import MAX_ARRAY_SIZE, DetectorSpec, TransmissionSpec, extract_angle
 from .errors import NearResonanceError, ValidationError
-from .rng import POOL_SIZE, pcg64_seed, seed_sequence_words, uint32_words
+from .rng import (
+    POOL_SIZE, NormalStream, mix_entropy, pcg64_seed, seed_sequence_words, uint32_words,
+)
 # the dataset and its CSV table live in scandata, which the fit loads
 # without numpy; read_scan_csv and write_scan_csv are re-exported here
 from .scandata import ScanDataset, ScanPoint, read_scan_csv, write_scan_csv
@@ -45,6 +52,24 @@ from .spin_optics import (
     coupling_constant,
     detuning_factor,
 )
+from .summation import pairwise_sum
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# A scan runs in plain Python when cells * (pulses_per_sample + 12) is at
+# most this, and imports numpy above it.  Measured on a 2-core x86-64 host
+# (Python 3.11.7, numpy 2.4.6), best of 5-7: a plain pulse (one normal draw
+# at 1.4 us plus its arithmetic) costs ~1.6 us, and a plain cell ~19 us on
+# top, 14 us of it seeding from the detuning's shared pool (38 us for the
+# full hash); that is the 12 pulses.  The numpy path computes a cell in
+# ~1-8 us but first imports numpy: 190 ms here (python -c pass 66 ms,
+# "import numpy" 257 ms), 130 ms in faster spells.  So the two break even
+# near 80,000-120,000 units; 2**15 (~50 ms of plain work) stays a win on a
+# host that imports numpy twice as fast, and keeps a 15 x 4 x 1000 scan
+# (60,720) on the numpy path while the 15 x 40 x 10 default (13,200) runs
+# plain.
+_PLAIN_SCAN_WORK = 2**15
 
 
 @dataclass(frozen=True)
@@ -126,27 +151,37 @@ class ScanConfig:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
+def _detuning_pool(seed: int, detuning_index: int) -> tuple:
+    """rng.mix_entropy of the entropy words every cell of one detuning
+    shares: the seed's words, padded to the pool as a spawned sequence pads
+    them, then the detuning index."""
+    lead = uint32_words(seed)
+    lead += [0] * (POOL_SIZE - len(lead))
+    return mix_entropy(lead + uint32_words(detuning_index))
+
+
 def _cell_states(seed: int, detuning_index: int, run_indices) -> list[tuple[int, int]]:
     """(state, inc) of np.random.PCG64(np.random.SeedSequence(seed,
     spawn_key=(detuning_index, r))) for every r in run_indices at once.
 
-    rng's SeedSequence hash runs on uint64 arrays with one element per
-    cell; its hash constants depend only on word positions, so they are the
-    same for every cell.  The run indices must share one 32-bit word count,
-    as every index below 2**32 does.
+    The detuning's shared words are hashed once in ints; the hash then runs
+    on uint64 arrays of the run-index words, with one element per cell: its
+    hash constants depend only on word positions, so they are the same for
+    every cell.  The run indices must share one 32-bit word count, as every
+    index below 2**32 does.
     """
-    lead = uint32_words(seed)
-    lead += [0] * (POOL_SIZE - len(lead))  # spawned sequences pad to the pool
-    lead += uint32_words(detuning_index)
+    import numpy as np
+
     runs = np.array(run_indices, dtype=object)  # Python ints of any size
     width = len(uint32_words(runs.max()))
     if len(uint32_words(runs.min())) != width:
         raise ValueError("run indices must share one 32-bit word count")
-    # the words every cell shares stay ints; each run-index word is an
-    # array with one element per cell
-    entropy = lead + [((runs >> 32 * k) & 0xFFFFFFFF).astype(np.uint64) for k in range(width)]
+    words = [((runs >> 32 * k) & 0xFFFFFFFF).astype(np.uint64) for k in range(width)]
     # PCG64 seeding in Python ints, over all cells at once
-    state, inc = pcg64_seed(*(word.astype(object) for word in seed_sequence_words(entropy)))
+    state, inc = pcg64_seed(*(
+        word.astype(object)
+        for word in seed_sequence_words(words, _detuning_pool(seed, detuning_index))
+    ))
     return list(zip(state.tolist(), inc.tolist()))
 
 
@@ -164,6 +199,8 @@ def child_stream(seed: int, detuning_index: int, run_index: int) -> np.random.Ge
     np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed,
     spawn_key=(detuning_index, run_index)))), deterministic and
     schedule-independent."""
+    import numpy as np
+
     generator = np.random.Generator(np.random.PCG64(0))
     _set_cell_state(generator, *_cell_states(seed, detuning_index, (run_index,))[0])
     return generator
@@ -191,6 +228,8 @@ def _pulse_kernel(
     each row, and n_pulses normals drawn at once equal n_pulses scalar
     draws.
     """
+    import numpy as np
+
     factors = np.full((len(j_z0), n_pulses + 1), 1.0 - per_pulse_decay)
     factors[:, 0] = j_z0
     j_z = np.cumprod(factors, axis=1)
@@ -218,6 +257,8 @@ def run_pulse_train(
     of (pulse_index, measured imbalance, extracted angle) and the post-train
     atomic state; the input state is never mutated.
     """
+    import numpy as np
+
     if not (isinstance(n_pulses, int) and n_pulses >= 0):
         raise ValidationError(f"n_pulses must be an integer >= 0, got {n_pulses!r}")
     j_x, j_y, j_z0 = atoms.mean_j
@@ -247,8 +288,9 @@ def run_detuning_scan(
 
     Every detuning must pass the near-resonance guard (checked up front so
     the failure names the offending detuning).  Each detuning's runs are
-    drawn in run order and probed by one kernel call, so the dataset
-    depends only on its inputs and their seeds.
+    drawn in run order and probed on the path the scan's shape picks
+    (_PLAIN_SCAN_WORK), so the dataset depends only on its inputs and their
+    seeds.
     """
     couplings = []
     for detuning in cfg.detunings_hz:
@@ -268,16 +310,83 @@ def run_detuning_scan(
             ) from exc
     light = coherent_pulse(cfg.photons_per_pulse, cfg.pulse_duration_s, "x")
 
-    n_runs = cfg.runs_per_point
-    n_pulses = cfg.pulses_per_sample
-    j_z_template = atoms_template.mean_j[2]
+    cells = len(cfg.detunings_hz) * cfg.runs_per_point
+    plain = cells * (cfg.pulses_per_sample + 12) <= _PLAIN_SCAN_WORK
+    run_means = (_plain_run_means if plain else _numpy_run_means)(
+        cfg, atoms_template.mean_j[2], [cp.g for cp in couplings], light.n_photons, dm, det, tr
+    )
+    points = [
+        _scan_point(detuning, values, cfg.pulses_per_sample)
+        for detuning, values in zip(cfg.detunings_hz, run_means)
+    ]
+    return ScanDataset(points=tuple(points), seed=cfg.seed)
+
+
+def _plain_run_means(
+    cfg: ScanConfig,
+    j_z_template: float,
+    couplings_g: list[float],
+    n_photons: float,
+    dm: DestructionModel,
+    det: DetectorSpec,
+    tr: TransmissionSpec,
+) -> Iterator[list[float]]:
+    """Each detuning's runs' mean extracted angles in turn, in plain floats.
+
+    The draws are _numpy_run_means', from rng.NormalStream, and each pulse
+    is computed with _pulse_kernel's operations in the same order, so the
+    values are equal bit for bit.
+    """
+    sigma = math.sqrt(n_photons + det.electronic_noise_var)
+    keep = 1.0 - dm.per_pulse_decay
+    t_h, t_v = tr.t_h, tr.t_v
+    for d_index, g in enumerate(couplings_g):
+        pool = _detuning_pool(cfg.seed, d_index)
+        means = []
+        for run_index in range(cfg.runs_per_point):
+            state = pcg64_seed(*seed_sequence_words(uint32_words(run_index), pool))
+            normal = NormalStream(pcg64_state=state).standard_normal
+            factor = 1.0
+            if cfg.atom_number_spread > 0.0:
+                factor = max(0.0, 1.0 + cfg.atom_number_spread * normal())
+            j_z = j_z_template * factor
+            total = -0.0  # -0.0 + x is x, as cumsum starts from the first angle
+            for _ in range(cfg.pulses_per_sample):
+                delta = g * j_z * n_photons * t_h * t_v + sigma * normal()
+                total += extract_angle(delta, n_photons, tr)
+                j_z *= keep
+            means.append(total / cfg.pulses_per_sample)
+        yield means
+
+
+def _numpy_run_means(
+    cfg: ScanConfig,
+    j_z_template: float,
+    couplings_g: list[float],
+    n_photons: float,
+    dm: DestructionModel,
+    det: DetectorSpec,
+    tr: TransmissionSpec,
+) -> Iterator[list[float]]:
+    """Each detuning's runs' mean extracted angles in turn, with numpy:
+    every cell's state is set in turn on one generator, reused for the
+    whole scan, and one _pulse_kernel call probes a detuning's runs.
+
+    One generator serves the scan, so numpy is imported once per scan;
+    each detuning's arrays are still alive when the next one's are
+    allocated, so the C allocator reuses their memory instead of handing it
+    back to the system and faulting it in again (10 ms of a 15 x 40 x 1000
+    scan when each detuning ran in a function call of its own).
+    """
+    import numpy as np
+
     generator = np.random.Generator(np.random.PCG64(0))
-    points = []
-    for d_index, detuning in enumerate(cfg.detunings_hz):
-        # each run draws from its own cell stream, in the order a fresh
-        # child_stream would: the atom-number normal, then the pulse noise
+    n_runs, n_pulses = cfg.runs_per_point, cfg.pulses_per_sample
+    for d_index, g in enumerate(couplings_g):
         j_z0 = []
         noise = np.empty((n_runs, n_pulses))
+        # each run draws from its own cell stream, in the order a fresh
+        # child_stream would: the atom-number normal, then the pulse noise
         states = _cell_states(cfg.seed, d_index, range(n_runs))
         for run_index, (state, inc) in enumerate(states):
             _set_cell_state(generator, state, inc)
@@ -289,30 +398,32 @@ def run_detuning_scan(
             j_z0.append(j_z_template * factor)
             generator.standard_normal(out=noise[run_index])
         _, _, theta_hat = _pulse_kernel(
-            n_pulses, np.array(j_z0), couplings[d_index].g, light.n_photons,
-            dm.per_pulse_decay, det, tr, noise,
+            n_pulses, np.array(j_z0), g, n_photons, dm.per_pulse_decay, det, tr, noise
         )
         # a sequential sum in pulse order, as the per-pulse loop summed
-        values = np.cumsum(theta_hat, axis=1)[:, -1] / n_pulses
-        if not np.isfinite(values).all():
-            raise OverflowError(f"scan detuning {detuning:.6g} Hz: a mean angle overflows")
-        mean = float(values.mean())
-        if n_runs > 1:
-            stddev = float(values.std(ddof=1))
-        else:
-            stddev = 0.0
-        stderr = stddev / math.sqrt(n_runs)
-        points.append(
-            ScanPoint(
-                detuning_hz=detuning,
-                theta_mean_rad=mean,
-                theta_stderr_rad=stderr,
-                theta_stddev_rad=stddev,
-                n_runs=n_runs,
-                n_pulses=n_pulses,
-            )
-        )
-    return ScanDataset(points=tuple(points), seed=cfg.seed)
+        yield (np.cumsum(theta_hat, axis=1)[:, -1] / n_pulses).tolist()
+
+
+def _scan_point(detuning: float, values: list[float], n_pulses: int) -> ScanPoint:
+    """One detuning's point from its runs' mean angles: their mean, sample
+    standard deviation (ddof=1) and standard error, summed pairwise so that
+    they equal np.mean and np.std(ddof=1) of the values bit for bit."""
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(f"scan detuning {detuning:.6g} Hz: a mean angle overflows")
+    n_runs = len(values)
+    mean = pairwise_sum(values) / n_runs
+    stddev = 0.0
+    if n_runs > 1:
+        squares = [d * d for d in (value - mean for value in values)]
+        stddev = math.sqrt(pairwise_sum(squares) / (n_runs - 1))
+    return ScanPoint(
+        detuning_hz=detuning,
+        theta_mean_rad=mean,
+        theta_stderr_rad=stddev / math.sqrt(n_runs),
+        theta_stddev_rad=stddev,
+        n_runs=n_runs,
+        n_pulses=n_pulses,
+    )
 
 
 def scattering_probability(

@@ -391,6 +391,20 @@ def test_decay_fit_singular_step_exits_3(in_tmp_dir, capsys, monkeypatch):
     assert not (in_tmp_dir / "fit.json").exists()
 
 
+def test_decay_fit_naming_an_unresolved_lifetime_exits_3(in_tmp_dir, capsys):
+    # at 10x the default count noise this data set favours no one-body
+    # loss: tau runs away until the model no longer depends on it
+    (in_tmp_dir / "noisy.json").write_text('{"decay": {"noise_fraction": 0.02}}')
+    simulate = ["decay", "simulate", "--config", "noisy.json", "--seed", "7"]
+    assert cli.main([*simulate, "--out", "decay.csv"]) == 0
+    capsys.readouterr()
+    assert cli.main(["decay", "fit", "--in", "decay.csv", "--out", "fit.json"]) == 3
+    err = capsys.readouterr().err
+    assert "tau_s" in err and "no one-body loss" in err
+    assert "singular normal matrix" not in err
+    assert not (in_tmp_dir / "fit.json").exists()
+
+
 def test_replay_of_manifest_missing_a_config_key_exits_2(in_tmp_dir, capsys):
     run_scan(in_tmp_dir)
     manifest_path = in_tmp_dir / "scan.csv.manifest.json"
@@ -481,6 +495,9 @@ def fit_inputs(tmp_path_factory):
     for argv in (["scan"], ["tof", "simulate"], ["decay", "simulate"], ["pulse", "--noisy"]):
         out = directory / f"{argv[0]}.csv"
         assert cli.main([*argv, "--out", str(out)]) == 0
+    # the long_trains golden's shape, 15 x 4 x 1000: above the plain-scan cutoff
+    long_trains = {"scan": {"runs_per_point": 4, "pulses_per_sample": 1000}}
+    (directory / "long.json").write_text(json.dumps(long_trains) + "\n")
     decay_fit = ["decay", "fit", "--in", str(directory / "decay.csv")]
     assert cli.main([*decay_fit, "--out", str(directory / "decay_fit.json")]) == 0
     return directory
@@ -500,34 +517,41 @@ print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, loads_numpy",
     [
-        ["fit", "--in", "scan.csv", "--out", "fit.json"],
-        ["budget", "--theta", "0.0268", "--photons-per-pulse", "4.3e6", "--out", "b.json"],
-        ["tof", "fit", "--in", "tof.csv", "--out", "tof_fit.json"],
-        ["decay", "fit", "--in", "decay.csv", "--out", "d.json"],
-        ["decay", "--manifest", "decay_fit.json.manifest.json"],
-        ["decay", "simulate", "--out", "d.csv"],
-        ["tof", "simulate", "--out", "t.csv"],
-        ["pulse", "--noisy", "--seed", "7", "--out", "p.csv"],
-        ["decay", "--manifest", "decay.csv.manifest.json"],
-        ["tof", "--manifest", "tof.csv.manifest.json"],
-        ["pulse", "--manifest", "pulse.csv.manifest.json"],
-        ["--help"],
-        ["--version"],
+        (["fit", "--in", "scan.csv", "--out", "fit.json"], False),
+        (["budget", "--theta", "0.0268", "--photons-per-pulse", "4.3e6", "--out", "b.json"],
+         False),
+        (["tof", "fit", "--in", "tof.csv", "--out", "tof_fit.json"], False),
+        (["decay", "fit", "--in", "decay.csv", "--out", "d.json"], False),
+        (["decay", "--manifest", "decay_fit.json.manifest.json"], False),
+        (["decay", "simulate", "--out", "d.csv"], False),
+        (["tof", "simulate", "--out", "t.csv"], False),
+        (["pulse", "--noisy", "--seed", "7", "--out", "p.csv"], False),
+        (["decay", "--manifest", "decay.csv.manifest.json"], False),
+        (["tof", "--manifest", "tof.csv.manifest.json"], False),
+        (["pulse", "--manifest", "pulse.csv.manifest.json"], False),
+        (["--help"], False),
+        (["--version"], False),
+        (["scan", "--out", "s.csv"], False),
+        (["scan", "--manifest", "scan.csv.manifest.json"], False),
+        # control: a scan above the plain-scan cutoff still runs on numpy
+        (["scan", "--config", "long.json", "--out", "long.csv"], True),
     ],
     ids=["fit", "budget", "tof-fit", "decay-fit", "decay-replay", "decay-simulate",
          "tof-simulate", "pulse-noisy", "decay-simulate-replay", "tof-simulate-replay",
-         "pulse-replay", "help", "version"],
+         "pulse-replay", "help", "version", "scan", "scan-replay", "scan-long-trains"],
 )
-def test_command_loads_no_numpy(fit_inputs, argv):
+def test_command_loads_no_numpy(fit_inputs, argv, loads_numpy):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     env.pop("COLDSPIN_ATOM_DATA", None)
     result = subprocess.run(
         [sys.executable, "-c", MAIN_AND_NUMPY_MODULES, *argv], cwd=fit_inputs,
         capture_output=True, text=True, env=env, check=True,
     )
-    assert result.stdout.splitlines()[-1] == "0 []", result.stderr
+    code, modules = result.stdout.splitlines()[-1].split(" ", 1)
+    assert code == "0", result.stderr
+    assert (modules != "[]") == loads_numpy, modules[:200]
 
 
 def test_bad_sigma_source_choice_is_usage_error(in_tmp_dir):

@@ -29,6 +29,7 @@ from coldspin import (
     simulate_pulse_detection,
     write_scan_csv,
 )
+from coldspin import experiment
 from coldspin.experiment import _cell_states
 
 SPEC = default_atom_spec()
@@ -207,12 +208,63 @@ def reference_scan(cfg, atoms, dm):
 
 @pytest.mark.parametrize("spread", [0.0, 0.1])
 @pytest.mark.parametrize("seed", [3, 2**64 + 7])
-def test_scan_matches_per_cell_reference_exactly(seed, spread):
+def test_scan_matches_per_cell_reference_exactly(seed, spread, monkeypatch):
     cfg = small_config(pulses_per_sample=4, atom_number_spread=spread, seed=seed)
     atoms = coherent_spin_state(1e6, "z")
     dm = DestructionModel(0.01)
-    scan = run_detuning_scan(cfg, atoms, SPEC, AREA, DET, TR, dm)
-    assert scan == reference_scan(cfg, atoms, dm)
+    expected = reference_scan(cfg, atoms, dm)
+    # this shape runs plain; a zero cutoff sends it down the numpy path
+    for cutoff in (experiment._PLAIN_SCAN_WORK, 0):
+        monkeypatch.setattr(experiment, "_PLAIN_SCAN_WORK", cutoff)
+        assert run_detuning_scan(cfg, atoms, SPEC, AREA, DET, TR, dm) == expected, cutoff
+
+
+def scan_work(runs, pulses, n_detunings=15):
+    return n_detunings * runs * (pulses + 12)
+
+
+# (runs, pulses) straddling the cutoff as 15-detuning scans: the default
+# shape, 1 run, 1 pulse and one long train below it; one just above it, the
+# scan-wide shape and the long_trains golden's shape above it
+RUN_MEANS_SHAPES = [(40, 10), (1, 1), (1, 1000), (55, 1), (55, 40), (400, 10), (4, 1000)]
+
+
+@pytest.mark.parametrize("runs, pulses", RUN_MEANS_SHAPES)
+def test_plain_and_numpy_run_means_are_equal(runs, pulses):
+    sides = {scan_work(r, p) <= experiment._PLAIN_SCAN_WORK for r, p in RUN_MEANS_SHAPES}
+    assert sides == {True, False}
+    couplings_g = [coupling_constant(d, AREA, SPEC).g for d in (-2.3e9, -1.37e9, 0.9e9)]
+    tr = TransmissionSpec(t_h=0.93, t_v=0.87)
+    cases = [
+        # (seed, atom_number_spread, polarization, per-pulse decay)
+        (7, 0.1, "z", 1e-4),
+        (2**64 + 7, 0.0, "-z", 0.01),  # a three-word seed
+        (2**160 + 3, 2.5, "-z", 0.0),  # six words; spread clips atom numbers at 0
+    ]
+    for seed, spread, axis, decay in cases:
+        cfg = small_config(
+            runs_per_point=runs, pulses_per_sample=pulses, atom_number_spread=spread, seed=seed
+        )
+        j_z = scale_atom_number(coherent_spin_state(1e6, axis), 0.9371).mean_j[2]
+        args = (cfg, j_z, couplings_g, 3.3e6, DestructionModel(decay), DET, tr)
+        plain = list(experiment._plain_run_means(*args))
+        assert plain == list(experiment._numpy_run_means(*args)), seed
+        assert [len(values) for values in plain] == [runs] * len(couplings_g)
+        assert all(type(value) is float for values in plain for value in values)
+
+
+@pytest.mark.parametrize("n_runs", [1, 2, 7, 8, 40, 129, 400, 1000, 4099])
+def test_scan_point_is_numpy_mean_and_std(n_runs):
+    # past 8 values the pairwise order differs from a sequential sum, and
+    # past 128 it recurses; the CSV's 12 digits would hide a last-bit slip
+    values = np.random.Generator(np.random.PCG64(n_runs)).normal(0.03, 0.003, n_runs)
+    point = experiment._scan_point(-1.6e9, values.tolist(), 10)
+    assert point.theta_mean_rad.hex() == float(values.mean()).hex()
+    stddev = float(values.std(ddof=1)) if n_runs > 1 else 0.0
+    assert point.theta_stddev_rad.hex() == stddev.hex()
+    assert point.theta_stderr_rad == stddev / math.sqrt(n_runs)
+    with pytest.raises(OverflowError, match="overflows"):
+        experiment._scan_point(-1.6e9, [*values.tolist(), math.inf], 10)
 
 
 @pytest.mark.parametrize("seed", [5, 20260816])

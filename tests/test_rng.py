@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from coldspin import rng
 from coldspin.cli import _linspace
-from coldspin.rng import NormalStream, POOL_SIZE, seed_sequence_words, uint32_words
+from coldspin.rng import (
+    NormalStream, POOL_SIZE, mix_entropy, pcg64_seed, seed_sequence_words, uint32_words,
+)
 
 # 1 to 6 uint32 words: the pool holds 4, so the last two seeds also run
 # mix_entropy's loop over the remaining entropy
@@ -75,6 +77,46 @@ def test_seed_sequence_words_are_numpy_generate_state():
             assert [w.tolist() for w in seed_sequence_words(arrays)] == [
                 [word] * 3 for word in expected
             ], (seed, key)
+
+
+WORD = st.integers(0, 2**32 - 1)
+
+
+@given(
+    prefix=st.lists(WORD, min_size=POOL_SIZE, max_size=POOL_SIZE + 3),
+    # one to five sequences, whose tails share one word count
+    tails=st.integers(0, 3).flatmap(
+        lambda width: st.lists(st.lists(WORD, min_size=width, max_size=width),
+                               min_size=1, max_size=5)
+    ),
+)
+@example(prefix=[0] * POOL_SIZE, tails=[[]])
+@example(prefix=[2**32 - 1] * (POOL_SIZE + 1), tails=[[0], [1], [2**32 - 1]])
+def test_shared_prefix_pool_is_seed_sequence_words(prefix, tails):
+    # hashing the shared words once and finishing each sequence from that
+    # pool, in ints and in uint64 arrays with one element per sequence,
+    # seeds every PCG64 as hashing each whole entropy does
+    expected = [pcg64_seed(*seed_sequence_words(prefix + tail)) for tail in tails]
+    pool = mix_entropy(prefix)
+    assert [pcg64_seed(*seed_sequence_words(tail, pool)) for tail in tails] == expected
+    assert pool == mix_entropy(prefix)  # finishing never mutates the shared pool
+    if tails[0]:
+        columns = [np.array(words, dtype=np.uint64) for words in zip(*tails)]
+        words = seed_sequence_words(columns, pool)
+        state, inc = pcg64_seed(*(word.astype(object) for word in words))
+        assert list(zip(state.tolist(), inc.tolist())) == expected
+
+
+def test_normal_stream_from_pcg64_state_continues_it():
+    seeded = NormalStream(2**40 + 7)
+    for _ in range(3):
+        seeded.standard_normal()
+    resumed = NormalStream(pcg64_state=(seeded.state, seeded.inc))
+    assert [resumed.standard_normal() for _ in range(50)] == [
+        seeded.standard_normal() for _ in range(50)
+    ]
+    with pytest.raises(TypeError, match="exactly one"):
+        NormalStream(1, pcg64_state=(seeded.state, seeded.inc))
 
 
 def test_ziggurat_tables_are_numpys():
