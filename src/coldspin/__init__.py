@@ -12,7 +12,7 @@ projection-noise-limited probing, and trap-characterization fits
 
 import importlib
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # The package loads lazily (PEP 562; Scientific Python SPEC 1): each public
 # name is imported from the submodule that defines it on first access, so
@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     "atomic_data": (
         "AtomSpec", "TrapSpec", "default_atom_spec", "default_trap_spec", "load_atom_spec",
-        "load_trap_spec", "resonant_cross_section",
+        "resonant_cross_section",
     ),
     "detector": (
         "DetectorSpec", "PulseRecord", "TransmissionSpec", "angle_variance", "extract_angle",
@@ -39,16 +39,15 @@ _EXPORTS = {
     ),
     "errors": ("FitError", "NearResonanceError", "ValidationError"),
     "experiment": (
-        "DestructionModel", "ScanConfig", "child_stream", "run_detuning_scan",
-        "run_pulse_train", "scattering_probability",
+        "DestructionModel", "ScanConfig", "run_detuning_scan", "run_pulse_train",
+        "scattering_probability",
     ),
     "scandata": ("ScanDataset", "ScanPoint", "read_scan_csv", "write_scan_csv"),
     "spin_optics": (
-        "CollectiveSpinState", "CouplingParams", "StokesState", "alignment_interact",
-        "coherent_pulse", "coherent_spin_state", "collective_from_amplitudes",
-        "coupling_constant", "decay_mean_z", "detuning_factor", "faraday_angle",
-        "od_from_angle", "output_variance", "qnd_interact", "rotation_cross_section",
-        "scale_atom_number", "single_atom_pseudospin",
+        "CollectiveSpinState", "CouplingParams", "StokesState", "coherent_pulse",
+        "coherent_spin_state", "coupling_constant", "decay_mean_z", "detuning_factor",
+        "faraday_angle", "od_from_angle", "qnd_interact", "rotation_cross_section",
+        "single_atom_pseudospin",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

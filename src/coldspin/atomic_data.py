@@ -131,7 +131,7 @@ def load_atom_spec(document: Mapping[str, Any]) -> AtomSpec:
     """Build a validated AtomSpec from a parsed JSON document.
 
     The document must contain exactly ATOM_KEYS, plus an optional nested
-    "trap" section (see load_trap_spec); AtomSpec checks the values.
+    "trap" section (see default_trap_spec); AtomSpec checks the values.
     """
     _require_shape(document, ATOM_KEYS, "atom data document", extra=("trap",))
     return AtomSpec(
@@ -146,12 +146,6 @@ def load_atom_spec(document: Mapping[str, Any]) -> AtomSpec:
     )
 
 
-def load_trap_spec(document: Mapping[str, Any]) -> TrapSpec:
-    """Build a validated TrapSpec from the "trap" section of a document."""
-    _require_shape(document, TRAP_KEYS, "trap section")
-    return TrapSpec(**{key: document[key] for key in TRAP_KEYS})
-
-
 def default_atom_document() -> dict:
     """Return the packaged 87Rb D2 document as a plain dict."""
     text = resources.files("coldspin.data").joinpath("rb87_d2.json").read_text("utf-8")
@@ -164,8 +158,9 @@ def default_atom_spec() -> AtomSpec:
 
 
 def default_trap_spec() -> TrapSpec:
-    """Packaged trap laser defaults: 1030 nm, 7 W, 50 um waist."""
-    return load_trap_spec(default_atom_document()["trap"])
+    """Packaged trap laser defaults: 1030 nm, 7 W, 50 um waist, from the
+    "trap" section of the packaged document."""
+    return TrapSpec(**default_atom_document()["trap"])
 
 
 def resonant_cross_section(spec: AtomSpec) -> float:

@@ -70,7 +70,6 @@ _DEFAULT_CONFIG = {
         "n_detunings": 15,
         "photons_per_pulse": 4.0e6,
         "pulse_duration_s": 1.0e-6,
-        "pulse_period_s": 2.0e-5,
         "pulses_per_sample": 10,
         "runs_per_point": 40,
         "atom_number_spread": 0.10,
@@ -100,7 +99,6 @@ _DEFAULT_CONFIG = {
         "beta_m3_per_s": 8.0e-20,
         "sigma_z_m": 8.5e-3 / _SQRT_8LN2,
         "sigma_r_m": 20.0e-6 / _SQRT_8LN2,
-        "temperature_k": 25.0e-6,
         "t_start_s": 0.0,
         "t_stop_s": 90.0,
         # beta and tau separate only through curvature of the decay, so
@@ -130,8 +128,10 @@ _DEFAULT_CONFIG = {
 }
 
 
-# keys whose default is null, with the JSON type of any other value
+# keys whose default is null, with the JSON type of any other value; a
+# replayed config also records the seed _run_command adds
 _NULLABLE = {
+    "seed": "integer",
     "atom_data": "string",
     "scan.detunings_hz": "array",
     "budget.theta_rad": "number",
@@ -153,6 +153,7 @@ _FINITE = (math.isfinite, "be finite")
 # the rest (ScanConfig, DetectorSpec, TrapPopulationParams, ...).
 _RULES = {
     "threads": (lambda v: v >= 1, "be >= 1"),
+    "mode": (lambda v: v in ("simulate", "fit"), "be simulate or fit"),
     "ensemble.polarization": (lambda v: v in (1, -1), "be 1 or -1"),
     "ensemble.interaction_area_m2": _POSITIVE,
     "scan.detunings_hz": (bool, "be a non-empty array"),
@@ -183,11 +184,11 @@ _JSON_TYPES = {type(None): "null", bool: "boolean", int: "integer", float: "numb
 
 def _check_config(value, default=_DEFAULT_CONFIG, path: str = ""):
     """The one check of a config value against its default, recursively:
-    an object holds every key of its default, each value has its default's
-    JSON type (a null default takes null or its _NULLABLE type, an array
-    holds numbers, a boolean is never a number), a number is never NaN,
-    and _RULES bounds it.  Returns the value with an integer given for a
-    number as a float; objects are typed in place."""
+    an object holds exactly the keys of its default, each value has its
+    default's JSON type (a null default takes null or its _NULLABLE type,
+    an array holds numbers, a boolean is never a number), a number is never
+    NaN, and _RULES bounds it.  Returns the value with an integer given for
+    a number as a float; objects are typed in place."""
     expected = _NULLABLE[path] if default is None else _JSON_TYPES[type(default)]
     actual = _JSON_TYPES[type(value)]
     if default is None and actual == "null":
@@ -206,27 +207,26 @@ def _check_config(value, default=_DEFAULT_CONFIG, path: str = ""):
     if actual == "array":
         value = [_check_config(item, 0.0, f"{path}[{i}]") for i, item in enumerate(value)]
     if actual == "object":
-        for key, base in default.items():
+        for key in {**value, **default}:  # every key of either, the value's first
             key_path = f"{path}.{key}" if path else key
+            if key not in default:
+                raise ValidationError(f"unknown config key {key_path!r}")
             if key not in value:
                 raise ValidationError(f"config key {key_path!r} is missing")
-            value[key] = _check_config(value[key], base, key_path)
+            value[key] = _check_config(value[key], default[key], key_path)
     test, must = _RULES.get(path, (None, None))
     if test and not test(value):
         raise ValidationError(f"config key {path!r} must {must}, got {value!r}")
     return value
 
 
-def _merge_config(base: dict, override: dict, context: str) -> dict:
-    """Recursive dict merge that rejects keys the base does not define, so
-    configuration typos fail loudly instead of silently using defaults;
-    _check_config then checks the values."""
+def _merge_config(base: dict, override: dict) -> dict:
+    """Recursive dict merge, section by section; _check_config then checks
+    the keys and values."""
     merged = copy.deepcopy(base)
     for key, value in override.items():
-        if key not in base:
-            raise ValidationError(f"unknown config key {context}{key!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            merged[key] = _merge_config(base[key], value, f"{context}{key}.")
+        if isinstance(base.get(key), dict) and isinstance(value, dict):
+            merged[key] = _merge_config(base[key], value)
         else:
             merged[key] = value
     return merged
@@ -235,16 +235,14 @@ def _merge_config(base: dict, override: dict, context: str) -> dict:
 def _resolve_config(config_path: str | None) -> dict:
     cfg = copy.deepcopy(_DEFAULT_CONFIG)
     if config_path is not None:
-        cfg = _merge_config(cfg, read_json(config_path), "")
+        cfg = _merge_config(cfg, read_json(config_path))
     return cfg
 
 
 def _attach_atom_constants(cfg: dict) -> None:
     """Inline the atomic-constants document into the config, resolving
     COLDSPIN_ATOM_DATA over the config's atom_data path over the packaged
-    file.  Replayed configs already carry the constants and skip this."""
-    if "atom_constants" in cfg:
-        return
+    file.  Replayed configs already carry the constants."""
     env_path = os.environ.get("COLDSPIN_ATOM_DATA")
     if env_path:
         cfg["atom_constants"] = read_json(env_path)
@@ -285,6 +283,20 @@ def _write_manifest(path: str, command: str, cfg: dict, outputs: dict) -> None:
 
 def _digest_map(paths) -> dict:
     return {path: _sha256(path) for path in paths}
+
+
+def _check_paths(cfg: dict, manifest_path: str, outputs=()) -> None:
+    """Reject a run whose input, outputs (cfg["out"] and any others the
+    runner returned) and manifest are not distinct files, so that none
+    overwrites another."""
+    files = [("input", cfg["in"])] if "in" in cfg else []
+    files += [("output", path) for path in sorted({cfg["out"], *outputs})]
+    named = {}
+    for role, path in [*files, ("manifest", manifest_path)]:
+        real = os.path.realpath(path)
+        if real in named:
+            raise ValidationError(f"the {named[real]} and the {role} {path!r} are one file")
+        named[real] = f"{role} {path!r}"
 
 
 # ------------------------------------------------------------- runners
@@ -336,7 +348,6 @@ def _run_scan(cfg: dict) -> dict:
         detunings_hz=tuple(_scan_detunings(section)),
         photons_per_pulse=section["photons_per_pulse"],
         pulse_duration_s=section["pulse_duration_s"],
-        pulse_period_s=section["pulse_period_s"],
         pulses_per_sample=section["pulses_per_sample"],
         runs_per_point=section["runs_per_point"],
         atom_number_spread=section["atom_number_spread"],
@@ -447,7 +458,6 @@ def _run_decay(cfg: dict) -> dict:
         beta_m3_per_s=section["beta_m3_per_s"],
         sigma_z_m=section["sigma_z_m"],
         sigma_r_m=section["sigma_r_m"],
-        temperature_k=section["temperature_k"],
     )
     out = cfg["out"]
     if cfg["mode"] == "simulate":
@@ -586,19 +596,25 @@ def _replay(command: str, manifest_path: str) -> int:
         if not isinstance(document[key], dict):
             raise ValidationError(f"{manifest_path}: manifest key {key!r} must be an object")
     cfg = document["config"]
-    # the stored config also holds the inlined atom constants and the file
-    # paths; a path must be a string, as a number would open that descriptor
-    paths = {key: "" for key in ("out", "in") if key in cfg}
+    row = _COMMANDS[command]
+    # the keys _run_command adds: a path must be a string, as a number would
+    # open that descriptor.  The inlined atom constants are load_atom_spec's
+    # to check, as it checks the atom data of a --config run.
+    added = {"seed": None, "out": ""}
+    if row.modes:
+        added["mode"] = ""
+    if row.input_help and cfg.get("mode") != "simulate":
+        added["in"] = ""
+    constants = cfg.pop("atom_constants", None)
     try:
-        _check_config(cfg, {**_DEFAULT_CONFIG, "atom_constants": {}, **paths})
+        if not isinstance(constants, dict):
+            raise ValidationError("config key 'atom_constants' must be a JSON object")
+        _check_config(cfg, {**_DEFAULT_CONFIG, **added})
+        _check_paths(cfg, manifest_path, document["outputs"])
     except ValidationError as exc:
         raise ValidationError(f"{manifest_path}: {exc}") from exc
-    try:
-        outputs = _COMMANDS[command].runner(cfg)
-    except KeyError as exc:
-        raise ValidationError(
-            f"{manifest_path} config is missing key {exc.args[0]!r}"
-        ) from exc
+    cfg["atom_constants"] = constants
+    outputs = row.runner(cfg)
     recorded = document["outputs"]
     if outputs != recorded:
         for path in sorted(set(recorded) | set(outputs)):
@@ -638,7 +654,7 @@ def _run_command(args) -> int:
             target[key] = value if flag.switch is None else flag.switch
     if row.seeded and args.seed is not None:
         overrides.setdefault(row.seeded, {})["seed"] = args.seed
-    cfg = _check_config(_merge_config(_resolve_config(args.config), overrides, ""))
+    cfg = _check_config(_merge_config(_resolve_config(args.config), overrides))
     # fit and budget draw no random numbers, so record no seed
     cfg["seed"] = cfg[row.seeded]["seed"] if row.seeded else None
     if row.modes:
@@ -650,10 +666,12 @@ def _run_command(args) -> int:
     if args.out is None:
         raise ValidationError("--out is required (or replay with --manifest only)")
     cfg["out"] = args.out
+    manifest_path = args.manifest or cfg["out"] + ".manifest.json"
+    _check_paths(cfg, manifest_path)
     _attach_atom_constants(cfg)
 
     outputs = row.runner(cfg)
-    manifest_path = args.manifest or cfg["out"] + ".manifest.json"
+    _check_paths(cfg, manifest_path, outputs)  # a scan's curve file shows only now
     _write_manifest(manifest_path, command, cfg, outputs)
     for path in sorted(outputs):
         print(f"wrote {path}")

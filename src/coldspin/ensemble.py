@@ -47,7 +47,6 @@ class TrapPopulationParams:
     beta_m3_per_s: float
     sigma_z_m: float
     sigma_r_m: float
-    temperature_k: float
     v_eff_m3: float = field(init=False)
 
     def __post_init__(self):
@@ -58,10 +57,6 @@ class TrapPopulationParams:
         if not self.beta_m3_per_s >= 0:
             raise ValidationError(
                 f"beta_m3_per_s must be >= 0, got {self.beta_m3_per_s!r}"
-            )
-        if not self.temperature_k >= 0:
-            raise ValidationError(
-                f"temperature_k must be >= 0, got {self.temperature_k!r}"
             )
         object.__setattr__(
             self,

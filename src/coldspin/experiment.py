@@ -97,16 +97,13 @@ class ScanConfig:
     atom_number_spread is the fractional rms scatter of the prepared atom
     number from run to run (trap loading noise); it dominates the scan error
     bars at realistic settings, far above shot noise.  Detunings are stored
-    sorted ascending; child streams are keyed by position in the sorted
-    list.  pulse_period_s is validated (it must exceed pulse_duration_s)
-    and recorded, but changes no output: nothing in the model depends on
-    the time between pulses.
+    sorted ascending; cell streams are keyed by position in the sorted
+    list.
     """
 
     detunings_hz: tuple[float, ...]
     photons_per_pulse: float = 4.0e6
     pulse_duration_s: float = 1.0e-6
-    pulse_period_s: float = 2.0e-5
     pulses_per_sample: int = 10
     runs_per_point: int = 40
     atom_number_spread: float = 0.10
@@ -127,11 +124,6 @@ class ScanConfig:
         if not self.pulse_duration_s > 0:
             raise ValidationError(
                 f"pulse_duration_s must be positive, got {self.pulse_duration_s!r}"
-            )
-        if not self.pulse_period_s > self.pulse_duration_s:
-            raise ValidationError(
-                "pulse_period_s must exceed pulse_duration_s, got "
-                f"{self.pulse_period_s!r} <= {self.pulse_duration_s!r}"
             )
         for name in ("pulses_per_sample", "runs_per_point"):
             value = getattr(self, name)
@@ -192,18 +184,6 @@ def _set_cell_state(generator: np.random.Generator, state: int, inc: int) -> Non
         "has_uint32": 0,
         "uinteger": 0,
     }
-
-
-def child_stream(seed: int, detuning_index: int, run_index: int) -> np.random.Generator:
-    """Independent generator for one (detuning, run) cell: exactly
-    np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed,
-    spawn_key=(detuning_index, run_index)))), deterministic and
-    schedule-independent."""
-    import numpy as np
-
-    generator = np.random.Generator(np.random.PCG64(0))
-    _set_cell_state(generator, *_cell_states(seed, detuning_index, (run_index,))[0])
-    return generator
 
 
 def _pulse_kernel(
@@ -386,7 +366,7 @@ def _numpy_run_means(
         j_z0 = []
         noise = np.empty((n_runs, n_pulses))
         # each run draws from its own cell stream, in the order a fresh
-        # child_stream would: the atom-number normal, then the pulse noise
+        # generator would: the atom-number normal, then the pulse noise
         states = _cell_states(cfg.seed, d_index, range(n_runs))
         for run_index, (state, inc) in enumerate(states):
             _set_cell_state(generator, state, inc)

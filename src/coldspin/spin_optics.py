@@ -301,14 +301,6 @@ def qnd_interact(
     return light_out, atoms_out
 
 
-def output_variance(n_photons: float, n_atoms: float, g: float) -> float:
-    """Detected S_y variance after probing: shot noise plus atomic projection
-    noise, N_p/4 + g^2 (N_p^2/4)(N_a/4)."""
-    if n_photons < 0 or n_atoms < 0:
-        raise ValidationError("photon and atom numbers must be >= 0")
-    return n_photons / 4.0 + g * g * (n_photons**2 / 4.0) * (n_atoms / 4.0)
-
-
 def faraday_angle(atoms: CollectiveSpinState, g: float) -> float:
     """Polarization rotation angle theta = g <J_z> (radians); g N_a/2 for a
     fully z-pumped ensemble, with sign following the pumping direction."""
@@ -331,30 +323,15 @@ def od_from_angle(
     return 2.0 * spec.cross_section_m2 * theta_rad / g_tilde
 
 
-def alignment_interact(
-    light: StokesState, atoms: CollectiveSpinState, kappa2: float
-) -> StokesState:
-    """First-order alignment (rank-2) rotation of circular probe light.
+def single_atom_pseudospin(amplitudes) -> tuple[float, float, float]:
+    """Pseudo-spin expectations (j_x, j_y, j_z) of one F=1 atom.
 
-    Rotates (S_z, S_y) by the angle kappa2 <J_x>, kept to first order:
-    S_y += kappa2 <J_x> S_z with S_z unchanged.  kappa2 is a user-supplied
-    coupling strength; no attempt is made to derive it from line data.
+    amplitudes (a, b, c) are the complex state amplitudes over m = -1, 0,
+    +1 (must be normalized within 1e-12).  Components are the
+    half-expectations of the quadratic forms F_x^2 - F_y^2, F_x F_y +
+    F_y F_x, and F_z, in closed form: j_x + i j_y = conj(c) a and
+    j_z = (|c|^2 - |a|^2)/2.
     """
-    phi = kappa2 * atoms.mean_j[0]
-    s_x, s_y, s_z = light.mean_s
-    vs_x, vs_y, vs_z = light.var_s
-    return StokesState(
-        (s_x, s_y + phi * s_z, s_z),
-        (vs_x, vs_y + phi * phi * vs_z, vs_z),
-        light.n_photons,
-        light.pulse_duration_s,
-    )
-
-
-def _pseudospin_moments(amplitudes) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    """Means and variances of (j_x, j_y, j_z) for amplitudes (a, b, c) over
-    m = -1, 0, +1: j_x + i j_y = conj(c) a, j_z = (|c|^2 - |a|^2)/2, and
-    each squared component has expectation (|a|^2 + |c|^2)/4."""
     try:
         if isinstance(amplitudes, (str, bytes)):
             raise TypeError("a string is not a vector")
@@ -370,46 +347,7 @@ def _pseudospin_moments(amplitudes) -> tuple[tuple[float, float, float], tuple[f
             f"amplitudes must be normalized within 1e-12, got |psi|^2 = {norm_sq!r}"
         )
     coherence = c.conjugate() * a
-    means = (coherence.real, coherence.imag, (pop_plus - pop_minus) / 2.0)
-    second = (pop_minus + pop_plus) / 4.0
-    return means, tuple(max(second - m * m, 0.0) for m in means)
-
-
-def single_atom_pseudospin(amplitudes) -> tuple[float, float, float]:
-    """Pseudo-spin expectations (j_x, j_y, j_z) of one F=1 atom.
-
-    amplitudes are the complex state amplitudes over m = -1, 0, +1 (must be
-    normalized within 1e-12).  Components are the half-expectations of the
-    quadratic forms F_x^2 - F_y^2, F_x F_y + F_y F_x, and F_z, evaluated in
-    closed form.
-    """
-    means, _ = _pseudospin_moments(amplitudes)
-    return means
-
-
-def collective_from_amplitudes(amplitudes, n_atoms: float) -> CollectiveSpinState:
-    """Collective state of n_atoms independent atoms in the same single-atom
-    state: means and variances both scale linearly with n_atoms."""
-    if n_atoms < 0:
-        raise ValidationError(f"n_atoms must be >= 0, got {n_atoms!r}")
-    means, variances = _pseudospin_moments(amplitudes)
-    return CollectiveSpinState(
-        tuple(m * n_atoms for m in means),
-        tuple(v * n_atoms for v in variances),
-        n_atoms,
-    )
-
-
-def scale_atom_number(atoms: CollectiveSpinState, factor: float) -> CollectiveSpinState:
-    """Same internal state, rescaled atom number: means and variances of a
-    product state both scale linearly with N."""
-    if factor < 0:
-        raise ValidationError(f"factor must be >= 0, got {factor!r}")
-    return CollectiveSpinState(
-        tuple(m * factor for m in atoms.mean_j),
-        tuple(v * factor for v in atoms.var_j),
-        atoms.n_atoms * factor,
-    )
+    return (coherence.real, coherence.imag, (pop_plus - pop_minus) / 2.0)
 
 
 def decay_mean_z(atoms: CollectiveSpinState, fraction: float) -> CollectiveSpinState:

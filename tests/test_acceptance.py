@@ -85,7 +85,6 @@ def test_criterion_02_scan_round_trip():
             detunings_hz=tuple(float(d) for d in np.linspace(-2.3e9, -0.8e9, 15)),
             photons_per_pulse=4e6,
             pulse_duration_s=1e-6,
-            pulse_period_s=2e-5,
             pulses_per_sample=10,
             runs_per_point=40,
             atom_number_spread=0.10,
@@ -236,7 +235,6 @@ def test_criterion_08_two_body_decay_fit():
             beta_m3_per_s=8.0e-20,  # 8e-14 cm^3/s
             sigma_z_m=8.5e-3 * FWHM_TO_SIGMA,
             sigma_r_m=20e-6 * FWHM_TO_SIGMA,
-            temperature_k=25e-6,
         )
         times = np.linspace(0.0, 90.0, 46)
 

@@ -287,7 +287,6 @@ DECAY_TRUE = TrapPopulationParams(
     beta_m3_per_s=8.0e-20,
     sigma_z_m=8.5e-3 / (2.0 * math.sqrt(2.0 * math.log(2.0))),
     sigma_r_m=20e-6 / (2.0 * math.sqrt(2.0 * math.log(2.0))),
-    temperature_k=25e-6,
 )
 
 
@@ -360,7 +359,6 @@ def test_decay_fit_round_trip_property(n0, tau, beta):
         beta_m3_per_s=beta,
         sigma_z_m=DECAY_TRUE.sigma_z_m,
         sigma_r_m=DECAY_TRUE.sigma_r_m,
-        temperature_k=25e-6,
     )
     times = np.linspace(0.0, 90.0, 46)
     rows = [(t, evolve_trap_population(truth, t), 1.0) for t in times]

@@ -10,7 +10,6 @@ from coldspin import (
     default_atom_spec,
     default_trap_spec,
     load_atom_spec,
-    load_trap_spec,
     resonant_cross_section,
 )
 from coldspin.atomic_data import default_atom_document
@@ -94,7 +93,7 @@ def test_every_trap_number_rejected_by_name(key, bad):
     doc = default_atom_document()["trap"]
     doc[key] = bad
     with pytest.raises(ValidationError, match=f"trap.{key}"):
-        load_trap_spec(doc)
+        TrapSpec(**doc)
 
 
 def test_atom_spec_requires_exact_fprime_keys():
@@ -120,13 +119,6 @@ def test_trap_power_zero_is_legal_but_negative_is_not():
         TrapSpec(wavelength_m=1.03e-6, power_w=-1.0, waist_m=50e-6)
     with pytest.raises(ValidationError):
         TrapSpec(wavelength_m=1.03e-6, power_w=7.0, waist_m=0.0)
-
-
-def test_load_trap_spec_rejects_unknown_keys():
-    with pytest.raises(ValidationError, match="alignment"):
-        load_trap_spec(
-            {"wavelength_m": 1.03e-6, "power_w": 7.0, "waist_m": 5e-5, "alignment": 1}
-        )
 
 
 def test_load_atom_file(tmp_path):

@@ -440,6 +440,127 @@ def test_replay_of_malformed_manifest_shape_exits_2(in_tmp_dir, capsys, edit, ke
 
 
 @pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda config: config.update(bogus_top=1), "unknown config key 'bogus_top'"),
+        (lambda config: config["scan"].update(bogus_key=1),
+         "unknown config key 'scan.bogus_key'"),
+        (lambda config: config.update({"in": "scan.csv"}), "unknown config key 'in'"),
+        (lambda config: config.update(seed="abc"), "config key 'seed' must be a JSON integer"),
+    ],
+    ids=["top-level", "section", "input-path", "string-seed"],
+)
+def test_replay_checks_config_keys_as_config_does(in_tmp_dir, capsys, edit, message):
+    run_scan(in_tmp_dir)
+    manifest_path = in_tmp_dir / "scan.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest["config"])
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["scan", "--manifest", "scan.csv.manifest.json"]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, section, key",
+    [
+        (["scan", "--out", "out.csv"], "scan", "pulse_period_s"),
+        (["decay", "simulate", "--out", "out.csv"], "decay", "temperature_k"),
+    ],
+    ids=["scan-pulse-period", "decay-temperature"],
+)
+def test_replay_of_a_0_1_manifest_names_the_removed_key(in_tmp_dir, capsys, argv, section,
+                                                         key):
+    # a manifest as coldspin 0.1.0 wrote it: the same config plus a key
+    # that changed no output and is gone since 0.2.0
+    assert cli.main(argv) == 0
+    manifest_path = in_tmp_dir / "out.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["version"] = "0.1.0"
+    manifest["config"][section][key] = 2.0e-5
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main([argv[0], "--manifest", "out.csv.manifest.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown config key '{section}.{key}'" in err
+    assert "Traceback" not in err
+
+
+def test_replay_of_a_decay_manifest_checks_its_mode(in_tmp_dir, capsys):
+    assert cli.main(["decay", "simulate", "--out", "d.csv"]) == 0
+    manifest_path = in_tmp_dir / "d.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["mode"] = "simulated"
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["decay", "--manifest", "d.csv.manifest.json"]) == 2
+    assert "config key 'mode' must be simulate or fit" in capsys.readouterr().err
+
+
+def test_manifest_naming_the_output_exits_2_before_any_work(in_tmp_dir, capsys):
+    (in_tmp_dir / "a.csv").write_text("keep\n")
+    code = run_scan(in_tmp_dir, out="a.csv", extra=["--manifest", "a.csv"])
+    assert code == 2
+    assert "the output 'a.csv' and the manifest 'a.csv' are one file" in capsys.readouterr().err
+    assert (in_tmp_dir / "a.csv").read_text() == "keep\n"
+    assert not (in_tmp_dir / "a_curve.csv").exists()
+
+
+def test_manifest_naming_the_curve_file_is_not_written(in_tmp_dir, capsys):
+    # the curve file is the runner's to name, so this clash shows only
+    # once the scan has run; the manifest must not overwrite the curve
+    assert run_scan(in_tmp_dir, out="a.csv", extra=["--manifest", "a_curve.csv"]) == 2
+    assert "are one file" in capsys.readouterr().err
+    assert (in_tmp_dir / "a_curve.csv").read_text().startswith("detuning_hz,theta_model_rad")
+
+
+@pytest.mark.parametrize("out", ["s.csv", "./s.csv", "link.csv"])
+def test_fit_onto_its_own_input_exits_2(in_tmp_dir, capsys, out):
+    assert run_scan(in_tmp_dir, out="s.csv") == 0
+    (in_tmp_dir / "link.csv").symlink_to(in_tmp_dir / "s.csv")
+    before = {path.name: path.read_bytes() for path in in_tmp_dir.iterdir()}
+    capsys.readouterr()
+    assert cli.main(["fit", "--in", "s.csv", "--out", out]) == 2
+    assert "are one file" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in in_tmp_dir.iterdir()} == before
+
+
+def test_replay_of_a_manifest_naming_itself_as_output_exits_2(in_tmp_dir, capsys):
+    run_scan(in_tmp_dir)
+    manifest_path = in_tmp_dir / "scan.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["out"] = "scan.csv.manifest.json"
+    manifest_path.write_text(json.dumps(manifest))
+    recorded = manifest_path.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["scan", "--manifest", "scan.csv.manifest.json"]) == 2
+    assert "are one file" in capsys.readouterr().err
+    assert manifest_path.read_bytes() == recorded
+
+
+def test_distinct_paths_run_and_replay(in_tmp_dir, capsys):
+    assert run_scan(in_tmp_dir, out="a.csv", extra=["--manifest", "a.json"]) == 0
+    assert cli.main(["fit", "--in", "a.csv", "--out", "f.json", "--manifest", "m.json"]) == 0
+    for command, manifest in (("scan", "a.json"), ("fit", "m.json")):
+        assert cli.main([command, "--manifest", manifest]) == 0
+    assert "reproduced f.json" in capsys.readouterr().out
+
+
+CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*"))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[path.name for path in CONFIGS])
+def test_shipped_config_runs_a_scan(in_tmp_dir, config):
+    assert cli.main(["scan", "--config", str(config), "--out", "scan.csv"]) == 0
+
+
+def test_configs_are_shipped():
+    assert CONFIGS
+
+
+@pytest.mark.parametrize(
     "override, key",
     [
         ({"scan": {"photons_per_pulse": "abc"}}, "'scan.photons_per_pulse'"),

@@ -33,7 +33,6 @@ def params(n0=1.2e6, tau=1500.0, beta=8.0e-20):
         beta_m3_per_s=beta,
         sigma_z_m=SIGMA_Z,
         sigma_r_m=SIGMA_R,
-        temperature_k=25e-6,
     )
 
 
@@ -177,7 +176,7 @@ def test_trap_population_params_validation():
     with pytest.raises(ValidationError):
         TrapPopulationParams(
             n0=1e6, tau_s=1500.0, beta_m3_per_s=8e-20,
-            sigma_z_m=0.0, sigma_r_m=SIGMA_R, temperature_k=25e-6,
+            sigma_z_m=0.0, sigma_r_m=SIGMA_R,
         )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coldspin import (
+    CollectiveSpinState,
     DestructionModel,
     NearResonanceError,
     ScanConfig,
@@ -13,7 +14,6 @@ from coldspin import (
     TransmissionSpec,
     ValidationError,
     angle_variance,
-    child_stream,
     coherent_pulse,
     coherent_spin_state,
     coupling_constant,
@@ -24,13 +24,12 @@ from coldspin import (
     read_scan_csv,
     run_detuning_scan,
     run_pulse_train,
-    scale_atom_number,
     scattering_probability,
     simulate_pulse_detection,
     write_scan_csv,
 )
 from coldspin import experiment
-from coldspin.experiment import _cell_states
+from coldspin.experiment import _cell_states, _set_cell_state
 
 SPEC = default_atom_spec()
 AREA = 1.0e6 / 2.65e14
@@ -43,7 +42,6 @@ def small_config(**overrides):
         detunings_hz=(-2.3e9, -1.6e9, -0.8e9),
         photons_per_pulse=4e6,
         pulse_duration_s=1e-6,
-        pulse_period_s=2e-5,
         pulses_per_sample=3,
         runs_per_point=5,
         atom_number_spread=0.10,
@@ -53,15 +51,28 @@ def small_config(**overrides):
     return ScanConfig(**defaults)
 
 
+def numpy_cell_stream(seed, detuning_index, run_index):
+    """numpy's own generator for one scan cell, the oracle of the cell seeding."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(detuning_index, run_index)))
+    )
+
+
+def scaled(atoms, factor):
+    """atoms with every mean, variance and the atom number times factor."""
+    return CollectiveSpinState(
+        tuple(m * factor for m in atoms.mean_j),
+        tuple(v * factor for v in atoms.var_j),
+        atoms.n_atoms * factor,
+    )
+
+
 def test_child_stream_is_deterministic_and_distinct():
-    a = child_stream(7, 2, 3).standard_normal(4)
-    b = child_stream(7, 2, 3).standard_normal(4)
-    assert np.array_equal(a, b)
-    c = child_stream(7, 2, 4).standard_normal(4)
-    d = child_stream(7, 3, 3).standard_normal(4)
-    e = child_stream(8, 2, 3).standard_normal(4)
-    for other in (c, d, e):
-        assert not np.array_equal(a, other)
+    # each (seed, detuning, run) cell seeds a stream of its own
+    a = _cell_states(7, 2, (3,))
+    assert a == _cell_states(7, 2, (3,))
+    for other in (_cell_states(7, 2, (4,)), _cell_states(7, 3, (3,)), _cell_states(8, 2, (3,))):
+        assert other != a
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 10**30])
@@ -69,16 +80,14 @@ def test_child_stream_is_numpy_spawned_seed_sequence(seed):
     # the cell seeding re-derives numpy's SeedSequence and PCG64 arithmetic;
     # numpy's own construction is the oracle
     indices = (0, 1, 399, 2**16 + 3, 2**31)
+    generator = np.random.Generator(np.random.PCG64(0))
     for detuning_index in indices:
-        for run_index in indices:
-            expected = np.random.Generator(
-                np.random.PCG64(
-                    np.random.SeedSequence(seed, spawn_key=(detuning_index, run_index))
-                )
-            )
-            stream = child_stream(seed, detuning_index, run_index)
-            assert stream.bit_generator.state == expected.bit_generator.state
-            assert np.array_equal(stream.standard_normal(16), expected.standard_normal(16))
+        states = _cell_states(seed, detuning_index, indices)
+        for run_index, (state, inc) in zip(indices, states):
+            expected = numpy_cell_stream(seed, detuning_index, run_index)
+            _set_cell_state(generator, state, inc)
+            assert generator.bit_generator.state == expected.bit_generator.state
+            assert np.array_equal(generator.standard_normal(16), expected.standard_normal(16))
 
 
 def test_cell_states_reject_run_indices_of_mixed_word_counts():
@@ -141,13 +150,13 @@ def test_pulse_train_matches_per_pulse_reference_exactly(n_pulses, decay, seeded
     # non-unit transmissions and an off-grid atom number so that any change
     # in the order of the floating-point operations shows in the last bit
     cp = coupling_constant(-1.37e9, AREA, SPEC)
-    atoms = scale_atom_number(coherent_spin_state(1e6, "-z"), 0.9371)
+    atoms = scaled(coherent_spin_state(1e6, "-z"), 0.9371)
     light = coherent_pulse(3.3e6, 1e-6, "x")
     dm = DestructionModel(decay)
     tr = TransmissionSpec(t_h=0.93, t_v=0.87)
 
     def stream():
-        return child_stream(11, 2, 5) if seeded else None
+        return numpy_cell_stream(11, 2, 5) if seeded else None
 
     expected, expected_after = reference_pulse_train(
         n_pulses, atoms, cp, light, dm, DET, tr, stream()
@@ -171,20 +180,20 @@ def run_scan(cfg, n_atoms=1e6):
 
 
 def reference_scan(cfg, atoms, dm):
-    """Each cell through its own child_stream and run_pulse_train, with the
-    scan's aggregation."""
+    """Each cell through numpy's own generator for it and run_pulse_train,
+    with the scan's aggregation."""
     points = []
     light = coherent_pulse(cfg.photons_per_pulse, cfg.pulse_duration_s, "x")
     for d_index, detuning in enumerate(cfg.detunings_hz):
         cp = coupling_constant(detuning, AREA, SPEC)
         means = []
         for run_index in range(cfg.runs_per_point):
-            stream = child_stream(cfg.seed, d_index, run_index)
+            stream = numpy_cell_stream(cfg.seed, d_index, run_index)
             factor = 1.0
             if cfg.atom_number_spread > 0.0:
                 factor = max(0.0, 1.0 + cfg.atom_number_spread * float(stream.standard_normal()))
             records, _ = run_pulse_train(
-                cfg.pulses_per_sample, scale_atom_number(atoms, factor), cp, light, dm,
+                cfg.pulses_per_sample, scaled(atoms, factor), cp, light, dm,
                 DET, TR, stream,
             )
             total = 0.0  # left to right: the built-in sum compensates on Python >= 3.12
@@ -245,7 +254,7 @@ def test_plain_and_numpy_run_means_are_equal(runs, pulses):
         cfg = small_config(
             runs_per_point=runs, pulses_per_sample=pulses, atom_number_spread=spread, seed=seed
         )
-        j_z = scale_atom_number(coherent_spin_state(1e6, axis), 0.9371).mean_j[2]
+        j_z = coherent_spin_state(1e6, axis).mean_j[2] * 0.9371
         args = (cfg, j_z, couplings_g, 3.3e6, DestructionModel(decay), DET, tr)
         plain = list(experiment._plain_run_means(*args))
         assert plain == list(experiment._numpy_run_means(*args)), seed
@@ -360,8 +369,6 @@ def test_scan_near_resonance_guard_names_detuning():
 
 
 def test_scan_config_validation():
-    with pytest.raises(ValidationError):
-        small_config(pulse_period_s=5e-7)  # shorter than the pulse itself
     with pytest.raises(ValidationError):
         small_config(pulses_per_sample=0)
     with pytest.raises(ValidationError):

@@ -20,45 +20,45 @@ GOLDEN = {
     "default": {
         "scan.csv": "e0ba9c7d679a00db0ce493a488c00871a16f30952f46c57e63d6b87e6783a28b",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "3a4566dd7484626a65316f46f03f6b16c9673b79a4b3b05fd3619510ae642b42",
+        "scan.csv.manifest.json": "5cef1087fdecd1ad7ab8d99b5a3ed869917aa565cb6075700d3ebb7ab430542d",
     },
     "long_trains": {
         "scan.csv": "8c0ff5437572cd2bd644d043efffde924fefebe09155c0566a409ce34c18175c",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "3b868b83a213c25433aba0e33ee490877dfda2648b4120b23e9e3fea5892697f",
+        "scan.csv.manifest.json": "82f2bca36e48d5560e7014e09e9274b667079d41596cad18f23076a100dd885b",
     },
     "three_threads": {
         "scan.csv": "e0ba9c7d679a00db0ce493a488c00871a16f30952f46c57e63d6b87e6783a28b",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "31f5bde4e1cbec06a0410d5251db2d2eee0b6ea092b270e3d0e1859db9fb9202",
+        "scan.csv.manifest.json": "5ab771206d2a66ecf36fcff7a9bccd1e4cc4302dc50a3bc897b76cbbb6b6fe8d",
     },
     "fit": {
         "fit.json": "75bb565f2023ef66b9c564538aa59a23d419732ca4eba85648427f072c99a7b3",
-        "fit.json.manifest.json": "3c25b006ef6ebbb90eb6eed7df8701d6b0850da7a7c64c469d4b02873959a334",
+        "fit.json.manifest.json": "27ea9ed23f71984131422bdb28a93cdafc51cc18a8ddfaf71f4ead452ab9c5df",
     },
     "budget": {
         "budget.json": "d13a7cf565a070eb21d998cc3b8574c0f1aa89253d06306827f3cc6ea98bb788",
-        "budget.json.manifest.json": "3c139e3b35206d1cc6016942b88f9cd5dd90c53dedb4075b9fdfe8de9cb82a9d",
+        "budget.json.manifest.json": "bd7bd7d3af1962ed58ef2377b5de129b28a29b94fbddf35144acf436665e3051",
     },
     "decay_simulate": {
         "decay.csv": "272846036b07eb42a982151e5e36ce1b52db97d4eb39c0666c2ceceb4a6ea5a1",
-        "decay.csv.manifest.json": "ea91b6eb092bfacec24bb1779bb0ade8a248d4083d6f3b83c33f9a5f7f105d83",
+        "decay.csv.manifest.json": "6b21694ef524076d0e369144bdb14d7545ecfa194a9f664ab1c80b00898608d5",
     },
     "decay_fit": {
         "decay_fit.json": "60b2c5792a6db54fd479bb39ff858a45805936607039655fdbfe5c20ca0c9483",
-        "decay_fit.json.manifest.json": "819d5710a1c435f69a119015fb84bbeca9996cc382f95548dcd6b2811b1039b4",
+        "decay_fit.json.manifest.json": "a71ea7989ddfa9531ed01ab9c7cb99cfa630ccedcf2da06bb519fa75137224f4",
     },
     "tof_simulate": {
         "tof.csv": "286b949fc63fa969fb095f7b04b772ac5f62901966e6f664a5cf83df974d573b",
-        "tof.csv.manifest.json": "fc5c2186b77d37ed6cd875c47cad050c18995fb8c74b2e23775778a5a965b046",
+        "tof.csv.manifest.json": "f1d6c42ee588ac7d1103391ed44e1ec4daed413d99a8f27e4ef9a19f00660db7",
     },
     "tof_fit": {
         "tof_fit.json": "bca7cf0427183479f16871f21cedc0765cc0058e09c305efa9a4af457ae2cd30",
-        "tof_fit.json.manifest.json": "40d371e95c209469d9bb9dd4c29100506a9e371e94d15e18210c293ad07562c3",
+        "tof_fit.json.manifest.json": "7ea60727cc688172a15086255b3e9232ef8ee0bc4a10b3a08d41760ed2d87460",
     },
     "pulse_noisy": {
         "pulse.csv": "c0fb5808201d464e22f50e6abbc90c09df33f43f072ede436c015edfef5d7cf3",
-        "pulse.csv.manifest.json": "1df2218b057154b14d45c63990f9d85c9becd208c1355ae0e7aa55350fbbf87f",
+        "pulse.csv.manifest.json": "c251e517deca3dfd2252a16bd4181cbbc620f81bbcf7aaa19ba438259ba05ca2",
     },
 }
 
