@@ -15,13 +15,13 @@ inverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .atomic_data import BOLTZMANN_J_PER_K, AtomSpec
 from .detector import DetectorSpec
 from .ensemble import two_body_gradient, two_body_population
 from .errors import FitError, ValidationError
+from .frozen import Frozen
 from .jsonio import decode_nonfinite, write_json
 from .scandata import ScanDataset
 from .spin_optics import DEFAULT_GUARD_LINEWIDTHS, rotation_cross_section
@@ -40,8 +40,7 @@ GN_STALL_TOLERANCE = 1.0e-6
 GN_MAX_BACKTRACKS = 40
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Frozen):
     """Named parameter estimates with 1-sigma uncertainties.
 
     chi2 is the weighted sum of squared residuals (the plain residual sum of
@@ -197,7 +196,16 @@ def photon_budget(a: float, n_atoms: float, theta_rad: float) -> float:
         raise ValidationError("theta_rad must be nonzero")
     if a < 0 or n_atoms < 0:
         raise ValidationError("a and n_atoms must be >= 0")
-    return a * n_atoms / theta_rad**2
+    # theta_rad**2 is 0 for |theta_rad| < ~1.6e-162, where the total overflows
+    # for any a * n_atoms above ~1e-15: report that as an overflow too
+    theta_squared = theta_rad**2
+    total = a * n_atoms / theta_squared if theta_squared else math.inf
+    if total == math.inf:
+        raise OverflowError(
+            "photons_total = a * n_atoms / theta_rad**2 exceeds the float range at "
+            f"a = {a!r}, n_atoms = {n_atoms!r}, theta_rad = {theta_rad!r}"
+        )
+    return total
 
 
 def snr_report(

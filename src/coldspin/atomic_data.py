@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any, Mapping
 
 from .errors import ValidationError
+from .frozen import Frozen
 
 BOLTZMANN_J_PER_K = 1.380649e-23
 PLANCK_J_S = 6.62607015e-34
@@ -68,8 +68,7 @@ def _require_shape(
         raise ValidationError(f"{what} has unknown key {sorted(unknown)[0]!r}")
 
 
-@dataclass(frozen=True)
-class AtomSpec:
+class AtomSpec(Frozen):
     """Line data for one F=1 -> F' in {0,1,2} probe transition manifold.
 
     hyperfine_splittings maps F' to the offset (Hz) of that excited level
@@ -82,7 +81,6 @@ class AtomSpec:
     linewidth_hz: float
     hyperfine_splittings: Mapping[int, float]
     mass_kg: float
-    cross_section_m2: float = field(init=False)
 
     def __post_init__(self):
         for name in ("wavelength_m", "linewidth_hz", "mass_kg"):
@@ -110,8 +108,7 @@ class AtomSpec:
         )
 
 
-@dataclass(frozen=True)
-class TrapSpec:
+class TrapSpec(Frozen):
     """Dipole trap laser parameters; waist_m is the 1/e^2 intensity radius."""
 
     wavelength_m: float
@@ -131,9 +128,13 @@ def load_atom_spec(document: Mapping[str, Any]) -> AtomSpec:
     """Build a validated AtomSpec from a parsed JSON document.
 
     The document must contain exactly ATOM_KEYS, plus an optional nested
-    "trap" section (see default_trap_spec); AtomSpec checks the values.
+    "trap" section (see default_trap_spec); AtomSpec checks the values, and
+    TrapSpec those of a trap section.
     """
     _require_shape(document, ATOM_KEYS, "atom data document", extra=("trap",))
+    if "trap" in document:
+        _require_shape(document["trap"], TRAP_KEYS, "atom data key 'trap'")
+        TrapSpec(**document["trap"])
     return AtomSpec(
         wavelength_m=document["wavelength_m"],
         linewidth_hz=document["linewidth_hz"],

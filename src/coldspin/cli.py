@@ -428,6 +428,11 @@ def _run_budget(cfg: dict) -> dict:
     if section["photons_per_pulse"] is not None:
         document["photons_per_pulse"] = section["photons_per_pulse"]
         document["n_pulses"] = total / section["photons_per_pulse"]
+        if document["n_pulses"] == math.inf:
+            raise OverflowError(
+                "n_pulses = photons_total / photons_per_pulse exceeds the float range "
+                f"at budget.photons_per_pulse = {section['photons_per_pulse']!r}"
+            )
     out = cfg["out"]
     _write_json(out, document)
     return _digest_map([out])

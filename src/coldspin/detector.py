@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Protocol
 
 from .csvio import read_table, write_table
 from .errors import ValidationError
+from .frozen import Frozen
 
 # Most elements of any one array a run allocates: a waveform's samples (the
 # default pulse takes 500), a scan detuning's runs x (pulses + 1) block,
@@ -42,8 +42,7 @@ class NormalSource(Protocol):
     def standard_normal(self) -> float: ...
 
 
-@dataclass(frozen=True)
-class DetectorSpec:
+class DetectorSpec(Frozen):
     """Noise and waveform parameters of the balanced detector."""
 
     electronic_noise_var: float = 1.0e5  # photon-number-equivalent variance
@@ -68,8 +67,7 @@ class DetectorSpec:
             )
 
 
-@dataclass(frozen=True)
-class TransmissionSpec:
+class TransmissionSpec(Frozen):
     """Amplitude transmissions of the two polarization paths, in (0, 1]."""
 
     t_h: float = 1.0
@@ -82,8 +80,7 @@ class TransmissionSpec:
                 raise ValidationError(f"{name} must be in (0, 1], got {value!r}")
 
 
-@dataclass(frozen=True)
-class PulseRecord:
+class PulseRecord(Frozen):
     """One sampled detector trace with its integration window.
 
     samples are in output signal units (photon number times the calibration

@@ -11,7 +11,6 @@ volume-independent rate referred to that V_eff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .atomic_data import (
     BOLTZMANN_J_PER_K,
@@ -21,6 +20,7 @@ from .atomic_data import (
     TrapSpec,
 )
 from .errors import NearResonanceError, ValidationError
+from .frozen import Frozen
 from .spin_optics import DEFAULT_GUARD_LINEWIDTHS
 
 RK4_DEFAULT_STEPS = 4000
@@ -34,8 +34,7 @@ def effective_two_body_volume(sigma_z_m: float, sigma_r_m: float) -> float:
     return (4.0 * math.pi) ** 1.5 * sigma_z_m * sigma_r_m**2
 
 
-@dataclass(frozen=True)
-class TrapPopulationParams:
+class TrapPopulationParams(Frozen):
     """Two-body decay parameters plus the fixed cloud geometry.
 
     tau_s may be math.inf (pure two-body loss) and beta_m3_per_s may be 0
@@ -47,7 +46,6 @@ class TrapPopulationParams:
     beta_m3_per_s: float
     sigma_z_m: float
     sigma_r_m: float
-    v_eff_m3: float = field(init=False)
 
     def __post_init__(self):
         if not 0 <= self.n0 < math.inf:

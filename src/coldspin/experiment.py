@@ -31,12 +31,12 @@ runs' mean angles as np.mean and np.std do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from .atomic_data import AtomSpec
 from .detector import MAX_ARRAY_SIZE, DetectorSpec, TransmissionSpec, extract_angle
 from .errors import NearResonanceError, ValidationError
+from .frozen import Frozen
 from .rng import (
     POOL_SIZE, NormalStream, mix_entropy, pcg64_seed, seed_sequence_words, uint32_words,
 )
@@ -72,8 +72,7 @@ if TYPE_CHECKING:
 _PLAIN_SCAN_WORK = 2**15
 
 
-@dataclass(frozen=True)
-class DestructionModel:
+class DestructionModel(Frozen):
     """Deterministic per-pulse decay of the mean pumped spin.
 
     The default fraction 1e-4 is calibrated so a 1000-pulse train loses
@@ -90,8 +89,7 @@ class DestructionModel:
             )
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(Frozen):
     """Detuning scan layout and per-pulse probe settings.
 
     atom_number_spread is the fractional rms scatter of the prepared atom

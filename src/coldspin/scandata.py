@@ -10,10 +10,10 @@ names.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .csvio import read_table, write_table
 from .errors import ValidationError
+from .frozen import Frozen
 
 # ScanPoint's fields, in order, with their types: read_scan_csv builds
 # each point from its row's fields positionally
@@ -27,8 +27,7 @@ SCAN_CSV_COLUMNS = {
 }
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+class ScanPoint(Frozen):
     """Aggregated statistics of one scan detuning."""
 
     detuning_hz: float
@@ -43,8 +42,7 @@ class ScanPoint:
             raise ValidationError("scan point spreads must be >= 0")
 
 
-@dataclass(frozen=True)
-class ScanDataset:
+class ScanDataset(Frozen):
     """One record per configured detuning, ordered by detuning."""
 
     points: tuple[ScanPoint, ...]

@@ -16,10 +16,10 @@ polarization rotation in radians per unit J_z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .atomic_data import SPEED_OF_LIGHT_M_PER_S, AtomSpec
 from .errors import NearResonanceError, ValidationError
+from .frozen import Frozen
 
 # The first-order interaction map grows |mean| at second order in the
 # rotation angle, so state validation allows a few percent of slack above
@@ -62,8 +62,7 @@ def _check_variances(var: tuple[float, float, float], name: str) -> None:
         raise ValidationError(f"{name} must be non-negative, got {var!r}")
 
 
-@dataclass(frozen=True)
-class CollectiveSpinState:
+class CollectiveSpinState(Frozen):
     """Mean and variance of the collective pseudo-spin (J_x, J_y, J_z)."""
 
     mean_j: tuple[float, float, float]
@@ -80,8 +79,7 @@ class CollectiveSpinState:
         _check_ball(self.mean_j, self.n_atoms / 2.0, "mean_j")
 
 
-@dataclass(frozen=True)
-class StokesState:
+class StokesState(Frozen):
     """Mean and variance of the Stokes vector (S_x, S_y, S_z) of one pulse."""
 
     mean_s: tuple[float, float, float]
@@ -104,8 +102,7 @@ class StokesState:
         _check_ball(self.mean_s, self.n_photons / 2.0, "mean_s")
 
 
-@dataclass(frozen=True)
-class CouplingParams:
+class CouplingParams(Frozen):
     """Dispersive coupling at one detuning and beam area.
 
     g is the dimensionless per-J_z rotation; g_tilde = area * g depends only

@@ -263,6 +263,14 @@ def test_photon_budget_validation():
                 photon_budget(*args)
 
 
+def test_photon_budget_beyond_float_range_names_theta():
+    # theta_rad**2 is subnormal at 1e-160 and underflows to 0 at 1e-170
+    assert photon_budget(1.0, 1e6, 1e-150) == pytest.approx(1e306, rel=1e-12)
+    for theta in (1e-160, 1e-170, -1e-170):
+        with pytest.raises(OverflowError, match=f"theta_rad = {theta!r}"):
+            photon_budget(1.0, 1e6, theta)
+
+
 def test_snr_report_anchor():
     theta = 0.02686137806958269
     det = DetectorSpec()

@@ -349,6 +349,50 @@ def test_bad_atom_data_exits_2(in_tmp_dir, monkeypatch, capsys):
     assert "hf_splitting_f1_hz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("via", ["env", "replay"])
+@pytest.mark.parametrize(
+    "trap, key",
+    [("not a trap", "atom data key 'trap' must be a JSON object"),
+     ({"waist_m": -5e-5}, "trap.waist_m must be positive"),
+     ({"extra": 1.0}, "atom data key 'trap' has unknown key 'extra'")],
+    ids=["string", "negative-waist", "extra-key"],
+)
+def test_bad_atom_data_trap_section_exits_2(in_tmp_dir, monkeypatch, capsys, trap, key, via):
+    document = default_atom_document()
+    if isinstance(trap, dict):
+        document["trap"].update(trap)
+    else:
+        document["trap"] = trap
+    if via == "env":
+        (in_tmp_dir / "atom.json").write_text(json.dumps(document))
+        monkeypatch.setenv("COLDSPIN_ATOM_DATA", str(in_tmp_dir / "atom.json"))
+        assert run_scan(in_tmp_dir) == 2
+    else:
+        assert run_scan(in_tmp_dir) == 0
+        (in_tmp_dir / "scan.csv").unlink()
+        manifest = json.loads((in_tmp_dir / "scan.csv.manifest.json").read_text())
+        manifest["config"]["atom_constants"] = document
+        (in_tmp_dir / "edited.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert cli.main(["scan", "--manifest", "edited.json"]) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+    assert not (in_tmp_dir / "scan.csv").exists()
+
+
+@pytest.mark.parametrize("trap", ["packaged", "absent"])
+def test_atom_data_trap_section_leaves_scan_unchanged(in_tmp_dir, monkeypatch, trap):
+    assert run_scan(in_tmp_dir, out="default.csv") == 0
+    document = default_atom_document()
+    if trap == "absent":
+        del document["trap"]
+    (in_tmp_dir / "atom.json").write_text(json.dumps(document))
+    monkeypatch.setenv("COLDSPIN_ATOM_DATA", str(in_tmp_dir / "atom.json"))
+    assert run_scan(in_tmp_dir, out="scan.csv") == 0
+    assert (in_tmp_dir / "scan.csv").read_bytes() == (in_tmp_dir / "default.csv").read_bytes()
+
+
 HUGE_INTEGER = "1" + "0" * 400  # a JSON integer past the float range
 
 
@@ -624,8 +668,8 @@ def fit_inputs(tmp_path_factory):
     return directory
 
 
-# runs cli.main on its arguments, then prints the exit code and every
-# numpy module loaded
+# runs cli.main on its arguments, then prints the exit code, whether
+# dataclasses was loaded and every numpy module loaded
 MAIN_AND_NUMPY_MODULES = """
 import sys
 from coldspin import cli
@@ -633,7 +677,8 @@ try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))
+print(code, 'dataclasses' in sys.modules,
+      sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))
 """
 
 
@@ -670,9 +715,11 @@ def test_command_loads_no_numpy(fit_inputs, argv, loads_numpy):
         [sys.executable, "-c", MAIN_AND_NUMPY_MODULES, *argv], cwd=fit_inputs,
         capture_output=True, text=True, env=env, check=True,
     )
-    code, modules = result.stdout.splitlines()[-1].split(" ", 1)
+    code, loads_dataclasses, modules = result.stdout.splitlines()[-1].split(" ", 2)
     assert code == "0", result.stderr
     assert (modules != "[]") == loads_numpy, modules[:200]
+    # the value classes build no methods at import (coldspin.frozen)
+    assert loads_dataclasses == "False"
 
 
 def test_bad_sigma_source_choice_is_usage_error(in_tmp_dir):
@@ -735,6 +782,22 @@ def test_nan_config_value_exits_2(in_tmp_dir, capsys, argv, config, key):
 def test_budget_rejects_infinite_inputs(in_tmp_dir, capsys, flags, key):
     assert cli.main(["budget", *flags, "--out", "b.json"]) == 2
     assert f"{key} must be finite" in capsys.readouterr().err
+    assert not (in_tmp_dir / "b.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    # theta_rad**2 is 1e-320 (subnormal) at 1e-160 and underflows to 0 at 1e-170
+    [(["--theta", "1e-160"], "theta_rad = 1e-160"),
+     (["--theta", "1e-170"], "theta_rad = 1e-170"),
+     (["--theta", "0.03", "--photons-per-pulse", "1e-320"],
+      "budget.photons_per_pulse = 1e-320")],
+    ids=["theta-squared-subnormal", "theta-squared-underflow", "pulse-count"],
+)
+def test_budget_beyond_float_range_exits_3(in_tmp_dir, capsys, flags, key):
+    assert cli.main(["budget", *flags, "--out", "b.json"]) == 3
+    err = capsys.readouterr().err
+    assert "exceeds the float range" in err and key in err
     assert not (in_tmp_dir / "b.json").exists()
 
 
