@@ -198,8 +198,14 @@ def photon_budget(a: float, n_atoms: float, theta_rad: float) -> float:
         raise ValidationError("a and n_atoms must be >= 0")
     # theta_rad**2 is 0 for |theta_rad| < ~1.6e-162, where the total overflows
     # for any a * n_atoms above ~1e-15: report that as an overflow too
-    theta_squared = theta_rad**2
-    total = a * n_atoms / theta_squared if theta_squared else math.inf
+    try:
+        theta_squared = theta_rad**2
+    except OverflowError:
+        # |theta_rad| > ~1.3e154: divide by theta_rad twice instead; the total
+        # underflows to 0.0 unless a * n_atoms is far beyond 1e154
+        total = (a / theta_rad) * (n_atoms / theta_rad)
+    else:
+        total = a * n_atoms / theta_squared if theta_squared else math.inf
     if total == math.inf:
         raise OverflowError(
             "photons_total = a * n_atoms / theta_rad**2 exceeds the float range at "

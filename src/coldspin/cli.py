@@ -69,7 +69,6 @@ _DEFAULT_CONFIG = {
         "detuning_stop_hz": -0.8e9,
         "n_detunings": 15,
         "photons_per_pulse": 4.0e6,
-        "pulse_duration_s": 1.0e-6,
         "pulses_per_sample": 10,
         "runs_per_point": 40,
         "atom_number_spread": 0.10,
@@ -347,7 +346,6 @@ def _run_scan(cfg: dict) -> dict:
     scan_cfg = ScanConfig(
         detunings_hz=tuple(_scan_detunings(section)),
         photons_per_pulse=section["photons_per_pulse"],
-        pulse_duration_s=section["pulse_duration_s"],
         pulses_per_sample=section["pulses_per_sample"],
         runs_per_point=section["runs_per_point"],
         atom_number_spread=section["atom_number_spread"],

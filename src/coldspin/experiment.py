@@ -14,18 +14,21 @@ spawn_key=(detuning_index, run_index)))), so results are identical
 regardless of execution order.  The seed words a detuning's cells share
 are hashed once per detuning (_detuning_pool).
 
-A scan draws and probes each detuning on one of two paths, chosen from its
-shape alone (_PLAIN_SCAN_WORK); both give the same values bit for bit.  A
-small scan runs in plain floats: each cell finishes its seeding in ints
-and draws from an rng.NormalStream, and its pulses are computed one by
-one, so it never imports numpy, whose import would cost more than the
-whole scan.  A larger scan imports numpy: it seeds all of a detuning's
-cells at once in uint64 arrays (_cell_states), sets each state in turn on
-one reused generator, and probes all the runs in one array kernel
-(_pulse_kernel), where the per-pulse <J_z> is a running product along each
-row.  Either path performs the floating-point operations of probing pulse
-by pulse, in the same order, and one aggregation (_scan_point) sums the
-runs' mean angles as np.mean and np.std do.
+A pulse train (run_pulse_train) is the scalar chain itself, pulse by
+pulse: faraday_angle -> simulate_pulse_detection -> extract_angle ->
+decay_mean_z.  A scan computes the same operations in the same order on
+one of two paths, chosen from its shape alone (_PLAIN_SCAN_WORK); both
+give the same values bit for bit.  A small scan runs in plain floats:
+each cell finishes its seeding in ints and draws from an
+rng.NormalStream, and its pulses are computed one by one, so it never
+imports numpy, whose import would cost more than the whole scan.  A
+larger scan imports numpy: it seeds all of a detuning's cells at once in
+uint64 arrays (_cell_states), sets each state in turn on one reused
+generator, and probes all of the detuning's runs in one array
+computation, where the per-pulse <J_z> is a running product along each
+row.  One aggregation (_scan_point) then sums the runs' mean angles as
+np.mean and np.std do.  A scan reads only the photon number of a pulse,
+so it takes no pulse duration.
 """
 
 from __future__ import annotations
@@ -34,7 +37,10 @@ import math
 from typing import TYPE_CHECKING, Iterator
 
 from .atomic_data import AtomSpec
-from .detector import MAX_ARRAY_SIZE, DetectorSpec, TransmissionSpec, extract_angle
+from .detector import (
+    MAX_ARRAY_SIZE, DetectorSpec, NormalSource, TransmissionSpec, extract_angle,
+    simulate_pulse_detection,
+)
 from .errors import NearResonanceError, ValidationError
 from .frozen import Frozen
 from .rng import (
@@ -48,9 +54,10 @@ from .spin_optics import (
     CollectiveSpinState,
     CouplingParams,
     StokesState,
-    coherent_pulse,
     coupling_constant,
+    decay_mean_z,
     detuning_factor,
+    faraday_angle,
 )
 from .summation import pairwise_sum
 
@@ -101,7 +108,6 @@ class ScanConfig(Frozen):
 
     detunings_hz: tuple[float, ...]
     photons_per_pulse: float = 4.0e6
-    pulse_duration_s: float = 1.0e-6
     pulses_per_sample: int = 10
     runs_per_point: int = 40
     atom_number_spread: float = 0.10
@@ -118,10 +124,6 @@ class ScanConfig(Frozen):
         if not self.photons_per_pulse > 0:
             raise ValidationError(
                 f"photons_per_pulse must be positive, got {self.photons_per_pulse!r}"
-            )
-        if not self.pulse_duration_s > 0:
-            raise ValidationError(
-                f"pulse_duration_s must be positive, got {self.pulse_duration_s!r}"
             )
         for name in ("pulses_per_sample", "runs_per_point"):
             value = getattr(self, name)
@@ -150,27 +152,23 @@ def _detuning_pool(seed: int, detuning_index: int) -> tuple:
     return mix_entropy(lead + uint32_words(detuning_index))
 
 
-def _cell_states(seed: int, detuning_index: int, run_indices) -> list[tuple[int, int]]:
+def _cell_states(seed: int, detuning_index: int, n_runs: int) -> list[tuple[int, int]]:
     """(state, inc) of np.random.PCG64(np.random.SeedSequence(seed,
-    spawn_key=(detuning_index, r))) for every r in run_indices at once.
+    spawn_key=(detuning_index, r))) for every run r in range(n_runs) at once.
 
     The detuning's shared words are hashed once in ints; the hash then runs
-    on uint64 arrays of the run-index words, with one element per cell: its
+    on a uint64 array of the run indices, with one element per cell: its
     hash constants depend only on word positions, so they are the same for
-    every cell.  The run indices must share one 32-bit word count, as every
-    index below 2**32 does.
+    every cell.  ScanConfig bounds n_runs by 2**22, so every run index is
+    one 32-bit word.
     """
     import numpy as np
 
-    runs = np.array(run_indices, dtype=object)  # Python ints of any size
-    width = len(uint32_words(runs.max()))
-    if len(uint32_words(runs.min())) != width:
-        raise ValueError("run indices must share one 32-bit word count")
-    words = [((runs >> 32 * k) & 0xFFFFFFFF).astype(np.uint64) for k in range(width)]
+    runs = np.arange(n_runs, dtype=np.uint64)
     # PCG64 seeding in Python ints, over all cells at once
     state, inc = pcg64_seed(*(
         word.astype(object)
-        for word in seed_sequence_words(words, _detuning_pool(seed, detuning_index))
+        for word in seed_sequence_words([runs], _detuning_pool(seed, detuning_index))
     ))
     return list(zip(state.tolist(), inc.tolist()))
 
@@ -184,40 +182,6 @@ def _set_cell_state(generator: np.random.Generator, state: int, inc: int) -> Non
     }
 
 
-def _pulse_kernel(
-    n_pulses: int,
-    j_z0: np.ndarray,
-    g: float,
-    n_photons: float,
-    per_pulse_decay: float,
-    det: DetectorSpec,
-    tr: TransmissionSpec,
-    noise: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pulse trains as (rows x pulses) arrays, one row per sample with its
-    initial <J_z> in j_z0: <J_z> before each pulse plus the post-train
-    value (n_pulses + 1 columns), the measured imbalances and the extracted
-    angles.  noise holds each row's standard normals, or None for
-    noiseless detection.
-
-    Every element is computed with the operations of the scalar chain
-    faraday_angle -> simulate_pulse_detection -> extract_angle ->
-    decay_mean_z, in the same order: cumprod multiplies sequentially along
-    each row, and n_pulses normals drawn at once equal n_pulses scalar
-    draws.
-    """
-    import numpy as np
-
-    factors = np.full((len(j_z0), n_pulses + 1), 1.0 - per_pulse_decay)
-    factors[:, 0] = j_z0
-    j_z = np.cumprod(factors, axis=1)
-    delta = g * j_z[:, :-1] * n_photons * tr.t_h * tr.t_v
-    if noise is not None:
-        sigma = math.sqrt(n_photons + det.electronic_noise_var)
-        delta = delta + sigma * noise
-    return j_z, delta, extract_angle(delta, n_photons, tr)
-
-
 def run_pulse_train(
     n_pulses: int,
     atoms: CollectiveSpinState,
@@ -226,28 +190,26 @@ def run_pulse_train(
     dm: DestructionModel,
     det: DetectorSpec,
     tr: TransmissionSpec,
-    stream: np.random.Generator | None,
+    stream: NormalSource | None,
 ) -> tuple[list[tuple[int, float, float]], CollectiveSpinState]:
     """Probe one sample n_pulses times.
 
     Per pulse: the rotation angle follows the current <J_z>, one detection
-    is simulated, then the destruction model decays <J_z>.  Returns the list
-    of (pulse_index, measured imbalance, extracted angle) and the post-train
+    is simulated (noiseless when stream is None), the angle is extracted,
+    then the destruction model decays <J_z>.  Returns the list of
+    (pulse_index, measured imbalance, extracted angle) and the post-train
     atomic state; the input state is never mutated.
     """
-    import numpy as np
-
     if not (isinstance(n_pulses, int) and n_pulses >= 0):
         raise ValidationError(f"n_pulses must be an integer >= 0, got {n_pulses!r}")
-    j_x, j_y, j_z0 = atoms.mean_j
-    noise = None if stream is None else stream.standard_normal(n_pulses)[np.newaxis]
-    j_z, delta, theta_hat = _pulse_kernel(
-        n_pulses, np.array([j_z0]), cp.g, light_template.n_photons,
-        dm.per_pulse_decay, det, tr, noise,
-    )
-    records = list(zip(range(n_pulses), delta[0].tolist(), theta_hat[0].tolist()))
-    after = CollectiveSpinState((j_x, j_y, float(j_z[0, -1])), atoms.var_j, atoms.n_atoms)
-    return records, after
+    n_photons = light_template.n_photons
+    records = []
+    for pulse_index in range(n_pulses):
+        theta = faraday_angle(atoms, cp.g)
+        delta = simulate_pulse_detection(theta, n_photons, det, tr, stream)
+        records.append((pulse_index, delta, extract_angle(delta, n_photons, tr)))
+        atoms = decay_mean_z(atoms, dm.per_pulse_decay)
+    return records, atoms
 
 
 def run_detuning_scan(
@@ -286,12 +248,12 @@ def run_detuning_scan(
             raise NearResonanceError(
                 f"scan detuning {detuning:.6g} Hz rejected: {exc}"
             ) from exc
-    light = coherent_pulse(cfg.photons_per_pulse, cfg.pulse_duration_s, "x")
 
     cells = len(cfg.detunings_hz) * cfg.runs_per_point
     plain = cells * (cfg.pulses_per_sample + 12) <= _PLAIN_SCAN_WORK
     run_means = (_plain_run_means if plain else _numpy_run_means)(
-        cfg, atoms_template.mean_j[2], [cp.g for cp in couplings], light.n_photons, dm, det, tr
+        cfg, atoms_template.mean_j[2], [cp.g for cp in couplings], cfg.photons_per_pulse,
+        dm, det, tr,
     )
     points = [
         _scan_point(detuning, values, cfg.pulses_per_sample)
@@ -312,7 +274,7 @@ def _plain_run_means(
     """Each detuning's runs' mean extracted angles in turn, in plain floats.
 
     The draws are _numpy_run_means', from rng.NormalStream, and each pulse
-    is computed with _pulse_kernel's operations in the same order, so the
+    is computed with run_pulse_train's operations in the same order, so the
     values are equal bit for bit.
     """
     sigma = math.sqrt(n_photons + det.electronic_noise_var)
@@ -348,7 +310,10 @@ def _numpy_run_means(
 ) -> Iterator[list[float]]:
     """Each detuning's runs' mean extracted angles in turn, with numpy:
     every cell's state is set in turn on one generator, reused for the
-    whole scan, and one _pulse_kernel call probes a detuning's runs.
+    whole scan, and one array computation probes all of a detuning's runs
+    with run_pulse_train's operations, in the same order: cumprod
+    multiplies sequentially along each row, and n_pulses normals drawn at
+    once equal n_pulses scalar draws.
 
     One generator serves the scan, so numpy is imported once per scan;
     each detuning's arrays are still alive when the next one's are
@@ -360,24 +325,24 @@ def _numpy_run_means(
 
     generator = np.random.Generator(np.random.PCG64(0))
     n_runs, n_pulses = cfg.runs_per_point, cfg.pulses_per_sample
+    sigma = math.sqrt(n_photons + det.electronic_noise_var)
     for d_index, g in enumerate(couplings_g):
-        j_z0 = []
+        factors = np.full((n_runs, n_pulses), 1.0 - dm.per_pulse_decay)
         noise = np.empty((n_runs, n_pulses))
         # each run draws from its own cell stream, in the order a fresh
         # generator would: the atom-number normal, then the pulse noise
-        states = _cell_states(cfg.seed, d_index, range(n_runs))
-        for run_index, (state, inc) in enumerate(states):
+        for run_index, (state, inc) in enumerate(_cell_states(cfg.seed, d_index, n_runs)):
             _set_cell_state(generator, state, inc)
             factor = 1.0
             if cfg.atom_number_spread > 0.0:
                 factor = max(
                     0.0, 1.0 + cfg.atom_number_spread * float(generator.standard_normal())
                 )
-            j_z0.append(j_z_template * factor)
+            factors[run_index, 0] = j_z_template * factor
             generator.standard_normal(out=noise[run_index])
-        _, _, theta_hat = _pulse_kernel(
-            n_pulses, np.array(j_z0), g, n_photons, dm.per_pulse_decay, det, tr, noise
-        )
+        j_z = np.cumprod(factors, axis=1)  # <J_z> before each pulse
+        delta = g * j_z * n_photons * tr.t_h * tr.t_v + sigma * noise
+        theta_hat = extract_angle(delta, n_photons, tr)
         # a sequential sum in pulse order, as the per-pulse loop summed
         yield (np.cumsum(theta_hat, axis=1)[:, -1] / n_pulses).tolist()
 

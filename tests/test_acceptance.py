@@ -84,7 +84,6 @@ def test_criterion_02_scan_round_trip():
         cfg = ScanConfig(
             detunings_hz=tuple(float(d) for d in np.linspace(-2.3e9, -0.8e9, 15)),
             photons_per_pulse=4e6,
-            pulse_duration_s=1e-6,
             pulses_per_sample=10,
             runs_per_point=40,
             atom_number_spread=0.10,

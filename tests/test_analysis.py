@@ -132,6 +132,7 @@ def test_column_density_needs_two_usable_points():
 PAIRWISE_BOUNDARIES = (7, 8, 9, 128, 129, 136, 257)
 
 
+@pytest.mark.numpy_oracle
 def test_pairwise_sum_is_numpy_sum():
     # the plain-float fits sum as np.sum does; numpy's reduction is the
     # oracle, for every length across the short loop, the eight-way
@@ -166,6 +167,7 @@ def _numpy_column_density(data, weighted, sigma_source):
     return n_c, chi2, sigma_nc
 
 
+@pytest.mark.numpy_oracle
 @pytest.mark.parametrize("weighted", [True, False])
 @pytest.mark.parametrize("sigma_source", ["stddev", "stderr"])
 def test_column_density_matches_numpy_formulation(weighted, sigma_source):
@@ -269,6 +271,17 @@ def test_photon_budget_beyond_float_range_names_theta():
     for theta in (1e-160, 1e-170, -1e-170):
         with pytest.raises(OverflowError, match=f"theta_rad = {theta!r}"):
             photon_budget(1.0, 1e6, theta)
+
+
+def test_photon_budget_of_an_angle_whose_square_overflows():
+    # theta_rad**2 overflows above ~1.3e154; the total then divides by
+    # theta_rad twice, and underflows to 0.0 for any ordinary atom number
+    for theta in (1e200, -1e200, 1.7e308):
+        assert photon_budget(1.0, 1e6, theta) == 0.0
+    assert photon_budget(1.0, 1e6, -1e155) == pytest.approx(1e-304, rel=1e-12)
+    assert photon_budget(1e300, 1e300, 2e154) == pytest.approx(2.5e291, rel=1e-12)
+    # an angle whose square is finite keeps the ** 2 it always had
+    assert photon_budget(1.0, 1e6, 1e150) == 1e6 / 1e150**2
 
 
 def test_snr_report_anchor():
@@ -423,6 +436,7 @@ def test_tof_fit_exact_recovery():
     assert KB_OVER_M * 25e-6 == pytest.approx(2.391710107976790e-3, rel=1e-6)
 
 
+@pytest.mark.numpy_oracle
 def test_tof_fit_matches_numpy_formulation():
     # temperature and sigma0 and their sigmas are bit-identical to the
     # numpy line fit; chi2 is a plain sequential sum of squares

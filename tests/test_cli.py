@@ -532,6 +532,28 @@ def test_replay_of_a_0_1_manifest_names_the_removed_key(in_tmp_dir, capsys, argv
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("via", ["manifest", "config"])
+def test_scan_pulse_duration_is_refused_by_name(in_tmp_dir, capsys, via):
+    # scan.pulse_duration_s changed no output and is gone since 0.3.0, both
+    # from a manifest that 0.2.0 wrote and from a --config file
+    if via == "manifest":
+        assert cli.main(["scan", "--out", "out.csv"]) == 0
+        manifest_path = in_tmp_dir / "out.csv.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = "0.2.0"
+        manifest["config"]["scan"]["pulse_duration_s"] = 1.0e-6
+        manifest_path.write_text(json.dumps(manifest))
+        argv = ["scan", "--manifest", "out.csv.manifest.json"]
+    else:
+        (in_tmp_dir / "cfg.json").write_text(json.dumps({"scan": {"pulse_duration_s": 1e-6}}))
+        argv = ["scan", "--config", "cfg.json", "--out", "out.csv"]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "unknown config key 'scan.pulse_duration_s'" in err
+    assert "Traceback" not in err
+
+
 def test_replay_of_a_decay_manifest_checks_its_mode(in_tmp_dir, capsys):
     assert cli.main(["decay", "simulate", "--out", "d.csv"]) == 0
     manifest_path = in_tmp_dir / "d.csv.manifest.json"
@@ -801,6 +823,15 @@ def test_budget_beyond_float_range_exits_3(in_tmp_dir, capsys, flags, key):
     assert not (in_tmp_dir / "b.json").exists()
 
 
+def test_budget_of_an_angle_whose_square_overflows_is_zero(in_tmp_dir, capsys):
+    # theta_rad**2 overflows at 1e200; the budget there underflows to 0
+    argv = ["budget", "--theta", "1e200", "--photons-per-pulse", "4.3e6", "--out", "b.json"]
+    assert cli.main(argv) == 0
+    document = json.loads((in_tmp_dir / "b.json").read_text())
+    assert (document["photons_total"], document["n_pulses"]) == (0.0, 0.0)
+    assert capsys.readouterr().err == ""
+
+
 # one value per _RULES row that its JSON type admits but its range does not
 # (test_negative_seed_exits_2 covers the decay, tof and pulse seeds)
 RANGE_VIOLATIONS = [
@@ -855,7 +886,9 @@ OVERSIZED_COUNTS = {
 @pytest.mark.parametrize(
     "argv, override, code",
     [
-        (["scan"], {"scan": {"photons_per_pulse": 1e308}}, 3),
+        # a scan reads the photon number alone, and 1e308 photons give
+        # finite angles (it once exited 3 squaring 5e307 in a StokesState)
+        (["scan"], {"scan": {"photons_per_pulse": 1e308}}, 0),
         (["decay", "simulate"], {"decay": {"sigma_r_m": 1e308}}, 3),
         (["tof", "simulate"], {"tof": {"sigma0_m": 1e308}}, 3),
         (["tof", "simulate"], {"tof": {"t_stop_s": 1e308}}, 3),
@@ -866,9 +899,14 @@ OVERSIZED_COUNTS = {
         # both once wrote NaN rows and exited 0
         (["scan"], {"scan": {"atom_number_spread": 1e308}}, 3),
         (["decay", "simulate"], {"decay": {"n0": math.inf}}, 2),
+        # each once wrote inf or nan rows that no reader accepts, and exited 0
+        (["tof", "simulate"], {"tof": {"sigma0_m": math.inf}}, 3),
+        (["pulse"], {"pulse": {"theta_rad": math.inf}}, 3),
+        (["pulse"], {"pulse": {"theta_rad": 1e300, "n_photons": 1e300}}, 3),
     ],
     ids=["photons-per-pulse", "sigma-r", "sigma0", "t-stop", "atoms-flag",
-         "huge-int-detuning", *OVERSIZED_COUNTS, "atom-spread", "infinite-n0"],
+         "huge-int-detuning", *OVERSIZED_COUNTS, "atom-spread", "infinite-n0",
+         "infinite-sigma0", "infinite-pulse-theta", "pulse-imbalance-overflow"],
 )
 def test_extreme_values_honour_exit_codes(in_tmp_dir, capsys, argv, override, code):
     (in_tmp_dir / "cfg.json").write_text(json.dumps(override))
@@ -876,6 +914,12 @@ def test_extreme_values_honour_exit_codes(in_tmp_dir, capsys, argv, override, co
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert bool(err) == (code != 0)
+    out = in_tmp_dir / "out.csv"
+    if code != 0:
+        assert not out.exists()
+    else:  # every field of every row is finite
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert rows and all(math.isfinite(float(field)) for row in rows for field in row)
 
 
 @pytest.mark.parametrize("argv, override, key", OVERSIZED_COUNTS.values(),

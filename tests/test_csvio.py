@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from coldspin.csvio import read_table, write_table
@@ -14,6 +16,16 @@ def test_fields_are_formatted_by_declared_type(tmp_path):
     )
     with pytest.raises(ValueError):
         write_table(path, COLUMNS, [(0.5, 2.0)])
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_float_fields_are_refused_before_the_file_opens(tmp_path, value):
+    path = tmp_path / "t.csv"
+    rows = ((t, n) for t, n in [(0.5, 1), (value, 2)])  # a generator is checked too
+    with pytest.raises(ArithmeticError, match=f"row 3: time_s is {value!r}, not finite") as info:
+        write_table(path, COLUMNS, rows)
+    assert str(path) in str(info.value)
+    assert not path.exists()
 
 
 def test_round_trip_parses_by_column_type(tmp_path):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,15 +21,12 @@ from coldspin import (
     coherent_pulse,
     coherent_spin_state,
     coupling_constant,
-    decay_mean_z,
     default_atom_spec,
-    extract_angle,
     faraday_angle,
     read_scan_csv,
     run_detuning_scan,
     run_pulse_train,
     scattering_probability,
-    simulate_pulse_detection,
     write_scan_csv,
 )
 from coldspin import experiment
@@ -41,7 +42,6 @@ def small_config(**overrides):
     defaults = dict(
         detunings_hz=(-2.3e9, -1.6e9, -0.8e9),
         photons_per_pulse=4e6,
-        pulse_duration_s=1e-6,
         pulses_per_sample=3,
         runs_per_point=5,
         atom_number_spread=0.10,
@@ -69,31 +69,28 @@ def scaled(atoms, factor):
 
 def test_child_stream_is_deterministic_and_distinct():
     # each (seed, detuning, run) cell seeds a stream of its own
-    a = _cell_states(7, 2, (3,))
-    assert a == _cell_states(7, 2, (3,))
-    for other in (_cell_states(7, 2, (4,)), _cell_states(7, 3, (3,)), _cell_states(8, 2, (3,))):
-        assert other != a
+    a = _cell_states(7, 2, 5)
+    assert a == _cell_states(7, 2, 5)
+    assert a[:3] == _cell_states(7, 2, 3)
+    assert len(set(a)) == 5
+    for other in (_cell_states(7, 3, 5), _cell_states(8, 2, 5)):
+        assert not set(other) & set(a)
 
 
+@pytest.mark.numpy_oracle
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 10**30])
 def test_child_stream_is_numpy_spawned_seed_sequence(seed):
     # the cell seeding re-derives numpy's SeedSequence and PCG64 arithmetic;
     # numpy's own construction is the oracle
-    indices = (0, 1, 399, 2**16 + 3, 2**31)
     generator = np.random.Generator(np.random.PCG64(0))
-    for detuning_index in indices:
-        states = _cell_states(seed, detuning_index, indices)
-        for run_index, (state, inc) in zip(indices, states):
+    for detuning_index in (0, 1, 399, 2**16 + 3, 2**31):
+        states = _cell_states(seed, detuning_index, 400)
+        assert len(states) == 400
+        for run_index in (0, 1, 2, 255, 256, 399):
             expected = numpy_cell_stream(seed, detuning_index, run_index)
-            _set_cell_state(generator, state, inc)
+            _set_cell_state(generator, *states[run_index])
             assert generator.bit_generator.state == expected.bit_generator.state
             assert np.array_equal(generator.standard_normal(16), expected.standard_normal(16))
-
-
-def test_cell_states_reject_run_indices_of_mixed_word_counts():
-    # the cells of one call share their entropy layout
-    with pytest.raises(ValueError, match="word count"):
-        _cell_states(7, 2, [1, 2**32])
 
 
 def test_pulse_train_noiseless_signal_decays_geometrically():
@@ -131,40 +128,27 @@ def test_pulse_train_input_not_mutated():
     assert atoms == coherent_spin_state(1e6, "z")
 
 
-def reference_pulse_train(n_pulses, atoms, cp, light, dm, det, tr, stream):
-    """The scalar per-pulse chain the array kernel must reproduce bit for bit."""
-    records = []
-    for pulse_index in range(n_pulses):
-        theta = faraday_angle(atoms, cp.g)
-        delta_count = simulate_pulse_detection(theta, light.n_photons, det, tr, stream)
-        theta_hat = extract_angle(delta_count, light.n_photons, tr)
-        records.append((pulse_index, delta_count, theta_hat))
-        atoms = decay_mean_z(atoms, dm.per_pulse_decay)
-    return records, atoms
-
-
-@pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "noiseless"])
-@pytest.mark.parametrize("decay", [0.0, 1e-4, 0.5])
-@pytest.mark.parametrize("n_pulses", [0, 1, 7, 1000])
-def test_pulse_train_matches_per_pulse_reference_exactly(n_pulses, decay, seeded):
-    # non-unit transmissions and an off-grid atom number so that any change
-    # in the order of the floating-point operations shows in the last bit
-    cp = coupling_constant(-1.37e9, AREA, SPEC)
-    atoms = scaled(coherent_spin_state(1e6, "-z"), 0.9371)
-    light = coherent_pulse(3.3e6, 1e-6, "x")
-    dm = DestructionModel(decay)
-    tr = TransmissionSpec(t_h=0.93, t_v=0.87)
-
-    def stream():
-        return numpy_cell_stream(11, 2, 5) if seeded else None
-
-    expected, expected_after = reference_pulse_train(
-        n_pulses, atoms, cp, light, dm, DET, tr, stream()
+def test_pulse_train_loads_no_numpy():
+    # the train is the scalar chain, noisy from a NormalStream or noiseless
+    code = """
+import sys
+from coldspin import (DestructionModel, DetectorSpec, TransmissionSpec, coherent_pulse,
+                      coherent_spin_state, coupling_constant, default_atom_spec,
+                      run_pulse_train)
+from coldspin.rng import NormalStream
+cp = coupling_constant(-1.6e9, 1.0e6 / 2.65e14, default_atom_spec())
+args = (coherent_spin_state(1e6, "z"), cp, coherent_pulse(4e6, 1e-6, "x"),
+        DestructionModel(), DetectorSpec(), TransmissionSpec())
+for stream in (NormalStream(7), None):
+    records, after = run_pulse_train(20, *args, stream)
+    assert len(records) == 20 and after.mean_j[2] < 5e5
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(experiment.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    records, after = run_pulse_train(n_pulses, atoms, cp, light, dm, DET, tr, stream())
-    assert records == expected
-    assert after == expected_after
-    assert all(type(value) is float for record in records for value in record[1:])
+    assert result.stdout.strip() == "[]"
 
 
 def run_scan(cfg, n_atoms=1e6):
@@ -179,11 +163,11 @@ def run_scan(cfg, n_atoms=1e6):
     )
 
 
-def reference_scan(cfg, atoms, dm):
+def reference_scan(cfg, atoms, dm, tr):
     """Each cell through numpy's own generator for it and run_pulse_train,
-    with the scan's aggregation."""
+    the scalar chain, with the scan's aggregation."""
     points = []
-    light = coherent_pulse(cfg.photons_per_pulse, cfg.pulse_duration_s, "x")
+    light = coherent_pulse(cfg.photons_per_pulse, 1e-6, "x")
     for d_index, detuning in enumerate(cfg.detunings_hz):
         cp = coupling_constant(detuning, AREA, SPEC)
         means = []
@@ -194,7 +178,7 @@ def reference_scan(cfg, atoms, dm):
                 factor = max(0.0, 1.0 + cfg.atom_number_spread * float(stream.standard_normal()))
             records, _ = run_pulse_train(
                 cfg.pulses_per_sample, scaled(atoms, factor), cp, light, dm,
-                DET, TR, stream,
+                DET, tr, stream,
             )
             total = 0.0  # left to right: the built-in sum compensates on Python >= 3.12
             for _, _, theta in records:
@@ -215,17 +199,41 @@ def reference_scan(cfg, atoms, dm):
     return ScanDataset(points=tuple(points), seed=cfg.seed)
 
 
+# non-unit transmissions and an off-grid atom number, so that any change in
+# the order of the floating-point operations shows in the last bit
+LOSSY_TR = TransmissionSpec(t_h=0.93, t_v=0.87)
+OFF_GRID = 0.9371
+
+
+def assert_both_paths_match_reference(cfg, atoms, dm, monkeypatch):
+    """Both scan paths equal reference_scan bit for bit: the shapes tested
+    run plain, and a zero cutoff sends them down the numpy path."""
+    expected = reference_scan(cfg, atoms, dm, LOSSY_TR)
+    for cutoff in (experiment._PLAIN_SCAN_WORK, 0):
+        monkeypatch.setattr(experiment, "_PLAIN_SCAN_WORK", cutoff)
+        scan = run_detuning_scan(cfg, atoms, SPEC, AREA, DET, LOSSY_TR, dm)
+        assert scan == expected, (dm, cutoff)
+
+
+@pytest.mark.numpy_oracle
 @pytest.mark.parametrize("spread", [0.0, 0.1])
 @pytest.mark.parametrize("seed", [3, 2**64 + 7])
 def test_scan_matches_per_cell_reference_exactly(seed, spread, monkeypatch):
     cfg = small_config(pulses_per_sample=4, atom_number_spread=spread, seed=seed)
-    atoms = coherent_spin_state(1e6, "z")
-    dm = DestructionModel(0.01)
-    expected = reference_scan(cfg, atoms, dm)
-    # this shape runs plain; a zero cutoff sends it down the numpy path
-    for cutoff in (experiment._PLAIN_SCAN_WORK, 0):
-        monkeypatch.setattr(experiment, "_PLAIN_SCAN_WORK", cutoff)
-        assert run_detuning_scan(cfg, atoms, SPEC, AREA, DET, TR, dm) == expected, cutoff
+    atoms = scaled(coherent_spin_state(1e6, "z"), OFF_GRID)
+    for decay in (0.0, 0.01, 0.5):
+        assert_both_paths_match_reference(cfg, atoms, DestructionModel(decay), monkeypatch)
+
+
+@pytest.mark.numpy_oracle
+@pytest.mark.parametrize("decay", [0.0, 0.01, 0.5])
+@pytest.mark.parametrize("n_pulses", [1, 7, 1000])
+def test_trains_of_any_length_match_per_cell_reference_exactly(n_pulses, decay, monkeypatch):
+    # one pulse, a few, and a long train halving <J_z> a thousand times
+    cfg = small_config(detunings_hz=(-1.37e9,), pulses_per_sample=n_pulses, runs_per_point=3,
+                       photons_per_pulse=3.3e6, seed=11)
+    atoms = scaled(coherent_spin_state(1e6, "-z"), OFF_GRID)
+    assert_both_paths_match_reference(cfg, atoms, DestructionModel(decay), monkeypatch)
 
 
 def scan_work(runs, pulses, n_detunings=15):
@@ -238,6 +246,7 @@ def scan_work(runs, pulses, n_detunings=15):
 RUN_MEANS_SHAPES = [(40, 10), (1, 1), (1, 1000), (55, 1), (55, 40), (400, 10), (4, 1000)]
 
 
+@pytest.mark.numpy_oracle
 @pytest.mark.parametrize("runs, pulses", RUN_MEANS_SHAPES)
 def test_plain_and_numpy_run_means_are_equal(runs, pulses):
     sides = {scan_work(r, p) <= experiment._PLAIN_SCAN_WORK for r, p in RUN_MEANS_SHAPES}
@@ -262,6 +271,7 @@ def test_plain_and_numpy_run_means_are_equal(runs, pulses):
         assert all(type(value) is float for values in plain for value in values)
 
 
+@pytest.mark.numpy_oracle
 @pytest.mark.parametrize("n_runs", [1, 2, 7, 8, 40, 129, 400, 1000, 4099])
 def test_scan_point_is_numpy_mean_and_std(n_runs):
     # past 8 values the pairwise order differs from a sequential sum, and

@@ -44,8 +44,8 @@ VALUE_CLASSES = [
     (ScanDataset, {"points": (ScanPoint(**POINT),), "seed": 3}, {}),
     (DestructionModel, {"per_pulse_decay": 1e-4}, {}),
     (ScanConfig,
-     {"detunings_hz": [1e9, -2e9, 0], "photons_per_pulse": 4e6, "pulse_duration_s": 1e-6,
-      "pulses_per_sample": 10, "runs_per_point": 40, "atom_number_spread": 0.1, "seed": 0},
+     {"detunings_hz": [1e9, -2e9, 0], "photons_per_pulse": 4e6, "pulses_per_sample": 10,
+      "runs_per_point": 40, "atom_number_spread": 0.1, "seed": 0},
      {"detunings_hz": (-2e9, 0.0, 1e9)}),
     (FitResult,
      {"params": MappingProxyType({"n": 1.0}), "sigmas": MappingProxyType({"n": 0.1}),

@@ -16,49 +16,52 @@ import pytest
 
 from coldspin import cli
 
+# the digests must hold under every numpy that pyproject.toml allows
+pytestmark = pytest.mark.numpy_oracle
+
 GOLDEN = {
     "default": {
         "scan.csv": "e0ba9c7d679a00db0ce493a488c00871a16f30952f46c57e63d6b87e6783a28b",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "5cef1087fdecd1ad7ab8d99b5a3ed869917aa565cb6075700d3ebb7ab430542d",
+        "scan.csv.manifest.json": "89a874c13354bc729d525531da74dbfeff94a29c1e8e52d8f90c331b91527db7",
     },
     "long_trains": {
         "scan.csv": "8c0ff5437572cd2bd644d043efffde924fefebe09155c0566a409ce34c18175c",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "82f2bca36e48d5560e7014e09e9274b667079d41596cad18f23076a100dd885b",
+        "scan.csv.manifest.json": "74df2cdd9283d319b3000fc69bb116699b0e88b481150725b01845d1af00f01c",
     },
     "three_threads": {
         "scan.csv": "e0ba9c7d679a00db0ce493a488c00871a16f30952f46c57e63d6b87e6783a28b",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "5ab771206d2a66ecf36fcff7a9bccd1e4cc4302dc50a3bc897b76cbbb6b6fe8d",
+        "scan.csv.manifest.json": "a580b66dc8b8b4e8774b6f4af2d6985dcfff035917cfa6ec2d1b3b96876c9564",
     },
     "fit": {
         "fit.json": "75bb565f2023ef66b9c564538aa59a23d419732ca4eba85648427f072c99a7b3",
-        "fit.json.manifest.json": "27ea9ed23f71984131422bdb28a93cdafc51cc18a8ddfaf71f4ead452ab9c5df",
+        "fit.json.manifest.json": "e9032dba59e55ab272da7a3b0fb0af74f6d7c1a9efcd81c3e12f209217a37267",
     },
     "budget": {
         "budget.json": "d13a7cf565a070eb21d998cc3b8574c0f1aa89253d06306827f3cc6ea98bb788",
-        "budget.json.manifest.json": "bd7bd7d3af1962ed58ef2377b5de129b28a29b94fbddf35144acf436665e3051",
+        "budget.json.manifest.json": "19411cd3460e1997bed5b280f47e21c0e45c07450d7c0fb4d6f8aee928727528",
     },
     "decay_simulate": {
         "decay.csv": "272846036b07eb42a982151e5e36ce1b52db97d4eb39c0666c2ceceb4a6ea5a1",
-        "decay.csv.manifest.json": "6b21694ef524076d0e369144bdb14d7545ecfa194a9f664ab1c80b00898608d5",
+        "decay.csv.manifest.json": "15cfb436c0096d79255c031a0f4b34a6f46c5c7bca01d453abf77543c4dddf4e",
     },
     "decay_fit": {
         "decay_fit.json": "60b2c5792a6db54fd479bb39ff858a45805936607039655fdbfe5c20ca0c9483",
-        "decay_fit.json.manifest.json": "a71ea7989ddfa9531ed01ab9c7cb99cfa630ccedcf2da06bb519fa75137224f4",
+        "decay_fit.json.manifest.json": "d9dce0704557726f66ad5c7123dea5792b534816af7be53d2db4c5b4f08eef0f",
     },
     "tof_simulate": {
         "tof.csv": "286b949fc63fa969fb095f7b04b772ac5f62901966e6f664a5cf83df974d573b",
-        "tof.csv.manifest.json": "f1d6c42ee588ac7d1103391ed44e1ec4daed413d99a8f27e4ef9a19f00660db7",
+        "tof.csv.manifest.json": "e7bbc5da5ca29fb895446eae768db79e1d91902d8558ee85c80986ca964fd6e5",
     },
     "tof_fit": {
         "tof_fit.json": "bca7cf0427183479f16871f21cedc0765cc0058e09c305efa9a4af457ae2cd30",
-        "tof_fit.json.manifest.json": "7ea60727cc688172a15086255b3e9232ef8ee0bc4a10b3a08d41760ed2d87460",
+        "tof_fit.json.manifest.json": "780fb7a745894ca5de02a1ba5a97746b8710376cd43025dab8753049c51143b8",
     },
     "pulse_noisy": {
         "pulse.csv": "c0fb5808201d464e22f50e6abbc90c09df33f43f072ede436c015edfef5d7cf3",
-        "pulse.csv.manifest.json": "c251e517deca3dfd2252a16bd4181cbbc620f81bbcf7aaa19ba438259ba05ca2",
+        "pulse.csv.manifest.json": "e99f5e73cb08014d80276aea548c18590d4fcddbbcca19421996029da89b9e4a",
     },
 }
 

@@ -27,6 +27,7 @@ def bits(values) -> list[int]:
     return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
 
 
+@pytest.mark.numpy_oracle
 def test_normal_stream_is_numpy_standard_normal(monkeypatch):
     assert len(SEEDS) * DRAWS >= 10**6
     assert {len(uint32_words(seed)) for seed in SEEDS} >= {1, 2, 3, POOL_SIZE + 2}
@@ -60,6 +61,7 @@ def test_normal_stream_is_numpy_standard_normal(monkeypatch):
     assert calls["log1p"] > 0
 
 
+@pytest.mark.numpy_oracle
 def test_seed_sequence_words_are_numpy_generate_state():
     for seed in SEEDS:
         expected = np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
@@ -82,6 +84,7 @@ def test_seed_sequence_words_are_numpy_generate_state():
 WORD = st.integers(0, 2**32 - 1)
 
 
+@pytest.mark.numpy_oracle
 @given(
     prefix=st.lists(WORD, min_size=POOL_SIZE, max_size=POOL_SIZE + 3),
     # one to five sequences, whose tails share one word count
@@ -141,6 +144,7 @@ ENDPOINTS = st.one_of(
 )
 
 
+@pytest.mark.numpy_oracle
 @given(start=ENDPOINTS, stop=ENDPOINTS, num=st.integers(2, 300))
 @example(start=0.0, stop=0.0, num=5)
 @example(start=-2.3e9, stop=-2.3e9, num=15)
