@@ -12,7 +12,7 @@ projection-noise-limited probing, and trap-characterization fits
 
 import importlib
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # The package loads lazily (PEP 562; Scientific Python SPEC 1): each public
 # name is imported from the submodule that defines it on first access, so
@@ -21,11 +21,9 @@ _EXPORTS = {
     "analysis": (
         "FitResult", "compute_od", "fit_column_density", "fit_result_from_json_dict",
         "fit_tof_temperature", "fit_two_body_decay", "photon_budget", "snr_report",
-        "write_fit_json",
     ),
     "atomic_data": (
         "AtomSpec", "TrapSpec", "default_atom_spec", "default_trap_spec", "load_atom_spec",
-        "resonant_cross_section",
     ),
     "detector": (
         "DetectorSpec", "PulseRecord", "TransmissionSpec", "angle_variance", "extract_angle",

@@ -15,14 +15,14 @@ inverse.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .atomic_data import BOLTZMANN_J_PER_K, AtomSpec
 from .detector import DetectorSpec
 from .ensemble import two_body_gradient, two_body_population
 from .errors import FitError, ValidationError
 from .frozen import Frozen
-from .jsonio import decode_nonfinite, write_json
+from .jsonio import decode_nonfinite
 from .scandata import ScanDataset
 from .spin_optics import DEFAULT_GUARD_LINEWIDTHS, rotation_cross_section
 from .summation import pairwise_sum
@@ -89,10 +89,6 @@ def fit_result_from_json_dict(document: Mapping) -> FitResult:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"not a fit-result document: {exc}") from exc
-
-
-def write_fit_json(fit: FitResult, path) -> None:
-    write_json(path, fit.to_json_dict())
 
 
 def fit_column_density(

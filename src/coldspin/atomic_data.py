@@ -7,8 +7,11 @@ standard published line-data tables (Steck, "Rubidium 87 D Line Data"):
 vacuum wavelength 780.241209686 nm, natural linewidth 6.0666 MHz, excited
 state hyperfine intervals 72.218 MHz (F'=0 to F'=1) and 156.947 MHz (F'=1 to
 F'=2), atomic mass 1.44316060e-25 kg.  Any JSON document with the same keys
-can replace them.  The general constants k_B, h and c are the exact values
-fixed by the 2019 SI (BIPM SI Brochure, 9th ed.).
+can replace them; the CLI reads the one a config's atom_data key names.
+The packaged document is read from the data directory beside this file,
+so the package must be installed as files, not imported from a zip.  The
+general constants k_B, h and c are the exact values fixed by the 2019 SI
+(BIPM SI Brochure, 9th ed.).
 
 All frequencies are linear frequencies in Hz.  The light-atom coupling only
 ever uses the ratio of the linewidth to a detuning, so no 2*pi bookkeeping
@@ -17,13 +20,13 @@ enters as long as both use the same convention.
 
 from __future__ import annotations
 
-import json
 import math
-from importlib import resources
-from typing import Any, Mapping
+import os
+from collections.abc import Mapping
 
 from .errors import ValidationError
 from .frozen import Frozen
+from .jsonio import read_json
 
 BOLTZMANN_J_PER_K = 1.380649e-23
 PLANCK_J_S = 6.62607015e-34
@@ -39,7 +42,7 @@ ATOM_KEYS = (
 TRAP_KEYS = ("wavelength_m", "power_w", "waist_m")
 
 
-def _require_number(value: Any, name: str, *, allow_zero: bool = False) -> float:
+def _require_number(value: object, name: str, *, allow_zero: bool = False) -> float:
     """value as a float if it is a finite number > 0 (>= 0 with allow_zero)."""
     # bool is an int subclass; reject it explicitly
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -52,7 +55,7 @@ def _require_number(value: Any, name: str, *, allow_zero: bool = False) -> float
 
 
 def _require_shape(
-    document: Any, keys: tuple[str, ...], what: str, extra: tuple[str, ...] = ()
+    document: object, keys: tuple[str, ...], what: str, extra: tuple[str, ...] = ()
 ) -> None:
     """Reject a non-mapping document, a missing key or a key outside
     keys + extra, so typos fail loudly; values are checked by the spec."""
@@ -124,7 +127,7 @@ class TrapSpec(Frozen):
             object.__setattr__(self, name, value)
 
 
-def load_atom_spec(document: Mapping[str, Any]) -> AtomSpec:
+def load_atom_spec(document: Mapping[str, object]) -> AtomSpec:
     """Build a validated AtomSpec from a parsed JSON document.
 
     The document must contain exactly ATOM_KEYS, plus an optional nested
@@ -149,8 +152,7 @@ def load_atom_spec(document: Mapping[str, Any]) -> AtomSpec:
 
 def default_atom_document() -> dict:
     """Return the packaged 87Rb D2 document as a plain dict."""
-    text = resources.files("coldspin.data").joinpath("rb87_d2.json").read_text("utf-8")
-    return json.loads(text)
+    return read_json(os.path.join(os.path.dirname(__file__), "data", "rb87_d2.json"))
 
 
 def default_atom_spec() -> AtomSpec:
@@ -162,8 +164,3 @@ def default_trap_spec() -> TrapSpec:
     """Packaged trap laser defaults: 1030 nm, 7 W, 50 um waist, from the
     "trap" section of the packaged document."""
     return TrapSpec(**default_atom_document()["trap"])
-
-
-def resonant_cross_section(spec: AtomSpec) -> float:
-    """Summed on-resonance scattering cross section sigma_0 = lambda^2/pi."""
-    return spec.cross_section_m2

@@ -8,7 +8,9 @@ build_parser and _run_command both read it.  Every run resolves a full
 configuration (packaged defaults, then the --config file, then the
 flags), checks it once (_check_config), executes, and writes a manifest
 recording the command, tool version, seed, the fully resolved config with
-atomic constants inlined, and a SHA-256 digest of every output file.
+atomic constants inlined, and a SHA-256 digest of every output file.  The
+constants come from one place: the JSON file the config key atom_data
+names, or the packaged 87Rb D2 file when it is null.
 Re-invoking a command with only `--manifest PATH` replays that run from
 the stored config and verifies the digests, so any (config, seed) pair is
 reproducible byte-for-byte.
@@ -31,7 +33,7 @@ import hashlib
 import math
 import os
 import sys
-from typing import Callable, NamedTuple
+from collections.abc import Callable
 
 from . import __version__
 from .atomic_data import default_atom_document, load_atom_spec
@@ -39,6 +41,7 @@ from .atomic_data import default_atom_document, load_atom_spec
 from .csvio import read_table as _read_rows_csv, write_table as _write_rows_csv
 from .detector import MAX_ARRAY_SIZE
 from .errors import FitError, NearResonanceError, ValidationError
+from .frozen import Frozen
 from .jsonio import decode_nonfinite, read_json, write_json
 
 _SQRT_8LN2 = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -239,13 +242,10 @@ def _resolve_config(config_path: str | None) -> dict:
 
 
 def _attach_atom_constants(cfg: dict) -> None:
-    """Inline the atomic-constants document into the config, resolving
-    COLDSPIN_ATOM_DATA over the config's atom_data path over the packaged
-    file.  Replayed configs already carry the constants."""
-    env_path = os.environ.get("COLDSPIN_ATOM_DATA")
-    if env_path:
-        cfg["atom_constants"] = read_json(env_path)
-    elif cfg.get("atom_data"):
+    """Inline the atomic-constants document into the config: the file the
+    config's atom_data key names, else the packaged one.  Replayed configs
+    already carry the constants."""
+    if cfg["atom_data"]:
         cfg["atom_constants"] = read_json(cfg["atom_data"])
     else:
         cfg["atom_constants"] = default_atom_document()
@@ -307,6 +307,16 @@ def _check_paths(cfg: dict, manifest_path: str, outputs=()) -> None:
 # bench/tracing.py rebinds, so a traced run sees them.
 
 
+def _beyond_float_range(what: str, cfg: dict, *keys: str) -> OverflowError:
+    """The error of a model value beyond the float range, naming the dotted
+    config keys it is computed from, with their values."""
+    values = []
+    for key in keys:
+        section, _, name = key.rpartition(".")
+        values.append(f"{key} = {cfg[section][name]!r}")
+    return OverflowError(f"{what} exceeds the float range at {', '.join(values)}")
+
+
 def _scan_curve_path(out: str) -> str:
     stem, extension = os.path.splitext(out)
     return f"{stem}_curve{extension or '.csv'}"
@@ -337,7 +347,8 @@ def _scan_detunings(section: dict) -> list[float]:
 
 def _run_scan(cfg: dict) -> dict:
     from .detector import DetectorSpec, TransmissionSpec
-    from .experiment import DestructionModel, ScanConfig, run_detuning_scan, write_scan_csv
+    from .experiment import DestructionModel, ScanConfig, run_detuning_scan
+    from .scandata import write_scan_csv
     from .spin_optics import coherent_spin_state, rotation_cross_section
 
     spec = load_atom_spec(cfg["atom_constants"])
@@ -352,9 +363,13 @@ def _run_scan(cfg: dict) -> dict:
         seed=section["seed"],
     )
     axis = "z" if ens["polarization"] == 1 else "-z"
+    try:
+        atoms = coherent_spin_state(ens["n_atoms"], axis)
+    except OverflowError:
+        raise _beyond_float_range("the spin state's norm", cfg, "ensemble.n_atoms") from None
     dataset = run_detuning_scan(
         scan_cfg,
-        coherent_spin_state(ens["n_atoms"], axis),
+        atoms,
         spec,
         ens["interaction_area_m2"],
         DetectorSpec(**cfg["detector"]),
@@ -455,13 +470,18 @@ def _run_decay(cfg: dict) -> dict:
     from .ensemble import TrapPopulationParams, evolve_trap_population
 
     section = cfg["decay"]
-    params = TrapPopulationParams(
-        n0=section["n0"],
-        tau_s=section["tau_s"],
-        beta_m3_per_s=section["beta_m3_per_s"],
-        sigma_z_m=section["sigma_z_m"],
-        sigma_r_m=section["sigma_r_m"],
-    )
+    try:
+        params = TrapPopulationParams(
+            n0=section["n0"],
+            tau_s=section["tau_s"],
+            beta_m3_per_s=section["beta_m3_per_s"],
+            sigma_z_m=section["sigma_z_m"],
+            sigma_r_m=section["sigma_r_m"],
+        )
+    except OverflowError:
+        raise _beyond_float_range(
+            "the two-body volume", cfg, "decay.sigma_z_m", "decay.sigma_r_m"
+        ) from None
     out = cfg["out"]
     if cfg["mode"] == "simulate":
         noise = section["noise_fraction"]
@@ -494,7 +514,15 @@ def _run_tof(cfg: dict) -> dict:
         rng = _generator(cfg, "tof")
         rows = []
         for t in _times(section, "tof"):
-            radius = tof_radius(section["sigma0_m"], section["temperature_k"], t, spec.mass_kg)
+            try:
+                radius = tof_radius(
+                    section["sigma0_m"], section["temperature_k"], t, spec.mass_kg
+                )
+            except OverflowError:
+                raise _beyond_float_range(
+                    f"the cloud radius at t = {t!r} s", cfg,
+                    "tof.sigma0_m", "tof.temperature_k", "tof.t_stop_s",
+                ) from None
             if noise:
                 radius = abs(radius + noise * rng.standard_normal())
             rows.append((t, radius))
@@ -533,7 +561,7 @@ def _run_pulse(cfg: dict) -> dict:
 # ------------------------------------------------------------- commands
 
 
-class _Flag(NamedTuple):
+class _Flag(Frozen):
     option: str
     key: str  # the config key the flag overrides, dotted below a section
     help: str
@@ -542,7 +570,7 @@ class _Flag(NamedTuple):
     switch: bool | None = None  # a switch takes no value and stores this one
 
 
-class _Command(NamedTuple):
+class _Command(Frozen):
     help: str
     runner: Callable[[dict], dict]  # runs a resolved config, returns its output digests
     seeded: str | None  # section whose seed --seed sets; None records seed null

@@ -14,7 +14,7 @@ file and the row.  Rows are numbered from the header, row 1.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from .errors import ValidationError
 

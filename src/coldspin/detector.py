@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Protocol
 
 from .csvio import read_table, write_table
 from .errors import ValidationError
@@ -33,13 +32,6 @@ from .frozen import Frozen
 MAX_ARRAY_SIZE = 2**22
 
 PULSE_CSV_COLUMNS = {"sample_index": int, "value": float}
-
-
-class NormalSource(Protocol):
-    """What the noise of a pulse is drawn from: rng.NormalStream or a numpy
-    Generator."""
-
-    def standard_normal(self) -> float: ...
 
 
 class DetectorSpec(Frozen):
@@ -108,13 +100,15 @@ def simulate_pulse_detection(
     n_photons: float,
     det: DetectorSpec,
     tr: TransmissionSpec,
-    noise_stream: NormalSource | None = None,
+    noise_stream: object | None = None,
 ) -> float:
     """One measured imbalance dN' = theta N_L t_h t_v + noise.
 
-    The noise term is Gaussian with variance N_L + electronic_noise_var.
-    Pass noise_stream=None for the noiseless signal model (used to invert
-    and to test the round trip).  Small-angle model; valid for |theta| << 1.
+    The noise term is Gaussian with variance N_L + electronic_noise_var,
+    drawn from noise_stream's standard_normal() (an rng.NormalStream or a
+    numpy Generator).  Pass noise_stream=None for the noiseless signal
+    model (used to invert and to test the round trip).  Small-angle model;
+    valid for |theta| << 1.
     """
     if not n_photons > 0:
         raise ValidationError(f"n_photons must be positive, got {n_photons!r}")

@@ -28,27 +28,25 @@ generator, and probes all of the detuning's runs in one array
 computation, where the per-pulse <J_z> is a running product along each
 row.  One aggregation (_scan_point) then sums the runs' mean angles as
 np.mean and np.std do.  A scan reads only the photon number of a pulse,
-so it takes no pulse duration.
+so it takes no pulse duration.  The dataset and its CSV table are
+scandata's.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator
+from collections.abc import Iterator
 
 from .atomic_data import AtomSpec
 from .detector import (
-    MAX_ARRAY_SIZE, DetectorSpec, NormalSource, TransmissionSpec, extract_angle,
-    simulate_pulse_detection,
+    MAX_ARRAY_SIZE, DetectorSpec, TransmissionSpec, extract_angle, simulate_pulse_detection,
 )
 from .errors import NearResonanceError, ValidationError
 from .frozen import Frozen
 from .rng import (
     POOL_SIZE, NormalStream, mix_entropy, pcg64_seed, seed_sequence_words, uint32_words,
 )
-# the dataset and its CSV table live in scandata, which the fit loads
-# without numpy; read_scan_csv and write_scan_csv are re-exported here
-from .scandata import ScanDataset, ScanPoint, read_scan_csv, write_scan_csv
+from .scandata import ScanDataset, ScanPoint
 from .spin_optics import (
     DEFAULT_GUARD_LINEWIDTHS,
     CollectiveSpinState,
@@ -60,9 +58,6 @@ from .spin_optics import (
     faraday_angle,
 )
 from .summation import pairwise_sum
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # A scan runs in plain Python when cells * (pulses_per_sample + 12) is at
 # most this, and imports numpy above it.  Measured on a 2-core x86-64 host
@@ -173,7 +168,7 @@ def _cell_states(seed: int, detuning_index: int, n_runs: int) -> list[tuple[int,
     return list(zip(state.tolist(), inc.tolist()))
 
 
-def _set_cell_state(generator: np.random.Generator, state: int, inc: int) -> None:
+def _set_cell_state(generator, state: int, inc: int) -> None:
     generator.bit_generator.state = {
         "bit_generator": "PCG64",
         "state": {"state": state, "inc": inc},
@@ -190,12 +185,13 @@ def run_pulse_train(
     dm: DestructionModel,
     det: DetectorSpec,
     tr: TransmissionSpec,
-    stream: NormalSource | None,
+    stream: object | None,
 ) -> tuple[list[tuple[int, float, float]], CollectiveSpinState]:
     """Probe one sample n_pulses times.
 
     Per pulse: the rotation angle follows the current <J_z>, one detection
-    is simulated (noiseless when stream is None), the angle is extracted,
+    is simulated with noise from stream (an rng.NormalStream or a numpy
+    Generator; noiseless when None), the angle is extracted,
     then the destruction model decays <J_z>.  Returns the list of
     (pulse_index, measured imbalance, extracted angle) and the post-train
     atomic state; the input state is never mutated.
@@ -259,7 +255,7 @@ def run_detuning_scan(
         _scan_point(detuning, values, cfg.pulses_per_sample)
         for detuning, values in zip(cfg.detunings_hz, run_means)
     ]
-    return ScanDataset(points=tuple(points), seed=cfg.seed)
+    return ScanDataset(points=tuple(points))
 
 
 def _plain_run_means(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import ValidationError
 

@@ -3,8 +3,7 @@
 A scan reports one point per detuning: the mean rotation angle over runs,
 its standard error and the sample standard deviation over runs, with the
 run and pulse counts.  The fit reads these tables back, so this module
-needs nothing beyond the standard library; experiment re-exports its
-names.
+needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ class ScanDataset(Frozen):
     """One record per configured detuning, ordered by detuning."""
 
     points: tuple[ScanPoint, ...]
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if not self.points:

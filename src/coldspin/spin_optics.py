@@ -85,19 +85,13 @@ class StokesState(Frozen):
     mean_s: tuple[float, float, float]
     var_s: tuple[float, float, float]
     n_photons: float
-    pulse_duration_s: float
 
     def __post_init__(self):
         object.__setattr__(self, "mean_s", _check_triple(self.mean_s, "mean_s"))
         object.__setattr__(self, "var_s", _check_triple(self.var_s, "var_s"))
         object.__setattr__(self, "n_photons", float(self.n_photons))
-        object.__setattr__(self, "pulse_duration_s", float(self.pulse_duration_s))
         if not math.isfinite(self.n_photons) or self.n_photons < 0.0:
             raise ValidationError(f"n_photons must be >= 0, got {self.n_photons!r}")
-        if not math.isfinite(self.pulse_duration_s) or self.pulse_duration_s <= 0.0:
-            raise ValidationError(
-                f"pulse_duration_s must be positive, got {self.pulse_duration_s!r}"
-            )
         _check_variances(self.var_s, "var_s")
         _check_ball(self.mean_s, self.n_photons / 2.0, "mean_s")
 
@@ -133,9 +127,7 @@ def coherent_spin_state(n_atoms: float, axis: str = "z") -> CollectiveSpinState:
     return CollectiveSpinState(tuple(mean), tuple(var), n_atoms)
 
 
-def coherent_pulse(
-    n_photons: float, pulse_duration_s: float, polarization: str = "x"
-) -> StokesState:
+def coherent_pulse(n_photons: float, polarization: str = "x") -> StokesState:
     """Coherent probe pulse; all three Stokes variances are shot noise N/4.
 
     polarization: "x", "y" (linear along S_x), "+45", "-45" (along S_y), or
@@ -159,7 +151,7 @@ def coherent_pulse(
     mean = [0.0, 0.0, 0.0]
     mean[index] = sign * n_photons / 2.0
     var = (n_photons / 4.0,) * 3
-    return StokesState(tuple(mean), var, n_photons, pulse_duration_s)
+    return StokesState(tuple(mean), var, n_photons)
 
 
 def detuning_factor(
@@ -286,12 +278,7 @@ def qnd_interact(
     j_y_out = j_y + g * s_z * j_x
     vj_y_out = vj_y + g * g * (s_z * s_z * vj_x + j_x * j_x * vs_z + vs_z * vj_x)
 
-    light_out = StokesState(
-        (s_x, s_y_out, s_z),
-        (vs_x, vs_y_out, vs_z),
-        light.n_photons,
-        light.pulse_duration_s,
-    )
+    light_out = StokesState((s_x, s_y_out, s_z), (vs_x, vs_y_out, vs_z), light.n_photons)
     atoms_out = CollectiveSpinState(
         (j_x, j_y_out, j_z), (vj_x, vj_y_out, vj_z), atoms.n_atoms
     )

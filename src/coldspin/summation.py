@@ -7,7 +7,7 @@ their numpy formulations did, without importing numpy.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 
 def pairwise_sum(values: Sequence[float]) -> float:

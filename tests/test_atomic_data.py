@@ -10,7 +10,6 @@ from coldspin import (
     default_atom_spec,
     default_trap_spec,
     load_atom_spec,
-    resonant_cross_section,
 )
 from coldspin.atomic_data import default_atom_document
 from coldspin.jsonio import read_json
@@ -23,11 +22,6 @@ def test_default_spec_loads_and_derives_cross_section():
     assert set(spec.hyperfine_splittings) == {0, 1, 2}
     assert spec.hyperfine_splittings[0] == 0.0
     assert 0 < spec.hyperfine_splittings[1] < spec.hyperfine_splittings[2]
-
-
-def test_resonant_cross_section_matches_stored_value():
-    spec = default_atom_spec()
-    assert resonant_cross_section(spec) == spec.cross_section_m2
 
 
 def test_default_trap_spec():

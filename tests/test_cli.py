@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -23,23 +24,25 @@ HEX64 = re.compile(r"^[0-9a-f]{64}$")
 @pytest.fixture(autouse=True)
 def in_tmp_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("COLDSPIN_ATOM_DATA", raising=False)
     return tmp_path
 
 
-def write_small_scan_config(path, **scan_overrides):
+def write_small_scan_config(path, atom_data=None, **scan_overrides):
     scan = {
         "detunings_hz": [-2.3e9, -1.6e9, -0.8e9],
         "runs_per_point": 4,
         "pulses_per_sample": 3,
     }
     scan.update(scan_overrides)
-    path.write_text(json.dumps({"scan": scan}) + "\n")
+    config = {"scan": scan} if atom_data is None else {"atom_data": atom_data, "scan": scan}
+    path.write_text(json.dumps(config) + "\n")
     return str(path)
 
 
-def run_scan(tmp_path, out="scan.csv", extra=(), config_overrides=None):
-    cfg = write_small_scan_config(tmp_path / "cfg.json", **(config_overrides or {}))
+def run_scan(tmp_path, out="scan.csv", extra=(), config_overrides=None, atom_data=None):
+    cfg = write_small_scan_config(
+        tmp_path / "cfg.json", atom_data=atom_data, **(config_overrides or {})
+    )
     argv = ["scan", "--config", cfg, "--out", out, *extra]
     return cli.main(argv)
 
@@ -280,22 +283,67 @@ def test_decay_with_infinite_lifetime_replays(in_tmp_dir, capsys):
     assert "reproduced decay.csv" in capsys.readouterr().out
 
 
-def test_atom_data_env_override(in_tmp_dir, monkeypatch):
-    cli.main(["tof", "simulate", "--out", "tof.csv"])
-    cli.main(["tof", "fit", "--in", "tof.csv", "--out", "base.json"])
-
+def write_heavy_atom_data(path):
+    """An atom data document with the packaged mass doubled."""
     doubled = default_atom_document()
     doubled["mass_kg"] *= 2.0
-    (in_tmp_dir / "heavy.json").write_text(json.dumps(doubled))
-    monkeypatch.setenv("COLDSPIN_ATOM_DATA", str(in_tmp_dir / "heavy.json"))
-    cli.main(["tof", "fit", "--in", "tof.csv", "--out", "heavy.json.out"])
+    path.write_text(json.dumps(doubled))
+    return doubled
+
+
+def test_atom_data_config_override(in_tmp_dir, capsys):
+    assert cli.main(["tof", "simulate", "--out", "tof.csv"]) == 0
+    assert cli.main(["tof", "fit", "--in", "tof.csv", "--out", "base.json"]) == 0
+
+    doubled = write_heavy_atom_data(in_tmp_dir / "heavy.json")
+    (in_tmp_dir / "cfg.json").write_text(json.dumps({"atom_data": "heavy.json"}))
+    argv = ["tof", "fit", "--config", "cfg.json", "--in", "tof.csv", "--out", "heavy_fit.json"]
+    assert cli.main(argv) == 0
 
     base = json.loads((in_tmp_dir / "base.json").read_text())
-    heavy = json.loads((in_tmp_dir / "heavy.json.out").read_text())
+    heavy = json.loads((in_tmp_dir / "heavy_fit.json").read_text())
     # T = slope m / k_B: doubling the tabulated mass doubles the fitted T
     assert heavy["params"]["temperature_k"] == pytest.approx(
         2.0 * base["params"]["temperature_k"], rel=1e-9
     )
+    # the manifest records the path and inlines the constants, so a replay
+    # needs no atom data file
+    manifest = json.loads((in_tmp_dir / "heavy_fit.json.manifest.json").read_text())
+    assert manifest["config"]["atom_data"] == "heavy.json"
+    assert manifest["config"]["atom_constants"] == doubled
+    (in_tmp_dir / "heavy.json").unlink()
+    capsys.readouterr()
+    assert cli.main(["tof", "--manifest", "heavy_fit.json.manifest.json"]) == 0
+    assert "reproduced heavy_fit.json" in capsys.readouterr().out
+
+
+QUICK_START = [
+    ["scan", "--out", "scan.csv"],
+    ["fit", "--in", "scan.csv", "--out", "fit.json"],
+    ["budget", "--theta", "0.0268", "--photons-per-pulse", "4.3e6", "--out", "budget.json"],
+    ["decay", "simulate", "--out", "decay.csv"],
+    ["decay", "fit", "--in", "decay.csv", "--out", "decay_fit.json"],
+    ["tof", "simulate", "--out", "tof.csv"],
+    ["tof", "fit", "--in", "tof.csv", "--out", "tof_fit.json"],
+    ["pulse", "--noisy", "--seed", "7", "--out", "pulse.csv"],
+]
+
+
+def test_atom_data_environment_variable_is_ignored(in_tmp_dir, monkeypatch):
+    # the config key atom_data is the one way to other atom data; the
+    # COLDSPIN_ATOM_DATA variable of releases before 0.4.0 changes nothing
+    write_heavy_atom_data(in_tmp_dir / "heavy.json")
+    outputs = {}
+    for name, env in (("plain", None), ("with-variable", str(in_tmp_dir / "heavy.json"))):
+        if env:
+            monkeypatch.setenv("COLDSPIN_ATOM_DATA", env)
+        (in_tmp_dir / name).mkdir()
+        monkeypatch.chdir(in_tmp_dir / name)
+        for argv in QUICK_START:
+            assert cli.main(argv) == 0
+        outputs[name] = {path.name: path.read_bytes() for path in Path().iterdir()}
+    assert len(outputs["plain"]) == 2 * len(QUICK_START) + 1  # plus the scan curve
+    assert outputs["with-variable"] == outputs["plain"]
 
 
 def test_pulse_waveform(in_tmp_dir):
@@ -340,16 +388,15 @@ def test_scan_rejects_zero_threads(in_tmp_dir, capsys):
     assert "threads" in capsys.readouterr().err
 
 
-def test_bad_atom_data_exits_2(in_tmp_dir, monkeypatch, capsys):
+def test_bad_atom_data_exits_2(in_tmp_dir, capsys):
     document = default_atom_document()
     document["hf_splitting_f1_hz"] = 0.0
     (in_tmp_dir / "atom.json").write_text(json.dumps(document))
-    monkeypatch.setenv("COLDSPIN_ATOM_DATA", str(in_tmp_dir / "atom.json"))
-    assert run_scan(in_tmp_dir) == 2
+    assert run_scan(in_tmp_dir, atom_data="atom.json") == 2
     assert "hf_splitting_f1_hz" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("via", ["env", "replay"])
+@pytest.mark.parametrize("via", ["config", "replay"])
 @pytest.mark.parametrize(
     "trap, key",
     [("not a trap", "atom data key 'trap' must be a JSON object"),
@@ -357,16 +404,15 @@ def test_bad_atom_data_exits_2(in_tmp_dir, monkeypatch, capsys):
      ({"extra": 1.0}, "atom data key 'trap' has unknown key 'extra'")],
     ids=["string", "negative-waist", "extra-key"],
 )
-def test_bad_atom_data_trap_section_exits_2(in_tmp_dir, monkeypatch, capsys, trap, key, via):
+def test_bad_atom_data_trap_section_exits_2(in_tmp_dir, capsys, trap, key, via):
     document = default_atom_document()
     if isinstance(trap, dict):
         document["trap"].update(trap)
     else:
         document["trap"] = trap
-    if via == "env":
+    if via == "config":
         (in_tmp_dir / "atom.json").write_text(json.dumps(document))
-        monkeypatch.setenv("COLDSPIN_ATOM_DATA", str(in_tmp_dir / "atom.json"))
-        assert run_scan(in_tmp_dir) == 2
+        assert run_scan(in_tmp_dir, atom_data="atom.json") == 2
     else:
         assert run_scan(in_tmp_dir) == 0
         (in_tmp_dir / "scan.csv").unlink()
@@ -382,15 +428,17 @@ def test_bad_atom_data_trap_section_exits_2(in_tmp_dir, monkeypatch, capsys, tra
 
 
 @pytest.mark.parametrize("trap", ["packaged", "absent"])
-def test_atom_data_trap_section_leaves_scan_unchanged(in_tmp_dir, monkeypatch, trap):
+def test_atom_data_trap_section_leaves_scan_unchanged(in_tmp_dir, trap):
     assert run_scan(in_tmp_dir, out="default.csv") == 0
     document = default_atom_document()
     if trap == "absent":
         del document["trap"]
     (in_tmp_dir / "atom.json").write_text(json.dumps(document))
-    monkeypatch.setenv("COLDSPIN_ATOM_DATA", str(in_tmp_dir / "atom.json"))
-    assert run_scan(in_tmp_dir, out="scan.csv") == 0
+    assert run_scan(in_tmp_dir, out="scan.csv", atom_data="atom.json") == 0
     assert (in_tmp_dir / "scan.csv").read_bytes() == (in_tmp_dir / "default.csv").read_bytes()
+    manifest = json.loads((in_tmp_dir / "scan.csv.manifest.json").read_text())
+    assert manifest["config"]["atom_data"] == "atom.json"
+    assert manifest["config"]["atom_constants"] == document
 
 
 HUGE_INTEGER = "1" + "0" * 400  # a JSON integer past the float range
@@ -690,17 +738,22 @@ def fit_inputs(tmp_path_factory):
     return directory
 
 
-# runs cli.main on its arguments, then prints the exit code, whether
-# dataclasses was loaded and every numpy module loaded
-MAIN_AND_NUMPY_MODULES = """
-import sys
+# stdlib modules no command that runs without numpy may load: the value
+# classes are coldspin.frozen's, annotations name collections.abc, and the
+# packaged atom data is read from beside atomic_data's file
+IMPORT_FLOOR = ("typing", "importlib.resources", "dataclasses")
+
+# runs cli.main on its arguments, then prints the exit code, the modules of
+# IMPORT_FLOOR it loaded and every numpy module it loaded, as JSON
+MAIN_AND_LOADED_MODULES = f"""
+import json, sys
 from coldspin import cli
 try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(code, 'dataclasses' in sys.modules,
-      sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))
+print(json.dumps([code, [m for m in {IMPORT_FLOOR!r} if m in sys.modules],
+                  sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')]))
 """
 
 
@@ -731,17 +784,22 @@ print(code, 'dataclasses' in sys.modules,
          "pulse-replay", "help", "version", "scan", "scan-replay", "scan-long-trains"],
 )
 def test_command_loads_no_numpy(fit_inputs, argv, loads_numpy):
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    env.pop("COLDSPIN_ATOM_DATA", None)
+    # -S skips site and its .pth hooks, which may load typing or
+    # importlib.resources before coldspin starts; numpy's own directory
+    # goes on the path instead, for the control row
+    numpy_home = Path(importlib.util.find_spec("numpy").origin).parents[1]
+    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), str(numpy_home)])
     result = subprocess.run(
-        [sys.executable, "-c", MAIN_AND_NUMPY_MODULES, *argv], cwd=fit_inputs,
-        capture_output=True, text=True, env=env, check=True,
+        [sys.executable, "-S", "-c", MAIN_AND_LOADED_MODULES, *argv], cwd=fit_inputs,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
     )
-    code, loads_dataclasses, modules = result.stdout.splitlines()[-1].split(" ", 2)
-    assert code == "0", result.stderr
-    assert (modules != "[]") == loads_numpy, modules[:200]
+    code, floor, modules = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0, result.stderr
+    assert bool(modules) == loads_numpy, modules[:20]
+    if not loads_numpy:
+        assert floor == []
     # the value classes build no methods at import (coldspin.frozen)
-    assert loads_dataclasses == "False"
+    assert "dataclasses" not in floor
 
 
 def test_bad_sigma_source_choice_is_usage_error(in_tmp_dir):
@@ -884,36 +942,39 @@ OVERSIZED_COUNTS = {
 
 
 @pytest.mark.parametrize(
-    "argv, override, code",
+    "argv, override, code, key",
     [
         # a scan reads the photon number alone, and 1e308 photons give
         # finite angles (it once exited 3 squaring 5e307 in a StokesState)
-        (["scan"], {"scan": {"photons_per_pulse": 1e308}}, 0),
-        (["decay", "simulate"], {"decay": {"sigma_r_m": 1e308}}, 3),
-        (["tof", "simulate"], {"tof": {"sigma0_m": 1e308}}, 3),
-        (["tof", "simulate"], {"tof": {"t_stop_s": 1e308}}, 3),
-        (["scan", "--atoms", "1e308"], {}, 3),
+        (["scan"], {"scan": {"photons_per_pulse": 1e308}}, 0, None),
+        # each once exited 3 with a bare "Numerical result out of range"
+        (["decay", "simulate"], {"decay": {"sigma_r_m": 1e308}}, 3, "decay.sigma_r_m"),
+        (["tof", "simulate"], {"tof": {"sigma0_m": 1e308}}, 3, "tof.sigma0_m"),
+        (["tof", "simulate"], {"tof": {"t_stop_s": 1e308}}, 3, "tof.t_stop_s"),
+        (["scan", "--atoms", "1e308"], {}, 3, "ensemble.n_atoms"),
         # beyond the probe's optical frequency
-        (["scan"], {"scan": {"detuning_start_hz": 2**70}}, 2),
-        *((argv, override, 2) for argv, override, _ in OVERSIZED_COUNTS.values()),
+        (["scan"], {"scan": {"detuning_start_hz": 2**70}}, 2, None),
+        *((argv, override, 2, None) for argv, override, _ in OVERSIZED_COUNTS.values()),
         # both once wrote NaN rows and exited 0
-        (["scan"], {"scan": {"atom_number_spread": 1e308}}, 3),
-        (["decay", "simulate"], {"decay": {"n0": math.inf}}, 2),
+        (["scan"], {"scan": {"atom_number_spread": 1e308}}, 3, None),
+        (["decay", "simulate"], {"decay": {"n0": math.inf}}, 2, None),
         # each once wrote inf or nan rows that no reader accepts, and exited 0
-        (["tof", "simulate"], {"tof": {"sigma0_m": math.inf}}, 3),
-        (["pulse"], {"pulse": {"theta_rad": math.inf}}, 3),
-        (["pulse"], {"pulse": {"theta_rad": 1e300, "n_photons": 1e300}}, 3),
+        (["tof", "simulate"], {"tof": {"sigma0_m": math.inf}}, 3, None),
+        (["pulse"], {"pulse": {"theta_rad": math.inf}}, 3, None),
+        (["pulse"], {"pulse": {"theta_rad": 1e300, "n_photons": 1e300}}, 3, None),
     ],
     ids=["photons-per-pulse", "sigma-r", "sigma0", "t-stop", "atoms-flag",
          "huge-int-detuning", *OVERSIZED_COUNTS, "atom-spread", "infinite-n0",
          "infinite-sigma0", "infinite-pulse-theta", "pulse-imbalance-overflow"],
 )
-def test_extreme_values_honour_exit_codes(in_tmp_dir, capsys, argv, override, code):
+def test_extreme_values_honour_exit_codes(in_tmp_dir, capsys, argv, override, code, key):
     (in_tmp_dir / "cfg.json").write_text(json.dumps(override))
     assert cli.main([*argv, "--config", "cfg.json", "--out", "out.csv"]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert bool(err) == (code != 0)
+    if key:
+        assert key in err
     out = in_tmp_dir / "out.csv"
     if code != 0:
         assert not out.exists()
@@ -969,16 +1030,15 @@ def test_fit_rejects_nonfinite_fields(in_tmp_dir, capsys, simulate, fit, column,
 
 
 @pytest.mark.parametrize(
-    "argv, env",
-    [(["scan", "--config", "bad.json", "--out", "scan.csv"], False),
-     (["scan", "--manifest", "bad.json"], False),
-     (["tof", "simulate", "--out", "tof.csv"], True)],
-    ids=["config", "manifest", "atom-data-env"],
+    "argv",
+    [["scan", "--config", "bad.json", "--out", "scan.csv"],
+     ["scan", "--manifest", "bad.json"],
+     ["tof", "simulate", "--config", "cfg.json", "--out", "tof.csv"]],
+    ids=["config", "manifest", "atom-data"],
 )
-def test_non_utf8_json_exits_2(in_tmp_dir, monkeypatch, capsys, argv, env):
+def test_non_utf8_json_exits_2(in_tmp_dir, capsys, argv):
     (in_tmp_dir / "bad.json").write_bytes(b"\xff\xfe\x00")
-    if env:
-        monkeypatch.setenv("COLDSPIN_ATOM_DATA", str(in_tmp_dir / "bad.json"))
+    (in_tmp_dir / "cfg.json").write_text(json.dumps({"atom_data": "bad.json"}))
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "cannot read" in err and "bad.json" in err
@@ -1186,7 +1246,6 @@ def _run_capped(argv, cwd):
 
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
            "OPENBLAS_NUM_THREADS": "1"}
-    env.pop("COLDSPIN_ATOM_DATA", None)
     return subprocess.run(
         [sys.executable, "-m", "coldspin.cli", *argv], cwd=cwd, env=env,
         preexec_fn=cap_memory, capture_output=True, text=True, timeout=60,

@@ -96,7 +96,7 @@ def test_child_stream_is_numpy_spawned_seed_sequence(seed):
 def test_pulse_train_noiseless_signal_decays_geometrically():
     cp = coupling_constant(-1.6e9, AREA, SPEC)
     atoms = coherent_spin_state(1e6, "z")
-    light = coherent_pulse(4e6, 1e-6, "x")
+    light = coherent_pulse(4e6, "x")
     dm = DestructionModel()  # default 1e-4 per pulse
     records, after = run_pulse_train(100, atoms, cp, light, dm, DET, TR, None)
     assert len(records) == 100
@@ -111,7 +111,7 @@ def test_pulse_train_noiseless_signal_decays_geometrically():
 def test_pulse_train_zero_destruction_is_stationary():
     cp = coupling_constant(-1.6e9, AREA, SPEC)
     atoms = coherent_spin_state(1e6, "z")
-    light = coherent_pulse(4e6, 1e-6, "x")
+    light = coherent_pulse(4e6, "x")
     records, after = run_pulse_train(
         10, atoms, cp, light, DestructionModel(0.0), DET, TR, None
     )
@@ -123,7 +123,7 @@ def test_pulse_train_zero_destruction_is_stationary():
 def test_pulse_train_input_not_mutated():
     cp = coupling_constant(-1.6e9, AREA, SPEC)
     atoms = coherent_spin_state(1e6, "z")
-    light = coherent_pulse(4e6, 1e-6, "x")
+    light = coherent_pulse(4e6, "x")
     run_pulse_train(5, atoms, cp, light, DestructionModel(), DET, TR, None)
     assert atoms == coherent_spin_state(1e6, "z")
 
@@ -137,7 +137,7 @@ from coldspin import (DestructionModel, DetectorSpec, TransmissionSpec, coherent
                       run_pulse_train)
 from coldspin.rng import NormalStream
 cp = coupling_constant(-1.6e9, 1.0e6 / 2.65e14, default_atom_spec())
-args = (coherent_spin_state(1e6, "z"), cp, coherent_pulse(4e6, 1e-6, "x"),
+args = (coherent_spin_state(1e6, "z"), cp, coherent_pulse(4e6, "x"),
         DestructionModel(), DetectorSpec(), TransmissionSpec())
 for stream in (NormalStream(7), None):
     records, after = run_pulse_train(20, *args, stream)
@@ -167,7 +167,7 @@ def reference_scan(cfg, atoms, dm, tr):
     """Each cell through numpy's own generator for it and run_pulse_train,
     the scalar chain, with the scan's aggregation."""
     points = []
-    light = coherent_pulse(cfg.photons_per_pulse, 1e-6, "x")
+    light = coherent_pulse(cfg.photons_per_pulse, "x")
     for d_index, detuning in enumerate(cfg.detunings_hz):
         cp = coupling_constant(detuning, AREA, SPEC)
         means = []
@@ -196,7 +196,7 @@ def reference_scan(cfg, atoms, dm, tr):
                 n_pulses=cfg.pulses_per_sample,
             )
         )
-    return ScanDataset(points=tuple(points), seed=cfg.seed)
+    return ScanDataset(points=tuple(points))
 
 
 # non-unit transmissions and an off-grid atom number, so that any change in

@@ -33,7 +33,7 @@ VALUE_CLASSES = [
     (CollectiveSpinState, {"mean_j": [0, 0, 5], "var_j": [2.5, 2.5, 0], "n_atoms": 10},
      {"mean_j": (0.0, 0.0, 5.0), "var_j": (2.5, 2.5, 0.0), "n_atoms": 10.0}),
     (StokesState,
-     {"mean_s": [2, 0, 0], "var_s": [0, 1, 1], "n_photons": 4, "pulse_duration_s": 1e-6},
+     {"mean_s": [2, 0, 0], "var_s": [0, 1, 1], "n_photons": 4},
      {"mean_s": (2.0, 0.0, 0.0), "n_photons": 4.0}),
     (CouplingParams, {"detuning_hz": -1.6e9, "area_m2": 4e-9, "g": 1e-8, "g_tilde_m2": 4e-17},
      {}),
@@ -41,7 +41,7 @@ VALUE_CLASSES = [
      {"n0": 1e6, "tau_s": 10.0, "beta_m3_per_s": 1e-17, "sigma_z_m": 1e-4, "sigma_r_m": 1e-5},
      {"v_eff_m3": effective_two_body_volume(1e-4, 1e-5)}),
     (ScanPoint, POINT, {}),
-    (ScanDataset, {"points": (ScanPoint(**POINT),), "seed": 3}, {}),
+    (ScanDataset, {"points": (ScanPoint(**POINT),)}, {}),
     (DestructionModel, {"per_pulse_decay": 1e-4}, {}),
     (ScanConfig,
      {"detunings_hz": [1e9, -2e9, 0], "photons_per_pulse": 4e6, "pulses_per_sample": 10,

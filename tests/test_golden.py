@@ -23,45 +23,45 @@ GOLDEN = {
     "default": {
         "scan.csv": "e0ba9c7d679a00db0ce493a488c00871a16f30952f46c57e63d6b87e6783a28b",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "89a874c13354bc729d525531da74dbfeff94a29c1e8e52d8f90c331b91527db7",
+        "scan.csv.manifest.json": "c47bc5f026f59d77019aa8d525ebba91253088811759bfc769a25319e29ad26a",
     },
     "long_trains": {
         "scan.csv": "8c0ff5437572cd2bd644d043efffde924fefebe09155c0566a409ce34c18175c",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "74df2cdd9283d319b3000fc69bb116699b0e88b481150725b01845d1af00f01c",
+        "scan.csv.manifest.json": "7ee75218803aa2a7b3a822605c288125dfc40c153f8716a30d1d08012d031406",
     },
     "three_threads": {
         "scan.csv": "e0ba9c7d679a00db0ce493a488c00871a16f30952f46c57e63d6b87e6783a28b",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "a580b66dc8b8b4e8774b6f4af2d6985dcfff035917cfa6ec2d1b3b96876c9564",
+        "scan.csv.manifest.json": "9f003b40e7a860985a95971cbfee1b353fce2ca51b17523a323797089033eeb9",
     },
     "fit": {
         "fit.json": "75bb565f2023ef66b9c564538aa59a23d419732ca4eba85648427f072c99a7b3",
-        "fit.json.manifest.json": "e9032dba59e55ab272da7a3b0fb0af74f6d7c1a9efcd81c3e12f209217a37267",
+        "fit.json.manifest.json": "2aad51ca6f57171afe06f2225e68304e3b3ec5128c556c9320b73aea23179bdb",
     },
     "budget": {
         "budget.json": "d13a7cf565a070eb21d998cc3b8574c0f1aa89253d06306827f3cc6ea98bb788",
-        "budget.json.manifest.json": "19411cd3460e1997bed5b280f47e21c0e45c07450d7c0fb4d6f8aee928727528",
+        "budget.json.manifest.json": "eb56222aca73ac2e240580ae00095b23c30e5ee6de26d75964dfff7298c119e0",
     },
     "decay_simulate": {
         "decay.csv": "272846036b07eb42a982151e5e36ce1b52db97d4eb39c0666c2ceceb4a6ea5a1",
-        "decay.csv.manifest.json": "15cfb436c0096d79255c031a0f4b34a6f46c5c7bca01d453abf77543c4dddf4e",
+        "decay.csv.manifest.json": "028099012c8a4105a66235378fd27a34f772a5fbb84a7510688939daa4b841a9",
     },
     "decay_fit": {
         "decay_fit.json": "60b2c5792a6db54fd479bb39ff858a45805936607039655fdbfe5c20ca0c9483",
-        "decay_fit.json.manifest.json": "d9dce0704557726f66ad5c7123dea5792b534816af7be53d2db4c5b4f08eef0f",
+        "decay_fit.json.manifest.json": "5f6f1e4d9648c489655916e73dfa7da6ba47fe8209af2e77c46d6b67e5a74a6f",
     },
     "tof_simulate": {
         "tof.csv": "286b949fc63fa969fb095f7b04b772ac5f62901966e6f664a5cf83df974d573b",
-        "tof.csv.manifest.json": "e7bbc5da5ca29fb895446eae768db79e1d91902d8558ee85c80986ca964fd6e5",
+        "tof.csv.manifest.json": "5ba7c69dfd309132475a821b3b3782fa33c384569e12696e524994a78cb09ab2",
     },
     "tof_fit": {
         "tof_fit.json": "bca7cf0427183479f16871f21cedc0765cc0058e09c305efa9a4af457ae2cd30",
-        "tof_fit.json.manifest.json": "780fb7a745894ca5de02a1ba5a97746b8710376cd43025dab8753049c51143b8",
+        "tof_fit.json.manifest.json": "fe414ca30e6eda03827848d519eff63f99a2ebe7ade6596281eec71df84e44aa",
     },
     "pulse_noisy": {
         "pulse.csv": "c0fb5808201d464e22f50e6abbc90c09df33f43f072ede436c015edfef5d7cf3",
-        "pulse.csv.manifest.json": "e99f5e73cb08014d80276aea548c18590d4fcddbbcca19421996029da89b9e4a",
+        "pulse.csv.manifest.json": "5feae68ba5e0f33d7191b7e73e793c2fb04ddd545d1c4356a4a63c1cf43d9028",
     },
 }
 
@@ -133,7 +133,6 @@ RUNS = {
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_scan_outputs_match_golden_digests(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("COLDSPIN_ATOM_DATA", raising=False)
     for argv in RUNS[name](tmp_path):
         assert cli.main(argv) == 0
     digests = {

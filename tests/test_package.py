@@ -13,10 +13,10 @@ def test_every_export_is_its_defining_module_object():
     for name in coldspin.__all__:
         value = getattr(coldspin, name)
         assert getattr(importlib.import_module(value.__module__), name) is value, name
-    # names that moved keep their old home
+    # one home per name: experiment no longer re-exports scandata's names
     experiment = importlib.import_module("coldspin.experiment")
-    for name in ("ScanDataset", "ScanPoint", "read_scan_csv", "write_scan_csv"):
-        assert getattr(experiment, name) is getattr(coldspin, name)
+    for name in ("read_scan_csv", "write_scan_csv"):
+        assert not hasattr(experiment, name), name
 
 
 def test_dir_lists_every_export():

@@ -128,18 +128,27 @@ def test_coherent_pulse_polarizations():
         ("sigma+", (0.0, 0.0, 2e6)),
         ("sigma-", (0.0, 0.0, -2e6)),
     ]:
-        pulse = coherent_pulse(4e6, 1e-6, pol)
+        pulse = coherent_pulse(4e6, pol)
         assert pulse.mean_s == mean
         assert pulse.var_s == (1e6, 1e6, 1e6)  # n/4 shot noise on all three
     with pytest.raises(ValidationError):
-        coherent_pulse(4e6, 1e-6, "elliptical")
-    with pytest.raises(ValidationError):
-        coherent_pulse(4e6, 0.0)
+        coherent_pulse(4e6, "elliptical")
+
+
+def test_coherent_pulse_refuses_a_pulse_duration():
+    # 0.4.0 dropped the pulse_duration_s parameter: an old positional call
+    # fails loudly instead of reading the duration as a polarization
+    with pytest.raises(ValidationError, match="polarization"):
+        coherent_pulse(4e6, 1e-6)
+    with pytest.raises(TypeError):
+        coherent_pulse(4e6, 1e-6, "x")
+    with pytest.raises(TypeError):
+        StokesState((2e6, 0.0, 0.0), (1e6, 1e6, 1e6), 4e6, 1e-6)
 
 
 def test_qnd_mean_map_and_passthrough():
     cp = coupling_constant(-1.6e9, AREA, SPEC)
-    light = coherent_pulse(4e6, 1e-6, "x")
+    light = coherent_pulse(4e6, "x")
     atoms = coherent_spin_state(1e6, "z")
     light_out, atoms_out = qnd_interact(light, atoms, cp)
     # rotation writes <J_z> onto S_y
@@ -159,7 +168,7 @@ def test_qnd_variance_matches_closed_form():
     # atoms pumped along x so J_z carries the n/4 projection noise the
     # probe is supposed to read out
     cp = coupling_constant(-1.6e9, AREA, SPEC)
-    light = coherent_pulse(4e6, 1e-6, "x")
+    light = coherent_pulse(4e6, "x")
     atoms = coherent_spin_state(1e6, "x")
     light_out, _ = qnd_interact(light, atoms, cp)
     g = cp.g
@@ -196,7 +205,7 @@ def test_qnd_conservation_property(mean_s, var_s, mean_j, var_j, g):
     growth_j = abs(g) * abs(mean_s[2]) * abs(mean_j[0])
     radius_s = 4.0 * (math.sqrt(sum(m * m for m in mean_s)) + growth_s + 1.0)
     radius_j = 4.0 * (math.sqrt(sum(m * m for m in mean_j)) + growth_j + 1.0)
-    light = StokesState(mean_s, var_s, radius_s, 1e-6)
+    light = StokesState(mean_s, var_s, radius_s)
     atoms = CollectiveSpinState(mean_j, var_j, radius_j)
     from coldspin import CouplingParams
 
