@@ -24,6 +24,15 @@ def test_default_spec_loads_and_derives_cross_section():
     assert 0 < spec.hyperfine_splittings[1] < spec.hyperfine_splittings[2]
 
 
+def test_resonant_cross_section_matches_stored_value():
+    # sigma_0 = lambda^2/pi follows the loaded wavelength, not the packaged one
+    doc = default_atom_document()
+    doc["wavelength_m"] = 794.978851156e-9
+    spec = load_atom_spec(doc)
+    assert spec.cross_section_m2 == doc["wavelength_m"] ** 2 / math.pi
+    assert spec.cross_section_m2 != default_atom_spec().cross_section_m2
+
+
 def test_default_trap_spec():
     trap = default_trap_spec()
     assert trap.wavelength_m == pytest.approx(1.03e-6)
