@@ -26,7 +26,8 @@ _EXPORTS = {
         "AtomSpec", "TrapSpec", "default_atom_spec", "default_trap_spec", "load_atom_spec",
     ),
     "detector": (
-        "DetectorSpec", "PulseRecord", "TransmissionSpec", "angle_variance", "extract_angle",
+        "DetectorSpec", "PulseRecord", "TransmissionSpec", "angle_denominator", "angle_variance",
+        "extract_angle",
         "integrate_window", "read_pulse_samples", "simulate_pulse_detection",
         "synthesize_waveform", "write_pulse_csv",
     ),

@@ -307,14 +307,19 @@ def _check_paths(cfg: dict, manifest_path: str, outputs=()) -> None:
 # bench/tracing.py rebinds, so a traced run sees them.
 
 
-def _beyond_float_range(what: str, cfg: dict, *keys: str) -> OverflowError:
-    """The error of a model value beyond the float range, naming the dotted
-    config keys it is computed from, with their values."""
+def _key_values(cfg: dict, keys: tuple) -> str:
+    """The dotted config keys with their values, as an error names them."""
     values = []
     for key in keys:
         section, _, name = key.rpartition(".")
         values.append(f"{key} = {cfg[section][name]!r}")
-    return OverflowError(f"{what} exceeds the float range at {', '.join(values)}")
+    return ", ".join(values)
+
+
+def _beyond_float_range(what: str, cfg: dict, *keys: str) -> OverflowError:
+    """The error of a model value beyond the float range, naming the dotted
+    config keys it is computed from, with their values."""
+    return OverflowError(f"{what} exceeds the float range at {_key_values(cfg, keys)}")
 
 
 def _scan_curve_path(out: str) -> str:
@@ -470,6 +475,7 @@ def _run_decay(cfg: dict) -> dict:
     from .ensemble import TrapPopulationParams, evolve_trap_population
 
     section = cfg["decay"]
+    sigma_keys = ("decay.sigma_z_m", "decay.sigma_r_m")
     try:
         params = TrapPopulationParams(
             n0=section["n0"],
@@ -479,9 +485,9 @@ def _run_decay(cfg: dict) -> dict:
             sigma_r_m=section["sigma_r_m"],
         )
     except OverflowError:
-        raise _beyond_float_range(
-            "the two-body volume", cfg, "decay.sigma_z_m", "decay.sigma_r_m"
-        ) from None
+        raise _beyond_float_range("the two-body volume", cfg, *sigma_keys) from None
+    except ArithmeticError as exc:  # the volume underflows
+        raise ArithmeticError(f"{exc} at {_key_values(cfg, sigma_keys)}") from None
     out = cfg["out"]
     if cfg["mode"] == "simulate":
         noise = section["noise_fraction"]

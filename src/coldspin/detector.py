@@ -119,14 +119,20 @@ def simulate_pulse_detection(
     return signal + sigma * float(noise_stream.standard_normal())
 
 
-def extract_angle(delta_count: float, n_photons: float, tr: TransmissionSpec) -> float:
-    """Rotation angle from a measured imbalance: theta = dN'/(N_L t_h t_v)."""
+def angle_denominator(n_photons: float, tr: TransmissionSpec) -> float:
+    """N_L t_h t_v, the imbalance per radian of rotation, which
+    extract_angle divides by."""
     if not n_photons > 0:
         raise ValidationError(f"n_photons must be positive, got {n_photons!r}")
     denominator = n_photons * tr.t_h * tr.t_v
     if denominator == 0.0:
         raise ValidationError("t_h * t_v must be nonzero")
-    return delta_count / denominator
+    return denominator
+
+
+def extract_angle(delta_count: float, n_photons: float, tr: TransmissionSpec) -> float:
+    """Rotation angle from a measured imbalance: theta = dN'/(N_L t_h t_v)."""
+    return delta_count / angle_denominator(n_photons, tr)
 
 
 def angle_variance(n_photons: float, det: DetectorSpec, tr: TransmissionSpec) -> float:

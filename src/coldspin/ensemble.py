@@ -31,7 +31,10 @@ def effective_two_body_volume(sigma_z_m: float, sigma_r_m: float) -> float:
     makes N/V_eff the density-weighted mean density."""
     if not (sigma_z_m > 0 and sigma_r_m > 0):
         raise ValidationError("cloud sigmas must be positive")
-    return (4.0 * math.pi) ** 1.5 * sigma_z_m * sigma_r_m**2
+    volume = (4.0 * math.pi) ** 1.5 * sigma_z_m * sigma_r_m**2
+    if volume == 0.0:  # every density divides by it
+        raise ArithmeticError("the two-body volume underflows to 0")
+    return volume
 
 
 class TrapPopulationParams(Frozen):

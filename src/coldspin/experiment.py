@@ -12,21 +12,21 @@ draws from its own stream, exactly
 np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed,
 spawn_key=(detuning_index, run_index)))), so results are identical
 regardless of execution order.  The seed words a detuning's cells share
-are hashed once per detuning (_detuning_pool).
+are hashed once per detuning (_cell_seeder).
 
 A pulse train (run_pulse_train) is the scalar chain itself, pulse by
 pulse: faraday_angle -> simulate_pulse_detection -> extract_angle ->
 decay_mean_z.  A scan computes the same operations in the same order on
 one of two paths, chosen from its shape alone (_PLAIN_SCAN_WORK); both
-give the same values bit for bit.  A small scan runs in plain floats:
-each cell finishes its seeding in ints and draws from an
-rng.NormalStream, and its pulses are computed one by one, so it never
-imports numpy, whose import would cost more than the whole scan.  A
-larger scan imports numpy: it seeds all of a detuning's cells at once in
-uint64 arrays (_cell_states), sets each state in turn on one reused
-generator, and probes all of the detuning's runs in one array
-computation, where the per-pulse <J_z> is a running product along each
-row.  One aggregation (_scan_point) then sums the runs' mean angles as
+give the same values bit for bit.  A scan at or below the cutoff (the
+15 x 400 x 10 one, 60,000 pulses in 6000 cells, included) runs in plain
+floats: each cell finishes its seeding in ints, takes all its draws from
+one rng.normal_draws call, and computes its pulses one by one, so it never
+imports numpy, whose import would cost more than the whole scan.  A larger
+scan imports numpy: it seeds all of a detuning's cells at once in uint64
+arrays (_cell_states), sets each state in turn on one reused generator,
+and probes all of the detuning's runs in one array computation, where the
+per-pulse <J_z> is a running product along each row.  One aggregation (_scan_point) then sums the runs' mean angles as
 np.mean and np.std do.  A scan reads only the photon number of a pulse,
 so it takes no pulse duration.  The dataset and its CSV table are
 scandata's.
@@ -39,13 +39,12 @@ from collections.abc import Iterator
 
 from .atomic_data import AtomSpec
 from .detector import (
-    MAX_ARRAY_SIZE, DetectorSpec, TransmissionSpec, extract_angle, simulate_pulse_detection,
+    MAX_ARRAY_SIZE, DetectorSpec, TransmissionSpec, angle_denominator, extract_angle,
+    simulate_pulse_detection,
 )
 from .errors import NearResonanceError, ValidationError
 from .frozen import Frozen
-from .rng import (
-    POOL_SIZE, NormalStream, mix_entropy, pcg64_seed, seed_sequence_words, uint32_words,
-)
+from .rng import POOL_SIZE, mix_entropy, normal_draws, pcg64_seed, pool_finisher, uint32_words
 from .scandata import ScanDataset, ScanPoint
 from .spin_optics import (
     DEFAULT_GUARD_LINEWIDTHS,
@@ -59,19 +58,22 @@ from .spin_optics import (
 )
 from .summation import pairwise_sum
 
-# A scan runs in plain Python when cells * (pulses_per_sample + 12) is at
-# most this, and imports numpy above it.  Measured on a 2-core x86-64 host
-# (Python 3.11.7, numpy 2.4.6), best of 5-7: a plain pulse (one normal draw
-# at 1.4 us plus its arithmetic) costs ~1.6 us, and a plain cell ~19 us on
-# top, 14 us of it seeding from the detuning's shared pool (38 us for the
-# full hash); that is the 12 pulses.  The numpy path computes a cell in
-# ~1-8 us but first imports numpy: 190 ms here (python -c pass 66 ms,
-# "import numpy" 257 ms), 130 ms in faster spells.  So the two break even
-# near 80,000-120,000 units; 2**15 (~50 ms of plain work) stays a win on a
-# host that imports numpy twice as fast, and keeps a 15 x 4 x 1000 scan
-# (60,720) on the numpy path while the 15 x 40 x 10 default (13,200) runs
-# plain.
-_PLAIN_SCAN_WORK = 2**15
+# A scan runs in plain Python when cells * (pulses_per_sample +
+# _PLAIN_CELL_PULSES) is at most _PLAIN_SCAN_WORK, and imports numpy above
+# it.  Measured on a 2-core x86-64 host (Python 3.11.7, numpy 2.4.6), best
+# of 20 per shape over five shapes from 300 x 1 to 15 x 201 runs x pulses
+# at 15 detunings, fitted as cells * (a + b * pulses): the plain path costs
+# b = 0.79 us a pulse and a = 8.5 us a cell (6.0 us of it seeding the
+# cell's PCG64 from the detuning's shared pool), the numpy path 0.066 us
+# and 4.7 us.  So a plain cell costs (8.5 - 4.7) / (0.79 - 0.066) = 5
+# pulses more than a numpy one, and each unit of work 0.72 us more.  The
+# numpy path first imports numpy: 97 ms best and 125 ms median of 15 here
+# ("import numpy" minus "pass", each in a fresh interpreter), which is
+# 134,000-172,000 units.  At 2**17 units (94 ms) the plain path is still no
+# slower than a fast numpy import alone.  So the 15 x 400 x 10 scan (90,000
+# units) runs plain and the 15 x 40 x 1000 one (603,000) on numpy.
+_PLAIN_CELL_PULSES = 5
+_PLAIN_SCAN_WORK = 2**17
 
 
 class DestructionModel(Frozen):
@@ -138,13 +140,15 @@ class ScanConfig(Frozen):
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-def _detuning_pool(seed: int, detuning_index: int) -> tuple:
-    """rng.mix_entropy of the entropy words every cell of one detuning
-    shares: the seed's words, padded to the pool as a spawned sequence pads
-    them, then the detuning index."""
+def _cell_seeder(seed: int, detuning_index: int):
+    """rng.pool_finisher for the cells of one detuning, whose entropy ends
+    in one word, the run index: the words they all share (the seed's words,
+    padded to the pool as a spawned sequence pads them, then the detuning
+    index) are hashed once, and so are the hash constants of the last
+    word's position."""
     lead = uint32_words(seed)
     lead += [0] * (POOL_SIZE - len(lead))
-    return mix_entropy(lead + uint32_words(detuning_index))
+    return pool_finisher(mix_entropy(lead + uint32_words(detuning_index)), 1)
 
 
 def _cell_states(seed: int, detuning_index: int, n_runs: int) -> list[tuple[int, int]]:
@@ -152,19 +156,15 @@ def _cell_states(seed: int, detuning_index: int, n_runs: int) -> list[tuple[int,
     spawn_key=(detuning_index, r))) for every run r in range(n_runs) at once.
 
     The detuning's shared words are hashed once in ints; the hash then runs
-    on a uint64 array of the run indices, with one element per cell: its
-    hash constants depend only on word positions, so they are the same for
-    every cell.  ScanConfig bounds n_runs by 2**22, so every run index is
-    one 32-bit word.
+    on a uint64 array of the run indices, with one element per cell.
+    ScanConfig bounds n_runs by 2**22, so every run index is one 32-bit
+    word.
     """
     import numpy as np
 
-    runs = np.arange(n_runs, dtype=np.uint64)
+    words = _cell_seeder(seed, detuning_index)([np.arange(n_runs, dtype=np.uint64)])
     # PCG64 seeding in Python ints, over all cells at once
-    state, inc = pcg64_seed(*(
-        word.astype(object)
-        for word in seed_sequence_words([runs], _detuning_pool(seed, detuning_index))
-    ))
+    state, inc = pcg64_seed(*(word.astype(object) for word in words))
     return list(zip(state.tolist(), inc.tolist()))
 
 
@@ -246,7 +246,7 @@ def run_detuning_scan(
             ) from exc
 
     cells = len(cfg.detunings_hz) * cfg.runs_per_point
-    plain = cells * (cfg.pulses_per_sample + 12) <= _PLAIN_SCAN_WORK
+    plain = cells * (cfg.pulses_per_sample + _PLAIN_CELL_PULSES) <= _PLAIN_SCAN_WORK
     run_means = (_plain_run_means if plain else _numpy_run_means)(
         cfg, atoms_template.mean_j[2], [cp.g for cp in couplings], cfg.photons_per_pulse,
         dm, det, tr,
@@ -269,29 +269,33 @@ def _plain_run_means(
 ) -> Iterator[list[float]]:
     """Each detuning's runs' mean extracted angles in turn, in plain floats.
 
-    The draws are _numpy_run_means', from rng.NormalStream, and each pulse
-    is computed with run_pulse_train's operations in the same order, so the
-    values are equal bit for bit.
+    The draws are _numpy_run_means', each cell's drawn in one
+    rng.normal_draws call, and each pulse is computed with
+    run_pulse_train's operations in the same order, so the values are
+    equal bit for bit: extract_angle's division by N_L t_h t_v, whose
+    checks run once per scan.
     """
     sigma = math.sqrt(n_photons + det.electronic_noise_var)
     keep = 1.0 - dm.per_pulse_decay
     t_h, t_v = tr.t_h, tr.t_v
+    denominator = angle_denominator(n_photons, tr)
+    spread, n_pulses = cfg.atom_number_spread, cfg.pulses_per_sample
+    n_draws = n_pulses + 1 if spread > 0.0 else n_pulses
     for d_index, g in enumerate(couplings_g):
-        pool = _detuning_pool(cfg.seed, d_index)
+        seed_words = _cell_seeder(cfg.seed, d_index)
         means = []
         for run_index in range(cfg.runs_per_point):
-            state = pcg64_seed(*seed_sequence_words(uint32_words(run_index), pool))
-            normal = NormalStream(pcg64_state=state).standard_normal
+            # ScanConfig bounds runs_per_point by 2**22: one 32-bit word
+            draws = iter(normal_draws(*pcg64_seed(*seed_words([run_index])), n_draws)[0])
             factor = 1.0
-            if cfg.atom_number_spread > 0.0:
-                factor = max(0.0, 1.0 + cfg.atom_number_spread * normal())
+            if spread > 0.0:
+                factor = max(0.0, 1.0 + spread * next(draws))
             j_z = j_z_template * factor
             total = -0.0  # -0.0 + x is x, as cumsum starts from the first angle
-            for _ in range(cfg.pulses_per_sample):
-                delta = g * j_z * n_photons * t_h * t_v + sigma * normal()
-                total += extract_angle(delta, n_photons, tr)
+            for normal in draws:
+                total += (g * j_z * n_photons * t_h * t_v + sigma * normal) / denominator
                 j_z *= keep
-            means.append(total / cfg.pulses_per_sample)
+            means.append(total / n_pulses)
         yield means
 
 

@@ -1,15 +1,17 @@
 """A frozen standard-normal stream in plain Python.
 
-NormalStream(seed).standard_normal() returns the draws of
-np.random.Generator(np.random.PCG64(seed)).standard_normal() bit for bit,
-on the standard library alone:
+normal_draws(state, inc, count) returns the draws of
+np.random.Generator(np.random.PCG64) from that state's
+standard_normal(count), and the state after them, bit for bit, on the
+standard library alone; NormalStream(seed).standard_normal() returns them
+one at a time.  The module holds:
 
 - numpy's SeedSequence hash (numpy/random/bit_generator.pyx), written once
   with explicit 32-bit masks so that it runs unchanged on Python ints and
-  on uint64 arrays of them, and split at mix_entropy so that entropy words
-  many sequences share are hashed once (experiment hashes a detuning's
-  seed words once, then finishes each cell in ints or all its cells at
-  once in arrays);
+  on uint64 arrays of them.  pool_finisher hashes the entropy words many
+  sequences share once, and the hash constants of the words that follow
+  them (experiment hashes a detuning's seed words once, then finishes each
+  cell in ints or all its cells at once in arrays);
 - PCG64 seeding and its XSL-RR output (numpy/random/src/pcg64/pcg64.h; M.
   E. O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically
   Good Algorithms for Random Number Generation", HMC-CS-2014-0905, 2014);
@@ -23,16 +25,17 @@ features numpy dispatches on.  Like numpy's, the wedge test calls the C
 library's exp and the tail its log1p.
 
 The ki/wi/fi tables are numpy's ki_double, wi_double and fi_double, copied
-exactly from numpy 2.4's compiled libnpyrandom: rerunning the ziggurat
-recursion does not reproduce them to the last bit.  NumPy is Copyright (c)
-2005-2025, NumPy Developers, and numpy.random Copyright (c) 2019 Kevin
-Sheppard, both under the 3-clause BSD license, whose text closes this
-module.
+exactly from numpy 2.4's compiled libnpyrandom and stored as their
+little-endian bytes: rerunning the ziggurat recursion does not reproduce
+them to the last bit.  NumPy is Copyright (c) 2005-2025, NumPy Developers,
+and numpy.random Copyright (c) 2019 Kevin Sheppard, both under the 3-clause
+BSD license, whose text closes this module.
 """
 
 from __future__ import annotations
 
 import operator
+import struct
 from math import exp, log1p
 
 _MASK32 = 0xFFFFFFFF
@@ -72,70 +75,112 @@ def uint32_words(value: int) -> list[int]:
     return words
 
 
-def _hashmix(value, hash_const: int, mult: int) -> tuple:
-    """SeedSequence's hash step: the hashed value, and the next hash
-    constant, which depends only on how many steps came before."""
-    value = value ^ hash_const
-    hash_const = hash_const * mult & _MASK32
-    value = value * hash_const & _MASK32
-    return value ^ value >> _XSHIFT, hash_const
+def _hash_steps(hash_const: int, mult: int, steps: int) -> tuple[list, list, int]:
+    """The constants of `steps` successive SeedSequence hash steps from
+    hash_const, the ones each step xors in and the ones it multiplies by,
+    and the hash constant after them: each step multiplies the constant on,
+    whatever it hashes."""
+    xors, mults = [], []
+    for _ in range(steps):
+        xors.append(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        mults.append(hash_const)
+    return xors, mults, hash_const
 
 
-def _mix(x, y):
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ result >> _XSHIFT
+def _hash(values: list, xors: list, mults: list) -> list:
+    """SeedSequence's hash step on each value, with the constants at its
+    position."""
+    hashed = []
+    for value, xor_const, mult_const in zip(values, xors, mults):
+        value = (value ^ xor_const) * mult_const & _MASK32
+        hashed.append(value ^ value >> _XSHIFT)
+    return hashed
 
 
-def mix_entropy(entropy: list, pool: tuple | None = None) -> tuple:
+def _mix_in(words: list, value, xors: list, mults: list, dsts) -> None:
+    """SeedSequence's mix of value into each of words[dsts] in place, the
+    value hashed anew with each destination's constants."""
+    for i_dst, hashed in zip(dsts, _hash([value] * len(dsts), xors, mults)):
+        result = (_MIX_MULT_L * words[i_dst] - _MIX_MULT_R * hashed) & _MASK32
+        words[i_dst] = result ^ result >> _XSHIFT
+
+
+_ALL_WORDS = range(POOL_SIZE)
+# generate_state hashes the pool into its eight 32-bit words from _INIT_B
+_GENERATE_XORS, _GENERATE_MULTS, _ = _hash_steps(_INIT_B, _MULT_B, 2 * POOL_SIZE)
+
+
+def _generate(pool_words: list) -> list:
+    """generate_state(4, np.uint64) of a mixed pool: eight 32-bit words,
+    read in little-endian pairs as four 64-bit words."""
+    w = _hash(pool_words * 2, _GENERATE_XORS, _GENERATE_MULTS)
+    return [w[0] | w[1] << 32, w[2] | w[3] << 32, w[4] | w[5] << 32, w[6] | w[7] << 32]
+
+
+def _word_steps(hash_const: int, n_words: int) -> tuple[list, int]:
+    """Per entropy word, the (xors, mults) of the POOL_SIZE steps that mix
+    it into a pool whose hash constant is hash_const, and the hash constant
+    after them all."""
+    xors, mults, hash_const = _hash_steps(hash_const, _MULT_A, POOL_SIZE * n_words)
+    return [
+        (xors[k:k + POOL_SIZE], mults[k:k + POOL_SIZE])
+        for k in range(0, POOL_SIZE * n_words, POOL_SIZE)
+    ], hash_const
+
+
+def _mix_words(pool_words: list, entropy: list, steps: list) -> list:
+    """The pool words after mixing each entropy word into all of them,
+    with its steps from _word_steps."""
+    words = list(pool_words)
+    for word, (xors, mults) in zip(entropy, steps):
+        _mix_in(words, word, xors, mults, _ALL_WORDS)
+    return words
+
+
+def mix_entropy(entropy: list) -> tuple:
     """SeedSequence's mix_entropy: the (pool words, hash constant) after
-    hashing the entropy words into the pool.
-
-    Given pool, an earlier call's result, the words are hashed on from
-    there: mix_entropy(b, mix_entropy(a)) == mix_entropy(a + b) whenever a
-    holds at least POOL_SIZE words, as the padded seed of every spawned
-    sequence does.  Words that many sequences share are so hashed once.
-    """
-    if pool is None:
-        hash_const = _INIT_A
-        words = []
-        for i in range(POOL_SIZE):
-            # a short entropy runs the hash out on zeros
-            value, hash_const = _hashmix(entropy[i] if i < len(entropy) else 0,
-                                         hash_const, _MULT_A)
-            words.append(value)
-        for i_src in range(POOL_SIZE):
-            for i_dst in range(POOL_SIZE):
-                if i_src != i_dst:
-                    value, hash_const = _hashmix(words[i_src], hash_const, _MULT_A)
-                    words[i_dst] = _mix(words[i_dst], value)
-        entropy = entropy[POOL_SIZE:]
-    else:
-        words, hash_const = list(pool[0]), pool[1]
-    for word in entropy:
-        for i_dst in range(POOL_SIZE):
-            value, hash_const = _hashmix(word, hash_const, _MULT_A)
-            words[i_dst] = _mix(words[i_dst], value)
-    return words, hash_const
+    hashing the entropy words into the pool."""
+    # the pool's own words, then each mixed into the three others
+    xors, mults, hash_const = _hash_steps(_INIT_A, _MULT_A, POOL_SIZE * POOL_SIZE)
+    # a short entropy runs the hash out on zeros
+    lead = [entropy[i] if i < len(entropy) else 0 for i in _ALL_WORDS]
+    words = _hash(lead, xors, mults)
+    for i_src in _ALL_WORDS:
+        k = POOL_SIZE + (POOL_SIZE - 1) * i_src
+        others = [i_dst for i_dst in _ALL_WORDS if i_dst != i_src]
+        _mix_in(words, words[i_src], xors[k:], mults[k:], others)
+    rest = entropy[POOL_SIZE:]
+    steps, hash_const = _word_steps(hash_const, len(rest))
+    return _mix_words(words, rest, steps), hash_const
 
 
-def seed_sequence_words(entropy: list, pool: tuple | None = None) -> list:
+def seed_sequence_words(entropy: list) -> list:
     """SeedSequence.generate_state(4, np.uint64) for the assembled entropy
     words (a spawned sequence pads its seed's words to POOL_SIZE before
-    appending its spawn key): eight 32-bit words, read in little-endian
-    pairs as four 64-bit words.  Given pool, mix_entropy's result for
-    the leading words, entropy holds only the words that follow them.
+    appending its spawn key), as four 64-bit words.
 
     Each entropy word is an int below 2**32, or a uint64 array of them with
     one element per sequence, and the two mix: every product of two 32-bit
     values fits in 64 bits, and every result is masked back to 32.
     """
-    pool_words, _ = mix_entropy(entropy, pool)
-    hash_const = _INIT_B
-    words = []
-    for i in range(8):
-        value, hash_const = _hashmix(pool_words[i % POOL_SIZE], hash_const, _MULT_B)
-        words.append(value)
-    return [words[2 * k] | words[2 * k + 1] << 32 for k in range(4)]
+    return _generate(mix_entropy(entropy)[0])
+
+
+def pool_finisher(pool: tuple, n_words: int):
+    """seed_sequence_words(lead + entropy) as a function of an entropy of
+    n_words words (ints, or uint64 arrays as there), given pool =
+    mix_entropy(lead) for a lead of at least POOL_SIZE words, as the padded
+    seed of every spawned sequence is.  The words that many sequences share
+    are so hashed once, and so are the hash constants of the words that
+    follow them, which depend only on word positions."""
+    pool_words = pool[0]
+    steps, _ = _word_steps(pool[1], n_words)
+
+    def finish(entropy: list) -> list:
+        return _generate(_mix_words(pool_words, entropy, steps))
+
+    return finish
 
 
 def pcg64_seed(s0, s1, s2, s3) -> tuple:
@@ -145,6 +190,72 @@ def pcg64_seed(s0, s1, s2, s3) -> tuple:
     initstate = s0 << 64 | s1
     inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
     return ((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def normal_draws(state: int, inc: int, count: int) -> tuple[list[float], int]:
+    """numpy's random_standard_normal, count times from a PCG64 in (state,
+    inc): the draws Generator.standard_normal(count) returns, and the state
+    it leaves.
+
+    One 64-bit word picks a layer (8 bits), a sign (1 bit) and a 52-bit
+    abscissa.  The LCG step, the XSL-RR output and the test against the
+    layer's rectangle run inline here; the rectangle accepts 99.3 % of
+    words, and _outside_rectangle finishes the rest.
+    """
+    draws = []
+    append = draws.append
+    mult, mask64, mask128 = _PCG_MULT, _MASK64, _MASK128
+    ki, wi = ki_double, wi_double
+    for _ in range(count):
+        while True:
+            state = (state * mult + inc) & mask128
+            value = (state >> 64 ^ state) & mask64
+            rot = state >> 122
+            # rotated right by rot; every field is read from the low 64 bits
+            word = value >> rot | value << (64 - rot)
+            idx = word & 0xFF
+            rabs = word >> 9 & 0x000FFFFFFFFFFFFF
+            x = rabs * wi[idx]
+            if word & 0x100:
+                x = -x
+            if rabs < ki[idx]:
+                break
+            x, state = _outside_rectangle(idx, rabs, x, state, inc)
+            if x is not None:
+                break
+        append(x)
+    return draws, state
+
+
+def _next_double(state: int, inc: int) -> tuple[int, float]:
+    """One LCG step, and next_double of its XSL-RR output: the output's top
+    53 bits over 2**53."""
+    state = (state * _PCG_MULT + inc) & _MASK128
+    value = (state >> 64 ^ state) & _MASK64
+    rot = state >> 122
+    word = (value >> rot | value << (64 - rot)) & _MASK64
+    return state, (word >> 11) * _WORD_TO_DOUBLE
+
+
+def _outside_rectangle(idx: int, rabs: int, x: float, state: int, inc: int) -> tuple:
+    """random_standard_normal for a word outside its layer's rectangle:
+    layer 0 samples the tail beyond r, and the other layers test the wedge
+    under the density.  Returns the draw, or None when the wedge rejects x
+    and a new word must be drawn, with the state after the uniform doubles
+    drawn here."""
+    if idx == 0:
+        while True:
+            # 1 - U keeps log1p off -1
+            state, u = _next_double(state, inc)
+            xx = -_NOR_INV_R * log1p(-u)
+            state, u = _next_double(state, inc)
+            yy = -log1p(-u)
+            if yy + yy > xx * xx:
+                return (-(_NOR_R + xx) if rabs >> 8 & 1 else _NOR_R + xx), state
+    state, u = _next_double(state, inc)
+    if (fi_double[idx - 1] - fi_double[idx]) * u + fi_double[idx] < exp(-0.5 * x * x):
+        return x, state
+    return None, state
 
 
 class NormalStream:
@@ -166,286 +277,211 @@ class NormalStream:
             pcg64_state = pcg64_seed(*seed_sequence_words(uint32_words(seed)))
         self.state, self.inc = pcg64_state
 
-    def next_uint64(self) -> int:
-        """One LCG step, then the XSL-RR output of the new state."""
-        self.state = state = (self.state * _PCG_MULT + self.inc) & _MASK128
-        value = (state >> 64 ^ state) & _MASK64
-        rot = state >> 122
-        return (value >> rot | value << (64 - rot)) & _MASK64
-
-    def next_double(self) -> float:
-        return (self.next_uint64() >> 11) * _WORD_TO_DOUBLE
-
     def standard_normal(self) -> float:
-        """numpy's random_standard_normal: one 64-bit word picks a layer
-        (8 bits), a sign (1 bit) and a 52-bit abscissa; the rectangle
-        accepts it 99.3 % of the time, and otherwise layer 0 samples the
-        tail beyond r and the other layers test the wedge."""
-        while True:
-            r = self.next_uint64()
-            idx = r & 0xFF
-            r >>= 8
-            rabs = r >> 1 & 0x000FFFFFFFFFFFFF
-            x = rabs * wi_double[idx]
-            if r & 1:
-                x = -x
-            if rabs < ki_double[idx]:
-                return x
-            if idx == 0:
-                while True:
-                    # 1 - U keeps log1p off -1
-                    xx = -_NOR_INV_R * log1p(-self.next_double())
-                    yy = -log1p(-self.next_double())
-                    if yy + yy > xx * xx:
-                        return -(_NOR_R + xx) if rabs >> 8 & 1 else _NOR_R + xx
-            elif ((fi_double[idx - 1] - fi_double[idx]) * self.next_double()
-                  + fi_double[idx] < exp(-0.5 * x * x)):
-                return x
+        """The stream's next draw."""
+        (draw,), self.state = normal_draws(self.state, self.inc, 1)
+        return draw
 
 
 # numpy's ziggurat tables (see the module docstring)
-ki_double = (
-    0x0EF33D8025EF6A, 0x00000000000000, 0x0C08BE98FBC6A8, 0x0DA354FABD8142,
-    0x0E51F67EC1EEEA, 0x0EB255E9D3F77E, 0x0EEF4B817ECAB9, 0x0F19470AFA44AA,
-    0x0F37ED61FFCB18, 0x0F4F469561255C, 0x0F61A5E41BA396, 0x0F707A755396A4,
-    0x0F7CB2EC28449A, 0x0F86F10C6357D3, 0x0F8FA6578325DE, 0x0F9724C74DD0DA,
-    0x0F9DA907DBF509, 0x0FA360F581FA74, 0x0FA86FDE5B4BF8, 0x0FACF160D354DC,
-    0x0FB0FB6718B90F, 0x0FB49F8D5374C6, 0x0FB7EC2366FE77, 0x0FBAECE9A1E50E,
-    0x0FBDAB9D040BED, 0x0FC03060FF6C57, 0x0FC2821037A248, 0x0FC4A67AE25BD1,
-    0x0FC6A2977AEE31, 0x0FC87AA92896A4, 0x0FCA325E4BDE85, 0x0FCBCCE902231A,
-    0x0FCD4D12F839C4, 0x0FCEB54D8FEC99, 0x0FD007BF1DC930, 0x0FD1464DD6C4E6,
-    0x0FD272A8E2F450, 0x0FD38E4FF0C91E, 0x0FD49A9990B478, 0x0FD598B8920F53,
-    0x0FD689C08E99EC, 0x0FD76EA9C8E832, 0x0FD848547B08E8, 0x0FD9178BAD2C8C,
-    0x0FD9DD07A7ADD2, 0x0FDA9970105E8C, 0x0FDB4D5DC02E20, 0x0FDBF95C5BFCD0,
-    0x0FDC9DEBB99A7D, 0x0FDD3B8118729D, 0x0FDDD288342F90, 0x0FDE6364369F64,
-    0x0FDEEE708D514E, 0x0FDF7401A6B42E, 0x0FDFF46599ED40, 0x0FE06FE4BC24F2,
-    0x0FE0E6C225A258, 0x0FE1593C28B84C, 0x0FE1C78CBC3F99, 0x0FE231E9DB1CAA,
-    0x0FE29885DA1B91, 0x0FE2FB8FB54186, 0x0FE35B33558D4A, 0x0FE3B799D0002A,
-    0x0FE410E99EAD7F, 0x0FE46746D47734, 0x0FE4BAD34C095C, 0x0FE50BAED29524,
-    0x0FE559F74EBC78, 0x0FE5A5C8E41212, 0x0FE5EF3E138689, 0x0FE6366FD91078,
-    0x0FE67B75C6D578, 0x0FE6BE661E11AA, 0x0FE6FF55E5F4F2, 0x0FE73E5900A702,
-    0x0FE77B823E9E39, 0x0FE7B6E37070A2, 0x0FE7F08D774243, 0x0FE8289053F08C,
-    0x0FE85EFB35173A, 0x0FE893DC840864, 0x0FE8C741F0CEBC, 0x0FE8F9387D4EF6,
-    0x0FE929CC879B1D, 0x0FE95909D388EA, 0x0FE986FB939AA2, 0x0FE9B3AC714866,
-    0x0FE9DF2694B6D5, 0x0FEA0973ABE67C, 0x0FEA329CF166A4, 0x0FEA5AAB32952C,
-    0x0FEA81A6D5741A, 0x0FEAA797DE1CF0, 0x0FEACC85F3D920, 0x0FEAF07865E63C,
-    0x0FEB13762FEC13, 0x0FEB3585FE2A4A, 0x0FEB56AE3162B4, 0x0FEB76F4E284FA,
-    0x0FEB965FE62014, 0x0FEBB4F4CF9D7C, 0x0FEBD2B8F449D0, 0x0FEBEFB16E2E3E,
-    0x0FEC0BE31EBDE8, 0x0FEC2752B15A15, 0x0FEC42049DAFD3, 0x0FEC5BFD29F196,
-    0x0FEC75406CEEF4, 0x0FEC8DD2500CB4, 0x0FECA5B6911F12, 0x0FECBCF0C427FE,
-    0x0FECD38454FB15, 0x0FECE97488C8B3, 0x0FECFEC47F91B7, 0x0FED1377358528,
-    0x0FED278F844903, 0x0FED3B10242F4C, 0x0FED4DFBAD586E, 0x0FED605498C3DD,
-    0x0FED721D414FE8, 0x0FED8357E4A982, 0x0FED9406A42CC8, 0x0FEDA42B85B704,
-    0x0FEDB3C8746AB4, 0x0FEDC2DF416652, 0x0FEDD171A46E52, 0x0FEDDF813C8AD3,
-    0x0FEDED0F909980, 0x0FEDFA1E0FD414, 0x0FEE06AE124BC4, 0x0FEE12C0D95A06,
-    0x0FEE1E579006E0, 0x0FEE29734B6524, 0x0FEE34150AE4BC, 0x0FEE3E3DB89B3C,
-    0x0FEE47EE2982F4, 0x0FEE51271DB086, 0x0FEE59E9407F41, 0x0FEE623528B42E,
-    0x0FEE6A0B5897F1, 0x0FEE716C3E077A, 0x0FEE7858327B82, 0x0FEE7ECF7B06BA,
-    0x0FEE84D2484AB2, 0x0FEE8A60B66343, 0x0FEE8F7ACCC851, 0x0FEE94207E25DA,
-    0x0FEE9851A829EA, 0x0FEE9C0E13485C, 0x0FEE9F557273F4, 0x0FEEA22762CCAE,
-    0x0FEEA4836B42AC, 0x0FEEA668FC2D71, 0x0FEEA7D76ED6FA, 0x0FEEA8CE04FA0A,
-    0x0FEEA94BE8333B, 0x0FEEA950296410, 0x0FEEA8D9C0075E, 0x0FEEA7E7897654,
-    0x0FEEA678481D24, 0x0FEEA48AA29E83, 0x0FEEA21D22E4DA, 0x0FEE9F2E352024,
-    0x0FEE9BBC26AF2E, 0x0FEE97C524F2E4, 0x0FEE93473C0A3A, 0x0FEE8E40557516,
-    0x0FEE88AE369C7A, 0x0FEE828E7F3DFD, 0x0FEE7BDEA7B888, 0x0FEE749BFF37FF,
-    0x0FEE6CC3A9BD5E, 0x0FEE64529E007E, 0x0FEE5B45A32888, 0x0FEE51994E57B6,
-    0x0FEE474A0006CF, 0x0FEE3C53E12C50, 0x0FEE30B2E02AD8, 0x0FEE2462AD8205,
-    0x0FEE175EB83C5A, 0x0FEE09A22A1447, 0x0FEDFB27E349CC, 0x0FEDEBEA76216C,
-    0x0FEDDBE422047E, 0x0FEDCB0ECE39D3, 0x0FEDB964042CF4, 0x0FEDA6DCE938C9,
-    0x0FED937237E98D, 0x0FED7F1C38A836, 0x0FED69D2B9C02B, 0x0FED538D06AE00,
-    0x0FED3C41DEA422, 0x0FED23E76A2FD8, 0x0FED0A732FE644, 0x0FECEFDA07FE34,
-    0x0FECD4100EB7B8, 0x0FECB708956EB4, 0x0FEC98B61230C1, 0x0FEC790A0DA978,
-    0x0FEC57F50F31FE, 0x0FEC356686C962, 0x0FEC114CB4B335, 0x0FEBEB948E6FD0,
-    0x0FEBC429A0B692, 0x0FEB9AF5EE0CDC, 0x0FEB6FE1C98542, 0x0FEB42D3AD1F9E,
-    0x0FEB13B00B2D4B, 0x0FEAE2591A02E9, 0x0FEAAEAE992257, 0x0FEA788D8EE326,
-    0x0FEA3FCFFD73E5, 0x0FEA044C8DD9F6, 0x0FE9C5D62F563B, 0x0FE9843BA947A4,
-    0x0FE93F471D4728, 0x0FE8F6BD76C5D6, 0x0FE8AA5DC4E8E6, 0x0FE859E07AB1EA,
-    0x0FE804F690A940, 0x0FE7AB488233C0, 0x0FE74C751F6AA5, 0x0FE6E8102AA202,
-    0x0FE67DA0B6ABD8, 0x0FE60C9F38307E, 0x0FE5947338F742, 0x0FE51470977280,
-    0x0FE48BD436F458, 0x0FE3F9BFFD1E37, 0x0FE35D35EEB19C, 0x0FE2B5122FE4FE,
-    0x0FE20003995557, 0x0FE13C82788314, 0x0FE068C4EE67B0, 0x0FDF82B02B71AA,
-    0x0FDE87C57EFEAA, 0x0FDD7509C63BFD, 0x0FDC46E529BF13, 0x0FDAF8F82E0282,
-    0x0FD985E1B2BA75, 0x0FD7E6EF48CF04, 0x0FD613ADBD650B, 0x0FD40149E2F012,
-    0x0FD1A1A7B4C7AC, 0x0FCEE204761F9E, 0x0FCBA8D85E11B2, 0x0FC7D26ECD2D22,
-    0x0FC32B2F1E22ED, 0x0FBD6581C0B83A, 0x0FB606C4005434, 0x0FAC40582A2874,
-    0x0F9E971E014598, 0x0F89FA48A41DFC, 0x0F66C5F7F0302C, 0x0F1A5A4B331C4A,
-)
-wi_double = (
-    8.683627060801306e-16, 4.779330175727737e-17, 6.354352417405262e-17,
-    7.454870481247696e-17, 8.3293668157931e-17, 9.068060405059482e-17,
-    9.714860076567762e-17, 1.0294750314241019e-16, 1.0823430288447684e-16,
-    1.131147019610903e-16, 1.176635945702292e-16, 1.2193617278714363e-16,
-    1.2597439914637093e-16, 1.2981099886264032e-16, 1.3347203736824123e-16,
-    1.3697864842571203e-16, 1.4034823001242382e-16, 1.4359529452056943e-16,
-    1.4673208742364422e-16, 1.4976904668391037e-16, 1.5271515003596198e-16,
-    1.5557818169460764e-16, 1.5836494009290885e-16, 1.6108140175274928e-16,
-    1.6373285203969853e-16, 1.6632399058420835e-16, 1.6885901708676596e-16,
-    1.713417017655966e-16, 1.737754436586486e-16, 1.7616331923000996e-16,
-    1.7850812316976727e-16, 1.8081240285799152e-16, 1.830784876482675e-16,
-    1.853085138861802e-16, 1.8750444639373882e-16, 1.896680970077476e-16,
-    1.918011406483862e-16, 1.9390512930625104e-16, 1.9598150426628824e-16,
-    1.9803160683128174e-16, 2.000566877627333e-16, 2.0205791562071654e-16,
-    2.0403638415480212e-16, 2.0599311887403706e-16, 2.079290829041402e-16,
-    2.0984518222370352e-16, 2.1174227035760342e-16, 2.1362115259449868e-16,
-    2.1548258978581458e-16, 2.1732730177564367e-16, 2.191559705042727e-16,
-    2.2096924282235318e-16, 2.2276773304789553e-16, 2.2455202529414355e-16,
-    2.263226755928568e-16, 2.280802138345017e-16, 2.2982514554424684e-16,
-    2.3155795351040804e-16, 2.3327909928004356e-16, 2.3498902453470955e-16,
-    2.3668815235791604e-16, 2.3837688840454243e-16, 2.4005562198135063e-16,
-    2.4172472704675025e-16, 2.433845631371103e-16, 2.4503547622614954e-16,
-    2.466777995232705e-16, 2.4831185421610877e-16, 2.4993795016204524e-16,
-    2.515563865329658e-16, 2.5316745241713583e-16, 2.547714273816944e-16,
-    2.563685819989397e-16, 2.579591783392867e-16, 2.5954347043351707e-16,
-    2.6112170470670194e-16, 2.6269412038597256e-16, 2.6426094988411895e-16,
-    2.658224191608307e-16, 2.6737874806323633e-16, 2.689301506472616e-16,
-    2.704768354811995e-16, 2.720190059327732e-16, 2.735568604408679e-16,
-    2.7509059277301666e-16, 2.7662039226963903e-16, 2.781464440759544e-16,
-    2.79668929362423e-16, 2.8118802553450207e-16, 2.827039064324479e-16,
-    2.842167425218406e-16, 2.8572670107546015e-16, 2.87233946347098e-16,
-    2.887386397378482e-16, 2.9024093995538423e-16, 2.9174100316669455e-16,
-    2.9323898314471816e-16, 2.947350314092935e-16, 2.9622929736280665e-16,
-    2.977219284209029e-16, 2.992130701386013e-16, 3.007028663321331e-16,
-    3.0219145919680615e-16, 3.036789894211802e-16, 3.051655962978219e-16,
-    3.0665141783089545e-16, 3.081365908408297e-16, 3.0962125106629225e-16,
-    3.111055332636893e-16, 3.125895713043999e-16, 3.140734982699446e-16,
-    3.1555744654528006e-16, 3.1704154791040285e-16, 3.1852593363044065e-16,
-    3.2001073454440114e-16, 3.214960811527447e-16, 3.2298210370394156e-16,
-    3.244689322801698e-16, 3.2595669688230784e-16, 3.2744552751437067e-16,
-    3.2893555426753697e-16, 3.3042690740391284e-16, 3.3191971744017523e-16,
-    3.3341411523123725e-16, 3.3491023205407785e-16, 3.364081996918765e-16,
-    3.37908150518595e-16, 3.394102175841489e-16, 3.409145347003126e-16,
-    3.424212365275018e-16, 3.4393045866258313e-16, 3.454423377278584e-16,
-    3.4695701146137835e-16, 3.4847461880874137e-16, 3.499953000165381e-16,
-    3.5151919672760744e-16, 3.53046452078274e-16, 3.5457721079774357e-16,
-    3.5611161930983884e-16, 3.5764982583726505e-16, 3.59191980508603e-16,
-    3.6073823546823514e-16, 3.6228874498941915e-16, 3.6384366559073444e-16,
-    3.65403156156137e-16, 3.669673780588701e-16, 3.685364952894914e-16,
-    3.7011067458828983e-16, 3.716900855823823e-16, 3.7327490092779435e-16,
-    3.7486529645684887e-16, 3.7646145133120287e-16, 3.7806354820089604e-16,
-    3.7967177336979443e-16, 3.8128631696783774e-16, 3.829073731305243e-16,
-    3.8453514018609596e-16, 3.8616982085091493e-16, 3.878116224335587e-16,
-    3.894607570481926e-16, 3.9111744183782054e-16, 3.9278189920805415e-16,
-    3.944543570720877e-16, 3.9613504910761354e-16, 3.9782421502646826e-16,
-    3.995221008578565e-16, 4.012289592460629e-16, 4.029450497636328e-16,
-    4.04670639241075e-16, 4.0640600211422504e-16, 4.0815142079049387e-16,
-    4.0990718603532664e-16, 4.1167359738030257e-16, 4.134509635544236e-16,
-    4.1523960294026883e-16, 4.170398440568316e-16, 4.1885202607101123e-16,
-    4.206764993399015e-16, 4.2251362598620494e-16, 4.243637805093078e-16,
-    4.262273504347798e-16, 4.2810473700531167e-16, 4.2999635591638323e-16,
-    4.3190263810026294e-16, 4.338240305622791e-16, 4.357609972736849e-16,
-    4.3771402012585875e-16, 4.3968359995105214e-16, 4.4167025761542035e-16,
-    4.4367453519065673e-16, 4.456969972112043e-16, 4.477382320247534e-16,
-    4.49798853244555e-16, 4.518795013130059e-16, 4.539808451870034e-16,
-    4.561035841567422e-16, 4.582484498109567e-16, 4.604162081631153e-16,
-    4.626076619547846e-16, 4.648236531543207e-16, 4.670650656712631e-16,
-    4.693328283093329e-16, 4.716279179838351e-16, 4.739513632325867e-16,
-    4.763042480533137e-16, 4.786877161048723e-16, 4.811029753147417e-16,
-    4.835513029411525e-16, 4.860340511450812e-16, 4.885526531353603e-16,
-    4.91108629959527e-16, 4.937035980240335e-16, 4.963392774403987e-16,
-    4.990175013091822e-16, 5.017402260718089e-16, 5.045095430818727e-16,
-    5.073276915733542e-16, 5.101970732341562e-16, 5.131202686306784e-16,
-    5.161000557743228e-16, 5.191394311757699e-16, 5.222416338000234e-16,
-    5.254101724177597e-16, 5.286488569504945e-16, 5.3196183453384e-16,
-    5.353536311816497e-16, 5.388292001334053e-16, 5.423939782201712e-16,
-    5.46053951907478e-16, 5.498157350892814e-16, 5.536866612467876e-16,
-    5.576748932926576e-16, 5.617895553555417e-16, 5.660408920082422e-16,
-    5.704404621291389e-16, 5.750013768919895e-16, 5.797385945724594e-16,
-    5.846692893455479e-16, 5.898133176477899e-16, 5.951938149641444e-16,
-    6.008379696271908e-16, 6.067780409333449e-16, 6.130527208725282e-16,
-    6.197089894581626e-16, 6.268046963301284e-16, 6.344122407127506e-16,
-    6.426239659548055e-16, 6.515603317344994e-16, 6.613827885097664e-16,
-    6.723150462505587e-16, 6.846803417564259e-16, 6.98971833638762e-16,
-    7.159994934830664e-16, 7.372424301798799e-16, 7.658936370805573e-16,
-    8.113849337656484e-16,
-)
-fi_double = (
-    1.0, 0.9771017012676716, 0.9598790918001067,
-    0.9451989534422996, 0.9320600759592305, 0.919991505039347,
-    0.9087264400521309, 0.8980959218983434, 0.8879846607558334,
-    0.8783096558089174, 0.869008688036857, 0.8600336211963315,
-    0.851346258458678, 0.8429156531122042, 0.8347162929868834,
-    0.8267268339462214, 0.8189291916037024, 0.8113078743126563,
-    0.8038494831709643, 0.796542330422959, 0.7893761435660246,
-    0.7823418326548025, 0.7754313049811872, 0.7686373157984863,
-    0.7619533468367954, 0.7553735065070961, 0.7488924472191568,
-    0.742505296340151, 0.7362075981268627, 0.7299952645614762,
-    0.7238645334686302, 0.717811932630722, 0.7118342488782484,
-    0.7059285013327543, 0.7000919181365116, 0.6943219161261167,
-    0.6886160830046718, 0.6829721616449949, 0.6773880362187735,
-    0.6718617198970821, 0.6663913439087501, 0.6609751477766631,
-    0.6556114705796973, 0.6502987431108167, 0.6450354808208223,
-    0.6398202774530566, 0.6346517992876236, 0.6295287799248367,
-    0.6244500155470265, 0.6194143606058343, 0.6144207238889139,
-    0.6094680649257734, 0.6045553906974678, 0.5996817526191253,
-    0.5948462437679874, 0.590047996332826, 0.5852861792633715,
-    0.5805599961007909, 0.5758686829723537, 0.5712115067352532,
-    0.5665877632561644, 0.5619967758145243, 0.557437893618766,
-    0.5529104904258323, 0.5484139632552658, 0.5439477311900263,
-    0.5395112342569521, 0.5351039323804576, 0.5307253044036621,
-    0.5263748471716845, 0.5220520746723218, 0.5177565172297564,
-    0.513487720747327, 0.5092452459957479, 0.5050286679434681,
-    0.5008375751261487, 0.4966715690524897, 0.49253026364386854,
-    0.48841328470545803, 0.4843202694266833, 0.48025086590904675,
-    0.47620473271950586, 0.4721815384677302, 0.4681809614056936,
-    0.46420268904817436, 0.46024641781284287, 0.45631185267871643,
-    0.4523987068618485, 0.44850670150720306, 0.4446355653957394,
-    0.440785034665804, 0.43695485254798555, 0.43314476911265226,
-    0.4293545410294414, 0.42558393133802197, 0.4218327092294959,
-    0.4181006498378482, 0.4143875340408911, 0.41069314827018816,
-    0.40701728432947337, 0.4033597392211145, 0.3997203149801972,
-    0.39609881851583245, 0.3924950614593156, 0.3889088600187887,
-    0.3853400348400773, 0.38178841087339366, 0.3782538172456192,
-    0.37473608713789114, 0.3712350576682395, 0.3677505697790326,
-    0.36428246812900406, 0.36083060098964803, 0.3573948201457805,
-    0.3539749808000768, 0.3505709414814061, 0.34718256395679364,
-    0.3438097131468507, 0.34045225704452187, 0.33711006663700605,
-    0.33378301583071845, 0.3304709813791636, 0.3271738428136014,
-    0.3238914823763911, 0.32062378495690536, 0.3173706380299136,
-    0.3141319315963372, 0.3109075581262865, 0.30769741250429206,
-    0.30450139197665, 0.30131939610080305, 0.2981513266966855,
-    0.2949970877999618, 0.2918565856170952, 0.2887297284821829,
-    0.28561642681550176, 0.2825165930837076, 0.27943014176163794,
-    0.2763569892956683, 0.27329705406857707, 0.27025025636587546,
-    0.26721651834356147, 0.2641957639972612, 0.2611879191327212,
-    0.25819291133761924, 0.25521066995466196, 0.2522411260559422,
-    0.24928421241852852, 0.24633986350126383, 0.2434080154227503,
-    0.2404886059405006, 0.2375815744312381, 0.23468686187233,
-    0.23180441082433872, 0.22893416541468034, 0.22607607132238028,
-    0.22323007576391748, 0.220396127480152, 0.21757417672433113,
-    0.21476417525117358, 0.21196607630703018, 0.20917983462112508,
-    0.2064054063978808, 0.2036427493103349, 0.2008918224946566,
-    0.19815258654577514, 0.1954250035141343, 0.19270903690358918,
-    0.19000465167046499, 0.1873118142238003, 0.18463049242679927,
-    0.18196065559952251, 0.17930227452284758, 0.17665532144373486,
-    0.17401977008183855, 0.17139559563750575, 0.1687827748012113,
-    0.1661812857644819, 0.16359110823236558, 0.161012223437511,
-    0.15844461415592428, 0.1558882647244792, 0.15334316106026286,
-    0.15080929068184568, 0.14828664273257455, 0.14577520800599403,
-    0.14327497897351346, 0.1407859498144447, 0.13830811644855073,
-    0.13584147657125376, 0.13338602969166916, 0.13094177717364436,
-    0.12850872227999957, 0.1260868702201859, 0.12367622820159657,
-    0.1212768054847903, 0.11888861344291006, 0.11651166562561087,
-    0.11414597782783849, 0.11179156816383809, 0.1094484571468118,
-    0.1071166677746838, 0.10479622562248707, 0.10248715894193525,
-    0.10018949876881002, 0.09790327903886246, 0.095628536713009,
-    0.09336531191269101, 0.09111364806637376, 0.08887359206827589,
-    0.08664519445055807, 0.08442850957035347, 0.0822235958132029,
-    0.08003051581466307, 0.07784933670209612, 0.07568013035892718,
-    0.07352297371398132, 0.0713779490588904, 0.06924514439700676,
-    0.0671246538277885, 0.0650165779712429, 0.06292102443775814,
-    0.06083810834953988, 0.05876795292093374, 0.0567106901062029,
-    0.05466646132488892, 0.05263541827679219, 0.05061772386094778,
-    0.04861355321586854, 0.04662309490193038, 0.044646552251294463,
-    0.04268414491647446, 0.04073611065594094, 0.03880270740452615,
-    0.036884215688567305, 0.034980941461716125, 0.03309321945857858,
-    0.0312214171919203, 0.02936593975813336, 0.027527235669603113,
-    0.02570580400854891, 0.02390220330579588, 0.02211706270730885,
-    0.02035109623004451, 0.018605121275724622, 0.016880083152543142,
-    0.01517708830793531, 0.013497450601739867, 0.011842757857907879,
-    0.010214971439701459, 0.008616582769398726, 0.007050875471373222,
-    0.0055224032992509916, 0.0040379725933630236, 0.0026090727461021593,
-    0.001260285930498598,
-)
+ki_double = struct.unpack("<256Q", bytes.fromhex("""
+    6aef25803df30e00 0000000000000000 a8c6fb98be080c00 4281bdfa54a30d00
+    eaeec17ef6510e00 7ef7d3e955b20e00 b9ca7e814bef0e00 aa44fa0a47190f00
+    18cbff61ed370f00 5c256195464f0f00 96a31be4a5610f00 a49653757a700f00
+    9a4428ecb27c0f00 d357630cf1860f00 de258357a68f0f00 dad04dc724970f00
+    09f5db07a99d0f00 74fa81f560a30f00 f84b5bde6fa80f00 dc54d360f1ac0f00
+    0fb91867fbb00f00 c674538d9fb40f00 77fe6623ecb70f00 0ee5a1e9ecba0f00
+    ed0b049dabbd0f00 576cff6030c00f00 48a2371082c20f00 d15be27aa6c40f00
+    31ee7a97a2c60f00 a49628a97ac80f00 85de4b5e32ca0f00 1a2302e9cccb0f00
+    c439f8124dcd0f00 99ec8f4db5ce0f00 30c91dbf07d00f00 e6c4d64d46d10f00
+    50f4e2a872d20f00 1ec9f04f8ed30f00 78b490999ad40f00 530f92b898d50f00
+    ec998ec089d60f00 32e8c8a96ed70f00 e8087b5448d80f00 8c2cad8b17d90f00
+    d2ada707ddd90f00 8c5e107099da0f00 202ec05d4ddb0f00 d0fc5b5cf9db0f00
+    7d9ab9eb9ddc0f00 9d7218813bdd0f00 902f3488d2dd0f00 649f366463de0f00
+    4e518d70eede0f00 2eb4a60174df0f00 40ed9965f4df0f00 f224bce46fe00f00
+    58a225c2e6e00f00 4cb8283c59e10f00 993fbc8cc7e10f00 aa1cdbe931e20f00
+    911bda8598e20f00 8641b58ffbe20f00 4a8d55335be30f00 2a00d099b7e30f00
+    7fad9ee910e40f00 3477d44667e40f00 5c094cd3bae40f00 2495d2ae0be50f00
+    78bc4ef759e50f00 1212e4c8a5e50f00 8986133eefe50f00 7810d96f36e60f00
+    78d5c6757be60f00 aa111e66bee60f00 f2f4e555ffe60f00 02a700593ee70f00
+    399e3e827be70f00 a27070e3b6e70f00 4342778df0e70f00 8cf0539028e80f00
+    3a1735fb5ee80f00 640884dc93e80f00 bccef041c7e80f00 f64e7d38f9e80f00
+    1d9b87cc29e90f00 ea88d30959e90f00 a29a93fb86e90f00 664871acb3e90f00
+    d5b69426dfe90f00 7ce6ab7309ea0f00 a466f19c32ea0f00 2c9532ab5aea0f00
+    1a74d5a681ea0f00 f01cde97a7ea0f00 20d9f385ccea0f00 3ce66578f0ea0f00
+    13ec2f7613eb0f00 4a2afe8535eb0f00 b46231ae56eb0f00 fa84e2f476eb0f00
+    1420e65f96eb0f00 7c9dcff4b4eb0f00 d049f4b8d2eb0f00 3e2e6eb1efeb0f00
+    e8bd1ee30bec0f00 155ab15227ec0f00 d3af9d0442ec0f00 96f129fd5bec0f00
+    f4ee6c4075ec0f00 b40c50d28dec0f00 121f91b6a5ec0f00 fe27c4f0bcec0f00
+    15fb5484d3ec0f00 b3c88874e9ec0f00 b7917fc4feec0f00 2885357713ed0f00
+    0349848f27ed0f00 4c2f24103bed0f00 6e58adfb4ded0f00 ddc3985460ed0f00
+    e84f411d72ed0f00 82a9e45783ed0f00 c82ca40694ed0f00 04b7852ba4ed0f00
+    b46a74c8b3ed0f00 526641dfc2ed0f00 526ea471d1ed0f00 d38a3c81dfed0f00
+    8099900feded0f00 14d40f1efaed0f00 c44b12ae06ee0f00 065ad9c012ee0f00
+    e00690571eee0f00 24654b7329ee0f00 bce40a1534ee0f00 3c9bb83d3eee0f00
+    f48229ee47ee0f00 86b01d2751ee0f00 417f40e959ee0f00 2eb4283562ee0f00
+    f197580b6aee0f00 7a073e6c71ee0f00 827b325878ee0f00 ba067bcf7eee0f00
+    b24a48d284ee0f00 4363b6608aee0f00 51c8cc7a8fee0f00 da257e2094ee0f00
+    ea29a85198ee0f00 5c48130e9cee0f00 f47372559fee0f00 aecc6227a2ee0f00
+    ac426b83a4ee0f00 712dfc68a6ee0f00 fad66ed7a7ee0f00 0afa04cea8ee0f00
+    3b33e84ba9ee0f00 10642950a9ee0f00 5e07c0d9a8ee0f00 547689e7a7ee0f00
+    241d4878a6ee0f00 839ea28aa4ee0f00 dae4221da2ee0f00 2420352e9fee0f00
+    2eaf26bc9bee0f00 e4f224c597ee0f00 3a0a3c4793ee0f00 167555408eee0f00
+    7a9c36ae88ee0f00 fd3d7f8e82ee0f00 88b8a7de7bee0f00 ff37ff9b74ee0f00
+    5ebda9c36cee0f00 7e009e5264ee0f00 8828a3455bee0f00 b6574e9951ee0f00
+    cf06004a47ee0f00 502ce1533cee0f00 d82ae0b230ee0f00 0582ad6224ee0f00
+    5a3cb85e17ee0f00 47142aa209ee0f00 cc49e327fbed0f00 6c2176eaebed0f00
+    7e0422e4dbed0f00 d339ce0ecbed0f00 f42c0464b9ed0f00 c938e9dca6ed0f00
+    8de9377293ed0f00 36a8381c7fed0f00 2bc0b9d269ed0f00 00ae068d53ed0f00
+    22a4de413ced0f00 d82f6ae723ed0f00 44e62f730aed0f00 34fe07daefec0f00
+    b8b70e10d4ec0f00 b46e9508b7ec0f00 c13012b698ec0f00 78a90d0a79ec0f00
+    fe310ff557ec0f00 62c9866635ec0f00 35b3b44c11ec0f00 d06f8e94ebeb0f00
+    92b6a029c4eb0f00 dc0ceef59aeb0f00 4285c9e16feb0f00 9e1fadd342eb0f00
+    4b2d0bb013eb0f00 e9021a59e2ea0f00 572299aeaeea0f00 26e38e8d78ea0f00
+    e573fdcf3fea0f00 f6d98d4c04ea0f00 3b562fd6c5e90f00 a447a93b84e90f00
+    28471d473fe90f00 d6c576bdf6e80f00 e6e8c45daae80f00 eab17ae059e80f00
+    40a990f604e80f00 c0338248abe70f00 a56a1f754ce70f00 02a22a10e8e60f00
+    d8abb6a07de60f00 7e30389f0ce60f00 42f7387394e50f00 8072977014e50f00
+    58f436d48be40f00 371efdbff9e30f00 9cb1ee355de30f00 fee42f12b5e20f00
+    5755990300e20f00 148378823ce10f00 b067eec468e00f00 aa712bb082df0f00
+    aafe7ec587de0f00 fd3bc60975dd0f00 13bf29e546dc0f00 82022ef8f8da0f00
+    75bab2e185d90f00 04cf48efe6d70f00 0b65bdad13d60f00 12f0e24901d40f00
+    acc7b4a7a1d10f00 9e1f7604e2ce0f00 b2115ed8a8cb0f00 222dcd6ed2c70f00
+    ed221e2f2bc30f00 3ab8c08165bd0f00 345400c406b60f00 74282a5840ac0f00
+    9845011e979e0f00 fc1da448fa890f00 2c30f0f7c5660f00 4a1c334b5a1a0f00
+"""))
+wi_double = struct.unpack("<256d", bytes.fromhex("""
+    79d915783b49cf3c c6f6fde30b8d8b3c b45b2c3caf50923c 613b4438b97c953c
+    0ca72fe8fc01983c bcd04c2e0c239a3c f761382f4d009c3c 7472745a2fac9d3c
+    c3d54c2d48329f3c adbb8e27324da03c 435d023b05f5a03c 77364197a692a13c
+    f51a7a8fa227a23c 80d863382eb5a23c f59157c03f3ca33c 2fb1a2c19ebda33c
+    559bff8def39a43c a7fe3d36bbb1a43c 74d31a627525a53c 96ce07a78095a53c
+    ea7ed9cf3102a63c 3d7ca361d26ba63c 70050092a2d2a63c a6f846d3da36a73c
+    772ab310ad98a73c 43f546ad45f8a73c 770a4353cc55a83c 9a767b9e64b1a83c
+    98cf4ea92e0ba93c ea1e2c824763a93c 46c5388ec9b9a93c 2ca7a4dccc0eaa3c
+    59cd776d6762aa3c 3016106eadb4aa3c 9c6c136db105ab3c 297a42878455ab3c
+    3a9f528e36a4ab3c 3282bf2ad6f1ab3c f34e59f9703eac3c 613b32a5138aac3c
+    8b2672fec9d4ac3c 48b7800e9f1ead3c 101fe4299d67ad3c c3b82300ceafad3c
+    5376f1a93af7ad3c feedd2b5eb3dae3c 006f7a33e983ae3c ce82f9bd3ac9ae3c
+    2662f084e70daf3c 88f6d854f651af3c aed7879e6d95af3c ac2efa7d53d8af3c
+    ec3442e0560db03c 9a8f39f5402eb03c fca5169eea4eb03c 10a0725b566fb03c
+    0bf47190868fb03c 1361bc847dafb03c 7fcc4b663dcfb03c 6b08164bc8eeb03c
+    ee159532200eb13c be0f3107472db13c 41918e9f3e4cb13c 1e20c4bf086bb13c
+    34da781aa789b13c 886dee511ba8b13c cb2af8f866c6b13c 2ed4e0938be4b13c
+    9fa040998a02b23c e9c6c4726520b23c 1fc3e97d1d3eb23c fb6ba90cb45bb23c
+    7fd31d662a79b23c 1bd719c78196b23c da2eb862bbb3b23c 53b8e162d8d0b23c
+    8ea9cbe8d9edb23c d7486e0dc10ab33c 30b9f4e18e27b33c a15e26704444b33c
+    d552cabae260b33c 6a5805be6a7db33c 64b2b26fdd99b33c 033db8bf3bb6b33c
+    e01d569886d2b33c 835a72debeeeb33c 749ee071e50ab43c 5d74a62dfb26b43c
+    a4303ce80043b43c 5dc7ca73f75eb43c 36c3669edf7ab43c 2f8f4832ba96b43c
+    5d4102f687b2b43c dc11b3ac49ceb43c 05a6381600eab43c 62555eefab05b53c
+    5a8b0af24d21b53c 4f666ad5e63cb53c c8b21b4e7758b53c 785f550e0074b53c
+    14850ec6818fb53c 591b2423fdaab53c 3d737dd172c6b53c d38c2f7be3e1b53c
+    385e9fc84ffdb53c c31fa360b818b63c a2b0a2e81d34b63c 0b26b704814fb63c
+    7296c957e26ab63c 3731b1834286b63c b1b25029a2a1b63c bb43b3e801bdb63c
+    52d3286162d8b63c 54f86131c4f3b63c eb688bf7270fb73c c61469518e2ab73c
+    dcee70dcf745b73c 1f73e5356561b73c 49f4effad67cb73c 93bdbac84d98b73c
+    09148b3ccab3b73c fb22dbf34ccfb73c e7de738cd6eab73c 1fea86a46706b83c
+    7686c8da0022b83c 159f89cea23db83c bdf5d11f4e59b83c c57e7a6f0375b83c
+    2df7475fc390b83c 43c005928eacb83c 9c0ca1ab65c8b83c 276a445149e4b83c
+    8fb573293a00b93c 478328dc381cb93c fc0aef124638b93c 8aa203796254b93c
+    eed570bb8e70b93c 312a2e89cb8cb93c bf993f9319a9b93c 2cd9d58c79c5b93c
+    11746f2bece1b93c 4ad2fa2672feb93c 9236f9390c1bba3c 5bc8a221bb37ba3c
+    88bb0b9e7f54ba3c a4a94a725a71ba3c 3d31a0644c8eba3c 08f19f3e56abba3c
+    cef55acd78c8ba3c 36b38be1b4e5ba3c 1aa1c34f0b03bb3c 5b989af07c20bb3c
+    000ce0a00a3ebb3c 033dce41b55bbb3c 27893fb97d79bb3c 3cf7e5f16497bb3c
+    6e2585db6bb5bb3c a2c02e6b93d3bb3c 83ae819bdcf1bb3c a016ec6c4810bc3c
+    2d7af0e5d72ebc3c 1c0d6e138c4dbc3c 0587ec08666cbc3c 17a6ebe0668bbc3c
+    aba236bd8faabc3c 90d63bc7e1c9bc3c 37e068305ee9bc3c 6e8f8b320609bd3c
+    20ef3710db28bd3c 47c63315de48bd3c 23f1e7961069bd3c a5fbd7f47389bd3c
+    706e209909aabd3c 0e49fcf8d2cabd3c 372e5295d1ebbd3c 1cd249fb060dbe3c
+    f646eac4742ebe3c 88d1c1991c50be3c 25fe972f0072be3c 0abf2a4b2194be3c
+    086ff7c081b6be3c 3aa7107623d9be3c a9ec016108fcbe3c 2153c28a321fbf3c
+    6d4db70fa442bf3c 6801c9205f66bf3c 82978904668abf3c bf227118bbaebf3c
+    85e72fd260d3bf3c 0bf618c159f8bf3c 75a0d347d40ec03c 47c98f02a821c03c
+    ab02a983a934c03c c7f53e4eda47c03c 7eb3adf63b5bc03c 6826a723d06ec03c
+    172e638f9882c03c 54a2e8089796c03c c4c07175cdaac03c 48d4eed13dbfc03c
+    303daa34ead3c03c 936511cfd4e8c03c b69fa6effffdc03c 417020046e13c13c
+    355dbb9b2129c13c 6d09c4691d3fc13c 3b2e60486455c13c f3ee9d3bf96bc13c
+    6112d274df82c13c aceb4e561a9ac13c 8e2f7f77adb1c13c 94a671a99cc9c13c
+    39aee4fbebe1c13c 01d9e2c29ffac13c 81cc049dbc13c23c eed36f7a472dc23c
+    249caca44547c23c e05876c7bc61c23c 2e59a8fab27cc23c 780e77cd2e98c23c
+    520a2a5337b4c23c 97db9631d4d0c23c f578a9b10deec23c eeae56d2ec0bc33c
+    a3a4685e7b2ac33c a312ae05c449c33c 40a8337ad269c33c 0a415692b38ac33c
+    fa88ae7075acc33c a60417b327cfc33c 75f460aadbf2c33c dae5b99ca417c43c
+    945e5415983dc43c 153aa744ce64c43c bc439c75628dc43c 275a6b9d73b7c43c
+    0289cd0d25e3c43c 41ace9539f10c53c 427e3a521140c53c 1be44aa9b171c53c
+    d98d718bc0a5c53c fed03a248adcc53c 4c1e86cf6916c63c ea6a007bce53c63c
+    c3e59fbe4095c63c 32e2098d6bdbc63c 347a5ff02827c73c 730609569579c73c
+    8cced6f42dd4c73c 34f229050339c83c 147caabf0fabc83c 96446f94e02ec93c
+    ab574001eecbc93c 5a779478dc8fca3c b1fd78381f98cb3c 33ad0982b43bcd3c
+"""))
+fi_double = struct.unpack("<256d", bytes.fromhex("""
+    000000000000f03f 87f079c96a44ef3f 15a96c5b54b7ee3f 77f027e0113fee3f
+    95de04a76fd3ed3f f2bc57069270ed3f dc19a1784914ed3f eb2da7a833bdec3f
+    7f78a9ce5e6aec3f eabaeed91c1bec3f 82dce14eebceeb3f 52f58f3a6585eb3f
+    10dd34823a3eeb3f a2e86c3f2af9ea3f 04257af1feb5ea3f e1c950d58b74ea3f
+    0faff5fdaa34ea3f d81f65ee3bf6e93f 8106248d22b9e93f c17a6157467de93f
+    477a1bc29142e93f 4f7131bdf108e93f a80ae64f55d0e83f 02dfba48ad98e83f
+    acbc37fceb61e83f 6ecf560f052ce83f cbe2204bedf6e73f 58689c779ac2e73f
+    d5b0a03c038fe73f 56d870071f5ce73f 126d3ff4e529e73f ee7aeaba50f8e63f
+    895a639e58c7e63f 2a3b515ef796e63f 23e3922a2767e63f 180c5598e237e63f
+    652680982409e63f 6aff4a6fe8dae53f 895cc8ac29ade53f 8f8d4c26e47fe53f
+    469e8df01353e53f d56c655ab526e53f 67b620e8c4fae43f c04e494f3fcfe43f
+    7852dc7221a4e43f 1250df5f6879e43f 7936494a114fe43f e35f358a1925e43f
+    825b58997efbe33f a331af103ed2e33f 0ecd62a655a9e33f d500da2bc380e33f
+    e950f58b8458e33f 353a70c99730e33f ef3864fdfa08e33f ee3bea55ace1e23f
+    4a95d714aabae23f 15cd938ef293e23f ed040529846de23f 84db905a5d47e23f
+    f2f72fa97c21e23f 209692a9e0fbe13f 699954fe87d6e13f 11d13f5771b1e13f
+    503c9b709b8ce13f da3986120568e13f 9ca95e10ad43e13f 381f3148921fe13f
+    135932a2b3fbe03f a042411010d8e03f aed9708da6b4e03f 815d991d7691e03f
+    363cf0cc7d6ee03f 2e3fa6afbc4be03f 2a828be13129e03f c4cab885dc06e03f
+    a1bd7b8c77c9df3f ca00a9a79d85df3f f37a2fcb2942df3f 958f7e711affde3f
+    541fbd206ebcde3f c5c34e6a237ade3f 859b5fea3838de3f 093a7647adf6dd3f
+    b1560b327fb5dd3f 33de2664ad74dd3f 801002a13634dd3f 6d5baeb419f4dc3f
+    48a8c07355b4dc3f c7d700bbe874dc3f b82c1d6fd235dc3f 176a617c11f7db3f
+    916d71d6a4b8db3f 1b1307788b7adb3f ca31b362c43cdb3f 5285a19e4effda3f
+    9e5a5f3a29c2da3f 80d8a44a5385da3f 4dc020eacb48da3f 3e844639920cda3f
+    df931e5ea5d0d93f c6c018840495d93f 939fe0dbae59d93f 17cb339ba31ed93f
+    15f1b9fce1e3d83f 8891de3f69a9d83f b65aaca8386fd83f d90daa7f4f35d83f
+    11d9b811adfbd73f b014f4af50c2d73f eb5292af3989d73f edb1c7696750d73f
+    4c61a93bd917d73f aa4c12868edfd63f 21de88ad86a7d63f e2cb251ac16fd63f
+    15e57b373d38d63f c8d28074fa00d63f 44c27643f8c9d53f beeed6193693d53f
+    00013d70b35cd53f ed3b53c26f26d53f 926dbf8e6af0d43f a29c1057a3bad43f
+    d46aad9f1985d43f fe24c3efcc4fd43f 197a35d1bc1ad43f dbd28ed0e8e5d33f
+    ae43f17c50b1d33f 79130868f37cd33f 9ed1f925d148d33f 2ff65a4de914d33f
+    660721773be1d23f dd3f963ec7add23f 1eb14d418c7ad23f 89de171f8a47d23f
+    9eccf779c014d23f 168118f62ee2d13f 50f0c239d5afd13f e85454edb27dd13f
+    67ee34bbc74bd13f 2324cf4f131ad13f c409875995e8d03f da42b2884db7d03f
+    3643908f3b86d03f d9e942225f55d03f 7e74c7f6b724d03f c593df898be8cf3f
+    3532b88c1088cf3f d298e96cfe27cf3f 449cc9a454c8ce3f dd3c28b21269ce3f
+    84714516380ace3f 0a90c755c4abcd3f 4f51b2f8b64dcd3f cc6f5e8a0ff0cc3f
+    53df7199cd92cc3f 479dd8b7f035cc3f a118be7a78d9cb3f aa31877a647dcb3f
+    3ad1cc52b421cb3f 071857a267c6ca3f 7e26190b7e6bca3f 3d7e2d32f710ca3f
+    5afed2bfd2b6c93f 277c6a5f105dc93f 69fa74bfaf03c93f 5b819291b0aac83f
+    389a818a1252c83f 75711f62d5f9c73f 23a368d3f8a1c73f a6b57a9c7c4ac73f
+    1647967e60f3c63f 5cf2213ea49cc63f 9cf1ada24746c63f f983f8764af0c53f
+    6c1df388ac9ac53f 3568c8a96d45c53f c11fe3ad8df0c43f 2dcef56c0c9cc43f
+    d57503c2e947c43f ae31698b25f4c33f eed7e8aabfa0c33f 88abb405b84dc33f
+    652a7c840efbc23f 1a077a13c3a8c23f b75e83a2d556c23f 343c18254605c23f
+    427d759214b4c13f 632da8e54063c13f b96ea21dcb12c13f ba09523db3c2c03f
+    85bfb84bf972c03f 2a7d06549d23c03f 2c226bcb3ea9bf3f 1c0e5229ff0bbf3f
+    4ba59af27b6fbe3f 8fe87661b5d3bd3f e591bdb9ab38bd3f 0a743b495f9ebc3f
+    15100b68d004bc3f 33e2f278ff6bbb3f 33f6cae9ecd3ba3f 8662ea33993cba3f
+    195b9ddc04a6b93f aba0a4753010b93f 5228bf9d1c7bb83f d6ef3e01cae6b73f
+    7611aa5a3953b73f 4c4a69736bc0b63f 184d8524612eb63f a46674571b9db53f
+    ae2bfa069b0cb53f 13221b40e17cb43f 869a2623efedb33f 703ed9e4c55fb33f
+    11319bcf66d2b23f 910ddd44d345b23f 7d8997be0cbab13f 9d17f2d0142fb13f
+    2596152ceda4b03f 97e4309e971bb03f 356e6c2b2c26af3f 8151b247d516ae3f
+    62f1adfe2e09ad3f 2c2a280f3efdab3f 705f389007f3aa3f 635529f990eaa93f
+    abb5682ae0e3a83f 1e27af77fbdea73f 64d098b3e9dba63f d4adf23cb2daa53f
+    5d27110e5ddba43f cbee98cef2dda33f 97f43de87ce2a23f bc6a1f9f05e9a13f
+    1180962e98f1a03f c4a518d781f89f3f 758c82db1a129e3f 1a09cd8319309c3f
+    f8eb224e9f529a3f 0ac100b6d179983f 82bf0bf4daa5963f 64b0fbf2ead6943f
+    135eab8d380d933f 123060340349913f 49dd724f2a158f3f ac8f4f278da48b3f
+    78a48d0d0441883f e0cf1a4296eb843f 922f952992a5813f 3768ecf860e17c3f
+    5db80cd9a89e763f fdb1b0031f8a703f 67b0c1439f5f653f 0ff7b9b605a6543f
+"""))
 
 
 # NumPy's license, which covers the three tables above and the arithmetic

@@ -730,9 +730,11 @@ def fit_inputs(tmp_path_factory):
     for argv in (["scan"], ["tof", "simulate"], ["decay", "simulate"], ["pulse", "--noisy"]):
         out = directory / f"{argv[0]}.csv"
         assert cli.main([*argv, "--out", str(out)]) == 0
-    # the long_trains golden's shape, 15 x 4 x 1000: above the plain-scan cutoff
-    long_trains = {"scan": {"runs_per_point": 4, "pulses_per_sample": 1000}}
-    (directory / "long.json").write_text(json.dumps(long_trains) + "\n")
+    # 15 x 40 x 1000, above the plain-scan cutoff, and 15 x 400 x 10 below it
+    shapes = {"long.json": (40, 1000), "wide.json": (400, 10)}
+    for name, (runs, pulses) in shapes.items():
+        shape = {"scan": {"runs_per_point": runs, "pulses_per_sample": pulses}}
+        (directory / name).write_text(json.dumps(shape) + "\n")
     decay_fit = ["decay", "fit", "--in", str(directory / "decay.csv")]
     assert cli.main([*decay_fit, "--out", str(directory / "decay_fit.json")]) == 0
     return directory
@@ -776,12 +778,15 @@ print(json.dumps([code, [m for m in {IMPORT_FLOOR!r} if m in sys.modules],
         (["--version"], False),
         (["scan", "--out", "s.csv"], False),
         (["scan", "--manifest", "scan.csv.manifest.json"], False),
+        # many short cells: 6000 of them, 60,000 pulses
+        (["scan", "--config", "wide.json", "--out", "wide.csv"], False),
         # control: a scan above the plain-scan cutoff still runs on numpy
         (["scan", "--config", "long.json", "--out", "long.csv"], True),
     ],
     ids=["fit", "budget", "tof-fit", "decay-fit", "decay-replay", "decay-simulate",
          "tof-simulate", "pulse-noisy", "decay-simulate-replay", "tof-simulate-replay",
-         "pulse-replay", "help", "version", "scan", "scan-replay", "scan-long-trains"],
+         "pulse-replay", "help", "version", "scan", "scan-replay", "scan-wide",
+         "scan-long-trains"],
 )
 def test_command_loads_no_numpy(fit_inputs, argv, loads_numpy):
     # -S skips site and its .pth hooks, which may load typing or
@@ -949,6 +954,13 @@ OVERSIZED_COUNTS = {
         (["scan"], {"scan": {"photons_per_pulse": 1e308}}, 0, None),
         # each once exited 3 with a bare "Numerical result out of range"
         (["decay", "simulate"], {"decay": {"sigma_r_m": 1e308}}, 3, "decay.sigma_r_m"),
+        # each once exited naming no key: "float division by zero" from the
+        # simulation, "v_eff must be positive, got 0.0" from the fit (which
+        # checks the cloud before it reads its input)
+        (["decay", "simulate"], {"decay": {"sigma_r_m": 1e-170}}, 3, "decay.sigma_r_m"),
+        (["decay", "simulate"], {"decay": {"sigma_r_m": 1e-308}}, 3, "decay.sigma_z_m"),
+        (["decay", "fit", "--in", "decay.csv"], {"decay": {"sigma_r_m": 1e-170}}, 3,
+         "decay.sigma_r_m = 1e-170"),
         (["tof", "simulate"], {"tof": {"sigma0_m": 1e308}}, 3, "tof.sigma0_m"),
         (["tof", "simulate"], {"tof": {"t_stop_s": 1e308}}, 3, "tof.t_stop_s"),
         (["scan", "--atoms", "1e308"], {}, 3, "ensemble.n_atoms"),
@@ -963,7 +975,8 @@ OVERSIZED_COUNTS = {
         (["pulse"], {"pulse": {"theta_rad": math.inf}}, 3, None),
         (["pulse"], {"pulse": {"theta_rad": 1e300, "n_photons": 1e300}}, 3, None),
     ],
-    ids=["photons-per-pulse", "sigma-r", "sigma0", "t-stop", "atoms-flag",
+    ids=["photons-per-pulse", "sigma-r", "sigma-r-underflow", "sigma-r-1e-308",
+         "sigma-r-underflow-fit", "sigma0", "t-stop", "atoms-flag",
          "huge-int-detuning", *OVERSIZED_COUNTS, "atom-spread", "infinite-n0",
          "infinite-sigma0", "infinite-pulse-theta", "pulse-imbalance-overflow"],
 )

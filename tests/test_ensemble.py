@@ -192,6 +192,13 @@ def test_effective_volume_reference():
     )
 
 
+def test_effective_volume_rejects_underflow():
+    # positive sigmas whose volume rounds to 0, which every rate divides by
+    with pytest.raises(ArithmeticError, match="underflows to 0"):
+        effective_two_body_volume(SIGMA_Z, 1e-170)
+    assert effective_two_body_volume(SIGMA_Z, 1e-150) > 0.0
+
+
 def test_peak_density_reference():
     n0 = peak_density(1.2e6, SIGMA_Z, SIGMA_R)
     assert n0 == pytest.approx(2.926211404117714e17, rel=1e-12)  # 2.93e11 cm^-3

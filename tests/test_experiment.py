@@ -237,20 +237,22 @@ def test_trains_of_any_length_match_per_cell_reference_exactly(n_pulses, decay, 
 
 
 def scan_work(runs, pulses, n_detunings=15):
-    return n_detunings * runs * (pulses + 12)
+    return n_detunings * runs * (pulses + experiment._PLAIN_CELL_PULSES)
 
 
 # (runs, pulses) straddling the cutoff as 15-detuning scans: the default
-# shape, 1 run, 1 pulse and one long train below it; one just above it, the
-# scan-wide shape and the long_trains golden's shape above it
-RUN_MEANS_SHAPES = [(40, 10), (1, 1), (1, 1000), (55, 1), (55, 40), (400, 10), (4, 1000)]
+# shape, 1 run, 1 pulse, two long trains, the scan-wide shape and the
+# long_trains golden's shape below it; one just above it and the scan-long
+# shape above it
+RUN_MEANS_SHAPES = [(40, 10), (1, 1), (1, 1000), (55, 1), (55, 40), (400, 10), (4, 1000),
+                    (600, 10), (40, 1000)]
 
 
 @pytest.mark.numpy_oracle
 @pytest.mark.parametrize("runs, pulses", RUN_MEANS_SHAPES)
 def test_plain_and_numpy_run_means_are_equal(runs, pulses):
-    sides = {scan_work(r, p) <= experiment._PLAIN_SCAN_WORK for r, p in RUN_MEANS_SHAPES}
-    assert sides == {True, False}
+    sides = [scan_work(r, p) <= experiment._PLAIN_SCAN_WORK for r, p in RUN_MEANS_SHAPES]
+    assert sides == [True] * 7 + [False] * 2
     couplings_g = [coupling_constant(d, AREA, SPEC).g for d in (-2.3e9, -1.37e9, 0.9e9)]
     tr = TransmissionSpec(t_h=0.93, t_v=0.87)
     cases = [

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from coldspin import cli
+from coldspin import cli, experiment
 
 # the digests must hold under every numpy that pyproject.toml allows
 pytestmark = pytest.mark.numpy_oracle
@@ -130,13 +130,26 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_scan_outputs_match_golden_digests(name, tmp_path, monkeypatch):
+def run_digests(name, tmp_path, monkeypatch) -> dict:
     monkeypatch.chdir(tmp_path)
     for argv in RUNS[name](tmp_path):
         assert cli.main(argv) == 0
-    digests = {
+    return {
         filename: hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest()
         for filename in GOLDEN[name]
     }
-    assert digests == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_scan_outputs_match_golden_digests(name, tmp_path, monkeypatch):
+    assert run_digests(name, tmp_path, monkeypatch) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("path", ["numpy", "plain"])
+@pytest.mark.parametrize("name", ["default", "long_trains", "three_threads"])
+def test_scan_goldens_hold_on_both_scan_paths(name, path, tmp_path, monkeypatch):
+    # each scan golden runs on the path its shape picks; a zero cutoff sends
+    # it through numpy end to end, and one above every golden's work plain
+    cutoff = 0 if path == "numpy" else 10**9
+    monkeypatch.setattr(experiment, "_PLAIN_SCAN_WORK", cutoff)
+    assert run_digests(name, tmp_path, monkeypatch) == GOLDEN[name]

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from coldspin import rng
 from coldspin.cli import _linspace
 from coldspin.rng import (
-    NormalStream, POOL_SIZE, mix_entropy, pcg64_seed, seed_sequence_words, uint32_words,
+    NormalStream, POOL_SIZE, mix_entropy, normal_draws, pcg64_seed, pool_finisher,
+    seed_sequence_words, uint32_words,
 )
 
 # 1 to 6 uint32 words: the pool holds 4, so the last two seeds also run
@@ -27,12 +28,11 @@ def bits(values) -> list[int]:
     return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
 
 
-@pytest.mark.numpy_oracle
-def test_normal_stream_is_numpy_standard_normal(monkeypatch):
-    assert len(SEEDS) * DRAWS >= 10**6
-    assert {len(uint32_words(seed)) for seed in SEEDS} >= {1, 2, 3, POOL_SIZE + 2}
-    # the ziggurat's slow branches are the only callers of exp (the wedge
-    # test) and log1p (the tail beyond r); count them to see both taken
+@pytest.fixture
+def slow_branch_calls(monkeypatch):
+    """Calls of exp and log1p: the ziggurat's slow branches are their only
+    callers (the wedge test and the tail beyond r), so counting them shows
+    both taken."""
     calls = {"exp": 0, "log1p": 0}
 
     def counted(name, function):
@@ -43,6 +43,13 @@ def test_normal_stream_is_numpy_standard_normal(monkeypatch):
 
     monkeypatch.setattr(rng, "exp", counted("exp", rng.exp))
     monkeypatch.setattr(rng, "log1p", counted("log1p", rng.log1p))
+    return calls
+
+
+@pytest.mark.numpy_oracle
+def test_normal_stream_is_numpy_standard_normal(slow_branch_calls):
+    assert len(SEEDS) * DRAWS >= 10**6
+    assert {len(uint32_words(seed)) for seed in SEEDS} >= {1, 2, 3, POOL_SIZE + 2}
     for seed in SEEDS:
         stream = NormalStream(seed)
         ours = [stream.standard_normal() for _ in range(DRAWS)]
@@ -57,8 +64,28 @@ def test_normal_stream_is_numpy_standard_normal(monkeypatch):
             "has_uint32": 0,
             "uinteger": 0,
         }, seed
-    assert calls["exp"] > 0
-    assert calls["log1p"] > 0
+    assert slow_branch_calls["exp"] > 0
+    assert slow_branch_calls["log1p"] > 0
+
+
+@pytest.mark.numpy_oracle
+def test_normal_draws_are_numpy_bulk_standard_normal(slow_branch_calls):
+    # batches of uneven sizes, empty ones included, each resuming from the
+    # state the last one returned
+    batches = (0, 1, 2, 997, 0, DRAWS - 1000)
+    assert sum(batches) == DRAWS and len(SEEDS) * DRAWS >= 10**6
+    for seed in SEEDS:
+        state, inc = pcg64_seed(*seed_sequence_words(uint32_words(seed)))
+        ours = []
+        for count in batches:
+            draws, state = normal_draws(state, inc, count)
+            assert len(draws) == count
+            ours += draws
+        bulk = np.random.Generator(np.random.PCG64(seed))
+        assert bits(ours) == bits(bulk.standard_normal(DRAWS)), seed
+        assert bulk.bit_generator.state["state"] == {"state": state, "inc": inc}, seed
+    assert slow_branch_calls["exp"] > 0
+    assert slow_branch_calls["log1p"] > 0
 
 
 @pytest.mark.numpy_oracle
@@ -101,12 +128,12 @@ def test_shared_prefix_pool_is_seed_sequence_words(prefix, tails):
     # seeds every PCG64 as hashing each whole entropy does
     expected = [pcg64_seed(*seed_sequence_words(prefix + tail)) for tail in tails]
     pool = mix_entropy(prefix)
-    assert [pcg64_seed(*seed_sequence_words(tail, pool)) for tail in tails] == expected
+    finish = pool_finisher(pool, len(tails[0]))
+    assert [pcg64_seed(*finish(tail)) for tail in tails] == expected
     assert pool == mix_entropy(prefix)  # finishing never mutates the shared pool
     if tails[0]:
         columns = [np.array(words, dtype=np.uint64) for words in zip(*tails)]
-        words = seed_sequence_words(columns, pool)
-        state, inc = pcg64_seed(*(word.astype(object) for word in words))
+        state, inc = pcg64_seed(*(word.astype(object) for word in finish(columns)))
         assert list(zip(state.tolist(), inc.tolist())) == expected
 
 
