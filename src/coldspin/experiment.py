@@ -12,24 +12,25 @@ draws from its own stream, exactly
 np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed,
 spawn_key=(detuning_index, run_index)))), so results are identical
 regardless of execution order.  The seed words a detuning's cells share
-are hashed once per detuning (_cell_seeder).
+are hashed once per detuning (_detuning_pool); the hash then seeds all of
+its cells at once, one lane per cell of an rng.Uint64Lanes
+(_cell_states), on the standard library, for either scan path.
 
 A pulse train (run_pulse_train) is the scalar chain itself, pulse by
 pulse: faraday_angle -> simulate_pulse_detection -> extract_angle ->
 decay_mean_z.  A scan computes the same operations in the same order on
 one of two paths, chosen from its shape alone (_PLAIN_SCAN_WORK); both
-give the same values bit for bit.  A scan at or below the cutoff (the
-15 x 400 x 10 one, 60,000 pulses in 6000 cells, included) runs in plain
-floats: each cell finishes its seeding in ints, takes all its draws from
-one rng.normal_draws call, and computes its pulses one by one, so it never
-imports numpy, whose import would cost more than the whole scan.  A larger
-scan imports numpy: it seeds all of a detuning's cells at once in uint64
-arrays (_cell_states), sets each state in turn on one reused generator,
-and probes all of the detuning's runs in one array computation, where the
-per-pulse <J_z> is a running product along each row.  One aggregation (_scan_point) then sums the runs' mean angles as
-np.mean and np.std do.  A scan reads only the photon number of a pulse,
-so it takes no pulse duration.  The dataset and its CSV table are
-scandata's.
+give the same values bit for bit.  A scan up to the cutoff (a 15 x 400 x
+10 one, 60,000 pulses in 6000 cells, among them) runs in plain floats:
+each cell takes all its draws from one rng.normal_draws call and computes
+its pulses one by one, so the scan never imports numpy, whose import
+would cost more than the whole scan.  A larger scan imports numpy: it
+sets each cell's state in turn on one reused generator, and probes all of
+a detuning's runs in one array computation, where the per-pulse <J_z> is
+a running product along each row.  One aggregation (_scan_point) then
+sums the runs' mean angles as np.mean and np.std do.  A scan reads only
+the photon number of a pulse, so it takes no pulse duration.  The dataset
+and its CSV table are scandata's.
 """
 
 from __future__ import annotations
@@ -44,7 +45,10 @@ from .detector import (
 )
 from .errors import NearResonanceError, ValidationError
 from .frozen import Frozen
-from .rng import POOL_SIZE, mix_entropy, normal_draws, pcg64_seed, pool_finisher, uint32_words
+from .rng import (
+    POOL_SIZE, Uint64Lanes, mix_entropy, normal_draws, pcg64_seed, seed_sequence_words,
+    uint32_words,
+)
 from .scandata import ScanDataset, ScanPoint
 from .spin_optics import (
     DEFAULT_GUARD_LINEWIDTHS,
@@ -62,17 +66,17 @@ from .summation import pairwise_sum
 # _PLAIN_CELL_PULSES) is at most _PLAIN_SCAN_WORK, and imports numpy above
 # it.  Measured on a 2-core x86-64 host (Python 3.11.7, numpy 2.4.6), best
 # of 20 per shape over five shapes from 300 x 1 to 15 x 201 runs x pulses
-# at 15 detunings, fitted as cells * (a + b * pulses): the plain path costs
-# b = 0.79 us a pulse and a = 8.5 us a cell (6.0 us of it seeding the
-# cell's PCG64 from the detuning's shared pool), the numpy path 0.066 us
-# and 4.7 us.  So a plain cell costs (8.5 - 4.7) / (0.79 - 0.066) = 5
-# pulses more than a numpy one, and each unit of work 0.72 us more.  The
-# numpy path first imports numpy: 97 ms best and 125 ms median of 15 here
-# ("import numpy" minus "pass", each in a fresh interpreter), which is
-# 134,000-172,000 units.  At 2**17 units (94 ms) the plain path is still no
-# slower than a fast numpy import alone.  So the 15 x 400 x 10 scan (90,000
-# units) runs plain and the 15 x 40 x 1000 one (603,000) on numpy.
-_PLAIN_CELL_PULSES = 5
+# at 15 detunings, fitted as cells * (a + b * pulses), three fits: the
+# plain path costs b = 0.92 us a pulse and a = 4.0 us a cell, the numpy
+# path 0.06 us and 6.7 us, as it sets a generator's state for every cell;
+# both seed a detuning's cells at once (_cell_states).  So a plain cell
+# costs (4.0 - 6.7) / (0.92 - 0.06) = -3 pulses more than a numpy one, and
+# each unit of work 0.86 us more.  The numpy path first imports numpy: 82
+# to 125 ms here (best and median of 15 for "import numpy" minus "pass",
+# each in a fresh interpreter, in two spells), which is 95,000-145,000
+# units.  2**17 (131,072) sits in that range.  So the 15 x 400 x 10 scan
+# (42,000 units) runs plain and the 15 x 40 x 1000 one (598,200) on numpy.
+_PLAIN_CELL_PULSES = -3
 _PLAIN_SCAN_WORK = 2**17
 
 
@@ -140,32 +144,28 @@ class ScanConfig(Frozen):
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-def _cell_seeder(seed: int, detuning_index: int):
-    """rng.pool_finisher for the cells of one detuning, whose entropy ends
-    in one word, the run index: the words they all share (the seed's words,
-    padded to the pool as a spawned sequence pads them, then the detuning
-    index) are hashed once, and so are the hash constants of the last
-    word's position."""
+def _detuning_pool(seed: int, detuning_index: int) -> tuple:
+    """rng.mix_entropy of the entropy words every cell of one detuning
+    shares: the seed's words, padded to the pool as a spawned sequence pads
+    them, then the detuning index."""
     lead = uint32_words(seed)
     lead += [0] * (POOL_SIZE - len(lead))
-    return pool_finisher(mix_entropy(lead + uint32_words(detuning_index)), 1)
+    return mix_entropy(lead + uint32_words(detuning_index))
 
 
 def _cell_states(seed: int, detuning_index: int, n_runs: int) -> list[tuple[int, int]]:
     """(state, inc) of np.random.PCG64(np.random.SeedSequence(seed,
-    spawn_key=(detuning_index, r))) for every run r in range(n_runs) at once.
+    spawn_key=(detuning_index, r))) for every run r in range(n_runs) at once,
+    on the standard library.
 
     The detuning's shared words are hashed once in ints; the hash then runs
-    on a uint64 array of the run indices, with one element per cell.
-    ScanConfig bounds n_runs by 2**22, so every run index is one 32-bit
-    word.
+    once on an rng.Uint64Lanes of the run indices, one lane per cell, and
+    each cell's four seed words seed its PCG64 in ints.  ScanConfig bounds
+    n_runs by 2**22, so every run index is one 32-bit word.
     """
-    import numpy as np
-
-    words = _cell_seeder(seed, detuning_index)([np.arange(n_runs, dtype=np.uint64)])
-    # PCG64 seeding in Python ints, over all cells at once
-    state, inc = pcg64_seed(*(word.astype(object) for word in words))
-    return list(zip(state.tolist(), inc.tolist()))
+    runs = Uint64Lanes(range(n_runs))
+    words = seed_sequence_words([runs], _detuning_pool(seed, detuning_index))
+    return [pcg64_seed(*cell) for cell in zip(*(word.tolist() for word in words))]
 
 
 def _set_cell_state(generator, state: int, inc: int) -> None:
@@ -282,11 +282,9 @@ def _plain_run_means(
     spread, n_pulses = cfg.atom_number_spread, cfg.pulses_per_sample
     n_draws = n_pulses + 1 if spread > 0.0 else n_pulses
     for d_index, g in enumerate(couplings_g):
-        seed_words = _cell_seeder(cfg.seed, d_index)
         means = []
-        for run_index in range(cfg.runs_per_point):
-            # ScanConfig bounds runs_per_point by 2**22: one 32-bit word
-            draws = iter(normal_draws(*pcg64_seed(*seed_words([run_index])), n_draws)[0])
+        for state, inc in _cell_states(cfg.seed, d_index, cfg.runs_per_point):
+            draws = iter(normal_draws(state, inc, n_draws)[0])
             factor = 1.0
             if spread > 0.0:
                 factor = max(0.0, 1.0 + spread * next(draws))

@@ -7,11 +7,11 @@ standard library alone; NormalStream(seed).standard_normal() returns them
 one at a time.  The module holds:
 
 - numpy's SeedSequence hash (numpy/random/bit_generator.pyx), written once
-  with explicit 32-bit masks so that it runs unchanged on Python ints and
-  on uint64 arrays of them.  pool_finisher hashes the entropy words many
-  sequences share once, and the hash constants of the words that follow
-  them (experiment hashes a detuning's seed words once, then finishes each
-  cell in ints or all its cells at once in arrays);
+  with explicit 32-bit masks so that it runs unchanged on Python ints, on
+  uint64 arrays of them and on Uint64Lanes, many uint64 values packed in
+  one int, and split at mix_entropy so that entropy words many sequences
+  share are hashed once (experiment hashes a detuning's seed words once,
+  then finishes all its cells at once in lanes);
 - PCG64 seeding and its XSL-RR output (numpy/random/src/pcg64/pcg64.h; M.
   E. O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically
   Good Algorithms for Random Number Generation", HMC-CS-2014-0905, 2014);
@@ -75,112 +75,71 @@ def uint32_words(value: int) -> list[int]:
     return words
 
 
-def _hash_steps(hash_const: int, mult: int, steps: int) -> tuple[list, list, int]:
-    """The constants of `steps` successive SeedSequence hash steps from
-    hash_const, the ones each step xors in and the ones it multiplies by,
-    and the hash constant after them: each step multiplies the constant on,
-    whatever it hashes."""
-    xors, mults = [], []
-    for _ in range(steps):
-        xors.append(hash_const)
-        hash_const = hash_const * mult & _MASK32
-        mults.append(hash_const)
-    return xors, mults, hash_const
+def _hashmix(value, hash_const: int, mult: int) -> tuple:
+    """SeedSequence's hash step: the hashed value, and the next hash
+    constant, which depends only on how many steps came before."""
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ value >> _XSHIFT, hash_const
 
 
-def _hash(values: list, xors: list, mults: list) -> list:
-    """SeedSequence's hash step on each value, with the constants at its
-    position."""
-    hashed = []
-    for value, xor_const, mult_const in zip(values, xors, mults):
-        value = (value ^ xor_const) * mult_const & _MASK32
-        hashed.append(value ^ value >> _XSHIFT)
-    return hashed
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> _XSHIFT
 
 
-def _mix_in(words: list, value, xors: list, mults: list, dsts) -> None:
-    """SeedSequence's mix of value into each of words[dsts] in place, the
-    value hashed anew with each destination's constants."""
-    for i_dst, hashed in zip(dsts, _hash([value] * len(dsts), xors, mults)):
-        result = (_MIX_MULT_L * words[i_dst] - _MIX_MULT_R * hashed) & _MASK32
-        words[i_dst] = result ^ result >> _XSHIFT
-
-
-_ALL_WORDS = range(POOL_SIZE)
-# generate_state hashes the pool into its eight 32-bit words from _INIT_B
-_GENERATE_XORS, _GENERATE_MULTS, _ = _hash_steps(_INIT_B, _MULT_B, 2 * POOL_SIZE)
-
-
-def _generate(pool_words: list) -> list:
-    """generate_state(4, np.uint64) of a mixed pool: eight 32-bit words,
-    read in little-endian pairs as four 64-bit words."""
-    w = _hash(pool_words * 2, _GENERATE_XORS, _GENERATE_MULTS)
-    return [w[0] | w[1] << 32, w[2] | w[3] << 32, w[4] | w[5] << 32, w[6] | w[7] << 32]
-
-
-def _word_steps(hash_const: int, n_words: int) -> tuple[list, int]:
-    """Per entropy word, the (xors, mults) of the POOL_SIZE steps that mix
-    it into a pool whose hash constant is hash_const, and the hash constant
-    after them all."""
-    xors, mults, hash_const = _hash_steps(hash_const, _MULT_A, POOL_SIZE * n_words)
-    return [
-        (xors[k:k + POOL_SIZE], mults[k:k + POOL_SIZE])
-        for k in range(0, POOL_SIZE * n_words, POOL_SIZE)
-    ], hash_const
-
-
-def _mix_words(pool_words: list, entropy: list, steps: list) -> list:
-    """The pool words after mixing each entropy word into all of them,
-    with its steps from _word_steps."""
-    words = list(pool_words)
-    for word, (xors, mults) in zip(entropy, steps):
-        _mix_in(words, word, xors, mults, _ALL_WORDS)
-    return words
-
-
-def mix_entropy(entropy: list) -> tuple:
+def mix_entropy(entropy: list, pool: tuple | None = None) -> tuple:
     """SeedSequence's mix_entropy: the (pool words, hash constant) after
-    hashing the entropy words into the pool."""
-    # the pool's own words, then each mixed into the three others
-    xors, mults, hash_const = _hash_steps(_INIT_A, _MULT_A, POOL_SIZE * POOL_SIZE)
-    # a short entropy runs the hash out on zeros
-    lead = [entropy[i] if i < len(entropy) else 0 for i in _ALL_WORDS]
-    words = _hash(lead, xors, mults)
-    for i_src in _ALL_WORDS:
-        k = POOL_SIZE + (POOL_SIZE - 1) * i_src
-        others = [i_dst for i_dst in _ALL_WORDS if i_dst != i_src]
-        _mix_in(words, words[i_src], xors[k:], mults[k:], others)
-    rest = entropy[POOL_SIZE:]
-    steps, hash_const = _word_steps(hash_const, len(rest))
-    return _mix_words(words, rest, steps), hash_const
+    hashing the entropy words into the pool.
+
+    Given pool, an earlier call's result, the words are hashed on from
+    there: mix_entropy(b, mix_entropy(a)) == mix_entropy(a + b) whenever a
+    holds at least POOL_SIZE words, as the padded seed of every spawned
+    sequence does.  Words that many sequences share are so hashed once.
+    """
+    if pool is None:
+        hash_const = _INIT_A
+        words = []
+        for i in range(POOL_SIZE):
+            # a short entropy runs the hash out on zeros
+            value, hash_const = _hashmix(entropy[i] if i < len(entropy) else 0,
+                                         hash_const, _MULT_A)
+            words.append(value)
+        for i_src in range(POOL_SIZE):
+            for i_dst in range(POOL_SIZE):
+                if i_src != i_dst:
+                    value, hash_const = _hashmix(words[i_src], hash_const, _MULT_A)
+                    words[i_dst] = _mix(words[i_dst], value)
+        entropy = entropy[POOL_SIZE:]
+    else:
+        words, hash_const = list(pool[0]), pool[1]
+    for word in entropy:
+        for i_dst in range(POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const, _MULT_A)
+            words[i_dst] = _mix(words[i_dst], value)
+    return words, hash_const
 
 
-def seed_sequence_words(entropy: list) -> list:
+def seed_sequence_words(entropy: list, pool: tuple | None = None) -> list:
     """SeedSequence.generate_state(4, np.uint64) for the assembled entropy
     words (a spawned sequence pads its seed's words to POOL_SIZE before
-    appending its spawn key), as four 64-bit words.
+    appending its spawn key): eight 32-bit words, read in little-endian
+    pairs as four 64-bit words.  Given pool, mix_entropy's result for
+    the leading words, entropy holds only the words that follow them.
 
-    Each entropy word is an int below 2**32, or a uint64 array of them with
-    one element per sequence, and the two mix: every product of two 32-bit
-    values fits in 64 bits, and every result is masked back to 32.
+    Each entropy word is an int below 2**32, or a uint64 array or a
+    Uint64Lanes of them with one element per sequence, and the two mix:
+    every product of two 32-bit values fits in 64 bits, and every result is
+    masked back to 32.
     """
-    return _generate(mix_entropy(entropy)[0])
-
-
-def pool_finisher(pool: tuple, n_words: int):
-    """seed_sequence_words(lead + entropy) as a function of an entropy of
-    n_words words (ints, or uint64 arrays as there), given pool =
-    mix_entropy(lead) for a lead of at least POOL_SIZE words, as the padded
-    seed of every spawned sequence is.  The words that many sequences share
-    are so hashed once, and so are the hash constants of the words that
-    follow them, which depend only on word positions."""
-    pool_words = pool[0]
-    steps, _ = _word_steps(pool[1], n_words)
-
-    def finish(entropy: list) -> list:
-        return _generate(_mix_words(pool_words, entropy, steps))
-
-    return finish
+    pool_words, _ = mix_entropy(entropy, pool)
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value, hash_const = _hashmix(pool_words[i % POOL_SIZE], hash_const, _MULT_B)
+        words.append(value)
+    return [words[2 * k] | words[2 * k + 1] << 32 for k in range(4)]
 
 
 def pcg64_seed(s0, s1, s2, s3) -> tuple:
@@ -190,6 +149,69 @@ def pcg64_seed(s0, s1, s2, s3) -> tuple:
     initstate = s0 << 64 | s1
     inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
     return ((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc
+
+
+class Uint64Lanes:
+    """A vector of uint64 values packed into one int, 128 bits apart, with
+    numpy uint64 arrays' wrapping arithmetic for the operators the
+    SeedSequence hash uses (^, &, |, *, -, and << and >> by under 64 bits,
+    against another vector or an int): so the hash seeds many sequences at
+    once on the standard library, each operator one big-int operation over
+    all lanes.
+
+    A lane leaves 64 spare bits for a product by an int below 2**64 before
+    it wraps, and subtraction borrows from a 2**64 added to each lane, so no
+    carry or borrow crosses into the next lane.
+    """
+
+    __slots__ = ("bits", "ones", "mask")
+
+    def __init__(self, values):
+        """The lanes of values (ints below 2**64), in order."""
+        values = list(values)
+        self.ones = int.from_bytes(struct.pack("<2Q", 1, 0) * len(values), "little")
+        self.mask = _MASK64 * self.ones
+        self.bits = int.from_bytes(
+            struct.pack(f"<{2 * len(values)}Q", *(w for v in values for w in (v, 0))), "little"
+        )
+
+    def _new(self, bits: int) -> Uint64Lanes:
+        lanes = object.__new__(Uint64Lanes)
+        lanes.bits, lanes.ones, lanes.mask = bits & self.mask, self.ones, self.mask
+        return lanes
+
+    def _lanes(self, other) -> int:
+        return other.bits if type(other) is Uint64Lanes else (other & _MASK64) * self.ones
+
+    def __xor__(self, other):
+        return self._new(self.bits ^ self._lanes(other))
+
+    def __and__(self, other):
+        return self._new(self.bits & self._lanes(other))
+
+    def __or__(self, other):
+        return self._new(self.bits | self._lanes(other))
+
+    def __mul__(self, other: int):
+        return self._new(self.bits * (other & _MASK64))
+
+    def __sub__(self, other):
+        return self._new((self.bits | self.ones << 64) - self._lanes(other))
+
+    def __rsub__(self, other: int):
+        return self._new((self._lanes(other) | self.ones << 64) - self.bits)
+
+    def __lshift__(self, n: int):  # n below 64, as for the arrays
+        return self._new(self.bits << n)
+
+    def __rshift__(self, n: int):
+        return self._new(self.bits >> n & (_MASK64 >> n) * self.ones)
+
+    __rxor__, __rand__, __ror__, __rmul__ = __xor__, __and__, __or__, __mul__
+
+    def tolist(self) -> list[int]:
+        n = (self.ones.bit_length() + 127) // 128
+        return list(struct.unpack(f"<{2 * n}Q", self.bits.to_bytes(16 * n, "little"))[::2])
 
 
 def normal_draws(state: int, inc: int, count: int) -> tuple[list[float], int]:

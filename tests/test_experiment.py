@@ -245,7 +245,7 @@ def scan_work(runs, pulses, n_detunings=15):
 # long_trains golden's shape below it; one just above it and the scan-long
 # shape above it
 RUN_MEANS_SHAPES = [(40, 10), (1, 1), (1, 1000), (55, 1), (55, 40), (400, 10), (4, 1000),
-                    (600, 10), (40, 1000)]
+                    (1300, 10), (40, 1000)]
 
 
 @pytest.mark.numpy_oracle

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from coldspin import rng
 from coldspin.cli import _linspace
 from coldspin.rng import (
-    NormalStream, POOL_SIZE, mix_entropy, normal_draws, pcg64_seed, pool_finisher,
+    NormalStream, POOL_SIZE, Uint64Lanes, mix_entropy, normal_draws, pcg64_seed,
     seed_sequence_words, uint32_words,
 )
 
@@ -128,13 +128,40 @@ def test_shared_prefix_pool_is_seed_sequence_words(prefix, tails):
     # seeds every PCG64 as hashing each whole entropy does
     expected = [pcg64_seed(*seed_sequence_words(prefix + tail)) for tail in tails]
     pool = mix_entropy(prefix)
-    finish = pool_finisher(pool, len(tails[0]))
-    assert [pcg64_seed(*finish(tail)) for tail in tails] == expected
+    assert [pcg64_seed(*seed_sequence_words(tail, pool)) for tail in tails] == expected
     assert pool == mix_entropy(prefix)  # finishing never mutates the shared pool
     if tails[0]:
         columns = [np.array(words, dtype=np.uint64) for words in zip(*tails)]
-        state, inc = pcg64_seed(*(word.astype(object) for word in finish(columns)))
+        words = seed_sequence_words(columns, pool)
+        state, inc = pcg64_seed(*(word.astype(object) for word in words))
         assert list(zip(state.tolist(), inc.tolist())) == expected
+        # and on one Uint64Lanes per word, one lane per sequence
+        lanes = [Uint64Lanes(words) for words in zip(*tails)]
+        words = seed_sequence_words(lanes, pool)
+        assert [pcg64_seed(*cell) for cell in zip(*(w.tolist() for w in words))] == expected
+
+
+U64 = st.integers(0, 2**64 - 1)
+
+
+@pytest.mark.numpy_oracle
+@given(pairs=st.lists(st.tuples(U64, U64), min_size=1, max_size=6), c=U64,
+       n=st.integers(0, 63))
+@example(pairs=[(0, 2**64 - 1), (2**64 - 1, 0)], c=2**64 - 1, n=63)
+def test_uint64_lanes_wrap_as_uint64_arrays(pairs, c, n):
+    a, b = (list(column) for column in zip(*pairs))
+    la, lb = Uint64Lanes(a), Uint64Lanes(b)
+    na, nb = np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64)
+    nc, nn = np.uint64(c), np.uint64(n)
+    with np.errstate(over="ignore"):
+        cases = [
+            (la ^ lb, na ^ nb), (la & lb, na & nb), (la | lb, na | nb), (la - lb, na - nb),
+            (la ^ c, na ^ nc), (c & la, nc & na), (la | c, na | nc),
+            (la * c, na * nc), (c * la, nc * na), (la - c, na - nc), (c - la, nc - na),
+            (la << n, na << nn), (la >> n, na >> nn),
+        ]
+    for ours, numpys in cases:
+        assert ours.tolist() == numpys.tolist()
 
 
 def test_normal_stream_from_pcg64_state_continues_it():
