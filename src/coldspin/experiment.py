@@ -70,12 +70,14 @@ from .summation import pairwise_sum
 # plain path costs b = 0.92 us a pulse and a = 4.0 us a cell, the numpy
 # path 0.06 us and 6.7 us, as it sets a generator's state for every cell;
 # both seed a detuning's cells at once (_cell_states).  So a plain cell
-# costs (4.0 - 6.7) / (0.92 - 0.06) = -3 pulses more than a numpy one, and
-# each unit of work 0.86 us more.  The numpy path first imports numpy: 82
-# to 125 ms here (best and median of 15 for "import numpy" minus "pass",
-# each in a fresh interpreter, in two spells), which is 95,000-145,000
-# units.  2**17 (131,072) sits in that range.  So the 15 x 400 x 10 scan
-# (42,000 units) runs plain and the 15 x 40 x 1000 one (598,200) on numpy.
+# weighs (4.0 - 6.7) / (0.92 - 0.06) = -3 pulses against a numpy one, and
+# each unit of work costs the plain path 0.86 us more.  The numpy path
+# first imports numpy: 82 to 125 ms here (best and median of 15 for
+# "import numpy" minus "pass", each in a fresh interpreter, in two
+# spells), which is 95,000-145,000 units.  2**17 (131,072) sits in that
+# range.  So the 15 x 400 x 10 scan (42,000 units) runs plain and the
+# 15 x 40 x 1000 one (598,200) on numpy; a scan of at most 3 pulses a cell
+# runs plain at any size, where the plain path is the faster per cell.
 _PLAIN_CELL_PULSES = -3
 _PLAIN_SCAN_WORK = 2**17
 

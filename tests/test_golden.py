@@ -11,6 +11,7 @@ test runs.
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -148,8 +149,8 @@ def test_scan_outputs_match_golden_digests(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("path", ["numpy", "plain"])
 @pytest.mark.parametrize("name", ["default", "long_trains", "three_threads"])
 def test_scan_goldens_hold_on_both_scan_paths(name, path, tmp_path, monkeypatch):
-    # each scan golden runs on the path its shape picks; a zero cutoff sends
-    # it through numpy end to end, and one above every golden's work plain
-    cutoff = 0 if path == "numpy" else 10**9
+    # each scan golden runs on the path its shape picks; a cutoff of -inf
+    # sends it through numpy end to end, and one of inf plain
+    cutoff = -math.inf if path == "numpy" else math.inf
     monkeypatch.setattr(experiment, "_PLAIN_SCAN_WORK", cutoff)
     assert run_digests(name, tmp_path, monkeypatch) == GOLDEN[name]
