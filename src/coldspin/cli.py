@@ -20,9 +20,11 @@ Exit codes: 0 success, 2 configuration or usage error, 3 numeric failure
 
 Each runner imports the library modules it uses when it runs, and only
 scans above experiment's plain-scan cutoff import numpy: the decay,
-expansion and pulse simulations, and smaller scans such as the default
-one, draw from rng's plain-Python copy of numpy's normal stream, so they
-and their replays run on the standard library alone.
+expansion and pulse simulations take all their draws up front, as plain
+numbers from rng's copy of numpy's normal stream seeded with the
+section's seed (_normals), and smaller scans such as the default one draw
+from the same copy, so they and their replays run on the standard library
+alone.
 """
 
 from __future__ import annotations
@@ -456,12 +458,13 @@ def _run_budget(cfg: dict) -> dict:
     return _digest_map([out])
 
 
-def _generator(cfg: dict, section: str):
-    """The section's normal stream: the draws of numpy's Generator, PCG64
-    seeded with the section's seed, frozen in rng."""
-    from .rng import NormalStream
+def _normals(cfg: dict, section: str, count: int) -> list[float]:
+    """The first count draws of the section's normal stream: those of
+    numpy's Generator, PCG64 seeded with the section's seed, frozen in
+    rng."""
+    from .rng import normal_draws, seeded_state
 
-    return NormalStream(cfg[section]["seed"])
+    return normal_draws(*seeded_state(cfg[section]["seed"]), count)[0]
 
 
 def _times(section: dict, what: str) -> list[float]:
@@ -476,6 +479,7 @@ def _run_decay(cfg: dict) -> dict:
 
     section = cfg["decay"]
     sigma_keys = ("decay.sigma_z_m", "decay.sigma_r_m")
+    model_keys = ("decay.n0", "decay.tau_s", "decay.beta_m3_per_s", *sigma_keys)
     try:
         params = TrapPopulationParams(
             n0=section["n0"],
@@ -484,6 +488,8 @@ def _run_decay(cfg: dict) -> dict:
             sigma_z_m=section["sigma_z_m"],
             sigma_r_m=section["sigma_r_m"],
         )
+    except ValidationError as exc:
+        raise ValidationError(f"{exc} at {_key_values(cfg, model_keys)}") from None
     except OverflowError:
         raise _beyond_float_range("the two-body volume", cfg, *sigma_keys) from None
     except ArithmeticError as exc:  # the volume underflows
@@ -491,12 +497,22 @@ def _run_decay(cfg: dict) -> dict:
     out = cfg["out"]
     if cfg["mode"] == "simulate":
         noise = section["noise_fraction"]
-        rng = _generator(cfg, "decay")
+        times = _times(section, "decay")
         rows = []
-        for t in _times(section, "decay"):
-            model = evolve_trap_population(params, t)
-            count = model * (1.0 + noise * rng.standard_normal()) if noise else model
+        for t, normal in zip(times, _normals(cfg, "decay", len(times))):
+            try:
+                model = evolve_trap_population(params, t)
+            except ValidationError as exc:  # a negative time
+                start = _key_values(cfg, ("decay.t_start_s",))
+                raise ValidationError(f"{exc} at {start}") from None
+            if not math.isfinite(model):
+                raise _beyond_float_range(f"the atom count at t = {t!r} s", cfg, *model_keys)
+            count = model * (1.0 + noise * normal) if noise else model
             sigma = noise * model if noise else 1.0
+            if not (math.isfinite(count) and math.isfinite(sigma)):
+                raise _beyond_float_range(
+                    f"the noisy atom count at t = {t!r} s", cfg, "decay.noise_fraction"
+                )
             rows.append((t, count, sigma))
         _write_rows_csv(out, DECAY_CSV_COLUMNS, rows)
         return _digest_map([out])
@@ -517,20 +533,29 @@ def _run_tof(cfg: dict) -> dict:
     out = cfg["out"]
     if cfg["mode"] == "simulate":
         noise = section["noise_m"]
-        rng = _generator(cfg, "tof")
+        times = _times(section, "tof")
         rows = []
-        for t in _times(section, "tof"):
+        for t, normal in zip(times, _normals(cfg, "tof", len(times))):
             try:
                 radius = tof_radius(
                     section["sigma0_m"], section["temperature_k"], t, spec.mass_kg
                 )
+                if not math.isfinite(radius):
+                    raise OverflowError
+            except ValidationError as exc:
+                keys = ("tof.sigma0_m", "tof.temperature_k", "tof.t_start_s")
+                raise ValidationError(f"{exc} at {_key_values(cfg, keys)}") from None
             except OverflowError:
                 raise _beyond_float_range(
                     f"the cloud radius at t = {t!r} s", cfg,
                     "tof.sigma0_m", "tof.temperature_k", "tof.t_stop_s",
                 ) from None
             if noise:
-                radius = abs(radius + noise * rng.standard_normal())
+                radius = abs(radius + noise * normal)
+                if not math.isfinite(radius):
+                    raise _beyond_float_range(
+                        f"the noisy cloud radius at t = {t!r} s", cfg, "tof.noise_m"
+                    )
             rows.append((t, radius))
         _write_rows_csv(out, TOF_CSV_COLUMNS, rows)
         return _digest_map([out])
@@ -556,7 +581,7 @@ def _run_pulse(cfg: dict) -> dict:
         section["n_photons"],
         det,
         TransmissionSpec(**cfg["transmission"]),
-        noise_stream=_generator(cfg, "pulse") if section["noisy"] else None,
+        _normals(cfg, "pulse", 1)[0] if section["noisy"] else None,
     )
     record = synthesize_waveform(delta, det, section["pulse_duration_s"])
     out = cfg["out"]

@@ -12,8 +12,8 @@ imbalance.  integrate_window is its exact inverse in the noiseless case.
 
 The module loads without numpy.  The waveform is computed in plain floats
 with the C library's exp, and its window is summed in np.sum's pairwise
-order (summation.pairwise_sum).  A pulse's noise is drawn from any source
-with a scalar standard_normal(), such as rng.NormalStream.
+order (summation.pairwise_sum).  A pulse's noise is one standard-normal
+draw, passed in as a number (coldspin.rng draws them).
 """
 
 from __future__ import annotations
@@ -100,23 +100,23 @@ def simulate_pulse_detection(
     n_photons: float,
     det: DetectorSpec,
     tr: TransmissionSpec,
-    noise_stream: object | None = None,
+    normal: float | None = None,
 ) -> float:
     """One measured imbalance dN' = theta N_L t_h t_v + noise.
 
-    The noise term is Gaussian with variance N_L + electronic_noise_var,
-    drawn from noise_stream's standard_normal() (an rng.NormalStream or a
-    numpy Generator).  Pass noise_stream=None for the noiseless signal
-    model (used to invert and to test the round trip).  Small-angle model;
-    valid for |theta| << 1.
+    The noise term is Gaussian with variance N_L + electronic_noise_var:
+    sqrt(N_L + electronic_noise_var) times normal, one standard-normal
+    draw.  Pass normal=None for the noiseless signal model (used to invert
+    and to test the round trip).  Small-angle model; valid for
+    |theta| << 1.
     """
     if not n_photons > 0:
         raise ValidationError(f"n_photons must be positive, got {n_photons!r}")
     signal = theta_true * n_photons * tr.t_h * tr.t_v
-    if noise_stream is None:
+    if normal is None:
         return signal
     sigma = math.sqrt(n_photons + det.electronic_noise_var)
-    return signal + sigma * float(noise_stream.standard_normal())
+    return signal + sigma * float(normal)
 
 
 def angle_denominator(n_photons: float, tr: TransmissionSpec) -> float:

@@ -11,32 +11,33 @@ Randomness is fully deterministic: every (detuning index, run index) cell
 draws from its own stream, exactly
 np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed,
 spawn_key=(detuning_index, run_index)))), so results are identical
-regardless of execution order.  The seed words a detuning's cells share
-are hashed once per detuning (_detuning_pool); the hash then seeds all of
-its cells at once, one lane per cell of an rng.Uint64Lanes
-(_cell_states), on the standard library, for either scan path.
+regardless of execution order.  rng.spawned_states seeds all of a
+detuning's cells at once, on the standard library, for either scan path.
 
 A pulse train (run_pulse_train) is the scalar chain itself, pulse by
 pulse: faraday_angle -> simulate_pulse_detection -> extract_angle ->
-decay_mean_z.  A scan computes the same operations in the same order on
-one of two paths, chosen from its shape alone (_PLAIN_SCAN_WORK); both
-give the same values bit for bit.  A scan up to the cutoff (a 15 x 400 x
-10 one, 60,000 pulses in 6000 cells, among them) runs in plain floats:
-each cell takes all its draws from one rng.normal_draws call and computes
-its pulses one by one, so the scan never imports numpy, whose import
-would cost more than the whole scan.  A larger scan imports numpy: it
-sets each cell's state in turn on one reused generator, and probes all of
-a detuning's runs in one array computation, where the per-pulse <J_z> is
-a running product along each row.  One aggregation (_scan_point) then
-sums the runs' mean angles as np.mean and np.std do.  A scan reads only
-the photon number of a pulse, so it takes no pulse duration.  The dataset
-and its CSV table are scandata's.
+decay_mean_z, with one standard-normal draw per pulse passed in.  A scan
+computes the same operations in the same order on one of two paths,
+chosen from its shape alone (_PLAIN_SCAN_WORK); both give the same values
+bit for bit.  A scan up to the cutoff (a 15 x 400 x 10 one, 60,000 pulses
+in 6000 cells, among them) runs in plain floats: each cell takes all its
+draws from one rng.normal_draws call and computes its pulses one by one,
+so the scan never imports numpy, whose import would cost more than the
+whole scan.  A larger scan imports numpy: it sets each cell's state in
+turn on one reused generator, which fills the cell's row of draws in one
+call, and probes all of a detuning's runs in one array computation, where
+the per-pulse <J_z> is a running product along each row.  Both paths lay
+a cell's draws out alike: the atom-number normal first, when the scan has
+a spread, then one per pulse.  One aggregation (_scan_point) then sums
+the runs' mean angles as np.mean and np.std do.  A scan reads only the
+photon number of a pulse, so it takes no pulse duration.  The dataset and
+its CSV table are scandata's.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from .atomic_data import AtomSpec
 from .detector import (
@@ -45,10 +46,7 @@ from .detector import (
 )
 from .errors import NearResonanceError, ValidationError
 from .frozen import Frozen
-from .rng import (
-    POOL_SIZE, Uint64Lanes, mix_entropy, normal_draws, pcg64_seed, seed_sequence_words,
-    uint32_words,
-)
+from .rng import normal_draws, spawned_states
 from .scandata import ScanDataset, ScanPoint
 from .spin_optics import (
     DEFAULT_GUARD_LINEWIDTHS,
@@ -69,7 +67,7 @@ from .summation import pairwise_sum
 # at 15 detunings, fitted as cells * (a + b * pulses), three fits: the
 # plain path costs b = 0.92 us a pulse and a = 4.0 us a cell, the numpy
 # path 0.06 us and 6.7 us, as it sets a generator's state for every cell;
-# both seed a detuning's cells at once (_cell_states).  So a plain cell
+# both seed a detuning's cells at once (rng.spawned_states).  So a plain cell
 # weighs (4.0 - 6.7) / (0.92 - 0.06) = -3 pulses against a numpy one, and
 # each unit of work costs the plain path 0.86 us more.  The numpy path
 # first imports numpy: 82 to 125 ms here (best and median of 15 for
@@ -146,30 +144,6 @@ class ScanConfig(Frozen):
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-def _detuning_pool(seed: int, detuning_index: int) -> tuple:
-    """rng.mix_entropy of the entropy words every cell of one detuning
-    shares: the seed's words, padded to the pool as a spawned sequence pads
-    them, then the detuning index."""
-    lead = uint32_words(seed)
-    lead += [0] * (POOL_SIZE - len(lead))
-    return mix_entropy(lead + uint32_words(detuning_index))
-
-
-def _cell_states(seed: int, detuning_index: int, n_runs: int) -> list[tuple[int, int]]:
-    """(state, inc) of np.random.PCG64(np.random.SeedSequence(seed,
-    spawn_key=(detuning_index, r))) for every run r in range(n_runs) at once,
-    on the standard library.
-
-    The detuning's shared words are hashed once in ints; the hash then runs
-    once on an rng.Uint64Lanes of the run indices, one lane per cell, and
-    each cell's four seed words seed its PCG64 in ints.  ScanConfig bounds
-    n_runs by 2**22, so every run index is one 32-bit word.
-    """
-    runs = Uint64Lanes(range(n_runs))
-    words = seed_sequence_words([runs], _detuning_pool(seed, detuning_index))
-    return [pcg64_seed(*cell) for cell in zip(*(word.tolist() for word in words))]
-
-
 def _set_cell_state(generator, state: int, inc: int) -> None:
     generator.bit_generator.state = {
         "bit_generator": "PCG64",
@@ -187,24 +161,30 @@ def run_pulse_train(
     dm: DestructionModel,
     det: DetectorSpec,
     tr: TransmissionSpec,
-    stream: object | None,
+    normals: Sequence[float] | None,
 ) -> tuple[list[tuple[int, float, float]], CollectiveSpinState]:
     """Probe one sample n_pulses times.
 
     Per pulse: the rotation angle follows the current <J_z>, one detection
-    is simulated with noise from stream (an rng.NormalStream or a numpy
-    Generator; noiseless when None), the angle is extracted,
-    then the destruction model decays <J_z>.  Returns the list of
-    (pulse_index, measured imbalance, extracted angle) and the post-train
-    atomic state; the input state is never mutated.
+    is simulated with the pulse's standard-normal draw from normals, a
+    sequence of n_pulses of them (noiseless when None), the angle is
+    extracted, then the destruction model decays <J_z>.  Returns the list
+    of (pulse_index, measured imbalance, extracted angle) and the
+    post-train atomic state; the input state is never mutated.
     """
     if not (isinstance(n_pulses, int) and n_pulses >= 0):
         raise ValidationError(f"n_pulses must be an integer >= 0, got {n_pulses!r}")
+    if normals is None:
+        normals = [None] * n_pulses
+    elif len(normals) != n_pulses:
+        raise ValidationError(
+            f"normals must hold one draw per pulse, {n_pulses}, got {len(normals)}"
+        )
     n_photons = light_template.n_photons
     records = []
-    for pulse_index in range(n_pulses):
+    for pulse_index, normal in enumerate(normals):
         theta = faraday_angle(atoms, cp.g)
-        delta = simulate_pulse_detection(theta, n_photons, det, tr, stream)
+        delta = simulate_pulse_detection(theta, n_photons, det, tr, normal)
         records.append((pulse_index, delta, extract_angle(delta, n_photons, tr)))
         atoms = decay_mean_z(atoms, dm.per_pulse_decay)
     return records, atoms
@@ -285,7 +265,7 @@ def _plain_run_means(
     n_draws = n_pulses + 1 if spread > 0.0 else n_pulses
     for d_index, g in enumerate(couplings_g):
         means = []
-        for state, inc in _cell_states(cfg.seed, d_index, cfg.runs_per_point):
+        for state, inc in spawned_states(cfg.seed, d_index, cfg.runs_per_point):
             draws = iter(normal_draws(state, inc, n_draws)[0])
             factor = 1.0
             if spread > 0.0:
@@ -310,10 +290,11 @@ def _numpy_run_means(
 ) -> Iterator[list[float]]:
     """Each detuning's runs' mean extracted angles in turn, with numpy:
     every cell's state is set in turn on one generator, reused for the
-    whole scan, and one array computation probes all of a detuning's runs
+    whole scan, which fills the cell's row of a detuning's block of draws
+    in one call, and one array computation probes all of a detuning's runs
     with run_pulse_train's operations, in the same order: cumprod
-    multiplies sequentially along each row, and n_pulses normals drawn at
-    once equal n_pulses scalar draws.
+    multiplies sequentially along each row, and a row of normals drawn at
+    once equals as many scalar draws.
 
     One generator serves the scan, so numpy is imported once per scan;
     each detuning's arrays are still alive when the next one's are
@@ -325,23 +306,27 @@ def _numpy_run_means(
 
     generator = np.random.Generator(np.random.PCG64(0))
     n_runs, n_pulses = cfg.runs_per_point, cfg.pulses_per_sample
+    spread = cfg.atom_number_spread
+    lead = 1 if spread > 0.0 else 0
     sigma = math.sqrt(n_photons + det.electronic_noise_var)
     for d_index, g in enumerate(couplings_g):
-        factors = np.full((n_runs, n_pulses), 1.0 - dm.per_pulse_decay)
-        noise = np.empty((n_runs, n_pulses))
-        # each run draws from its own cell stream, in the order a fresh
-        # generator would: the atom-number normal, then the pulse noise
-        for run_index, (state, inc) in enumerate(_cell_states(cfg.seed, d_index, n_runs)):
+        # each row holds one cell's draws, in the order a fresh generator
+        # draws them: the atom-number normal when there is a spread, then
+        # the pulse noise
+        block = np.empty((n_runs, n_pulses + lead))
+        for row, (state, inc) in enumerate(spawned_states(cfg.seed, d_index, n_runs)):
             _set_cell_state(generator, state, inc)
-            factor = 1.0
-            if cfg.atom_number_spread > 0.0:
-                factor = max(
-                    0.0, 1.0 + cfg.atom_number_spread * float(generator.standard_normal())
-                )
-            factors[run_index, 0] = j_z_template * factor
-            generator.standard_normal(out=noise[run_index])
+            generator.standard_normal(out=block[row])
+        factors = np.full((n_runs, n_pulses), 1.0 - dm.per_pulse_decay)
+        if lead:
+            # in Python floats, as numpy would warn on an overflow
+            factors[:, 0] = [
+                j_z_template * max(0.0, 1.0 + spread * x) for x in block[:, 0].tolist()
+            ]
+        else:
+            factors[:, 0] = j_z_template
         j_z = np.cumprod(factors, axis=1)  # <J_z> before each pulse
-        delta = g * j_z * n_photons * tr.t_h * tr.t_v + sigma * noise
+        delta = g * j_z * n_photons * tr.t_h * tr.t_v + sigma * block[:, lead:]
         theta_hat = extract_angle(delta, n_photons, tr)
         # a sequential sum in pulse order, as the per-pulse loop summed
         yield (np.cumsum(theta_hat, axis=1)[:, -1] / n_pulses).tolist()
@@ -359,6 +344,10 @@ def _scan_point(detuning: float, values: list[float], n_pulses: int) -> ScanPoin
     if n_runs > 1:
         squares = [d * d for d in (value - mean for value in values)]
         stddev = math.sqrt(pairwise_sum(squares) / (n_runs - 1))
+    if not (math.isfinite(mean) and math.isfinite(stddev)):
+        raise OverflowError(
+            f"scan detuning {detuning:.6g} Hz: the mean or spread of the runs' angles overflows"
+        )
     return ScanPoint(
         detuning_hz=detuning,
         theta_mean_rad=mean,

@@ -1,17 +1,22 @@
-"""A frozen standard-normal stream in plain Python.
+"""A frozen standard-normal stream in plain Python, and the one place
+that knows how numpy seeds one.
 
 normal_draws(state, inc, count) returns the draws of
 np.random.Generator(np.random.PCG64) from that state's
 standard_normal(count), and the state after them, bit for bit, on the
-standard library alone; NormalStream(seed).standard_normal() returns them
-one at a time.  The module holds:
+standard library alone.  seeded_state(seed) is the state of
+np.random.PCG64(seed), and spawned_states(seed, key, count) those of
+PCG64(SeedSequence(seed, spawn_key=(key, i))) for i below count, so
+normal_draws(*seeded_state(seed), n)[0] are the first n standard normals
+of np.random.default_rng(seed).  Every other module takes its noise as
+plain numbers drawn here.  The module holds:
 
 - numpy's SeedSequence hash (numpy/random/bit_generator.pyx), written once
   with explicit 32-bit masks so that it runs unchanged on Python ints, on
   uint64 arrays of them and on Uint64Lanes, many uint64 values packed in
   one int, and split at mix_entropy so that entropy words many sequences
-  share are hashed once (experiment hashes a detuning's seed words once,
-  then finishes all its cells at once in lanes);
+  share are hashed once (spawned_states hashes the seed and key words
+  once, then finishes all its sequences at once in lanes);
 - PCG64 seeding and its XSL-RR output (numpy/random/src/pcg64/pcg64.h; M.
   E. O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically
   Good Algorithms for Random Number Generation", HMC-CS-2014-0905, 2014);
@@ -214,10 +219,34 @@ class Uint64Lanes:
         return list(struct.unpack(f"<{2 * n}Q", self.bits.to_bytes(16 * n, "little"))[::2])
 
 
+def seeded_state(seed: int) -> tuple[int, int]:
+    """(state, inc) of np.random.PCG64(seed)."""
+    return pcg64_seed(*seed_sequence_words(uint32_words(seed)))
+
+
+def spawned_states(seed: int, key: int, count: int) -> list[tuple[int, int]]:
+    """(state, inc) of np.random.PCG64(np.random.SeedSequence(seed,
+    spawn_key=(key, i))) for every i in range(count), at once.
+
+    The words all the sequences share, the seed's padded to the pool as a
+    spawned sequence pads them and then key, are hashed once in ints; the
+    hash then runs once on a Uint64Lanes of the indices, one lane per
+    sequence, and each sequence's four seed words seed its PCG64 in ints.
+    count is at most 2**32, so that every index is one 32-bit word.
+    """
+    if count > 2**32:
+        raise ValueError(f"count must be at most 2**32, got {count!r}")
+    lead = uint32_words(seed)
+    lead += [0] * (POOL_SIZE - len(lead))
+    pool = mix_entropy(lead + uint32_words(key))
+    words = seed_sequence_words([Uint64Lanes(range(count))], pool)
+    return [pcg64_seed(*cell) for cell in zip(*(word.tolist() for word in words))]
+
+
 def normal_draws(state: int, inc: int, count: int) -> tuple[list[float], int]:
     """numpy's random_standard_normal, count times from a PCG64 in (state,
-    inc): the draws Generator.standard_normal(count) returns, and the state
-    it leaves.
+    inc): the draws a Generator on it returns for standard_normal(count),
+    and the state it leaves.
 
     One 64-bit word picks a layer (8 bits), a sign (1 bit) and a 52-bit
     abscissa.  The LCG step, the XSL-RR output and the test against the
@@ -278,31 +307,6 @@ def _outside_rectangle(idx: int, rabs: int, x: float, state: int, inc: int) -> t
     if (fi_double[idx - 1] - fi_double[idx]) * u + fi_double[idx] < exp(-0.5 * x * x):
         return x, state
     return None, state
-
-
-class NormalStream:
-    """np.random.Generator(np.random.PCG64(seed)) reduced to its
-    standard_normal(), in plain Python.
-
-    state and inc are the PCG64 state numpy reports as
-    bit_generator.state["state"].
-    """
-
-    __slots__ = ("state", "inc")
-
-    def __init__(self, seed: int | None = None, *, pcg64_state: tuple | None = None):
-        """The stream of PCG64(seed), or, given pcg64_state = (state, inc)
-        instead, of the PCG64 in that state (as pcg64_seed returns it)."""
-        if (seed is None) == (pcg64_state is None):
-            raise TypeError("NormalStream takes exactly one of seed and pcg64_state")
-        if pcg64_state is None:
-            pcg64_state = pcg64_seed(*seed_sequence_words(uint32_words(seed)))
-        self.state, self.inc = pcg64_state
-
-    def standard_normal(self) -> float:
-        """The stream's next draw."""
-        (draw,), self.state = normal_draws(self.state, self.inc, 1)
-        return draw
 
 
 # numpy's ziggurat tables (see the module docstring)

@@ -119,7 +119,9 @@ def test_criterion_03_snr_prediction_and_monte_carlo():
         for _ in range(400):
             estimates = [
                 extract_angle(
-                    simulate_pulse_detection(theta, 4.3e6, det, tr, rng), 4.3e6, tr
+                    simulate_pulse_detection(theta, 4.3e6, det, tr, rng.standard_normal()),
+                    4.3e6,
+                    tr,
                 )
                 for _ in range(20)
             ]

@@ -93,6 +93,24 @@ def test_scan_seed_flag(in_tmp_dir):
     assert manifest["seed"] == 2
 
 
+@pytest.mark.parametrize(
+    "command, override, n_rows",
+    [("decay", {"decay": {"noise_fraction": 0.0}}, 46), ("tof", {"tof": {"noise_m": 0.0}}, 8)],
+)
+def test_noiseless_simulations_write_every_row(in_tmp_dir, command, override, n_rows):
+    # the draws are taken up front even when nothing reads them, so every
+    # time keeps its row, and the seed changes no byte
+    (in_tmp_dir / "cfg.json").write_text(json.dumps(override))
+    tables = []
+    for seed in ("1", "2"):
+        out = f"{command}{seed}.csv"
+        argv = [command, "simulate", "--config", "cfg.json", "--seed", seed, "--out", out]
+        assert cli.main(argv) == 0
+        tables.append((in_tmp_dir / out).read_bytes())
+    assert tables[0] == tables[1]
+    assert len(tables[0].decode().splitlines()) == 1 + n_rows
+
+
 def test_scan_replay_and_tamper(in_tmp_dir, capsys):
     run_scan(in_tmp_dir)
     capsys.readouterr()
@@ -974,11 +992,41 @@ OVERSIZED_COUNTS = {
         (["tof", "simulate"], {"tof": {"sigma0_m": math.inf}}, 3, None),
         (["pulse"], {"pulse": {"theta_rad": math.inf}}, 3, None),
         (["pulse"], {"pulse": {"theta_rad": 1e300, "n_photons": 1e300}}, 3, None),
+        # each once exited naming an output row or a model argument, but no key:
+        # at t = 0 the two-body term is inf x 0, and the count inf
+        (["decay", "simulate"], {"decay": {"sigma_z_m": 1e-200, "sigma_r_m": 1e-60}}, 3,
+         "decay.sigma_z_m = 1e-200"),
+        (["decay", "simulate"], {"decay": {"beta_m3_per_s": 1e308}}, 3,
+         "decay.beta_m3_per_s = 1e+308"),
+        (["decay", "simulate"], {"decay": {"noise_fraction": 1e308}}, 3,
+         "decay.noise_fraction = 1e+308"),
+        (["tof", "simulate"], {"tof": {"temperature_k": 1e308}}, 3,
+         "tof.temperature_k = 1e+308"),
+        (["decay", "simulate"], {"decay": {"sigma_r_m": -1e308}}, 2,
+         "decay.sigma_r_m = -1e+308"),
+        (["decay", "simulate"], {"decay": {"t_start_s": -1e308}}, 2,
+         "decay.t_start_s = -1e+308"),
+        (["tof", "simulate"], {"tof": {"t_start_s": -1e308}}, 2, "tof.t_start_s = -1e+308"),
+        # the runs' spread overflows where their mean angles do not, on
+        # the plain path and, at 1000 pulses a cell, on numpy's
+        (["scan"], {"ensemble": {"interaction_area_m2": 1e-308}}, 3, "scan detuning"),
+        (["scan"], {"transmission": {"t_h": 1e-308}}, 3, "scan detuning"),
+        (["scan"], {"transmission": {"t_v": 1e-308}}, 3, "scan detuning"),
+        (["scan"], {"ensemble": {"interaction_area_m2": 1e-308},
+                    "scan": {"pulses_per_sample": 1000}}, 3, "scan detuning"),
+        # on numpy's path the atom-number factors are Python floats, so
+        # no overflow warning leaks (pyproject turns one into an error)
+        (["scan"], {"scan": {"atom_number_spread": 1e308, "pulses_per_sample": 1000}}, 3,
+         "scan detuning"),
     ],
     ids=["photons-per-pulse", "sigma-r", "sigma-r-underflow", "sigma-r-1e-308",
          "sigma-r-underflow-fit", "sigma0", "t-stop", "atoms-flag",
          "huge-int-detuning", *OVERSIZED_COUNTS, "atom-spread", "infinite-n0",
-         "infinite-sigma0", "infinite-pulse-theta", "pulse-imbalance-overflow"],
+         "infinite-sigma0", "infinite-pulse-theta", "pulse-imbalance-overflow",
+         "subnormal-volume", "beta", "noise-fraction", "temperature",
+         "negative-sigma-r", "decay-negative-start", "tof-negative-start",
+         "spread-area", "spread-t-h", "spread-t-v", "spread-area-numpy",
+         "atom-spread-numpy"],
 )
 def test_extreme_values_honour_exit_codes(in_tmp_dir, capsys, argv, override, code, key):
     (in_tmp_dir / "cfg.json").write_text(json.dumps(override))

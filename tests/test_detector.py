@@ -24,7 +24,7 @@ TR = TransmissionSpec()
 
 def test_noiseless_round_trip_is_exact():
     theta = 0.0268
-    delta = simulate_pulse_detection(theta, 4e6, DET, TR, noise_stream=None)
+    delta = simulate_pulse_detection(theta, 4e6, DET, TR, normal=None)
     assert delta == theta * 4e6
     assert extract_angle(delta, 4e6, TR) == theta
 
@@ -40,7 +40,7 @@ def test_noise_statistics():
     rng = np.random.Generator(np.random.PCG64(1234))
     n = 4e6
     draws = np.array(
-        [simulate_pulse_detection(0.0, n, DET, TR, rng) for _ in range(40000)]
+        [simulate_pulse_detection(0.0, n, DET, TR, rng.standard_normal()) for _ in range(40000)]
     )
     expected_var = n + DET.electronic_noise_var
     assert abs(draws.mean()) < 4 * math.sqrt(expected_var / len(draws))
@@ -58,7 +58,7 @@ def test_angle_variance_matches_extracted_angle_scatter():
     n = 4e6
     thetas = np.array(
         [
-            extract_angle(simulate_pulse_detection(0.01, n, DET, TR, rng), n, TR)
+            extract_angle(simulate_pulse_detection(0.01, n, DET, TR, rng.standard_normal()), n, TR)
             for _ in range(40000)
         ]
     )

@@ -30,7 +30,8 @@ from coldspin import (
     write_scan_csv,
 )
 from coldspin import experiment
-from coldspin.experiment import _cell_states, _set_cell_state
+from coldspin.experiment import _set_cell_state
+from coldspin.rng import spawned_states
 
 SPEC = default_atom_spec()
 AREA = 1.0e6 / 2.65e14
@@ -69,11 +70,11 @@ def scaled(atoms, factor):
 
 def test_child_stream_is_deterministic_and_distinct():
     # each (seed, detuning, run) cell seeds a stream of its own
-    a = _cell_states(7, 2, 5)
-    assert a == _cell_states(7, 2, 5)
-    assert a[:3] == _cell_states(7, 2, 3)
+    a = spawned_states(7, 2, 5)
+    assert a == spawned_states(7, 2, 5)
+    assert a[:3] == spawned_states(7, 2, 3)
     assert len(set(a)) == 5
-    for other in (_cell_states(7, 3, 5), _cell_states(8, 2, 5)):
+    for other in (spawned_states(7, 3, 5), spawned_states(8, 2, 5)):
         assert not set(other) & set(a)
 
 
@@ -84,7 +85,7 @@ def test_child_stream_is_numpy_spawned_seed_sequence(seed):
     # numpy's own construction is the oracle
     generator = np.random.Generator(np.random.PCG64(0))
     for detuning_index in (0, 1, 399, 2**16 + 3, 2**31):
-        states = _cell_states(seed, detuning_index, 400)
+        states = spawned_states(seed, detuning_index, 400)
         assert len(states) == 400
         for run_index in (0, 1, 2, 255, 256, 399):
             expected = numpy_cell_stream(seed, detuning_index, run_index)
@@ -128,19 +129,31 @@ def test_pulse_train_input_not_mutated():
     assert atoms == coherent_spin_state(1e6, "z")
 
 
+@pytest.mark.parametrize("count", [0, 4, 6])
+def test_pulse_train_takes_one_draw_per_pulse(count):
+    # a shorter sequence would drop pulses, and a longer one leave draws unread
+    cp = coupling_constant(-1.6e9, AREA, SPEC)
+    args = (coherent_spin_state(1e6, "z"), cp, coherent_pulse(4e6, "x"),
+            DestructionModel(), DET, TR)
+    with pytest.raises(ValidationError, match="one draw per pulse, 5, got"):
+        run_pulse_train(5, *args, [0.5] * count)
+    records, _ = run_pulse_train(5, *args, [0.5] * 5)
+    assert len(records) == 5
+
+
 def test_pulse_train_loads_no_numpy():
-    # the train is the scalar chain, noisy from a NormalStream or noiseless
+    # the train is the scalar chain, noisy with rng's draws or noiseless
     code = """
 import sys
 from coldspin import (DestructionModel, DetectorSpec, TransmissionSpec, coherent_pulse,
                       coherent_spin_state, coupling_constant, default_atom_spec,
                       run_pulse_train)
-from coldspin.rng import NormalStream
+from coldspin.rng import normal_draws, seeded_state
 cp = coupling_constant(-1.6e9, 1.0e6 / 2.65e14, default_atom_spec())
 args = (coherent_spin_state(1e6, "z"), cp, coherent_pulse(4e6, "x"),
         DestructionModel(), DetectorSpec(), TransmissionSpec())
-for stream in (NormalStream(7), None):
-    records, after = run_pulse_train(20, *args, stream)
+for normals in (normal_draws(*seeded_state(7), 20)[0], None):
+    records, after = run_pulse_train(20, *args, normals)
     assert len(records) == 20 and after.mean_j[2] < 5e5
 print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))
 """
@@ -178,7 +191,7 @@ def reference_scan(cfg, atoms, dm, tr):
                 factor = max(0.0, 1.0 + cfg.atom_number_spread * float(stream.standard_normal()))
             records, _ = run_pulse_train(
                 cfg.pulses_per_sample, scaled(atoms, factor), cp, light, dm,
-                DET, tr, stream,
+                DET, tr, stream.standard_normal(cfg.pulses_per_sample),
             )
             total = 0.0  # left to right: the built-in sum compensates on Python >= 3.12
             for _, _, theta in records:

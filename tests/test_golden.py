@@ -24,45 +24,45 @@ GOLDEN = {
     "default": {
         "scan.csv": "e0ba9c7d679a00db0ce493a488c00871a16f30952f46c57e63d6b87e6783a28b",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "c47bc5f026f59d77019aa8d525ebba91253088811759bfc769a25319e29ad26a",
+        "scan.csv.manifest.json": "2ca2f03d8c5f67b519e238779c49d92f2fb3277df0288ccb08d9c2116079e5a1",
     },
     "long_trains": {
         "scan.csv": "8c0ff5437572cd2bd644d043efffde924fefebe09155c0566a409ce34c18175c",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "7ee75218803aa2a7b3a822605c288125dfc40c153f8716a30d1d08012d031406",
+        "scan.csv.manifest.json": "4a9abedf215e394c4be30182c2cbf2ebaef005e499e581da453530a72ccc3bdb",
     },
     "three_threads": {
         "scan.csv": "e0ba9c7d679a00db0ce493a488c00871a16f30952f46c57e63d6b87e6783a28b",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "9f003b40e7a860985a95971cbfee1b353fce2ca51b17523a323797089033eeb9",
+        "scan.csv.manifest.json": "b4e33a250e21f4e3045f6a09746f6bd9d6243303632c1f7532aef526dbecd073",
     },
     "fit": {
         "fit.json": "75bb565f2023ef66b9c564538aa59a23d419732ca4eba85648427f072c99a7b3",
-        "fit.json.manifest.json": "2aad51ca6f57171afe06f2225e68304e3b3ec5128c556c9320b73aea23179bdb",
+        "fit.json.manifest.json": "9bc3d458f20335458898774459277309cf141934f64121ada48ae77c54781e81",
     },
     "budget": {
         "budget.json": "d13a7cf565a070eb21d998cc3b8574c0f1aa89253d06306827f3cc6ea98bb788",
-        "budget.json.manifest.json": "eb56222aca73ac2e240580ae00095b23c30e5ee6de26d75964dfff7298c119e0",
+        "budget.json.manifest.json": "a01a94d319aef3c4f726251085bb017a1dfa84917b2c2bd6b9abf4c254d5be6c",
     },
     "decay_simulate": {
         "decay.csv": "272846036b07eb42a982151e5e36ce1b52db97d4eb39c0666c2ceceb4a6ea5a1",
-        "decay.csv.manifest.json": "028099012c8a4105a66235378fd27a34f772a5fbb84a7510688939daa4b841a9",
+        "decay.csv.manifest.json": "4479569a1298ea1a4ea9c037e9ab36844aafadd28aaaddc80554b89fe4d7a7e4",
     },
     "decay_fit": {
         "decay_fit.json": "60b2c5792a6db54fd479bb39ff858a45805936607039655fdbfe5c20ca0c9483",
-        "decay_fit.json.manifest.json": "5f6f1e4d9648c489655916e73dfa7da6ba47fe8209af2e77c46d6b67e5a74a6f",
+        "decay_fit.json.manifest.json": "71a04a771db6a50db4225d9f14cbcda37a2878850cd1e182847cc137e90b251e",
     },
     "tof_simulate": {
         "tof.csv": "286b949fc63fa969fb095f7b04b772ac5f62901966e6f664a5cf83df974d573b",
-        "tof.csv.manifest.json": "5ba7c69dfd309132475a821b3b3782fa33c384569e12696e524994a78cb09ab2",
+        "tof.csv.manifest.json": "e617310265032db168206a567035235a71996b3d8aac47ddd6080847bad7a9f8",
     },
     "tof_fit": {
         "tof_fit.json": "bca7cf0427183479f16871f21cedc0765cc0058e09c305efa9a4af457ae2cd30",
-        "tof_fit.json.manifest.json": "fe414ca30e6eda03827848d519eff63f99a2ebe7ade6596281eec71df84e44aa",
+        "tof_fit.json.manifest.json": "4b1f89068ec21b849a53a29d54db852bf7249f1cc6a5386830b5edc4e08438cc",
     },
     "pulse_noisy": {
         "pulse.csv": "c0fb5808201d464e22f50e6abbc90c09df33f43f072ede436c015edfef5d7cf3",
-        "pulse.csv.manifest.json": "5feae68ba5e0f33d7191b7e73e793c2fb04ddd545d1c4356a4a63c1cf43d9028",
+        "pulse.csv.manifest.json": "f6a6980e6e6a52ea3d73253bd22134887bd7dcef1a171c345bf4b300a7877230",
     },
 }
 

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from coldspin import rng
 from coldspin.cli import _linspace
 from coldspin.rng import (
-    NormalStream, POOL_SIZE, Uint64Lanes, mix_entropy, normal_draws, pcg64_seed,
-    seed_sequence_words, uint32_words,
+    POOL_SIZE, Uint64Lanes, mix_entropy, normal_draws, pcg64_seed, seed_sequence_words,
+    seeded_state, spawned_states, uint32_words,
 )
 
 # 1 to 6 uint32 words: the pool holds 4, so the last two seeds also run
@@ -51,8 +51,12 @@ def test_normal_stream_is_numpy_standard_normal(slow_branch_calls):
     assert len(SEEDS) * DRAWS >= 10**6
     assert {len(uint32_words(seed)) for seed in SEEDS} >= {1, 2, 3, POOL_SIZE + 2}
     for seed in SEEDS:
-        stream = NormalStream(seed)
-        ours = [stream.standard_normal() for _ in range(DRAWS)]
+        # one draw at a time, each call resuming from the last one's state
+        state, inc = seeded_state(seed)
+        ours = []
+        for _ in range(DRAWS):
+            (draw,), state = normal_draws(state, inc, 1)
+            ours.append(draw)
         bulk = np.random.Generator(np.random.PCG64(seed))
         assert bits(ours) == bits(bulk.standard_normal(DRAWS)), seed
         scalar = np.random.Generator(np.random.PCG64(seed))
@@ -60,7 +64,7 @@ def test_normal_stream_is_numpy_standard_normal(slow_branch_calls):
         assert bits(ours[:SCALAR_DRAWS]) == bits(drawn), seed
         assert bulk.bit_generator.state == {
             "bit_generator": "PCG64",
-            "state": {"state": stream.state, "inc": stream.inc},
+            "state": {"state": state, "inc": inc},
             "has_uint32": 0,
             "uinteger": 0,
         }, seed
@@ -75,7 +79,7 @@ def test_normal_draws_are_numpy_bulk_standard_normal(slow_branch_calls):
     batches = (0, 1, 2, 997, 0, DRAWS - 1000)
     assert sum(batches) == DRAWS and len(SEEDS) * DRAWS >= 10**6
     for seed in SEEDS:
-        state, inc = pcg64_seed(*seed_sequence_words(uint32_words(seed)))
+        state, inc = seeded_state(seed)
         ours = []
         for count in batches:
             draws, state = normal_draws(state, inc, count)
@@ -164,18 +168,6 @@ def test_uint64_lanes_wrap_as_uint64_arrays(pairs, c, n):
         assert ours.tolist() == numpys.tolist()
 
 
-def test_normal_stream_from_pcg64_state_continues_it():
-    seeded = NormalStream(2**40 + 7)
-    for _ in range(3):
-        seeded.standard_normal()
-    resumed = NormalStream(pcg64_state=(seeded.state, seeded.inc))
-    assert [resumed.standard_normal() for _ in range(50)] == [
-        seeded.standard_normal() for _ in range(50)
-    ]
-    with pytest.raises(TypeError, match="exactly one"):
-        NormalStream(1, pcg64_state=(seeded.state, seeded.inc))
-
-
 def test_ziggurat_tables_are_numpys():
     # SHA-256 of ki_double, wi_double and fi_double as they lie in numpy
     # 2.4.6's libnpyrandom.a (little-endian uint64, double, double): an
@@ -188,7 +180,14 @@ def test_ziggurat_tables_are_numpys():
 
 def test_normal_stream_rejects_negative_seeds():
     with pytest.raises(ValueError, match=">= 0"):
-        NormalStream(-1)
+        seeded_state(-1)
+
+
+def test_spawned_states_take_at_most_2_to_the_32():
+    # every index must be one 32-bit word; the check comes before any lane
+    # is built, so 2**32 + 1 of them allocate nothing
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        spawned_states(0, 0, 2**32 + 1)
 
 
 # wide spans, and spans among subnormals, where the step underflows to 0
