@@ -97,7 +97,6 @@ def fit_column_density(
     *,
     weighted: bool = True,
     sigma_source: str = "stddev",
-    convention: str = "physical",
     guard_linewidths: float = DEFAULT_GUARD_LINEWIDTHS,
 ) -> FitResult:
     """Weighted linear least squares for the column density n_c.
@@ -130,10 +129,7 @@ def fit_column_density(
         if weighted and sigma == 0.0:
             continue  # zero reported error: reject, do not weight infinitely
         g = 0.5 * rotation_cross_section(
-            point.detuning_hz,
-            spec,
-            convention=convention,
-            guard_linewidths=guard_linewidths,
+            point.detuning_hz, spec, guard_linewidths=guard_linewidths
         )
         rows.append((point.theta_mean_rad, g, sigma))
     if len(rows) < 2:

@@ -20,11 +20,11 @@ Exit codes: 0 success, 2 configuration or usage error, 3 numeric failure
 
 Each runner imports the library modules it uses when it runs, and only
 scans above experiment's plain-scan cutoff import numpy: the decay,
-expansion and pulse simulations take all their draws up front, as plain
-numbers from rng's copy of numpy's normal stream seeded with the
-section's seed (_normals), and smaller scans such as the default one draw
-from the same copy, so they and their replays run on the standard library
-alone.
+expansion and pulse simulations take all their draws up front, none
+without noise, as plain numbers from rng's copy of numpy's normal stream
+seeded with the section's seed (_normals), and smaller scans such as the
+default one draw from the same copy, so they and their replays run on
+the standard library alone.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ TOF_CSV_COLUMNS = {"time_s": float, "sigma_m": float}
 # decaying over 90 s, and 25 uK ballistic expansion out to 4 ms.
 _DEFAULT_CONFIG = {
     "atom_data": None,
-    "convention": "physical",
     "guard_linewidths": 10.0,
     "threads": 1,
     "ensemble": {
@@ -382,7 +381,6 @@ def _run_scan(cfg: dict) -> dict:
         DetectorSpec(**cfg["detector"]),
         TransmissionSpec(**cfg["transmission"]),
         DestructionModel(**cfg["destruction"]),
-        convention=cfg["convention"],
         guard_linewidths=cfg["guard_linewidths"],
     )
     out = cfg["out"]
@@ -395,10 +393,7 @@ def _run_scan(cfg: dict) -> dict:
     curve_rows = []
     for detuning in _linspace(low, high, CURVE_SAMPLES):
         g_tilde = rotation_cross_section(
-            detuning,
-            spec,
-            convention=cfg["convention"],
-            guard_linewidths=cfg["guard_linewidths"],
+            detuning, spec, guard_linewidths=cfg["guard_linewidths"]
         )
         curve_rows.append((detuning, 0.5 * column_density * g_tilde))
     curve_path = _scan_curve_path(out)
@@ -418,7 +413,6 @@ def _run_fit(cfg: dict) -> dict:
         spec,
         weighted=section["weighted"],
         sigma_source=section["sigma_source"],
-        convention=cfg["convention"],
         guard_linewidths=cfg["guard_linewidths"],
     )
     od, od_sigma = compute_od(fit, spec)
@@ -499,7 +493,8 @@ def _run_decay(cfg: dict) -> dict:
         noise = section["noise_fraction"]
         times = _times(section, "decay")
         rows = []
-        for t, normal in zip(times, _normals(cfg, "decay", len(times))):
+        normals = _normals(cfg, "decay", len(times)) if noise else [0.0] * len(times)
+        for t, normal in zip(times, normals):
             try:
                 model = evolve_trap_population(params, t)
             except ValidationError as exc:  # a negative time
@@ -535,7 +530,8 @@ def _run_tof(cfg: dict) -> dict:
         noise = section["noise_m"]
         times = _times(section, "tof")
         rows = []
-        for t, normal in zip(times, _normals(cfg, "tof", len(times))):
+        normals = _normals(cfg, "tof", len(times)) if noise else [0.0] * len(times)
+        for t, normal in zip(times, normals):
             try:
                 radius = tof_radius(
                     section["sigma0_m"], section["temperature_k"], t, spec.mass_kg

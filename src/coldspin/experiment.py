@@ -199,7 +199,6 @@ def run_detuning_scan(
     tr: TransmissionSpec,
     dm: DestructionModel,
     *,
-    convention: str = "physical",
     guard_linewidths: float = DEFAULT_GUARD_LINEWIDTHS,
 ) -> ScanDataset:
     """Full synthetic detuning scan.
@@ -215,11 +214,7 @@ def run_detuning_scan(
         try:
             couplings.append(
                 coupling_constant(
-                    detuning,
-                    area_m2,
-                    spec,
-                    convention=convention,
-                    guard_linewidths=guard_linewidths,
+                    detuning, area_m2, spec, guard_linewidths=guard_linewidths
                 )
             )
         except NearResonanceError as exc:
@@ -364,7 +359,6 @@ def scattering_probability(
     area_m2: float,
     spec: AtomSpec,
     *,
-    convention: str = "physical",
     guard_linewidths: float = DEFAULT_GUARD_LINEWIDTHS,
 ) -> float:
     """Per-atom photon-scattering estimate for one pulse:
@@ -380,12 +374,6 @@ def scattering_probability(
         raise ValidationError(f"area_m2 must be positive, got {area_m2!r}")
     # evaluated only for the guard; far detuned is a precondition here
     for f_prime in (0, 1, 2):
-        detuning_factor(
-            detuning_hz,
-            f_prime,
-            spec,
-            convention=convention,
-            guard_linewidths=guard_linewidths,
-        )
+        detuning_factor(detuning_hz, f_prime, spec, guard_linewidths=guard_linewidths)
     ratio = spec.linewidth_hz / (2.0 * detuning_hz)
     return n_photons * spec.cross_section_m2 * ratio * ratio / area_m2

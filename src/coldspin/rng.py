@@ -14,9 +14,9 @@ plain numbers drawn here.  The module holds:
 - numpy's SeedSequence hash (numpy/random/bit_generator.pyx), written once
   with explicit 32-bit masks so that it runs unchanged on Python ints, on
   uint64 arrays of them and on Uint64Lanes, many uint64 values packed in
-  one int, and split at mix_entropy so that entropy words many sequences
-  share are hashed once (spawned_states hashes the seed and key words
-  once, then finishes all its sequences at once in lanes);
+  one int; the kinds mix in one entropy, so spawned_states hashes the seed
+  and key words its sequences share once, as ints, and finishes all its
+  sequences at once on a lanes word of their indices;
 - PCG64 seeding and its XSL-RR output (numpy/random/src/pcg64/pcg64.h; M.
   E. O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically
   Good Algorithms for Random Number Generation", HMC-CS-2014-0905, 2014);
@@ -94,51 +94,41 @@ def _mix(x, y):
     return result ^ result >> _XSHIFT
 
 
-def mix_entropy(entropy: list, pool: tuple | None = None) -> tuple:
-    """SeedSequence's mix_entropy: the (pool words, hash constant) after
-    hashing the entropy words into the pool.
-
-    Given pool, an earlier call's result, the words are hashed on from
-    there: mix_entropy(b, mix_entropy(a)) == mix_entropy(a + b) whenever a
-    holds at least POOL_SIZE words, as the padded seed of every spawned
-    sequence does.  Words that many sequences share are so hashed once.
-    """
-    if pool is None:
-        hash_const = _INIT_A
-        words = []
-        for i in range(POOL_SIZE):
-            # a short entropy runs the hash out on zeros
-            value, hash_const = _hashmix(entropy[i] if i < len(entropy) else 0,
-                                         hash_const, _MULT_A)
-            words.append(value)
-        for i_src in range(POOL_SIZE):
-            for i_dst in range(POOL_SIZE):
-                if i_src != i_dst:
-                    value, hash_const = _hashmix(words[i_src], hash_const, _MULT_A)
-                    words[i_dst] = _mix(words[i_dst], value)
-        entropy = entropy[POOL_SIZE:]
-    else:
-        words, hash_const = list(pool[0]), pool[1]
-    for word in entropy:
+def mix_entropy(entropy: list) -> list:
+    """SeedSequence's mix_entropy: the pool words after hashing the entropy
+    words into the pool."""
+    hash_const = _INIT_A
+    words = []
+    for i in range(POOL_SIZE):
+        # a short entropy runs the hash out on zeros
+        value, hash_const = _hashmix(entropy[i] if i < len(entropy) else 0,
+                                     hash_const, _MULT_A)
+        words.append(value)
+    for i_src in range(POOL_SIZE):
+        for i_dst in range(POOL_SIZE):
+            if i_src != i_dst:
+                value, hash_const = _hashmix(words[i_src], hash_const, _MULT_A)
+                words[i_dst] = _mix(words[i_dst], value)
+    for word in entropy[POOL_SIZE:]:
         for i_dst in range(POOL_SIZE):
             value, hash_const = _hashmix(word, hash_const, _MULT_A)
             words[i_dst] = _mix(words[i_dst], value)
-    return words, hash_const
+    return words
 
 
-def seed_sequence_words(entropy: list, pool: tuple | None = None) -> list:
+def seed_sequence_words(entropy: list) -> list:
     """SeedSequence.generate_state(4, np.uint64) for the assembled entropy
     words (a spawned sequence pads its seed's words to POOL_SIZE before
     appending its spawn key): eight 32-bit words, read in little-endian
-    pairs as four 64-bit words.  Given pool, mix_entropy's result for
-    the leading words, entropy holds only the words that follow them.
+    pairs as four 64-bit words.
 
     Each entropy word is an int below 2**32, or a uint64 array or a
-    Uint64Lanes of them with one element per sequence, and the two mix:
+    Uint64Lanes of them with one element per sequence, and the kinds mix:
     every product of two 32-bit values fits in 64 bits, and every result is
-    masked back to 32.
+    masked back to 32.  Int words ahead of the first array or lanes word
+    are hashed once, as ints, for all the sequences.
     """
-    pool_words, _ = mix_entropy(entropy, pool)
+    pool_words = mix_entropy(entropy)
     hash_const = _INIT_B
     words = []
     for i in range(8):
@@ -228,18 +218,17 @@ def spawned_states(seed: int, key: int, count: int) -> list[tuple[int, int]]:
     """(state, inc) of np.random.PCG64(np.random.SeedSequence(seed,
     spawn_key=(key, i))) for every i in range(count), at once.
 
-    The words all the sequences share, the seed's padded to the pool as a
-    spawned sequence pads them and then key, are hashed once in ints; the
-    hash then runs once on a Uint64Lanes of the indices, one lane per
-    sequence, and each sequence's four seed words seed its PCG64 in ints.
+    The entropy is the seed's words, padded to the pool as a spawned
+    sequence pads them, then key, which all the sequences share and which
+    are hashed once in ints, then one Uint64Lanes of the indices, one lane
+    per sequence; each sequence's four seed words seed its PCG64 in ints.
     count is at most 2**32, so that every index is one 32-bit word.
     """
     if count > 2**32:
         raise ValueError(f"count must be at most 2**32, got {count!r}")
     lead = uint32_words(seed)
     lead += [0] * (POOL_SIZE - len(lead))
-    pool = mix_entropy(lead + uint32_words(key))
-    words = seed_sequence_words([Uint64Lanes(range(count))], pool)
+    words = seed_sequence_words(lead + uint32_words(key) + [Uint64Lanes(range(count))])
     return [pcg64_seed(*cell) for cell in zip(*(word.tolist() for word in words))]
 
 

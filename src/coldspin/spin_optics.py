@@ -159,19 +159,16 @@ def detuning_factor(
     f_prime: int,
     spec: AtomSpec,
     *,
-    convention: str = "physical",
     guard_linewidths: float = DEFAULT_GUARD_LINEWIDTHS,
 ) -> float:
-    """Reciprocal detuning 1/(Delta -+ Delta_0,F') from one F' resonance.
+    """Reciprocal detuning 1/(Delta - Delta_0,F') from one F' resonance.
 
     detuning_hz is measured from the F=1 -> F'=0 transition, negative on the
-    red side.  The default "physical" convention places each pole exactly at
-    the F' resonance, 1/(Delta - Delta_0,F'); "literal" selects the opposite
-    sign, 1/(Delta + Delta_0,F'), for comparison against analyses written in
-    the reversed detuning convention.  A guard band of guard_linewidths
-    natural linewidths around each pole is refused: the dispersive model
-    neglects absorption there.  A detuning at or beyond the probe's optical
-    frequency c/lambda would make that frequency negative and is refused.
+    red side, so each pole sits exactly at its F' resonance.  A guard band
+    of guard_linewidths natural linewidths around each pole is refused: the
+    dispersive model neglects absorption there.  A detuning at or beyond the
+    probe's optical frequency c/lambda would make that frequency negative
+    and is refused.
     """
     optical_hz = SPEED_OF_LIGHT_M_PER_S / spec.wavelength_m
     if not abs(detuning_hz) < optical_hz:
@@ -181,19 +178,11 @@ def detuning_factor(
         )
     if f_prime not in (0, 1, 2):
         raise ValidationError(f"f_prime must be 0, 1, or 2, got {f_prime!r}")
-    if convention not in ("physical", "literal"):
-        raise ValidationError(
-            f"convention must be 'physical' or 'literal', got {convention!r}"
-        )
     if guard_linewidths < 0:
         raise ValidationError(
             f"guard_linewidths must be >= 0, got {guard_linewidths!r}"
         )
-    splitting = spec.hyperfine_splittings[f_prime]
-    if convention == "physical":
-        denominator = detuning_hz - splitting
-    else:
-        denominator = detuning_hz + splitting
+    denominator = detuning_hz - spec.hyperfine_splittings[f_prime]
     if abs(denominator) < guard_linewidths * spec.linewidth_hz:
         raise NearResonanceError(
             f"detuning {detuning_hz:.6g} Hz is within {guard_linewidths:g} "
@@ -206,7 +195,6 @@ def rotation_cross_section(
     detuning_hz: float,
     spec: AtomSpec,
     *,
-    convention: str = "physical",
     guard_linewidths: float = DEFAULT_GUARD_LINEWIDTHS,
 ) -> float:
     """Area-independent coupling g_tilde (m^2): the rotation angle per unit
@@ -216,13 +204,7 @@ def rotation_cross_section(
     with the vector weights of the F=1 -> F' in {0,1,2} manifold.
     """
     deltas = [
-        detuning_factor(
-            detuning_hz,
-            f_prime,
-            spec,
-            convention=convention,
-            guard_linewidths=guard_linewidths,
-        )
+        detuning_factor(detuning_hz, f_prime, spec, guard_linewidths=guard_linewidths)
         for f_prime in (0, 1, 2)
     ]
     prefactor = spec.linewidth_hz * spec.wavelength_m**2 / (16.0 * math.pi)
@@ -234,14 +216,13 @@ def coupling_constant(
     area_m2: float,
     spec: AtomSpec,
     *,
-    convention: str = "physical",
     guard_linewidths: float = DEFAULT_GUARD_LINEWIDTHS,
 ) -> CouplingParams:
     """Dispersive coupling g = g_tilde/area at one detuning and beam area."""
     if not (area_m2 > 0.0 and math.isfinite(area_m2)):
         raise ValidationError(f"area_m2 must be positive, got {area_m2!r}")
     g_tilde = rotation_cross_section(
-        detuning_hz, spec, convention=convention, guard_linewidths=guard_linewidths
+        detuning_hz, spec, guard_linewidths=guard_linewidths
     )
     return CouplingParams(
         detuning_hz=float(detuning_hz),
@@ -296,13 +277,12 @@ def od_from_angle(
     detuning_hz: float,
     spec: AtomSpec,
     *,
-    convention: str = "physical",
     guard_linewidths: float = DEFAULT_GUARD_LINEWIDTHS,
 ) -> float:
     """Resonant optical depth inferred from a rotation angle measured at a
     known detuning: OD = 2 sigma_0 theta / g_tilde(Delta)."""
     g_tilde = rotation_cross_section(
-        detuning_hz, spec, convention=convention, guard_linewidths=guard_linewidths
+        detuning_hz, spec, guard_linewidths=guard_linewidths
     )
     return 2.0 * spec.cross_section_m2 * theta_rad / g_tilde
 

@@ -98,8 +98,7 @@ def test_scan_seed_flag(in_tmp_dir):
     [("decay", {"decay": {"noise_fraction": 0.0}}, 46), ("tof", {"tof": {"noise_m": 0.0}}, 8)],
 )
 def test_noiseless_simulations_write_every_row(in_tmp_dir, command, override, n_rows):
-    # the draws are taken up front even when nothing reads them, so every
-    # time keeps its row, and the seed changes no byte
+    # every time keeps its row, and the seed changes no byte
     (in_tmp_dir / "cfg.json").write_text(json.dumps(override))
     tables = []
     for seed in ("1", "2"):
@@ -109,6 +108,30 @@ def test_noiseless_simulations_write_every_row(in_tmp_dir, command, override, n_
         tables.append((in_tmp_dir / out).read_bytes())
     assert tables[0] == tables[1]
     assert len(tables[0].decode().splitlines()) == 1 + n_rows
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [("decay", {"decay": {"noise_fraction": 0.0}}), ("tof", {"tof": {"noise_m": 0.0}})],
+)
+def test_noiseless_simulations_draw_nothing(in_tmp_dir, monkeypatch, command, override):
+    from coldspin import rng
+
+    calls = []
+    real = rng.normal_draws
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rng, "normal_draws", counted)
+    (in_tmp_dir / "cfg.json").write_text(json.dumps(override))
+    argv = [command, "simulate", "--config", "cfg.json", "--out", f"{command}.csv"]
+    assert cli.main(argv) == 0
+    assert calls == []
+    # the noisy default does draw, so the count above is live
+    assert cli.main([command, "simulate", "--out", f"noisy_{command}.csv"]) == 0
+    assert len(calls) == 1
 
 
 def test_scan_replay_and_tamper(in_tmp_dir, capsys):
@@ -598,25 +621,37 @@ def test_replay_of_a_0_1_manifest_names_the_removed_key(in_tmp_dir, capsys, argv
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("via", ["manifest", "config"])
-def test_scan_pulse_duration_is_refused_by_name(in_tmp_dir, capsys, via):
-    # scan.pulse_duration_s changed no output and is gone since 0.3.0, both
-    # from a manifest that 0.2.0 wrote and from a --config file
+@pytest.mark.parametrize(
+    "via, version, override, key",
+    [
+        ("manifest", "0.2.0", {"scan": {"pulse_duration_s": 1e-6}}, "scan.pulse_duration_s"),
+        ("config", "0.2.0", {"scan": {"pulse_duration_s": 1e-6}}, "scan.pulse_duration_s"),
+        ("manifest", "0.5.0", {"convention": "physical"}, "convention"),
+        ("config", "0.5.0", {"convention": "physical"}, "convention"),
+    ],
+    ids=["manifest", "config", "convention-manifest", "convention-config"],
+)
+def test_scan_pulse_duration_is_refused_by_name(in_tmp_dir, capsys, via, version, override,
+                                                key):
+    # keys gone from the config are refused by name, both from a manifest
+    # that the last version to take them wrote and from a --config file:
+    # scan.pulse_duration_s changed no output and is gone since 0.3.0, and
+    # convention, which picked a sign-reversed detuning model, since 0.6.0
     if via == "manifest":
         assert cli.main(["scan", "--out", "out.csv"]) == 0
         manifest_path = in_tmp_dir / "out.csv.manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["version"] = "0.2.0"
-        manifest["config"]["scan"]["pulse_duration_s"] = 1.0e-6
+        manifest["version"] = version
+        manifest["config"] = cli._merge_config(manifest["config"], override)
         manifest_path.write_text(json.dumps(manifest))
         argv = ["scan", "--manifest", "out.csv.manifest.json"]
     else:
-        (in_tmp_dir / "cfg.json").write_text(json.dumps({"scan": {"pulse_duration_s": 1e-6}}))
+        (in_tmp_dir / "cfg.json").write_text(json.dumps(override))
         argv = ["scan", "--config", "cfg.json", "--out", "out.csv"]
     capsys.readouterr()
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert "unknown config key 'scan.pulse_duration_s'" in err
+    assert f"unknown config key {key!r}" in err
     assert "Traceback" not in err
 
 

@@ -1,9 +1,9 @@
 """Golden SHA-256 digests of CLI outputs.
 
-Three fixed scans and every default README quick-start command are pinned
-byte for byte, outputs and manifests alike, so a change that shifts a
-single bit of the simulated data, a fit or the manifest layout fails here
-even when every physics tolerance still holds.  Each run is a sequence of
+Three fixed scans, the shipped example config and every default README
+quick-start command are pinned byte for byte, outputs and manifests alike,
+so a change that shifts a single bit of the simulated data, a fit or the
+manifest layout fails here even when every physics tolerance still holds.  Each run is a sequence of
 commands (a fit first simulates its input) with relative output paths
 inside a temporary directory, so the manifests do not depend on where the
 test runs.
@@ -12,6 +12,7 @@ test runs.
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -24,48 +25,51 @@ GOLDEN = {
     "default": {
         "scan.csv": "e0ba9c7d679a00db0ce493a488c00871a16f30952f46c57e63d6b87e6783a28b",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "2ca2f03d8c5f67b519e238779c49d92f2fb3277df0288ccb08d9c2116079e5a1",
+        "scan.csv.manifest.json": "c4b0b2b0542845d15f8ff658b2acce3dfd777b08050f3b6e935474dc06682167",
     },
     "long_trains": {
         "scan.csv": "8c0ff5437572cd2bd644d043efffde924fefebe09155c0566a409ce34c18175c",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "4a9abedf215e394c4be30182c2cbf2ebaef005e499e581da453530a72ccc3bdb",
+        "scan.csv.manifest.json": "b4aed6f1ef803a42dbdd4ea9aa8b567e91c103289399a252e8e6f309ae3b8c9c",
     },
     "three_threads": {
         "scan.csv": "e0ba9c7d679a00db0ce493a488c00871a16f30952f46c57e63d6b87e6783a28b",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "b4e33a250e21f4e3045f6a09746f6bd9d6243303632c1f7532aef526dbecd073",
+        "scan.csv.manifest.json": "ce0eafefa6bdfe93bb6a041cdfdffd7c489244b3ae89f0e19b33ca44ffdc2ab3",
     },
     "fit": {
         "fit.json": "75bb565f2023ef66b9c564538aa59a23d419732ca4eba85648427f072c99a7b3",
-        "fit.json.manifest.json": "9bc3d458f20335458898774459277309cf141934f64121ada48ae77c54781e81",
+        "fit.json.manifest.json": "818c80c4fa65ea01b341f4a4d68090873d5546d7be9195da5bb3ddd97207a20e",
     },
     "budget": {
         "budget.json": "d13a7cf565a070eb21d998cc3b8574c0f1aa89253d06306827f3cc6ea98bb788",
-        "budget.json.manifest.json": "a01a94d319aef3c4f726251085bb017a1dfa84917b2c2bd6b9abf4c254d5be6c",
+        "budget.json.manifest.json": "0eb2df96747d9dc428cf1b5f778bdb738aba44e410e57c88b9a20c6a51c7e97c",
     },
     "decay_simulate": {
         "decay.csv": "272846036b07eb42a982151e5e36ce1b52db97d4eb39c0666c2ceceb4a6ea5a1",
-        "decay.csv.manifest.json": "4479569a1298ea1a4ea9c037e9ab36844aafadd28aaaddc80554b89fe4d7a7e4",
+        "decay.csv.manifest.json": "66bf7db92639ebb8b49a64a7a8da5297fad7a42f9bbe3bba99c90ff884122de6",
     },
     "decay_fit": {
         "decay_fit.json": "60b2c5792a6db54fd479bb39ff858a45805936607039655fdbfe5c20ca0c9483",
-        "decay_fit.json.manifest.json": "71a04a771db6a50db4225d9f14cbcda37a2878850cd1e182847cc137e90b251e",
+        "decay_fit.json.manifest.json": "d9c0a73eb41d62e4bface5bcd02d397a4fed25aedc997e25923b67c2cc4132cb",
     },
     "tof_simulate": {
         "tof.csv": "286b949fc63fa969fb095f7b04b772ac5f62901966e6f664a5cf83df974d573b",
-        "tof.csv.manifest.json": "e617310265032db168206a567035235a71996b3d8aac47ddd6080847bad7a9f8",
+        "tof.csv.manifest.json": "00a2ae8e6a2f1608d51e07b8220fef2d3197fa0b7b60ea114669df5fcc5ff7d3",
     },
     "tof_fit": {
         "tof_fit.json": "bca7cf0427183479f16871f21cedc0765cc0058e09c305efa9a4af457ae2cd30",
-        "tof_fit.json.manifest.json": "4b1f89068ec21b849a53a29d54db852bf7249f1cc6a5386830b5edc4e08438cc",
+        "tof_fit.json.manifest.json": "dfa56b5a933dbc84ae49d0dadde979c2d2a103aa4a656d743b699692b011272c",
     },
     "pulse_noisy": {
         "pulse.csv": "c0fb5808201d464e22f50e6abbc90c09df33f43f072ede436c015edfef5d7cf3",
-        "pulse.csv.manifest.json": "f6a6980e6e6a52ea3d73253bd22134887bd7dcef1a171c345bf4b300a7877230",
+        "pulse.csv.manifest.json": "73111d87b7f544441c6681c0d63172209480099e81ba66b63a4c336c22108ec8",
     },
 }
+# the shipped example config spells out the default scan, byte for byte
+GOLDEN["example_config"] = GOLDEN["default"]
 
+EXAMPLE_CONFIG = Path(__file__).parents[1] / "configs" / "scan_example.json"
 SCAN = ["scan", "--out", "scan.csv"]
 DECAY_SIMULATE = ["decay", "simulate", "--out", "decay.csv"]
 TOF_SIMULATE = ["tof", "simulate", "--out", "tof.csv"]
@@ -73,6 +77,10 @@ TOF_SIMULATE = ["tof", "simulate", "--out", "tof.csv"]
 
 def _default(tmp_path):
     return [SCAN]
+
+
+def _example_config(tmp_path):
+    return [["scan", "--config", str(EXAMPLE_CONFIG), "--out", "scan.csv"]]
 
 
 def _long_trains(tmp_path):
@@ -119,6 +127,7 @@ def _pulse_noisy(tmp_path):
 
 RUNS = {
     "default": _default,
+    "example_config": _example_config,
     "long_trains": _long_trains,
     "three_threads": _three_threads,
     "fit": _fit,

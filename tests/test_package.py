@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -17,6 +18,14 @@ def test_every_export_is_its_defining_module_object():
     experiment = importlib.import_module("coldspin.experiment")
     for name in ("read_scan_csv", "write_scan_csv"):
         assert not hasattr(experiment, name), name
+
+
+def test_no_export_takes_a_detuning_convention():
+    # each pole sits at its F' resonance: there is no other convention to pick
+    for name in coldspin.__all__:
+        value = getattr(coldspin, name)
+        if inspect.isfunction(value):
+            assert "convention" not in inspect.signature(value).parameters, name
 
 
 def test_dir_lists_every_export():

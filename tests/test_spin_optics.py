@@ -53,33 +53,25 @@ def test_rotation_cross_section_against_oracle(detuning_hz):
 
 
 def test_detuning_factor_pole_positions():
-    # physical convention: each pole sits at the F' resonance itself
+    # each pole sits at the F' resonance itself
     assert detuning_factor(-1.6e9, 0, SPEC) == pytest.approx(-6.25e-10, rel=1e-12)
     assert detuning_factor(-1.6e9, 1, SPEC) == pytest.approx(
         1.0 / (-1.6e9 - 72.218e6), rel=1e-12
     )
     with pytest.raises(NearResonanceError):
         detuning_factor(72.218e6 + 3 * SPEC.linewidth_hz, 1, SPEC)
+    # and not at its mirror image: -72.218 MHz is 144 MHz off F'=1
+    assert detuning_factor(-72.218e6, 1, SPEC) == pytest.approx(
+        1.0 / (-2 * 72.218e6), rel=1e-12
+    )
     # guard can be widened past the default
     with pytest.raises(NearResonanceError):
         detuning_factor(-1e9, 0, SPEC, guard_linewidths=2e8)
 
 
-def test_detuning_factor_literal_convention_flips_pole():
-    # literal convention: pole of the F'=1 term sits at -72.218 MHz instead
-    assert detuning_factor(-1.6e9, 1, SPEC, convention="literal") == pytest.approx(
-        1.0 / (-1.6e9 + 72.218e6), rel=1e-12
-    )
-    with pytest.raises(NearResonanceError):
-        detuning_factor(-72.218e6, 1, SPEC, convention="literal")
-    detuning_factor(-72.218e6, 1, SPEC)  # fine physically: 72 MHz off F'=1
-
-
 def test_detuning_factor_rejects_bad_arguments():
     with pytest.raises(ValidationError):
         detuning_factor(-1.6e9, 3, SPEC)
-    with pytest.raises(ValidationError):
-        detuning_factor(-1.6e9, 0, SPEC, convention="both")
     with pytest.raises(ValidationError):
         detuning_factor(-1.6e9, 0, SPEC, guard_linewidths=-1.0)
 
