@@ -3,7 +3,10 @@
 Three fixed scans, the shipped example config and every default README
 quick-start command are pinned byte for byte, outputs and manifests alike,
 so a change that shifts a single bit of the simulated data, a fit or the
-manifest layout fails here even when every physics tolerance still holds.  Each run is a sequence of
+manifest layout fails here even when every physics tolerance still holds.
+A manifest is pinned with its "version" value replaced by VERSION_PLACEHOLDER,
+after checking that the value is coldspin.__version__ and appears once, so
+a release that changes nothing else re-pins nothing.  Each run is a sequence of
 commands (a fit first simulates its input) with relative output paths
 inside a temporary directory, so the manifests do not depend on where the
 test runs.
@@ -16,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import coldspin
 from coldspin import cli, experiment
 
 # the digests must hold under every numpy that pyproject.toml allows
@@ -25,49 +29,51 @@ GOLDEN = {
     "default": {
         "scan.csv": "e0ba9c7d679a00db0ce493a488c00871a16f30952f46c57e63d6b87e6783a28b",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "c4b0b2b0542845d15f8ff658b2acce3dfd777b08050f3b6e935474dc06682167",
+        "scan.csv.manifest.json": "f87c393af7edd7516a3cc88ffa8576c44f04c34799102853936040d01ef1afff",
     },
     "long_trains": {
         "scan.csv": "8c0ff5437572cd2bd644d043efffde924fefebe09155c0566a409ce34c18175c",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "b4aed6f1ef803a42dbdd4ea9aa8b567e91c103289399a252e8e6f309ae3b8c9c",
+        "scan.csv.manifest.json": "a43e9b31b157304ec6146b01ba016bef5810d88ad66318b0fd9b3477057b53cc",
     },
     "three_threads": {
         "scan.csv": "e0ba9c7d679a00db0ce493a488c00871a16f30952f46c57e63d6b87e6783a28b",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "ce0eafefa6bdfe93bb6a041cdfdffd7c489244b3ae89f0e19b33ca44ffdc2ab3",
+        "scan.csv.manifest.json": "7bf3d890f866d7c94004be0e8ef074836a14404914fbe67fbe15bb21bc092d3a",
     },
     "fit": {
         "fit.json": "75bb565f2023ef66b9c564538aa59a23d419732ca4eba85648427f072c99a7b3",
-        "fit.json.manifest.json": "818c80c4fa65ea01b341f4a4d68090873d5546d7be9195da5bb3ddd97207a20e",
+        "fit.json.manifest.json": "5b506284a40e21723d9e271dc7d89ba8698118e230cabaeee073746d68baa4e3",
     },
     "budget": {
         "budget.json": "d13a7cf565a070eb21d998cc3b8574c0f1aa89253d06306827f3cc6ea98bb788",
-        "budget.json.manifest.json": "0eb2df96747d9dc428cf1b5f778bdb738aba44e410e57c88b9a20c6a51c7e97c",
+        "budget.json.manifest.json": "615730b8cf6a29ad7c70af642c9dd9f87a513de21d5b063f47993165d766097a",
     },
     "decay_simulate": {
         "decay.csv": "272846036b07eb42a982151e5e36ce1b52db97d4eb39c0666c2ceceb4a6ea5a1",
-        "decay.csv.manifest.json": "66bf7db92639ebb8b49a64a7a8da5297fad7a42f9bbe3bba99c90ff884122de6",
+        "decay.csv.manifest.json": "6695c8fa62add1cf5c3ac578bdd6e0303ee1edcc4d50134c2ea7c5e1e9dc5f9b",
     },
     "decay_fit": {
         "decay_fit.json": "60b2c5792a6db54fd479bb39ff858a45805936607039655fdbfe5c20ca0c9483",
-        "decay_fit.json.manifest.json": "d9c0a73eb41d62e4bface5bcd02d397a4fed25aedc997e25923b67c2cc4132cb",
+        "decay_fit.json.manifest.json": "72ac326712c93803522cbfea0a2ef8713cbc9ed61565f7d8bb5192a41fbed1a4",
     },
     "tof_simulate": {
         "tof.csv": "286b949fc63fa969fb095f7b04b772ac5f62901966e6f664a5cf83df974d573b",
-        "tof.csv.manifest.json": "00a2ae8e6a2f1608d51e07b8220fef2d3197fa0b7b60ea114669df5fcc5ff7d3",
+        "tof.csv.manifest.json": "44ce75ecf03097074f367f4177f43d4cd5a42091e587e97d2db1ee72eb053105",
     },
     "tof_fit": {
         "tof_fit.json": "bca7cf0427183479f16871f21cedc0765cc0058e09c305efa9a4af457ae2cd30",
-        "tof_fit.json.manifest.json": "dfa56b5a933dbc84ae49d0dadde979c2d2a103aa4a656d743b699692b011272c",
+        "tof_fit.json.manifest.json": "7854c7678284add527bd679fbcd3a0801f0336753ffe112380eabfb949820d25",
     },
     "pulse_noisy": {
         "pulse.csv": "c0fb5808201d464e22f50e6abbc90c09df33f43f072ede436c015edfef5d7cf3",
-        "pulse.csv.manifest.json": "73111d87b7f544441c6681c0d63172209480099e81ba66b63a4c336c22108ec8",
+        "pulse.csv.manifest.json": "151c9a6d13b10698360522d459efd58a3868efaba8333b1a4668902d8d8f5d45",
     },
 }
 # the shipped example config spells out the default scan, byte for byte
 GOLDEN["example_config"] = GOLDEN["default"]
+
+VERSION_PLACEHOLDER = b'"version": "<version>"'
 
 EXAMPLE_CONFIG = Path(__file__).parents[1] / "configs" / "scan_example.json"
 SCAN = ["scan", "--out", "scan.csv"]
@@ -140,12 +146,24 @@ RUNS = {
 }
 
 
+def pinned_bytes(path: Path) -> bytes:
+    """The file's bytes, a manifest's with its version value replaced by
+    VERSION_PLACEHOLDER once that value is checked."""
+    data = path.read_bytes()
+    if not path.name.endswith(".manifest.json"):
+        return data
+    assert json.loads(data)["version"] == coldspin.__version__
+    value = json.dumps(coldspin.__version__).encode()
+    assert data.count(value) == 1, path.name
+    return data.replace(b'"version": ' + value, VERSION_PLACEHOLDER)
+
+
 def run_digests(name, tmp_path, monkeypatch) -> dict:
     monkeypatch.chdir(tmp_path)
     for argv in RUNS[name](tmp_path):
         assert cli.main(argv) == 0
     return {
-        filename: hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest()
+        filename: hashlib.sha256(pinned_bytes(tmp_path / filename)).hexdigest()
         for filename in GOLDEN[name]
     }
 
