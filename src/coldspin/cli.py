@@ -18,13 +18,12 @@ reproducible byte-for-byte.
 Exit codes: 0 success, 2 configuration or usage error, 3 numeric failure
 (fit non-convergence, near-resonance guard, replay digest mismatch).
 
-Each runner imports the library modules it uses when it runs, and only
-scans above experiment's plain-scan cutoff import numpy: the decay,
-expansion and pulse simulations take all their draws up front, none
-without noise, as plain numbers from rng's copy of numpy's normal stream
-seeded with the section's seed (_normals), and smaller scans such as the
-default one draw from the same copy, so they and their replays run on
-the standard library alone.
+Each runner imports the library modules it uses when it runs, and no
+command imports numpy: the decay, expansion and pulse simulations take
+all their draws up front, none without noise, as plain numbers from rng's
+copy of numpy's normal stream seeded with the section's seed (_normals),
+and a scan draws two numbers a cell from the same copy, so every command
+and its replay runs on the standard library alone.
 """
 
 from __future__ import annotations

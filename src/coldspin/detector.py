@@ -26,9 +26,10 @@ from .errors import ValidationError
 from .frozen import Frozen
 
 # Most elements of any one array a run allocates: a waveform's samples (the
-# default pulse takes 500), a scan detuning's runs x (pulses + 1) block,
-# the scan detunings, and the decay and expansion times.  A value mistyped
-# by orders of magnitude would otherwise allocate gigabytes.
+# default pulse takes 500), the scan detunings, and the decay and expansion
+# times; a scan detuning's runs x (pulses + 1) is held to it as the scan's
+# size limit.  A value mistyped by orders of magnitude would otherwise
+# allocate gigabytes.
 MAX_ARRAY_SIZE = 2**22
 
 PULSE_CSV_COLUMNS = {"sample_index": int, "value": float}

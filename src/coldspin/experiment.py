@@ -12,26 +12,29 @@ draws from its own stream, exactly
 np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed,
 spawn_key=(detuning_index, run_index)))), so results are identical
 regardless of execution order.  rng.spawned_states seeds all of a
-detuning's cells at once, on the standard library, for either scan path.
+detuning's cells at once, on the standard library.
 
 A pulse train (run_pulse_train) is the scalar chain itself, pulse by
 pulse: faraday_angle -> simulate_pulse_detection -> extract_angle ->
-decay_mean_z, with one standard-normal draw per pulse passed in.  A scan
-computes the same operations in the same order on one of two paths,
-chosen from its shape alone (_PLAIN_SCAN_WORK); both give the same values
-bit for bit.  A scan up to the cutoff (a 15 x 400 x 10 one, 60,000 pulses
-in 6000 cells, among them) runs in plain floats: each cell takes all its
-draws from one rng.normal_draws call and computes its pulses one by one,
-so the scan never imports numpy, whose import would cost more than the
-whole scan.  A larger scan imports numpy: it sets each cell's state in
-turn on one reused generator, which fills the cell's row of draws in one
-call, and probes all of a detuning's runs in one array computation, where
-the per-pulse <J_z> is a running product along each row.  Both paths lay
-a cell's draws out alike: the atom-number normal first, when the scan has
-a spread, then one per pulse.  One aggregation (_scan_point) then sums
-the runs' mean angles as np.mean and np.std do.  A scan reads only the
-photon number of a pulse, so it takes no pulse duration.  The dataset and
-its CSV table are scandata's.
+decay_mean_z, with one standard-normal draw per pulse passed in.
+
+A scan reports only each detuning's mean, spread and standard error over
+its runs' mean angles, and a run's mean angle is set by two numbers.
+Pulse k of a run extracts (g J_z keep**k N t_h t_v + sigma n_k) / D, with
+keep = 1 - per_pulse_decay, D = N t_h t_v and n_k independent standard
+normals, so the run's P angles sum to g J_z N t_h t_v S / D plus
+sigma (n_0 + ... + n_(P-1)) / D, where S = -expm1(P log1p(-decay)) / decay
+(P without decay) is the sum of keep**k.  A sum of P independent standard
+normals is distributed as sqrt(P) z for one standard normal z, so each
+cell draws two normals in one rng.normal_draws call: the atom-number
+normal, read only when the scan has a spread, then z.  The scan is
+therefore equal in distribution to running each cell through
+run_pulse_train, not equal to it bit for bit, and only while the
+per-pulse noise is Gaussian with a constant sigma.  It costs the same at
+any pulse count and imports no numpy.  One aggregation (_scan_point)
+then sums the runs' mean angles as np.mean and np.std do.  A scan reads
+only the photon number of a pulse, so it takes no pulse duration.  The
+dataset and its CSV table are scandata's.
 """
 
 from __future__ import annotations
@@ -59,26 +62,6 @@ from .spin_optics import (
     faraday_angle,
 )
 from .summation import pairwise_sum
-
-# A scan runs in plain Python when cells * (pulses_per_sample +
-# _PLAIN_CELL_PULSES) is at most _PLAIN_SCAN_WORK, and imports numpy above
-# it.  Measured on a 2-core x86-64 host (Python 3.11.7, numpy 2.4.6), best
-# of 20 per shape over five shapes from 300 x 1 to 15 x 201 runs x pulses
-# at 15 detunings, fitted as cells * (a + b * pulses), three fits: the
-# plain path costs b = 0.92 us a pulse and a = 4.0 us a cell, the numpy
-# path 0.06 us and 6.7 us, as it sets a generator's state for every cell;
-# both seed a detuning's cells at once (rng.spawned_states).  So a plain cell
-# weighs (4.0 - 6.7) / (0.92 - 0.06) = -3 pulses against a numpy one, and
-# each unit of work costs the plain path 0.86 us more.  The numpy path
-# first imports numpy: 82 to 125 ms here (best and median of 15 for
-# "import numpy" minus "pass", each in a fresh interpreter, in two
-# spells), which is 95,000-145,000 units.  2**17 (131,072) sits in that
-# range.  So the 15 x 400 x 10 scan (42,000 units) runs plain and the
-# 15 x 40 x 1000 one (598,200) on numpy; a scan of at most 3 pulses a cell
-# runs plain at any size, where the plain path is the faster per cell.
-_PLAIN_CELL_PULSES = -3
-_PLAIN_SCAN_WORK = 2**17
-
 
 class DestructionModel(Frozen):
     """Deterministic per-pulse decay of the mean pumped spin.
@@ -130,11 +113,11 @@ class ScanConfig(Frozen):
             value = getattr(self, name)
             if not (isinstance(value, int) and value >= 1):
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-        block = self.runs_per_point * (self.pulses_per_sample + 1)
-        if block > MAX_ARRAY_SIZE:
+        size = self.runs_per_point * (self.pulses_per_sample + 1)
+        if size > MAX_ARRAY_SIZE:
             raise ValidationError(
-                f"runs_per_point * (pulses_per_sample + 1) is {block}, more than "
-                f"the {MAX_ARRAY_SIZE} elements one array may take"
+                f"runs_per_point * (pulses_per_sample + 1) is {size}, more than "
+                f"the scan's size limit of {MAX_ARRAY_SIZE}"
             )
         if not (0.0 <= self.atom_number_spread and math.isfinite(self.atom_number_spread)):
             raise ValidationError(
@@ -142,15 +125,6 @@ class ScanConfig(Frozen):
             )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
-
-
-def _set_cell_state(generator, state: int, inc: int) -> None:
-    generator.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
 
 
 def run_pulse_train(
@@ -205,9 +179,8 @@ def run_detuning_scan(
 
     Every detuning must pass the near-resonance guard (checked up front so
     the failure names the offending detuning).  Each detuning's runs are
-    drawn in run order and probed on the path the scan's shape picks
-    (_PLAIN_SCAN_WORK), so the dataset depends only on its inputs and their
-    seeds.
+    drawn in run order, two normals a cell (_run_means), so the dataset
+    depends only on its inputs and their seeds.
     """
     couplings = []
     for detuning in cfg.detunings_hz:
@@ -222,11 +195,8 @@ def run_detuning_scan(
                 f"scan detuning {detuning:.6g} Hz rejected: {exc}"
             ) from exc
 
-    cells = len(cfg.detunings_hz) * cfg.runs_per_point
-    plain = cells * (cfg.pulses_per_sample + _PLAIN_CELL_PULSES) <= _PLAIN_SCAN_WORK
-    run_means = (_plain_run_means if plain else _numpy_run_means)(
-        cfg, atoms_template.mean_j[2], [cp.g for cp in couplings], cfg.photons_per_pulse,
-        dm, det, tr,
+    run_means = _run_means(
+        cfg, atoms_template.mean_j[2], [cp.g for cp in couplings], dm, det, tr
     )
     points = [
         _scan_point(detuning, values, cfg.pulses_per_sample)
@@ -235,96 +205,48 @@ def run_detuning_scan(
     return ScanDataset(points=tuple(points))
 
 
-def _plain_run_means(
+def _decay_sum(per_pulse_decay: float, n_pulses: int) -> float:
+    """S = sum of (1 - per_pulse_decay)**k over the n_pulses pulses k of a
+    train, in closed form: -expm1(P log1p(-decay)) / decay, or P without
+    decay.  S / P is the train's mean fraction of the first pulse's
+    signal."""
+    if per_pulse_decay == 0.0:
+        return float(n_pulses)
+    return -math.expm1(n_pulses * math.log1p(-per_pulse_decay)) / per_pulse_decay
+
+
+def _run_means(
     cfg: ScanConfig,
     j_z_template: float,
     couplings_g: list[float],
-    n_photons: float,
     dm: DestructionModel,
     det: DetectorSpec,
     tr: TransmissionSpec,
 ) -> Iterator[list[float]]:
-    """Each detuning's runs' mean extracted angles in turn, in plain floats.
-
-    The draws are _numpy_run_means', each cell's drawn in one
-    rng.normal_draws call, and each pulse is computed with
-    run_pulse_train's operations in the same order, so the values are
-    equal bit for bit: extract_angle's division by N_L t_h t_v, whose
-    checks run once per scan.
-    """
-    sigma = math.sqrt(n_photons + det.electronic_noise_var)
-    keep = 1.0 - dm.per_pulse_decay
+    """Each detuning's runs' mean extracted angles in turn, two draws a
+    cell (see the module docstring): the run's P angles sum to
+    g J_z N t_h t_v S / D + sigma sqrt(P) z / D.  The noiseless angle is
+    divided by D before it is scaled by S, as each pulse's is, so that a
+    sum overflows only where the pulses' angles would."""
+    n_photons, n_pulses = cfg.photons_per_pulse, cfg.pulses_per_sample
     t_h, t_v = tr.t_h, tr.t_v
     denominator = angle_denominator(n_photons, tr)
-    spread, n_pulses = cfg.atom_number_spread, cfg.pulses_per_sample
-    n_draws = n_pulses + 1 if spread > 0.0 else n_pulses
+    signal_sum = _decay_sum(dm.per_pulse_decay, n_pulses)
+    noise_sum = (
+        math.sqrt(n_photons + det.electronic_noise_var) * math.sqrt(n_pulses) / denominator
+    )
+    spread = cfg.atom_number_spread
     for d_index, g in enumerate(couplings_g):
         means = []
         for state, inc in spawned_states(cfg.seed, d_index, cfg.runs_per_point):
-            draws = iter(normal_draws(state, inc, n_draws)[0])
-            factor = 1.0
+            atom_normal, noise_normal = normal_draws(state, inc, 2)[0]
+            j_z = j_z_template
             if spread > 0.0:
-                factor = max(0.0, 1.0 + spread * next(draws))
-            j_z = j_z_template * factor
-            total = -0.0  # -0.0 + x is x, as cumsum starts from the first angle
-            for normal in draws:
-                total += (g * j_z * n_photons * t_h * t_v + sigma * normal) / denominator
-                j_z *= keep
+                j_z *= max(0.0, 1.0 + spread * atom_normal)
+            total = (g * j_z * n_photons * t_h * t_v / denominator * signal_sum
+                     + noise_sum * noise_normal)
             means.append(total / n_pulses)
         yield means
-
-
-def _numpy_run_means(
-    cfg: ScanConfig,
-    j_z_template: float,
-    couplings_g: list[float],
-    n_photons: float,
-    dm: DestructionModel,
-    det: DetectorSpec,
-    tr: TransmissionSpec,
-) -> Iterator[list[float]]:
-    """Each detuning's runs' mean extracted angles in turn, with numpy:
-    every cell's state is set in turn on one generator, reused for the
-    whole scan, which fills the cell's row of a detuning's block of draws
-    in one call, and one array computation probes all of a detuning's runs
-    with run_pulse_train's operations, in the same order: cumprod
-    multiplies sequentially along each row, and a row of normals drawn at
-    once equals as many scalar draws.
-
-    One generator serves the scan, so numpy is imported once per scan;
-    each detuning's arrays are still alive when the next one's are
-    allocated, so the C allocator reuses their memory instead of handing it
-    back to the system and faulting it in again (10 ms of a 15 x 40 x 1000
-    scan when each detuning ran in a function call of its own).
-    """
-    import numpy as np
-
-    generator = np.random.Generator(np.random.PCG64(0))
-    n_runs, n_pulses = cfg.runs_per_point, cfg.pulses_per_sample
-    spread = cfg.atom_number_spread
-    lead = 1 if spread > 0.0 else 0
-    sigma = math.sqrt(n_photons + det.electronic_noise_var)
-    for d_index, g in enumerate(couplings_g):
-        # each row holds one cell's draws, in the order a fresh generator
-        # draws them: the atom-number normal when there is a spread, then
-        # the pulse noise
-        block = np.empty((n_runs, n_pulses + lead))
-        for row, (state, inc) in enumerate(spawned_states(cfg.seed, d_index, n_runs)):
-            _set_cell_state(generator, state, inc)
-            generator.standard_normal(out=block[row])
-        factors = np.full((n_runs, n_pulses), 1.0 - dm.per_pulse_decay)
-        if lead:
-            # in Python floats, as numpy would warn on an overflow
-            factors[:, 0] = [
-                j_z_template * max(0.0, 1.0 + spread * x) for x in block[:, 0].tolist()
-            ]
-        else:
-            factors[:, 0] = j_z_template
-        j_z = np.cumprod(factors, axis=1)  # <J_z> before each pulse
-        delta = g * j_z * n_photons * tr.t_h * tr.t_v + sigma * block[:, lead:]
-        theta_hat = extract_angle(delta, n_photons, tr)
-        # a sequential sum in pulse order, as the per-pulse loop summed
-        yield (np.cumsum(theta_hat, axis=1)[:, -1] / n_pulses).tolist()
 
 
 def _scan_point(detuning: float, values: list[float], n_pulses: int) -> ScanPoint:

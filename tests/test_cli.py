@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import importlib.util
 import json
 import math
@@ -181,6 +182,23 @@ def test_replay_mismatch_names_both_versions(in_tmp_dir, capsys):
     err = capsys.readouterr().err
     assert "MISMATCH: scan.csv" in err
     assert f"written by coldspin 0.0.1, this is coldspin {cli.__version__}" in err
+
+
+def test_a_0_6_0_scan_manifest_replays_to_exit_3(in_tmp_dir, capsys):
+    # the default scan as 0.6.0 recorded it: 0.7.0 takes its config, draws
+    # two normals a cell where 0.6.0 drew one a pulse, and so reproduces
+    # the model curve but not the scan
+    recorded = Path(__file__).parent / "data" / "scan-0.6.0.csv.manifest.json"
+    manifest_bytes = recorded.read_bytes()
+    assert hashlib.sha256(manifest_bytes).hexdigest().startswith("c4b0b2b0")  # 0.6.0's golden
+    (in_tmp_dir / "scan.csv.manifest.json").write_bytes(manifest_bytes)
+    capsys.readouterr()
+    assert cli.main(["scan", "--manifest", "scan.csv.manifest.json"]) == 3
+    err = capsys.readouterr().err
+    assert "MISMATCH: scan.csv" in err
+    assert "ok: scan_curve.csv" in err
+    assert f"written by coldspin 0.6.0, this is coldspin {cli.__version__}" in err
+    assert cli.__version__ != "0.6.0"
 
 
 def test_replay_rejects_wrong_command(in_tmp_dir):
@@ -783,7 +801,7 @@ def fit_inputs(tmp_path_factory):
     for argv in (["scan"], ["tof", "simulate"], ["decay", "simulate"], ["pulse", "--noisy"]):
         out = directory / f"{argv[0]}.csv"
         assert cli.main([*argv, "--out", str(out)]) == 0
-    # 15 x 40 x 1000, above the plain-scan cutoff, and 15 x 400 x 10 below it
+    # the scan-long and scan-wide shapes: 15 x 40 x 1000 and 15 x 400 x 10
     shapes = {"long.json": (40, 1000), "wide.json": (400, 10)}
     for name, (runs, pulses) in shapes.items():
         shape = {"scan": {"runs_per_point": runs, "pulses_per_sample": pulses}}
@@ -793,7 +811,7 @@ def fit_inputs(tmp_path_factory):
     return directory
 
 
-# stdlib modules no command that runs without numpy may load: the value
+# stdlib modules no command may load: the value
 # classes are coldspin.frozen's, annotations name collections.abc, and the
 # packaged atom data is read from beside atomic_data's file
 IMPORT_FLOOR = ("typing", "importlib.resources", "dataclasses")
@@ -813,38 +831,38 @@ print(json.dumps([code, [m for m in {IMPORT_FLOOR!r} if m in sys.modules],
 
 
 @pytest.mark.parametrize(
-    "argv, loads_numpy",
+    "argv",
     [
-        (["fit", "--in", "scan.csv", "--out", "fit.json"], False),
-        (["budget", "--theta", "0.0268", "--photons-per-pulse", "4.3e6", "--out", "b.json"],
-         False),
-        (["tof", "fit", "--in", "tof.csv", "--out", "tof_fit.json"], False),
-        (["decay", "fit", "--in", "decay.csv", "--out", "d.json"], False),
-        (["decay", "--manifest", "decay_fit.json.manifest.json"], False),
-        (["decay", "simulate", "--out", "d.csv"], False),
-        (["tof", "simulate", "--out", "t.csv"], False),
-        (["pulse", "--noisy", "--seed", "7", "--out", "p.csv"], False),
-        (["decay", "--manifest", "decay.csv.manifest.json"], False),
-        (["tof", "--manifest", "tof.csv.manifest.json"], False),
-        (["pulse", "--manifest", "pulse.csv.manifest.json"], False),
-        (["--help"], False),
-        (["--version"], False),
-        (["scan", "--out", "s.csv"], False),
-        (["scan", "--manifest", "scan.csv.manifest.json"], False),
+        ["fit", "--in", "scan.csv", "--out", "fit.json"],
+        ["budget", "--theta", "0.0268", "--photons-per-pulse", "4.3e6", "--out", "b.json"],
+        ["tof", "fit", "--in", "tof.csv", "--out", "tof_fit.json"],
+        ["decay", "fit", "--in", "decay.csv", "--out", "d.json"],
+        ["decay", "--manifest", "decay_fit.json.manifest.json"],
+        ["decay", "simulate", "--out", "d.csv"],
+        ["tof", "simulate", "--out", "t.csv"],
+        ["pulse", "--noisy", "--seed", "7", "--out", "p.csv"],
+        ["decay", "--manifest", "decay.csv.manifest.json"],
+        ["tof", "--manifest", "tof.csv.manifest.json"],
+        ["pulse", "--manifest", "pulse.csv.manifest.json"],
+        ["--help"],
+        ["--version"],
+        ["scan", "--out", "s.csv"],
+        ["scan", "--manifest", "scan.csv.manifest.json"],
         # many short cells: 6000 of them, 60,000 pulses
-        (["scan", "--config", "wide.json", "--out", "wide.csv"], False),
-        # control: a scan above the plain-scan cutoff still runs on numpy
-        (["scan", "--config", "long.json", "--out", "long.csv"], True),
+        ["scan", "--config", "wide.json", "--out", "wide.csv"],
+        # long trains: 600 cells of 1000 pulses, two draws a cell as any scan
+        ["scan", "--config", "long.json", "--out", "long.csv"],
     ],
     ids=["fit", "budget", "tof-fit", "decay-fit", "decay-replay", "decay-simulate",
          "tof-simulate", "pulse-noisy", "decay-simulate-replay", "tof-simulate-replay",
          "pulse-replay", "help", "version", "scan", "scan-replay", "scan-wide",
          "scan-long-trains"],
 )
-def test_command_loads_no_numpy(fit_inputs, argv, loads_numpy):
+def test_command_loads_no_numpy(fit_inputs, argv):
     # -S skips site and its .pth hooks, which may load typing or
     # importlib.resources before coldspin starts; numpy's own directory
-    # goes on the path instead, for the control row
+    # goes on the path instead, so that an import of numpy would succeed
+    # and show
     numpy_home = Path(importlib.util.find_spec("numpy").origin).parents[1]
     path = os.pathsep.join([str(Path(cli.__file__).parents[1]), str(numpy_home)])
     result = subprocess.run(
@@ -853,11 +871,8 @@ def test_command_loads_no_numpy(fit_inputs, argv, loads_numpy):
     )
     code, floor, modules = json.loads(result.stdout.splitlines()[-1])
     assert code == 0, result.stderr
-    assert bool(modules) == loads_numpy, modules[:20]
-    if not loads_numpy:
-        assert floor == []
-    # the value classes build no methods at import (coldspin.frozen)
-    assert "dataclasses" not in floor
+    assert modules == [], modules[:20]
+    assert floor == []
 
 
 def test_bad_sigma_source_choice_is_usage_error(in_tmp_dir):
@@ -1042,15 +1057,14 @@ OVERSIZED_COUNTS = {
         (["decay", "simulate"], {"decay": {"t_start_s": -1e308}}, 2,
          "decay.t_start_s = -1e+308"),
         (["tof", "simulate"], {"tof": {"t_start_s": -1e308}}, 2, "tof.t_start_s = -1e+308"),
-        # the runs' spread overflows where their mean angles do not, on
-        # the plain path and, at 1000 pulses a cell, on numpy's
+        # the runs' spread overflows where their mean angles do not, at 10
+        # and at 1000 pulses a cell
         (["scan"], {"ensemble": {"interaction_area_m2": 1e-308}}, 3, "scan detuning"),
         (["scan"], {"transmission": {"t_h": 1e-308}}, 3, "scan detuning"),
         (["scan"], {"transmission": {"t_v": 1e-308}}, 3, "scan detuning"),
         (["scan"], {"ensemble": {"interaction_area_m2": 1e-308},
                     "scan": {"pulses_per_sample": 1000}}, 3, "scan detuning"),
-        # on numpy's path the atom-number factors are Python floats, so
-        # no overflow warning leaks (pyproject turns one into an error)
+        # the atom numbers overflow, at 1000 pulses a cell too
         (["scan"], {"scan": {"atom_number_spread": 1e308, "pulses_per_sample": 1000}}, 3,
          "scan detuning"),
     ],

