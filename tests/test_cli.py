@@ -198,7 +198,6 @@ def test_a_0_6_0_scan_manifest_replays_to_exit_3(in_tmp_dir, capsys):
     assert "MISMATCH: scan.csv" in err
     assert "ok: scan_curve.csv" in err
     assert f"written by coldspin 0.6.0, this is coldspin {cli.__version__}" in err
-    assert cli.__version__ != "0.6.0"
 
 
 def test_replay_rejects_wrong_command(in_tmp_dir):
@@ -811,9 +810,9 @@ def fit_inputs(tmp_path_factory):
     return directory
 
 
-# stdlib modules no command may load: the value
-# classes are coldspin.frozen's, annotations name collections.abc, and the
-# packaged atom data is read from beside atomic_data's file
+# stdlib modules no command may load: the value classes are
+# coldspin.frozen's, annotations name collections.abc, and the packaged
+# atom data is read from beside atomic_data's file
 IMPORT_FLOOR = ("typing", "importlib.resources", "dataclasses")
 
 # runs cli.main on its arguments, then prints the exit code, the modules of
