@@ -12,7 +12,7 @@ projection-noise-limited probing, and trap-characterization fits
 
 import importlib
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 # The package loads lazily (PEP 562; Scientific Python SPEC 1): each public
 # name is imported from the submodule that defines it on first access, so

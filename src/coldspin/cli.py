@@ -22,7 +22,7 @@ Each runner imports the library modules it uses when it runs, and no
 command imports numpy: the decay, expansion and pulse simulations take
 all their draws up front, none without noise, as plain numbers from rng's
 copy of numpy's normal stream seeded with the section's seed (_normals),
-and a scan draws two numbers a cell from the same copy, so every command
+and a scan draws two numbers a run from the same copy, so every command
 and its replay runs on the standard library alone.
 """
 
@@ -436,7 +436,13 @@ def _run_budget(cfg: dict) -> dict:
             "budget needs a rotation angle: pass --theta or set budget.theta_rad"
         )
     document = {key: section[key] for key in ("a", "n_atoms", "theta_rad")}
-    total = photon_budget(**document)
+    try:
+        total = photon_budget(**document)
+    except OverflowError:
+        raise _beyond_float_range(
+            "photons_total = a * n_atoms / theta_rad**2", cfg,
+            "budget.a", "budget.n_atoms", "budget.theta_rad",
+        ) from None
     document["photons_total"] = total
     if section["photons_per_pulse"] is not None:
         document["photons_per_pulse"] = section["photons_per_pulse"]
@@ -467,7 +473,6 @@ def _times(section: dict, what: str) -> list[float]:
 
 
 def _run_decay(cfg: dict) -> dict:
-    from .analysis import fit_two_body_decay
     from .ensemble import TrapPopulationParams, evolve_trap_population
 
     section = cfg["decay"]
@@ -510,6 +515,8 @@ def _run_decay(cfg: dict) -> dict:
             rows.append((t, count, sigma))
         _write_rows_csv(out, DECAY_CSV_COLUMNS, rows)
         return _digest_map([out])
+    from .analysis import fit_two_body_decay
+
     samples = _read_rows_csv(cfg["in"], DECAY_CSV_COLUMNS)
     fit = fit_two_body_decay(samples, params.v_eff_m3)
     if not fit.converged:
@@ -519,7 +526,6 @@ def _run_decay(cfg: dict) -> dict:
 
 
 def _run_tof(cfg: dict) -> dict:
-    from .analysis import fit_tof_temperature
     from .ensemble import tof_radius
 
     spec = load_atom_spec(cfg["atom_constants"])
@@ -554,6 +560,8 @@ def _run_tof(cfg: dict) -> dict:
             rows.append((t, radius))
         _write_rows_csv(out, TOF_CSV_COLUMNS, rows)
         return _digest_map([out])
+    from .analysis import fit_tof_temperature
+
     samples = _read_rows_csv(cfg["in"], TOF_CSV_COLUMNS)
     fit = fit_tof_temperature(samples, spec.mass_kg)
     _write_json(out, fit.to_json_dict())
@@ -578,6 +586,11 @@ def _run_pulse(cfg: dict) -> dict:
         TransmissionSpec(**cfg["transmission"]),
         _normals(cfg, "pulse", 1)[0] if section["noisy"] else None,
     )
+    if not math.isfinite(delta):
+        raise _beyond_float_range(
+            "the imbalance", cfg,
+            "pulse.theta_rad", "pulse.n_photons", "transmission.t_h", "transmission.t_v",
+        )
     record = synthesize_waveform(delta, det, section["pulse_duration_s"])
     out = cfg["out"]
     write_pulse_csv(record, out)

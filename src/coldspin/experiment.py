@@ -7,12 +7,13 @@ pulses_per_sample pulses, and aggregates per-point statistics the way the
 measured datasets are reported: mean over runs, sample standard deviation
 over runs, and standard error of that mean.
 
-Randomness is fully deterministic: every (detuning index, run index) cell
-draws from its own stream, exactly
-np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed,
-spawn_key=(detuning_index, run_index)))), so results are identical
-regardless of execution order.  rng.spawned_states seeds all of a
-detuning's cells at once, on the standard library.
+Randomness is fully deterministic: every detuning draws from its own
+stream, exactly np.random.Generator(np.random.PCG64(
+np.random.SeedSequence(seed, spawn_key=(detuning_index,)))), seeded by
+rng.spawned_state on the standard library.  Its runs read that stream in
+run order, two draws a run, so results do not depend on execution order,
+and a scan with more runs per point extends each detuning's runs without
+changing those of a scan with fewer.
 
 A pulse train (run_pulse_train) is the scalar chain itself, pulse by
 pulse: faraday_angle -> simulate_pulse_detection -> extract_angle ->
@@ -25,10 +26,10 @@ keep = 1 - per_pulse_decay, D = N t_h t_v and n_k independent standard
 normals, so the run's P angles sum to g J_z N t_h t_v S / D plus
 sigma (n_0 + ... + n_(P-1)) / D, where S = -expm1(P log1p(-decay)) / decay
 (P without decay) is the sum of keep**k.  A sum of P independent standard
-normals is distributed as sqrt(P) z for one standard normal z, so each
-cell draws two normals in one rng.normal_draws call: the atom-number
+normals is distributed as sqrt(P) z for one standard normal z, so run r
+reads draws 2r and 2r + 1 of its detuning's stream: the atom-number
 normal, read only when the scan has a spread, then z.  The scan is
-therefore equal in distribution to running each cell through
+therefore equal in distribution to running each run through
 run_pulse_train, not equal to it bit for bit, and only while the
 per-pulse noise is Gaussian with a constant sigma.  It costs the same at
 any pulse count and imports no numpy.  One aggregation (_scan_point)
@@ -49,7 +50,7 @@ from .detector import (
 )
 from .errors import NearResonanceError, ValidationError
 from .frozen import Frozen
-from .rng import normal_draws, spawned_states
+from .rng import normal_draws, spawned_state
 from .scandata import ScanDataset, ScanPoint
 from .spin_optics import (
     DEFAULT_GUARD_LINEWIDTHS,
@@ -86,8 +87,8 @@ class ScanConfig(Frozen):
     atom_number_spread is the fractional rms scatter of the prepared atom
     number from run to run (trap loading noise); it dominates the scan error
     bars at realistic settings, far above shot noise.  Detunings are stored
-    sorted ascending; cell streams are keyed by position in the sorted
-    list.
+    sorted ascending; each detuning's stream is keyed by its position in
+    the sorted list.
     """
 
     detunings_hz: tuple[float, ...]
@@ -179,8 +180,8 @@ def run_detuning_scan(
 
     Every detuning must pass the near-resonance guard (checked up front so
     the failure names the offending detuning).  Each detuning's runs are
-    drawn in run order, two normals a cell (_run_means), so the dataset
-    depends only on its inputs and their seeds.
+    drawn in run order from its stream, two normals a run (_run_means), so
+    the dataset depends only on its inputs and their seeds.
     """
     couplings = []
     for detuning in cfg.detunings_hz:
@@ -224,10 +225,11 @@ def _run_means(
     tr: TransmissionSpec,
 ) -> Iterator[list[float]]:
     """Each detuning's runs' mean extracted angles in turn, two draws a
-    cell (see the module docstring): the run's P angles sum to
-    g J_z N t_h t_v S / D + sigma sqrt(P) z / D.  The noiseless angle is
-    divided by D before it is scaled by S, as each pulse's is, so that a
-    sum overflows only where the pulses' angles would."""
+    run from the detuning's stream (see the module docstring): the run's P
+    angles sum to g J_z N t_h t_v S / D + sigma sqrt(P) z / D.  The
+    noiseless angle is divided by D before it is scaled by S, as each
+    pulse's is, so that a sum overflows only where the pulses' angles
+    would."""
     n_photons, n_pulses = cfg.photons_per_pulse, cfg.pulses_per_sample
     t_h, t_v = tr.t_h, tr.t_v
     denominator = angle_denominator(n_photons, tr)
@@ -237,9 +239,9 @@ def _run_means(
     )
     spread = cfg.atom_number_spread
     for d_index, g in enumerate(couplings_g):
+        draws = normal_draws(*spawned_state(cfg.seed, d_index), 2 * cfg.runs_per_point)[0]
         means = []
-        for state, inc in spawned_states(cfg.seed, d_index, cfg.runs_per_point):
-            atom_normal, noise_normal = normal_draws(state, inc, 2)[0]
+        for atom_normal, noise_normal in zip(draws[0::2], draws[1::2]):
             j_z = j_z_template
             if spread > 0.0:
                 j_z *= max(0.0, 1.0 + spread * atom_normal)

@@ -5,18 +5,14 @@ normal_draws(state, inc, count) returns the draws of
 np.random.Generator(np.random.PCG64) from that state's
 standard_normal(count), and the state after them, bit for bit, on the
 standard library alone.  seeded_state(seed) is the state of
-np.random.PCG64(seed), and spawned_states(seed, key, count) those of
-PCG64(SeedSequence(seed, spawn_key=(key, i))) for i below count, so
+np.random.PCG64(seed), and spawned_state(seed, key) that of
+PCG64(SeedSequence(seed, spawn_key=(key,))), so
 normal_draws(*seeded_state(seed), n)[0] are the first n standard normals
 of np.random.default_rng(seed).  Every other module takes its noise as
 plain numbers drawn here.  The module holds:
 
-- numpy's SeedSequence hash (numpy/random/bit_generator.pyx), written once
-  with explicit 32-bit masks so that it runs unchanged on Python ints, on
-  uint64 arrays of them and on Uint64Lanes, many uint64 values packed in
-  one int; the kinds mix in one entropy, so spawned_states hashes the seed
-  and key words its sequences share once, as ints, and finishes all its
-  sequences at once on a lanes word of their indices;
+- numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on Python
+  ints with explicit 32-bit masks;
 - PCG64 seeding and its XSL-RR output (numpy/random/src/pcg64/pcg64.h; M.
   E. O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically
   Good Algorithms for Random Number Generation", HMC-CS-2014-0905, 2014);
@@ -80,7 +76,7 @@ def uint32_words(value: int) -> list[int]:
     return words
 
 
-def _hashmix(value, hash_const: int, mult: int) -> tuple:
+def _hashmix(value: int, hash_const: int, mult: int) -> tuple[int, int]:
     """SeedSequence's hash step: the hashed value, and the next hash
     constant, which depends only on how many steps came before."""
     value = value ^ hash_const
@@ -89,12 +85,12 @@ def _hashmix(value, hash_const: int, mult: int) -> tuple:
     return value ^ value >> _XSHIFT, hash_const
 
 
-def _mix(x, y):
+def _mix(x: int, y: int) -> int:
     result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return result ^ result >> _XSHIFT
 
 
-def mix_entropy(entropy: list) -> list:
+def mix_entropy(entropy: list[int]) -> list[int]:
     """SeedSequence's mix_entropy: the pool words after hashing the entropy
     words into the pool."""
     hash_const = _INIT_A
@@ -116,18 +112,11 @@ def mix_entropy(entropy: list) -> list:
     return words
 
 
-def seed_sequence_words(entropy: list) -> list:
+def seed_sequence_words(entropy: list[int]) -> list[int]:
     """SeedSequence.generate_state(4, np.uint64) for the assembled entropy
-    words (a spawned sequence pads its seed's words to POOL_SIZE before
-    appending its spawn key): eight 32-bit words, read in little-endian
-    pairs as four 64-bit words.
-
-    Each entropy word is an int below 2**32, or a uint64 array or a
-    Uint64Lanes of them with one element per sequence, and the kinds mix:
-    every product of two 32-bit values fits in 64 bits, and every result is
-    masked back to 32.  Int words ahead of the first array or lanes word
-    are hashed once, as ints, for all the sequences.
-    """
+    words, each below 2**32 (a spawned sequence pads its seed's words to
+    POOL_SIZE before appending its spawn key): eight 32-bit words, read in
+    little-endian pairs as four 64-bit words."""
     pool_words = mix_entropy(entropy)
     hash_const = _INIT_B
     words = []
@@ -137,76 +126,12 @@ def seed_sequence_words(entropy: list) -> list:
     return [words[2 * k] | words[2 * k + 1] << 32 for k in range(4)]
 
 
-def pcg64_seed(s0, s1, s2, s3) -> tuple:
-    """(state, inc) of PCG64 seeded with four 64-bit SeedSequence words, as
-    ints or as object arrays of them: pcg_setseq_128_srandom_r(initstate,
-    initseq) steps twice from zero."""
+def pcg64_seed(s0: int, s1: int, s2: int, s3: int) -> tuple[int, int]:
+    """(state, inc) of PCG64 seeded with four 64-bit SeedSequence words:
+    pcg_setseq_128_srandom_r(initstate, initseq) steps twice from zero."""
     initstate = s0 << 64 | s1
     inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
     return ((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc
-
-
-class Uint64Lanes:
-    """A vector of uint64 values packed into one int, 128 bits apart, with
-    numpy uint64 arrays' wrapping arithmetic for the operators the
-    SeedSequence hash uses (^, &, |, *, -, and << and >> by under 64 bits,
-    against another vector or an int): so the hash seeds many sequences at
-    once on the standard library, each operator one big-int operation over
-    all lanes.
-
-    A lane leaves 64 spare bits for a product by an int below 2**64 before
-    it wraps, and subtraction borrows from a 2**64 added to each lane, so no
-    carry or borrow crosses into the next lane.
-    """
-
-    __slots__ = ("bits", "ones", "mask")
-
-    def __init__(self, values):
-        """The lanes of values (ints below 2**64), in order."""
-        values = list(values)
-        self.ones = int.from_bytes(struct.pack("<2Q", 1, 0) * len(values), "little")
-        self.mask = _MASK64 * self.ones
-        self.bits = int.from_bytes(
-            struct.pack(f"<{2 * len(values)}Q", *(w for v in values for w in (v, 0))), "little"
-        )
-
-    def _new(self, bits: int) -> Uint64Lanes:
-        lanes = object.__new__(Uint64Lanes)
-        lanes.bits, lanes.ones, lanes.mask = bits & self.mask, self.ones, self.mask
-        return lanes
-
-    def _lanes(self, other) -> int:
-        return other.bits if type(other) is Uint64Lanes else (other & _MASK64) * self.ones
-
-    def __xor__(self, other):
-        return self._new(self.bits ^ self._lanes(other))
-
-    def __and__(self, other):
-        return self._new(self.bits & self._lanes(other))
-
-    def __or__(self, other):
-        return self._new(self.bits | self._lanes(other))
-
-    def __mul__(self, other: int):
-        return self._new(self.bits * (other & _MASK64))
-
-    def __sub__(self, other):
-        return self._new((self.bits | self.ones << 64) - self._lanes(other))
-
-    def __rsub__(self, other: int):
-        return self._new((self._lanes(other) | self.ones << 64) - self.bits)
-
-    def __lshift__(self, n: int):  # n below 64, as for the arrays
-        return self._new(self.bits << n)
-
-    def __rshift__(self, n: int):
-        return self._new(self.bits >> n & (_MASK64 >> n) * self.ones)
-
-    __rxor__, __rand__, __ror__, __rmul__ = __xor__, __and__, __or__, __mul__
-
-    def tolist(self) -> list[int]:
-        n = (self.ones.bit_length() + 127) // 128
-        return list(struct.unpack(f"<{2 * n}Q", self.bits.to_bytes(16 * n, "little"))[::2])
 
 
 def seeded_state(seed: int) -> tuple[int, int]:
@@ -214,22 +139,13 @@ def seeded_state(seed: int) -> tuple[int, int]:
     return pcg64_seed(*seed_sequence_words(uint32_words(seed)))
 
 
-def spawned_states(seed: int, key: int, count: int) -> list[tuple[int, int]]:
+def spawned_state(seed: int, key: int) -> tuple[int, int]:
     """(state, inc) of np.random.PCG64(np.random.SeedSequence(seed,
-    spawn_key=(key, i))) for every i in range(count), at once.
-
-    The entropy is the seed's words, padded to the pool as a spawned
-    sequence pads them, then key, which all the sequences share and which
-    are hashed once in ints, then one Uint64Lanes of the indices, one lane
-    per sequence; each sequence's four seed words seed its PCG64 in ints.
-    count is at most 2**32, so that every index is one 32-bit word.
-    """
-    if count > 2**32:
-        raise ValueError(f"count must be at most 2**32, got {count!r}")
-    lead = uint32_words(seed)
-    lead += [0] * (POOL_SIZE - len(lead))
-    words = seed_sequence_words(lead + uint32_words(key) + [Uint64Lanes(range(count))])
-    return [pcg64_seed(*cell) for cell in zip(*(word.tolist() for word in words))]
+    spawn_key=(key,))): the seed's words, padded to the pool as a spawned
+    sequence pads them, then the key's."""
+    entropy = uint32_words(seed)
+    entropy += [0] * (POOL_SIZE - len(entropy))
+    return pcg64_seed(*seed_sequence_words(entropy + uint32_words(key)))
 
 
 def normal_draws(state: int, inc: int, count: int) -> tuple[list[float], int]:

@@ -184,20 +184,39 @@ def test_replay_mismatch_names_both_versions(in_tmp_dir, capsys):
     assert f"written by coldspin 0.0.1, this is coldspin {cli.__version__}" in err
 
 
-def test_a_0_6_0_scan_manifest_replays_to_exit_3(in_tmp_dir, capsys):
-    # the default scan as 0.6.0 recorded it: 0.7.0 takes its config, draws
-    # two normals a cell where 0.6.0 drew one a pulse, and so reproduces
-    # the model curve but not the scan
-    recorded = Path(__file__).parent / "data" / "scan-0.6.0.csv.manifest.json"
+def replay_recorded_scan(in_tmp_dir, capsys, version, digest):
+    """Replay tests/data's default scan manifest as that version wrote it,
+    whose SHA-256 starts with digest; returns the exit code and stderr."""
+    recorded = Path(__file__).parent / "data" / f"scan-{version}.csv.manifest.json"
     manifest_bytes = recorded.read_bytes()
-    assert hashlib.sha256(manifest_bytes).hexdigest().startswith("c4b0b2b0")  # 0.6.0's golden
+    assert hashlib.sha256(manifest_bytes).hexdigest().startswith(digest)
     (in_tmp_dir / "scan.csv.manifest.json").write_bytes(manifest_bytes)
     capsys.readouterr()
-    assert cli.main(["scan", "--manifest", "scan.csv.manifest.json"]) == 3
-    err = capsys.readouterr().err
+    code = cli.main(["scan", "--manifest", "scan.csv.manifest.json"])
+    return code, capsys.readouterr().err
+
+
+def test_a_0_6_0_scan_manifest_replays_to_exit_3(in_tmp_dir, capsys):
+    # the default scan as 0.6.0 recorded it (its digest is 0.6.0's golden):
+    # later versions take its config, but draw two normals a run where
+    # 0.6.0 drew one a pulse, and so reproduce the model curve but not the
+    # scan
+    code, err = replay_recorded_scan(in_tmp_dir, capsys, "0.6.0", "c4b0b2b0")
+    assert code == 3
     assert "MISMATCH: scan.csv" in err
     assert "ok: scan_curve.csv" in err
     assert f"written by coldspin 0.6.0, this is coldspin {cli.__version__}" in err
+
+
+def test_a_0_7_0_scan_manifest_replays_to_exit_3(in_tmp_dir, capsys):
+    # the default scan as 0.7.0 recorded it (with its version replaced by
+    # "<version>", its digest is 0.7.0's golden c25a154f): 0.8.0 draws a
+    # detuning's runs from one stream where 0.7.0 seeded one a run
+    code, err = replay_recorded_scan(in_tmp_dir, capsys, "0.7.0", "807504af")
+    assert code == 3
+    assert "MISMATCH: scan.csv" in err
+    assert "ok: scan_curve.csv" in err
+    assert f"written by coldspin 0.7.0, this is coldspin {cli.__version__}" in err
 
 
 def test_replay_rejects_wrong_command(in_tmp_dir):
@@ -816,7 +835,8 @@ def fit_inputs(tmp_path_factory):
 IMPORT_FLOOR = ("typing", "importlib.resources", "dataclasses")
 
 # runs cli.main on its arguments, then prints the exit code, the modules of
-# IMPORT_FLOOR it loaded and every numpy module it loaded, as JSON
+# IMPORT_FLOOR it loaded, every numpy module it loaded and whether it loaded
+# coldspin.analysis, as JSON
 MAIN_AND_LOADED_MODULES = f"""
 import json, sys
 from coldspin import cli
@@ -825,8 +845,25 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, [m for m in {IMPORT_FLOOR!r} if m in sys.modules],
-                  sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')]))
+                  sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'),
+                  'coldspin.analysis' in sys.modules]))
 """
+
+
+def run_main_without_site(cwd, argv):
+    """MAIN_AND_LOADED_MODULES's JSON and stderr for argv, run in cwd.
+
+    -S skips site and its .pth hooks, which may load typing or
+    importlib.resources before coldspin starts; numpy's own directory goes
+    on the path instead, so that an import of numpy would succeed and
+    show."""
+    numpy_home = Path(importlib.util.find_spec("numpy").origin).parents[1]
+    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), str(numpy_home)])
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", MAIN_AND_LOADED_MODULES, *argv], cwd=cwd,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    return json.loads(result.stdout.splitlines()[-1]), result.stderr
 
 
 @pytest.mark.parametrize(
@@ -858,20 +895,30 @@ print(json.dumps([code, [m for m in {IMPORT_FLOOR!r} if m in sys.modules],
          "scan-long-trains"],
 )
 def test_command_loads_no_numpy(fit_inputs, argv):
-    # -S skips site and its .pth hooks, which may load typing or
-    # importlib.resources before coldspin starts; numpy's own directory
-    # goes on the path instead, so that an import of numpy would succeed
-    # and show
-    numpy_home = Path(importlib.util.find_spec("numpy").origin).parents[1]
-    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), str(numpy_home)])
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", MAIN_AND_LOADED_MODULES, *argv], cwd=fit_inputs,
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
-    )
-    code, floor, modules = json.loads(result.stdout.splitlines()[-1])
-    assert code == 0, result.stderr
+    (code, floor, modules, _), stderr = run_main_without_site(fit_inputs, argv)
+    assert code == 0, stderr
     assert modules == [], modules[:20]
     assert floor == []
+
+
+@pytest.mark.parametrize(
+    "argv, loads_analysis",
+    [
+        (["decay", "simulate", "--out", "d.csv"], False),
+        (["tof", "simulate", "--out", "t.csv"], False),
+        (["decay", "--manifest", "decay.csv.manifest.json"], False),
+        (["tof", "--manifest", "tof.csv.manifest.json"], False),
+        # the fits do load it, which shows that the check sees the module
+        (["decay", "fit", "--in", "decay.csv", "--out", "d.json"], True),
+        (["tof", "fit", "--in", "tof.csv", "--out", "t.json"], True),
+    ],
+    ids=["decay-simulate", "tof-simulate", "decay-simulate-replay", "tof-simulate-replay",
+         "decay-fit", "tof-fit"],
+)
+def test_simulations_load_no_fit_module(fit_inputs, argv, loads_analysis):
+    (code, _, _, analysis), stderr = run_main_without_site(fit_inputs, argv)
+    assert code == 0, stderr
+    assert analysis is loads_analysis
 
 
 def test_bad_sigma_source_choice_is_usage_error(in_tmp_dir):
@@ -1039,8 +1086,9 @@ OVERSIZED_COUNTS = {
         (["decay", "simulate"], {"decay": {"n0": math.inf}}, 2, None),
         # each once wrote inf or nan rows that no reader accepts, and exited 0
         (["tof", "simulate"], {"tof": {"sigma0_m": math.inf}}, 3, None),
-        (["pulse"], {"pulse": {"theta_rad": math.inf}}, 3, None),
-        (["pulse"], {"pulse": {"theta_rad": 1e300, "n_photons": 1e300}}, 3, None),
+        (["pulse"], {"pulse": {"theta_rad": math.inf}}, 3, "pulse.theta_rad = inf"),
+        (["pulse"], {"pulse": {"theta_rad": 1e300, "n_photons": 1e300}}, 3,
+         "pulse.n_photons = 1e+300"),
         # each once exited naming an output row or a model argument, but no key:
         # at t = 0 the two-body term is inf x 0, and the count inf
         (["decay", "simulate"], {"decay": {"sigma_z_m": 1e-200, "sigma_r_m": 1e-60}}, 3,
@@ -1066,6 +1114,12 @@ OVERSIZED_COUNTS = {
         # the atom numbers overflow, at 1000 pulses a cell too
         (["scan"], {"scan": {"atom_number_spread": 1e308, "pulses_per_sample": 1000}}, 3,
          "scan detuning"),
+        # each once exited 3 naming "a = 1e+308, n_atoms = ..." without the
+        # section, or "out.csv row 2: value is inf, not finite"
+        (["budget", "--a", "1e308"], {"budget": {"theta_rad": 0.03}}, 3, "budget.a = 1e+308"),
+        (["budget", "--atoms", "1e308"], {"budget": {"theta_rad": 0.03}}, 3,
+         "budget.n_atoms = 1e+308"),
+        (["pulse"], {"pulse": {"theta_rad": 1e308}}, 3, "pulse.theta_rad = 1e+308"),
     ],
     ids=["photons-per-pulse", "sigma-r", "sigma-r-underflow", "sigma-r-1e-308",
          "sigma-r-underflow-fit", "sigma0", "t-stop", "atoms-flag",
@@ -1074,7 +1128,7 @@ OVERSIZED_COUNTS = {
          "subnormal-volume", "beta", "noise-fraction", "temperature",
          "negative-sigma-r", "decay-negative-start", "tof-negative-start",
          "spread-area", "spread-t-h", "spread-t-v", "spread-area-numpy",
-         "atom-spread-numpy"],
+         "atom-spread-numpy", "budget-a", "budget-atoms", "pulse-theta"],
 )
 def test_extreme_values_honour_exit_codes(in_tmp_dir, capsys, argv, override, code, key):
     (in_tmp_dir / "cfg.json").write_text(json.dumps(override))

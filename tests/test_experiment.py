@@ -31,7 +31,7 @@ from coldspin import (
     write_scan_csv,
 )
 from coldspin import experiment
-from coldspin.rng import normal_draws, seeded_state, spawned_states
+from coldspin.rng import normal_draws, seeded_state, spawned_state
 
 SPEC = default_atom_spec()
 AREA = 1.0e6 / 2.65e14
@@ -52,21 +52,12 @@ def small_config(**overrides):
     return ScanConfig(**defaults)
 
 
-def numpy_cell_stream(seed, detuning_index, run_index):
-    """numpy's own generator for one scan cell, the oracle of the cell seeding."""
+def numpy_detuning_stream(seed, detuning_index):
+    """numpy's own generator for one detuning of a scan, the oracle of the
+    scan's seeding."""
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(detuning_index, run_index)))
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(detuning_index,)))
     )
-
-
-def set_cell_state(generator, state, inc):
-    """Put a numpy PCG64 generator in a cell's (state, inc)."""
-    generator.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
 
 
 def scaled(atoms, factor):
@@ -79,29 +70,23 @@ def scaled(atoms, factor):
 
 
 def test_child_stream_is_deterministic_and_distinct():
-    # each (seed, detuning, run) cell seeds a stream of its own
-    a = spawned_states(7, 2, 5)
-    assert a == spawned_states(7, 2, 5)
-    assert a[:3] == spawned_states(7, 2, 3)
-    assert len(set(a)) == 5
-    for other in (spawned_states(7, 3, 5), spawned_states(8, 2, 5)):
-        assert not set(other) & set(a)
+    # each (seed, detuning) pair seeds a stream of its own
+    states = {(seed, key): spawned_state(seed, key) for seed in (7, 8) for key in range(5)}
+    assert spawned_state(7, 2) == states[7, 2]
+    assert len(set(states.values())) == len(states)
 
 
 @pytest.mark.numpy_oracle
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 10**30])
 def test_child_stream_is_numpy_spawned_seed_sequence(seed):
-    # the cell seeding re-derives numpy's SeedSequence and PCG64 arithmetic;
-    # numpy's own construction is the oracle
-    generator = np.random.Generator(np.random.PCG64(0))
-    for detuning_index in (0, 1, 399, 2**16 + 3, 2**31):
-        states = spawned_states(seed, detuning_index, 400)
-        assert len(states) == 400
-        for run_index in (0, 1, 2, 255, 256, 399):
-            expected = numpy_cell_stream(seed, detuning_index, run_index)
-            set_cell_state(generator, *states[run_index])
-            assert generator.bit_generator.state == expected.bit_generator.state
-            assert np.array_equal(generator.standard_normal(16), expected.standard_normal(16))
+    # the detuning seeding re-derives numpy's SeedSequence and PCG64
+    # arithmetic; numpy's own construction is the oracle.  2**33 takes two
+    # spawn-key words.
+    for detuning_index in (0, 1, 14, 2**31, 2**33):
+        state, inc = spawned_state(seed, detuning_index)
+        expected = numpy_detuning_stream(seed, detuning_index)
+        assert expected.bit_generator.state["state"] == {"state": state, "inc": inc}
+        assert normal_draws(state, inc, 16)[0] == expected.standard_normal(16).tolist()
 
 
 def test_pulse_train_noiseless_signal_decays_geometrically():
@@ -187,9 +172,10 @@ def run_scan(cfg, n_atoms=1e6):
 
 
 def reference_scan(cfg, atoms, dm, tr):
-    """Each cell's two draws from numpy's own generator for it, the
-    atom-number normal and then the noise normal, through the closed form
-    of a run's mean angle, with the scan's aggregation done by numpy."""
+    """Each detuning's draws from numpy's own generator for it, read in
+    pairs, the atom-number normal and then the noise normal of each run,
+    through the closed form of a run's mean angle, with the scan's
+    aggregation done by numpy."""
     points = []
     n_photons, n_pulses = cfg.photons_per_pulse, cfg.pulses_per_sample
     denominator = n_photons * tr.t_h * tr.t_v
@@ -198,11 +184,11 @@ def reference_scan(cfg, atoms, dm, tr):
     noise_sum = math.sqrt(n_photons + DET.electronic_noise_var) * math.sqrt(n_pulses)
     for d_index, detuning in enumerate(cfg.detunings_hz):
         g = coupling_constant(detuning, AREA, SPEC).g
+        draws = numpy_detuning_stream(cfg.seed, d_index).standard_normal(
+            2 * cfg.runs_per_point
+        ).tolist()
         means = []
-        for run_index in range(cfg.runs_per_point):
-            atom_normal, noise_normal = numpy_cell_stream(
-                cfg.seed, d_index, run_index
-            ).standard_normal(2).tolist()
+        for atom_normal, noise_normal in zip(draws[0::2], draws[1::2]):
             j_z = atoms.mean_j[2]
             if cfg.atom_number_spread > 0.0:
                 j_z *= max(0.0, 1.0 + cfg.atom_number_spread * atom_normal)
@@ -254,6 +240,21 @@ def test_trains_of_any_length_match_per_cell_reference_exactly(n_pulses, decay):
                        photons_per_pulse=3.3e6, seed=11)
     atoms = scaled(coherent_spin_state(1e6, "-z"), OFF_GRID)
     assert_matches_reference(cfg, atoms, DestructionModel(decay))
+
+
+def test_more_runs_extend_each_detunings_runs():
+    # a detuning's stream does not depend on how many draws are taken from
+    # it, so the runs of a 40-run scan are the first 40 runs of a 400-run one
+    def run_means(runs):
+        cfg = small_config(runs_per_point=runs, pulses_per_sample=10)
+        couplings = [coupling_constant(d, AREA, SPEC).g for d in cfg.detunings_hz]
+        return list(experiment._run_means(cfg, 5e5, couplings, DestructionModel(), DET, TR))
+
+    few, many = run_means(40), run_means(400)
+    assert len(few) == len(many) == 3
+    for short, long in zip(few, many):
+        assert len(short) == 40 and len(long) == 400
+        assert short == long[:40]
 
 
 @pytest.mark.parametrize("decay", [0.0, 1e-4, 0.5, 1 - 2**-53])

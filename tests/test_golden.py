@@ -26,23 +26,23 @@ pytestmark = pytest.mark.numpy_oracle
 
 GOLDEN = {
     "default": {
-        "scan.csv": "a00762f6a8edfa9413fd189aab3f7c7bbb1d8cc654f928f35cdc7b970568b97f",
+        "scan.csv": "4039c03ac525ed6dd5494254ea3b9e1314eaee583e7c26852d71549f7c20b1c5",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "c25a154f17886a0c19afa6ccf6307479129e23e1e53a5f03f3ab53669c8a0d2c",
+        "scan.csv.manifest.json": "5d286a0ab49f5a0a217fb3bd89fbd046b585bc6984e660309f64129f709e8c05",
     },
     "long_trains": {
-        "scan.csv": "f011a060721e05ae751e97405f47ba702915349df949e9ae7771e9e82b6471e3",
+        "scan.csv": "e5d43a1364c60fef9d626e660979300f90cea5fd15986a6685262e3bfe191e06",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "0df38650a95cd33a4528b023e829ce1fe42ef5645262fdf8c4f0a48cd72837cb",
+        "scan.csv.manifest.json": "10890ef8c38cc4dac771f87e46964fedad2e5ef6c56374feb9f9bbce57f49046",
     },
     "three_threads": {
-        "scan.csv": "a00762f6a8edfa9413fd189aab3f7c7bbb1d8cc654f928f35cdc7b970568b97f",
+        "scan.csv": "4039c03ac525ed6dd5494254ea3b9e1314eaee583e7c26852d71549f7c20b1c5",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "99f9b4df7710457ba915fd3724e1a5a801fd0ebb4c849c490d3cf2fc76a33c36",
+        "scan.csv.manifest.json": "4a20e177fb6f51ab347c3e9aa0d1a5ddf31c1a180acd994d583256444114a420",
     },
     "fit": {
-        "fit.json": "3fb189ed2a597e0a81d99074342775e1a1ef4e1c027f0cc793346ab2c41850d1",
-        "fit.json.manifest.json": "08edcb43fd99139d0bc85dceefe3663c271b819311a366ba858cfda0aeb437c6",
+        "fit.json": "d48f873f27406a52d6bfc2d06adf9d725563aed12a61fbb099a5784c21bd22e4",
+        "fit.json.manifest.json": "0939cd26d7b27dfab8f92536c731a9973cfe4dface7af0b6aac6eb39e01359e0",
     },
     "budget": {
         "budget.json": "d13a7cf565a070eb21d998cc3b8574c0f1aa89253d06306827f3cc6ea98bb788",

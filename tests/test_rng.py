@@ -11,10 +11,7 @@ from hypothesis import strategies as st
 
 from coldspin import rng
 from coldspin.cli import _linspace
-from coldspin.rng import (
-    POOL_SIZE, Uint64Lanes, normal_draws, pcg64_seed, seed_sequence_words,
-    seeded_state, spawned_states, uint32_words,
-)
+from coldspin.rng import POOL_SIZE, normal_draws, seed_sequence_words, seeded_state, uint32_words
 
 # 1 to 6 uint32 words: the pool holds 4, so the last two seeds also run
 # mix_entropy's loop over the remaining entropy
@@ -105,62 +102,6 @@ def test_seed_sequence_words_are_numpy_generate_state():
                 entropy += uint32_words(entry)
             expected = spawned.generate_state(4, np.uint64).tolist()
             assert seed_sequence_words(entropy) == expected, (seed, key)
-            # the same hash on uint64 arrays, one element per sequence
-            arrays = [np.full(3, word, dtype=np.uint64) for word in entropy]
-            assert [w.tolist() for w in seed_sequence_words(arrays)] == [
-                [word] * 3 for word in expected
-            ], (seed, key)
-
-
-WORD = st.integers(0, 2**32 - 1)
-
-
-@pytest.mark.numpy_oracle
-@given(
-    prefix=st.lists(WORD, min_size=POOL_SIZE, max_size=POOL_SIZE + 3),
-    # one to five sequences, whose tails share one word count
-    tails=st.integers(1, 3).flatmap(
-        lambda width: st.lists(st.lists(WORD, min_size=width, max_size=width),
-                               min_size=1, max_size=5)
-    ),
-)
-@example(prefix=[0] * POOL_SIZE, tails=[[0]])
-@example(prefix=[2**32 - 1] * (POOL_SIZE + 1), tails=[[0], [1], [2**32 - 1]])
-def test_shared_prefix_pool_is_seed_sequence_words(prefix, tails):
-    # an int prefix all the sequences share, followed by their tails as
-    # uint64 arrays or as Uint64Lanes, one element per sequence, seeds
-    # every PCG64 as hashing each whole entropy in ints does
-    expected = [pcg64_seed(*seed_sequence_words(prefix + tail)) for tail in tails]
-    columns = [np.array(words, dtype=np.uint64) for words in zip(*tails)]
-    words = seed_sequence_words(prefix + columns)
-    state, inc = pcg64_seed(*(word.astype(object) for word in words))
-    assert list(zip(state.tolist(), inc.tolist())) == expected
-    lanes = [Uint64Lanes(words) for words in zip(*tails)]
-    words = seed_sequence_words(prefix + lanes)
-    assert [pcg64_seed(*cell) for cell in zip(*(w.tolist() for w in words))] == expected
-
-
-U64 = st.integers(0, 2**64 - 1)
-
-
-@pytest.mark.numpy_oracle
-@given(pairs=st.lists(st.tuples(U64, U64), min_size=1, max_size=6), c=U64,
-       n=st.integers(0, 63))
-@example(pairs=[(0, 2**64 - 1), (2**64 - 1, 0)], c=2**64 - 1, n=63)
-def test_uint64_lanes_wrap_as_uint64_arrays(pairs, c, n):
-    a, b = (list(column) for column in zip(*pairs))
-    la, lb = Uint64Lanes(a), Uint64Lanes(b)
-    na, nb = np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64)
-    nc, nn = np.uint64(c), np.uint64(n)
-    with np.errstate(over="ignore"):
-        cases = [
-            (la ^ lb, na ^ nb), (la & lb, na & nb), (la | lb, na | nb), (la - lb, na - nb),
-            (la ^ c, na ^ nc), (c & la, nc & na), (la | c, na | nc),
-            (la * c, na * nc), (c * la, nc * na), (la - c, na - nc), (c - la, nc - na),
-            (la << n, na << nn), (la >> n, na >> nn),
-        ]
-    for ours, numpys in cases:
-        assert ours.tolist() == numpys.tolist()
 
 
 def test_ziggurat_tables_are_numpys():
@@ -176,13 +117,6 @@ def test_ziggurat_tables_are_numpys():
 def test_normal_stream_rejects_negative_seeds():
     with pytest.raises(ValueError, match=">= 0"):
         seeded_state(-1)
-
-
-def test_spawned_states_take_at_most_2_to_the_32():
-    # every index must be one 32-bit word; the check comes before any lane
-    # is built, so 2**32 + 1 of them allocate nothing
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        spawned_states(0, 0, 2**32 + 1)
 
 
 # wide spans, and spans among subnormals, where the step underflows to 0
