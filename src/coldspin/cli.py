@@ -18,12 +18,16 @@ reproducible byte-for-byte.
 Exit codes: 0 success, 2 configuration or usage error, 3 numeric failure
 (fit non-convergence, near-resonance guard, replay digest mismatch).
 
-Each runner imports the library modules it uses when it runs, and no
-command imports numpy: the decay, expansion and pulse simulations take
-all their draws up front, none without noise, as plain numbers from rng's
-copy of numpy's normal stream seeded with the section's seed (_normals),
-and a scan draws two numbers a run from the same copy, so every command
-and its replay runs on the standard library alone.
+A runner has no error handling of its own: it makes each library call
+through _keyed, which turns a failure into an error naming the dotted
+config keys the call reads, with their values, so every exit 2 or 3 a
+config value causes names its key.  Each runner imports the library modules
+it uses when it runs, and no command imports numpy: the decay, expansion
+and pulse simulations take all their draws up front, none without noise,
+as plain numbers from rng's copy of numpy's normal stream seeded with
+the section's seed (_normals), and a scan draws two numbers a run from
+the same copy, so every command and its replay runs on the standard
+library alone.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import argparse
 import copy
 import hashlib
 import math
+import operator
 import os
 import sys
 from collections.abc import Callable
@@ -304,22 +309,41 @@ def _check_paths(cfg: dict, manifest_path: str, outputs=()) -> None:
 # inlined, output paths stored under "out") and returns the digest map of
 # every file it wrote. Replay calls the same runner with the stored config.
 # A runner imports its library names when it runs, from the modules that
-# bench/tracing.py rebinds, so a traced run sees them.
+# bench/tracing.py rebinds, so a traced run sees them, and calls each
+# through _keyed with the config keys the call reads.
 
 
 def _key_values(cfg: dict, keys: tuple) -> str:
-    """The dotted config keys with their values, as an error names them."""
+    """The config keys with their values, as an error names them: a dotted
+    key, a top-level one, or a section's name for each key of the section."""
     values = []
     for key in keys:
-        section, _, name = key.rpartition(".")
-        values.append(f"{key} = {cfg[section][name]!r}")
+        if isinstance(cfg.get(key), dict):
+            values += [f"{key}.{name} = {value!r}" for name, value in cfg[key].items()]
+        else:
+            section, _, name = key.rpartition(".")
+            values.append(f"{key} = {(cfg[section] if section else cfg)[name]!r}")
     return ", ".join(values)
 
 
-def _beyond_float_range(what: str, cfg: dict, *keys: str) -> OverflowError:
-    """The error of a model value beyond the float range, naming the dotted
-    config keys it is computed from, with their values."""
-    return OverflowError(f"{what} exceeds the float range at {_key_values(cfg, keys)}")
+def _keyed(cfg: dict, keys: tuple, function, *args, what: str | None = None, **kwargs):
+    """function(*args, **kwargs) for a runner, the one place where a
+    library failure turns into an error that names the config keys the
+    call reads (see _key_values), with their values.  A ValidationError,
+    NearResonanceError, FitError or ArithmeticError keeps its type and
+    text, with the keys appended; where what names the computed value, an
+    OverflowError, or a float result that is not finite, is reported as
+    that value exceeding the float range."""
+    try:
+        result = function(*args, **kwargs)
+        if what and isinstance(result, float) and not math.isfinite(result):
+            raise OverflowError
+    except (ValidationError, NearResonanceError, FitError, ArithmeticError) as exc:
+        at = f"at {_key_values(cfg, keys)}"
+        if what and isinstance(exc, OverflowError):
+            raise OverflowError(f"{what} exceeds the float range {at}") from None
+        raise type(exc)(f"{exc} {at}") from None
+    return result
 
 
 def _scan_curve_path(out: str) -> str:
@@ -359,7 +383,8 @@ def _run_scan(cfg: dict) -> dict:
     spec = load_atom_spec(cfg["atom_constants"])
     ens = cfg["ensemble"]
     section = cfg["scan"]
-    scan_cfg = ScanConfig(
+    scan_cfg = _keyed(
+        cfg, ("scan",), ScanConfig,
         detunings_hz=tuple(_scan_detunings(section)),
         photons_per_pulse=section["photons_per_pulse"],
         pulses_per_sample=section["pulses_per_sample"],
@@ -368,18 +393,19 @@ def _run_scan(cfg: dict) -> dict:
         seed=section["seed"],
     )
     axis = "z" if ens["polarization"] == 1 else "-z"
-    try:
-        atoms = coherent_spin_state(ens["n_atoms"], axis)
-    except OverflowError:
-        raise _beyond_float_range("the spin state's norm", cfg, "ensemble.n_atoms") from None
-    dataset = run_detuning_scan(
+    atoms = _keyed(cfg, ("ensemble.n_atoms",), coherent_spin_state, ens["n_atoms"], axis,
+                   what="the spin state's norm")
+    dataset = _keyed(
+        cfg, ("scan", "ensemble", "detector", "transmission", "destruction",
+              "guard_linewidths"),
+        run_detuning_scan,
         scan_cfg,
         atoms,
         spec,
         ens["interaction_area_m2"],
-        DetectorSpec(**cfg["detector"]),
-        TransmissionSpec(**cfg["transmission"]),
-        DestructionModel(**cfg["destruction"]),
+        _keyed(cfg, ("detector",), DetectorSpec, **cfg["detector"]),
+        _keyed(cfg, ("transmission",), TransmissionSpec, **cfg["transmission"]),
+        _keyed(cfg, ("destruction",), DestructionModel, **cfg["destruction"]),
         guard_linewidths=cfg["guard_linewidths"],
     )
     out = cfg["out"]
@@ -389,14 +415,14 @@ def _run_scan(cfg: dict) -> dict:
     column_density = ens["n_atoms"] / ens["interaction_area_m2"] * ens["polarization"]
     low = min(scan_cfg.detunings_hz)
     high = max(scan_cfg.detunings_hz)
+    curve_keys = ("scan", "ensemble", "guard_linewidths")
     curve_rows = []
     for detuning in _linspace(low, high, CURVE_SAMPLES):
-        g_tilde = rotation_cross_section(
-            detuning, spec, guard_linewidths=cfg["guard_linewidths"]
-        )
+        g_tilde = _keyed(cfg, curve_keys, rotation_cross_section, detuning, spec,
+                         guard_linewidths=cfg["guard_linewidths"])
         curve_rows.append((detuning, 0.5 * column_density * g_tilde))
     curve_path = _scan_curve_path(out)
-    _write_rows_csv(curve_path, CURVE_CSV_COLUMNS, curve_rows)
+    _keyed(cfg, curve_keys, _write_rows_csv, curve_path, CURVE_CSV_COLUMNS, curve_rows)
     return _digest_map([out, curve_path])
 
 
@@ -407,7 +433,9 @@ def _run_fit(cfg: dict) -> dict:
     spec = load_atom_spec(cfg["atom_constants"])
     dataset = read_scan_csv(cfg["in"])
     section = cfg["fit"]
-    fit = fit_column_density(
+    fit = _keyed(
+        cfg, ("fit", "guard_linewidths"),
+        fit_column_density,
         dataset,
         spec,
         weighted=section["weighted"],
@@ -436,22 +464,15 @@ def _run_budget(cfg: dict) -> dict:
             "budget needs a rotation angle: pass --theta or set budget.theta_rad"
         )
     document = {key: section[key] for key in ("a", "n_atoms", "theta_rad")}
-    try:
-        total = photon_budget(**document)
-    except OverflowError:
-        raise _beyond_float_range(
-            "photons_total = a * n_atoms / theta_rad**2", cfg,
-            "budget.a", "budget.n_atoms", "budget.theta_rad",
-        ) from None
+    total = _keyed(cfg, ("budget",), photon_budget, **document,
+                   what="photons_total = a * n_atoms / theta_rad**2")
     document["photons_total"] = total
     if section["photons_per_pulse"] is not None:
         document["photons_per_pulse"] = section["photons_per_pulse"]
-        document["n_pulses"] = total / section["photons_per_pulse"]
-        if document["n_pulses"] == math.inf:
-            raise OverflowError(
-                "n_pulses = photons_total / photons_per_pulse exceeds the float range "
-                f"at budget.photons_per_pulse = {section['photons_per_pulse']!r}"
-            )
+        document["n_pulses"] = _keyed(
+            cfg, ("budget",), operator.truediv, total, section["photons_per_pulse"],
+            what="n_pulses = photons_total / photons_per_pulse",
+        )
     out = cfg["out"]
     _write_json(out, document)
     return _digest_map([out])
@@ -466,61 +487,52 @@ def _normals(cfg: dict, section: str, count: int) -> list[float]:
     return normal_draws(*seeded_state(cfg[section]["seed"]), count)[0]
 
 
-def _times(section: dict, what: str) -> list[float]:
+def _times(section: dict) -> list[float]:
     if not section["t_stop_s"] > section["t_start_s"]:
-        raise ValidationError(f"{what}: t_stop_s must exceed t_start_s")
+        raise ValidationError("t_stop_s must exceed t_start_s")
     return _linspace(section["t_start_s"], section["t_stop_s"], section["n_times"])
+
+
+def _fit_decay(samples: list, v_eff_m3: float):
+    from .analysis import fit_two_body_decay
+
+    fit = fit_two_body_decay(samples, v_eff_m3)
+    if not fit.converged:
+        raise FitError("two-body decay fit did not converge")
+    return fit
 
 
 def _run_decay(cfg: dict) -> dict:
     from .ensemble import TrapPopulationParams, evolve_trap_population
 
     section = cfg["decay"]
-    sigma_keys = ("decay.sigma_z_m", "decay.sigma_r_m")
-    model_keys = ("decay.n0", "decay.tau_s", "decay.beta_m3_per_s", *sigma_keys)
-    try:
-        params = TrapPopulationParams(
-            n0=section["n0"],
-            tau_s=section["tau_s"],
-            beta_m3_per_s=section["beta_m3_per_s"],
-            sigma_z_m=section["sigma_z_m"],
-            sigma_r_m=section["sigma_r_m"],
-        )
-    except ValidationError as exc:
-        raise ValidationError(f"{exc} at {_key_values(cfg, model_keys)}") from None
-    except OverflowError:
-        raise _beyond_float_range("the two-body volume", cfg, *sigma_keys) from None
-    except ArithmeticError as exc:  # the volume underflows
-        raise ArithmeticError(f"{exc} at {_key_values(cfg, sigma_keys)}") from None
+    params = _keyed(
+        cfg, ("decay",), TrapPopulationParams,
+        n0=section["n0"],
+        tau_s=section["tau_s"],
+        beta_m3_per_s=section["beta_m3_per_s"],
+        sigma_z_m=section["sigma_z_m"],
+        sigma_r_m=section["sigma_r_m"],
+        what="the two-body volume",
+    )
     out = cfg["out"]
     if cfg["mode"] == "simulate":
         noise = section["noise_fraction"]
-        times = _times(section, "decay")
+        times = _keyed(cfg, ("decay.t_start_s", "decay.t_stop_s"), _times, section)
         rows = []
         normals = _normals(cfg, "decay", len(times)) if noise else [0.0] * len(times)
         for t, normal in zip(times, normals):
-            try:
-                model = evolve_trap_population(params, t)
-            except ValidationError as exc:  # a negative time
-                start = _key_values(cfg, ("decay.t_start_s",))
-                raise ValidationError(f"{exc} at {start}") from None
-            if not math.isfinite(model):
-                raise _beyond_float_range(f"the atom count at t = {t!r} s", cfg, *model_keys)
-            count = model * (1.0 + noise * normal) if noise else model
-            sigma = noise * model if noise else 1.0
-            if not (math.isfinite(count) and math.isfinite(sigma)):
-                raise _beyond_float_range(
-                    f"the noisy atom count at t = {t!r} s", cfg, "decay.noise_fraction"
-                )
-            rows.append((t, count, sigma))
-        _write_rows_csv(out, DECAY_CSV_COLUMNS, rows)
+            model = _keyed(cfg, ("decay",), evolve_trap_population, params, t,
+                           what=f"the atom count at t = {t!r} s")
+            if noise:
+                rows.append((t, model * (1.0 + noise * normal), noise * model))
+            else:
+                rows.append((t, model, 1.0))
+        _keyed(cfg, ("decay",), _write_rows_csv, out, DECAY_CSV_COLUMNS, rows)
         return _digest_map([out])
-    from .analysis import fit_two_body_decay
-
     samples = _read_rows_csv(cfg["in"], DECAY_CSV_COLUMNS)
-    fit = fit_two_body_decay(samples, params.v_eff_m3)
-    if not fit.converged:
-        raise FitError("two-body decay fit did not converge")
+    fit = _keyed(cfg, ("decay.sigma_z_m", "decay.sigma_r_m"), _fit_decay, samples,
+                 params.v_eff_m3)
     _write_json(out, fit.to_json_dict())
     return _digest_map([out])
 
@@ -533,32 +545,15 @@ def _run_tof(cfg: dict) -> dict:
     out = cfg["out"]
     if cfg["mode"] == "simulate":
         noise = section["noise_m"]
-        times = _times(section, "tof")
+        times = _keyed(cfg, ("tof.t_start_s", "tof.t_stop_s"), _times, section)
         rows = []
         normals = _normals(cfg, "tof", len(times)) if noise else [0.0] * len(times)
         for t, normal in zip(times, normals):
-            try:
-                radius = tof_radius(
-                    section["sigma0_m"], section["temperature_k"], t, spec.mass_kg
-                )
-                if not math.isfinite(radius):
-                    raise OverflowError
-            except ValidationError as exc:
-                keys = ("tof.sigma0_m", "tof.temperature_k", "tof.t_start_s")
-                raise ValidationError(f"{exc} at {_key_values(cfg, keys)}") from None
-            except OverflowError:
-                raise _beyond_float_range(
-                    f"the cloud radius at t = {t!r} s", cfg,
-                    "tof.sigma0_m", "tof.temperature_k", "tof.t_stop_s",
-                ) from None
-            if noise:
-                radius = abs(radius + noise * normal)
-                if not math.isfinite(radius):
-                    raise _beyond_float_range(
-                        f"the noisy cloud radius at t = {t!r} s", cfg, "tof.noise_m"
-                    )
-            rows.append((t, radius))
-        _write_rows_csv(out, TOF_CSV_COLUMNS, rows)
+            radius = _keyed(cfg, ("tof",), tof_radius, section["sigma0_m"],
+                            section["temperature_k"], t, spec.mass_kg,
+                            what=f"the cloud radius at t = {t!r} s")
+            rows.append((t, abs(radius + noise * normal) if noise else radius))
+        _keyed(cfg, ("tof",), _write_rows_csv, out, TOF_CSV_COLUMNS, rows)
         return _digest_map([out])
     from .analysis import fit_tof_temperature
 
@@ -578,22 +573,21 @@ def _run_pulse(cfg: dict) -> dict:
     )
 
     section = cfg["pulse"]
-    det = DetectorSpec(**cfg["detector"])
-    delta = simulate_pulse_detection(
+    keys = ("pulse", "detector", "transmission")
+    det = _keyed(cfg, ("detector",), DetectorSpec, **cfg["detector"])
+    delta = _keyed(
+        cfg, keys,
+        simulate_pulse_detection,
         section["theta_rad"],
         section["n_photons"],
         det,
-        TransmissionSpec(**cfg["transmission"]),
+        _keyed(cfg, ("transmission",), TransmissionSpec, **cfg["transmission"]),
         _normals(cfg, "pulse", 1)[0] if section["noisy"] else None,
+        what="the imbalance",
     )
-    if not math.isfinite(delta):
-        raise _beyond_float_range(
-            "the imbalance", cfg,
-            "pulse.theta_rad", "pulse.n_photons", "transmission.t_h", "transmission.t_v",
-        )
-    record = synthesize_waveform(delta, det, section["pulse_duration_s"])
+    record = _keyed(cfg, keys, synthesize_waveform, delta, det, section["pulse_duration_s"])
     out = cfg["out"]
-    write_pulse_csv(record, out)
+    _keyed(cfg, keys, write_pulse_csv, record, out)
     return _digest_map([out])
 
 

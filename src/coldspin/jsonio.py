@@ -20,6 +20,12 @@ from .errors import ValidationError
 NONFINITE_KEY = "nonfinite"
 _VALUES = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
 
+# Most levels of nested objects and arrays a document read_json returns may
+# hold.  No valid coldspin document holds more than 4 (a manifest's
+# config.atom_constants.trap); a deeper one is refused before a recursive
+# copy, merge or check of it can exhaust the interpreter's stack.
+MAX_DEPTH = 32
+
 
 def _name(value: float) -> str:
     if math.isnan(value):
@@ -83,10 +89,23 @@ def decode_nonfinite(document: Mapping) -> Mapping:
     return decoded
 
 
+def _depth(document) -> int:
+    """Levels of nested objects and arrays in document, counted level by
+    level without recursion."""
+    depth, level = 0, [document]
+    while level:
+        depth += 1
+        level = [child for node in level
+                 for child in (node.values() if isinstance(node, dict) else node)
+                 if isinstance(child, (dict, list))]
+    return depth
+
+
 def read_json(path) -> dict:
     """Parse a JSON file that must hold an object at top level; unreadable
-    or non-UTF-8, malformed (reported with its line) or non-object files
-    raise ValidationError."""
+    or non-UTF-8, malformed (reported with its line), non-object files and
+    files nested more than MAX_DEPTH levels deep raise ValidationError."""
+    too_deep = f"{path} nests objects and arrays more than {MAX_DEPTH} levels deep"
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
@@ -98,8 +117,12 @@ def read_json(path) -> dict:
         ) from exc
     except ValueError as exc:  # an integer past Python's digit limit
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:  # nested deeper than the parser's stack allows
+        raise ValidationError(too_deep) from None
     if not isinstance(document, dict):
         raise ValidationError(f"{path} must hold a JSON object at top level")
+    if _depth(document) > MAX_DEPTH:
+        raise ValidationError(too_deep)
     return document
 
 

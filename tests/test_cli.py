@@ -1120,6 +1120,10 @@ OVERSIZED_COUNTS = {
         (["budget", "--atoms", "1e308"], {"budget": {"theta_rad": 0.03}}, 3,
          "budget.n_atoms = 1e+308"),
         (["pulse"], {"pulse": {"theta_rad": 1e308}}, 3, "pulse.theta_rad = 1e+308"),
+        # once exited 3 naming "out.csv row 2: value is inf, not finite" alone: the
+        # imbalance is finite, and the calibration factor scales it past the range
+        (["pulse"], {"detector": {"calibration_factor": 1e308}}, 3,
+         "detector.calibration_factor = 1e+308"),
     ],
     ids=["photons-per-pulse", "sigma-r", "sigma-r-underflow", "sigma-r-1e-308",
          "sigma-r-underflow-fit", "sigma0", "t-stop", "atoms-flag",
@@ -1128,7 +1132,8 @@ OVERSIZED_COUNTS = {
          "subnormal-volume", "beta", "noise-fraction", "temperature",
          "negative-sigma-r", "decay-negative-start", "tof-negative-start",
          "spread-area", "spread-t-h", "spread-t-v", "spread-area-numpy",
-         "atom-spread-numpy", "budget-a", "budget-atoms", "pulse-theta"],
+         "atom-spread-numpy", "budget-a", "budget-atoms", "pulse-theta",
+         "pulse-calibration"],
 )
 def test_extreme_values_honour_exit_codes(in_tmp_dir, capsys, argv, override, code, key):
     (in_tmp_dir / "cfg.json").write_text(json.dumps(override))
@@ -1153,6 +1158,63 @@ def test_oversized_counts_name_their_key(in_tmp_dir, capsys, argv, override, key
     assert cli.main([*argv, "--config", "cfg.json", "--out", "out.csv"]) == 2
     assert key in capsys.readouterr().err
     assert not (in_tmp_dir / "out.csv").exists()
+
+
+def _number_keys(document, prefix=""):
+    for key, value in document.items():
+        if isinstance(value, dict):
+            yield from _number_keys(value, f"{prefix}{key}.")
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield f"{prefix}{key}"
+
+
+# the commands that read each section (or top-level key), fits included;
+# a fit reads the default run's output
+SWEEP_COMMANDS = {
+    "guard_linewidths": [["scan"], ["fit", "--in", "scan.csv"]],
+    "threads": [["scan"]],
+    "ensemble": [["scan"]],
+    "scan": [["scan"]],
+    "detector": [["scan"], ["pulse"]],
+    "transmission": [["scan"], ["pulse"]],
+    "destruction": [["scan"]],
+    "fit": [["fit", "--in", "scan.csv"]],
+    "budget": [["budget"]],
+    "decay": [["decay", "simulate"], ["decay", "fit", "--in", "decay.csv"]],
+    "tof": [["tof", "simulate"], ["tof", "fit", "--in", "tof.csv"]],
+    "pulse": [["pulse"]],
+}
+SWEEP_NUMBERS = [1e308, -1e308, 1e-308, -1e-308, math.inf, -math.inf]
+SWEEP_ROWS = [
+    (key, argv, SWEEP_NUMBERS)
+    for key in [*_number_keys(cli._DEFAULT_CONFIG), "budget.theta_rad",
+                "budget.photons_per_pulse"]
+    for argv in SWEEP_COMMANDS[key.partition(".")[0]]
+] + [("fit.sigma_source", ["fit", "--in", "scan.csv"], ["x"])]
+
+
+@pytest.mark.parametrize("key, argv, values", SWEEP_ROWS,
+                         ids=[f"{key}-{'-'.join(filter(str.isalpha, argv))}"
+                              for key, argv, _ in SWEEP_ROWS])
+def test_every_failure_at_an_extreme_value_names_its_key(fit_inputs, in_tmp_dir, capsys,
+                                                          key, argv, values):
+    argv = [str(fit_inputs / arg) if arg.endswith(".csv") else arg for arg in argv]
+    unnamed = []
+    for value in values:
+        section, _, name = key.rpartition(".")
+        # budget needs an angle
+        config = {"budget": {"theta_rad": 0.03}} if argv[0] == "budget" else {}
+        target = config.setdefault(section, {}) if section else config
+        target[name] = value
+        # json.dumps writes inf as Infinity; 1e999 is the strict JSON that parses as inf
+        text = json.dumps(config).replace("-Infinity", "-1e999").replace("Infinity", "1e999")
+        (in_tmp_dir / "cfg.json").write_text(text)
+        code = cli.main([*argv, "--config", "cfg.json", "--out", "out.dat"])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3) and "Traceback" not in err, (value, err)
+        if code and key not in err and "scan detuning" not in err:
+            unnamed.append((value, code, err))
+    assert unnamed == []
 
 
 @pytest.mark.parametrize(
@@ -1205,6 +1267,25 @@ def test_non_utf8_json_exits_2(in_tmp_dir, capsys, argv):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "cannot read" in err and "bad.json" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth", [500, 200_000])
+@pytest.mark.parametrize(
+    "argv, document",
+    [(["scan", "--config", "deep.json", "--out", "scan.csv"], '{"scan": {"seed": %s}}'),
+     # decode_nonfinite copies a manifest that lists non-finite values
+     (["scan", "--manifest", "deep.json"], '{"nonfinite": {}, "config": %s}'),
+     (["tof", "simulate", "--config", "cfg.json", "--out", "tof.csv"], '{"trap": %s}')],
+    ids=["config", "manifest", "atom-data"],
+)
+def test_deeply_nested_json_exits_2(in_tmp_dir, capsys, argv, document, depth):
+    # each once ended in a RecursionError traceback, copying, merging or parsing
+    (in_tmp_dir / "deep.json").write_text(document % ("[" * depth + "]" * depth))
+    (in_tmp_dir / "cfg.json").write_text(json.dumps({"atom_data": "deep.json"}))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "deep.json nests objects and arrays more than" in err
     assert "Traceback" not in err
 
 

@@ -4,7 +4,9 @@ import math
 import pytest
 
 from coldspin.errors import ValidationError
-from coldspin.jsonio import decode_nonfinite, encode_nonfinite, read_json, write_json
+from coldspin.jsonio import (
+    MAX_DEPTH, decode_nonfinite, encode_nonfinite, read_json, write_json,
+)
 
 
 def test_finite_documents_pass_through_unchanged():
@@ -73,3 +75,22 @@ def test_read_json_rejects_non_utf8(tmp_path):
     path.write_bytes(b"\xff\xfe\x00")
     with pytest.raises(ValidationError, match="cannot read"):
         read_json(path)
+
+
+def nested_text(depth: int) -> str:
+    """A JSON object whose key "x" holds arrays nested to depth levels in all."""
+    return '{"x": ' + "[" * (depth - 1) + "]" * (depth - 1) + "}\n"
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 500, 200_000])
+def test_read_json_refuses_documents_nested_too_deep(tmp_path, depth):
+    path = tmp_path / "doc.json"
+    path.write_text(nested_text(depth))
+    with pytest.raises(ValidationError, match=f"doc.json nests .* more than {MAX_DEPTH} levels"):
+        read_json(path)
+
+
+def test_read_json_takes_documents_nested_to_the_limit(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(nested_text(MAX_DEPTH))
+    assert read_json(path) == json.loads(nested_text(MAX_DEPTH))
