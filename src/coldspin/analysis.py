@@ -17,14 +17,11 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 
-from .atomic_data import BOLTZMANN_J_PER_K, AtomSpec
-from .detector import DetectorSpec
+from .atomic_data import BOLTZMANN_J_PER_K, DEFAULT_GUARD_LINEWIDTHS, AtomSpec
 from .ensemble import two_body_gradient, two_body_population
 from .errors import FitError, ValidationError
 from .frozen import Frozen
 from .jsonio import decode_nonfinite
-from .scandata import ScanDataset
-from .spin_optics import DEFAULT_GUARD_LINEWIDTHS, rotation_cross_section
 from .summation import pairwise_sum
 
 # Gauss-Newton controls: deterministic, testable stopping
@@ -115,6 +112,8 @@ def fit_column_density(
     ignores the spreads entirely and estimates the uncertainty from the
     residuals.
     """
+    from .spin_optics import rotation_cross_section
+
     if sigma_source not in ("stddev", "stderr"):
         raise ValidationError(
             f"sigma_source must be 'stddev' or 'stderr', got {sigma_source!r}"

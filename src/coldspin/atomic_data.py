@@ -32,6 +32,10 @@ BOLTZMANN_J_PER_K = 1.380649e-23
 PLANCK_J_S = 6.62607015e-34
 SPEED_OF_LIGHT_M_PER_S = 299792458.0
 
+# natural linewidths around each excited-state line inside which a
+# detuning is refused (spin_optics.detuning_factor)
+DEFAULT_GUARD_LINEWIDTHS = 10.0
+
 ATOM_KEYS = (
     "wavelength_m",
     "linewidth_hz",

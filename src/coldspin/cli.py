@@ -21,8 +21,10 @@ Exit codes: 0 success, 2 configuration or usage error, 3 numeric failure
 A runner has no error handling of its own: it makes each library call
 through _keyed, which turns a failure into an error naming the dotted
 config keys the call reads, with their values, so every exit 2 or 3 a
-config value causes names its key.  Each runner imports the library modules
-it uses when it runs, and no command imports numpy: the decay, expansion
+config value causes names its key.  A command loads only the modules it
+calls: each runner imports its library modules when it runs, no module
+imports another for an annotation or a constant, and main builds only the
+parsed command's subparser.  No command imports numpy: the decay, expansion
 and pulse simulations take all their draws up front, none without noise,
 as plain numbers from rng's copy of numpy's normal stream seeded with
 the section's seed (_normals), and a scan draws two numbers a run from
@@ -33,7 +35,6 @@ library alone.
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import math
 import operator
@@ -44,8 +45,7 @@ from collections.abc import Callable
 from . import __version__
 from .atomic_data import default_atom_document, load_atom_spec
 # bench/tracing.py times the CSV table I/O under these names
-from .csvio import read_table as _read_rows_csv, write_table as _write_rows_csv
-from .detector import MAX_ARRAY_SIZE
+from .csvio import MAX_ARRAY_SIZE, read_table as _read_rows_csv, write_table as _write_rows_csv
 from .errors import FitError, NearResonanceError, ValidationError
 from .frozen import Frozen
 from .jsonio import decode_nonfinite, read_json, write_json
@@ -228,22 +228,17 @@ def _check_config(value, default=_DEFAULT_CONFIG, path: str = ""):
 
 
 def _merge_config(base: dict, override: dict) -> dict:
-    """Recursive dict merge, section by section; _check_config then checks
-    the keys and values."""
-    merged = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(base.get(key), dict) and isinstance(value, dict):
-            merged[key] = _merge_config(base[key], value)
-        else:
-            merged[key] = value
+    """Recursive dict merge, section by section, into new dicts;
+    _check_config then checks the keys and values."""
+    merged = {**base, **override}
+    for key, value in base.items():
+        if isinstance(value, dict) and isinstance(merged[key], dict):
+            merged[key] = _merge_config(value, override.get(key, {}))
     return merged
 
 
 def _resolve_config(config_path: str | None) -> dict:
-    cfg = copy.deepcopy(_DEFAULT_CONFIG)
-    if config_path is not None:
-        cfg = _merge_config(cfg, read_json(config_path))
-    return cfg
+    return _merge_config(_DEFAULT_CONFIG, {} if config_path is None else read_json(config_path))
 
 
 def _attach_atom_constants(cfg: dict) -> None:
@@ -408,10 +403,8 @@ def _run_scan(cfg: dict) -> dict:
         _keyed(cfg, ("destruction",), DestructionModel, **cfg["destruction"]),
         guard_linewidths=cfg["guard_linewidths"],
     )
-    out = cfg["out"]
-    write_scan_csv(dataset, out)
-
-    # noiseless forward-model curve for plotting, theta = +/- n_c g~/2
+    # noiseless forward-model curve for plotting, theta = +/- n_c g~/2,
+    # computed before any file is written, so a failing curve writes none
     column_density = ens["n_atoms"] / ens["interaction_area_m2"] * ens["polarization"]
     low = min(scan_cfg.detunings_hz)
     high = max(scan_cfg.detunings_hz)
@@ -421,6 +414,8 @@ def _run_scan(cfg: dict) -> dict:
         g_tilde = _keyed(cfg, curve_keys, rotation_cross_section, detuning, spec,
                          guard_linewidths=cfg["guard_linewidths"])
         curve_rows.append((detuning, 0.5 * column_density * g_tilde))
+    out = cfg["out"]
+    write_scan_csv(dataset, out)
     curve_path = _scan_curve_path(out)
     _keyed(cfg, curve_keys, _write_rows_csv, curve_path, CURVE_CSV_COLUMNS, curve_rows)
     return _digest_map([out, curve_path])
@@ -743,14 +738,20 @@ def _run_command(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with only the subparser of the
+    command only names.  Its metavar keeps every usage line the same; the
+    full parser has none, so its errors name the argument "command"."""
     parser = argparse.ArgumentParser(
         prog="coldspin",
         description="Faraday-rotation probe simulator and analysis tools",
     )
     parser.add_argument("--version", action="version", version=f"coldspin {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, row in _COMMANDS.items():
+        if only not in (None, name):
+            continue
         sub = commands.add_parser(name, help=row.help)
         if row.modes:
             sub.add_argument("mode", nargs="?", choices=("simulate", "fit"))
@@ -775,7 +776,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a command's own subparser alone; --help, --version and a mistyped
+    # command get the full parser
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return _run_command(args)
     except ValidationError as exc:

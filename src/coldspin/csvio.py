@@ -18,6 +18,13 @@ from collections.abc import Callable, Iterable, Mapping
 
 from .errors import ValidationError
 
+# Most elements of any one array a run allocates: a waveform's samples (the
+# default pulse takes 500), the scan detunings, and the decay and expansion
+# times; a scan detuning's runs x (pulses + 1) is held to it as the scan's
+# size limit.  A value mistyped by orders of magnitude would otherwise
+# allocate gigabytes.
+MAX_ARRAY_SIZE = 2**22
+
 _FORMATS = {float: "{:.11e}", int: "{:d}"}
 
 

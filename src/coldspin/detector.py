@@ -21,16 +21,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 
-from .csvio import read_table, write_table
+from .csvio import MAX_ARRAY_SIZE, read_table, write_table
 from .errors import ValidationError
 from .frozen import Frozen
-
-# Most elements of any one array a run allocates: a waveform's samples (the
-# default pulse takes 500), the scan detunings, and the decay and expansion
-# times; a scan detuning's runs x (pulses + 1) is held to it as the scan's
-# size limit.  A value mistyped by orders of magnitude would otherwise
-# allocate gigabytes.
-MAX_ARRAY_SIZE = 2**22
 
 PULSE_CSV_COLUMNS = {"sample_index": int, "value": float}
 

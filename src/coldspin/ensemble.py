@@ -14,6 +14,7 @@ import math
 
 from .atomic_data import (
     BOLTZMANN_J_PER_K,
+    DEFAULT_GUARD_LINEWIDTHS,
     PLANCK_J_S,
     SPEED_OF_LIGHT_M_PER_S,
     AtomSpec,
@@ -21,7 +22,6 @@ from .atomic_data import (
 )
 from .errors import NearResonanceError, ValidationError
 from .frozen import Frozen
-from .spin_optics import DEFAULT_GUARD_LINEWIDTHS
 
 RK4_DEFAULT_STEPS = 4000
 

@@ -10,7 +10,6 @@ decode_nonfinite restores the values, so documents round-trip exactly.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from collections.abc import Mapping
@@ -67,6 +66,7 @@ def decode_nonfinite(document: Mapping) -> Mapping:
     listed under "nonfinite" put back and that key removed."""
     if NONFINITE_KEY not in document:
         return document
+    import copy  # only a document with non-finite values pays its import
     decoded = copy.deepcopy(dict(document))
     listed = decoded.pop(NONFINITE_KEY)
     if not isinstance(listed, dict):

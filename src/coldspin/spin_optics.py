@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .atomic_data import SPEED_OF_LIGHT_M_PER_S, AtomSpec
+from .atomic_data import DEFAULT_GUARD_LINEWIDTHS, SPEED_OF_LIGHT_M_PER_S, AtomSpec
 from .errors import NearResonanceError, ValidationError
 from .frozen import Frozen
 
@@ -25,8 +25,6 @@ from .frozen import Frozen
 # rotation angle, so state validation allows a few percent of slack above
 # the physical ball radius N/2 instead of demanding exact containment.
 NORM_SLACK = 0.05
-
-DEFAULT_GUARD_LINEWIDTHS = 10.0
 
 _AXES = {
     "x": (1.0, 0),

@@ -442,6 +442,23 @@ def test_scan_near_resonance_exits_3(in_tmp_dir, capsys):
     assert "linewidths" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scan",
+    [{"detunings_hz": [-1e9, 1e9]},
+     {"detuning_start_hz": -1e9, "detuning_stop_hz": 1e9, "n_detunings": 2}],
+    ids=["list", "start-stop"],
+)
+def test_scan_failing_on_its_curve_writes_nothing(in_tmp_dir, capsys, scan):
+    # both detunings clear the guard, but the model curve between them
+    # crosses the F'=0 resonance
+    (in_tmp_dir / "c.json").write_text(json.dumps({"scan": scan}))
+    assert cli.main(["scan", "--config", "c.json", "--out", "s.csv"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: detuning -5.52764e+07 Hz is within 10 linewidths of the "
+                          "F'=0 resonance at scan.detunings_hz = ")
+    assert sorted(path.name for path in in_tmp_dir.iterdir()) == ["c.json"]
+
+
 def test_unknown_config_key_rejected(in_tmp_dir, capsys):
     bad = in_tmp_dir / "bad.json"
     bad.write_text(json.dumps({"scann": {}}))
@@ -835,8 +852,8 @@ def fit_inputs(tmp_path_factory):
 IMPORT_FLOOR = ("typing", "importlib.resources", "dataclasses")
 
 # runs cli.main on its arguments, then prints the exit code, the modules of
-# IMPORT_FLOOR it loaded, every numpy module it loaded and whether it loaded
-# coldspin.analysis, as JSON
+# IMPORT_FLOOR it loaded, every numpy module it loaded and the coldspin
+# submodules it loaded (without the package's prefix), as JSON
 MAIN_AND_LOADED_MODULES = f"""
 import json, sys
 from coldspin import cli
@@ -846,11 +863,11 @@ except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, [m for m in {IMPORT_FLOOR!r} if m in sys.modules],
                   sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'),
-                  'coldspin.analysis' in sys.modules]))
+                  sorted(m[9:] for m in sys.modules if m.startswith('coldspin.'))]))
 """
 
 
-def run_main_without_site(cwd, argv):
+def loaded_modules_without_site(cwd, argv):
     """MAIN_AND_LOADED_MODULES's JSON and stderr for argv, run in cwd.
 
     -S skips site and its .pth hooks, which may load typing or
@@ -864,6 +881,14 @@ def run_main_without_site(cwd, argv):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
     )
     return json.loads(result.stdout.splitlines()[-1]), result.stderr
+
+
+def run_main_without_site(cwd, argv):
+    """As loaded_modules_without_site, with the coldspin submodules reduced
+    to whether coldspin.analysis is among them."""
+    (code, floor, numpy_modules, coldspin_modules), stderr = loaded_modules_without_site(
+        cwd, argv)
+    return [code, floor, numpy_modules, "analysis" in coldspin_modules], stderr
 
 
 @pytest.mark.parametrize(
@@ -919,6 +944,64 @@ def test_simulations_load_no_fit_module(fit_inputs, argv, loads_analysis):
     (code, _, _, analysis), stderr = run_main_without_site(fit_inputs, argv)
     assert code == 0, stderr
     assert analysis is loads_analysis
+
+
+# The coldspin submodules each command and its replay load, cli aside: the
+# modules it calls and theirs, none for an annotation or a constant
+_FIT_MODULES = {"analysis", "atomic_data", "csvio", "ensemble", "errors", "frozen", "jsonio",
+                "summation"}
+_SIMULATE_MODULES = {"atomic_data", "csvio", "ensemble", "errors", "frozen", "jsonio", "rng"}
+COMMAND_MODULES = {
+    "scan": {"atomic_data", "csvio", "detector", "errors", "experiment", "frozen", "jsonio",
+             "rng", "scandata", "spin_optics", "summation"},
+    "fit": _FIT_MODULES | {"scandata", "spin_optics"},
+    "budget": _FIT_MODULES,
+    "decay simulate": _SIMULATE_MODULES,
+    "decay fit": _FIT_MODULES,
+    "tof simulate": _SIMULATE_MODULES,
+    "tof fit": _FIT_MODULES,
+    "pulse": {"atomic_data", "csvio", "detector", "errors", "frozen", "jsonio", "rng",
+              "summation"},
+}
+# each quick-start command, writing files of its own beside fit_inputs' files
+COMMAND_ARGV = {
+    "scan": ["scan", "--out", "own_scan.csv"],
+    "fit": ["fit", "--in", "scan.csv", "--out", "own_fit.json"],
+    "budget": ["budget", "--theta", "0.0268", "--photons-per-pulse", "4.3e6",
+               "--out", "own_budget.json"],
+    "decay simulate": ["decay", "simulate", "--out", "own_decay.csv"],
+    "decay fit": ["decay", "fit", "--in", "decay.csv", "--out", "own_decay_fit.json"],
+    "tof simulate": ["tof", "simulate", "--out", "own_tof.csv"],
+    "tof fit": ["tof", "fit", "--in", "tof.csv", "--out", "own_tof_fit.json"],
+    "pulse": ["pulse", "--noisy", "--seed", "7", "--out", "own_pulse.csv"],
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_ARGV,
+                         ids=[command.replace(" ", "-") for command in COMMAND_ARGV])
+def test_command_loads_only_its_modules(fit_inputs, command):
+    argv = COMMAND_ARGV[command]
+    replay = [argv[0], "--manifest", f"{argv[-1]}.manifest.json"]
+    for run in (argv, replay):
+        (code, floor, numpy_modules, modules), stderr = loaded_modules_without_site(
+            fit_inputs, run)
+        assert code == 0, stderr
+        assert set(modules) == COMMAND_MODULES[command] | {"cli"}, run
+        assert floor == [] and numpy_modules == []
+
+
+def test_command_module_sets_stay_small():
+    sizes = {command: len(modules) for command, modules in COMMAND_MODULES.items()}
+    # the benchmark's cli-session: the eight commands, then a scan replay and
+    # a decay-fit replay
+    assert sum(sizes.values()) + sizes["scan"] + sizes["decay fit"] <= 86
+    for command in ("budget", "decay fit", "tof fit"):
+        assert sizes[command] <= 8
+        assert not COMMAND_MODULES[command] & {
+            "detector", "spin_optics", "scandata", "rng", "experiment"}
+    for command in ("decay simulate", "tof simulate"):
+        assert not COMMAND_MODULES[command] & {"spin_optics", "detector", "analysis"}
+    assert "detector" not in COMMAND_MODULES["fit"]
 
 
 def test_bad_sigma_source_choice_is_usage_error(in_tmp_dir):
@@ -1373,6 +1456,43 @@ def test_parser_surface_is_unchanged():
         for name, sub in commands.choices.items()
     }
     assert surface == PARSER_SURFACE
+
+
+def parse_outcome(capsys, parse, argv):
+    """The exit code, stdout and stderr of parse(argv), which must exit."""
+    with pytest.raises(SystemExit) as excinfo:
+        parse(argv)
+    captured = capsys.readouterr()
+    return excinfo.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_one_command_parser_parses_as_the_full_parser(capsys, command):
+    one = cli.build_parser(command)
+    subparsers = next(a for a in one._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == [command]
+    inputs = [[command, "--help"], [command, "--bogus"], [command, "--out"]]
+    if command == "fit":
+        inputs.append(["fit", "--sigma-source", "var"])
+    for argv in inputs:
+        full = parse_outcome(capsys, cli.build_parser().parse_args, argv)
+        assert parse_outcome(capsys, one.parse_args, argv) == full, argv
+        assert parse_outcome(capsys, cli.main, argv) == full, argv
+
+
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [(["--help"], 0, "{scan,fit,budget,decay,tof,pulse}\n"),
+     (["--version"], 0, f"coldspin {cli.__version__}"),
+     ([], 2, "error: the following arguments are required: command\n"),
+     (["sacn"], 2, "error: argument command: invalid choice: 'sacn' (choose from 'scan', "
+                   "'fit', 'budget', 'decay', 'tof', 'pulse')\n")],
+    ids=["help", "version", "none", "unknown"],
+)
+def test_main_parses_top_level_input_as_the_full_parser(capsys, argv, code, text):
+    full = parse_outcome(capsys, cli.build_parser().parse_args, argv)
+    assert full[0] == code and text in full[1] + full[2]
+    assert parse_outcome(capsys, cli.main, argv) == full
 
 
 # (subcommand, flag, value or None for a switch, config key, recorded value);
