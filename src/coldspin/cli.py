@@ -4,8 +4,8 @@ Subcommands: scan, fit, budget, decay, tof, pulse.  One table,
 _COMMANDS, declares each subcommand: its help and runner, the config
 section whose seed --seed sets, whether it takes a simulate|fit mode, and
 each of its flags with the one config key the flag overrides.
-build_parser and _run_command both read it.  Every run resolves a full
-configuration (packaged defaults, then the --config file, then the
+_parse, build_parser and _run_command all read it.  Every run resolves a
+full configuration (packaged defaults, then the --config file, then the
 flags), checks it once (_check_config), executes, and writes a manifest
 recording the command, tool version, seed, the fully resolved config with
 atomic constants inlined, and a SHA-256 digest of every output file.  The
@@ -22,20 +22,23 @@ A runner has no error handling of its own: it makes each library call
 through _keyed, which turns a failure into an error naming the dotted
 config keys the call reads, with their values, so every exit 2 or 3 a
 config value causes names its key.  A command loads only the modules it
-calls: each runner imports its library modules when it runs, no module
-imports another for an annotation or a constant, and main builds only the
-parsed command's subparser.  No command imports numpy: the decay, expansion
-and pulse simulations take all their draws up front, none without noise,
-as plain numbers from rng's copy of numpy's normal stream seeded with
-the section's seed (_normals), and a scan draws two numbers a run from
-the same copy, so every command and its replay runs on the standard
-library alone.
+calls: each runner imports its library modules when it runs, and no module
+imports another for an annotation or a constant.  main parses a
+well-formed command line (a command, its mode, then exact options, each
+with its value) straight from the table (_parse), and hands any other,
+--help, --version and every usage error among them, to the parser
+build_parser makes, the one place argparse is imported, so help, usage
+and error text are argparse's own.  Outputs are digested with CPython's
+built-in SHA-256 module rather than hashlib, which loads OpenSSL.  No
+command imports numpy: the decay, expansion and pulse simulations take all
+their draws up front, none without noise, as plain numbers from rng's copy
+of numpy's normal stream seeded with the section's seed (_normals), and a
+scan draws two numbers a run from the same copy, so every command and its
+replay runs on the standard library alone.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import math
 import operator
 import os
@@ -150,6 +153,7 @@ def _count(low: int) -> tuple:
     return lambda v: low <= v <= MAX_ARRAY_SIZE, f"be in [{low}, {MAX_ARRAY_SIZE}]"
 
 
+_MODES = ("simulate", "fit")
 _POSITIVE = (lambda v: v > 0, "be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "be >= 0")
 _FINITE = (math.isfinite, "be finite")
@@ -160,7 +164,7 @@ _FINITE = (math.isfinite, "be finite")
 # the rest (ScanConfig, DetectorSpec, TrapPopulationParams, ...).
 _RULES = {
     "threads": (lambda v: v >= 1, "be >= 1"),
-    "mode": (lambda v: v in ("simulate", "fit"), "be simulate or fit"),
+    "mode": (lambda v: v in _MODES, "be simulate or fit"),
     "ensemble.polarization": (lambda v: v in (1, -1), "be 1 or -1"),
     "ensemble.interaction_area_m2": _POSITIVE,
     "scan.detunings_hz": (bool, "be a non-empty array"),
@@ -255,7 +259,16 @@ def _attach_atom_constants(cfg: dict) -> None:
 
 
 def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
+    # CPython's own SHA-256, as random takes its _sha512: hashlib loads
+    # OpenSSL, ~4 ms of a run.  A build without the module falls back to it.
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+    digest = sha256()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(65536), b""):
             digest.update(block)
@@ -597,6 +610,10 @@ class _Flag(Frozen):
     choices: tuple | None = None
     switch: bool | None = None  # a switch takes no value and stores this one
 
+    @property
+    def dest(self) -> str:  # the name argparse parses the flag's value to
+        return self.option[2:].replace("-", "_")
+
 
 class _Command(Frozen):
     help: str
@@ -606,6 +623,16 @@ class _Command(Frozen):
     input_help: str | None  # help of --in; None when the command reads no file
     flags: tuple[_Flag, ...] = ()
 
+
+# the options every command takes, before its --in and flags: option ->
+# (type, metavar, help); each parses to the option's name
+_COMMON_OPTIONS = {
+    "--config": (None, "PATH", "JSON configuration file"),
+    "--seed": (int, "INT", "override the RNG seed"),
+    "--out": (None, "PATH", "primary output file"),
+    "--manifest": (None, "PATH",
+                   "manifest path; given alone, replay that manifest and verify digests"),
+}
 
 _COMMANDS = {
     "scan": _Command("synthesize a detuning scan CSV", _run_scan, "scan", False, None, (
@@ -691,13 +718,13 @@ def _replay(command: str, manifest_path: str) -> int:
     return 0
 
 
-def _run_command(args) -> int:
-    command = args.command
+def _run_command(args: dict) -> int:
+    command = args["command"]
     row = _COMMANDS[command]
-    given = {dest for dest, value in vars(args).items() if value is not None}
+    given = {dest for dest, value in args.items() if value is not None}
     if given == {"command", "manifest"}:
-        return _replay(command, args.manifest)
-    mode = getattr(args, "mode", None)
+        return _replay(command, args["manifest"])
+    mode = args.get("mode")
     if row.modes and mode is None:
         raise ValidationError(
             f"{command} needs a mode (simulate or fit), or --manifest alone to replay"
@@ -706,26 +733,26 @@ def _run_command(args) -> int:
     # flag values are merged and checked as --config values are
     overrides: dict = {}
     for flag in row.flags:
-        value = getattr(args, flag.option[2:].replace("-", "_"))
+        value = args[flag.dest]
         if value is not None:
             section, _, key = flag.key.rpartition(".")
             target = overrides.setdefault(section, {}) if section else overrides
             target[key] = value if flag.switch is None else flag.switch
-    if row.seeded and args.seed is not None:
-        overrides.setdefault(row.seeded, {})["seed"] = args.seed
-    cfg = _check_config(_merge_config(_resolve_config(args.config), overrides))
+    if row.seeded and args["seed"] is not None:
+        overrides.setdefault(row.seeded, {})["seed"] = args["seed"]
+    cfg = _check_config(_merge_config(_resolve_config(args["config"]), overrides))
     # fit and budget draw no random numbers, so record no seed
     cfg["seed"] = cfg[row.seeded]["seed"] if row.seeded else None
     if row.modes:
         cfg["mode"] = mode
     if row.input_help and mode in (None, "fit"):  # simulate modes read no file
-        if args.in_path is None:
+        if args["in_path"] is None:
             raise ValidationError("--in is required to fit (or replay with --manifest only)")
-        cfg["in"] = args.in_path
-    if args.out is None:
+        cfg["in"] = args["in_path"]
+    if args["out"] is None:
         raise ValidationError("--out is required (or replay with --manifest only)")
-    cfg["out"] = args.out
-    manifest_path = args.manifest or cfg["out"] + ".manifest.json"
+    cfg["out"] = args["out"]
+    manifest_path = args["manifest"] or cfg["out"] + ".manifest.json"
     _check_paths(cfg, manifest_path)
     _attach_atom_constants(cfg)
 
@@ -738,31 +765,67 @@ def _run_command(args) -> int:
     return 0
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or with only the subparser of the
-    command only names.  Its metavar keeps every usage line the same; the
-    full parser has none, so its errors name the argument "command"."""
+def _parse(argv) -> dict | None:
+    """What vars(build_parser().parse_args(argv)) returns, for a well-formed
+    command line: a command, then its mode if it takes one, then exact
+    options, each but a switch followed by a value that does not begin
+    with "-".  Any other argv returns None, for argparse to parse: --help,
+    --version, an abbreviation, --opt=value, a value beginning with "-", a
+    mode after an option, and every usage error."""
+    row = _COMMANDS.get(argv[0]) if argv else None
+    if row is None:
+        return None
+    # option -> (name it parses to, type, choices, switch), in the
+    # subparser's order, which is the order of argparse's values
+    options = {option: (option[2:], kind, None, None)
+               for option, (kind, _, _) in _COMMON_OPTIONS.items()}
+    if row.input_help:
+        options["--in"] = ("in_path", None, None, None)
+    for flag in row.flags:
+        options[flag.option] = (flag.dest, flag.type, flag.choices, flag.switch)
+    args = {"command": argv[0]}
+    rest = list(argv[1:])
+    if row.modes:
+        args["mode"] = rest.pop(0) if rest and rest[0] in _MODES else None
+    args |= dict.fromkeys(dest for dest, *_ in options.values())
+    tokens = iter(rest)
+    for option in tokens:
+        if option not in options:
+            return None
+        dest, kind, choices, switch = options[option]
+        if switch is not None:
+            args[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value is argparse's error to print
+        if value.startswith("-"):
+            return None
+        try:
+            args[dest] = value if kind is None else kind(value)
+        except ValueError:
+            return None
+        if choices and args[dest] not in choices:
+            return None
+    return args
+
+
+def build_parser():
+    """The argparse parser of every command.  main parses with it only the
+    command lines _parse leaves, so it prints the help, the version and
+    every usage error."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="coldspin",
         description="Faraday-rotation probe simulator and analysis tools",
     )
     parser.add_argument("--version", action="version", version=f"coldspin {__version__}")
-    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
-    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    commands = parser.add_subparsers(dest="command", required=True)
     for name, row in _COMMANDS.items():
-        if only not in (None, name):
-            continue
         sub = commands.add_parser(name, help=row.help)
         if row.modes:
-            sub.add_argument("mode", nargs="?", choices=("simulate", "fit"))
-        sub.add_argument("--config", metavar="PATH", help="JSON configuration file")
-        sub.add_argument("--seed", type=int, metavar="INT", help="override the RNG seed")
-        sub.add_argument("--out", metavar="PATH", help="primary output file")
-        sub.add_argument(
-            "--manifest",
-            metavar="PATH",
-            help="manifest path; given alone, replay that manifest and verify digests",
-        )
+            sub.add_argument("mode", nargs="?", choices=_MODES)
+        for option, (kind, metavar, help_text) in _COMMON_OPTIONS.items():
+            sub.add_argument(option, type=kind, metavar=metavar, help=help_text)
         if row.input_help:
             sub.add_argument("--in", dest="in_path", metavar="PATH", help=row.input_help)
         for flag in row.flags:
@@ -777,9 +840,9 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a command's own subparser alone; --help, --version and a mistyped
-    # command get the full parser
-    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = _parse(argv)
+    if args is None:
+        args = vars(build_parser().parse_args(argv))
     try:
         return _run_command(args)
     except ValidationError as exc:

@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from coldspin import cli
@@ -830,6 +830,18 @@ def test_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537])
+def test_digest_is_sha256_across_the_read_block(in_tmp_dir, monkeypatch, size):
+    data = bytes(range(256)) * (size // 256) + bytes(range(size % 256))
+    (in_tmp_dir / "data").write_bytes(data)
+    expected = hashlib.sha256(data).hexdigest()
+    assert cli._sha256("data") == expected
+    # a build without CPython's built-in module digests through hashlib
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert cli._sha256("data") == expected
+
+
 @pytest.fixture(scope="module")
 def fit_inputs(tmp_path_factory):
     directory = tmp_path_factory.mktemp("fit-inputs")
@@ -850,10 +862,17 @@ def fit_inputs(tmp_path_factory):
 # coldspin.frozen's, annotations name collections.abc, and the packaged
 # atom data is read from beside atomic_data's file
 IMPORT_FLOOR = ("typing", "importlib.resources", "dataclasses")
+# stdlib modules a well-formed command line loads none of: it is parsed
+# from cli's table, which leaves argparse (and the gettext and locale it
+# loads) to help, version and usage errors, and outputs are digested with
+# CPython's built-in SHA-256 module, not hashlib and the OpenSSL it loads
+RUN_FLOOR = ("argparse", "gettext", "locale", "hashlib", "_hashlib")
+BUILTIN_SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
 
 # runs cli.main on its arguments, then prints the exit code, the modules of
-# IMPORT_FLOOR it loaded, every numpy module it loaded and the coldspin
-# submodules it loaded (without the package's prefix), as JSON
+# IMPORT_FLOOR it loaded, every numpy module it loaded, the coldspin
+# submodules it loaded (without the package's prefix), and the modules of
+# RUN_FLOOR and BUILTIN_SHA256 it loaded, as JSON
 MAIN_AND_LOADED_MODULES = f"""
 import json, sys
 from coldspin import cli
@@ -863,7 +882,8 @@ except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, [m for m in {IMPORT_FLOOR!r} if m in sys.modules],
                   sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'),
-                  sorted(m[9:] for m in sys.modules if m.startswith('coldspin.'))]))
+                  sorted(m[9:] for m in sys.modules if m.startswith('coldspin.')),
+                  [m for m in {(*RUN_FLOOR, BUILTIN_SHA256)!r} if m in sys.modules]]))
 """
 
 
@@ -885,8 +905,9 @@ def loaded_modules_without_site(cwd, argv):
 
 def run_main_without_site(cwd, argv):
     """As loaded_modules_without_site, with the coldspin submodules reduced
-    to whether coldspin.analysis is among them."""
-    (code, floor, numpy_modules, coldspin_modules), stderr = loaded_modules_without_site(
+    to whether coldspin.analysis is among them, and without the modules of
+    RUN_FLOOR and BUILTIN_SHA256."""
+    (code, floor, numpy_modules, coldspin_modules, _), stderr = loaded_modules_without_site(
         cwd, argv)
     return [code, floor, numpy_modules, "analysis" in coldspin_modules], stderr
 
@@ -947,7 +968,8 @@ def test_simulations_load_no_fit_module(fit_inputs, argv, loads_analysis):
 
 
 # The coldspin submodules each command and its replay load, cli aside: the
-# modules it calls and theirs, none for an annotation or a constant
+# modules it calls and theirs, none for an annotation or a constant.  Each
+# also loads BUILTIN_SHA256 and none of RUN_FLOOR.
 _FIT_MODULES = {"analysis", "atomic_data", "csvio", "ensemble", "errors", "frozen", "jsonio",
                 "summation"}
 _SIMULATE_MODULES = {"atomic_data", "csvio", "ensemble", "errors", "frozen", "jsonio", "rng"}
@@ -983,11 +1005,13 @@ def test_command_loads_only_its_modules(fit_inputs, command):
     argv = COMMAND_ARGV[command]
     replay = [argv[0], "--manifest", f"{argv[-1]}.manifest.json"]
     for run in (argv, replay):
-        (code, floor, numpy_modules, modules), stderr = loaded_modules_without_site(
+        (code, floor, numpy_modules, modules, stdlib), stderr = loaded_modules_without_site(
             fit_inputs, run)
         assert code == 0, stderr
         assert set(modules) == COMMAND_MODULES[command] | {"cli"}, run
         assert floor == [] and numpy_modules == []
+        # the built-in digest module shows that the check sees stdlib modules
+        assert stdlib == [BUILTIN_SHA256], run
 
 
 def test_command_module_sets_stay_small():
@@ -1468,15 +1492,11 @@ def parse_outcome(capsys, parse, argv):
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_one_command_parser_parses_as_the_full_parser(capsys, command):
-    one = cli.build_parser(command)
-    subparsers = next(a for a in one._actions if isinstance(a, argparse._SubParsersAction))
-    assert list(subparsers.choices) == [command]
     inputs = [[command, "--help"], [command, "--bogus"], [command, "--out"]]
     if command == "fit":
         inputs.append(["fit", "--sigma-source", "var"])
     for argv in inputs:
         full = parse_outcome(capsys, cli.build_parser().parse_args, argv)
-        assert parse_outcome(capsys, one.parse_args, argv) == full, argv
         assert parse_outcome(capsys, cli.main, argv) == full, argv
 
 
@@ -1493,6 +1513,69 @@ def test_main_parses_top_level_input_as_the_full_parser(capsys, argv, code, text
     full = parse_outcome(capsys, cli.build_parser().parse_args, argv)
     assert full[0] == code and text in full[1] + full[2]
     assert parse_outcome(capsys, cli.main, argv) == full
+
+
+# every command, mode and option of cli's table, then tokens that argparse
+# reads in ways of its own: an abbreviation, --opt=value, help, the end of
+# options, a negative number, values float or int may take or refuse, and
+# a choice fit refuses
+PARSE_TOKENS = sorted({
+    *cli._COMMANDS, "simulate", "fit", "--config", "--seed", "--out", "--manifest", "--in",
+    *(flag.option for row in cli._COMMANDS.values() for flag in row.flags),
+    "--se", "--seed=3", "-h", "--", "-1", "nan", "inf", "", " 7", "1_000", "var", "stderr",
+})
+PARSE_OPTIONS = [token for token in PARSE_TOKENS if token.startswith("-")]
+
+
+def argparse_outcome(argv):
+    """vars(build_parser().parse_args(argv)), or "exit" where argparse exits."""
+    try:
+        return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return "exit"
+
+
+@settings(max_examples=400, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.one_of(
+    st.lists(st.sampled_from(PARSE_TOKENS), max_size=7),
+    # a command and its mode, then options that each take the next token
+    st.builds(
+        lambda command, mode, pairs: [command, *mode, *sum(pairs, ())],
+        st.sampled_from(list(cli._COMMANDS)),
+        st.lists(st.sampled_from(["simulate", "fit"]), max_size=1),
+        st.lists(st.tuples(st.sampled_from(PARSE_OPTIONS), st.sampled_from(PARSE_TOKENS)),
+                 max_size=4),
+    ),
+))
+@example(argv=["fit", "--sigma-source", "var"])
+@example(argv=["fit", "--sigma-source", "stderr", "--unweighted", "--unweighted"])
+@example(argv=["decay", "--out", "x", "simulate"])
+@example(argv=["tof", "fit", "--in", "", "--seed", " 7", "--seed", "1_000"])
+@example(argv=["scan", "--atoms", "nan", "--seed", "nan"])
+@example(argv=["budget", "--theta", "inf", "--out"])
+def test_table_parse_agrees_with_argparse(argv):
+    table = cli._parse(argv)
+    if table is not None:  # repr, so that a NaN value equals itself
+        assert repr(table) == repr(argparse_outcome(argv)), argv
+
+
+def quick_start_argv():
+    """Each command line of the README's quick start, after `coldspin`."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("coldspin ")]
+
+
+def test_quick_start_and_replays_take_the_table_parse():
+    runs = quick_start_argv()
+    assert len(runs) == 8
+    for argv in runs:
+        assert argv[-2] == "--out"
+        for run in (argv, [argv[0], "--manifest", f"{argv[-1]}.manifest.json"]):
+            table = cli._parse(run)
+            assert table is not None, run
+            assert repr(table) == repr(argparse_outcome(run)), run
 
 
 # (subcommand, flag, value or None for a switch, config key, recorded value);
