@@ -6,11 +6,13 @@ section whose seed --seed sets, whether it takes a simulate|fit mode, and
 each of its flags with the one config key the flag overrides.
 _parse, build_parser and _run_command all read it.  Every run resolves a
 full configuration (packaged defaults, then the --config file, then the
-flags), checks it once (_check_config), executes, and writes a manifest
-recording the command, tool version, seed, the fully resolved config with
-atomic constants inlined, and a SHA-256 digest of every output file.  The
-constants come from one place: the JSON file the config key atom_data
-names, or the packaged 87Rb D2 file when it is null.
+flags), checks it once (_check_config) and, before any work, that the
+files it reads and writes are distinct (_check_paths), executes, and
+writes a manifest recording the command, tool version, seed, the fully
+resolved config with atomic constants inlined, and a SHA-256 digest of
+every output file, taken from the bytes its writer returns, never read
+back.  The constants come from one place: the JSON file the config key
+atom_data names, or the packaged 87Rb D2 file when it is null.
 Re-invoking a command with only `--manifest PATH` replays that run from
 the stored config and verifies the digests, so any (config, seed) pair is
 reproducible byte-for-byte.
@@ -258,7 +260,7 @@ def _attach_atom_constants(cfg: dict) -> None:
 # ------------------------------------------------------------- file I/O
 
 
-def _sha256(path: str) -> str:
+def _sha256(data: bytes) -> str:
     # CPython's own SHA-256, as random takes its _sha512: hashlib loads
     # OpenSSL, ~4 ms of a run.  A build without the module falls back to it.
     try:
@@ -268,16 +270,12 @@ def _sha256(path: str) -> str:
             from _sha256 import sha256
     except ImportError:
         from hashlib import sha256
-    digest = sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(65536), b""):
-            digest.update(block)
-    return digest.hexdigest()
+    return sha256(data).hexdigest()
 
 
-def _write_json(path: str, document: dict) -> None:
+def _write_json(path: str, document: dict) -> bytes:
     # one named function for every CLI JSON write: bench/tracing.py times it
-    write_json(path, document)
+    return write_json(path, document)
 
 
 def _write_manifest(path: str, command: str, cfg: dict, outputs: dict) -> None:
@@ -293,18 +291,19 @@ def _write_manifest(path: str, command: str, cfg: dict, outputs: dict) -> None:
     )
 
 
-def _digest_map(paths) -> dict:
-    return {path: _sha256(path) for path in paths}
-
-
-def _check_paths(cfg: dict, manifest_path: str, outputs=()) -> None:
-    """Reject a run whose input, outputs (cfg["out"] and any others the
-    runner returned) and manifest are not distinct files, so that none
-    overwrites another."""
-    files = [("input", cfg["in"])] if "in" in cfg else []
-    files += [("output", path) for path in sorted({cfg["out"], *outputs})]
+def _check_paths(command: str, cfg: dict, config_path: str | None, manifest_path: str,
+                 recorded) -> None:
+    """Reject a run, before any work, unless every file it touches is a
+    distinct file after resolving symlinks: the --config file, the atom
+    data, the --in file, the outputs (--out, a scan's curve file and those
+    a replayed manifest records) and the manifest."""
+    outputs = {cfg["out"], *recorded}
+    if command == "scan":
+        outputs.add(_scan_curve_path(cfg["out"]))
+    files = [("config", config_path), ("atom data", cfg["atom_data"]), ("input", cfg.get("in")),
+             *[("output", path) for path in sorted(outputs)], ("manifest", manifest_path)]
     named = {}
-    for role, path in [*files, ("manifest", manifest_path)]:
+    for role, path in [file for file in files if file[1]]:  # skip inputs not given
         real = os.path.realpath(path)
         if real in named:
             raise ValidationError(f"the {named[real]} and the {role} {path!r} are one file")
@@ -314,8 +313,9 @@ def _check_paths(cfg: dict, manifest_path: str, outputs=()) -> None:
 # ------------------------------------------------------------- runners
 #
 # Each runner consumes a fully resolved, checked config (atom constants
-# inlined, output paths stored under "out") and returns the digest map of
-# every file it wrote. Replay calls the same runner with the stored config.
+# inlined, output paths stored under "out") and returns the bytes of every
+# file it wrote, keyed by path, for the caller to digest. Replay calls the
+# same runner with the stored config.
 # A runner imports its library names when it runs, from the modules that
 # bench/tracing.py rebinds, so a traced run sees them, and calls each
 # through _keyed with the config keys the call reads.
@@ -428,10 +428,10 @@ def _run_scan(cfg: dict) -> dict:
                          guard_linewidths=cfg["guard_linewidths"])
         curve_rows.append((detuning, 0.5 * column_density * g_tilde))
     out = cfg["out"]
-    write_scan_csv(dataset, out)
     curve_path = _scan_curve_path(out)
-    _keyed(cfg, curve_keys, _write_rows_csv, curve_path, CURVE_CSV_COLUMNS, curve_rows)
-    return _digest_map([out, curve_path])
+    return {out: write_scan_csv(dataset, out),
+            curve_path: _keyed(cfg, curve_keys, _write_rows_csv, curve_path, CURVE_CSV_COLUMNS,
+                               curve_rows)}
 
 
 def _run_fit(cfg: dict) -> dict:
@@ -459,8 +459,7 @@ def _run_fit(cfg: dict) -> dict:
         converged=fit.converged,
     )
     out = cfg["out"]
-    _write_json(out, merged.to_json_dict())
-    return _digest_map([out])
+    return {out: _write_json(out, merged.to_json_dict())}
 
 
 def _run_budget(cfg: dict) -> dict:
@@ -482,8 +481,7 @@ def _run_budget(cfg: dict) -> dict:
             what="n_pulses = photons_total / photons_per_pulse",
         )
     out = cfg["out"]
-    _write_json(out, document)
-    return _digest_map([out])
+    return {out: _write_json(out, document)}
 
 
 def _normals(cfg: dict, section: str, count: int) -> list[float]:
@@ -536,13 +534,11 @@ def _run_decay(cfg: dict) -> dict:
                 rows.append((t, model * (1.0 + noise * normal), noise * model))
             else:
                 rows.append((t, model, 1.0))
-        _keyed(cfg, ("decay",), _write_rows_csv, out, DECAY_CSV_COLUMNS, rows)
-        return _digest_map([out])
+        return {out: _keyed(cfg, ("decay",), _write_rows_csv, out, DECAY_CSV_COLUMNS, rows)}
     samples = _read_rows_csv(cfg["in"], DECAY_CSV_COLUMNS)
     fit = _keyed(cfg, ("decay.sigma_z_m", "decay.sigma_r_m"), _fit_decay, samples,
                  params.v_eff_m3)
-    _write_json(out, fit.to_json_dict())
-    return _digest_map([out])
+    return {out: _write_json(out, fit.to_json_dict())}
 
 
 def _run_tof(cfg: dict) -> dict:
@@ -561,14 +557,12 @@ def _run_tof(cfg: dict) -> dict:
                             section["temperature_k"], t, spec.mass_kg,
                             what=f"the cloud radius at t = {t!r} s")
             rows.append((t, abs(radius + noise * normal) if noise else radius))
-        _keyed(cfg, ("tof",), _write_rows_csv, out, TOF_CSV_COLUMNS, rows)
-        return _digest_map([out])
+        return {out: _keyed(cfg, ("tof",), _write_rows_csv, out, TOF_CSV_COLUMNS, rows)}
     from .analysis import fit_tof_temperature
 
     samples = _read_rows_csv(cfg["in"], TOF_CSV_COLUMNS)
     fit = fit_tof_temperature(samples, spec.mass_kg)
-    _write_json(out, fit.to_json_dict())
-    return _digest_map([out])
+    return {out: _write_json(out, fit.to_json_dict())}
 
 
 def _run_pulse(cfg: dict) -> dict:
@@ -595,8 +589,7 @@ def _run_pulse(cfg: dict) -> dict:
     )
     record = _keyed(cfg, keys, synthesize_waveform, delta, det, section["pulse_duration_s"])
     out = cfg["out"]
-    _keyed(cfg, keys, write_pulse_csv, record, out)
-    return _digest_map([out])
+    return {out: _keyed(cfg, keys, write_pulse_csv, record, out)}
 
 
 # ------------------------------------------------------------- commands
@@ -617,7 +610,7 @@ class _Flag(Frozen):
 
 class _Command(Frozen):
     help: str
-    runner: Callable[[dict], dict]  # runs a resolved config, returns its output digests
+    runner: Callable[[dict], dict]  # runs a resolved config, returns its outputs' bytes
     seeded: str | None  # section whose seed --seed sets; None records seed null
     modes: bool  # takes a simulate|fit mode
     input_help: str | None  # help of --in; None when the command reads no file
@@ -696,11 +689,11 @@ def _replay(command: str, manifest_path: str) -> int:
         if not isinstance(constants, dict):
             raise ValidationError("config key 'atom_constants' must be a JSON object")
         _check_config(cfg, {**_DEFAULT_CONFIG, **added})
-        _check_paths(cfg, manifest_path, document["outputs"])
+        _check_paths(command, cfg, None, manifest_path, document["outputs"])
     except ValidationError as exc:
         raise ValidationError(f"{manifest_path}: {exc}") from exc
     cfg["atom_constants"] = constants
-    outputs = row.runner(cfg)
+    outputs = {path: _sha256(data) for path, data in row.runner(cfg).items()}
     recorded = document["outputs"]
     if outputs != recorded:
         for path in sorted(set(recorded) | set(outputs)):
@@ -753,11 +746,10 @@ def _run_command(args: dict) -> int:
         raise ValidationError("--out is required (or replay with --manifest only)")
     cfg["out"] = args["out"]
     manifest_path = args["manifest"] or cfg["out"] + ".manifest.json"
-    _check_paths(cfg, manifest_path)
+    _check_paths(command, cfg, args["config"], manifest_path, ())
     _attach_atom_constants(cfg)
 
-    outputs = row.runner(cfg)
-    _check_paths(cfg, manifest_path, outputs)  # a scan's curve file shows only now
+    outputs = {path: _sha256(data) for path, data in row.runner(cfg).items()}
     _write_manifest(manifest_path, command, cfg, outputs)
     for path in sorted(outputs):
         print(f"wrote {path}")

@@ -5,10 +5,11 @@ column declares a type: a float field is written with 12 significant
 digits (".11e"), an int field as a plain decimal.  Lines end with "\\n".
 write_table refuses a nan or inf float field before it opens the file,
 with an ArithmeticError (a numeric failure) that names the file, the row
-and the column.  read_table checks the header, skips blank lines, checks
-each row's field count and parses each field by its column's type,
-refusing nan and inf; every error is a ValidationError that names the
-file and the row.  Rows are numbered from the header, row 1.
+and the column, and returns the bytes it wrote, so that a caller digests
+them without reading the file back.  read_table checks the header, skips
+blank lines, checks each row's field count and parses each field by its
+column's type, refusing nan and inf; every error is a ValidationError that
+names the file and the row.  Rows are numbered from the header, row 1.
 """
 
 from __future__ import annotations
@@ -28,20 +29,21 @@ MAX_ARRAY_SIZE = 2**22
 _FORMATS = {float: "{:.11e}", int: "{:d}"}
 
 
-def write_table(path, columns: Mapping[str, type], rows: Iterable) -> None:
+def write_table(path, columns: Mapping[str, type], rows: Iterable) -> bytearray:
     """Write rows under a header of the column names, formatting each field
-    by its column's declared type (float or int).  Every row is formatted
-    and checked before the file is opened, so a non-finite float field
-    leaves no file behind."""
+    by its column's declared type (float or int), and return the bytes
+    written.  Every row is formatted and checked before the file is opened,
+    so a non-finite float field leaves no file behind."""
     line = ",".join(_FORMATS[kind] for kind in columns.values()) + "\n"
-    lines = [",".join(columns) + "\n"]
+    data = bytearray((",".join(columns) + "\n").encode())
     for number, row in enumerate(rows, start=2):
         for (name, kind), value in zip(columns.items(), row):
             if kind is float and not math.isfinite(value):
                 raise ArithmeticError(f"{path} row {number}: {name} is {value!r}, not finite")
-        lines.append(line.format(*row))
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.writelines(lines)
+        data += line.format(*row).encode()
+    with open(path, "wb") as handle:
+        handle.write(data)
+    return data
 
 
 def read_table(path, columns: Mapping[str, type], record: Callable | None = None) -> list:

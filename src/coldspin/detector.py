@@ -196,9 +196,9 @@ def integrate_window(record: PulseRecord, det: DetectorSpec) -> float:
     return math.fsum(window) / det.calibration_factor
 
 
-def write_pulse_csv(record: PulseRecord, path) -> None:
-    """Serialize a trace as a CSV table with columns sample_index, value."""
-    write_table(path, PULSE_CSV_COLUMNS, enumerate(record.samples))
+def write_pulse_csv(record: PulseRecord, path) -> bytearray:
+    """Serialize a trace as a CSV table (sample_index, value); returns its bytes."""
+    return write_table(path, PULSE_CSV_COLUMNS, enumerate(record.samples))
 
 
 def read_pulse_samples(path) -> list[float]:

@@ -6,6 +6,7 @@ documents replace each non-finite float by null and record it under one
 top-level "nonfinite" object, which maps the value's JSON Pointer
 (RFC 6901, e.g. "/sigmas/sigma0_m") to "inf", "-inf" or "nan".
 decode_nonfinite restores the values, so documents round-trip exactly.
+write_json returns the bytes it writes, for the caller to digest.
 """
 
 from __future__ import annotations
@@ -126,8 +127,11 @@ def read_json(path) -> dict:
     return document
 
 
-def write_json(path, document: Mapping) -> None:
-    """Write document as strict, indented, key-sorted JSON."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        json.dump(encode_nonfinite(document), handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
+def write_json(path, document: Mapping) -> bytes:
+    """Write document as strict, indented, key-sorted JSON and return the
+    bytes written; a document that cannot be encoded opens no file."""
+    text = json.dumps(encode_nonfinite(document), indent=2, sort_keys=True, allow_nan=False)
+    data = (text + "\n").encode()
+    with open(path, "wb") as handle:
+        handle.write(data)
+    return data

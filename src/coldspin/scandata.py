@@ -51,10 +51,10 @@ class ScanDataset(Frozen):
             raise ValidationError("a scan dataset needs at least one point")
 
 
-def write_scan_csv(dataset: ScanDataset, path) -> None:
-    """Serialize a scan as a CSV table, one row per point."""
+def write_scan_csv(dataset: ScanDataset, path) -> bytearray:
+    """Serialize a scan as a CSV table, one row per point; returns its bytes."""
     rows = map(operator.attrgetter(*SCAN_CSV_COLUMNS), dataset.points)
-    write_table(path, SCAN_CSV_COLUMNS, rows)
+    return write_table(path, SCAN_CSV_COLUMNS, rows)
 
 
 def read_scan_csv(path) -> ScanDataset:

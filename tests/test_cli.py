@@ -728,12 +728,28 @@ def test_manifest_naming_the_output_exits_2_before_any_work(in_tmp_dir, capsys):
     assert not (in_tmp_dir / "a_curve.csv").exists()
 
 
+def files_in(directory) -> dict:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
 def test_manifest_naming_the_curve_file_is_not_written(in_tmp_dir, capsys):
-    # the curve file is the runner's to name, so this clash shows only
-    # once the scan has run; the manifest must not overwrite the curve
+    # the curve path follows from --out, so this clash exits before any work
     assert run_scan(in_tmp_dir, out="a.csv", extra=["--manifest", "a_curve.csv"]) == 2
-    assert "are one file" in capsys.readouterr().err
-    assert (in_tmp_dir / "a_curve.csv").read_text().startswith("detuning_hz,theta_model_rad")
+    err = capsys.readouterr().err
+    assert "the output 'a_curve.csv' and the manifest 'a_curve.csv' are one file" in err
+    assert not (in_tmp_dir / "a.csv").exists()
+    assert not (in_tmp_dir / "a_curve.csv").exists()
+
+
+def test_curve_file_linked_to_the_output_exits_2_before_any_work(in_tmp_dir, capsys):
+    (in_tmp_dir / "x.csv").write_text("keep\n")
+    (in_tmp_dir / "x_curve.csv").symlink_to(in_tmp_dir / "x.csv")
+    cfg = write_small_scan_config(in_tmp_dir / "cfg.json")
+    before = files_in(in_tmp_dir)
+    assert cli.main(["scan", "--config", cfg, "--out", "x.csv"]) == 2
+    assert "the output 'x.csv' and the output 'x_curve.csv' are one file" in (
+        capsys.readouterr().err)
+    assert files_in(in_tmp_dir) == before
 
 
 @pytest.mark.parametrize("out", ["s.csv", "./s.csv", "link.csv"])
@@ -745,6 +761,27 @@ def test_fit_onto_its_own_input_exits_2(in_tmp_dir, capsys, out):
     assert cli.main(["fit", "--in", "s.csv", "--out", out]) == 2
     assert "are one file" in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in in_tmp_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        ({}, ["scan", "--config", "c.json", "--out", "c.json"],
+         "the config 'c.json' and the output 'c.json' are one file"),
+        ({"atom_data": "a.json"}, ["budget", "--theta", "0.02", "--config", "c.json",
+                                   "--out", "a.json"],
+         "the atom data 'a.json' and the output 'a.json' are one file"),
+    ],
+    ids=["config", "atom-data"],
+)
+def test_run_onto_its_own_config_or_atom_data_exits_2(in_tmp_dir, capsys, config, argv,
+                                                      message):
+    (in_tmp_dir / "c.json").write_text(json.dumps(config))
+    (in_tmp_dir / "a.json").write_text(json.dumps(default_atom_document()))
+    before = files_in(in_tmp_dir)
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert files_in(in_tmp_dir) == before
 
 
 def test_replay_of_a_manifest_naming_itself_as_output_exits_2(in_tmp_dir, capsys):
@@ -831,15 +868,16 @@ def test_import_loads_no_scipy():
 
 
 @pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537])
-def test_digest_is_sha256_across_the_read_block(in_tmp_dir, monkeypatch, size):
+def test_digest_is_sha256_across_the_read_block(monkeypatch, size):
+    # outputs are digested from the bytes their writer returns, a bytearray
+    # for a CSV table, and never read back
     data = bytes(range(256)) * (size // 256) + bytes(range(size % 256))
-    (in_tmp_dir / "data").write_bytes(data)
     expected = hashlib.sha256(data).hexdigest()
-    assert cli._sha256("data") == expected
+    assert cli._sha256(data) == cli._sha256(bytearray(data)) == expected
     # a build without CPython's built-in module digests through hashlib
     monkeypatch.setitem(sys.modules, "_sha2", None)
     monkeypatch.setitem(sys.modules, "_sha256", None)
-    assert cli._sha256("data") == expected
+    assert cli._sha256(data) == cli._sha256(bytearray(data)) == expected
 
 
 @pytest.fixture(scope="module")

@@ -10,10 +10,11 @@ COLUMNS = {"time_s": float, "count": int}
 
 def test_fields_are_formatted_by_declared_type(tmp_path):
     path = tmp_path / "t.csv"
-    write_table(path, COLUMNS, [(1, 2), (0.5, 3)])
+    written = write_table(path, COLUMNS, [(1, 2), (0.5, 3)])
     assert path.read_bytes() == (
         b"time_s,count\n1.00000000000e+00,2\n5.00000000000e-01,3\n"
     )
+    assert written == path.read_bytes()
     with pytest.raises(ValueError):
         write_table(path, COLUMNS, [(0.5, 2.0)])
 

@@ -506,7 +506,7 @@ def test_scan_csv_error_reporting(tmp_path):
         read_scan_csv(bad_header)
 
     short_row = tmp_path / "short.csv"
-    good = write_scan_csv(run_scan(small_config()), short_row) or short_row.read_text()
+    good = write_scan_csv(run_scan(small_config()), short_row).decode()
     short_row.write_text(good.splitlines()[0] + "\n1.0,2.0\n")
     with pytest.raises(ValidationError, match="row 2"):
         read_scan_csv(short_row)

@@ -31,7 +31,8 @@ def test_nonfinite_values_round_trip(tmp_path):
     }
     assert document["up"] == math.inf  # the input is not modified
 
-    write_json(tmp_path / "doc.json", document)
+    written = write_json(tmp_path / "doc.json", document)
+    assert written == (tmp_path / "doc.json").read_bytes()
     raw = (tmp_path / "doc.json").read_text()
     assert raw.endswith("\n")
     assert raw == json.dumps(encoded, indent=2, sort_keys=True, allow_nan=False) + "\n"
