@@ -12,7 +12,7 @@ projection-noise-limited probing, and trap-characterization fits
 
 import importlib
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 # The package loads lazily (PEP 562; Scientific Python SPEC 1): each public
 # name is imported from the submodule that defines it on first access, so
@@ -27,9 +27,7 @@ _EXPORTS = {
     ),
     "detector": (
         "DetectorSpec", "PulseRecord", "TransmissionSpec", "angle_denominator", "angle_variance",
-        "extract_angle",
-        "integrate_window", "read_pulse_samples", "simulate_pulse_detection",
-        "synthesize_waveform", "write_pulse_csv",
+        "extract_angle", "simulate_pulse_detection", "synthesize_waveform", "write_pulse_csv",
     ),
     "ensemble": (
         "TrapPopulationParams", "dipole_trap_depth", "effective_two_body_volume",

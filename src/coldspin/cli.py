@@ -7,7 +7,8 @@ each of its flags with the one config key the flag overrides.
 _parse, build_parser and _run_command all read it.  Every run resolves a
 full configuration (packaged defaults, then the --config file, then the
 flags), checks it once (_check_config) and, before any work, that the
-files it reads and writes are distinct (_check_paths), executes, and
+files it reads and writes are distinct and that those it writes have a
+directory (_check_paths), executes, and
 writes a manifest recording the command, tool version, seed, the fully
 resolved config with atomic constants inlined, and a SHA-256 digest of
 every output file, taken from the bytes its writer returns, never read
@@ -294,9 +295,12 @@ def _write_manifest(path: str, command: str, cfg: dict, outputs: dict) -> None:
 def _check_paths(command: str, cfg: dict, config_path: str | None, manifest_path: str,
                  recorded) -> None:
     """Reject a run, before any work, unless every file it touches is a
-    distinct file after resolving symlinks: the --config file, the atom
-    data, the --in file, the outputs (--out, a scan's curve file and those
-    a replayed manifest records) and the manifest."""
+    distinct file, and every file it writes lies in a directory that
+    exists: the --config file, the atom data, the --in file, the outputs
+    (--out, a scan's curve file and those a replayed manifest records) and
+    the manifest.  A file that exists is known by its device and inode, so
+    a symlink or a hard link to another of them is that file; any other
+    path by its symlinks resolved."""
     outputs = {cfg["out"], *recorded}
     if command == "scan":
         outputs.add(_scan_curve_path(cfg["out"]))
@@ -305,9 +309,16 @@ def _check_paths(command: str, cfg: dict, config_path: str | None, manifest_path
     named = {}
     for role, path in [file for file in files if file[1]]:  # skip inputs not given
         real = os.path.realpath(path)
-        if real in named:
-            raise ValidationError(f"the {named[real]} and the {role} {path!r} are one file")
-        named[real] = f"{role} {path!r}"
+        if role in ("output", "manifest") and not os.path.isdir(os.path.dirname(real)):
+            raise ValidationError(f"the directory of the {role} {path!r} does not exist")
+        try:
+            status = os.stat(path)
+            key = (status.st_dev, status.st_ino)
+        except OSError:
+            key = real
+        if key in named:
+            raise ValidationError(f"the {named[key]} and the {role} {path!r} are one file")
+        named[key] = f"{role} {path!r}"
 
 
 # ------------------------------------------------------------- runners
@@ -360,7 +371,11 @@ def _scan_curve_path(out: str) -> str:
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """np.linspace(start, stop, num).tolist() for num >= 2, bit for bit."""
+    """np.linspace(start, stop, num).tolist() for num >= 2, bit for bit, and
+    [start] for num = 1, as numpy gives for a finite span and a start
+    other than -0.0."""
+    if num == 1:
+        return [start]
     div = num - 1
     delta = stop - start
     step = delta / div
@@ -375,8 +390,6 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 def _scan_detunings(section: dict) -> list[float]:
     if section["detunings_hz"] is not None:
         return section["detunings_hz"]
-    if section["n_detunings"] == 1:
-        return [section["detuning_start_hz"]]
     return _linspace(
         section["detuning_start_hz"], section["detuning_stop_hz"], section["n_detunings"]
     )

@@ -8,7 +8,8 @@ the two polarization paths; extract_angle inverts the same relation.
 
 Waveform synthesis emits the Fig.-style sampled detector trace: a Gaussian
 bump of width filter_sigma whose integration-window sum encodes the pulse
-imbalance.  integrate_window is its exact inverse in the noiseless case.
+imbalance: the samples in [window_start, window_end), summed and divided by
+calibration_factor, give the record's integrated_imbalance to rounding.
 
 The module loads without numpy.  The waveform is computed in plain floats
 with the C library's exp, and its window is summed in np.sum's pairwise
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 
-from .csvio import MAX_ARRAY_SIZE, read_table, write_table
+from .csvio import MAX_ARRAY_SIZE, write_table
 from .errors import ValidationError
 from .frozen import Frozen
 
@@ -149,7 +150,7 @@ def synthesize_waveform(
     The trace is a Gaussian bump of width filter_sigma_s centered on the
     pulse, padded with baseline on both sides; the sum of the samples inside
     the integration window equals delta_count * calibration_factor, so
-    integrate_window recovers delta_count exactly.
+    the window sum over calibration_factor recovers delta_count.
     """
     # imported here, as every command's CLI import loads this module
     from .summation import pairwise_sum
@@ -189,18 +190,6 @@ def synthesize_waveform(
     )
 
 
-def integrate_window(record: PulseRecord, det: DetectorSpec) -> float:
-    """Photon-number imbalance recovered from a trace: window sum divided by
-    the calibration factor."""
-    window = record.samples[record.window_start : record.window_end]
-    return math.fsum(window) / det.calibration_factor
-
-
 def write_pulse_csv(record: PulseRecord, path) -> bytearray:
     """Serialize a trace as a CSV table (sample_index, value); returns its bytes."""
     return write_table(path, PULSE_CSV_COLUMNS, enumerate(record.samples))
-
-
-def read_pulse_samples(path) -> list[float]:
-    """Parse the sample values back from a pulse CSV."""
-    return [value for _, value in read_table(path, PULSE_CSV_COLUMNS)]

@@ -43,17 +43,16 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 
-from .atomic_data import AtomSpec
+from .atomic_data import DEFAULT_GUARD_LINEWIDTHS, AtomSpec
+from .csvio import MAX_ARRAY_SIZE
 from .detector import (
-    MAX_ARRAY_SIZE, DetectorSpec, TransmissionSpec, angle_denominator, extract_angle,
-    simulate_pulse_detection,
+    DetectorSpec, TransmissionSpec, angle_denominator, extract_angle, simulate_pulse_detection,
 )
 from .errors import NearResonanceError, ValidationError
 from .frozen import Frozen
 from .rng import normal_draws, spawned_state
 from .scandata import ScanDataset, ScanPoint
 from .spin_optics import (
-    DEFAULT_GUARD_LINEWIDTHS,
     CollectiveSpinState,
     CouplingParams,
     StokesState,

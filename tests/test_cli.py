@@ -86,6 +86,20 @@ def test_scan_is_deterministic(in_tmp_dir):
     assert a == (in_tmp_dir / "c.csv").read_bytes()
 
 
+def test_one_point_scan_is_the_start_detuning(in_tmp_dir):
+    # n_detunings = 1 scans detuning_start_hz alone, and its model curve
+    # repeats that one point; the digests are those 0.8.0 wrote
+    cfg = write_small_scan_config(in_tmp_dir / "cfg.json", detunings_hz=None, n_detunings=1)
+    assert cli.main(["scan", "--config", cfg, "--out", "scan.csv"]) == 0
+    assert (in_tmp_dir / "scan.csv").read_text().splitlines()[1].startswith("-2.3000")
+    digests = {name: hashlib.sha256((in_tmp_dir / name).read_bytes()).hexdigest()
+               for name in ("scan.csv", "scan_curve.csv")}
+    assert digests == {
+        "scan.csv": "6404becb16e15882cb53c058dcd9026b261ecea2636a9973f6c159684d7bd791",
+        "scan_curve.csv": "ed02d29c431221c86e6265bb35e28e6c05672cfbaaa023465338f52cecc6fcf7",
+    }
+
+
 def test_scan_seed_flag(in_tmp_dir):
     run_scan(in_tmp_dir, out="a.csv", extra=["--seed", "1"])
     run_scan(in_tmp_dir, out="b.csv", extra=["--seed", "2"])
@@ -609,8 +623,9 @@ def test_replay_of_manifest_missing_a_config_key_exits_2(in_tmp_dir, capsys):
         (lambda manifest: manifest.update(outputs=[]), "'outputs'"),
         (lambda manifest: manifest.update(config=5), "'config'"),
         (lambda manifest: manifest["config"].update(out=1), "'out'"),
+        (lambda manifest: manifest["config"].update(atom_constants=[]), "'atom_constants'"),
     ],
-    ids=["config-section", "outputs", "config", "out-path"],
+    ids=["config-section", "outputs", "config", "out-path", "atom-constants"],
 )
 def test_replay_of_malformed_manifest_shape_exits_2(in_tmp_dir, capsys, edit, key):
     run_scan(in_tmp_dir)
@@ -761,6 +776,50 @@ def test_fit_onto_its_own_input_exits_2(in_tmp_dir, capsys, out):
     assert cli.main(["fit", "--in", "s.csv", "--out", out]) == 2
     assert "are one file" in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in in_tmp_dir.iterdir()} == before
+
+
+def test_fit_onto_a_hard_link_to_its_input_exits_2(in_tmp_dir, capsys):
+    # a hard link has its own name and no symlink to resolve: only the
+    # file's device and inode tell that it is the input
+    assert run_scan(in_tmp_dir, out="s.csv") == 0
+    os.link(in_tmp_dir / "s.csv", in_tmp_dir / "h.csv")
+    before = files_in(in_tmp_dir)
+    capsys.readouterr()
+    assert cli.main(["fit", "--in", "s.csv", "--out", "h.csv"]) == 2
+    assert "the input 's.csv' and the output 'h.csv' are one file" in capsys.readouterr().err
+    assert files_in(in_tmp_dir) == before
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--out", "z.csv", "--manifest", "missing/m.json"],
+         "the directory of the manifest 'missing/m.json' does not exist"),
+        (["--out", "missing/s.csv"], "the directory of the output 'missing/s.csv' does not exist"),
+    ],
+    ids=["manifest", "output"],
+)
+def test_run_into_a_missing_directory_exits_2_writing_nothing(in_tmp_dir, capsys, argv,
+                                                              message):
+    cfg = write_small_scan_config(in_tmp_dir / "cfg.json")
+    before = files_in(in_tmp_dir)
+    assert cli.main(["scan", "--config", cfg, *argv]) == 2
+    assert message in capsys.readouterr().err
+    assert files_in(in_tmp_dir) == before
+
+
+def test_replay_recording_an_output_in_a_missing_directory_exits_2(in_tmp_dir, capsys):
+    run_scan(in_tmp_dir)
+    manifest_path = in_tmp_dir / "scan.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["outputs"]["missing/x.csv"] = manifest["outputs"]["scan.csv"]
+    manifest_path.write_text(json.dumps(manifest))
+    before = files_in(in_tmp_dir)
+    capsys.readouterr()
+    assert cli.main(["scan", "--manifest", "scan.csv.manifest.json"]) == 2
+    assert "the directory of the output 'missing/x.csv' does not exist" in (
+        capsys.readouterr().err)
+    assert files_in(in_tmp_dir) == before
 
 
 @pytest.mark.parametrize(
@@ -1643,6 +1702,24 @@ def test_flag_rows_cover_every_command_flag():
     table = {(name, flag.option) for name, row in cli._COMMANDS.items() for flag in row.flags}
     table |= {(name, "--seed") for name in cli._COMMANDS}
     assert table == {(command, flag) for command, flag, *_ in FLAG_ROWS}
+
+
+def test_readme_flag_table_is_the_command_table():
+    # the README's flag -> config key table, with its one row for every
+    # --seed expanded to the commands whose seed it sets
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n| flag | config key |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    rows = set()
+    for line in table.splitlines():
+        flags, key = line.split(" | ")
+        key = re.match(r"`([^`]+)`", key)[1]
+        for command, flag in (usage.split() for usage in re.findall(r"`([^`]+)`", flags)):
+            rows.add((command, flag, key.replace("<command>", command)))
+    expected = {(name, flag.option, flag.key)
+                for name, row in cli._COMMANDS.items() for flag in row.flags}
+    expected |= {(name, "--seed", f"{row.seeded}.seed")
+                 for name, row in cli._COMMANDS.items() if row.seeded}
+    assert rows == expected
 
 
 @pytest.mark.parametrize(

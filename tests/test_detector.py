@@ -11,12 +11,12 @@ from coldspin import (
     ValidationError,
     angle_variance,
     extract_angle,
-    integrate_window,
-    read_pulse_samples,
     simulate_pulse_detection,
     synthesize_waveform,
     write_pulse_csv,
 )
+from coldspin.csvio import read_table
+from coldspin.detector import PULSE_CSV_COLUMNS
 
 DET = DetectorSpec()
 TR = TransmissionSpec()
@@ -86,7 +86,8 @@ def test_transmission_spec_validation():
 def test_waveform_window_sum_recovers_imbalance_exactly():
     delta = 107200.0
     record = synthesize_waveform(delta, DET, 1e-6)
-    assert integrate_window(record, DET) == pytest.approx(delta, rel=1e-12)
+    window = record.samples[record.window_start : record.window_end]
+    assert math.fsum(window) / DET.calibration_factor == pytest.approx(delta, rel=1e-12)
     assert record.integrated_imbalance == delta
     assert record.sample_rate_hz == DET.sample_rate_hz
 
@@ -96,7 +97,7 @@ def test_waveform_calibration_division():
     record = synthesize_waveform(1000.0, det, 1e-6)
     window = record.samples[record.window_start : record.window_end]
     assert math.fsum(window) == pytest.approx(2500.0, rel=1e-12)
-    assert integrate_window(record, det) == pytest.approx(1000.0, rel=1e-12)
+    assert math.fsum(window) / det.calibration_factor == pytest.approx(1000.0, rel=1e-12)
 
 
 def test_waveform_is_linear_in_imbalance():
@@ -122,14 +123,18 @@ def test_waveform_geometry():
 def test_zero_imbalance_waveform_is_flat_zero():
     record = synthesize_waveform(0.0, DET, 1e-6)
     assert all(s == 0.0 for s in record.samples)
-    assert integrate_window(record, DET) == 0.0
+    window = record.samples[record.window_start : record.window_end]
+    assert math.fsum(window) / DET.calibration_factor == 0.0
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
 def test_waveform_round_trip_property(delta):
     record = synthesize_waveform(delta, DET, 1e-6)
-    assert integrate_window(record, DET) == pytest.approx(delta, rel=1e-9, abs=1e-9)
+    window = record.samples[record.window_start : record.window_end]
+    assert math.fsum(window) / DET.calibration_factor == pytest.approx(
+        delta, rel=1e-9, abs=1e-9
+    )
 
 
 def test_pulse_csv_round_trip(tmp_path):
@@ -139,7 +144,7 @@ def test_pulse_csv_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "sample_index,value"
     assert len(lines) == len(record.samples) + 1
-    values = read_pulse_samples(path)
+    values = [value for _, value in read_table(path, PULSE_CSV_COLUMNS)]
     assert values == pytest.approx(record.samples, rel=1e-10)
     # serialized with 12 significant digits
     assert "e" in lines[1].split(",")[1]
@@ -149,25 +154,25 @@ def test_pulse_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,v\n0,1.0\n")
     with pytest.raises(ValidationError, match="header"):
-        read_pulse_samples(path)
+        read_table(path, PULSE_CSV_COLUMNS)
     path.write_text("sample_index,value\n")
     with pytest.raises(ValidationError, match="no data rows"):
-        read_pulse_samples(path)
+        read_table(path, PULSE_CSV_COLUMNS)
     with pytest.raises(ValidationError, match="cannot read"):
-        read_pulse_samples(tmp_path / "absent.csv")
+        read_table(tmp_path / "absent.csv", PULSE_CSV_COLUMNS)
 
 
 def test_pulse_csv_names_malformed_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("sample_index,value\n0,1.0\n1,oops\n")
     with pytest.raises(ValidationError, match="row 3"):
-        read_pulse_samples(path)
+        read_table(path, PULSE_CSV_COLUMNS)
     # rows are numbered by file line, blank lines included
     path.write_text("sample_index,value\n0,1.0\n\n1.5,2.0\n")
     with pytest.raises(ValidationError, match="row 4: sample_index"):
-        read_pulse_samples(path)
+        read_table(path, PULSE_CSV_COLUMNS)
     path.write_text("sample_index,value\n0,1.0\n1,2.0\n\n")
-    assert read_pulse_samples(path) == [1.0, 2.0]
+    assert read_table(path, PULSE_CSV_COLUMNS) == [(0, 1.0), (1, 2.0)]
 
 
 def test_pulse_record_window_bounds_validated():

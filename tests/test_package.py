@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,3 +53,23 @@ def test_import_loads_no_numpy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def readme_public_api() -> set:
+    """(module, name) for each name the README's Public API section lists
+    under a `coldspin.<module>` heading."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    listed, module = set(), None
+    for line in section.splitlines():
+        if line.startswith("#"):
+            heading = re.fullmatch(r"### `coldspin\.(\w+)`", line)
+            module = heading and heading[1]
+        elif module and (item := re.match(r"- `(\w+)`: \S", line)):
+            listed.add((module, item[1]))
+    return listed
+
+
+def test_readme_public_api_lists_every_export_under_its_home():
+    # each name's home is pinned by test_every_export_is_its_defining_module_object
+    assert readme_public_api() == {(coldspin._SOURCE[name], name) for name in coldspin.__all__}
