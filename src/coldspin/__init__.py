@@ -12,7 +12,7 @@ projection-noise-limited probing, and trap-characterization fits
 
 import importlib
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 # The package loads lazily (PEP 562; Scientific Python SPEC 1): each public
 # name is imported from the submodule that defines it on first access, so
@@ -27,7 +27,7 @@ _EXPORTS = {
     ),
     "detector": (
         "DetectorSpec", "PulseRecord", "TransmissionSpec", "angle_denominator", "angle_variance",
-        "extract_angle", "simulate_pulse_detection", "synthesize_waveform", "write_pulse_csv",
+        "extract_angle", "format_pulse_csv", "simulate_pulse_detection", "synthesize_waveform",
     ),
     "ensemble": (
         "TrapPopulationParams", "dipole_trap_depth", "effective_two_body_volume",
@@ -39,7 +39,7 @@ _EXPORTS = {
         "DestructionModel", "ScanConfig", "run_detuning_scan", "run_pulse_train",
         "scattering_probability",
     ),
-    "scandata": ("ScanDataset", "ScanPoint", "read_scan_csv", "write_scan_csv"),
+    "scandata": ("ScanDataset", "ScanPoint", "format_scan_csv", "read_scan_csv"),
     "spin_optics": (
         "CollectiveSpinState", "CouplingParams", "StokesState", "coherent_pulse",
         "coherent_spin_state", "coupling_constant", "decay_mean_z", "detuning_factor",

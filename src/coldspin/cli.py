@@ -7,16 +7,19 @@ each of its flags with the one config key the flag overrides.
 _parse, build_parser and _run_command all read it.  Every run resolves a
 full configuration (packaged defaults, then the --config file, then the
 flags), checks it once (_check_config) and, before any work, that the
-files it reads and writes are distinct and that those it writes have a
-directory (_check_paths), executes, and
-writes a manifest recording the command, tool version, seed, the fully
-resolved config with atomic constants inlined, and a SHA-256 digest of
-every output file, taken from the bytes its writer returns, never read
-back.  The constants come from one place: the JSON file the config key
-atom_data names, or the packaged 87Rb D2 file when it is null.
-Re-invoking a command with only `--manifest PATH` replays that run from
-the stored config and verifies the digests, so any (config, seed) pair is
-reproducible byte-for-byte.
+files it reads and writes are distinct, that no path holds a NUL and that
+each file it writes is no directory and lies in one that exists
+(_check_paths).  Its runner then formats every output to bytes and opens
+no file.  Only then does _write_files, the one place coldspin opens a file
+for writing, write the outputs and, last, a manifest recording the
+command, tool version, seed, the fully resolved config with atomic
+constants inlined, and a SHA-256 digest of each output's bytes, never read
+back.  So a run that fails writes nothing.  The constants come from one
+place: the JSON file the config key atom_data names, or the packaged 87Rb
+D2 file when it is null.  Re-invoking a command with only `--manifest
+PATH` replays that run from the stored config and verifies the digests,
+so any (config, seed) pair is reproducible byte-for-byte; a replay writes
+its outputs only when every digest matches the record.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 numeric failure
 (fit non-convergence, near-resonance guard, replay digest mismatch).
@@ -50,11 +53,11 @@ from collections.abc import Callable
 
 from . import __version__
 from .atomic_data import default_atom_document, load_atom_spec
-# bench/tracing.py times the CSV table I/O under these names
-from .csvio import MAX_ARRAY_SIZE, read_table as _read_rows_csv, write_table as _write_rows_csv
+# bench/tracing.py times CSV reading and CSV and JSON formatting under these names
+from .csvio import MAX_ARRAY_SIZE, format_table as _write_rows_csv, read_table as _read_rows_csv
 from .errors import FitError, NearResonanceError, ValidationError
 from .frozen import Frozen
-from .jsonio import decode_nonfinite, read_json, write_json
+from .jsonio import decode_nonfinite, format_json as _write_json, read_json
 
 _SQRT_8LN2 = 2.0 * math.sqrt(2.0 * math.log(2.0))
 CURVE_SAMPLES = 200
@@ -274,33 +277,25 @@ def _sha256(data: bytes) -> str:
     return sha256(data).hexdigest()
 
 
-def _write_json(path: str, document: dict) -> bytes:
-    # one named function for every CLI JSON write: bench/tracing.py times it
-    return write_json(path, document)
-
-
-def _write_manifest(path: str, command: str, cfg: dict, outputs: dict) -> None:
-    _write_json(
-        path,
-        {
-            "command": command,
-            "version": __version__,
-            "seed": cfg.get("seed"),
-            "config": cfg,
-            "outputs": outputs,
-        },
-    )
+def _write_files(files: dict) -> None:
+    """Write each file's bytes, in order: a run's outputs, then its manifest.
+    The one place coldspin opens a file for writing, called once every
+    output is formatted and digested."""
+    for path, data in files.items():
+        with open(path, "wb") as handle:
+            handle.write(data)
 
 
 def _check_paths(command: str, cfg: dict, config_path: str | None, manifest_path: str,
                  recorded) -> None:
     """Reject a run, before any work, unless every file it touches is a
-    distinct file, and every file it writes lies in a directory that
-    exists: the --config file, the atom data, the --in file, the outputs
-    (--out, a scan's curve file and those a replayed manifest records) and
-    the manifest.  A file that exists is known by its device and inode, so
-    a symlink or a hard link to another of them is that file; any other
-    path by its symlinks resolved."""
+    distinct file whose path holds no NUL character, and every file it
+    writes is no directory and lies in a directory that exists: the
+    --config file, the atom data, the --in file, the outputs (--out, a
+    scan's curve file and those a replayed manifest records) and the
+    manifest.  A file that exists is known by its device and inode, so a
+    symlink or a hard link to another of them is that file; any other path
+    by its symlinks resolved."""
     outputs = {cfg["out"], *recorded}
     if command == "scan":
         outputs.add(_scan_curve_path(cfg["out"]))
@@ -308,9 +303,14 @@ def _check_paths(command: str, cfg: dict, config_path: str | None, manifest_path
              *[("output", path) for path in sorted(outputs)], ("manifest", manifest_path)]
     named = {}
     for role, path in [file for file in files if file[1]]:  # skip inputs not given
+        if "\0" in path:  # the OS refuses such a path with a ValueError
+            raise ValidationError(f"the {role} {path!r} holds a NUL character")
         real = os.path.realpath(path)
-        if role in ("output", "manifest") and not os.path.isdir(os.path.dirname(real)):
-            raise ValidationError(f"the directory of the {role} {path!r} does not exist")
+        if role in ("output", "manifest"):
+            if os.path.isdir(path):
+                raise ValidationError(f"the {role} {path!r} is a directory")
+            if not os.path.isdir(os.path.dirname(real)):
+                raise ValidationError(f"the directory of the {role} {path!r} does not exist")
         try:
             status = os.stat(path)
             key = (status.st_dev, status.st_ino)
@@ -325,8 +325,8 @@ def _check_paths(command: str, cfg: dict, config_path: str | None, manifest_path
 #
 # Each runner consumes a fully resolved, checked config (atom constants
 # inlined, output paths stored under "out") and returns the bytes of every
-# file it wrote, keyed by path, for the caller to digest. Replay calls the
-# same runner with the stored config.
+# output, keyed by path; it writes no file, as the caller digests and
+# writes them. Replay calls the same runner with the stored config.
 # A runner imports its library names when it runs, from the modules that
 # bench/tracing.py rebinds, so a traced run sees them, and calls each
 # through _keyed with the config keys the call reads.
@@ -398,7 +398,7 @@ def _scan_detunings(section: dict) -> list[float]:
 def _run_scan(cfg: dict) -> dict:
     from .detector import DetectorSpec, TransmissionSpec
     from .experiment import DestructionModel, ScanConfig, run_detuning_scan
-    from .scandata import write_scan_csv
+    from .scandata import format_scan_csv
     from .spin_optics import coherent_spin_state, rotation_cross_section
 
     spec = load_atom_spec(cfg["atom_constants"])
@@ -429,8 +429,7 @@ def _run_scan(cfg: dict) -> dict:
         _keyed(cfg, ("destruction",), DestructionModel, **cfg["destruction"]),
         guard_linewidths=cfg["guard_linewidths"],
     )
-    # noiseless forward-model curve for plotting, theta = +/- n_c g~/2,
-    # computed before any file is written, so a failing curve writes none
+    # noiseless forward-model curve for plotting, theta = +/- n_c g~/2
     column_density = ens["n_atoms"] / ens["interaction_area_m2"] * ens["polarization"]
     low = min(scan_cfg.detunings_hz)
     high = max(scan_cfg.detunings_hz)
@@ -442,7 +441,7 @@ def _run_scan(cfg: dict) -> dict:
         curve_rows.append((detuning, 0.5 * column_density * g_tilde))
     out = cfg["out"]
     curve_path = _scan_curve_path(out)
-    return {out: write_scan_csv(dataset, out),
+    return {out: format_scan_csv(dataset, out),
             curve_path: _keyed(cfg, curve_keys, _write_rows_csv, curve_path, CURVE_CSV_COLUMNS,
                                curve_rows)}
 
@@ -472,7 +471,7 @@ def _run_fit(cfg: dict) -> dict:
         converged=fit.converged,
     )
     out = cfg["out"]
-    return {out: _write_json(out, merged.to_json_dict())}
+    return {out: _write_json(merged.to_json_dict())}
 
 
 def _run_budget(cfg: dict) -> dict:
@@ -494,7 +493,7 @@ def _run_budget(cfg: dict) -> dict:
             what="n_pulses = photons_total / photons_per_pulse",
         )
     out = cfg["out"]
-    return {out: _write_json(out, document)}
+    return {out: _write_json(document)}
 
 
 def _normals(cfg: dict, section: str, count: int) -> list[float]:
@@ -551,7 +550,7 @@ def _run_decay(cfg: dict) -> dict:
     samples = _read_rows_csv(cfg["in"], DECAY_CSV_COLUMNS)
     fit = _keyed(cfg, ("decay.sigma_z_m", "decay.sigma_r_m"), _fit_decay, samples,
                  params.v_eff_m3)
-    return {out: _write_json(out, fit.to_json_dict())}
+    return {out: _write_json(fit.to_json_dict())}
 
 
 def _run_tof(cfg: dict) -> dict:
@@ -575,16 +574,16 @@ def _run_tof(cfg: dict) -> dict:
 
     samples = _read_rows_csv(cfg["in"], TOF_CSV_COLUMNS)
     fit = fit_tof_temperature(samples, spec.mass_kg)
-    return {out: _write_json(out, fit.to_json_dict())}
+    return {out: _write_json(fit.to_json_dict())}
 
 
 def _run_pulse(cfg: dict) -> dict:
     from .detector import (
         DetectorSpec,
         TransmissionSpec,
+        format_pulse_csv,
         simulate_pulse_detection,
         synthesize_waveform,
-        write_pulse_csv,
     )
 
     section = cfg["pulse"]
@@ -602,7 +601,7 @@ def _run_pulse(cfg: dict) -> dict:
     )
     record = _keyed(cfg, keys, synthesize_waveform, delta, det, section["pulse_duration_s"])
     out = cfg["out"]
-    return {out: _keyed(cfg, keys, write_pulse_csv, record, out)}
+    return {out: _keyed(cfg, keys, format_pulse_csv, record, out)}
 
 
 # ------------------------------------------------------------- commands
@@ -706,12 +705,13 @@ def _replay(command: str, manifest_path: str) -> int:
     except ValidationError as exc:
         raise ValidationError(f"{manifest_path}: {exc}") from exc
     cfg["atom_constants"] = constants
-    outputs = {path: _sha256(data) for path, data in row.runner(cfg).items()}
+    outputs = row.runner(cfg)
+    digests = {path: _sha256(data) for path, data in outputs.items()}
     recorded = document["outputs"]
-    if outputs != recorded:
-        for path in sorted(set(recorded) | set(outputs)):
+    if digests != recorded:
+        for path in sorted(set(recorded) | set(digests)):
             old = recorded.get(path, "missing")
-            new = outputs.get(path, "missing")
+            new = digests.get(path, "missing")
             marker = "ok" if old == new else "MISMATCH"
             print(f"{marker}: {path}", file=sys.stderr)
         if document["version"] != __version__:
@@ -719,6 +719,7 @@ def _replay(command: str, manifest_path: str) -> int:
                   f"this is coldspin {__version__}", file=sys.stderr)
         print(f"replay of {manifest_path} did not reproduce outputs", file=sys.stderr)
         return 3
+    _write_files(outputs)
     for path in sorted(outputs):
         print(f"reproduced {path}")
     return 0
@@ -762,8 +763,10 @@ def _run_command(args: dict) -> int:
     _check_paths(command, cfg, args["config"], manifest_path, ())
     _attach_atom_constants(cfg)
 
-    outputs = {path: _sha256(data) for path, data in row.runner(cfg).items()}
-    _write_manifest(manifest_path, command, cfg, outputs)
+    outputs = row.runner(cfg)
+    manifest = {"command": command, "version": __version__, "seed": cfg["seed"], "config": cfg,
+                "outputs": {path: _sha256(data) for path, data in outputs.items()}}
+    _write_files({**outputs, manifest_path: _write_json(manifest)})
     for path in sorted(outputs):
         print(f"wrote {path}")
     print(f"wrote {manifest_path}")

@@ -3,13 +3,13 @@
 A table is a header line of column names, then one line per row.  Each
 column declares a type: a float field is written with 12 significant
 digits (".11e"), an int field as a plain decimal.  Lines end with "\\n".
-write_table refuses a nan or inf float field before it opens the file,
-with an ArithmeticError (a numeric failure) that names the file, the row
-and the column, and returns the bytes it wrote, so that a caller digests
-them without reading the file back.  read_table checks the header, skips
-blank lines, checks each row's field count and parses each field by its
-column's type, refusing nan and inf; every error is a ValidationError that
-names the file and the row.  Rows are numbered from the header, row 1.
+format_table returns a table's bytes and opens no file: the CLI digests
+and writes them.  It refuses a nan or inf float field with an
+ArithmeticError (a numeric failure) that names the file, the row and the
+column.  read_table checks the header, skips blank lines, checks each
+row's field count and parses each field by its column's type, refusing
+nan and inf; every error is a ValidationError that names the file and the
+row.  Rows are numbered from the header, row 1.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import ValidationError
 
 # Most elements of any one array a run allocates: a waveform's samples (the
 # default pulse takes 500), the scan detunings, and the decay and expansion
-# times; a scan detuning's runs x (pulses + 1) is held to it as the scan's
+# times; a scan detuning's two draws a run are held to it as the scan's
 # size limit.  A value mistyped by orders of magnitude would otherwise
 # allocate gigabytes.
 MAX_ARRAY_SIZE = 2**22
@@ -29,11 +29,10 @@ MAX_ARRAY_SIZE = 2**22
 _FORMATS = {float: "{:.11e}", int: "{:d}"}
 
 
-def write_table(path, columns: Mapping[str, type], rows: Iterable) -> bytearray:
-    """Write rows under a header of the column names, formatting each field
-    by its column's declared type (float or int), and return the bytes
-    written.  Every row is formatted and checked before the file is opened,
-    so a non-finite float field leaves no file behind."""
+def format_table(path, columns: Mapping[str, type], rows: Iterable) -> bytearray:
+    """The bytes of rows under a header of the column names, each field
+    formatted by its column's declared type (float or int).  path only
+    names the file in the error a non-finite float field raises."""
     line = ",".join(_FORMATS[kind] for kind in columns.values()) + "\n"
     data = bytearray((",".join(columns) + "\n").encode())
     for number, row in enumerate(rows, start=2):
@@ -41,8 +40,6 @@ def write_table(path, columns: Mapping[str, type], rows: Iterable) -> bytearray:
             if kind is float and not math.isfinite(value):
                 raise ArithmeticError(f"{path} row {number}: {name} is {value!r}, not finite")
         data += line.format(*row).encode()
-    with open(path, "wb") as handle:
-        handle.write(data)
     return data
 
 

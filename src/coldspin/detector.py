@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 
-from .csvio import MAX_ARRAY_SIZE, write_table
+from .csvio import MAX_ARRAY_SIZE, format_table
 from .errors import ValidationError
 from .frozen import Frozen
 
@@ -190,6 +190,7 @@ def synthesize_waveform(
     )
 
 
-def write_pulse_csv(record: PulseRecord, path) -> bytearray:
-    """Serialize a trace as a CSV table (sample_index, value); returns its bytes."""
-    return write_table(path, PULSE_CSV_COLUMNS, enumerate(record.samples))
+def format_pulse_csv(record: PulseRecord, path) -> bytearray:
+    """The bytes of a trace's CSV table (sample_index, value); path only
+    names the file in errors."""
+    return format_table(path, PULSE_CSV_COLUMNS, enumerate(record.samples))

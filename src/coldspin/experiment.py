@@ -113,10 +113,9 @@ class ScanConfig(Frozen):
             value = getattr(self, name)
             if not (isinstance(value, int) and value >= 1):
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-        size = self.runs_per_point * (self.pulses_per_sample + 1)
-        if size > MAX_ARRAY_SIZE:
+        if 2 * self.runs_per_point > MAX_ARRAY_SIZE:  # a detuning's draws
             raise ValidationError(
-                f"runs_per_point * (pulses_per_sample + 1) is {size}, more than "
+                f"runs_per_point is {self.runs_per_point}: its 2 draws a run exceed "
                 f"the scan's size limit of {MAX_ARRAY_SIZE}"
             )
         if not (0.0 <= self.atom_number_spread and math.isfinite(self.atom_number_spread)):

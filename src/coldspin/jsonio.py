@@ -6,7 +6,8 @@ documents replace each non-finite float by null and record it under one
 top-level "nonfinite" object, which maps the value's JSON Pointer
 (RFC 6901, e.g. "/sigmas/sigma0_m") to "inf", "-inf" or "nan".
 decode_nonfinite restores the values, so documents round-trip exactly.
-write_json returns the bytes it writes, for the caller to digest.
+format_json returns a document's bytes and opens no file: the CLI
+digests and writes them.
 """
 
 from __future__ import annotations
@@ -127,11 +128,7 @@ def read_json(path) -> dict:
     return document
 
 
-def write_json(path, document: Mapping) -> bytes:
-    """Write document as strict, indented, key-sorted JSON and return the
-    bytes written; a document that cannot be encoded opens no file."""
+def format_json(document: Mapping) -> bytes:
+    """The bytes of document as strict, indented, key-sorted JSON."""
     text = json.dumps(encode_nonfinite(document), indent=2, sort_keys=True, allow_nan=False)
-    data = (text + "\n").encode()
-    with open(path, "wb") as handle:
-        handle.write(data)
-    return data
+    return (text + "\n").encode()

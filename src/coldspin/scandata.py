@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 
-from .csvio import read_table, write_table
+from .csvio import format_table, read_table
 from .errors import ValidationError
 from .frozen import Frozen
 
@@ -51,10 +51,11 @@ class ScanDataset(Frozen):
             raise ValidationError("a scan dataset needs at least one point")
 
 
-def write_scan_csv(dataset: ScanDataset, path) -> bytearray:
-    """Serialize a scan as a CSV table, one row per point; returns its bytes."""
+def format_scan_csv(dataset: ScanDataset, path) -> bytearray:
+    """The bytes of a scan's CSV table, one row per point; path only names
+    the file in errors."""
     rows = map(operator.attrgetter(*SCAN_CSV_COLUMNS), dataset.points)
-    return write_table(path, SCAN_CSV_COLUMNS, rows)
+    return format_table(path, SCAN_CSV_COLUMNS, rows)
 
 
 def read_scan_csv(path) -> ScanDataset:

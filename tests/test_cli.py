@@ -167,6 +167,22 @@ def test_scan_replay_and_tamper(in_tmp_dir, capsys):
     assert "ok: scan_curve.csv" in captured.err
 
 
+def test_replay_mismatch_writes_nothing(in_tmp_dir, capsys):
+    # a replay digests every output before it writes one, so a mismatch
+    # leaves the files on disk as they were, even one edited since the run
+    run_scan(in_tmp_dir)
+    (in_tmp_dir / "scan_curve.csv").write_text("edited\n")
+    manifest_path = in_tmp_dir / "scan.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["outputs"]["scan.csv"] = "0" * 64
+    manifest_path.write_text(json.dumps(manifest))
+    before = files_in(in_tmp_dir)
+    capsys.readouterr()
+    assert cli.main(["scan", "--manifest", "scan.csv.manifest.json"]) == 3
+    assert "MISMATCH: scan.csv" in capsys.readouterr().err
+    assert files_in(in_tmp_dir) == before
+
+
 def test_replay_requires_manifest_version(in_tmp_dir, capsys):
     run_scan(in_tmp_dir)
     manifest_path = in_tmp_dir / "scan.csv.manifest.json"
@@ -624,8 +640,10 @@ def test_replay_of_manifest_missing_a_config_key_exits_2(in_tmp_dir, capsys):
         (lambda manifest: manifest.update(config=5), "'config'"),
         (lambda manifest: manifest["config"].update(out=1), "'out'"),
         (lambda manifest: manifest["config"].update(atom_constants=[]), "'atom_constants'"),
+        (lambda manifest: manifest["config"].update(out="a\0b.csv"),
+         "the output 'a\\x00b.csv' holds a NUL character"),
     ],
-    ids=["config-section", "outputs", "config", "out-path", "atom-constants"],
+    ids=["config-section", "outputs", "config", "out-path", "atom-constants", "nul-out-path"],
 )
 def test_replay_of_malformed_manifest_shape_exits_2(in_tmp_dir, capsys, edit, key):
     run_scan(in_tmp_dir)
@@ -744,7 +762,50 @@ def test_manifest_naming_the_output_exits_2_before_any_work(in_tmp_dir, capsys):
 
 
 def files_in(directory) -> dict:
-    return {path.name: path.read_bytes() for path in directory.iterdir()}
+    """Each file's bytes by name, and a subdirectory's files_in."""
+    return {path.name: files_in(path) if path.is_dir() else path.read_bytes()
+            for path in directory.iterdir()}
+
+
+def test_scan_whose_curve_overflows_exits_3_writing_nothing(in_tmp_dir, capsys):
+    # the scan's angles are finite, but the column density of its model
+    # curve, n_atoms / interaction_area_m2, is not: no output is written
+    (in_tmp_dir / "s.csv").write_text("keep\n")
+    (in_tmp_dir / "cfg.json").write_text(json.dumps(
+        {"ensemble": {"interaction_area_m2": 1e-300, "n_atoms": 1e10},
+         "scan": {"atom_number_spread": 0.0}}))
+    before = files_in(in_tmp_dir)
+    assert cli.main(["scan", "--config", "cfg.json", "--out", "s.csv"]) == 3
+    assert "ensemble.interaction_area_m2" in capsys.readouterr().err
+    assert files_in(in_tmp_dir) == before
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--out", "z.csv", "--manifest", "d"], "the manifest 'd' is a directory"),
+        (["--out", "d"], "the output 'd' is a directory"),
+    ],
+    ids=["manifest", "output"],
+)
+def test_run_onto_a_directory_exits_2_writing_nothing(in_tmp_dir, capsys, argv, message):
+    (in_tmp_dir / "d").mkdir()
+    cfg = write_small_scan_config(in_tmp_dir / "cfg.json")
+    before = files_in(in_tmp_dir)
+    assert cli.main(["scan", "--config", cfg, *argv]) == 2
+    assert message in capsys.readouterr().err
+    assert files_in(in_tmp_dir) == before
+
+
+def test_failing_write_exits_2_naming_its_error(in_tmp_dir, capsys):
+    # an OSError no check before the run foresees: a file name longer
+    # than the file system allows fails the first write
+    cfg = write_small_scan_config(in_tmp_dir / "cfg.json")
+    before = files_in(in_tmp_dir)
+    assert cli.main(["scan", "--config", cfg, "--out", "x" * 300 + ".csv"]) == 2
+    err = capsys.readouterr().err
+    assert "File name too long" in err and "Traceback" not in err
+    assert files_in(in_tmp_dir) == before
 
 
 def test_manifest_naming_the_curve_file_is_not_written(in_tmp_dir, capsys):
@@ -885,9 +946,10 @@ def test_configs_are_shipped():
         ({"threads": True}, "'threads'"),
         ({"scan": {"detunings_hz": ["-1.6e9"]}}, "scan.detunings_hz"),
         ({"atom_data": 5}, "'atom_data'"),
+        ({"atom_data": "a\0b.json"}, "the atom data 'a\\x00b.json' holds a NUL character"),
     ],
     ids=["string-for-number", "null-for-number", "float-for-int", "bool-for-int",
-         "string-detuning", "number-for-path"],
+         "string-detuning", "number-for-path", "nul-in-path"],
 )
 def test_wrongly_typed_config_value_exits_2(in_tmp_dir, capsys, override, key):
     (in_tmp_dir / "bad.json").write_text(json.dumps(override))
@@ -912,6 +974,22 @@ def test_int_for_float_and_null_overrides_pass(in_tmp_dir):
         manifest = json.loads((in_tmp_dir / f"{name}.manifest.json").read_text())
         n_atoms = manifest["config"]["ensemble"]["n_atoms"]
         assert n_atoms == 1e6 and type(n_atoms) is float
+
+
+def test_default_config_repeats_the_library_defaults():
+    # the CLI's defaults are the library's, written out so that a manifest
+    # records them; each section here must equal its class's defaults
+    from coldspin.atomic_data import DEFAULT_GUARD_LINEWIDTHS
+    from coldspin.detector import DetectorSpec, TransmissionSpec
+    from coldspin.experiment import DestructionModel, ScanConfig
+
+    config = cli._DEFAULT_CONFIG
+    assert config["guard_linewidths"] == DEFAULT_GUARD_LINEWIDTHS
+    for section, spec in [("detector", DetectorSpec), ("transmission", TransmissionSpec),
+                          ("destruction", DestructionModel)]:
+        assert config[section] == spec._defaults, section
+    scan = {name: value for name, value in ScanConfig._defaults.items() if name != "seed"}
+    assert {name: config["scan"][name] for name in scan} == scan
 
 
 def test_import_loads_no_scipy():
@@ -1251,12 +1329,9 @@ def test_out_of_range_config_value_names_its_key(in_tmp_dir, capsys, argv, overr
 # its message names the key it holds.
 OVERSIZED_COUNTS = {
     "runs": (["scan"], {"scan": {"runs_per_point": 10**9}}, "runs_per_point"),
-    "pulses": (["scan"], {"scan": {"pulses_per_sample": 2 * 10**9, "runs_per_point": 1}},
-               "pulses_per_sample"),
     "detunings": (["scan"], {"scan": {"n_detunings": 10**10}}, "scan.n_detunings"),
     "decay-times": (["decay", "simulate"], {"decay": {"n_times": 10**10}}, "decay.n_times"),
     "2**70-detunings": (["scan"], {"scan": {"n_detunings": 2**70}}, "scan.n_detunings"),
-    "2**70-pulses": (["scan"], {"scan": {"pulses_per_sample": 2**70}}, "pulses_per_sample"),
     "2**70-runs": (["scan"], {"scan": {"runs_per_point": 2**70}}, "runs_per_point"),
     "2**70-decay-times": (["decay", "simulate"], {"decay": {"n_times": 2**70}},
                           "decay.n_times"),
@@ -1285,6 +1360,11 @@ OVERSIZED_COUNTS = {
         # beyond the probe's optical frequency
         (["scan"], {"scan": {"detuning_start_hz": 2**70}}, 2, None),
         *((argv, override, 2, None) for argv, override, _ in OVERSIZED_COUNTS.values()),
+        # a scan costs the same at any pulse count, so it bounds only its runs:
+        # these once exited 2, the paper's 2000 runs x 4000 pulses among them
+        (["scan"], {"scan": {"pulses_per_sample": 2 * 10**9, "runs_per_point": 1}}, 0, None),
+        (["scan"], {"scan": {"pulses_per_sample": 2**70}}, 0, None),
+        (["scan"], {"scan": {"runs_per_point": 2000, "pulses_per_sample": 4000}}, 0, None),
         # both once wrote NaN rows and exited 0
         (["scan"], {"scan": {"atom_number_spread": 1e308}}, 3, None),
         (["decay", "simulate"], {"decay": {"n0": math.inf}}, 2, None),
@@ -1331,7 +1411,8 @@ OVERSIZED_COUNTS = {
     ],
     ids=["photons-per-pulse", "sigma-r", "sigma-r-underflow", "sigma-r-1e-308",
          "sigma-r-underflow-fit", "sigma0", "t-stop", "atoms-flag",
-         "huge-int-detuning", *OVERSIZED_COUNTS, "atom-spread", "infinite-n0",
+         "huge-int-detuning", *OVERSIZED_COUNTS, "pulses", "2**70-pulses",
+         "2000-runs-4000-pulses", "atom-spread", "infinite-n0",
          "infinite-sigma0", "infinite-pulse-theta", "pulse-imbalance-overflow",
          "subnormal-volume", "beta", "noise-fraction", "temperature",
          "negative-sigma-r", "decay-negative-start", "tof-negative-start",

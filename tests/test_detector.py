@@ -11,9 +11,9 @@ from coldspin import (
     ValidationError,
     angle_variance,
     extract_angle,
+    format_pulse_csv,
     simulate_pulse_detection,
     synthesize_waveform,
-    write_pulse_csv,
 )
 from coldspin.csvio import read_table
 from coldspin.detector import PULSE_CSV_COLUMNS
@@ -140,7 +140,7 @@ def test_waveform_round_trip_property(delta):
 def test_pulse_csv_round_trip(tmp_path):
     record = synthesize_waveform(107200.0, DET, 1e-6)
     path = tmp_path / "pulse.csv"
-    write_pulse_csv(record, path)
+    path.write_bytes(format_pulse_csv(record, path))
     lines = path.read_text().splitlines()
     assert lines[0] == "sample_index,value"
     assert len(lines) == len(record.samples) + 1

@@ -24,11 +24,11 @@ from coldspin import (
     coupling_constant,
     default_atom_spec,
     faraday_angle,
+    format_scan_csv,
     read_scan_csv,
     run_detuning_scan,
     run_pulse_train,
     scattering_probability,
-    write_scan_csv,
 )
 from coldspin import experiment
 from coldspin.rng import normal_draws, seeded_state, spawned_state
@@ -418,10 +418,9 @@ def test_scan_config_validation():
         small_config(atom_number_spread=-0.1)
     with pytest.raises(ValidationError):
         small_config(detunings_hz=())
-    # no array holds a detuning's runs x (pulses + 1) draws any more, but
-    # the bound stays, so that no exit code moves
-    with pytest.raises(ValidationError, match=r"is 6291456, more than the scan's size limit"):
-        small_config(runs_per_point=2**21, pulses_per_sample=2)
+    # a detuning draws two normals a run, whatever its pulse count
+    with pytest.raises(ValidationError, match=r"runs_per_point is 2097153: its 2 draws a run"):
+        small_config(runs_per_point=2**21 + 1)
 
 
 def test_scan_config_sorts_detunings():
@@ -465,7 +464,7 @@ def test_scattering_probability_guard_and_validation():
 def test_scan_csv_round_trip(tmp_path):
     dataset = run_scan(small_config())
     path = tmp_path / "scan.csv"
-    write_scan_csv(dataset, path)
+    path.write_bytes(format_scan_csv(dataset, path))
     loaded = read_scan_csv(path)
     assert len(loaded.points) == len(dataset.points)
     for a, b in zip(loaded.points, dataset.points):
@@ -479,7 +478,7 @@ def test_scan_csv_round_trip(tmp_path):
 def test_scan_csv_format(tmp_path):
     dataset = run_scan(small_config())
     path = tmp_path / "scan.csv"
-    write_scan_csv(dataset, path)
+    path.write_bytes(format_scan_csv(dataset, path))
     raw = path.read_bytes().decode()
     lines = raw.splitlines()
     assert lines[0] == "detuning_hz,theta_mean_rad,theta_stderr_rad,theta_stddev_rad,n_runs,n_pulses"
@@ -495,7 +494,7 @@ def test_scan_csv_error_reporting(tmp_path):
         read_scan_csv(empty)
 
     header_only = tmp_path / "header.csv"
-    write_scan_csv(run_scan(small_config()), header_only)
+    header_only.write_bytes(format_scan_csv(run_scan(small_config()), header_only))
     header_only.write_text(header_only.read_text().splitlines()[0] + "\n")
     with pytest.raises(ValidationError, match="no data rows"):
         read_scan_csv(header_only)
@@ -506,7 +505,7 @@ def test_scan_csv_error_reporting(tmp_path):
         read_scan_csv(bad_header)
 
     short_row = tmp_path / "short.csv"
-    good = write_scan_csv(run_scan(small_config()), short_row).decode()
+    good = format_scan_csv(run_scan(small_config()), short_row).decode()
     short_row.write_text(good.splitlines()[0] + "\n1.0,2.0\n")
     with pytest.raises(ValidationError, match="row 2"):
         read_scan_csv(short_row)

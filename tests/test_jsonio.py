@@ -5,7 +5,7 @@ import pytest
 
 from coldspin.errors import ValidationError
 from coldspin.jsonio import (
-    MAX_DEPTH, decode_nonfinite, encode_nonfinite, read_json, write_json,
+    MAX_DEPTH, decode_nonfinite, encode_nonfinite, format_json, read_json,
 )
 
 
@@ -31,9 +31,7 @@ def test_nonfinite_values_round_trip(tmp_path):
     }
     assert document["up"] == math.inf  # the input is not modified
 
-    written = write_json(tmp_path / "doc.json", document)
-    assert written == (tmp_path / "doc.json").read_bytes()
-    raw = (tmp_path / "doc.json").read_text()
+    raw = format_json(document).decode()
     assert raw.endswith("\n")
     assert raw == json.dumps(encoded, indent=2, sort_keys=True, allow_nan=False) + "\n"
     decoded = decode_nonfinite(json.loads(raw))

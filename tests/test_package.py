@@ -17,7 +17,7 @@ def test_every_export_is_its_defining_module_object():
         assert getattr(importlib.import_module(value.__module__), name) is value, name
     # one home per name: experiment no longer re-exports scandata's names
     experiment = importlib.import_module("coldspin.experiment")
-    for name in ("read_scan_csv", "write_scan_csv"):
+    for name in ("read_scan_csv", "format_scan_csv"):
         assert not hasattr(experiment, name), name
 
 
