@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 
-from .atomic_data import BOLTZMANN_J_PER_K, DEFAULT_GUARD_LINEWIDTHS, AtomSpec
+from .atomic_data import BOLTZMANN_J_PER_K, DEFAULT_GUARD_LINEWIDTHS
 from .ensemble import two_body_gradient, two_body_population
 from .errors import FitError, ValidationError
 from .frozen import Frozen

@@ -36,15 +36,6 @@ SPEED_OF_LIGHT_M_PER_S = 299792458.0
 # detuning is refused (spin_optics.detuning_factor)
 DEFAULT_GUARD_LINEWIDTHS = 10.0
 
-ATOM_KEYS = (
-    "wavelength_m",
-    "linewidth_hz",
-    "hf_splitting_f1_hz",
-    "hf_splitting_f2_hz",
-    "mass_kg",
-)
-TRAP_KEYS = ("wavelength_m", "power_w", "waist_m")
-
 
 def _require_number(value: object, name: str, *, allow_zero: bool = False) -> float:
     """value as a float if it is a finite number > 0 (>= 0 with allow_zero)."""
@@ -78,38 +69,30 @@ def _require_shape(
 class AtomSpec(Frozen):
     """Line data for one F=1 -> F' in {0,1,2} probe transition manifold.
 
-    hyperfine_splittings maps F' to the offset (Hz) of that excited level
-    above F'=0, so entry 0 is always 0.  cross_section_m2 is the summed
-    on-resonance scattering cross section lambda^2/pi, computed once here
-    and reused everywhere.
+    The fields are the keys of the atom-data document: the two hyperfine
+    splittings are the offsets (Hz) of F'=1 and F'=2 above F'=0.  Two
+    attributes are derived once here and reused everywhere:
+    hyperfine_splittings, the offsets (0.0, f1, f2) indexed by F', and
+    cross_section_m2, the summed on-resonance scattering cross section
+    lambda^2/pi.
     """
 
     wavelength_m: float
     linewidth_hz: float
-    hyperfine_splittings: Mapping[int, float]
+    hf_splitting_f1_hz: float
+    hf_splitting_f2_hz: float
     mass_kg: float
 
     def __post_init__(self):
-        for name in ("wavelength_m", "linewidth_hz", "mass_kg"):
+        for name in self._fields:
             object.__setattr__(self, name, _require_number(getattr(self, name), name))
-        splittings = dict(self.hyperfine_splittings)
-        if set(splittings) != {0, 1, 2}:
-            raise ValidationError(
-                "hyperfine_splittings must map exactly F'=0,1,2, got keys "
-                f"{sorted(splittings)}"
-            )
-        if splittings[0] != 0.0:
-            raise ValidationError(
-                f"hyperfine_splittings[0] must be 0, got {splittings[0]!r}"
-            )
-        f1 = _require_number(splittings[1], "hf_splitting_f1_hz")
-        f2 = _require_number(splittings[2], "hf_splitting_f2_hz")
+        f1, f2 = self.hf_splitting_f1_hz, self.hf_splitting_f2_hz
         if not f1 < f2:
             raise ValidationError(
                 "hf_splitting_f1_hz must be smaller than hf_splitting_f2_hz, got "
                 f"{f1!r} >= {f2!r}"
             )
-        object.__setattr__(self, "hyperfine_splittings", {0: 0.0, 1: f1, 2: f2})
+        object.__setattr__(self, "hyperfine_splittings", (0.0, f1, f2))
         object.__setattr__(
             self, "cross_section_m2", self.wavelength_m**2 / math.pi
         )
@@ -123,7 +106,7 @@ class TrapSpec(Frozen):
     waist_m: float
 
     def __post_init__(self):
-        for name in TRAP_KEYS:
+        for name in self._fields:
             # power 0 is legal: a switched-off trap has zero depth
             value = _require_number(
                 getattr(self, name), f"trap.{name}", allow_zero=name == "power_w"
@@ -134,24 +117,15 @@ class TrapSpec(Frozen):
 def load_atom_spec(document: Mapping[str, object]) -> AtomSpec:
     """Build a validated AtomSpec from a parsed JSON document.
 
-    The document must contain exactly ATOM_KEYS, plus an optional nested
-    "trap" section (see default_trap_spec); AtomSpec checks the values, and
-    TrapSpec those of a trap section.
+    The document must hold exactly AtomSpec's fields, plus an optional
+    nested "trap" section of TrapSpec's fields (see default_trap_spec);
+    AtomSpec checks the values, and TrapSpec those of a trap section.
     """
-    _require_shape(document, ATOM_KEYS, "atom data document", extra=("trap",))
+    _require_shape(document, AtomSpec._fields, "atom data document", extra=("trap",))
     if "trap" in document:
-        _require_shape(document["trap"], TRAP_KEYS, "atom data key 'trap'")
+        _require_shape(document["trap"], TrapSpec._fields, "atom data key 'trap'")
         TrapSpec(**document["trap"])
-    return AtomSpec(
-        wavelength_m=document["wavelength_m"],
-        linewidth_hz=document["linewidth_hz"],
-        hyperfine_splittings={
-            0: 0.0,
-            1: document["hf_splitting_f1_hz"],
-            2: document["hf_splitting_f2_hz"],
-        },
-        mass_kg=document["mass_kg"],
-    )
+    return AtomSpec(**{name: document[name] for name in AtomSpec._fields})
 
 
 def default_atom_document() -> dict:

@@ -16,10 +16,12 @@ command, tool version, seed, the fully resolved config with atomic
 constants inlined, and a SHA-256 digest of each output's bytes, never read
 back.  So a run that fails writes nothing.  The constants come from one
 place: the JSON file the config key atom_data names, or the packaged 87Rb
-D2 file when it is null.  Re-invoking a command with only `--manifest
-PATH` replays that run from the stored config and verifies the digests,
-so any (config, seed) pair is reproducible byte-for-byte; a replay writes
-its outputs only when every digest matches the record.
+D2 file when it is null.  Every command, and every replay, checks them
+once, building the AtomSpec its runner takes.  Re-invoking a command with
+only `--manifest PATH` replays that run from the stored config and
+verifies the digests, so any (config, seed) pair is reproducible
+byte-for-byte; a replay writes its outputs only when every digest matches
+the record.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 numeric failure
 (fit non-convergence, near-resonance guard, replay digest mismatch).
@@ -251,14 +253,15 @@ def _resolve_config(config_path: str | None) -> dict:
     return _merge_config(_DEFAULT_CONFIG, {} if config_path is None else read_json(config_path))
 
 
-def _attach_atom_constants(cfg: dict) -> None:
-    """Inline the atomic-constants document into the config: the file the
-    config's atom_data key names, else the packaged one.  Replayed configs
-    already carry the constants."""
+def _attach_atom_constants(cfg: dict) -> AtomSpec:
+    """Inline the atomic-constants document into the config, the file the
+    config's atom_data key names, else the packaged one, and return the
+    AtomSpec it describes.  Replayed configs already carry the constants."""
     if cfg["atom_data"]:
         cfg["atom_constants"] = read_json(cfg["atom_data"])
     else:
         cfg["atom_constants"] = default_atom_document()
+    return _keyed(cfg, ("atom_data",), load_atom_spec, cfg["atom_constants"])
 
 
 # ------------------------------------------------------------- file I/O
@@ -324,9 +327,10 @@ def _check_paths(command: str, cfg: dict, config_path: str | None, manifest_path
 # ------------------------------------------------------------- runners
 #
 # Each runner consumes a fully resolved, checked config (atom constants
-# inlined, output paths stored under "out") and returns the bytes of every
-# output, keyed by path; it writes no file, as the caller digests and
-# writes them. Replay calls the same runner with the stored config.
+# inlined, output paths stored under "out") and the AtomSpec built from
+# those constants, and returns the bytes of every output, keyed by path; it
+# writes no file, as the caller digests and writes them. Replay calls the
+# same runner with the stored config.
 # A runner imports its library names when it runs, from the modules that
 # bench/tracing.py rebinds, so a traced run sees them, and calls each
 # through _keyed with the config keys the call reads.
@@ -395,13 +399,12 @@ def _scan_detunings(section: dict) -> list[float]:
     )
 
 
-def _run_scan(cfg: dict) -> dict:
+def _run_scan(cfg: dict, spec: AtomSpec) -> dict:
     from .detector import DetectorSpec, TransmissionSpec
     from .experiment import DestructionModel, ScanConfig, run_detuning_scan
     from .scandata import format_scan_csv
     from .spin_optics import coherent_spin_state, rotation_cross_section
 
-    spec = load_atom_spec(cfg["atom_constants"])
     ens = cfg["ensemble"]
     section = cfg["scan"]
     scan_cfg = _keyed(
@@ -446,11 +449,10 @@ def _run_scan(cfg: dict) -> dict:
                                curve_rows)}
 
 
-def _run_fit(cfg: dict) -> dict:
+def _run_fit(cfg: dict, spec: AtomSpec) -> dict:
     from .analysis import FitResult, compute_od, fit_column_density
     from .scandata import read_scan_csv
 
-    spec = load_atom_spec(cfg["atom_constants"])
     dataset = read_scan_csv(cfg["in"])
     section = cfg["fit"]
     fit = _keyed(
@@ -474,7 +476,7 @@ def _run_fit(cfg: dict) -> dict:
     return {out: _write_json(merged.to_json_dict())}
 
 
-def _run_budget(cfg: dict) -> dict:
+def _run_budget(cfg: dict, spec: AtomSpec) -> dict:
     from .analysis import photon_budget
 
     section = cfg["budget"]
@@ -520,7 +522,7 @@ def _fit_decay(samples: list, v_eff_m3: float):
     return fit
 
 
-def _run_decay(cfg: dict) -> dict:
+def _run_decay(cfg: dict, spec: AtomSpec) -> dict:
     from .ensemble import TrapPopulationParams, evolve_trap_population
 
     section = cfg["decay"]
@@ -553,10 +555,9 @@ def _run_decay(cfg: dict) -> dict:
     return {out: _write_json(fit.to_json_dict())}
 
 
-def _run_tof(cfg: dict) -> dict:
+def _run_tof(cfg: dict, spec: AtomSpec) -> dict:
     from .ensemble import tof_radius
 
-    spec = load_atom_spec(cfg["atom_constants"])
     section = cfg["tof"]
     out = cfg["out"]
     if cfg["mode"] == "simulate":
@@ -577,7 +578,7 @@ def _run_tof(cfg: dict) -> dict:
     return {out: _write_json(fit.to_json_dict())}
 
 
-def _run_pulse(cfg: dict) -> dict:
+def _run_pulse(cfg: dict, spec: AtomSpec) -> dict:
     from .detector import (
         DetectorSpec,
         TransmissionSpec,
@@ -622,7 +623,7 @@ class _Flag(Frozen):
 
 class _Command(Frozen):
     help: str
-    runner: Callable[[dict], dict]  # runs a resolved config, returns its outputs' bytes
+    runner: Callable[[dict, AtomSpec], dict]  # runs a resolved config, returns its outputs' bytes
     seeded: str | None  # section whose seed --seed sets; None records seed null
     modes: bool  # takes a simulate|fit mode
     input_help: str | None  # help of --in; None when the command reads no file
@@ -702,10 +703,11 @@ def _replay(command: str, manifest_path: str) -> int:
             raise ValidationError("config key 'atom_constants' must be a JSON object")
         _check_config(cfg, {**_DEFAULT_CONFIG, **added})
         _check_paths(command, cfg, None, manifest_path, document["outputs"])
+        cfg["atom_constants"] = constants
+        spec = _keyed(cfg, ("atom_constants",), load_atom_spec, constants)
     except ValidationError as exc:
         raise ValidationError(f"{manifest_path}: {exc}") from exc
-    cfg["atom_constants"] = constants
-    outputs = row.runner(cfg)
+    outputs = row.runner(cfg, spec)
     digests = {path: _sha256(data) for path, data in outputs.items()}
     recorded = document["outputs"]
     if digests != recorded:
@@ -761,9 +763,9 @@ def _run_command(args: dict) -> int:
     cfg["out"] = args["out"]
     manifest_path = args["manifest"] or cfg["out"] + ".manifest.json"
     _check_paths(command, cfg, args["config"], manifest_path, ())
-    _attach_atom_constants(cfg)
+    spec = _attach_atom_constants(cfg)
 
-    outputs = row.runner(cfg)
+    outputs = row.runner(cfg, spec)
     manifest = {"command": command, "version": __version__, "seed": cfg["seed"], "config": cfg,
                 "outputs": {path: _sha256(data) for path, data in outputs.items()}}
     _write_files({**outputs, manifest_path: _write_json(manifest)})

@@ -25,6 +25,7 @@ from bisect import bisect_left, bisect_right
 from .csvio import MAX_ARRAY_SIZE, format_table
 from .errors import ValidationError
 from .frozen import Frozen
+from .summation import pairwise_sum
 
 PULSE_CSV_COLUMNS = {"sample_index": int, "value": float}
 
@@ -152,9 +153,6 @@ def synthesize_waveform(
     the integration window equals delta_count * calibration_factor, so
     the window sum over calibration_factor recovers delta_count.
     """
-    # imported here, as every command's CLI import loads this module
-    from .summation import pairwise_sum
-
     if not pulse_duration_s > 0:
         raise ValidationError(
             f"pulse_duration_s must be positive, got {pulse_duration_s!r}"

@@ -17,8 +17,6 @@ from .atomic_data import (
     DEFAULT_GUARD_LINEWIDTHS,
     PLANCK_J_S,
     SPEED_OF_LIGHT_M_PER_S,
-    AtomSpec,
-    TrapSpec,
 )
 from .errors import NearResonanceError, ValidationError
 from .frozen import Frozen

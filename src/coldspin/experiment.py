@@ -43,19 +43,14 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 
-from .atomic_data import DEFAULT_GUARD_LINEWIDTHS, AtomSpec
+from .atomic_data import DEFAULT_GUARD_LINEWIDTHS
 from .csvio import MAX_ARRAY_SIZE
-from .detector import (
-    DetectorSpec, TransmissionSpec, angle_denominator, extract_angle, simulate_pulse_detection,
-)
+from .detector import angle_denominator, extract_angle, simulate_pulse_detection
 from .errors import NearResonanceError, ValidationError
 from .frozen import Frozen
 from .rng import normal_draws, spawned_state
 from .scandata import ScanDataset, ScanPoint
 from .spin_optics import (
-    CollectiveSpinState,
-    CouplingParams,
-    StokesState,
     coupling_constant,
     decay_mean_z,
     detuning_factor,

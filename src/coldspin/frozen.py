@@ -16,8 +16,9 @@ class Frozen:
     attribute gives a field's default.  Fields are passed positionally or by
     keyword; __post_init__ runs once they are bound and may still set
     attributes through object.__setattr__.  == compares the class and the
-    field values, hash hashes the field values, and assigning or deleting
-    an attribute raises AttributeError.
+    field values, hash hashes the field values, so a record with a dict
+    field (FitResult) cannot be hashed, and assigning or deleting an
+    attribute raises AttributeError.
     """
 
     _fields: tuple = ()

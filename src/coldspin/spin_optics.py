@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .atomic_data import DEFAULT_GUARD_LINEWIDTHS, SPEED_OF_LIGHT_M_PER_S, AtomSpec
+from .atomic_data import DEFAULT_GUARD_LINEWIDTHS, SPEED_OF_LIGHT_M_PER_S
 from .errors import NearResonanceError, ValidationError
 from .frozen import Frozen
 

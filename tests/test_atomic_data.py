@@ -19,9 +19,12 @@ def test_default_spec_loads_and_derives_cross_section():
     spec = default_atom_spec()
     assert spec.wavelength_m == pytest.approx(780.241209686e-9, rel=1e-12)
     assert spec.cross_section_m2 == spec.wavelength_m**2 / math.pi
-    assert set(spec.hyperfine_splittings) == {0, 1, 2}
-    assert spec.hyperfine_splittings[0] == 0.0
-    assert 0 < spec.hyperfine_splittings[1] < spec.hyperfine_splittings[2]
+    # the fields are the document's keys; the splittings are indexed by F'
+    assert AtomSpec._fields == tuple(key for key in default_atom_document() if key != "trap")
+    assert spec.hyperfine_splittings == (0.0, spec.hf_splitting_f1_hz, spec.hf_splitting_f2_hz)
+    assert 0 < spec.hf_splitting_f1_hz < spec.hf_splitting_f2_hz
+    # every field is a float, so two separate loads hash alike
+    assert hash(spec) == hash(default_atom_spec())
 
 
 def test_resonant_cross_section_matches_stored_value():
@@ -100,20 +103,13 @@ def test_every_trap_number_rejected_by_name(key, bad):
 
 
 def test_atom_spec_requires_exact_fprime_keys():
-    with pytest.raises(ValidationError):
-        AtomSpec(
-            wavelength_m=780e-9,
-            linewidth_hz=6e6,
-            hyperfine_splittings={0: 0.0, 1: 7.2e7},
-            mass_kg=1.4e-25,
-        )
-    with pytest.raises(ValidationError):
-        AtomSpec(
-            wavelength_m=780e-9,
-            linewidth_hz=6e6,
-            hyperfine_splittings={0: 1.0, 1: 7.2e7, 2: 2.3e8},
-            mass_kg=1.4e-25,
-        )
+    line = {"wavelength_m": 780e-9, "linewidth_hz": 6e6, "mass_kg": 1.4e-25}
+    with pytest.raises(TypeError, match="hf_splitting_f2_hz"):
+        AtomSpec(**line, hf_splitting_f1_hz=7.2e7)
+    with pytest.raises(TypeError, match="hyperfine_splittings"):
+        AtomSpec(**line, hyperfine_splittings={0: 0.0, 1: 7.2e7, 2: 2.3e8})
+    with pytest.raises(ValidationError, match="must be smaller than hf_splitting_f2_hz"):
+        AtomSpec(**line, hf_splitting_f1_hz=2.3e8, hf_splitting_f2_hz=2.3e8)
 
 
 def test_trap_power_zero_is_legal_but_negative_is_not():

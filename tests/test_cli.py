@@ -520,6 +520,47 @@ def test_bad_atom_data_exits_2(in_tmp_dir, capsys):
     assert "hf_splitting_f1_hz" in capsys.readouterr().err
 
 
+# a command line of each command that runs on the default config; fit
+# reads the default scan
+ATOM_DATA_ARGV = {
+    "scan": ["scan"],
+    "fit": ["fit", "--in", "scan.csv"],
+    "budget": ["budget", "--theta", "0.03"],
+    "decay": ["decay", "simulate"],
+    "tof": ["tof", "simulate"],
+    "pulse": ["pulse"],
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_invalid_atom_data_exits_2_for_every_command(fit_inputs, in_tmp_dir, capsys, command):
+    # every command checks the atom data, used or not, before it writes a file
+    argv = [str(fit_inputs / arg) if arg.endswith(".csv") else arg
+            for arg in ATOM_DATA_ARGV[command]]
+    (in_tmp_dir / "atom.json").write_text('{"bogus": 1}')
+    (in_tmp_dir / "cfg.json").write_text('{"atom_data": "atom.json"}')
+    assert cli.main([*argv, "--config", "cfg.json", "--out", "out.dat"]) == 2
+    err = capsys.readouterr().err
+    assert ("error: atom data document is missing key 'wavelength_m' "
+            "at atom_data = 'atom.json'\n") == err
+    assert sorted(path.name for path in in_tmp_dir.iterdir()) == ["atom.json", "cfg.json"]
+
+    # a replay checks the constants its manifest inlines likewise
+    assert cli.main([*argv, "--out", "out.dat"]) == 0
+    manifest = json.loads((in_tmp_dir / "out.dat.manifest.json").read_text())
+    manifest["config"]["atom_constants"] = {"bogus": 1}
+    (in_tmp_dir / "edited.json").write_text(json.dumps(manifest))
+    for output in manifest["outputs"]:
+        (in_tmp_dir / output).unlink()
+    before = {path.name: path.read_bytes() for path in in_tmp_dir.iterdir()}
+    capsys.readouterr()
+    assert cli.main([command, "--manifest", "edited.json"]) == 2
+    err = capsys.readouterr().err
+    assert ("error: edited.json: atom data document is missing key 'wavelength_m' "
+            "at atom_constants.bogus = 1\n") == err
+    assert {path.name: path.read_bytes() for path in in_tmp_dir.iterdir()} == before
+
+
 @pytest.mark.parametrize("via", ["config", "replay"])
 @pytest.mark.parametrize(
     "trap, key",

@@ -18,9 +18,9 @@ POINT = {"detuning_hz": -1.6e9, "theta_mean_rad": 0.01, "theta_stderr_rad": 1e-3
 # __post_init__ leaves them (converted, sorted, copied or derived)
 VALUE_CLASSES = [
     (AtomSpec,
-     {"wavelength_m": 780e-9, "linewidth_hz": 6e6,
-      "hyperfine_splittings": {0: 0, 1: 72_000_000, 2: 229_000_000}, "mass_kg": 1.4e-25},
-     {"hyperfine_splittings": {0: 0.0, 1: 7.2e7, 2: 2.29e8},
+     {"wavelength_m": 780e-9, "linewidth_hz": 6e6, "hf_splitting_f1_hz": 72_000_000,
+      "hf_splitting_f2_hz": 229_000_000, "mass_kg": 1.4e-25},
+     {"hf_splitting_f1_hz": 7.2e7, "hyperfine_splittings": (0.0, 7.2e7, 2.29e8),
       "cross_section_m2": 780e-9**2 / math.pi}),
     (TrapSpec, {"wavelength_m": 1.03e-6, "power_w": 7, "waist_m": 5e-5}, {"power_w": 7.0}),
     (DetectorSpec,

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import os
@@ -73,3 +74,34 @@ def readme_public_api() -> set:
 def test_readme_public_api_lists_every_export_under_its_home():
     # each name's home is pinned by test_every_export_is_its_defining_module_object
     assert readme_public_api() == {(coldspin._SOURCE[name], name) for name in coldspin.__all__}
+
+
+def _runtime_names(tree) -> set:
+    """The names a module's code reads, outside every annotation."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        for field, value in ast.iter_fields(node):
+            if field in ("annotation", "returns"):
+                continue
+            children = value if isinstance(value, list) else [value]
+            stack += [child for child in children if isinstance(child, ast.AST)]
+    return names
+
+
+def test_no_module_imports_a_coldspin_name_for_an_annotation():
+    # a name used only in annotations is not imported (README, Subcommands):
+    # under postponed evaluation the annotation is never evaluated
+    package = Path(coldspin.__file__).parent
+    annotation_only = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _runtime_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                annotation_only += [f"{path.stem}: {alias.asname or alias.name}"
+                                    for alias in node.names
+                                    if (alias.asname or alias.name) not in used]
+    assert annotation_only == []
