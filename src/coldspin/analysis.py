@@ -15,7 +15,6 @@ inverse.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
 
 from .atomic_data import BOLTZMANN_J_PER_K, DEFAULT_GUARD_LINEWIDTHS
 from .ensemble import two_body_gradient, two_body_population

@@ -51,7 +51,6 @@ import math
 import operator
 import os
 import sys
-from collections.abc import Callable
 
 from . import __version__
 from .atomic_data import default_atom_document, load_atom_spec
@@ -369,6 +368,13 @@ def _keyed(cfg: dict, keys: tuple, function, *args, what: str | None = None, **k
     return result
 
 
+def _record(cfg: dict, section: str, record: type, what: str | None = None, **computed):
+    """record built from the keys of the config section that are its
+    fields, and the computed ones, through _keyed naming the section."""
+    fields = {key: value for key, value in cfg[section].items() if key in record._fields}
+    return _keyed(cfg, (section,), record, **{**fields, **computed}, what=what)
+
+
 def _scan_curve_path(out: str) -> str:
     stem, extension = os.path.splitext(out)
     return f"{stem}_curve{extension or '.csv'}"
@@ -391,14 +397,6 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return points
 
 
-def _scan_detunings(section: dict) -> list[float]:
-    if section["detunings_hz"] is not None:
-        return section["detunings_hz"]
-    return _linspace(
-        section["detuning_start_hz"], section["detuning_stop_hz"], section["n_detunings"]
-    )
-
-
 def _run_scan(cfg: dict, spec: AtomSpec) -> dict:
     from .detector import DetectorSpec, TransmissionSpec
     from .experiment import DestructionModel, ScanConfig, run_detuning_scan
@@ -407,15 +405,12 @@ def _run_scan(cfg: dict, spec: AtomSpec) -> dict:
 
     ens = cfg["ensemble"]
     section = cfg["scan"]
-    scan_cfg = _keyed(
-        cfg, ("scan",), ScanConfig,
-        detunings_hz=tuple(_scan_detunings(section)),
-        photons_per_pulse=section["photons_per_pulse"],
-        pulses_per_sample=section["pulses_per_sample"],
-        runs_per_point=section["runs_per_point"],
-        atom_number_spread=section["atom_number_spread"],
-        seed=section["seed"],
-    )
+    detunings = section["detunings_hz"]
+    if detunings is None:
+        detunings = _linspace(
+            section["detuning_start_hz"], section["detuning_stop_hz"], section["n_detunings"]
+        )
+    scan_cfg = _record(cfg, "scan", ScanConfig, detunings_hz=tuple(detunings))
     axis = "z" if ens["polarization"] == 1 else "-z"
     atoms = _keyed(cfg, ("ensemble.n_atoms",), coherent_spin_state, ens["n_atoms"], axis,
                    what="the spin state's norm")
@@ -427,53 +422,40 @@ def _run_scan(cfg: dict, spec: AtomSpec) -> dict:
         atoms,
         spec,
         ens["interaction_area_m2"],
-        _keyed(cfg, ("detector",), DetectorSpec, **cfg["detector"]),
-        _keyed(cfg, ("transmission",), TransmissionSpec, **cfg["transmission"]),
-        _keyed(cfg, ("destruction",), DestructionModel, **cfg["destruction"]),
+        _record(cfg, "detector", DetectorSpec),
+        _record(cfg, "transmission", TransmissionSpec),
+        _record(cfg, "destruction", DestructionModel),
         guard_linewidths=cfg["guard_linewidths"],
     )
-    # noiseless forward-model curve for plotting, theta = +/- n_c g~/2
-    column_density = ens["n_atoms"] / ens["interaction_area_m2"] * ens["polarization"]
-    low = min(scan_cfg.detunings_hz)
-    high = max(scan_cfg.detunings_hz)
-    curve_keys = ("scan", "ensemble", "guard_linewidths")
-    curve_rows = []
-    for detuning in _linspace(low, high, CURVE_SAMPLES):
-        g_tilde = _keyed(cfg, curve_keys, rotation_cross_section, detuning, spec,
-                         guard_linewidths=cfg["guard_linewidths"])
-        curve_rows.append((detuning, 0.5 * column_density * g_tilde))
     out = cfg["out"]
     curve_path = _scan_curve_path(out)
+
+    def curve() -> bytearray:
+        # noiseless forward-model curve for plotting, theta = +/- n_c g~/2,
+        # every row computed before any is formatted
+        column_density = ens["n_atoms"] / ens["interaction_area_m2"] * ens["polarization"]
+        detunings = _linspace(min(scan_cfg.detunings_hz), max(scan_cfg.detunings_hz),
+                              CURVE_SAMPLES)
+        rows = [(detuning, 0.5 * column_density * rotation_cross_section(
+                    detuning, spec, guard_linewidths=cfg["guard_linewidths"]))
+                for detuning in detunings]
+        return _write_rows_csv(curve_path, CURVE_CSV_COLUMNS, rows)
+
     return {out: format_scan_csv(dataset, out),
-            curve_path: _keyed(cfg, curve_keys, _write_rows_csv, curve_path, CURVE_CSV_COLUMNS,
-                               curve_rows)}
+            curve_path: _keyed(cfg, ("scan", "ensemble", "guard_linewidths"), curve)}
 
 
 def _run_fit(cfg: dict, spec: AtomSpec) -> dict:
-    from .analysis import FitResult, compute_od, fit_column_density
+    from .analysis import compute_od, fit_column_density
     from .scandata import read_scan_csv
 
     dataset = read_scan_csv(cfg["in"])
-    section = cfg["fit"]
-    fit = _keyed(
-        cfg, ("fit", "guard_linewidths"),
-        fit_column_density,
-        dataset,
-        spec,
-        weighted=section["weighted"],
-        sigma_source=section["sigma_source"],
-        guard_linewidths=cfg["guard_linewidths"],
-    )
-    od, od_sigma = compute_od(fit, spec)
-    merged = FitResult(
-        params={**fit.params, "od": od},
-        sigmas={**fit.sigmas, "od": od_sigma},
-        chi2=fit.chi2,
-        dof=fit.dof,
-        converged=fit.converged,
-    )
+    fit = _keyed(cfg, ("fit", "guard_linewidths"), fit_column_density, dataset, spec,
+                 **cfg["fit"], guard_linewidths=cfg["guard_linewidths"])
+    document = fit.to_json_dict()
+    document["params"]["od"], document["sigmas"]["od"] = compute_od(fit, spec)
     out = cfg["out"]
-    return {out: _write_json(merged.to_json_dict())}
+    return {out: _write_json(document)}
 
 
 def _run_budget(cfg: dict, spec: AtomSpec) -> dict:
@@ -526,15 +508,7 @@ def _run_decay(cfg: dict, spec: AtomSpec) -> dict:
     from .ensemble import TrapPopulationParams, evolve_trap_population
 
     section = cfg["decay"]
-    params = _keyed(
-        cfg, ("decay",), TrapPopulationParams,
-        n0=section["n0"],
-        tau_s=section["tau_s"],
-        beta_m3_per_s=section["beta_m3_per_s"],
-        sigma_z_m=section["sigma_z_m"],
-        sigma_r_m=section["sigma_r_m"],
-        what="the two-body volume",
-    )
+    params = _record(cfg, "decay", TrapPopulationParams, what="the two-body volume")
     out = cfg["out"]
     if cfg["mode"] == "simulate":
         noise = section["noise_fraction"]
@@ -589,14 +563,14 @@ def _run_pulse(cfg: dict, spec: AtomSpec) -> dict:
 
     section = cfg["pulse"]
     keys = ("pulse", "detector", "transmission")
-    det = _keyed(cfg, ("detector",), DetectorSpec, **cfg["detector"])
+    det = _record(cfg, "detector", DetectorSpec)
     delta = _keyed(
         cfg, keys,
         simulate_pulse_detection,
         section["theta_rad"],
         section["n_photons"],
         det,
-        _keyed(cfg, ("transmission",), TransmissionSpec, **cfg["transmission"]),
+        _record(cfg, "transmission", TransmissionSpec),
         _normals(cfg, "pulse", 1)[0] if section["noisy"] else None,
         what="the imbalance",
     )

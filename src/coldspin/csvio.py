@@ -15,7 +15,6 @@ row.  Rows are numbered from the header, row 1.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Mapping
 
 from .errors import ValidationError
 

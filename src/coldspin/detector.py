@@ -117,12 +117,13 @@ def simulate_pulse_detection(
 
 def angle_denominator(n_photons: float, tr: TransmissionSpec) -> float:
     """N_L t_h t_v, the imbalance per radian of rotation, which
-    extract_angle divides by."""
+    extract_angle divides by; a product that underflows to 0 raises
+    ArithmeticError."""
     if not n_photons > 0:
         raise ValidationError(f"n_photons must be positive, got {n_photons!r}")
     denominator = n_photons * tr.t_h * tr.t_v
-    if denominator == 0.0:
-        raise ValidationError("t_h * t_v must be nonzero")
+    if denominator == 0.0:  # t_h and t_v are positive: the product underflowed
+        raise ArithmeticError("n_photons * t_h * t_v underflows to 0")
     return denominator
 
 

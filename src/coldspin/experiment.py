@@ -41,7 +41,6 @@ dataset and its CSV table are scandata's.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
 
 from .atomic_data import DEFAULT_GUARD_LINEWIDTHS
 from .csvio import MAX_ARRAY_SIZE
@@ -57,6 +56,7 @@ from .spin_optics import (
     faraday_angle,
 )
 from .summation import pairwise_sum
+
 
 class DestructionModel(Frozen):
     """Deterministic per-pulse decay of the mean pumped spin.

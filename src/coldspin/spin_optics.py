@@ -26,6 +26,7 @@ from .frozen import Frozen
 # the physical ball radius N/2 instead of demanding exact containment.
 NORM_SLACK = 0.05
 
+# (sign, component) of a coherent state's mean: by axis for J, by polarization for S
 _AXES = {
     "x": (1.0, 0),
     "y": (1.0, 1),
@@ -34,64 +35,64 @@ _AXES = {
     "-y": (-1.0, 1),
     "-z": (-1.0, 2),
 }
+_POLARIZATIONS = {
+    "x": (1.0, 0),
+    "y": (-1.0, 0),
+    "+45": (1.0, 1),
+    "-45": (-1.0, 1),
+    "sigma+": (1.0, 2),
+    "sigma-": (-1.0, 2),
+}
 
 
-def _check_triple(values, name: str) -> tuple[float, float, float]:
-    try:
-        a, b, c = (float(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a numeric 3-vector") from exc
-    for v in (a, b, c):
-        if not math.isfinite(v):
-            raise ValidationError(f"{name} must be finite, got {values!r}")
-    return (a, b, c)
+class _Moments(Frozen):
+    """Gaussian moments of one vector: the subclass's three fields are, in
+    order, the mean triple, the variance triple and the count N.  The one
+    check of both: the triples are numeric and finite, N >= 0, the
+    variances >= 0, and the mean lies in the ball of radius N/2 (with
+    NORM_SLACK)."""
+
+    def __post_init__(self):
+        mean_name, var_name, count_name = self._fields
+        for name in (mean_name, var_name):
+            values = getattr(self, name)
+            try:
+                a, b, c = (float(v) for v in values)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{name} must be a numeric 3-vector") from exc
+            if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+                raise ValidationError(f"{name} must be finite, got {values!r}")
+            object.__setattr__(self, name, (a, b, c))
+        count = float(getattr(self, count_name))
+        object.__setattr__(self, count_name, count)
+        if not math.isfinite(count) or count < 0.0:
+            raise ValidationError(f"{count_name} must be >= 0, got {count!r}")
+        var = getattr(self, var_name)
+        if min(var) < 0.0:
+            raise ValidationError(f"{var_name} must be non-negative, got {var!r}")
+        mean = getattr(self, mean_name)
+        length = math.sqrt(mean[0] ** 2 + mean[1] ** 2 + mean[2] ** 2)
+        radius = count / 2.0
+        if length > radius * (1.0 + NORM_SLACK):
+            raise ValidationError(
+                f"|{mean_name}| = {length:.6g} exceeds the physical bound {radius:.6g}"
+            )
 
 
-def _check_ball(mean: tuple[float, float, float], radius: float, name: str) -> None:
-    length = math.sqrt(mean[0] ** 2 + mean[1] ** 2 + mean[2] ** 2)
-    if length > radius * (1.0 + NORM_SLACK):
-        raise ValidationError(
-            f"|{name}| = {length:.6g} exceeds the physical bound {radius:.6g}"
-        )
-
-
-def _check_variances(var: tuple[float, float, float], name: str) -> None:
-    if min(var) < 0.0:
-        raise ValidationError(f"{name} must be non-negative, got {var!r}")
-
-
-class CollectiveSpinState(Frozen):
+class CollectiveSpinState(_Moments):
     """Mean and variance of the collective pseudo-spin (J_x, J_y, J_z)."""
 
     mean_j: tuple[float, float, float]
     var_j: tuple[float, float, float]
     n_atoms: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "mean_j", _check_triple(self.mean_j, "mean_j"))
-        object.__setattr__(self, "var_j", _check_triple(self.var_j, "var_j"))
-        object.__setattr__(self, "n_atoms", float(self.n_atoms))
-        if not math.isfinite(self.n_atoms) or self.n_atoms < 0.0:
-            raise ValidationError(f"n_atoms must be >= 0, got {self.n_atoms!r}")
-        _check_variances(self.var_j, "var_j")
-        _check_ball(self.mean_j, self.n_atoms / 2.0, "mean_j")
 
-
-class StokesState(Frozen):
+class StokesState(_Moments):
     """Mean and variance of the Stokes vector (S_x, S_y, S_z) of one pulse."""
 
     mean_s: tuple[float, float, float]
     var_s: tuple[float, float, float]
     n_photons: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean_s", _check_triple(self.mean_s, "mean_s"))
-        object.__setattr__(self, "var_s", _check_triple(self.var_s, "var_s"))
-        object.__setattr__(self, "n_photons", float(self.n_photons))
-        if not math.isfinite(self.n_photons) or self.n_photons < 0.0:
-            raise ValidationError(f"n_photons must be >= 0, got {self.n_photons!r}")
-        _check_variances(self.var_s, "var_s")
-        _check_ball(self.mean_s, self.n_photons / 2.0, "mean_s")
 
 
 class CouplingParams(Frozen):
@@ -107,22 +108,31 @@ class CouplingParams(Frozen):
     g_tilde_m2: float
 
 
+def _coherent(state: type, poles: dict, pole_name: str, pole, count, longitudinal_noise: bool):
+    """The coherent state of count quanta along poles[pole]: mean count/2 on
+    that signed axis, variance count/4 on the two transverse components and,
+    where longitudinal_noise, on the axis too (else 0)."""
+    if pole not in poles:
+        raise ValidationError(f"{pole_name} must be one of {sorted(poles)}, got {pole!r}")
+    count_name = state._fields[2]
+    if count < 0:
+        raise ValidationError(f"{count_name} must be >= 0, got {count!r}")
+    sign, index = poles[pole]
+    mean = [0.0, 0.0, 0.0]
+    mean[index] = sign * count / 2.0
+    var = [count / 4.0] * 3
+    if not longitudinal_noise:
+        var[index] = 0.0
+    return state(tuple(mean), tuple(var), count)
+
+
 def coherent_spin_state(n_atoms: float, axis: str = "z") -> CollectiveSpinState:
     """Fully pumped coherent ensemble along a signed principal axis.
 
     Mean is (n_atoms/2) along the axis; the two transverse components carry
     the projection-noise variance n_atoms/4 and the longitudinal one is 0.
     """
-    if axis not in _AXES:
-        raise ValidationError(f"axis must be one of {sorted(_AXES)}, got {axis!r}")
-    if n_atoms < 0:
-        raise ValidationError(f"n_atoms must be >= 0, got {n_atoms!r}")
-    sign, index = _AXES[axis]
-    mean = [0.0, 0.0, 0.0]
-    mean[index] = sign * n_atoms / 2.0
-    var = [n_atoms / 4.0] * 3
-    var[index] = 0.0
-    return CollectiveSpinState(tuple(mean), tuple(var), n_atoms)
+    return _coherent(CollectiveSpinState, _AXES, "axis", axis, n_atoms, False)
 
 
 def coherent_pulse(n_photons: float, polarization: str = "x") -> StokesState:
@@ -131,25 +141,8 @@ def coherent_pulse(n_photons: float, polarization: str = "x") -> StokesState:
     polarization: "x", "y" (linear along S_x), "+45", "-45" (along S_y), or
     "sigma+", "sigma-" (circular, along S_z).
     """
-    poles = {
-        "x": (1.0, 0),
-        "y": (-1.0, 0),
-        "+45": (1.0, 1),
-        "-45": (-1.0, 1),
-        "sigma+": (1.0, 2),
-        "sigma-": (-1.0, 2),
-    }
-    if polarization not in poles:
-        raise ValidationError(
-            f"polarization must be one of {sorted(poles)}, got {polarization!r}"
-        )
-    if n_photons < 0:
-        raise ValidationError(f"n_photons must be >= 0, got {n_photons!r}")
-    sign, index = poles[polarization]
-    mean = [0.0, 0.0, 0.0]
-    mean[index] = sign * n_photons / 2.0
-    var = (n_photons / 4.0,) * 3
-    return StokesState(tuple(mean), var, n_photons)
+    return _coherent(StokesState, _POLARIZATIONS, "polarization", polarization, n_photons,
+                     True)
 
 
 def detuning_factor(

@@ -7,8 +7,6 @@ their numpy formulations did, without importing numpy.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 
 def pairwise_sum(values: Sequence[float]) -> float:
     """np.sum of float64 values, bit for bit.

@@ -27,6 +27,7 @@ from coldspin import (
     rotation_cross_section,
     snr_report,
 )
+from coldspin.analysis import _decay_start
 from coldspin.jsonio import format_json
 from coldspin.summation import pairwise_sum
 
@@ -411,6 +412,18 @@ def test_decay_fit_accepts_unsorted_input():
     rows = decay_samples(times)
     fit = fit_two_body_decay(rows[::-1], DECAY_TRUE.v_eff_m3)
     assert fit.params["n0"] == pytest.approx(1.2e6, rel=1e-5)
+
+
+def test_decay_start_falls_back_on_flat_counts():
+    # equal interior counts leave the rate regression nothing to split, so
+    # the start spreads the overall loss rate, floored at 1e-9 over the
+    # span, evenly over the two channels
+    times, counts, v_eff = [0.0, 10.0, 20.0, 30.0], [1e6] * 4, 1.0
+    overall = math.log(1.0 + 1e-9) / 30.0
+    assert _decay_start(times, counts, v_eff) == [1e6, 2.0 / overall, overall / 2e6]
+    fit = fit_two_body_decay([(t, n, 1e3) for t, n in zip(times, counts)], v_eff)
+    assert fit.converged
+    assert fit.params["n0"] == pytest.approx(1e6, rel=1e-12)
 
 
 KB_OVER_M = 1.380649e-23 / SPEC.mass_kg

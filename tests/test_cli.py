@@ -398,6 +398,22 @@ def write_heavy_atom_data(path):
     return doubled
 
 
+def test_fit_of_a_vanishing_coupling_names_its_keys(in_tmp_dir, capsys):
+    # a wavelength whose square underflows zeroes g_tilde at every detuning
+    assert cli.main(["scan", "--out", "scan.csv"]) == 0
+    tiny = default_atom_document()
+    tiny["wavelength_m"] = 1e-170
+    (in_tmp_dir / "tiny.json").write_text(json.dumps(tiny))
+    (in_tmp_dir / "cfg.json").write_text(json.dumps({"atom_data": "tiny.json"}))
+    capsys.readouterr()
+    argv = ["fit", "--config", "cfg.json", "--in", "scan.csv", "--out", "fit.json"]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "degenerate design: g_tilde vanishes at every point" in err
+    assert "fit.weighted = True" in err
+    assert not (in_tmp_dir / "fit.json").exists()
+
+
 def test_atom_data_config_override(in_tmp_dir, capsys):
     assert cli.main(["tof", "simulate", "--out", "tof.csv"]) == 0
     assert cli.main(["tof", "fit", "--in", "tof.csv", "--out", "base.json"]) == 0
@@ -1449,6 +1465,11 @@ OVERSIZED_COUNTS = {
         # imbalance is finite, and the calibration factor scales it past the range
         (["pulse"], {"detector": {"calibration_factor": 1e308}}, 3,
          "detector.calibration_factor = 1e+308"),
+        # once exited 2 with "t_h * t_v must be nonzero", though t_h * t_v =
+        # 0.25: the photon number's product with it underflows
+        (["scan"], {"scan": {"photons_per_pulse": 5e-324},
+                    "transmission": {"t_h": 0.5, "t_v": 0.5}}, 3,
+         "scan.photons_per_pulse = 5e-324"),
     ],
     ids=["photons-per-pulse", "sigma-r", "sigma-r-underflow", "sigma-r-1e-308",
          "sigma-r-underflow-fit", "sigma0", "t-stop", "atoms-flag",
@@ -1459,7 +1480,7 @@ OVERSIZED_COUNTS = {
          "negative-sigma-r", "decay-negative-start", "tof-negative-start",
          "spread-area", "spread-t-h", "spread-t-v", "spread-area-numpy",
          "atom-spread-numpy", "budget-a", "budget-atoms", "pulse-theta",
-         "pulse-calibration"],
+         "pulse-calibration", "photons-underflow"],
 )
 def test_extreme_values_honour_exit_codes(in_tmp_dir, capsys, argv, override, code, key):
     (in_tmp_dir / "cfg.json").write_text(json.dumps(override))

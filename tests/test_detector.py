@@ -9,6 +9,7 @@ from coldspin import (
     DetectorSpec,
     TransmissionSpec,
     ValidationError,
+    angle_denominator,
     angle_variance,
     extract_angle,
     format_pulse_csv,
@@ -193,3 +194,14 @@ def test_simulate_rejects_nonpositive_photons():
         simulate_pulse_detection(0.01, 0.0, DET, TR)
     with pytest.raises(ValidationError):
         extract_angle(1.0, -1.0, TR)
+
+
+def test_angle_denominator_rejects_underflow():
+    # positive photons and transmissions whose product rounds to 0, which
+    # every extracted angle divides by
+    tr = TransmissionSpec(t_h=0.5, t_v=0.5)
+    with pytest.raises(ArithmeticError, match=r"n_photons \* t_h \* t_v underflows to 0"):
+        angle_denominator(5e-324, tr)
+    with pytest.raises(ArithmeticError, match="underflows to 0"):
+        extract_angle(1.0, 5e-324, tr)
+    assert angle_denominator(5e-324, TR) == 5e-324

@@ -105,3 +105,19 @@ def test_no_module_imports_a_coldspin_name_for_an_annotation():
                                     for alias in node.names
                                     if (alias.asname or alias.name) not in used]
     assert annotation_only == []
+
+
+def test_no_module_imports_a_stdlib_name_for_an_annotation():
+    # the absolute imports, beside the relative ones above, so every
+    # `from ... import` but __future__'s: collections.abc's were the last
+    package = Path(coldspin.__file__).parent
+    annotation_only = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _runtime_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and not node.level and node.module != "__future__":
+                annotation_only += [f"{path.stem}: {alias.asname or alias.name}"
+                                    for alias in node.names
+                                    if (alias.asname or alias.name) not in used]
+    assert annotation_only == []
