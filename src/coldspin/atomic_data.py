@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Mapping
 
 from .errors import ValidationError
 from .frozen import Frozen
@@ -52,9 +51,9 @@ def _require_number(value: object, name: str, *, allow_zero: bool = False) -> fl
 def _require_shape(
     document: object, keys: tuple[str, ...], what: str, extra: tuple[str, ...] = ()
 ) -> None:
-    """Reject a non-mapping document, a missing key or a key outside
+    """Reject a document that is not a dict, a missing key or a key outside
     keys + extra, so typos fail loudly; values are checked by the spec."""
-    if not isinstance(document, Mapping):
+    if not isinstance(document, dict):
         raise ValidationError(
             f"{what} must be a JSON object, got {type(document).__name__}"
         )
@@ -114,7 +113,7 @@ class TrapSpec(Frozen):
             object.__setattr__(self, name, value)
 
 
-def load_atom_spec(document: Mapping[str, object]) -> AtomSpec:
+def load_atom_spec(document: dict) -> AtomSpec:
     """Build a validated AtomSpec from a parsed JSON document.
 
     The document must hold exactly AtomSpec's fields, plus an optional

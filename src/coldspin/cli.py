@@ -255,7 +255,8 @@ def _resolve_config(config_path: str | None) -> dict:
 def _attach_atom_constants(cfg: dict) -> AtomSpec:
     """Inline the atomic-constants document into the config, the file the
     config's atom_data key names, else the packaged one, and return the
-    AtomSpec it describes.  Replayed configs already carry the constants."""
+    AtomSpec it describes.  A replay does not call it: _replay builds the
+    AtomSpec from the constants its manifest records."""
     if cfg["atom_data"]:
         cfg["atom_constants"] = read_json(cfg["atom_data"])
     else:
@@ -348,24 +349,28 @@ def _key_values(cfg: dict, keys: tuple) -> str:
     return ", ".join(values)
 
 
+def _in_range(what: str, function, *args, **kwargs):
+    """function(*args, **kwargs), whose OverflowError, or non-finite float
+    result, is reported as what, the computed value, exceeding the float range."""
+    try:
+        result = function(*args, **kwargs)
+    except OverflowError:
+        result = math.inf
+    if isinstance(result, float) and not math.isfinite(result):
+        raise OverflowError(f"{what} exceeds the float range")
+    return result
+
+
 def _keyed(cfg: dict, keys: tuple, function, *args, what: str | None = None, **kwargs):
     """function(*args, **kwargs) for a runner, the one place where a
     library failure turns into an error that names the config keys the
-    call reads (see _key_values), with their values.  A ValidationError,
+    call reads (see _key_values), with their values: a ValidationError,
     NearResonanceError, FitError or ArithmeticError keeps its type and
-    text, with the keys appended; where what names the computed value, an
-    OverflowError, or a float result that is not finite, is reported as
-    that value exceeding the float range."""
+    text, with the keys appended.  A call given what is _in_range's."""
     try:
-        result = function(*args, **kwargs)
-        if what and isinstance(result, float) and not math.isfinite(result):
-            raise OverflowError
+        return _in_range(what, function, *args, **kwargs) if what else function(*args, **kwargs)
     except (ValidationError, NearResonanceError, FitError, ArithmeticError) as exc:
-        at = f"at {_key_values(cfg, keys)}"
-        if what and isinstance(exc, OverflowError):
-            raise OverflowError(f"{what} exceeds the float range {at}") from None
-        raise type(exc)(f"{exc} {at}") from None
-    return result
+        raise type(exc)(f"{exc} at {_key_values(cfg, keys)}") from None
 
 
 def _record(cfg: dict, section: str, record: type, what: str | None = None, **computed):
@@ -513,16 +518,15 @@ def _run_decay(cfg: dict, spec: AtomSpec) -> dict:
     if cfg["mode"] == "simulate":
         noise = section["noise_fraction"]
         times = _keyed(cfg, ("decay.t_start_s", "decay.t_stop_s"), _times, section)
-        rows = []
         normals = _normals(cfg, "decay", len(times)) if noise else [0.0] * len(times)
-        for t, normal in zip(times, normals):
-            model = _keyed(cfg, ("decay",), evolve_trap_population, params, t,
-                           what=f"the atom count at t = {t!r} s")
-            if noise:
-                rows.append((t, model * (1.0 + noise * normal), noise * model))
-            else:
-                rows.append((t, model, 1.0))
-        return {out: _keyed(cfg, ("decay",), _write_rows_csv, out, DECAY_CSV_COLUMNS, rows)}
+
+        def rows():  # every model value first: its overflow is named before a noisy row's
+            models = [_in_range(f"the atom count at t = {t!r} s", evolve_trap_population,
+                                params, t) for t in times]
+            for t, n, z in zip(times, models, normals):
+                yield (t, n * (1.0 + noise * z), noise * n) if noise else (t, n, 1.0)
+
+        return {out: _keyed(cfg, ("decay",), _write_rows_csv, out, DECAY_CSV_COLUMNS, rows())}
     samples = _read_rows_csv(cfg["in"], DECAY_CSV_COLUMNS)
     fit = _keyed(cfg, ("decay.sigma_z_m", "decay.sigma_r_m"), _fit_decay, samples,
                  params.v_eff_m3)
@@ -537,14 +541,16 @@ def _run_tof(cfg: dict, spec: AtomSpec) -> dict:
     if cfg["mode"] == "simulate":
         noise = section["noise_m"]
         times = _keyed(cfg, ("tof.t_start_s", "tof.t_stop_s"), _times, section)
-        rows = []
         normals = _normals(cfg, "tof", len(times)) if noise else [0.0] * len(times)
-        for t, normal in zip(times, normals):
-            radius = _keyed(cfg, ("tof",), tof_radius, section["sigma0_m"],
-                            section["temperature_k"], t, spec.mass_kg,
-                            what=f"the cloud radius at t = {t!r} s")
-            rows.append((t, abs(radius + noise * normal) if noise else radius))
-        return {out: _keyed(cfg, ("tof",), _write_rows_csv, out, TOF_CSV_COLUMNS, rows)}
+
+        def rows():  # every model value first: its overflow is named before a noisy row's
+            radii = [_in_range(f"the cloud radius at t = {t!r} s", tof_radius,
+                               section["sigma0_m"], section["temperature_k"], t, spec.mass_kg)
+                     for t in times]
+            for t, r, z in zip(times, radii, normals):
+                yield (t, abs(r + noise * z)) if noise else (t, r)
+
+        return {out: _keyed(cfg, ("tof",), _write_rows_csv, out, TOF_CSV_COLUMNS, rows())}
     from .analysis import fit_tof_temperature
 
     samples = _read_rows_csv(cfg["in"], TOF_CSV_COLUMNS)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
 
 from .errors import ValidationError
 
@@ -42,7 +41,7 @@ def _unescape(token: str) -> str:
     return token.replace("~1", "/").replace("~0", "~")
 
 
-def encode_nonfinite(document: Mapping) -> dict:
+def encode_nonfinite(document: dict) -> dict:
     """Copy of document with every non-finite float replaced by None and
     listed under "nonfinite"; documents without one are returned equal."""
     found: dict[str, str] = {}
@@ -51,7 +50,7 @@ def encode_nonfinite(document: Mapping) -> dict:
         if isinstance(value, float) and not math.isfinite(value):
             found[pointer] = _name(value)
             return None
-        if isinstance(value, Mapping):
+        if isinstance(value, dict):
             return {k: walk(v, f"{pointer}/{_escape(k)}") for k, v in value.items()}
         if isinstance(value, (list, tuple)):
             return [walk(v, f"{pointer}/{i}") for i, v in enumerate(value)]
@@ -128,7 +127,7 @@ def read_json(path) -> dict:
     return document
 
 
-def format_json(document: Mapping) -> bytes:
+def format_json(document: dict) -> bytes:
     """The bytes of document as strict, indented, key-sorted JSON."""
     text = json.dumps(encode_nonfinite(document), indent=2, sort_keys=True, allow_nan=False)
     return (text + "\n").encode()

@@ -7,6 +7,9 @@ their numpy formulations did, without importing numpy.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
 
 def pairwise_sum(values: Sequence[float]) -> float:
     """np.sum of float64 values, bit for bit.
@@ -24,19 +27,11 @@ def pairwise_sum(values: Sequence[float]) -> float:
 def _pairwise(values: Sequence[float]) -> float:
     n = len(values)
     if n < 8:
-        total = -0.0
-        for value in values:
-            total += value
-        return total
+        return reduce(operator.add, values, -0.0)
     if n <= 128:
-        r = list(values[:8])
         stop = n - n % 8
-        for i in range(8, stop, 8):
-            for j in range(8):
-                r[j] += values[i + j]
+        r = [reduce(operator.add, values[j:stop:8]) for j in range(8)]
         total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for value in values[stop:]:
-            total += value
-        return total
+        return reduce(operator.add, values[stop:], total)
     half = n // 2 - n // 2 % 8
     return _pairwise(values[:half]) + _pairwise(values[half:])

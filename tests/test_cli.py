@@ -149,6 +149,58 @@ def test_noiseless_simulations_draw_nothing(in_tmp_dir, monkeypatch, command, ov
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["decay", "tof"])
+def test_simulations_make_as_many_keyed_calls_at_any_size(in_tmp_dir, monkeypatch, command):
+    # one keyed call computes and formats every row, whatever their count
+    calls = []
+    real = cli._keyed
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_keyed", counted)
+    counts = []
+    for n_times in (8, 512):
+        (in_tmp_dir / "cfg.json").write_text(json.dumps({command: {"n_times": n_times}}))
+        calls.clear()
+        out = f"{command}{n_times}.csv"
+        assert cli.main([command, "simulate", "--config", "cfg.json", "--out", out]) == 0
+        assert len((in_tmp_dir / out).read_text().splitlines()) == 1 + n_times
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize(
+    "command, override, message",
+    [
+        ("tof", {"tof": {"sigma0_m": 1e200}},
+         "the cloud radius at t = 0.0005 s exceeds the float range at tof.sigma0_m = 1e+200, "
+         "tof.temperature_k = 2.5e-05, tof.t_start_s = 0.0005, tof.t_stop_s = 0.004, "
+         "tof.n_times = 8, tof.noise_m = 1.5e-06, tof.seed = 20260816"),
+        ("decay", {"decay": {"beta_m3_per_s": 1e300, "tau_s": 1e300}},
+         "the atom count at t = 0.0 s exceeds the float range at decay.n0 = 1200000.0, "
+         "decay.tau_s = 1e+300, decay.beta_m3_per_s = 1e+300, "
+         "decay.sigma_z_m = 0.0036096176512240815, decay.sigma_r_m = 8.493218002880191e-06, "
+         "decay.t_start_s = 0.0, decay.t_stop_s = 90.0, decay.n_times = 46, "
+         "decay.noise_fraction = 0.002, decay.seed = 20260816"),
+        # the noisy radius of row 4 is already inf, but every model value is
+        # computed before any row is formatted: the overflowing time is named
+        ("tof", {"tof": {"noise_m": 1.7e308, "t_stop_s": 1e155, "n_times": 50}},
+         "the cloud radius at t = 1.4285714285714286e+154 s exceeds the float range at "
+         "tof.sigma0_m = 8.5e-06, tof.temperature_k = 2.5e-05, tof.t_start_s = 0.0005, "
+         "tof.t_stop_s = 1e+155, tof.n_times = 50, tof.noise_m = 1.7e+308, "
+         "tof.seed = 20260816"),
+    ],
+    ids=["tof-first-row", "decay-first-row", "tof-model-before-noisy-row"],
+)
+def test_simulations_name_the_overflowing_time(in_tmp_dir, capsys, command, override, message):
+    (in_tmp_dir / "cfg.json").write_text(json.dumps(override))
+    assert cli.main([command, "simulate", "--config", "cfg.json", "--out", "out.csv"]) == 3
+    assert capsys.readouterr().err == f"numeric error: {message}\n"
+    assert not (in_tmp_dir / "out.csv").exists()
+
+
 def test_scan_replay_and_tamper(in_tmp_dir, capsys):
     run_scan(in_tmp_dir)
     capsys.readouterr()

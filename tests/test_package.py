@@ -121,3 +121,20 @@ def test_no_module_imports_a_stdlib_name_for_an_annotation():
                                     for alias in node.names
                                     if (alias.asname or alias.name) not in used]
     assert annotation_only == []
+
+
+def test_no_module_imports_collections_abc():
+    # its runtime Mapping tests were the last use: jsonio and atomic_data test dict
+    package = Path(coldspin.__file__).parent
+    imports = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            imports += [f"{path.stem}: {name}" for name in names
+                        if name == "collections.abc" or name.startswith("collections.abc.")]
+    assert imports == []
