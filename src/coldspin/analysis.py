@@ -2,9 +2,10 @@
 trap-loss and time-of-flight fits.
 
 The rotation-angle scan is fit by weighted linear least squares for the one
-free parameter (the column density); the trap decay is fit by Gauss-Newton
-with backtracking on the closed-form two-body solution; time-of-flight
-temperatures come from an ordinary linear fit of sigma^2 against t^2.
+free parameter (the column density); the trap decay is fit by projected
+Levenberg-Marquardt steps on the closed-form two-body solution, in its two
+non-negative loss rates; time-of-flight temperatures come from an ordinary
+linear fit of sigma^2 against t^2.
 
 Every fit runs in plain floats, without numpy, summing as np.sum does
 (summation.pairwise_sum), so the closed-form fits match the numpy
@@ -23,17 +24,11 @@ from .frozen import Frozen
 from .jsonio import decode_nonfinite
 from .summation import pairwise_sum
 
-# Gauss-Newton controls: deterministic, testable stopping
-GN_MAX_ITERATIONS = 200
-GN_RELATIVE_TOLERANCE = 1.0e-10
-GN_COST_TOLERANCE = 1.0e-12
-# a failed line search from a proposed relative step below this is
-# stationarity, not a stall: the cost drop such a step predicts (1e-12 and
-# less) falls below the rounding of the cost itself.  Even with the exact
-# Jacobian, 18 of seeds 0-999 of the default decay config end this way, at
-# relative steps of 2.3e-10 to 2.0e-7.
-GN_STALL_TOLERANCE = 1.0e-6
-GN_MAX_BACKTRACKS = 40
+# Levenberg-Marquardt controls: deterministic, testable stopping
+LM_MAX_ITERATIONS = 200
+LM_RELATIVE_TOLERANCE = 1.0e-10
+LM_COST_TOLERANCE = 1.0e-12
+LM_INITIAL_DAMPING = 1.0e-3
 
 
 class FitResult(Frozen):
@@ -232,12 +227,12 @@ def _line_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, flo
     return slope, y_mean - slope * x_mean, x_mean, s_xx
 
 
-def _decay_start(t: Sequence[float], n: Sequence[float], v_eff: float) -> list[float]:
-    """Starting point for the decay fit from a linearization: the per-atom
-    loss rate -dN/dt / N equals 1/tau + (beta/V_eff) N, so regressing the
-    finite-difference rate against N splits the two channels before any
-    nonlinear iteration.  Clamped to the physical region; accuracy only
-    matters for basin selection."""
+def _decay_start(t: Sequence[float], n: Sequence[float]) -> list[float]:
+    """Starting (N0, gamma, kappa) for the decay fit from a linearization:
+    the per-atom loss rate -dN/dt / N equals gamma + kappa N, so regressing
+    the finite-difference rate against N splits the two channels before any
+    nonlinear iteration.  Clamped to the physical region, gamma >= 0 and
+    kappa >= 0; accuracy only matters for basin selection."""
     rates = []
     densities = []
     for i in range(1, len(t) - 1):
@@ -248,20 +243,16 @@ def _decay_start(t: Sequence[float], n: Sequence[float], v_eff: float) -> list[f
         densities.append(n[i])
     n0 = n[0]
     span = t[-1] - t[0]
-    fallback_rate = math.log(max(n0 / n[-1], 1.0 + 1e-9)) / span
     if len(rates) >= 2 and max(densities) > min(densities):
         slope, intercept, _, _ = _line_fit(densities, rates)
-        floor = max(fallback_rate, 1e-12)
-        one_over_tau = min(max(intercept, 1e-3 * floor), 1e6 / span)
-        beta = max(slope, 1e-3 * floor / n0) * v_eff
-        return [n0, 1.0 / one_over_tau, beta]
-    overall = max(fallback_rate, 1e-12)
-    return [n0, 2.0 / overall, overall * v_eff / (2.0 * n0)]
+        return [n0, min(max(intercept, 0.0), 1e6 / span), max(slope, 0.0)]
+    overall = math.log(max(n0 / n[-1], 1.0)) / span
+    return [n0, overall / 2.0, overall / (2.0 * n0)]
 
 
 def _symmetric_inverse(m: Sequence[Sequence[float]]) -> list[list[float]] | None:
     """Cofactor inverse of a symmetric 3x3 matrix (its upper triangle is read),
-    or None if the determinant is not positive: a singular normal matrix."""
+    or None if the determinant is not positive."""
     (a, b, c), (_, d, e), (_, _, f) = m
     c11, c12, c13 = d * f - e * e, c * e - b * f, b * e - c * d
     det = a * c11 + b * c12 + c * c13
@@ -272,33 +263,29 @@ def _symmetric_inverse(m: Sequence[Sequence[float]]) -> list[list[float]] | None
     return [[x / det for x in row] for row in cofactors]
 
 
-# the decay fit's parameters, in order, and what the data fail to resolve
-# when the model stops depending on one of them
-_DECAY_PARAMETERS = {
-    "n0": "no initial atom number",
-    "tau_s": "no one-body loss",
-    "beta_m3_per_s": "no two-body loss",
-}
-
-
 def fit_two_body_decay(
     samples: Sequence[tuple[float, float, float]], v_eff: float
 ) -> FitResult:
-    """Gauss-Newton fit of (N0, tau, beta) to trap-population decay data.
+    """Fit of the two-body decay law to trap-population data, reported as
+    (N0, tau, beta).
 
     samples are (time s, atom count, count uncertainty); v_eff is the
-    effective two-body volume the rate constant is referred to.  Residuals
-    are sigma-weighted; the model and its exact Jacobian come from
-    ensemble.two_body_population and two_body_gradient; each step solves
-    the column-scaled normal equations by the cofactor inverse of their 3x3
-    matrix, and step halving backtracks any trial that does not reduce the
-    cost.  Convergence means a relative parameter or cost change below
-    1e-10 or 1e-12 within 200 iterations, or no descent from a proposed
-    relative step below GN_STALL_TOLERANCE; the best point is returned
-    either way.  A non-finite sample raises ValidationError, a singular
-    normal matrix FitError, which names the parameter whose Jacobian
-    column vanished when one did (tau running away to infinity when the
-    data show no one-body loss).
+    effective two-body volume the rate constant is referred to.  The fit
+    runs in what the data resolve, the loss rates gamma = 1/tau >= 0 and
+    kappa = beta/V_eff >= 0, and reports tau = 1/gamma (inf at gamma = 0)
+    and beta = kappa V_eff with their sigmas propagated, so V_eff scales
+    beta and changes nothing else.  Residuals are sigma-weighted; the model
+    and its exact Jacobian come from ensemble.two_body_population and
+    two_body_gradient.  Each Levenberg-Marquardt step solves the
+    column-scaled normal equations, damped by lambda on the diagonal, by
+    their 3x3 cofactor inverse, with a rate at 0 that the cost gradient
+    pushes below 0 held there, and projects the step onto the bounds; a
+    step that does not reduce the cost is retried with 10x the damping, an
+    accepted one divides it by 10.  Convergence means a relative parameter
+    or cost change below 1e-10 or 1e-12 within 200 steps; the best point is
+    returned either way.  A rate that ends at 0 has an infinite sigma, and
+    every parameter does if the normal matrix of the others is singular.  A
+    non-finite sample raises ValidationError.
     """
     if not v_eff > 0:
         raise ValidationError(f"v_eff must be positive, got {v_eff!r}")
@@ -315,18 +302,18 @@ def fit_two_body_decay(
         raise FitError("atom counts and their uncertainties must be positive")
     if not times[-1] > times[0]:
         raise FitError("sample times must span a nonzero interval")
-    v_eff = float(v_eff)
 
     def evaluate(p: Sequence[float]) -> tuple[float, list[float]]:
         # the cost at p and the sigma-weighted residuals it sums
-        r = [(ni - two_body_population(ti, *p, v_eff)) / si for ti, ni, si in pts]
+        r = [(ni - two_body_population(ti, *p)) / si for ti, ni, si in pts]
         return (pairwise_sum([x * x for x in r]) if all(map(math.isfinite, r))
                 else math.inf), r
 
-    def normal_system(p: Sequence[float]):
-        # None for a non-finite Jacobian, else its columns scaled to unit norm
-        # (raw, counts vs m^3/s), the norms and the scaled normal inverse
-        rows = [two_body_gradient(ti, *p, v_eff) for ti in times]
+    def normal_system(p: Sequence[float], r: Sequence[float]):
+        # None for a non-finite Jacobian, else the column norms (raw units),
+        # the normal matrix of the columns scaled to unit norm, the scaled
+        # descent direction, and which parameters are held at their bound
+        rows = [two_body_gradient(ti, *p) for ti in times]
         columns = [[-g / si for g, si in zip(column, sigma)] for column in zip(*rows)]
         if not all(math.isfinite(x) for column in columns for x in column):
             return None
@@ -334,75 +321,66 @@ def fit_two_body_decay(
         norms = [norm if norm > 0.0 else 1.0 for norm in norms]
         scaled = [[x / norm for x in column] for column, norm in zip(columns, norms)]
         normal = [[pairwise_sum([x * y for x, y in zip(a, b)]) for b in scaled] for a in scaled]
-        return scaled, norms, _symmetric_inverse(normal)
+        rhs = [pairwise_sum([-x * ri for x, ri in zip(column, r)]) for column in scaled]
+        held = [k > 0 and p[k] == 0.0 and rhs[k] <= 0.0 for k in range(3)]
+        return norms, normal, rhs, held
 
-    def relative(step: Sequence[float], p: Sequence[float]) -> float:
-        return max(abs(d) / max(abs(q), 1e-300) for d, q in zip(step, p))
+    def reduced(normal, held, damping: float):
+        # the normal matrix with each held parameter's row and column
+        # replaced by the identity's, damped on the free diagonal
+        return [[float(i == j) if held[i] or held[j] else a + damping * (i == j)
+                 for j, a in enumerate(row)] for i, row in enumerate(normal)]
 
-    p = _decay_start(times, n, v_eff)
+    p = _decay_start(times, n)
+    damping = LM_INITIAL_DAMPING
     converged = False
     current, r = evaluate(p)
-    for _ in range(GN_MAX_ITERATIONS):
-        system = normal_system(p)
+    for _ in range(LM_MAX_ITERATIONS):
+        system = normal_system(p, r)
         if system is None:
             break
-        scaled, norms, inverse = system
+        norms, normal, rhs, held = system
+        inverse = _symmetric_inverse(reduced(normal, held, damping))
         if inverse is None:
-            # a column whose squares all underflow is zero to the normal
-            # equations: its diagonal entry is exactly 0
-            for name, column, value in zip(_DECAY_PARAMETERS, scaled, p):
-                if pairwise_sum([x * x for x in column]) == 0.0:
-                    raise FitError(
-                        f"two-body decay fit: the model no longer depends on {name} "
-                        f"(at {value:.6g}, its Jacobian column is zero): the data "
-                        f"resolve {_DECAY_PARAMETERS[name]}"
-                    )
-            raise FitError(
-                "two-body decay fit: Gauss-Newton step failed: singular normal matrix"
-            )
-        rhs = [pairwise_sum([-x * ri for x, ri in zip(column, r)]) for column in scaled]
-        delta = [pairwise_sum([a * b for a, b in zip(row, rhs)]) / norm
-                 for row, norm in zip(inverse, norms)]
-        # stationarity is judged on the full proposed step only; a
-        # backtracked step can be arbitrarily small far from the minimum
-        proposed = relative(delta, p)
-        if proposed < GN_RELATIVE_TOLERANCE:
+            damping *= 10.0
+            continue
+        delta = [0.0 if h else pairwise_sum([a * b for a, b in zip(row, rhs)]) / norm
+                 for row, norm, h in zip(inverse, norms, held)]
+        trial = [p[0] + delta[0], max(p[1] + delta[1], 0.0), max(p[2] + delta[2], 0.0)]
+        step = max(abs(a - b) / max(abs(b), 1e-300) for a, b in zip(trial, p))
+        if step < LM_RELATIVE_TOLERANCE:
             converged = True
             break
-        # backtracking line search: halve the step until the cost drops
-        for scale in (0.5**k for k in range(GN_MAX_BACKTRACKS)):
-            trial = [q + scale * d for q, d in zip(p, delta)]
-            if trial[0] > 0 and trial[1] > 0:
-                trial_cost, trial_r = evaluate(trial)
-                if trial_cost < current:
-                    break
-        else:
-            # no descent available: a minimum if the step was already down
-            # at the rounding floor of the cost, a genuine stall otherwise
-            converged = proposed < GN_STALL_TOLERANCE
-            break
-        accepted = relative([scale * d for d in delta], trial)
+        trial_cost, trial_r = evaluate(trial)
+        if not trial_cost < current:
+            damping *= 10.0
+            continue
         gain = (current - trial_cost) / max(current, 1e-300)
         p, current, r = trial, trial_cost, trial_r
-        # parameter-stationary or cost-stationary, either ends the descent;
-        # the cost test is safe because the step direction is solved in
-        # scaled form, so a vanishing reduction along it means a minimum
-        if accepted < GN_RELATIVE_TOLERANCE or gain < GN_COST_TOLERANCE:
+        damping /= 10.0
+        if gain < LM_COST_TOLERANCE:
             converged = True
             break
 
-    # covariance from the scaled normal matrix at the solution; inf if singular
-    system = normal_system(p)
+    # covariance of the free parameters from the undamped scaled normal
+    # matrix at the solution: a rate at 0, or a singular matrix, is inf
     uncertainties = [math.inf] * 3
-    if system is not None and system[2] is not None:
-        _, norms, inverse = system
-        uncertainties = [
-            math.sqrt(max(inverse[i][i] / (v * v), 0.0)) for i, v in enumerate(norms)
-        ]
-
-    names = tuple(_DECAY_PARAMETERS)
-    return FitResult(dict(zip(names, p)), dict(zip(names, uncertainties)),
-                     chi2=current, dof=len(pts) - 3, converged=converged)
+    system = normal_system(p, r)
+    if system is not None:
+        norms, normal, _, _ = system
+        held = [False, p[1] == 0.0, p[2] == 0.0]
+        inverse = _symmetric_inverse(reduced(normal, held, 0.0))
+        if inverse is not None:
+            uncertainties = [math.inf if h else math.sqrt(max(row[i], 0.0)) / norm
+                             for i, (row, norm, h) in enumerate(zip(inverse, norms, held))]
+    n0, gamma, kappa = p
+    sigma_n0, sigma_gamma, sigma_kappa = uncertainties
+    tau = 1.0 / gamma if gamma else math.inf
+    return FitResult(
+        {"n0": n0, "tau_s": tau, "beta_m3_per_s": kappa * v_eff},
+        {"n0": sigma_n0, "tau_s": sigma_gamma * tau * tau,
+         "beta_m3_per_s": sigma_kappa * v_eff},
+        chi2=current, dof=len(pts) - 3, converged=converged)
 
 
 def fit_tof_temperature(

@@ -64,45 +64,57 @@ class TrapPopulationParams(Frozen):
         )
 
 
-def _two_body_terms(t, n0, tau, beta, v_eff) -> tuple[float, float, float]:
-    # e = e^(-t/tau), g = 1 - e (expm1: no cancellation), D = 1 + N0 (beta tau / V_eff) g
-    decay = math.exp(-t / tau)
-    growth = -math.expm1(-t / tau)
-    return decay, growth, 1.0 + n0 * (beta * tau / v_eff) * growth
+def _two_body_terms(t, n0, gamma, kappa) -> tuple[float, float, float]:
+    # e = e^(-gamma t), F = (1 - e)/gamma its time integral (expm1: no
+    # cancellation; F = t at gamma = 0) and D = 1 + kappa N0 F
+    decay = math.exp(-gamma * t)
+    span = -math.expm1(-gamma * t) / gamma if gamma else t
+    return decay, span, 1.0 + kappa * n0 * span
 
 
-def two_body_population(t, n0, tau, beta, v_eff) -> float:
-    """The two-body decay law N(t) = N0 e / D for finite tau > 0; a
-    non-positive D, reachable only with beta < 0, gives +inf."""
-    decay, _, denominator = _two_body_terms(t, n0, tau, beta, v_eff)
+def two_body_population(t, n0, gamma, kappa) -> float:
+    """The two-body decay law N(t) = N0 e / D in the one- and two-body loss
+    rates gamma = 1/tau and kappa = beta/V_eff; a non-positive D, reachable
+    only with kappa < 0, gives +inf."""
+    decay, _, denominator = _two_body_terms(t, n0, gamma, kappa)
     return n0 * decay / denominator if denominator > 0.0 else math.inf
 
 
-def two_body_gradient(t, n0, tau, beta, v_eff) -> tuple[float, float, float]:
-    """Exact dN/dN0 = e/D^2, dN/dtau = N (t/tau^2 - N0 (beta/V_eff)(g - e t/tau)/D)
-    and dN/dbeta = -N N0 tau g/(V_eff D) where D > 0, by successive divisions
-    so that plain floats overflow to inf or underflow to 0, never raise."""
-    decay, growth, denominator = _two_body_terms(t, n0, tau, beta, v_eff)
+def two_body_gradient(t, n0, gamma, kappa) -> tuple[float, float, float]:
+    """Exact dN/dN0 = e/D^2, dN/dgamma = -N t (1 - kappa N0 t h/D) and
+    dN/dkappa = -N N0 F/D where D > 0, with h(x) = (1 - (1 + x) e^(-x))/x^2
+    at x = gamma t (h(0) = 1/2), so dF/dgamma = -t^2 h, by successive
+    divisions so that plain floats overflow to inf or underflow to 0,
+    never raise."""
+    decay, span, denominator = _two_body_terms(t, n0, gamma, kappa)
     n = n0 * decay / denominator
-    ratio = t / tau
+    x = gamma * t
+    if abs(x) < 0.5:
+        # the closed form cancels as x -> 0: sum its series
+        # sum_k (-x)^k (k+1)/(k+2)! until a term no longer changes the sum
+        h, term, k = 0.0, 0.5, 0
+        while h + term != h:
+            h += term
+            term *= -x * (k + 2) / ((k + 1) * (k + 3))
+            k += 1
+    else:
+        h = (-math.expm1(-x) - x * decay) / x / x
     return (
         decay / denominator / denominator,
-        n * (ratio / tau - n0 * (beta / v_eff) * (growth - decay * ratio) / denominator),
-        -n * n0 * tau * growth / v_eff / denominator,
+        -n * t * (1.0 - kappa * n0 * t * h / denominator),
+        -n * n0 * span / denominator,
     )
 
 
 def evolve_trap_population(p: TrapPopulationParams, t_s: float) -> float:
     """Population at time t under dN/dt = -N/tau - (beta/V)N^2, from the
-    closed form two_body_population, with tau = inf taken to its limit."""
+    closed form two_body_population at gamma = 1/tau (0 for tau = inf) and
+    kappa = beta/V_eff."""
     if not t_s >= 0:
         raise ValidationError(f"t_s must be >= 0, got {t_s!r}")
     if p.n0 == 0.0:
         return 0.0
-    if math.isinf(p.tau_s):
-        # tau*(1 - e^(-t/tau)) -> t
-        return p.n0 / (1.0 + p.n0 * p.beta_m3_per_s * t_s / p.v_eff_m3)
-    return two_body_population(t_s, p.n0, p.tau_s, p.beta_m3_per_s, p.v_eff_m3)
+    return two_body_population(t_s, p.n0, 1.0 / p.tau_s, p.beta_m3_per_s / p.v_eff_m3)
 
 
 def evolve_trap_population_rk4(
@@ -116,7 +128,7 @@ def evolve_trap_population_rk4(
         raise ValidationError(f"n_steps must be a positive int, got {n_steps!r}")
     if t_s == 0.0:
         return p.n0
-    rate_one = 0.0 if math.isinf(p.tau_s) else 1.0 / p.tau_s
+    rate_one = 1.0 / p.tau_s
     rate_two = p.beta_m3_per_s / p.v_eff_m3
 
     def derivative(n: float) -> float:

@@ -36,27 +36,32 @@ def params(n0=1.2e6, tau=1500.0, beta=8.0e-20):
     )
 
 
-def central_difference(t, point, k, v_eff, rel_step=1e-6):
+def central_difference(t, point, k, rel_step=1e-6):
+    # a zero rate steps by 1e-9 1/s, either side of it
+    step = rel_step * (abs(point[k]) or 1e-3)
     up, down = list(point), list(point)
-    up[k] += rel_step * abs(point[k])
-    down[k] -= rel_step * abs(point[k])
-    rise = two_body_population(t, *up, v_eff) - two_body_population(t, *down, v_eff)
+    up[k] += step
+    down[k] -= step
+    rise = two_body_population(t, *up) - two_body_population(t, *down)
     return rise / (up[k] - down[k])
+
+
+V_EFF = params().v_eff_m3
 
 
 @pytest.mark.parametrize(
     "point",
-    [(1.2e6, 1500.0, 8.0e-20), (3.0e5, 400.0, 3.0e-19), (5.0e6, 4000.0, 1.0e-20),
-     (1.2e6, 1500.0, -2.0e-20)],
-    ids=["default", "fast", "slow", "negative-beta"],
+    [(1.2e6, 1 / 1500.0, 8.0e-20 / V_EFF), (3.0e5, 1 / 400.0, 3.0e-19 / V_EFF),
+     (5.0e6, 1 / 4000.0, 1.0e-20 / V_EFF), (1.2e6, 1 / 1500.0, -2.0e-20 / V_EFF),
+     (1.2e6, 0.0, 8.0e-20 / V_EFF)],
+    ids=["default", "fast", "slow", "negative-beta", "no-one-body-loss"],
 )
 def test_two_body_gradient_matches_central_differences(point):
-    v_eff = params().v_eff_m3
     for t in (0.0, 1.0, 10.0, 45.0, 90.0):
-        gradient = two_body_gradient(t, *point, v_eff)
+        gradient = two_body_gradient(t, *point)
         for k in range(3):
             assert gradient[k] == pytest.approx(
-                central_difference(t, point, k, v_eff), rel=1e-6, abs=0.0
+                central_difference(t, point, k), rel=1e-6, abs=0.0
             ), (t, k)
 
 
@@ -64,10 +69,14 @@ def test_two_body_population_is_the_evolved_law():
     p = params()
     for t in (0.0, 0.5, 30.0, 90.0):
         assert evolve_trap_population(p, t) == two_body_population(
-            t, p.n0, p.tau_s, p.beta_m3_per_s, p.v_eff_m3
+            t, p.n0, 1.0 / p.tau_s, p.beta_m3_per_s / p.v_eff_m3
         )
-    # a collapsing denominator, reachable with beta < 0, reads as +inf
-    assert two_body_population(90.0, 1.2e6, 1500.0, -1e-15, p.v_eff_m3) == math.inf
+        # tau = inf is the rate gamma = 0
+        assert evolve_trap_population(params(tau=math.inf), t) == two_body_population(
+            t, p.n0, 0.0, p.beta_m3_per_s / p.v_eff_m3
+        )
+    # a collapsing denominator, reachable with kappa < 0, reads as +inf
+    assert two_body_population(90.0, 1.2e6, 1 / 1500.0, -1e-15 / p.v_eff_m3) == math.inf
 
 
 # 40-digit closed-form references for the benchmark trap

@@ -10,12 +10,24 @@ a release that changes nothing else re-pins nothing.  Each run is a sequence of
 commands (a fit first simulates its input) with relative output paths
 inside a temporary directory, so the manifests do not depend on where the
 test runs.
+
+Every golden is also run with the C library's exp, expm1, log and log1p
+replaced: by correctly rounded values, under which every golden holds, and
+by values one ulp off, which move only LAST_BIT_SENSITIVE.  So a replay on
+another C library that rounds these calls correctly reproduces every
+output, and only those outputs depend on its last bits.
 """
 
+import ast
 import hashlib
+import importlib
 import json
+import math
+import pkgutil
+import types
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import coldspin
@@ -53,8 +65,8 @@ GOLDEN = {
         "decay.csv.manifest.json": "6695c8fa62add1cf5c3ac578bdd6e0303ee1edcc4d50134c2ea7c5e1e9dc5f9b",
     },
     "decay_fit": {
-        "decay_fit.json": "60b2c5792a6db54fd479bb39ff858a45805936607039655fdbfe5c20ca0c9483",
-        "decay_fit.json.manifest.json": "72ac326712c93803522cbfea0a2ef8713cbc9ed61565f7d8bb5192a41fbed1a4",
+        "decay_fit.json": "c7c95804cc9ebe48dba2a128c390b178a74a3bba52a41064bb5431e2d251832e",
+        "decay_fit.json.manifest.json": "ea7c726e7b6f7f548657ed17df3c5e5f4861d5038e780805430f669b187525c1",
     },
     "tof_simulate": {
         "tof.csv": "286b949fc63fa969fb095f7b04b772ac5f62901966e6f664a5cf83df974d573b",
@@ -170,3 +182,82 @@ def run_digests(name, tmp_path, monkeypatch) -> dict:
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_scan_outputs_match_golden_digests(name, tmp_path, monkeypatch):
     assert run_digests(name, tmp_path, monkeypatch) == GOLDEN[name]
+
+
+# the math functions whose results a C library may round differently
+LIBM = ("exp", "expm1", "log", "log1p")
+# the others coldspin calls, whose results IEEE 754 fixes exactly
+EXACT = {"ceil", "isfinite", "isinf", "isnan", "sqrt"}
+# the runs whose digests move when every LIBM result is one ulp off
+LAST_BIT_SENSITIVE = {"decay_fit"}
+
+
+def math_functions_used() -> set:
+    """Every math function a coldspin module names: math.<name> or a name
+    imported from math."""
+    names = set()
+    for path in Path(coldspin.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "math"):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                names.update(alias.name for alias in node.names)
+    return {name for name in names if callable(getattr(math, name))}
+
+
+def replace_libm(monkeypatch, replacement):
+    """Every coldspin module's LIBM functions, through its math module or
+    imported by name, become replacement(name, math's function)."""
+    shim = types.ModuleType("math")
+    shim.__dict__.update(vars(math))
+    functions = {name: replacement(name, getattr(math, name)) for name in LIBM}
+    shim.__dict__.update(functions)
+    for info in pkgutil.iter_modules(coldspin.__path__):
+        module = importlib.import_module(f"coldspin.{info.name}")
+        if getattr(module, "math", None) is math:
+            monkeypatch.setattr(module, "math", shim)
+        for name, function in functions.items():
+            if getattr(module, name, None) is getattr(math, name):
+                monkeypatch.setattr(module, name, function)
+
+
+def correctly_rounded(name, function):
+    exact = getattr(mpmath, name)
+
+    def call(x):
+        y = function(x)  # math's own errors and special values
+        if y == 0.0 or not (math.isfinite(x) and math.isfinite(y)):
+            return y
+        with mpmath.workprec(200):
+            return float(exact(mpmath.mpf(x)))
+
+    return call
+
+
+def one_ulp_off(name, function):
+    def call(x):
+        y = function(x)
+        return math.nextafter(y, math.copysign(math.inf, y))
+
+    return call
+
+
+def test_shims_cover_every_math_function_used():
+    assert math_functions_used() <= set(LIBM) | EXACT
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_goldens_hold_under_a_correctly_rounded_libm(name, tmp_path, monkeypatch):
+    replace_libm(monkeypatch, correctly_rounded)
+    assert run_digests(name, tmp_path, monkeypatch) == GOLDEN[name]
+
+
+def test_a_one_ulp_libm_moves_only_the_last_bit_sensitive_goldens(tmp_path, monkeypatch):
+    replace_libm(monkeypatch, one_ulp_off)
+    moved = set()
+    for name in RUNS:
+        (tmp_path / name).mkdir()
+        if run_digests(name, tmp_path / name, monkeypatch) != GOLDEN[name]:
+            moved.add(name)
+    assert moved == LAST_BIT_SENSITIVE
