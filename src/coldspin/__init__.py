@@ -10,9 +10,7 @@ projection-noise-limited probing, and trap-characterization fits
 (two-body loss, time of flight, dipole trap depth).
 """
 
-import importlib
-
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 # The package loads lazily (PEP 562; Scientific Python SPEC 1): each public
 # name is imported from the submodule that defines it on first access, so
@@ -54,6 +52,8 @@ __all__ = sorted(_SOURCE)
 
 
 def __getattr__(name: str):
+    import importlib  # here, not at the top: `python -m coldspin.cli` need not load it
+
     if name in _SOURCE:
         return getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
     if name in _SUBMODULES:

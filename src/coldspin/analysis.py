@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 from .atomic_data import BOLTZMANN_J_PER_K, DEFAULT_GUARD_LINEWIDTHS
-from .ensemble import two_body_gradient, two_body_population
 from .errors import FitError, ValidationError
 from .frozen import Frozen
 from .jsonio import decode_nonfinite
@@ -287,6 +286,8 @@ def fit_two_body_decay(
     every parameter does if the normal matrix of the others is singular.  A
     non-finite sample raises ValidationError.
     """
+    from .ensemble import two_body_gradient, two_body_population
+
     if not v_eff > 0:
         raise ValidationError(f"v_eff must be positive, got {v_eff!r}")
     pts = [(float(t), float(n), float(s)) for t, n, s in samples]

@@ -37,12 +37,14 @@ with its value) straight from the table (_parse), and hands any other,
 --help, --version and every usage error among them, to the parser
 build_parser makes, the one place argparse is imported, so help, usage
 and error text are argparse's own.  Outputs are digested with CPython's
-built-in SHA-256 module rather than hashlib, which loads OpenSSL.  No
-command imports numpy: the decay, expansion and pulse simulations take all
-their draws up front, none without noise, as plain numbers from rng's copy
-of numpy's normal stream seeded with the section's seed (_normals), and a
-scan draws two numbers a run from the same copy, so every command and its
-replay runs on the standard library alone.
+built-in SHA-256 module rather than hashlib, which loads OpenSSL, and JSON
+is read and written on CPython's _json accelerator rather than json, whose
+regular expressions load re and enum (jsonio).  No command imports numpy:
+the decay, expansion and pulse simulations take all their draws up front,
+none without noise, as plain numbers from rng's copy of numpy's normal
+stream seeded with the section's seed (_normals), and a scan draws two
+numbers a run from the same copy, so every command and its replay runs on
+the standard library alone.
 """
 
 from __future__ import annotations
@@ -195,7 +197,7 @@ _RULES = {
 # ---------------------------------------------------------------- config
 
 
-# the JSON type of each Python type json.load returns (bool is not int here)
+# the JSON type of each Python type read_json returns (bool is not int here)
 _JSON_TYPES = {type(None): "null", bool: "boolean", int: "integer", float: "number",
                str: "string", list: "array", dict: "object"}
 
@@ -534,11 +536,11 @@ def _run_decay(cfg: dict, spec: AtomSpec) -> dict:
 
 
 def _run_tof(cfg: dict, spec: AtomSpec) -> dict:
-    from .ensemble import tof_radius
-
     section = cfg["tof"]
     out = cfg["out"]
     if cfg["mode"] == "simulate":
+        from .ensemble import tof_radius
+
         noise = section["noise_m"]
         times = _keyed(cfg, ("tof.t_start_s", "tof.t_stop_s"), _times, section)
         normals = _normals(cfg, "tof", len(times)) if noise else [0.0] * len(times)

@@ -8,7 +8,11 @@ their numpy formulations did, without importing numpy.
 from __future__ import annotations
 
 import operator
-from functools import reduce
+
+try:  # functools's own reduce, without the modules functools loads
+    from _functools import reduce
+except ImportError:
+    from functools import reduce
 
 
 def pairwise_sum(values: Sequence[float]) -> float:

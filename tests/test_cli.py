@@ -704,12 +704,12 @@ def test_integer_past_the_digit_limit_exits_2(in_tmp_dir, capsys):
 
 
 def test_decay_fit_with_a_rank_one_gradient_reports_no_sigma(in_tmp_dir, capsys, monkeypatch):
-    import coldspin.analysis
+    import coldspin.ensemble
 
     assert cli.main(["decay", "simulate", "--out", "decay.csv"]) == 0
     # equal Jacobian columns: the scaled normal matrix has rank 1, which the
     # damping keeps solvable; the covariance at the end is undefined
-    monkeypatch.setattr(coldspin.analysis, "two_body_gradient", lambda *args: (1.0, 1.0, 1.0))
+    monkeypatch.setattr(coldspin.ensemble, "two_body_gradient", lambda *args: (1.0, 1.0, 1.0))
     capsys.readouterr()
     assert cli.main(["decay", "fit", "--in", "decay.csv", "--out", "fit.json"]) == 0
     assert "Traceback" not in capsys.readouterr().err
@@ -1167,26 +1167,32 @@ def fit_inputs(tmp_path_factory):
 IMPORT_FLOOR = ("typing", "importlib.resources", "dataclasses")
 # stdlib modules a well-formed command line loads none of: it is parsed
 # from cli's table, which leaves argparse (and the gettext and locale it
-# loads) to help, version and usage errors, and outputs are digested with
-# CPython's built-in SHA-256 module, not hashlib and the OpenSSL it loads
-RUN_FLOOR = ("argparse", "gettext", "locale", "hashlib", "_hashlib")
+# loads) to help, version and usage errors, outputs are digested with
+# CPython's built-in SHA-256 module, not hashlib and the OpenSSL it loads,
+# and JSON is read and written on _json, not json, whose regular
+# expressions load re, enum, functools and collections
+RUN_FLOOR = ("argparse", "gettext", "locale", "hashlib", "_hashlib", "json", "json.decoder",
+             "json.encoder", "json.scanner", "re", "enum", "functools", "collections")
 BUILTIN_SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
 
 # runs cli.main on its arguments, then prints the exit code, the modules of
 # IMPORT_FLOOR it loaded, every numpy module it loaded, the coldspin
 # submodules it loaded (without the package's prefix), and the modules of
-# RUN_FLOOR and BUILTIN_SHA256 it loaded, as JSON
+# RUN_FLOOR and BUILTIN_SHA256 it loaded, as JSON; sys.modules is read
+# before json is imported to print
 MAIN_AND_LOADED_MODULES = f"""
-import json, sys
+import sys
 from coldspin import cli
 try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, [m for m in {IMPORT_FLOOR!r} if m in sys.modules],
-                  sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'),
-                  sorted(m[9:] for m in sys.modules if m.startswith('coldspin.')),
-                  [m for m in {(*RUN_FLOOR, BUILTIN_SHA256)!r} if m in sys.modules]]))
+loaded = set(sys.modules)
+import json
+print(json.dumps([code, [m for m in {IMPORT_FLOOR!r} if m in loaded],
+                  sorted(m for m in loaded if m.split('.')[0] == 'numpy'),
+                  sorted(m[9:] for m in loaded if m.startswith('coldspin.')),
+                  [m for m in {(*RUN_FLOOR, BUILTIN_SHA256)!r} if m in loaded]]))
 """
 
 
@@ -1273,8 +1279,7 @@ def test_simulations_load_no_fit_module(fit_inputs, argv, loads_analysis):
 # The coldspin submodules each command and its replay load, cli aside: the
 # modules it calls and theirs, none for an annotation or a constant.  Each
 # also loads BUILTIN_SHA256 and none of RUN_FLOOR.
-_FIT_MODULES = {"analysis", "atomic_data", "csvio", "ensemble", "errors", "frozen", "jsonio",
-                "summation"}
+_FIT_MODULES = {"analysis", "atomic_data", "csvio", "errors", "frozen", "jsonio", "summation"}
 _SIMULATE_MODULES = {"atomic_data", "csvio", "ensemble", "errors", "frozen", "jsonio", "rng"}
 COMMAND_MODULES = {
     "scan": {"atomic_data", "csvio", "detector", "errors", "experiment", "frozen", "jsonio",
@@ -1282,7 +1287,7 @@ COMMAND_MODULES = {
     "fit": _FIT_MODULES | {"scandata", "spin_optics"},
     "budget": _FIT_MODULES,
     "decay simulate": _SIMULATE_MODULES,
-    "decay fit": _FIT_MODULES,
+    "decay fit": _FIT_MODULES | {"ensemble"},
     "tof simulate": _SIMULATE_MODULES,
     "tof fit": _FIT_MODULES,
     "pulse": {"atomic_data", "csvio", "detector", "errors", "frozen", "jsonio", "rng",
