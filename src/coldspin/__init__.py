@@ -10,7 +10,7 @@ projection-noise-limited probing, and trap-characterization fits
 (two-body loss, time of flight, dipole trap depth).
 """
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 # The package loads lazily (PEP 562; Scientific Python SPEC 1): each public
 # name is imported from the submodule that defines it on first access, so
@@ -18,11 +18,12 @@ __version__ = "0.15.0"
 _EXPORTS = {
     "analysis": (
         "FitResult", "compute_od", "fit_column_density", "fit_result_from_json_dict",
-        "fit_tof_temperature", "fit_two_body_decay", "photon_budget", "snr_report",
+        "fit_tof_temperature", "fit_two_body_decay", "snr_report",
     ),
     "atomic_data": (
         "AtomSpec", "TrapSpec", "default_atom_spec", "default_trap_spec", "load_atom_spec",
     ),
+    "budget": ("photon_budget",),
     "detector": (
         "DetectorSpec", "PulseRecord", "TransmissionSpec", "angle_denominator", "angle_variance",
         "extract_angle", "format_pulse_csv", "simulate_pulse_detection", "synthesize_waveform",
@@ -51,13 +52,18 @@ _SUBMODULES = {*_EXPORTS, "cli", "csvio", "jsonio", "rng", "summation"}
 __all__ = sorted(_SOURCE)
 
 
-def __getattr__(name: str):
-    import importlib  # here, not at the top: `python -m coldspin.cli` need not load it
+def _submodule(name: str):
+    # __import__ returns the named submodule when given a fromlist; unlike
+    # importlib.import_module it needs no import of importlib and warnings,
+    # so `from coldspin import cli` loads what `import coldspin.cli` loads
+    return __import__(f"{__name__}.{name}", fromlist=("__name__",))
 
+
+def __getattr__(name: str):
     if name in _SOURCE:
-        return getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+        return getattr(_submodule(_SOURCE[name]), name)
     if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
+        return _submodule(name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

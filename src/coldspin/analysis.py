@@ -1,5 +1,5 @@
-"""Parameter estimation: column-density fit, photon budget, SNR, and the
-trap-loss and time-of-flight fits.
+"""Parameter estimation: column-density fit, SNR, and the trap-loss and
+time-of-flight fits, with the photon budget re-exported from coldspin.budget.
 
 The rotation-angle scan is fit by weighted linear least squares for the one
 free parameter (the column density); the trap decay is fit by projected
@@ -28,6 +28,17 @@ LM_MAX_ITERATIONS = 200
 LM_RELATIVE_TOLERANCE = 1.0e-10
 LM_COST_TOLERANCE = 1.0e-12
 LM_INITIAL_DAMPING = 1.0e-3
+
+
+def __getattr__(name: str):
+    # photon_budget lives in coldspin.budget, so that the budget command
+    # loads no fit and a fit no budget; it is re-exported here on first
+    # access, the same object
+    if name == "photon_budget":
+        from .budget import photon_budget
+
+        return photon_budget
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class FitResult(Frozen):
@@ -168,34 +179,6 @@ def compute_od(fit: FitResult, spec: AtomSpec) -> tuple[float, float]:
         sigma0 * fit.params["column_density_m2"],
         sigma0 * fit.sigmas["column_density_m2"],
     )
-
-
-def photon_budget(a: float, n_atoms: float, theta_rad: float) -> float:
-    """Total probe photons for an atomic-to-shot variance ratio of a:
-    N_L = a N_a / theta^2."""
-    for name, value in (("a", a), ("n_atoms", n_atoms), ("theta_rad", theta_rad)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
-    if theta_rad == 0.0:
-        raise ValidationError("theta_rad must be nonzero")
-    if a < 0 or n_atoms < 0:
-        raise ValidationError("a and n_atoms must be >= 0")
-    # theta_rad**2 is 0 for |theta_rad| < ~1.6e-162, where the total overflows
-    # for any a * n_atoms above ~1e-15: report that as an overflow too
-    try:
-        theta_squared = theta_rad**2
-    except OverflowError:
-        # |theta_rad| > ~1.3e154: divide by theta_rad twice instead; the total
-        # underflows to 0.0 unless a * n_atoms is far beyond 1e154
-        total = (a / theta_rad) * (n_atoms / theta_rad)
-    else:
-        total = a * n_atoms / theta_squared if theta_squared else math.inf
-    if total == math.inf:
-        raise OverflowError(
-            "photons_total = a * n_atoms / theta_rad**2 exceeds the float range at "
-            f"a = {a!r}, n_atoms = {n_atoms!r}, theta_rad = {theta_rad!r}"
-        )
-    return total
 
 
 def snr_report(

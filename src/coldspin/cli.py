@@ -1,48 +1,51 @@
 """Command-line front end.
 
-Subcommands: scan, fit, budget, decay, tof, pulse.  One table,
-_COMMANDS, declares each subcommand: its help and runner, the config
-section whose seed --seed sets, whether it takes a simulate|fit mode, and
-each of its flags with the one config key the flag overrides.
-_parse, build_parser and _run_command all read it.  Every run resolves a
-full configuration (packaged defaults, then the --config file, then the
-flags), checks it once (_check_config) and, before any work, that the
-files it reads and writes are distinct, that no path holds a NUL and that
-each file it writes is no directory and lies in one that exists
-(_check_paths).  Its runner then formats every output to bytes and opens
-no file.  Only then does _write_files, the one place coldspin opens a file
-for writing, write the outputs and, last, a manifest recording the
-command, tool version, seed, the fully resolved config with atomic
-constants inlined, and a SHA-256 digest of each output's bytes, never read
-back.  So a run that fails writes nothing.  The constants come from one
-place: the JSON file the config key atom_data names, or the packaged 87Rb
-D2 file when it is null.  Every command, and every replay, checks them
-once, building the AtomSpec its runner takes.  Re-invoking a command with
-only `--manifest PATH` replays that run from the stored config and
-verifies the digests, so any (config, seed) pair is reproducible
-byte-for-byte; a replay writes its outputs only when every digest matches
-the record.
+Subcommands: scan, fit, budget, decay, tof, pulse.  One table, _COMMANDS,
+declares each subcommand: its help, the config section whose seed --seed
+sets, whether it takes a simulate|fit mode, and each of its flags with the
+one config key the flag overrides.  _parse, build_parser and _run_command
+all read it.  Each subcommand's runner is the module of its name in
+coldspin.runners, which _run_command and _replay import only when they
+dispatch it (_runner), so a command compiles no other command's runner.
+Every run resolves a full configuration (packaged defaults, then the
+--config file, then the flags), checks it once (_check_config) and, before
+any work, that the files it reads and writes are distinct, that no path is
+empty or holds a NUL and that each file it writes is no directory and lies
+in one that exists (_check_paths).  Its runner then formats every output
+to bytes and opens no file.  Only then does _write_files, the one place
+coldspin opens a file for writing, write the outputs and, last, a manifest
+recording the command, tool version, seed, the fully resolved config with
+atomic constants inlined, and a SHA-256 digest of each output's bytes,
+never read back.  So a run that fails writes nothing.  The constants come
+from one place: the JSON file the config key atom_data names, or the
+packaged 87Rb D2 file when it is null.  Every command, and every replay,
+checks them once, building the AtomSpec its runner takes.  Re-invoking a
+command with only `--manifest PATH` replays that run from the stored
+config and verifies the digests, so any (config, seed) pair is
+reproducible byte-for-byte; a replay writes its outputs only when every
+digest matches the record.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 numeric failure
 (fit non-convergence, near-resonance guard, replay digest mismatch).
 
 A runner has no error handling of its own: it makes each library call
-through _keyed, which turns a failure into an error naming the dotted
-config keys the call reads, with their values, so every exit 2 or 3 a
-config value causes names its key.  A command loads only the modules it
+through runners._keyed, which turns a failure into an error naming the
+dotted config keys the call reads, with their values, so every exit 2 or 3
+a config value causes names its key.  A command loads only the modules it
 calls: each runner imports its library modules when it runs, and no module
 imports another for an annotation or a constant.  main parses a
 well-formed command line (a command, its mode, then exact options, each
 with its value) straight from the table (_parse), and hands any other,
 --help, --version and every usage error among them, to the parser
-build_parser makes, the one place argparse is imported, so help, usage
-and error text are argparse's own.  Outputs are digested with CPython's
-built-in SHA-256 module rather than hashlib, which loads OpenSSL, and JSON
-is read and written on CPython's _json accelerator rather than json, whose
-regular expressions load re and enum (jsonio).  No command imports numpy:
-the decay, expansion and pulse simulations take all their draws up front,
-none without noise, as plain numbers from rng's copy of numpy's normal
-stream seeded with the section's seed (_normals), and a scan draws two
+build_parser makes from the table in coldspin.parser, the one module that
+imports argparse and one no run loads, so help, usage and error text are
+argparse's own.  Outputs are digested with CPython's built-in SHA-256
+module rather than hashlib, which loads OpenSSL, and JSON is read and
+written on CPython's _json accelerator rather than json, whose regular
+expressions load re and enum (jsonio).  No command imports numpy: the
+decay, expansion and pulse simulations take all their draws up front, none
+without noise, as plain numbers from rng's copy of numpy's normal stream
+seeded with the section's seed (runners._normals), and a scan draws two
 numbers a run from the same copy, so every command and its replay runs on
 the standard library alone.
 """
@@ -50,23 +53,21 @@ the standard library alone.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import sys
 
-from . import __version__
+from . import __version__, csvio
 from .atomic_data import default_atom_document, load_atom_spec
-# bench/tracing.py times CSV reading and CSV and JSON formatting under these names
-from .csvio import MAX_ARRAY_SIZE, format_table as _write_rows_csv, read_table as _read_rows_csv
 from .errors import FitError, NearResonanceError, ValidationError
 from .frozen import Frozen
 from .jsonio import decode_nonfinite, format_json as _write_json, read_json
+from .runners import _keyed, _scan_curve_path
+
+# bench/tracing.py times CSV reading and CSV and JSON formatting under these
+# names, and rebinds every coldspin module that holds the same objects
+_write_rows_csv, _read_rows_csv = csvio.format_table, csvio.read_table
 
 _SQRT_8LN2 = 2.0 * math.sqrt(2.0 * math.log(2.0))
-CURVE_SAMPLES = 200
-CURVE_CSV_COLUMNS = {"detuning_hz": float, "theta_model_rad": float}
-DECAY_CSV_COLUMNS = {"time_s": float, "atom_count": float, "count_sigma": float}
-TOF_CSV_COLUMNS = {"time_s": float, "sigma_m": float}
 
 # Fully resolved fallback configuration. A --config file overrides
 # section-by-section; flags override the file. The numbers are the
@@ -159,7 +160,7 @@ _NULLABLE = {
 
 
 def _count(low: int) -> tuple:
-    return lambda v: low <= v <= MAX_ARRAY_SIZE, f"be in [{low}, {MAX_ARRAY_SIZE}]"
+    return lambda v: low <= v <= csvio.MAX_ARRAY_SIZE, f"be in [{low}, {csvio.MAX_ARRAY_SIZE}]"
 
 
 _MODES = ("simulate", "fit")
@@ -259,10 +260,10 @@ def _attach_atom_constants(cfg: dict) -> AtomSpec:
     config's atom_data key names, else the packaged one, and return the
     AtomSpec it describes.  A replay does not call it: _replay builds the
     AtomSpec from the constants its manifest records."""
-    if cfg["atom_data"]:
-        cfg["atom_constants"] = read_json(cfg["atom_data"])
-    else:
+    if cfg["atom_data"] is None:
         cfg["atom_constants"] = default_atom_document()
+    else:
+        cfg["atom_constants"] = read_json(cfg["atom_data"])
     return _keyed(cfg, ("atom_data",), load_atom_spec, cfg["atom_constants"])
 
 
@@ -294,11 +295,11 @@ def _write_files(files: dict) -> None:
 def _check_paths(command: str, cfg: dict, config_path: str | None, manifest_path: str,
                  recorded) -> None:
     """Reject a run, before any work, unless every file it touches is a
-    distinct file whose path holds no NUL character, and every file it
-    writes is no directory and lies in a directory that exists: the
-    --config file, the atom data, the --in file, the outputs (--out, a
-    scan's curve file and those a replayed manifest records) and the
-    manifest.  A file that exists is known by its device and inode, so a
+    distinct file whose path is neither empty nor holds a NUL character,
+    and every file it writes is no directory and lies in a directory that
+    exists: the --config file, the atom data, the --in file, the outputs
+    (--out, a scan's curve file and those a replayed manifest records) and
+    the manifest.  A file that exists is known by its device and inode, so a
     symlink or a hard link to another of them is that file; any other path
     by its symlinks resolved."""
     outputs = {cfg["out"], *recorded}
@@ -307,7 +308,9 @@ def _check_paths(command: str, cfg: dict, config_path: str | None, manifest_path
     files = [("config", config_path), ("atom data", cfg["atom_data"]), ("input", cfg.get("in")),
              *[("output", path) for path in sorted(outputs)], ("manifest", manifest_path)]
     named = {}
-    for role, path in [file for file in files if file[1]]:  # skip inputs not given
+    for role, path in [file for file in files if file[1] is not None]:  # skip inputs not given
+        if not path:  # open('') fails only after the work, naming no file
+            raise ValidationError(f"the {role} path is empty")
         if "\0" in path:  # the OS refuses such a path with a ValueError
             raise ValidationError(f"the {role} {path!r} holds a NUL character")
         real = os.path.realpath(path)
@@ -324,267 +327,6 @@ def _check_paths(command: str, cfg: dict, config_path: str | None, manifest_path
         if key in named:
             raise ValidationError(f"the {named[key]} and the {role} {path!r} are one file")
         named[key] = f"{role} {path!r}"
-
-
-# ------------------------------------------------------------- runners
-#
-# Each runner consumes a fully resolved, checked config (atom constants
-# inlined, output paths stored under "out") and the AtomSpec built from
-# those constants, and returns the bytes of every output, keyed by path; it
-# writes no file, as the caller digests and writes them. Replay calls the
-# same runner with the stored config.
-# A runner imports its library names when it runs, from the modules that
-# bench/tracing.py rebinds, so a traced run sees them, and calls each
-# through _keyed with the config keys the call reads.
-
-
-def _key_values(cfg: dict, keys: tuple) -> str:
-    """The config keys with their values, as an error names them: a dotted
-    key, a top-level one, or a section's name for each key of the section."""
-    values = []
-    for key in keys:
-        if isinstance(cfg.get(key), dict):
-            values += [f"{key}.{name} = {value!r}" for name, value in cfg[key].items()]
-        else:
-            section, _, name = key.rpartition(".")
-            values.append(f"{key} = {(cfg[section] if section else cfg)[name]!r}")
-    return ", ".join(values)
-
-
-def _in_range(what: str, function, *args, **kwargs):
-    """function(*args, **kwargs), whose OverflowError, or non-finite float
-    result, is reported as what, the computed value, exceeding the float range."""
-    try:
-        result = function(*args, **kwargs)
-    except OverflowError:
-        result = math.inf
-    if isinstance(result, float) and not math.isfinite(result):
-        raise OverflowError(f"{what} exceeds the float range")
-    return result
-
-
-def _keyed(cfg: dict, keys: tuple, function, *args, what: str | None = None, **kwargs):
-    """function(*args, **kwargs) for a runner, the one place where a
-    library failure turns into an error that names the config keys the
-    call reads (see _key_values), with their values: a ValidationError,
-    NearResonanceError, FitError or ArithmeticError keeps its type and
-    text, with the keys appended.  A call given what is _in_range's."""
-    try:
-        return _in_range(what, function, *args, **kwargs) if what else function(*args, **kwargs)
-    except (ValidationError, NearResonanceError, FitError, ArithmeticError) as exc:
-        raise type(exc)(f"{exc} at {_key_values(cfg, keys)}") from None
-
-
-def _record(cfg: dict, section: str, record: type, what: str | None = None, **computed):
-    """record built from the keys of the config section that are its
-    fields, and the computed ones, through _keyed naming the section."""
-    fields = {key: value for key, value in cfg[section].items() if key in record._fields}
-    return _keyed(cfg, (section,), record, **{**fields, **computed}, what=what)
-
-
-def _scan_curve_path(out: str) -> str:
-    stem, extension = os.path.splitext(out)
-    return f"{stem}_curve{extension or '.csv'}"
-
-
-def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """np.linspace(start, stop, num).tolist() for num >= 2, bit for bit, and
-    [start] for num = 1, as numpy gives for a finite span and a start
-    other than -0.0."""
-    if num == 1:
-        return [start]
-    div = num - 1
-    delta = stop - start
-    step = delta / div
-    if step == 0:  # a subnormal span: numpy scales before multiplying (gh-5437)
-        points = [(i / div) * delta + start for i in range(num)]
-    else:
-        points = [i * step + start for i in range(num)]
-    points[-1] = stop
-    return points
-
-
-def _run_scan(cfg: dict, spec: AtomSpec) -> dict:
-    from .detector import DetectorSpec, TransmissionSpec
-    from .experiment import DestructionModel, ScanConfig, run_detuning_scan
-    from .scandata import format_scan_csv
-    from .spin_optics import coherent_spin_state, rotation_cross_section
-
-    ens = cfg["ensemble"]
-    section = cfg["scan"]
-    detunings = section["detunings_hz"]
-    if detunings is None:
-        detunings = _linspace(
-            section["detuning_start_hz"], section["detuning_stop_hz"], section["n_detunings"]
-        )
-    scan_cfg = _record(cfg, "scan", ScanConfig, detunings_hz=tuple(detunings))
-    axis = "z" if ens["polarization"] == 1 else "-z"
-    atoms = _keyed(cfg, ("ensemble.n_atoms",), coherent_spin_state, ens["n_atoms"], axis,
-                   what="the spin state's norm")
-    dataset = _keyed(
-        cfg, ("scan", "ensemble", "detector", "transmission", "destruction",
-              "guard_linewidths"),
-        run_detuning_scan,
-        scan_cfg,
-        atoms,
-        spec,
-        ens["interaction_area_m2"],
-        _record(cfg, "detector", DetectorSpec),
-        _record(cfg, "transmission", TransmissionSpec),
-        _record(cfg, "destruction", DestructionModel),
-        guard_linewidths=cfg["guard_linewidths"],
-    )
-    out = cfg["out"]
-    curve_path = _scan_curve_path(out)
-
-    def curve() -> bytearray:
-        # noiseless forward-model curve for plotting, theta = +/- n_c g~/2,
-        # every row computed before any is formatted
-        column_density = ens["n_atoms"] / ens["interaction_area_m2"] * ens["polarization"]
-        detunings = _linspace(min(scan_cfg.detunings_hz), max(scan_cfg.detunings_hz),
-                              CURVE_SAMPLES)
-        rows = [(detuning, 0.5 * column_density * rotation_cross_section(
-                    detuning, spec, guard_linewidths=cfg["guard_linewidths"]))
-                for detuning in detunings]
-        return _write_rows_csv(curve_path, CURVE_CSV_COLUMNS, rows)
-
-    return {out: format_scan_csv(dataset, out),
-            curve_path: _keyed(cfg, ("scan", "ensemble", "guard_linewidths"), curve)}
-
-
-def _run_fit(cfg: dict, spec: AtomSpec) -> dict:
-    from .analysis import compute_od, fit_column_density
-    from .scandata import read_scan_csv
-
-    dataset = read_scan_csv(cfg["in"])
-    fit = _keyed(cfg, ("fit", "guard_linewidths"), fit_column_density, dataset, spec,
-                 **cfg["fit"], guard_linewidths=cfg["guard_linewidths"])
-    document = fit.to_json_dict()
-    document["params"]["od"], document["sigmas"]["od"] = compute_od(fit, spec)
-    out = cfg["out"]
-    return {out: _write_json(document)}
-
-
-def _run_budget(cfg: dict, spec: AtomSpec) -> dict:
-    from .analysis import photon_budget
-
-    section = cfg["budget"]
-    if section["theta_rad"] is None:
-        raise ValidationError(
-            "budget needs a rotation angle: pass --theta or set budget.theta_rad"
-        )
-    document = {key: section[key] for key in ("a", "n_atoms", "theta_rad")}
-    total = _keyed(cfg, ("budget",), photon_budget, **document,
-                   what="photons_total = a * n_atoms / theta_rad**2")
-    document["photons_total"] = total
-    if section["photons_per_pulse"] is not None:
-        document["photons_per_pulse"] = section["photons_per_pulse"]
-        document["n_pulses"] = _keyed(
-            cfg, ("budget",), operator.truediv, total, section["photons_per_pulse"],
-            what="n_pulses = photons_total / photons_per_pulse",
-        )
-    out = cfg["out"]
-    return {out: _write_json(document)}
-
-
-def _normals(cfg: dict, section: str, count: int) -> list[float]:
-    """The first count draws of the section's normal stream: those of
-    numpy's Generator, PCG64 seeded with the section's seed, frozen in
-    rng."""
-    from .rng import normal_draws, seeded_state
-
-    return normal_draws(*seeded_state(cfg[section]["seed"]), count)[0]
-
-
-def _times(section: dict) -> list[float]:
-    if not section["t_stop_s"] > section["t_start_s"]:
-        raise ValidationError("t_stop_s must exceed t_start_s")
-    return _linspace(section["t_start_s"], section["t_stop_s"], section["n_times"])
-
-
-def _fit_decay(samples: list, v_eff_m3: float):
-    from .analysis import fit_two_body_decay
-
-    fit = fit_two_body_decay(samples, v_eff_m3)
-    if not fit.converged:
-        raise FitError("two-body decay fit did not converge")
-    return fit
-
-
-def _run_decay(cfg: dict, spec: AtomSpec) -> dict:
-    from .ensemble import TrapPopulationParams, evolve_trap_population
-
-    section = cfg["decay"]
-    params = _record(cfg, "decay", TrapPopulationParams, what="the two-body volume")
-    out = cfg["out"]
-    if cfg["mode"] == "simulate":
-        noise = section["noise_fraction"]
-        times = _keyed(cfg, ("decay.t_start_s", "decay.t_stop_s"), _times, section)
-        normals = _normals(cfg, "decay", len(times)) if noise else [0.0] * len(times)
-
-        def rows():  # every model value first: its overflow is named before a noisy row's
-            models = [_in_range(f"the atom count at t = {t!r} s", evolve_trap_population,
-                                params, t) for t in times]
-            for t, n, z in zip(times, models, normals):
-                yield (t, n * (1.0 + noise * z), noise * n) if noise else (t, n, 1.0)
-
-        return {out: _keyed(cfg, ("decay",), _write_rows_csv, out, DECAY_CSV_COLUMNS, rows())}
-    samples = _read_rows_csv(cfg["in"], DECAY_CSV_COLUMNS)
-    fit = _keyed(cfg, ("decay.sigma_z_m", "decay.sigma_r_m"), _fit_decay, samples,
-                 params.v_eff_m3)
-    return {out: _write_json(fit.to_json_dict())}
-
-
-def _run_tof(cfg: dict, spec: AtomSpec) -> dict:
-    section = cfg["tof"]
-    out = cfg["out"]
-    if cfg["mode"] == "simulate":
-        from .ensemble import tof_radius
-
-        noise = section["noise_m"]
-        times = _keyed(cfg, ("tof.t_start_s", "tof.t_stop_s"), _times, section)
-        normals = _normals(cfg, "tof", len(times)) if noise else [0.0] * len(times)
-
-        def rows():  # every model value first: its overflow is named before a noisy row's
-            radii = [_in_range(f"the cloud radius at t = {t!r} s", tof_radius,
-                               section["sigma0_m"], section["temperature_k"], t, spec.mass_kg)
-                     for t in times]
-            for t, r, z in zip(times, radii, normals):
-                yield (t, abs(r + noise * z)) if noise else (t, r)
-
-        return {out: _keyed(cfg, ("tof",), _write_rows_csv, out, TOF_CSV_COLUMNS, rows())}
-    from .analysis import fit_tof_temperature
-
-    samples = _read_rows_csv(cfg["in"], TOF_CSV_COLUMNS)
-    fit = fit_tof_temperature(samples, spec.mass_kg)
-    return {out: _write_json(fit.to_json_dict())}
-
-
-def _run_pulse(cfg: dict, spec: AtomSpec) -> dict:
-    from .detector import (
-        DetectorSpec,
-        TransmissionSpec,
-        format_pulse_csv,
-        simulate_pulse_detection,
-        synthesize_waveform,
-    )
-
-    section = cfg["pulse"]
-    keys = ("pulse", "detector", "transmission")
-    det = _record(cfg, "detector", DetectorSpec)
-    delta = _keyed(
-        cfg, keys,
-        simulate_pulse_detection,
-        section["theta_rad"],
-        section["n_photons"],
-        det,
-        _record(cfg, "transmission", TransmissionSpec),
-        _normals(cfg, "pulse", 1)[0] if section["noisy"] else None,
-        what="the imbalance",
-    )
-    record = _keyed(cfg, keys, synthesize_waveform, delta, det, section["pulse_duration_s"])
-    out = cfg["out"]
-    return {out: _keyed(cfg, keys, format_pulse_csv, record, out)}
 
 
 # ------------------------------------------------------------- commands
@@ -605,7 +347,6 @@ class _Flag(Frozen):
 
 class _Command(Frozen):
     help: str
-    runner: Callable[[dict, AtomSpec], dict]  # runs a resolved config, returns its outputs' bytes
     seeded: str | None  # section whose seed --seed sets; None records seed null
     modes: bool  # takes a simulate|fit mode
     input_help: str | None  # help of --in; None when the command reads no file
@@ -623,30 +364,30 @@ _COMMON_OPTIONS = {
 }
 
 _COMMANDS = {
-    "scan": _Command("synthesize a detuning scan CSV", _run_scan, "scan", False, None, (
+    "scan": _Command("synthesize a detuning scan CSV", "scan", False, None, (
         _Flag("--atoms", "ensemble.n_atoms", "override ensemble.n_atoms"),
         _Flag("--threads", "threads", "validated and recorded in the manifest; scans "
               "run single-threaded and the value changes no output", int),
     )),
-    "fit": _Command("fit column density to a scan CSV", _run_fit, None, False,
+    "fit": _Command("fit column density to a scan CSV", None, False,
                     "scan CSV to fit", (
         _Flag("--unweighted", "fit.weighted", "ignore per-point spreads in the fit",
               switch=False),
         _Flag("--sigma-source", "fit.sigma_source", "which reported spread weights the fit",
               None, ("stddev", "stderr")),
     )),
-    "budget": _Command("photon budget for a target variance ratio", _run_budget, None,
+    "budget": _Command("photon budget for a target variance ratio", None,
                        False, None, (
         _Flag("--a", "budget.a", "atomic-to-shot variance ratio"),
         _Flag("--atoms", "budget.n_atoms", "atom number"),
         _Flag("--theta", "budget.theta_rad", "single-pass rotation angle (rad)"),
         _Flag("--photons-per-pulse", "budget.photons_per_pulse", "also report the pulse count"),
     )),
-    "decay": _Command("trap-population decay (simulate or fit)", _run_decay, "decay", True,
+    "decay": _Command("trap-population decay (simulate or fit)", "decay", True,
                       "decay CSV to fit"),
-    "tof": _Command("ballistic expansion (simulate or fit)", _run_tof, "tof", True,
+    "tof": _Command("ballistic expansion (simulate or fit)", "tof", True,
                     "expansion CSV to fit"),
-    "pulse": _Command("emit a single balanced-detection waveform", _run_pulse, "pulse",
+    "pulse": _Command("emit a single balanced-detection waveform", "pulse",
                       False, None, (
         _Flag("--theta", "pulse.theta_rad", "rotation angle (rad)"),
         _Flag("--photons", "pulse.n_photons", "photons in the pulse"),
@@ -654,6 +395,13 @@ _COMMANDS = {
               switch=True),
     )),
 }
+
+
+def _runner(command: str):
+    """The run function of the command's module in coldspin.runners,
+    imported only now, so that a command compiles no other command's
+    runner; through __import__, as importlib would load warnings."""
+    return __import__(f"{__package__}.runners.{command}", fromlist=("run",)).run
 
 
 def _replay(command: str, manifest_path: str) -> int:
@@ -689,7 +437,7 @@ def _replay(command: str, manifest_path: str) -> int:
         spec = _keyed(cfg, ("atom_constants",), load_atom_spec, constants)
     except ValidationError as exc:
         raise ValidationError(f"{manifest_path}: {exc}") from exc
-    outputs = row.runner(cfg, spec)
+    outputs = _runner(command)(cfg, spec)
     digests = {path: _sha256(data) for path, data in outputs.items()}
     recorded = document["outputs"]
     if digests != recorded:
@@ -712,6 +460,9 @@ def _replay(command: str, manifest_path: str) -> int:
 def _run_command(args: dict) -> int:
     command = args["command"]
     row = _COMMANDS[command]
+    for role in ("config", "manifest"):  # the paths read before _check_paths runs
+        if args[role] == "":
+            raise ValidationError(f"the {role} path is empty")
     given = {dest for dest, value in args.items() if value is not None}
     if given == {"command", "manifest"}:
         return _replay(command, args["manifest"])
@@ -743,11 +494,11 @@ def _run_command(args: dict) -> int:
     if args["out"] is None:
         raise ValidationError("--out is required (or replay with --manifest only)")
     cfg["out"] = args["out"]
-    manifest_path = args["manifest"] or cfg["out"] + ".manifest.json"
+    manifest_path = cfg["out"] + ".manifest.json" if args["manifest"] is None else args["manifest"]
     _check_paths(command, cfg, args["config"], manifest_path, ())
     spec = _attach_atom_constants(cfg)
 
-    outputs = row.runner(cfg, spec)
+    outputs = _runner(command)(cfg, spec)
     manifest = {"command": command, "version": __version__, "seed": cfg["seed"], "config": cfg,
                 "outputs": {path: _sha256(data) for path, data in outputs.items()}}
     _write_files({**outputs, manifest_path: _write_json(manifest)})
@@ -804,30 +555,9 @@ def build_parser():
     """The argparse parser of every command.  main parses with it only the
     command lines _parse leaves, so it prints the help, the version and
     every usage error."""
-    import argparse
+    from .parser import build_parser
 
-    parser = argparse.ArgumentParser(
-        prog="coldspin",
-        description="Faraday-rotation probe simulator and analysis tools",
-    )
-    parser.add_argument("--version", action="version", version=f"coldspin {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
-    for name, row in _COMMANDS.items():
-        sub = commands.add_parser(name, help=row.help)
-        if row.modes:
-            sub.add_argument("mode", nargs="?", choices=_MODES)
-        for option, (kind, metavar, help_text) in _COMMON_OPTIONS.items():
-            sub.add_argument(option, type=kind, metavar=metavar, help=help_text)
-        if row.input_help:
-            sub.add_argument("--in", dest="in_path", metavar="PATH", help=row.input_help)
-        for flag in row.flags:
-            if flag.switch is None:
-                sub.add_argument(flag.option, type=flag.type, choices=flag.choices,
-                                 help=flag.help)
-            else:
-                sub.add_argument(flag.option, action="store_const", const=True,
-                                 help=flag.help)
-    return parser
+    return build_parser(_COMMANDS, _COMMON_OPTIONS, _MODES, __version__)
 
 
 def main(argv=None) -> int:

@@ -152,14 +152,15 @@ def test_noiseless_simulations_draw_nothing(in_tmp_dir, monkeypatch, command, ov
 @pytest.mark.parametrize("command", ["decay", "tof"])
 def test_simulations_make_as_many_keyed_calls_at_any_size(in_tmp_dir, monkeypatch, command):
     # one keyed call computes and formats every row, whatever their count
+    runner = importlib.import_module(f"coldspin.runners.{command}")
     calls = []
-    real = cli._keyed
+    real = runner._keyed
 
     def counted(*args, **kwargs):
         calls.append(args[2])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_keyed", counted)
+    monkeypatch.setattr(runner, "_keyed", counted)
     counts = []
     for n_times in (8, 512):
         (in_tmp_dir / "cfg.json").write_text(json.dumps({command: {"n_times": n_times}}))
@@ -168,7 +169,7 @@ def test_simulations_make_as_many_keyed_calls_at_any_size(in_tmp_dir, monkeypatc
         assert cli.main([command, "simulate", "--config", "cfg.json", "--out", out]) == 0
         assert len((in_tmp_dir / out).read_text().splitlines()) == 1 + n_times
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize(
@@ -1032,6 +1033,54 @@ def test_run_onto_its_own_config_or_atom_data_exits_2(in_tmp_dir, capsys, config
     assert files_in(in_tmp_dir) == before
 
 
+# an empty path in each of the five roles: open('') would fail only after
+# the work, naming no file, and an empty atom_data once ran on the packaged
+# constants
+@pytest.mark.parametrize(
+    "config, argv, role",
+    [
+        (None, ["scan", "--config", "", "--out", "s.csv"], "config"),
+        ({"atom_data": ""}, ["scan", "--config", "c.json", "--out", "s.csv"], "atom data"),
+        (None, ["fit", "--in", "", "--out", "f.json"], "input"),
+        (None, ["budget", "--theta", "0.02", "--out", ""], "output"),
+        (None, ["scan", "--out", "s.csv", "--manifest", ""], "manifest"),
+        (None, ["scan", "--manifest", ""], "manifest"),
+    ],
+    ids=["config", "atom-data", "input", "output", "manifest", "replayed-manifest"],
+)
+def test_empty_path_exits_2_naming_its_role(in_tmp_dir, capsys, config, argv, role):
+    if config is not None:
+        (in_tmp_dir / "c.json").write_text(json.dumps(config))
+    before = files_in(in_tmp_dir)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: the {role} path is empty\n"
+    assert files_in(in_tmp_dir) == before
+
+
+@pytest.mark.parametrize(
+    "argv, key, role",
+    [
+        (["scan", "--out", "s.csv"], "out", "output"),
+        (["fit", "--in", "s.csv", "--out", "f.json"], "in", "input"),
+        (["budget", "--theta", "0.02", "--out", "b.json"], "atom_data", "atom data"),
+    ],
+    ids=["output", "input", "atom-data"],
+)
+def test_replayed_empty_path_exits_2_naming_its_role(in_tmp_dir, capsys, argv, key, role):
+    assert run_scan(in_tmp_dir, out="s.csv") == 0
+    assert cli.main(argv) == 0
+    manifest_path = in_tmp_dir / f"{argv[-1]}.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"][key] = ""
+    manifest_path.write_text(json.dumps(manifest))
+    before = files_in(in_tmp_dir)
+    capsys.readouterr()
+    assert cli.main([argv[0], "--manifest", manifest_path.name]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {manifest_path.name}: the {role} path is empty\n")
+    assert files_in(in_tmp_dir) == before
+
+
 def test_replay_of_a_manifest_naming_itself_as_output_exits_2(in_tmp_dir, capsys):
     run_scan(in_tmp_dir)
     manifest_path = in_tmp_dir / "scan.csv.manifest.json"
@@ -1277,21 +1326,22 @@ def test_simulations_load_no_fit_module(fit_inputs, argv, loads_analysis):
 
 
 # The coldspin submodules each command and its replay load, cli aside: the
-# modules it calls and theirs, none for an annotation or a constant.  Each
-# also loads BUILTIN_SHA256 and none of RUN_FLOOR.
-_FIT_MODULES = {"analysis", "atomic_data", "csvio", "errors", "frozen", "jsonio", "summation"}
-_SIMULATE_MODULES = {"atomic_data", "csvio", "ensemble", "errors", "frozen", "jsonio", "rng"}
+# runners package, the command's own runner module and no other's, and the
+# library modules it calls and theirs, none for an annotation or a
+# constant.  Each also loads BUILTIN_SHA256 and none of RUN_FLOOR.
+_BASE_MODULES = {"atomic_data", "csvio", "errors", "frozen", "jsonio", "runners"}
+_FIT_MODULES = _BASE_MODULES | {"analysis", "summation"}
+_SIMULATE_MODULES = _BASE_MODULES | {"ensemble", "rng"}
 COMMAND_MODULES = {
-    "scan": {"atomic_data", "csvio", "detector", "errors", "experiment", "frozen", "jsonio",
-             "rng", "scandata", "spin_optics", "summation"},
-    "fit": _FIT_MODULES | {"scandata", "spin_optics"},
-    "budget": _FIT_MODULES,
-    "decay simulate": _SIMULATE_MODULES,
-    "decay fit": _FIT_MODULES | {"ensemble"},
-    "tof simulate": _SIMULATE_MODULES,
-    "tof fit": _FIT_MODULES,
-    "pulse": {"atomic_data", "csvio", "detector", "errors", "frozen", "jsonio", "rng",
-              "summation"},
+    "scan": _BASE_MODULES | {"runners.scan", "detector", "experiment", "rng", "scandata",
+                             "spin_optics", "summation"},
+    "fit": _FIT_MODULES | {"runners.fit", "scandata", "spin_optics"},
+    "budget": _BASE_MODULES | {"runners.budget", "budget"},
+    "decay simulate": _SIMULATE_MODULES | {"runners.decay"},
+    "decay fit": _FIT_MODULES | {"runners.decay", "ensemble"},
+    "tof simulate": _SIMULATE_MODULES | {"runners.tof"},
+    "tof fit": _FIT_MODULES | {"runners.tof"},
+    "pulse": _BASE_MODULES | {"runners.pulse", "detector", "rng", "summation"},
 }
 # each quick-start command, writing files of its own beside fit_inputs' files
 COMMAND_ARGV = {
@@ -1322,8 +1372,40 @@ def test_command_loads_only_its_modules(fit_inputs, command):
         assert stdlib == [BUILTIN_SHA256], run
 
 
+def modules_imported_as_main(cwd, argv) -> list:
+    """The modules `python -S -X importtime -m coldspin.cli *argv` imports,
+    run in cwd, by the names its import-time log gives them."""
+    result = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "coldspin.cli", *argv], cwd=cwd,
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert result.returncode == 0, result.stderr
+    lines = [line for line in result.stderr.splitlines() if line.startswith("import time:")]
+    return [line.rsplit("|", 1)[1].strip() for line in lines[1:]]  # the first is a header
+
+
+@pytest.mark.parametrize("command", COMMAND_ARGV,
+                         ids=[command.replace(" ", "-") for command in COMMAND_ARGV])
+def test_command_run_as_main_imports_its_runner_and_no_second_cli(fit_inputs, in_tmp_dir,
+                                                                  command):
+    # cli runs as __main__ here, so a module that imported coldspin.cli would
+    # compile and run all of it again; and a command compiles one runner
+    for name in ("scan.csv", "decay.csv", "tof.csv"):
+        (in_tmp_dir / name).write_bytes((fit_inputs / name).read_bytes())
+    argv = COMMAND_ARGV[command]
+    for run in (argv, [argv[0], "--manifest", f"{argv[-1]}.manifest.json"]):
+        modules = modules_imported_as_main(in_tmp_dir, run)
+        assert "coldspin.cli" not in modules, run
+        runners = [module for module in modules if module.startswith("coldspin.runners.")]
+        assert runners == [f"coldspin.runners.{argv[0]}"], run
+
+
 def test_command_module_sets_stay_small():
-    sizes = {command: len(modules) for command, modules in COMMAND_MODULES.items()}
+    # library modules: the runner modules are the command's own code, which
+    # cli held before it was split
+    sizes = {command: len({m for m in modules if not m.startswith("runners")})
+             for command, modules in COMMAND_MODULES.items()}
     # the benchmark's cli-session: the eight commands, then a scan replay and
     # a decay-fit replay
     assert sum(sizes.values()) + sizes["scan"] + sizes["decay fit"] <= 86
@@ -1334,6 +1416,7 @@ def test_command_module_sets_stay_small():
     for command in ("decay simulate", "tof simulate"):
         assert not COMMAND_MODULES[command] & {"spin_optics", "detector", "analysis"}
     assert "detector" not in COMMAND_MODULES["fit"]
+    assert not COMMAND_MODULES["budget"] & {"analysis", "summation"}
 
 
 def test_bad_sigma_source_choice_is_usage_error(in_tmp_dir):

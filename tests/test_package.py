@@ -20,6 +20,9 @@ def test_every_export_is_its_defining_module_object():
     experiment = importlib.import_module("coldspin.experiment")
     for name in ("read_scan_csv", "format_scan_csv"):
         assert not hasattr(experiment, name), name
+    # photon_budget's home is budget; analysis still gives the same object
+    analysis = importlib.import_module("coldspin.analysis")
+    assert analysis.photon_budget is coldspin.photon_budget
 
 
 def test_no_export_takes_a_detuning_convention():
@@ -56,6 +59,27 @@ def test_import_loads_no_numpy():
     assert result.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "statement, reference",
+    [("from coldspin import cli", "import coldspin.cli"),
+     ("from coldspin import photon_budget", "import coldspin.budget")],
+    ids=["submodule", "export"],
+)
+def test_lazy_access_loads_what_an_import_loads(statement, reference):
+    # coldspin.__getattr__ imports with __import__: importlib.import_module
+    # would load importlib and warnings besides; -S keeps site's .pth hooks
+    # from loading them first
+    env = {**os.environ, "PYTHONPATH": str(Path(coldspin.__file__).parents[1])}
+    loaded = [
+        subprocess.run(
+            [sys.executable, "-S", "-c", f"import sys; {code}; print(sorted(sys.modules))"],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout
+        for code in (statement, reference)
+    ]
+    assert loaded[0] == loaded[1]
+
+
 def readme_public_api() -> set:
     """(module, name) for each name the README's Public API section lists
     under a `coldspin.<module>` heading."""
@@ -76,6 +100,17 @@ def test_readme_public_api_lists_every_export_under_its_home():
     assert readme_public_api() == {(coldspin._SOURCE[name], name) for name in coldspin.__all__}
 
 
+def package_modules() -> list:
+    """Every module file of the package, its subpackages' too."""
+    return sorted(Path(coldspin.__file__).parent.rglob("*.py"))
+
+
+def module_name(path) -> str:
+    """The dotted name of a package module file below the package."""
+    relative = path.relative_to(Path(coldspin.__file__).parent).with_suffix("")
+    return ".".join(relative.parts)
+
+
 def _runtime_names(tree) -> set:
     """The names a module's code reads, outside every annotation."""
     names, stack = set(), [tree]
@@ -94,14 +129,13 @@ def _runtime_names(tree) -> set:
 def test_no_module_imports_a_coldspin_name_for_an_annotation():
     # a name used only in annotations is not imported (README, Subcommands):
     # under postponed evaluation the annotation is never evaluated
-    package = Path(coldspin.__file__).parent
     annotation_only = []
-    for path in sorted(package.glob("*.py")):
+    for path in package_modules():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = _runtime_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level:
-                annotation_only += [f"{path.stem}: {alias.asname or alias.name}"
+                annotation_only += [f"{module_name(path)}: {alias.asname or alias.name}"
                                     for alias in node.names
                                     if (alias.asname or alias.name) not in used]
     assert annotation_only == []
@@ -110,14 +144,13 @@ def test_no_module_imports_a_coldspin_name_for_an_annotation():
 def test_no_module_imports_a_stdlib_name_for_an_annotation():
     # the absolute imports, beside the relative ones above, so every
     # `from ... import` but __future__'s: collections.abc's were the last
-    package = Path(coldspin.__file__).parent
     annotation_only = []
-    for path in sorted(package.glob("*.py")):
+    for path in package_modules():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = _runtime_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and not node.level and node.module != "__future__":
-                annotation_only += [f"{path.stem}: {alias.asname or alias.name}"
+                annotation_only += [f"{module_name(path)}: {alias.asname or alias.name}"
                                     for alias in node.names
                                     if (alias.asname or alias.name) not in used]
     assert annotation_only == []
@@ -125,9 +158,8 @@ def test_no_module_imports_a_stdlib_name_for_an_annotation():
 
 def test_no_module_imports_collections_abc():
     # its runtime Mapping tests were the last use: jsonio and atomic_data test dict
-    package = Path(coldspin.__file__).parent
     imports = []
-    for path in sorted(package.glob("*.py")):
+    for path in package_modules():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -135,6 +167,6 @@ def test_no_module_imports_collections_abc():
                 names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            imports += [f"{path.stem}: {name}" for name in names
+            imports += [f"{module_name(path)}: {name}" for name in names
                         if name == "collections.abc" or name.startswith("collections.abc.")]
     assert imports == []

@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coldspin import rng
-from coldspin.cli import _linspace
+from coldspin.runners import _linspace
 from coldspin.rng import POOL_SIZE, normal_draws, seed_sequence_words, seeded_state, uint32_words
 
 # 1 to 6 uint32 words: the pool holds 4, so the last two seeds also run
