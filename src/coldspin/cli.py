@@ -4,26 +4,24 @@ Subcommands: scan, fit, budget, decay, tof, pulse.  One table, _COMMANDS,
 declares each subcommand: its help, the config section whose seed --seed
 sets, whether it takes a simulate|fit mode, and each of its flags with the
 one config key the flag overrides.  _parse, build_parser and _run_command
-all read it.  Each subcommand's runner is the module of its name in
-coldspin.runners, which _run_command and _replay import only when they
-dispatch it (_runner), so a command compiles no other command's runner.
-Every run resolves a full configuration (packaged defaults, then the
---config file, then the flags), checks it once (_check_config) and, before
-any work, that the files it reads and writes are distinct, that no path is
-empty or holds a NUL and that each file it writes is no directory and lies
-in one that exists (_check_paths).  Its runner then formats every output
-to bytes and opens no file.  Only then does _write_files, the one place
-coldspin opens a file for writing, write the outputs and, last, a manifest
-recording the command, tool version, seed, the fully resolved config with
-atomic constants inlined, and a SHA-256 digest of each output's bytes,
-never read back.  So a run that fails writes nothing.  The constants come
-from one place: the JSON file the config key atom_data names, or the
-packaged 87Rb D2 file when it is null.  Every command, and every replay,
-checks them once, building the AtomSpec its runner takes.  Re-invoking a
-command with only `--manifest PATH` replays that run from the stored
-config and verifies the digests, so any (config, seed) pair is
-reproducible byte-for-byte; a replay writes its outputs only when every
-digest matches the record.
+all read it.  A run and a replay differ only in their front end: a run
+resolves its config from the packaged defaults, the --config file and the
+flags, and a replay (a command given only `--manifest PATH`) takes the one
+its manifest records.  Each checks it once (_check_config), with the keys
+_added says a run adds, the seed among them.  One tail, _execute, then
+checks, before any work, that the files touched are distinct, that no path
+is empty or holds a NUL and that each file written is no directory and
+lies in one that exists (_check_paths), builds the AtomSpec from the
+atomic constants (a run first inlines the file atom_data names, or the
+packaged 87Rb D2 one), runs the command's runner, the module of its name
+in coldspin.runners imported only now (_runner), which formats every
+output to bytes and opens no file, and digests each output (SHA-256).  A
+run then writes its outputs and, last, a manifest recording the command,
+version, seed, the resolved config with the constants inlined and the
+digests; a replay writes its outputs only when every digest matches the
+record, so any (config, seed) pair is reproducible byte for byte.
+_write_files, the one place coldspin opens a file for writing, has one
+caller, so a run or a replay that fails writes nothing.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 numeric failure
 (fit non-convergence, near-resonance guard, replay digest mismatch).
@@ -149,7 +147,7 @@ _DEFAULT_CONFIG = {
 
 
 # keys whose default is null, with the JSON type of any other value; a
-# replayed config also records the seed _run_command adds
+# replayed config also records the seed a run adds (_added)
 _NULLABLE = {
     "seed": "integer",
     "atom_data": "string",
@@ -255,18 +253,6 @@ def _resolve_config(config_path: str | None) -> dict:
     return _merge_config(_DEFAULT_CONFIG, {} if config_path is None else read_json(config_path))
 
 
-def _attach_atom_constants(cfg: dict) -> AtomSpec:
-    """Inline the atomic-constants document into the config, the file the
-    config's atom_data key names, else the packaged one, and return the
-    AtomSpec it describes.  A replay does not call it: _replay builds the
-    AtomSpec from the constants its manifest records."""
-    if cfg["atom_data"] is None:
-        cfg["atom_constants"] = default_atom_document()
-    else:
-        cfg["atom_constants"] = read_json(cfg["atom_data"])
-    return _keyed(cfg, ("atom_data",), load_atom_spec, cfg["atom_constants"])
-
-
 # ------------------------------------------------------------- file I/O
 
 
@@ -284,9 +270,9 @@ def _sha256(data: bytes) -> str:
 
 
 def _write_files(files: dict) -> None:
-    """Write each file's bytes, in order: a run's outputs, then its manifest.
-    The one place coldspin opens a file for writing, called once every
-    output is formatted and digested."""
+    """Write each file's bytes, in order: the outputs, then a run's manifest.
+    The one place coldspin opens a file for writing, called by one line of
+    _run_command, for a run and a replay, once every output is digested."""
     for path, data in files.items():
         with open(path, "wb") as handle:
             handle.write(data)
@@ -404,57 +390,76 @@ def _runner(command: str):
     return __import__(f"{__package__}.runners.{command}", fromlist=("run",)).run
 
 
-def _replay(command: str, manifest_path: str) -> int:
-    document = decode_nonfinite(read_json(manifest_path))
-    for key in ("command", "version", "config", "outputs"):
+def _added(command: str, cfg: dict, mode: str | None) -> dict:
+    """The keys a run adds to its checked config cfg, which a replayed one
+    holds too: the seed it records, its section's (none for fit and budget,
+    which draw no random numbers), then, as strings (a number would open
+    that descriptor), its mode and the files it reads, if any, and writes."""
+    row = _COMMANDS[command]
+    added = {"seed": cfg[row.seeded]["seed"] if row.seeded else None}
+    if row.modes:
+        added["mode"] = ""
+    if row.input_help and mode != "simulate":
+        added["in"] = ""
+    return added | {"out": ""}
+
+
+def _execute(command: str, cfg: dict, config_path, manifest_path: str, recorded) -> tuple:
+    """A run's or a replay's outputs and their digests, by path, before
+    either writes; a run inlines its atom constants only past the paths."""
+    _check_paths(command, cfg, config_path, manifest_path, recorded)
+    key = "atom_constants"  # the key an error names: a replay's manifest records them
+    if key not in cfg:  # a run's, from the file atom_data names, else the packaged one
+        key = "atom_data"
+        cfg["atom_constants"] = (default_atom_document() if cfg["atom_data"] is None
+                                 else read_json(cfg["atom_data"]))
+    spec = _keyed(cfg, (key,), load_atom_spec, cfg["atom_constants"])
+    outputs = _runner(command)(cfg, spec)
+    return outputs, {path: _sha256(data) for path, data in outputs.items()}
+
+
+def _replay(command: str, manifest_path: str) -> dict | None:
+    """A replay's outputs, once every digest matches the record, else None
+    after reporting the mismatch.  Every ValidationError names the manifest
+    once; its config is checked as a run's and holds the seed a run records."""
+    document = read_json(manifest_path)
+    for key in ("command", "version", "config", "outputs", "seed"):
         if key not in document:
             raise ValidationError(f"{manifest_path} is missing manifest key {key!r}")
     if document["command"] != command:
         raise ValidationError(
-            f"{manifest_path} records command {document['command']!r}, "
-            f"not {command!r}"
-        )
-    for key in ("config", "outputs"):
-        if not isinstance(document[key], dict):
-            raise ValidationError(f"{manifest_path}: manifest key {key!r} must be an object")
-    cfg = document["config"]
-    row = _COMMANDS[command]
-    # the keys _run_command adds: a path must be a string, as a number would
-    # open that descriptor.  The inlined atom constants are load_atom_spec's
-    # to check, as it checks the atom data of a --config run.
-    added = {"seed": None, "out": ""}
-    if row.modes:
-        added["mode"] = ""
-    if row.input_help and cfg.get("mode") != "simulate":
-        added["in"] = ""
-    constants = cfg.pop("atom_constants", None)
+            f"{manifest_path} records command {document['command']!r}, not {command!r}")
     try:
+        document = decode_nonfinite(document)
+        for key in ("config", "outputs"):
+            if not isinstance(document[key], dict):
+                raise ValidationError(f"manifest key {key!r} must be an object")
+        cfg, recorded = document["config"], document["outputs"]
+        constants = cfg.pop("atom_constants", None)  # load_atom_spec's to check, as for a run
         if not isinstance(constants, dict):
             raise ValidationError("config key 'atom_constants' must be a JSON object")
-        _check_config(cfg, {**_DEFAULT_CONFIG, **added})
-        _check_paths(command, cfg, None, manifest_path, document["outputs"])
+        mode = cfg.get("mode")
+        # with a run's keys, the default config's seed typing the section's
+        _check_config(cfg, {**_DEFAULT_CONFIG, **_added(command, _DEFAULT_CONFIG, mode)})
+        seed = _added(command, cfg, mode)["seed"]
+        for where, value in (("config", cfg["seed"]), ("manifest", document["seed"])):
+            if (type(value), value) != (type(seed), seed):
+                raise ValidationError(f"{where} key 'seed' must be {seed!r}, the seed a "
+                                      f"{command} run records, got {value!r}")
         cfg["atom_constants"] = constants
-        spec = _keyed(cfg, ("atom_constants",), load_atom_spec, constants)
+        outputs, digests = _execute(command, cfg, None, manifest_path, recorded)
     except ValidationError as exc:
         raise ValidationError(f"{manifest_path}: {exc}") from exc
-    outputs = _runner(command)(cfg, spec)
-    digests = {path: _sha256(data) for path, data in outputs.items()}
-    recorded = document["outputs"]
-    if digests != recorded:
-        for path in sorted(set(recorded) | set(digests)):
-            old = recorded.get(path, "missing")
-            new = digests.get(path, "missing")
-            marker = "ok" if old == new else "MISMATCH"
-            print(f"{marker}: {path}", file=sys.stderr)
-        if document["version"] != __version__:
-            print(f"the manifest was written by coldspin {document['version']}, "
-                  f"this is coldspin {__version__}", file=sys.stderr)
-        print(f"replay of {manifest_path} did not reproduce outputs", file=sys.stderr)
-        return 3
-    _write_files(outputs)
-    for path in sorted(outputs):
-        print(f"reproduced {path}")
-    return 0
+    if digests == recorded:
+        return outputs
+    for path in sorted(set(recorded) | set(digests)):
+        same = recorded.get(path, "missing") == digests.get(path, "missing")
+        print(f"{'ok' if same else 'MISMATCH'}: {path}", file=sys.stderr)
+    if document["version"] != __version__:
+        print(f"the manifest was written by coldspin {document['version']}, "
+              f"this is coldspin {__version__}", file=sys.stderr)
+    print(f"replay of {manifest_path} did not reproduce outputs", file=sys.stderr)
+    return None
 
 
 def _run_command(args: dict) -> int:
@@ -463,48 +468,41 @@ def _run_command(args: dict) -> int:
     for role in ("config", "manifest"):  # the paths read before _check_paths runs
         if args[role] == "":
             raise ValidationError(f"the {role} path is empty")
-    given = {dest for dest, value in args.items() if value is not None}
-    if given == {"command", "manifest"}:
-        return _replay(command, args["manifest"])
-    mode = args.get("mode")
-    if row.modes and mode is None:
-        raise ValidationError(
-            f"{command} needs a mode (simulate or fit), or --manifest alone to replay"
-        )
-
-    # flag values are merged and checked as --config values are
-    overrides: dict = {}
-    for flag in row.flags:
-        value = args[flag.dest]
-        if value is not None:
-            section, _, key = flag.key.rpartition(".")
-            target = overrides.setdefault(section, {}) if section else overrides
-            target[key] = value if flag.switch is None else flag.switch
-    if row.seeded and args["seed"] is not None:
-        overrides.setdefault(row.seeded, {})["seed"] = args["seed"]
-    cfg = _check_config(_merge_config(_resolve_config(args["config"]), overrides))
-    # fit and budget draw no random numbers, so record no seed
-    cfg["seed"] = cfg[row.seeded]["seed"] if row.seeded else None
-    if row.modes:
-        cfg["mode"] = mode
-    if row.input_help and mode in (None, "fit"):  # simulate modes read no file
-        if args["in_path"] is None:
+    if {dest for dest, value in args.items() if value is not None} == {"command", "manifest"}:
+        outputs = _replay(command, args["manifest"])
+        if outputs is None:
+            return 3
+        verb, manifest = "reproduced", {}
+    else:
+        mode = args.get("mode")
+        if row.modes and mode is None:
+            raise ValidationError(
+                f"{command} needs a mode (simulate or fit), or --manifest alone to replay")
+        # flag values are merged and checked as --config values are
+        overrides: dict = {}
+        for flag in row.flags:
+            value = args[flag.dest]
+            if value is not None:
+                section, _, key = flag.key.rpartition(".")
+                target = overrides.setdefault(section, {}) if section else overrides
+                target[key] = value if flag.switch is None else flag.switch
+        if row.seeded and args["seed"] is not None:
+            overrides.setdefault(row.seeded, {})["seed"] = args["seed"]
+        cfg = _check_config(_merge_config(_resolve_config(args["config"]), overrides))
+        given = {"mode": mode, "in": args.get("in_path"), "out": args["out"]}
+        cfg |= {key: given.get(key, value) for key, value in _added(command, cfg, mode).items()}
+        if cfg.get("in", "") is None:
             raise ValidationError("--in is required to fit (or replay with --manifest only)")
-        cfg["in"] = args["in_path"]
-    if args["out"] is None:
-        raise ValidationError("--out is required (or replay with --manifest only)")
-    cfg["out"] = args["out"]
-    manifest_path = cfg["out"] + ".manifest.json" if args["manifest"] is None else args["manifest"]
-    _check_paths(command, cfg, args["config"], manifest_path, ())
-    spec = _attach_atom_constants(cfg)
-
-    outputs = _runner(command)(cfg, spec)
-    manifest = {"command": command, "version": __version__, "seed": cfg["seed"], "config": cfg,
-                "outputs": {path: _sha256(data) for path, data in outputs.items()}}
-    _write_files({**outputs, manifest_path: _write_json(manifest)})
-    for path in sorted(outputs):
-        print(f"wrote {path}")
-    print(f"wrote {manifest_path}")
+        if cfg["out"] is None:
+            raise ValidationError("--out is required (or replay with --manifest only)")
+        path = cfg["out"] + ".manifest.json" if args["manifest"] is None else args["manifest"]
+        outputs, digests = _execute(command, cfg, args["config"], path, ())
+        verb, manifest = "wrote", {path: _write_json({
+            "command": command, "version": __version__, "seed": cfg["seed"], "config": cfg,
+            "outputs": digests})}
+    _write_files({**outputs, **manifest})
+    for path in [*sorted(outputs), *manifest]:
+        print(f"{verb} {path}")
     return 0
 
 

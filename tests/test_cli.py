@@ -307,6 +307,87 @@ def test_replay_rejects_wrong_command(in_tmp_dir):
     assert cli.main(["fit", "--manifest", "scan.csv.manifest.json"]) == 2
 
 
+def edit_manifest(path, edit):
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+SCAN_SEED = "the seed a scan run records"
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("scan", lambda m: (m.update(seed=1), m["config"].update(seed=1)),
+         f": config key 'seed' must be 20260816, {SCAN_SEED}, got 1"),
+        ("scan", lambda m: m.update(seed=1),
+         f": manifest key 'seed' must be 20260816, {SCAN_SEED}, got 1"),
+        ("scan", lambda m: m["config"].update(seed=1),
+         f": config key 'seed' must be 20260816, {SCAN_SEED}, got 1"),
+        ("scan", lambda m: m.update(seed=20260816.0),
+         f": manifest key 'seed' must be 20260816, {SCAN_SEED}, got 20260816.0"),
+        ("fit", lambda m: m.update(seed=5),
+         ": manifest key 'seed' must be None, the seed a fit run records, got 5"),
+        ("fit", lambda m: m["config"].update(seed=5),
+         ": config key 'seed' must be None, the seed a fit run records, got 5"),
+        ("scan", lambda m: m.pop("seed"), " is missing manifest key 'seed'"),
+    ],
+    ids=["scan-both", "scan-top-level", "scan-config", "scan-float", "fit-top-level",
+         "fit-config", "missing"],
+)
+def test_replay_requires_the_seed_a_run_records(in_tmp_dir, capsys, command, edit, message):
+    # the outputs were drawn with scan.seed, so a manifest naming another
+    # seed misstates them even though they reproduce; fit draws nothing
+    assert run_scan(in_tmp_dir) == 0
+    assert cli.main(["fit", "--in", "scan.csv", "--out", "fit.json"]) == 0
+    name = {"scan": "scan.csv.manifest.json", "fit": "fit.json.manifest.json"}[command]
+    edit_manifest(in_tmp_dir / name, edit)
+    before = files_in(in_tmp_dir)
+    capsys.readouterr()
+    assert cli.main([command, "--manifest", name]) == 2
+    assert capsys.readouterr().err == f"error: {name}{message}\n"
+    assert files_in(in_tmp_dir) == before
+
+
+@pytest.mark.parametrize(
+    "nonfinite, message",
+    [
+        ([], "'nonfinite' must be an object"),
+        ({"seed": "inf"}, "bad 'nonfinite' entry 'seed': 'inf'"),
+        ({"/config/bogus": "inf"}, "'nonfinite' entry '/config/bogus' names no value"),
+        ({"/seed": "inf"}, "/seed is listed as inf but holds 20260816"),
+    ],
+    ids=["not-an-object", "bad-entry", "names-no-value", "not-null"],
+)
+def test_replayed_nonfinite_errors_name_the_manifest_once(in_tmp_dir, capsys, nonfinite,
+                                                         message):
+    assert run_scan(in_tmp_dir) == 0
+    edit_manifest(in_tmp_dir / "scan.csv.manifest.json",
+                  lambda manifest: manifest.update(nonfinite=nonfinite))
+    capsys.readouterr()
+    assert cli.main(["scan", "--manifest", "scan.csv.manifest.json"]) == 2
+    assert capsys.readouterr().err == f"error: scan.csv.manifest.json: {message}\n"
+
+
+@pytest.mark.parametrize("version", ["0.15.0", "0.16.0"])
+def test_quick_start_manifests_of_earlier_versions_replay(in_tmp_dir, capsys, version):
+    # the README quick start's manifests as that version wrote them.  The
+    # simulations replay first and write the tables the fits then read.
+    # decay_fit.json depends on the last bits of the C library's exp and
+    # log, as its golden does (LAST_BIT_SENSITIVE in test_golden.py), so a
+    # libm that rounds one of them otherwise fails its replay
+    recorded = sorted((Path(__file__).parent / "data" / f"quickstart-{version}").iterdir())
+    manifests = [json.loads(path.read_text()) for path in recorded]
+    assert len(manifests) == 8 and {m["version"] for m in manifests} == {version}
+    for path, manifest in sorted(zip(recorded, manifests), key=lambda x: "in" in x[1]["config"]):
+        (in_tmp_dir / path.name).write_bytes(path.read_bytes())
+        assert cli.main([manifest["command"], "--manifest", path.name]) == 0, path.name
+        for output, digest in manifest["outputs"].items():
+            assert hashlib.sha256((in_tmp_dir / output).read_bytes()).hexdigest() == digest
+    assert capsys.readouterr().err == ""
+
+
 def test_fit_round_trip(in_tmp_dir):
     run_scan(in_tmp_dir, config_overrides={"runs_per_point": 10})
     assert cli.main(["fit", "--in", "scan.csv", "--out", "fit.json"]) == 0

@@ -193,10 +193,10 @@ LAST_BIT_SENSITIVE = {"decay_fit"}
 
 
 def math_functions_used() -> set:
-    """Every math function a coldspin module names: math.<name> or a name
-    imported from math."""
+    """Every math function a coldspin module, in a subpackage too, names:
+    math.<name> or a name imported from math."""
     names = set()
-    for path in Path(coldspin.__file__).parent.glob("*.py"):
+    for path in Path(coldspin.__file__).parent.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id == "math"):
@@ -207,14 +207,15 @@ def math_functions_used() -> set:
 
 
 def replace_libm(monkeypatch, replacement):
-    """Every coldspin module's LIBM functions, through its math module or
-    imported by name, become replacement(name, math's function)."""
+    """Every coldspin module's LIBM functions, a subpackage's modules' too,
+    through its math module or imported by name, become
+    replacement(name, math's function)."""
     shim = types.ModuleType("math")
     shim.__dict__.update(vars(math))
     functions = {name: replacement(name, getattr(math, name)) for name in LIBM}
     shim.__dict__.update(functions)
-    for info in pkgutil.iter_modules(coldspin.__path__):
-        module = importlib.import_module(f"coldspin.{info.name}")
+    for info in pkgutil.walk_packages(coldspin.__path__, "coldspin."):
+        module = importlib.import_module(info.name)
         if getattr(module, "math", None) is math:
             monkeypatch.setattr(module, "math", shim)
         for name, function in functions.items():
