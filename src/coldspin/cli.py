@@ -1,22 +1,22 @@
 """Command-line front end.
 
 Subcommands: scan, fit, budget, decay, tof, pulse.  One table, _COMMANDS,
-declares each subcommand: its help, the config section whose seed --seed
-sets, whether it takes a simulate|fit mode, and each of its flags with the
-one config key the flag overrides.  _parse, build_parser and _run_command
-all read it.  A run and a replay differ only in their front end: a run
-resolves its config from the packaged defaults, the --config file and the
-flags, and a replay (a command given only `--manifest PATH`) takes the one
-its manifest records.  Each checks it once (_check_config), with the keys
-_added says a run adds, the seed among them.  One tail, _execute, then
-checks, before any work, that the files touched are distinct, that no path
-is empty or holds a NUL and that each file written is no directory and
-lies in one that exists (_check_paths), builds the AtomSpec from the
-atomic constants (a run first inlines the file atom_data names, or the
-packaged 87Rb D2 one), runs the command's runner, the module of its name
-in coldspin.runners imported only now (_runner), which formats every
-output to bytes and opens no file, and digests each output (SHA-256).  A
-run then writes its outputs and, last, a manifest recording the command,
+declares each subcommand: its help, whether it takes a simulate|fit mode,
+and each of its flags with the one config key the flag overrides, --seed
+among them for the four commands that draw.  _parse, build_parser and
+_run_command all read it.  A run and a replay differ only in their front
+end: a run resolves its config from the packaged defaults, the --config
+file and the flags, and a replay (a command given only `--manifest PATH`)
+takes the one its manifest records.  Each checks it once (_check_config),
+with the keys _added says a run adds, the seed among them.  One tail,
+_execute, then checks, before any work, that the files touched are
+distinct, that no path is empty or holds a NUL and that each file written
+is no directory and lies in one that exists (_check_paths), builds the
+AtomSpec from the atomic constants (a run first inlines the file atom_data
+names, or the packaged 87Rb D2 one), runs the command's runner, the module
+of its name in coldspin.runners imported only now (_runner), which formats
+every output to bytes and opens no file, and digests each output (SHA-256).
+A run then writes its outputs and, last, a manifest recording the command,
 version, seed, the resolved config with the constants inlined and the
 digests; a replay writes its outputs only when every digest matches the
 record, so any (config, seed) pair is reproducible byte for byte.
@@ -333,48 +333,46 @@ class _Flag(Frozen):
 
 class _Command(Frozen):
     help: str
-    seeded: str | None  # section whose seed --seed sets; None records seed null
     modes: bool  # takes a simulate|fit mode
     input_help: str | None  # help of --in; None when the command reads no file
     flags: tuple[_Flag, ...] = ()
 
 
-# the options every command takes, before its --in and flags: option ->
-# (type, metavar, help); each parses to the option's name
+# the options every command takes, each a path, before its --in and flags:
+# option -> help; each parses to the option's name
 _COMMON_OPTIONS = {
-    "--config": (None, "PATH", "JSON configuration file"),
-    "--seed": (int, "INT", "override the RNG seed"),
-    "--out": (None, "PATH", "primary output file"),
-    "--manifest": (None, "PATH",
-                   "manifest path; given alone, replay that manifest and verify digests"),
+    "--config": "JSON configuration file",
+    "--out": "primary output file",
+    "--manifest": "manifest path; given alone, replay that manifest and verify digests",
 }
 
 _COMMANDS = {
-    "scan": _Command("synthesize a detuning scan CSV", "scan", False, None, (
+    "scan": _Command("synthesize a detuning scan CSV", False, None, (
+        _Flag("--seed", "scan.seed", "override the RNG seed", int),
         _Flag("--atoms", "ensemble.n_atoms", "override ensemble.n_atoms"),
         _Flag("--threads", "threads", "validated and recorded in the manifest; scans "
               "run single-threaded and the value changes no output", int),
     )),
-    "fit": _Command("fit column density to a scan CSV", None, False,
-                    "scan CSV to fit", (
+    "fit": _Command("fit column density to a scan CSV", False, "scan CSV to fit", (
         _Flag("--unweighted", "fit.weighted", "ignore per-point spreads in the fit",
               switch=False),
         _Flag("--sigma-source", "fit.sigma_source", "which reported spread weights the fit",
               None, ("stddev", "stderr")),
     )),
-    "budget": _Command("photon budget for a target variance ratio", None,
-                       False, None, (
+    "budget": _Command("photon budget for a target variance ratio", False, None, (
         _Flag("--a", "budget.a", "atomic-to-shot variance ratio"),
         _Flag("--atoms", "budget.n_atoms", "atom number"),
         _Flag("--theta", "budget.theta_rad", "single-pass rotation angle (rad)"),
         _Flag("--photons-per-pulse", "budget.photons_per_pulse", "also report the pulse count"),
     )),
-    "decay": _Command("trap-population decay (simulate or fit)", "decay", True,
-                      "decay CSV to fit"),
-    "tof": _Command("ballistic expansion (simulate or fit)", "tof", True,
-                    "expansion CSV to fit"),
-    "pulse": _Command("emit a single balanced-detection waveform", "pulse",
-                      False, None, (
+    "decay": _Command("trap-population decay (simulate or fit)", True, "decay CSV to fit", (
+        _Flag("--seed", "decay.seed", "override the RNG seed", int),
+    )),
+    "tof": _Command("ballistic expansion (simulate or fit)", True, "expansion CSV to fit", (
+        _Flag("--seed", "tof.seed", "override the RNG seed", int),
+    )),
+    "pulse": _Command("emit a single balanced-detection waveform", False, None, (
+        _Flag("--seed", "pulse.seed", "override the RNG seed", int),
         _Flag("--theta", "pulse.theta_rad", "rotation angle (rad)"),
         _Flag("--photons", "pulse.n_photons", "photons in the pulse"),
         _Flag("--noisy", "pulse.noisy", "add shot and electronic noise to the imbalance",
@@ -392,11 +390,11 @@ def _runner(command: str):
 
 def _added(command: str, cfg: dict, mode: str | None) -> dict:
     """The keys a run adds to its checked config cfg, which a replayed one
-    holds too: the seed it records, its section's (none for fit and budget,
-    which draw no random numbers), then, as strings (a number would open
-    that descriptor), its mode and the files it reads, if any, and writes."""
+    holds too: its section's seed (null for fit and budget, which draw no
+    random numbers), then, as strings (a number would open that
+    descriptor), its mode and the files it reads, if any, and writes."""
     row = _COMMANDS[command]
-    added = {"seed": cfg[row.seeded]["seed"] if row.seeded else None}
+    added = {"seed": cfg[command].get("seed")}
     if row.modes:
         added["mode"] = ""
     if row.input_help and mode != "simulate":
@@ -420,8 +418,8 @@ def _execute(command: str, cfg: dict, config_path, manifest_path: str, recorded)
 
 def _replay(command: str, manifest_path: str) -> dict | None:
     """A replay's outputs, once every digest matches the record, else None
-    after reporting the mismatch.  Every ValidationError names the manifest
-    once; its config is checked as a run's and holds the seed a run records."""
+    after reporting the mismatch.  Each error names the manifest once; its
+    config is checked as a run's and holds the seed a run records."""
     document = read_json(manifest_path)
     for key in ("command", "version", "config", "outputs", "seed"):
         if key not in document:
@@ -448,8 +446,8 @@ def _replay(command: str, manifest_path: str) -> dict | None:
                                       f"{command} run records, got {value!r}")
         cfg["atom_constants"] = constants
         outputs, digests = _execute(command, cfg, None, manifest_path, recorded)
-    except ValidationError as exc:
-        raise ValidationError(f"{manifest_path}: {exc}") from exc
+    except (ValidationError, NearResonanceError, FitError, ArithmeticError) as exc:
+        raise type(exc)(f"{manifest_path}: {exc}") from exc
     if digests == recorded:
         return outputs
     for path in sorted(set(recorded) | set(digests)):
@@ -486,8 +484,6 @@ def _run_command(args: dict) -> int:
                 section, _, key = flag.key.rpartition(".")
                 target = overrides.setdefault(section, {}) if section else overrides
                 target[key] = value if flag.switch is None else flag.switch
-        if row.seeded and args["seed"] is not None:
-            overrides.setdefault(row.seeded, {})["seed"] = args["seed"]
         cfg = _check_config(_merge_config(_resolve_config(args["config"]), overrides))
         given = {"mode": mode, "in": args.get("in_path"), "out": args["out"]}
         cfg |= {key: given.get(key, value) for key, value in _added(command, cfg, mode).items()}
@@ -518,8 +514,7 @@ def _parse(argv) -> dict | None:
         return None
     # option -> (name it parses to, type, choices, switch), in the
     # subparser's order, which is the order of argparse's values
-    options = {option: (option[2:], kind, None, None)
-               for option, (kind, _, _) in _COMMON_OPTIONS.items()}
+    options = {option: (option[2:], None, None, None) for option in _COMMON_OPTIONS}
     if row.input_help:
         options["--in"] = ("in_path", None, None, None)
     for flag in row.flags:

@@ -45,7 +45,7 @@ import math
 from .atomic_data import DEFAULT_GUARD_LINEWIDTHS
 from .csvio import MAX_ARRAY_SIZE
 from .detector import angle_denominator, extract_angle, simulate_pulse_detection
-from .errors import NearResonanceError, ValidationError
+from .errors import ValidationError
 from .frozen import Frozen
 from .rng import normal_draws, spawned_state
 from .scandata import ScanDataset, ScanPoint
@@ -171,27 +171,16 @@ def run_detuning_scan(
 ) -> ScanDataset:
     """Full synthetic detuning scan.
 
-    Every detuning must pass the near-resonance guard (checked up front so
-    the failure names the offending detuning).  Each detuning's runs are
-    drawn in run order from its stream, two normals a run (_run_means), so
-    the dataset depends only on its inputs and their seeds.
+    Every detuning must pass the near-resonance guard, checked up front;
+    the guard's error names the offending detuning.  Each detuning's runs
+    are drawn in run order from its stream, two normals a run
+    (_run_means), so the dataset depends only on its inputs and their seeds.
     """
-    couplings = []
-    for detuning in cfg.detunings_hz:
-        try:
-            couplings.append(
-                coupling_constant(
-                    detuning, area_m2, spec, guard_linewidths=guard_linewidths
-                )
-            )
-        except NearResonanceError as exc:
-            raise NearResonanceError(
-                f"scan detuning {detuning:.6g} Hz rejected: {exc}"
-            ) from exc
-
-    run_means = _run_means(
-        cfg, atoms_template.mean_j[2], [cp.g for cp in couplings], dm, det, tr
-    )
+    couplings_g = [
+        coupling_constant(detuning, area_m2, spec, guard_linewidths=guard_linewidths).g
+        for detuning in cfg.detunings_hz
+    ]
+    run_means = _run_means(cfg, atoms_template.mean_j[2], couplings_g, dm, det, tr)
     points = [
         _scan_point(detuning, values, cfg.pulses_per_sample)
         for detuning, values in zip(cfg.detunings_hz, run_means)

@@ -17,8 +17,8 @@ def build_parser(commands: dict, common_options: dict, modes: tuple, version: st
         sub = subparsers.add_parser(name, help=row.help)
         if row.modes:
             sub.add_argument("mode", nargs="?", choices=modes)
-        for option, (kind, metavar, help_text) in common_options.items():
-            sub.add_argument(option, type=kind, metavar=metavar, help=help_text)
+        for option, help_text in common_options.items():
+            sub.add_argument(option, metavar="PATH", help=help_text)
         if row.input_help:
             sub.add_argument("--in", dest="in_path", metavar="PATH", help=row.input_help)
         for flag in row.flags:

@@ -4,8 +4,8 @@ A runner module's run(cfg, spec) takes a resolved, checked config (atom
 constants inlined, the output path under "out") and the AtomSpec built from
 those constants, and returns each output's bytes by path; the CLI digests
 and writes them, and replays a manifest through the same run.  It imports
-its library names when it runs, from the modules bench/tracing.py rebinds,
-and calls each through _keyed.  No module here imports coldspin.cli, which
+each library function under its own name, most only when it runs, and
+calls each through _keyed.  No module here imports coldspin.cli, which
 runs as __main__ under `python -m coldspin.cli` and would run again.
 """
 

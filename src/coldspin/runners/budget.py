@@ -5,7 +5,7 @@ from __future__ import annotations
 import operator
 
 from ..errors import ValidationError
-from ..jsonio import format_json as _write_json
+from ..jsonio import format_json
 from . import _keyed
 
 
@@ -28,4 +28,4 @@ def run(cfg: dict, spec: AtomSpec) -> dict:
             what="n_pulses = photons_total / photons_per_pulse",
         )
     out = cfg["out"]
-    return {out: _write_json(document)}
+    return {out: format_json(document)}

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from ..csvio import format_table as _write_rows_csv, read_table as _read_rows_csv
+from ..csvio import format_table, read_table
 from ..errors import FitError
-from ..jsonio import format_json as _write_json
+from ..jsonio import format_json
 from . import _in_range, _keyed, _normals, _record, _times
 
 DECAY_CSV_COLUMNS = {"time_s": float, "atom_count": float, "count_sigma": float}
@@ -36,8 +36,8 @@ def run(cfg: dict, spec: AtomSpec) -> dict:
             for t, n, z in zip(times, models, normals):
                 yield (t, n * (1.0 + noise * z), noise * n) if noise else (t, n, 1.0)
 
-        return {out: _keyed(cfg, ("decay",), _write_rows_csv, out, DECAY_CSV_COLUMNS, rows())}
-    samples = _read_rows_csv(cfg["in"], DECAY_CSV_COLUMNS)
+        return {out: _keyed(cfg, ("decay",), format_table, out, DECAY_CSV_COLUMNS, rows())}
+    samples = read_table(cfg["in"], DECAY_CSV_COLUMNS)
     fit = _keyed(cfg, ("decay.sigma_z_m", "decay.sigma_r_m"), _fit_decay, samples,
                  params.v_eff_m3)
-    return {out: _write_json(fit.to_json_dict())}
+    return {out: format_json(fit.to_json_dict())}

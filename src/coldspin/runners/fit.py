@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..jsonio import format_json as _write_json
+from ..jsonio import format_json
 from . import _keyed
 
 
@@ -16,4 +16,4 @@ def run(cfg: dict, spec: AtomSpec) -> dict:
     document = fit.to_json_dict()
     document["params"]["od"], document["sigmas"]["od"] = compute_od(fit, spec)
     out = cfg["out"]
-    return {out: _write_json(document)}
+    return {out: format_json(document)}

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..csvio import format_table as _write_rows_csv
+from ..csvio import format_table
 from . import _keyed, _linspace, _record, _scan_curve_path
 
 CURVE_SAMPLES = 200
@@ -51,7 +51,7 @@ def run(cfg: dict, spec: AtomSpec) -> dict:
         rows = [(detuning, 0.5 * column_density * rotation_cross_section(
                     detuning, spec, guard_linewidths=cfg["guard_linewidths"]))
                 for detuning in detunings]
-        return _write_rows_csv(curve_path, CURVE_CSV_COLUMNS, rows)
+        return format_table(curve_path, CURVE_CSV_COLUMNS, rows)
 
     return {out: format_scan_csv(dataset, out),
             curve_path: _keyed(cfg, ("scan", "ensemble", "guard_linewidths"), curve)}

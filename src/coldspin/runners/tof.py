@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from ..csvio import format_table as _write_rows_csv, read_table as _read_rows_csv
-from ..jsonio import format_json as _write_json
+from ..csvio import format_table, read_table
+from ..jsonio import format_json
 from . import _in_range, _keyed, _normals, _times
 
 TOF_CSV_COLUMNS = {"time_s": float, "sigma_m": float}
@@ -26,9 +26,9 @@ def run(cfg: dict, spec: AtomSpec) -> dict:
             for t, r, z in zip(times, radii, normals):
                 yield (t, abs(r + noise * z)) if noise else (t, r)
 
-        return {out: _keyed(cfg, ("tof",), _write_rows_csv, out, TOF_CSV_COLUMNS, rows())}
+        return {out: _keyed(cfg, ("tof",), format_table, out, TOF_CSV_COLUMNS, rows())}
     from ..analysis import fit_tof_temperature
 
-    samples = _read_rows_csv(cfg["in"], TOF_CSV_COLUMNS)
+    samples = read_table(cfg["in"], TOF_CSV_COLUMNS)
     fit = fit_tof_temperature(samples, spec.mass_kg)
-    return {out: _write_json(fit.to_json_dict())}
+    return {out: format_json(fit.to_json_dict())}

@@ -370,7 +370,43 @@ def test_replayed_nonfinite_errors_name_the_manifest_once(in_tmp_dir, capsys, no
     assert capsys.readouterr().err == f"error: scan.csv.manifest.json: {message}\n"
 
 
-@pytest.mark.parametrize("version", ["0.15.0", "0.16.0"])
+def scan_manifest_edit(edit):
+    return lambda directory: edit_manifest(directory / "scan.csv.manifest.json", edit)
+
+
+def cut_scan_csv_to_one_row(directory):
+    path = directory / "scan.csv"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:2]))
+
+
+@pytest.mark.parametrize(
+    "manifest, edit, prefix",
+    [
+        ("scan.csv.manifest.json", scan_manifest_edit(
+            lambda m: m["config"]["scan"].update(n_detunings=1, detuning_start_hz=0.0)),
+         "error: scan.csv.manifest.json: detuning 0 Hz is within 10 linewidths of the "
+         "F'=0 resonance at "),
+        ("fit.json.manifest.json", cut_scan_csv_to_one_row,
+         "error: fit.json.manifest.json: column-density fit needs >= 2 usable points "),
+        ("scan.csv.manifest.json", scan_manifest_edit(lambda m: (
+            m["config"]["ensemble"].update(interaction_area_m2=1e-300, n_atoms=1e10),
+            m["config"]["scan"].update(atom_number_spread=0.0))),
+         "numeric error: scan.csv.manifest.json: scan_curve.csv row 2: "),
+    ],
+    ids=["near-resonance", "fit", "overflow"],
+)
+def test_replayed_numeric_errors_name_the_manifest(in_tmp_dir, capsys, manifest, edit, prefix):
+    assert cli.main(["scan", "--out", "scan.csv"]) == 0
+    assert cli.main(["fit", "--in", "scan.csv", "--out", "fit.json"]) == 0
+    edit(in_tmp_dir)
+    before = files_in(in_tmp_dir)
+    capsys.readouterr()
+    assert cli.main([manifest.partition(".")[0], "--manifest", manifest]) == 3
+    assert capsys.readouterr().err.startswith(prefix)
+    assert files_in(in_tmp_dir) == before
+
+
+@pytest.mark.parametrize("version", ["0.15.0", "0.16.0", "0.17.0"])
 def test_quick_start_manifests_of_earlier_versions_replay(in_tmp_dir, capsys, version):
     # the README quick start's manifests as that version wrote them.  The
     # simulations replay first and write the tables the fits then read.
@@ -620,6 +656,14 @@ def test_scan_near_resonance_exits_3(in_tmp_dir, capsys):
     )
     assert code == 3
     assert "linewidths" in capsys.readouterr().err
+
+
+def test_scan_names_a_detuning_inside_the_guard_once(in_tmp_dir, capsys):
+    (in_tmp_dir / "c.json").write_text(json.dumps({"scan": {"detunings_hz": [-1e6, -2.3e9]}}))
+    assert cli.main(["scan", "--config", "c.json", "--out", "s.csv"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: detuning -1e+06 Hz is within 10 linewidths of the F'=0 resonance at ")
+    assert sorted(path.name for path in in_tmp_dir.iterdir()) == ["c.json"]
 
 
 @pytest.mark.parametrize(
@@ -1896,15 +1940,16 @@ def test_oversized_waveform_exits_2(in_tmp_dir, capsys, override):
 # dest, type, choices, const, nargs, metavar and help.
 COMMON_ACTIONS = [
     (("--config",), "config", None, None, None, None, "PATH", "JSON configuration file"),
-    (("--seed",), "seed", int, None, None, None, "INT", "override the RNG seed"),
     (("--out",), "out", None, None, None, None, "PATH", "primary output file"),
     (("--manifest",), "manifest", None, None, None, None, "PATH",
      "manifest path; given alone, replay that manifest and verify digests"),
 ]
 MODE_ACTION = ((), "mode", None, ("simulate", "fit"), None, "?", None, None)
+SEED_ACTION = (("--seed",), "seed", int, None, None, None, None, "override the RNG seed")
 PARSER_SURFACE = {
     "scan": ("synthesize a detuning scan CSV", [
         *COMMON_ACTIONS,
+        SEED_ACTION,
         (("--atoms",), "atoms", float, None, None, None, None, "override ensemble.n_atoms"),
         (("--threads",), "threads", int, None, None, None, None,
          "validated and recorded in the manifest; scans run single-threaded "
@@ -1931,14 +1976,17 @@ PARSER_SURFACE = {
         MODE_ACTION,
         *COMMON_ACTIONS,
         (("--in",), "in_path", None, None, None, None, "PATH", "decay CSV to fit"),
+        SEED_ACTION,
     ]),
     "tof": ("ballistic expansion (simulate or fit)", [
         MODE_ACTION,
         *COMMON_ACTIONS,
         (("--in",), "in_path", None, None, None, None, "PATH", "expansion CSV to fit"),
+        SEED_ACTION,
     ]),
     "pulse": ("emit a single balanced-detection waveform", [
         *COMMON_ACTIONS,
+        SEED_ACTION,
         (("--theta",), "theta", float, None, None, None, None, "rotation angle (rad)"),
         (("--photons",), "photons", float, None, None, None, None, "photons in the pulse"),
         (("--noisy",), "noisy", None, None, True, 0, None,
@@ -2061,20 +2109,17 @@ def test_quick_start_and_replays_take_the_table_parse():
             assert repr(table) == repr(argparse_outcome(run)), run
 
 
-# (subcommand, flag, value or None for a switch, config key, recorded value);
-# "seed" is the manifest's top-level seed, null for fit and budget
+# (subcommand, flag, value or None for a switch, config key, recorded value)
 FLAG_ROWS = [
     ("scan", "--atoms", "2e5", "ensemble.n_atoms", 2e5),
     ("scan", "--threads", "3", "threads", 3),
     ("scan", "--seed", "5", "scan.seed", 5),
     ("fit", "--unweighted", None, "fit.weighted", False),
     ("fit", "--sigma-source", "stderr", "fit.sigma_source", "stderr"),
-    ("fit", "--seed", "5", "seed", None),
     ("budget", "--a", "2", "budget.a", 2.0),
     ("budget", "--atoms", "2e5", "budget.n_atoms", 2e5),
     ("budget", "--theta", "0.03", "budget.theta_rad", 0.03),
     ("budget", "--photons-per-pulse", "1e6", "budget.photons_per_pulse", 1e6),
-    ("budget", "--seed", "5", "seed", None),
     ("decay", "--seed", "5", "decay.seed", 5),
     ("tof", "--seed", "5", "tof.seed", 5),
     ("pulse", "--theta", "0.01", "pulse.theta_rad", 0.01),
@@ -2086,8 +2131,20 @@ FLAG_ROWS = [
 
 def test_flag_rows_cover_every_command_flag():
     table = {(name, flag.option) for name, row in cli._COMMANDS.items() for flag in row.flags}
-    table |= {(name, "--seed") for name in cli._COMMANDS}
     assert table == {(command, flag) for command, flag, *_ in FLAG_ROWS}
+
+
+@pytest.mark.parametrize("argv", [["fit", "--seed", "5", "--in", "scan.csv"],
+                                  ["budget", "--theta", "0.03", "--seed", "5"]],
+                         ids=["fit", "budget"])
+def test_commands_that_draw_nothing_take_no_seed(in_tmp_dir, capsys, argv):
+    assert cli.main(["scan", "--out", "scan.csv"]) == 0
+    before = files_in(in_tmp_dir)
+    capsys.readouterr()
+    code, out, err = parse_outcome(capsys, cli.main, [*argv, "--out", "out.json"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --seed 5\n")
+    assert files_in(in_tmp_dir) == before
 
 
 def test_readme_flag_table_is_the_command_table():
@@ -2103,8 +2160,6 @@ def test_readme_flag_table_is_the_command_table():
             rows.add((command, flag, key.replace("<command>", command)))
     expected = {(name, flag.option, flag.key)
                 for name, row in cli._COMMANDS.items() for flag in row.flags}
-    expected |= {(name, "--seed", f"{row.seeded}.seed")
-                 for name, row in cli._COMMANDS.items() if row.seeded}
     assert rows == expected
 
 
