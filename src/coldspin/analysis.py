@@ -186,7 +186,7 @@ def snr_report(
 ) -> float:
     """Signal-to-noise of the mean rotation after n_avg averaged pulses:
     theta N_L sqrt(n_avg) / sqrt(N_L + electronic_noise_var)."""
-    if not n_photons > 0:
+    if not n_photons > 0:  # detector's check, written here so that fit loads no detector
         raise ValidationError(f"n_photons must be positive, got {n_photons!r}")
     if not n_avg >= 1:
         raise ValidationError(f"n_avg must be >= 1, got {n_avg!r}")

@@ -2,8 +2,10 @@
 
 Subcommands: scan, fit, budget, decay, tof, pulse.  One table, _COMMANDS,
 declares each subcommand: its help, whether it takes a simulate|fit mode,
-and each of its flags with the one config key the flag overrides, --seed
-among them for the four commands that draw.  _parse, build_parser and
+and each of its options as a _Flag row after the paths all take (_PATHS):
+--in, and each flag with the one config key it overrides.  A row may name
+the one mode that takes it (fit --in, simulate --seed), and a run given it
+in the other mode exits 2.  _parse, build_parser and
 _run_command all read it.  A run and a replay differ only in their front
 end: a run resolves its config from the packaged defaults, the --config
 file and the flags, and a replay (a command given only `--manifest PATH`)
@@ -320,58 +322,64 @@ def _check_paths(command: str, cfg: dict, config_path: str | None, manifest_path
 
 class _Flag(Frozen):
     option: str
-    key: str  # the config key the flag overrides, dotted below a section
+    key: str | None  # the config key it overrides, dotted below a section; None: a path
     help: str
     type: type | None = float
     choices: tuple | None = None
     switch: bool | None = None  # a switch takes no value and stores this one
+    mode: str | None = None  # the one mode that takes the flag, of a command that has modes
 
     @property
     def dest(self) -> str:  # the name argparse parses the flag's value to
         return self.option[2:].replace("-", "_")
 
+    # whether the flag names another mode (one _check_config has yet to check refuses none)
+    def refused_in(self, mode: str | None) -> bool:
+        return self.mode not in (None, mode) and mode in _MODES
+
 
 class _Command(Frozen):
     help: str
     modes: bool  # takes a simulate|fit mode
-    input_help: str | None  # help of --in; None when the command reads no file
     flags: tuple[_Flag, ...] = ()
 
 
-# the options every command takes, each a path, before its --in and flags:
-# option -> help; each parses to the option's name
-_COMMON_OPTIONS = {
-    "--config": "JSON configuration file",
-    "--out": "primary output file",
-    "--manifest": "manifest path; given alone, replay that manifest and verify digests",
-}
+_PATHS = (  # the options every command takes, before its own
+    _Flag("--config", None, "JSON configuration file", None),
+    _Flag("--out", None, "primary output file", None),
+    _Flag("--manifest", None, "manifest path; given alone, replay that manifest and verify "
+          "digests", None),
+)
 
 _COMMANDS = {
-    "scan": _Command("synthesize a detuning scan CSV", False, None, (
+    "scan": _Command("synthesize a detuning scan CSV", False, (
         _Flag("--seed", "scan.seed", "override the RNG seed", int),
         _Flag("--atoms", "ensemble.n_atoms", "override ensemble.n_atoms"),
         _Flag("--threads", "threads", "validated and recorded in the manifest; scans "
               "run single-threaded and the value changes no output", int),
     )),
-    "fit": _Command("fit column density to a scan CSV", False, "scan CSV to fit", (
+    "fit": _Command("fit column density to a scan CSV", False, (
+        _Flag("--in", None, "scan CSV to fit", None),
         _Flag("--unweighted", "fit.weighted", "ignore per-point spreads in the fit",
               switch=False),
         _Flag("--sigma-source", "fit.sigma_source", "which reported spread weights the fit",
               None, ("stddev", "stderr")),
     )),
-    "budget": _Command("photon budget for a target variance ratio", False, None, (
+    "budget": _Command("photon budget for a target variance ratio", False, (
         _Flag("--a", "budget.a", "atomic-to-shot variance ratio"),
         _Flag("--atoms", "budget.n_atoms", "atom number"),
         _Flag("--theta", "budget.theta_rad", "single-pass rotation angle (rad)"),
         _Flag("--photons-per-pulse", "budget.photons_per_pulse", "also report the pulse count"),
     )),
-    "decay": _Command("trap-population decay (simulate or fit)", True, "decay CSV to fit", (
-        _Flag("--seed", "decay.seed", "override the RNG seed", int),
+    "decay": _Command("trap-population decay (simulate or fit)", True, (
+        _Flag("--in", None, "decay CSV to fit", None, mode="fit"),
+        _Flag("--seed", "decay.seed", "override the RNG seed", int, mode="simulate"),
     )),
-    "tof": _Command("ballistic expansion (simulate or fit)", True, "expansion CSV to fit", (
-        _Flag("--seed", "tof.seed", "override the RNG seed", int),
+    "tof": _Command("ballistic expansion (simulate or fit)", True, (
+        _Flag("--in", None, "expansion CSV to fit", None, mode="fit"),
+        _Flag("--seed", "tof.seed", "override the RNG seed", int, mode="simulate"),
     )),
-    "pulse": _Command("emit a single balanced-detection waveform", False, None, (
+    "pulse": _Command("emit a single balanced-detection waveform", False, (
         _Flag("--seed", "pulse.seed", "override the RNG seed", int),
         _Flag("--theta", "pulse.theta_rad", "rotation angle (rad)"),
         _Flag("--photons", "pulse.n_photons", "photons in the pulse"),
@@ -397,7 +405,7 @@ def _added(command: str, cfg: dict, mode: str | None) -> dict:
     added = {"seed": cfg[command].get("seed")}
     if row.modes:
         added["mode"] = ""
-    if row.input_help and mode != "simulate":
+    if any(flag.option == "--in" and not flag.refused_in(mode) for flag in row.flags):
         added["in"] = ""
     return added | {"out": ""}
 
@@ -478,14 +486,15 @@ def _run_command(args: dict) -> int:
                 f"{command} needs a mode (simulate or fit), or --manifest alone to replay")
         # flag values are merged and checked as --config values are
         overrides: dict = {}
-        for flag in row.flags:
-            value = args[flag.dest]
-            if value is not None:
+        for flag in [flag for flag in row.flags if args[flag.dest] is not None]:
+            if flag.refused_in(mode):
+                raise ValidationError(f"{command} {mode} takes no {flag.option}")
+            if flag.key is not None:
                 section, _, key = flag.key.rpartition(".")
                 target = overrides.setdefault(section, {}) if section else overrides
-                target[key] = value if flag.switch is None else flag.switch
+                target[key] = args[flag.dest] if flag.switch is None else flag.switch
         cfg = _check_config(_merge_config(_resolve_config(args["config"]), overrides))
-        given = {"mode": mode, "in": args.get("in_path"), "out": args["out"]}
+        given = {"mode": mode, "in": args.get("in"), "out": args["out"]}
         cfg |= {key: given.get(key, value) for key, value in _added(command, cfg, mode).items()}
         if cfg.get("in", "") is None:
             raise ValidationError("--in is required to fit (or replay with --manifest only)")
@@ -512,34 +521,29 @@ def _parse(argv) -> dict | None:
     row = _COMMANDS.get(argv[0]) if argv else None
     if row is None:
         return None
-    # option -> (name it parses to, type, choices, switch), in the
-    # subparser's order, which is the order of argparse's values
-    options = {option: (option[2:], None, None, None) for option in _COMMON_OPTIONS}
-    if row.input_help:
-        options["--in"] = ("in_path", None, None, None)
-    for flag in row.flags:
-        options[flag.option] = (flag.dest, flag.type, flag.choices, flag.switch)
+    # in the subparser's order, which is the order of argparse's values
+    options = {flag.option: flag for flag in (*_PATHS, *row.flags)}
     args = {"command": argv[0]}
     rest = list(argv[1:])
     if row.modes:
         args["mode"] = rest.pop(0) if rest and rest[0] in _MODES else None
-    args |= dict.fromkeys(dest for dest, *_ in options.values())
+    args |= dict.fromkeys(flag.dest for flag in options.values())
     tokens = iter(rest)
     for option in tokens:
-        if option not in options:
+        flag = options.get(option)
+        if flag is None:
             return None
-        dest, kind, choices, switch = options[option]
-        if switch is not None:
-            args[dest] = True
+        if flag.switch is not None:
+            args[flag.dest] = True
             continue
         value = next(tokens, "-")  # a missing value is argparse's error to print
         if value.startswith("-"):
             return None
         try:
-            args[dest] = value if kind is None else kind(value)
+            args[flag.dest] = value if flag.type is None else flag.type(value)
         except ValueError:
             return None
-        if choices and args[dest] not in choices:
+        if flag.choices and args[flag.dest] not in flag.choices:
             return None
     return args
 
@@ -550,7 +554,7 @@ def build_parser():
     every usage error."""
     from .parser import build_parser
 
-    return build_parser(_COMMANDS, _COMMON_OPTIONS, _MODES, __version__)
+    return build_parser(_COMMANDS, _PATHS, _MODES, __version__)
 
 
 def main(argv=None) -> int:

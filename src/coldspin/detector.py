@@ -91,6 +91,11 @@ class PulseRecord(Frozen):
             )
 
 
+def _check_photons(n_photons: float) -> None:
+    if not n_photons > 0:
+        raise ValidationError(f"n_photons must be positive, got {n_photons!r}")
+
+
 def simulate_pulse_detection(
     theta_true: float,
     n_photons: float,
@@ -106,8 +111,7 @@ def simulate_pulse_detection(
     and to test the round trip).  Small-angle model; valid for
     |theta| << 1.
     """
-    if not n_photons > 0:
-        raise ValidationError(f"n_photons must be positive, got {n_photons!r}")
+    _check_photons(n_photons)
     signal = theta_true * n_photons * tr.t_h * tr.t_v
     if normal is None:
         return signal
@@ -119,8 +123,7 @@ def angle_denominator(n_photons: float, tr: TransmissionSpec) -> float:
     """N_L t_h t_v, the imbalance per radian of rotation, which
     extract_angle divides by; a product that underflows to 0 raises
     ArithmeticError."""
-    if not n_photons > 0:
-        raise ValidationError(f"n_photons must be positive, got {n_photons!r}")
+    _check_photons(n_photons)
     denominator = n_photons * tr.t_h * tr.t_v
     if denominator == 0.0:  # t_h and t_v are positive: the product underflowed
         raise ArithmeticError("n_photons * t_h * t_v underflows to 0")
@@ -135,11 +138,7 @@ def extract_angle(delta_count: float, n_photons: float, tr: TransmissionSpec) ->
 def angle_variance(n_photons: float, det: DetectorSpec, tr: TransmissionSpec) -> float:
     """Variance of the extracted angle for one pulse:
     (N_L + electronic_noise_var) / (N_L t_h t_v)^2."""
-    if not n_photons > 0:
-        raise ValidationError(f"n_photons must be positive, got {n_photons!r}")
-    return (n_photons + det.electronic_noise_var) / (
-        n_photons * tr.t_h * tr.t_v
-    ) ** 2
+    return (n_photons + det.electronic_noise_var) / angle_denominator(n_photons, tr) ** 2
 
 
 def synthesize_waveform(

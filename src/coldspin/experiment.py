@@ -106,7 +106,7 @@ class ScanConfig(Frozen):
             )
         for name in ("pulses_per_sample", "runs_per_point"):
             value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 1):
+            if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         if 2 * self.runs_per_point > MAX_ARRAY_SIZE:  # a detuning's draws
             raise ValidationError(
@@ -140,7 +140,7 @@ def run_pulse_train(
     of (pulse_index, measured imbalance, extracted angle) and the
     post-train atomic state; the input state is never mutated.
     """
-    if not (isinstance(n_pulses, int) and n_pulses >= 0):
+    if not (isinstance(n_pulses, int) and not isinstance(n_pulses, bool) and n_pulses >= 0):
         raise ValidationError(f"n_pulses must be an integer >= 0, got {n_pulses!r}")
     if normals is None:
         normals = [None] * n_pulses

@@ -6,7 +6,7 @@ run it again."""
 import argparse
 
 
-def build_parser(commands: dict, common_options: dict, modes: tuple, version: str):
+def build_parser(commands: dict, paths: tuple, modes: tuple, version: str):
     parser = argparse.ArgumentParser(
         prog="coldspin",
         description="Faraday-rotation probe simulator and analysis tools",
@@ -17,14 +17,10 @@ def build_parser(commands: dict, common_options: dict, modes: tuple, version: st
         sub = subparsers.add_parser(name, help=row.help)
         if row.modes:
             sub.add_argument("mode", nargs="?", choices=modes)
-        for option, help_text in common_options.items():
-            sub.add_argument(option, metavar="PATH", help=help_text)
-        if row.input_help:
-            sub.add_argument("--in", dest="in_path", metavar="PATH", help=row.input_help)
-        for flag in row.flags:
-            if flag.switch is None:
+        for flag in (*paths, *row.flags):
+            if flag.switch is None:  # a row of no config key names a path
                 sub.add_argument(flag.option, type=flag.type, choices=flag.choices,
-                                 help=flag.help)
+                                 metavar="PATH" if flag.key is None else None, help=flag.help)
             else:
                 sub.add_argument(flag.option, action="store_const", const=True,
                                  help=flag.help)

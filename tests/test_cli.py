@@ -406,7 +406,7 @@ def test_replayed_numeric_errors_name_the_manifest(in_tmp_dir, capsys, manifest,
     assert files_in(in_tmp_dir) == before
 
 
-@pytest.mark.parametrize("version", ["0.15.0", "0.16.0", "0.17.0"])
+@pytest.mark.parametrize("version", ["0.15.0", "0.16.0", "0.17.0", "0.18.0"])
 def test_quick_start_manifests_of_earlier_versions_replay(in_tmp_dir, capsys, version):
     # the README quick start's manifests as that version wrote them.  The
     # simulations replay first and write the tables the fits then read.
@@ -1004,6 +1004,43 @@ def test_replay_of_a_decay_manifest_checks_its_mode(in_tmp_dir, capsys):
     capsys.readouterr()
     assert cli.main(["decay", "--manifest", "d.csv.manifest.json"]) == 2
     assert "config key 'mode' must be simulate or fit" in capsys.readouterr().err
+
+
+def test_replay_of_a_decay_fit_manifest_without_its_mode_names_the_mode(in_tmp_dir, capsys):
+    # the manifest records the --in a fit reads: the missing mode is the error
+    assert cli.main(["decay", "simulate", "--out", "d.csv"]) == 0
+    assert cli.main(["decay", "fit", "--in", "d.csv", "--out", "f.json"]) == 0
+    edit_manifest(in_tmp_dir / "f.json.manifest.json", lambda m: m["config"].pop("mode"))
+    before = files_in(in_tmp_dir)
+    capsys.readouterr()
+    assert cli.main(["decay", "--manifest", "f.json.manifest.json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: f.json.manifest.json: config key 'mode' is missing\n")
+    assert files_in(in_tmp_dir) == before
+
+
+@pytest.mark.parametrize("joined", [False, True], ids=["table", "argparse"])
+@pytest.mark.parametrize(
+    "argv, option",
+    [(["decay", "fit", "--seed", "5", "--in", "d.csv", "--out", "f.json"], "--seed"),
+     (["tof", "fit", "--seed", "5", "--in", "t.csv", "--out", "f.json"], "--seed"),
+     (["decay", "simulate", "--in", "nonexistent.csv", "--out", "d2.csv"], "--in"),
+     (["tof", "simulate", "--in", "zzz", "--out", "t2.csv"], "--in")],
+    ids=["decay-fit-seed", "tof-fit-seed", "decay-simulate-in", "tof-simulate-in"],
+)
+def test_a_mode_refuses_a_flag_of_the_other_mode(in_tmp_dir, capsys, argv, option, joined):
+    # a fit draws nothing and a simulation reads no file, so each flag would
+    # change nothing; --opt=value is parsed by argparse and refused the same
+    assert cli.main(["decay", "simulate", "--out", "d.csv"]) == 0
+    assert cli.main(["tof", "simulate", "--out", "t.csv"]) == 0
+    if joined:
+        at = argv.index(option)
+        argv = [*argv[:at], f"{option}={argv[at + 1]}", *argv[at + 2:]]
+    before = files_in(in_tmp_dir)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {argv[0]} {argv[1]} takes no {option}\n")
+    assert files_in(in_tmp_dir) == before
 
 
 def test_manifest_naming_the_output_exits_2_before_any_work(in_tmp_dir, capsys):
@@ -1957,7 +1994,7 @@ PARSER_SURFACE = {
     ]),
     "fit": ("fit column density to a scan CSV", [
         *COMMON_ACTIONS,
-        (("--in",), "in_path", None, None, None, None, "PATH", "scan CSV to fit"),
+        (("--in",), "in", None, None, None, None, "PATH", "scan CSV to fit"),
         (("--unweighted",), "unweighted", None, None, True, 0, None,
          "ignore per-point spreads in the fit"),
         (("--sigma-source",), "sigma_source", None, ("stddev", "stderr"), None, None, None,
@@ -1975,13 +2012,13 @@ PARSER_SURFACE = {
     "decay": ("trap-population decay (simulate or fit)", [
         MODE_ACTION,
         *COMMON_ACTIONS,
-        (("--in",), "in_path", None, None, None, None, "PATH", "decay CSV to fit"),
+        (("--in",), "in", None, None, None, None, "PATH", "decay CSV to fit"),
         SEED_ACTION,
     ]),
     "tof": ("ballistic expansion (simulate or fit)", [
         MODE_ACTION,
         *COMMON_ACTIONS,
-        (("--in",), "in_path", None, None, None, None, "PATH", "expansion CSV to fit"),
+        (("--in",), "in", None, None, None, None, "PATH", "expansion CSV to fit"),
         SEED_ACTION,
     ]),
     "pulse": ("emit a single balanced-detection waveform", [
@@ -2130,7 +2167,8 @@ FLAG_ROWS = [
 
 
 def test_flag_rows_cover_every_command_flag():
-    table = {(name, flag.option) for name, row in cli._COMMANDS.items() for flag in row.flags}
+    table = {(name, flag.option) for name, row in cli._COMMANDS.items() for flag in row.flags
+             if flag.key is not None}
     assert table == {(command, flag) for command, flag, *_ in FLAG_ROWS}
 
 
@@ -2149,17 +2187,19 @@ def test_commands_that_draw_nothing_take_no_seed(in_tmp_dir, capsys, argv):
 
 def test_readme_flag_table_is_the_command_table():
     # the README's flag -> config key table, with its one row for every
-    # --seed expanded to the commands whose seed it sets
+    # --seed expanded to the commands (and the mode) whose seed it sets
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("\n| flag | config key |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
     rows = set()
     for line in table.splitlines():
         flags, key = line.split(" | ")
         key = re.match(r"`([^`]+)`", key)[1]
-        for command, flag in (usage.split() for usage in re.findall(r"`([^`]+)`", flags)):
-            rows.add((command, flag, key.replace("<command>", command)))
-    expected = {(name, flag.option, flag.key)
-                for name, row in cli._COMMANDS.items() for flag in row.flags}
+        for usage in re.findall(r"`([^`]+)`", flags):
+            command, *mode, flag = usage.split()
+            rows.add((command, *(mode or [None]), flag, key.replace("<command>", command)))
+    expected = {(name, flag.mode, flag.option, flag.key)
+                for name, row in cli._COMMANDS.items() for flag in row.flags
+                if flag.key is not None}
     assert rows == expected
 
 

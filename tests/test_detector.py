@@ -204,4 +204,6 @@ def test_angle_denominator_rejects_underflow():
         angle_denominator(5e-324, tr)
     with pytest.raises(ArithmeticError, match="underflows to 0"):
         extract_angle(1.0, 5e-324, tr)
+    with pytest.raises(ArithmeticError, match="underflows to 0"):
+        angle_variance(5e-324, DET, tr)
     assert angle_denominator(5e-324, TR) == 5e-324

@@ -136,6 +136,17 @@ def test_pulse_train_takes_one_draw_per_pulse(count):
     assert len(records) == 5
 
 
+@pytest.mark.parametrize("n_pulses", [True, False])
+def test_pulse_train_refuses_a_bool_pulse_count(n_pulses):
+    # a bool is an int to isinstance, and True would probe one pulse
+    cp = coupling_constant(-1.6e9, AREA, SPEC)
+    args = (coherent_spin_state(1e6, "z"), cp, coherent_pulse(4e6, "x"),
+            DestructionModel(), DET, TR, None)
+    with pytest.raises(ValidationError,
+                       match=rf"n_pulses must be an integer >= 0, got {n_pulses!r}$"):
+        run_pulse_train(n_pulses, *args)
+
+
 def test_pulse_train_loads_no_numpy():
     # the train is the scalar chain, noisy with rng's draws or noiseless
     code = """
@@ -414,6 +425,13 @@ def test_scan_config_validation():
         small_config(seed=-1)
     with pytest.raises(ValidationError):
         small_config(seed=True)
+    # a bool is an int to isinstance, so each count refuses it as the seed does
+    with pytest.raises(ValidationError, match=r"^pulses_per_sample must be an integer >= 1, "
+                                              r"got True$"):
+        small_config(pulses_per_sample=True)
+    with pytest.raises(ValidationError, match=r"^runs_per_point must be an integer >= 1, "
+                                              r"got True$"):
+        small_config(runs_per_point=True)
     with pytest.raises(ValidationError):
         small_config(atom_number_spread=-0.1)
     with pytest.raises(ValidationError):
