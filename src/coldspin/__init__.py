@@ -10,7 +10,7 @@ projection-noise-limited probing, and trap-characterization fits
 (two-body loss, time of flight, dipole trap depth).
 """
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 # The package loads lazily (PEP 562; Scientific Python SPEC 1): each public
 # name is imported from the submodule that defines it on first access, so

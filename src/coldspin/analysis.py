@@ -188,8 +188,8 @@ def snr_report(
     theta N_L sqrt(n_avg) / sqrt(N_L + electronic_noise_var)."""
     if not n_photons > 0:  # detector's check, written here so that fit loads no detector
         raise ValidationError(f"n_photons must be positive, got {n_photons!r}")
-    if not n_avg >= 1:
-        raise ValidationError(f"n_avg must be >= 1, got {n_avg!r}")
+    if not (isinstance(n_avg, int) and not isinstance(n_avg, bool) and n_avg >= 1):
+        raise ValidationError(f"n_avg must be an integer >= 1, got {n_avg!r}")
     return (
         theta_rad
         * n_photons

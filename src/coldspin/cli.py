@@ -2,15 +2,18 @@
 
 Subcommands: scan, fit, budget, decay, tof, pulse.  One table, _COMMANDS,
 declares each subcommand: its help, whether it takes a simulate|fit mode,
-and each of its options as a _Flag row after the paths all take (_PATHS):
---in, and each flag with the one config key it overrides.  A row may name
-the one mode that takes it (fit --in, simulate --seed), and a run given it
-in the other mode exits 2.  _parse, build_parser and
-_run_command all read it.  A run and a replay differ only in their front
-end: a run resolves its config from the packaged defaults, the --config
-file and the flags, and a replay (a command given only `--manifest PATH`)
-takes the one its manifest records.  Each checks it once (_check_config),
-with the keys _added says a run adds, the seed among them.  One tail,
+the top-level keys of _DEFAULT_CONFIG its runner reads, the only ones its
+config holds (reads), and each of its options as a _Flag row after the
+paths all take (_PATHS): --in, and each flag with the one config key it
+overrides.  A row may name the one mode that takes it (fit --in, simulate
+--seed), and a run given it in the other mode exits 2.  _parse,
+build_parser and _run_command all read it.  A run and a replay differ only
+in their front end: a run resolves its config from the packaged defaults
+of the keys it reads, the --config file and the flags, and a replay (a
+command given only `--manifest PATH`) takes the one its manifest records,
+less the default keys it does not read, which a manifest before 0.20.0
+records.  Each checks it once (_check_config), with the keys _added says a
+run adds, the seed among them.  One tail,
 _execute, then checks, before any work, that the files touched are
 distinct, that no path is empty or holds a NUL and that each file written
 is no directory and lies in one that exists (_check_paths), builds the
@@ -203,7 +206,7 @@ _JSON_TYPES = {type(None): "null", bool: "boolean", int: "integer", float: "numb
                str: "string", list: "array", dict: "object"}
 
 
-def _check_config(value, default=_DEFAULT_CONFIG, path: str = ""):
+def _check_config(value, default, path: str = ""):
     """The one check of a config value against its default, recursively:
     an object holds exactly the keys of its default, each value has its
     default's JSON type (a null default takes null or its _NULLABLE type,
@@ -251,8 +254,8 @@ def _merge_config(base: dict, override: dict) -> dict:
     return merged
 
 
-def _resolve_config(config_path: str | None) -> dict:
-    return _merge_config(_DEFAULT_CONFIG, {} if config_path is None else read_json(config_path))
+def _resolve_config(config_path: str | None, defaults: dict) -> dict:
+    return _merge_config(defaults, {} if config_path is None else read_json(config_path))
 
 
 # ------------------------------------------------------------- file I/O
@@ -341,7 +344,12 @@ class _Flag(Frozen):
 class _Command(Frozen):
     help: str
     modes: bool  # takes a simulate|fit mode
+    reads: tuple[str, ...]  # the top-level keys of _DEFAULT_CONFIG its runner reads
     flags: tuple[_Flag, ...] = ()
+
+    @property
+    def defaults(self) -> dict:  # _DEFAULT_CONFIG projected onto reads, in its order
+        return {key: value for key, value in _DEFAULT_CONFIG.items() if key in self.reads}
 
 
 _PATHS = (  # the options every command takes, before its own
@@ -353,12 +361,15 @@ _PATHS = (  # the options every command takes, before its own
 
 _COMMANDS = {
     "scan": _Command("synthesize a detuning scan CSV", False, (
+        "atom_data", "guard_linewidths", "threads", "ensemble", "scan", "detector",
+        "transmission", "destruction"), (
         _Flag("--seed", "scan.seed", "override the RNG seed", int),
         _Flag("--atoms", "ensemble.n_atoms", "override ensemble.n_atoms"),
         _Flag("--threads", "threads", "validated and recorded in the manifest; scans "
               "run single-threaded and the value changes no output", int),
     )),
     "fit": _Command("fit column density to a scan CSV", False, (
+        "atom_data", "guard_linewidths", "fit"), (
         _Flag("--in", None, "scan CSV to fit", None),
         _Flag("--unweighted", "fit.weighted", "ignore per-point spreads in the fit",
               switch=False),
@@ -366,20 +377,22 @@ _COMMANDS = {
               None, ("stddev", "stderr")),
     )),
     "budget": _Command("photon budget for a target variance ratio", False, (
+        "atom_data", "budget"), (
         _Flag("--a", "budget.a", "atomic-to-shot variance ratio"),
         _Flag("--atoms", "budget.n_atoms", "atom number"),
         _Flag("--theta", "budget.theta_rad", "single-pass rotation angle (rad)"),
         _Flag("--photons-per-pulse", "budget.photons_per_pulse", "also report the pulse count"),
     )),
-    "decay": _Command("trap-population decay (simulate or fit)", True, (
+    "decay": _Command("trap-population decay (simulate or fit)", True, ("atom_data", "decay"), (
         _Flag("--in", None, "decay CSV to fit", None, mode="fit"),
         _Flag("--seed", "decay.seed", "override the RNG seed", int, mode="simulate"),
     )),
-    "tof": _Command("ballistic expansion (simulate or fit)", True, (
+    "tof": _Command("ballistic expansion (simulate or fit)", True, ("atom_data", "tof"), (
         _Flag("--in", None, "expansion CSV to fit", None, mode="fit"),
         _Flag("--seed", "tof.seed", "override the RNG seed", int, mode="simulate"),
     )),
     "pulse": _Command("emit a single balanced-detection waveform", False, (
+        "atom_data", "pulse", "detector", "transmission"), (
         _Flag("--seed", "pulse.seed", "override the RNG seed", int),
         _Flag("--theta", "pulse.theta_rad", "rotation angle (rad)"),
         _Flag("--photons", "pulse.n_photons", "photons in the pulse"),
@@ -445,8 +458,11 @@ def _replay(command: str, manifest_path: str) -> dict | None:
         if not isinstance(constants, dict):
             raise ValidationError("config key 'atom_constants' must be a JSON object")
         mode = cfg.get("mode")
+        defaults = _COMMANDS[command].defaults
+        for key in _DEFAULT_CONFIG.keys() - defaults.keys():  # recorded before 0.20.0
+            cfg.pop(key, None)
         # with a run's keys, the default config's seed typing the section's
-        _check_config(cfg, {**_DEFAULT_CONFIG, **_added(command, _DEFAULT_CONFIG, mode)})
+        _check_config(cfg, {**defaults, **_added(command, defaults, mode)})
         seed = _added(command, cfg, mode)["seed"]
         for where, value in (("config", cfg["seed"]), ("manifest", document["seed"])):
             if (type(value), value) != (type(seed), seed):
@@ -493,7 +509,9 @@ def _run_command(args: dict) -> int:
                 section, _, key = flag.key.rpartition(".")
                 target = overrides.setdefault(section, {}) if section else overrides
                 target[key] = args[flag.dest] if flag.switch is None else flag.switch
-        cfg = _check_config(_merge_config(_resolve_config(args["config"]), overrides))
+        defaults = row.defaults
+        cfg = _check_config(_merge_config(_resolve_config(args["config"], defaults), overrides),
+                            defaults)
         given = {"mode": mode, "in": args.get("in"), "out": args["out"]}
         cfg |= {key: given.get(key, value) for key, value in _added(command, cfg, mode).items()}
         if cfg.get("in", "") is None:

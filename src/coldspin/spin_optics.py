@@ -167,7 +167,7 @@ def detuning_factor(
             f"detuning {detuning_hz:.6g} Hz is not below the probe's optical "
             f"frequency {optical_hz:.6g} Hz in magnitude"
         )
-    if f_prime not in (0, 1, 2):
+    if not (isinstance(f_prime, int) and not isinstance(f_prime, bool) and f_prime in (0, 1, 2)):
         raise ValidationError(f"f_prime must be 0, 1, or 2, got {f_prime!r}")
     if guard_linewidths < 0:
         raise ValidationError(

@@ -303,6 +303,12 @@ def test_snr_report_validation():
         snr_report(0.01, 4e6, det, n_avg=0)
 
 
+@pytest.mark.parametrize("n_avg", [True, 1.5, 2.0])
+def test_snr_report_refuses_an_n_avg_that_is_no_int(n_avg):
+    with pytest.raises(ValidationError, match=f"n_avg must be an integer >= 1, got {n_avg!r}"):
+        snr_report(0.01, 4e6, DetectorSpec(), n_avg)
+
+
 DECAY_TRUE = TrapPopulationParams(
     n0=1.2e6,
     tau_s=1500.0,

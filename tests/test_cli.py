@@ -406,7 +406,7 @@ def test_replayed_numeric_errors_name_the_manifest(in_tmp_dir, capsys, manifest,
     assert files_in(in_tmp_dir) == before
 
 
-@pytest.mark.parametrize("version", ["0.15.0", "0.16.0", "0.17.0", "0.18.0"])
+@pytest.mark.parametrize("version", ["0.15.0", "0.16.0", "0.17.0", "0.18.0", "0.19.0"])
 def test_quick_start_manifests_of_earlier_versions_replay(in_tmp_dir, capsys, version):
     # the README quick start's manifests as that version wrote them.  The
     # simulations replay first and write the tables the fits then read.
@@ -422,6 +422,24 @@ def test_quick_start_manifests_of_earlier_versions_replay(in_tmp_dir, capsys, ve
         for output, digest in manifest["outputs"].items():
             assert hashlib.sha256((in_tmp_dir / output).read_bytes()).hexdigest() == digest
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("key, code", [("scan", 0), ("decay", 0), ("bogus", 2)])
+def test_replay_drops_only_the_default_keys_its_command_does_not_read(in_tmp_dir, capsys,
+                                                                       key, code):
+    # a manifest before 0.20.0 records every section: those a budget does
+    # not read are dropped unchecked, any other key is still refused
+    assert cli.main(["budget", "--theta", "0.03", "--out", "b.json"]) == 0
+    manifest = json.loads((in_tmp_dir / "b.json.manifest.json").read_text())
+    manifest["config"][key] = "x"
+    (in_tmp_dir / "b.json.manifest.json").write_text(json.dumps(manifest))
+    before = files_in(in_tmp_dir)
+    capsys.readouterr()
+    assert cli.main(["budget", "--manifest", "b.json.manifest.json"]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else
+                   f"error: b.json.manifest.json: unknown config key {key!r}\n")
+    assert files_in(in_tmp_dir) == before
 
 
 def test_fit_round_trip(in_tmp_dir):
@@ -1839,22 +1857,20 @@ def _number_keys(document, prefix=""):
             yield f"{prefix}{key}"
 
 
-# the commands that read each section (or top-level key), fits included;
-# a fit reads the default run's output
-SWEEP_COMMANDS = {
-    "guard_linewidths": [["scan"], ["fit", "--in", "scan.csv"]],
-    "threads": [["scan"]],
-    "ensemble": [["scan"]],
+# each command's command lines, fits included; a fit reads the default
+# run's output
+SWEEP_ARGVS = {
     "scan": [["scan"]],
-    "detector": [["scan"], ["pulse"]],
-    "transmission": [["scan"], ["pulse"]],
-    "destruction": [["scan"]],
     "fit": [["fit", "--in", "scan.csv"]],
     "budget": [["budget"]],
     "decay": [["decay", "simulate"], ["decay", "fit", "--in", "decay.csv"]],
     "tof": [["tof", "simulate"], ["tof", "fit", "--in", "tof.csv"]],
     "pulse": [["pulse"]],
 }
+# the command lines of the commands that read each section (or top-level key)
+SWEEP_COMMANDS = {key: [argv for command, argvs in SWEEP_ARGVS.items()
+                        if key in cli._COMMANDS[command].reads for argv in argvs]
+                  for key in cli._DEFAULT_CONFIG}
 SWEEP_NUMBERS = [1e308, -1e308, 1e-308, -1e-308, math.inf, -math.inf]
 SWEEP_ROWS = [
     (key, argv, SWEEP_NUMBERS)
@@ -2203,6 +2219,42 @@ def test_readme_flag_table_is_the_command_table():
     assert rows == expected
 
 
+def test_readme_reads_table_is_the_command_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n| command | reads |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        command, reads = re.findall(r"\| ([^|]+) ", line)
+        rows[command.strip("`")] = tuple(re.findall(r"`([^`]+)`", reads))
+    assert rows == {name: row.reads for name, row in cli._COMMANDS.items()}
+
+
+def test_every_flag_key_lies_in_a_section_its_command_reads():
+    assert {(name, flag.option) for name, row in cli._COMMANDS.items() for flag in row.flags
+            if flag.key is not None and flag.key.partition(".")[0] not in row.reads} == set()
+
+
+# every top-level key of the default config a command does not read
+FOREIGN_ROWS = [(name, key) for name, row in cli._COMMANDS.items()
+                for key in cli._DEFAULT_CONFIG if key not in row.reads]
+
+
+@pytest.mark.parametrize("command, key", FOREIGN_ROWS,
+                         ids=[f"{command}-{key}" for command, key in FOREIGN_ROWS])
+def test_a_key_the_command_does_not_read_is_refused(in_tmp_dir, capsys, command, key):
+    # the key's default value, refused only for the key it is under
+    argv = {"fit": ["fit", "--in", "scan.csv"], "budget": ["budget", "--theta", "0.03"],
+            "decay": ["decay", "simulate"], "tof": ["tof", "simulate"]}.get(command, [command])
+    if command == "fit":
+        assert cli.main(["scan", "--out", "scan.csv"]) == 0
+    (in_tmp_dir / "cfg.json").write_text(json.dumps({key: cli._DEFAULT_CONFIG[key]}))
+    before = files_in(in_tmp_dir)
+    capsys.readouterr()
+    assert cli.main([*argv, "--config", "cfg.json", "--out", "out.dat"]) == 2
+    assert capsys.readouterr() == ("", f"error: unknown config key {key!r}\n")
+    assert files_in(in_tmp_dir) == before
+
+
 @pytest.mark.parametrize(
     "command, flag, value, key, expected", FLAG_ROWS,
     ids=[f"{command}{flag}" for command, flag, *_ in FLAG_ROWS],
@@ -2262,10 +2314,19 @@ def _key_paths(document, prefix=()):
 FUZZ_CONFIG = json.loads(json.dumps(cli._DEFAULT_CONFIG))
 FUZZ_CONFIG["scan"].update(runs_per_point=4, pulses_per_sample=3)
 FUZZ_CONFIG["budget"]["theta_rad"] = 0.03
-FUZZ_CONFIG_PATHS = list(_key_paths(FUZZ_CONFIG))
+
+
+def _projected(command):
+    """The sections of FUZZ_CONFIG the command reads, the only ones it takes."""
+    return {key: value for key, value in FUZZ_CONFIG.items()
+            if key in cli._COMMANDS[command].reads}
+
+
+FUZZ_CONFIG_EDITS = [("config", argv, path)
+                     for argv in FUZZ_ARGVS for path in _key_paths(_projected(argv[0]))]
 FUZZ_MANIFEST_PATHS = [
     ("command",), ("version",), ("seed",), ("config",), ("outputs",),
-    *(("config", *path) for path in _key_paths(FUZZ_CONFIG)),
+    *(("config", *path) for path in _key_paths(_projected("scan"))),
     ("config", "atom_constants"), ("config", "out"), ("config", "seed"),
 ]
 
@@ -2298,7 +2359,7 @@ def _run_capped(argv, cwd):
 @pytest.fixture(scope="module")
 def recorded_scan_manifest(tmp_path_factory):
     directory = tmp_path_factory.mktemp("recorded")
-    (directory / "cfg.json").write_text(json.dumps(FUZZ_CONFIG))
+    (directory / "cfg.json").write_text(json.dumps(_projected("scan")))
     result = _run_capped(["scan", "--config", "cfg.json", "--out", "scan.csv"], directory)
     assert result.returncode == 0, result.stderr
     return json.loads((directory / "scan.csv.manifest.json").read_text())
@@ -2308,8 +2369,7 @@ def recorded_scan_manifest(tmp_path_factory):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     edit=st.one_of(
-        st.tuples(st.just("config"), st.sampled_from(FUZZ_ARGVS),
-                  st.sampled_from(FUZZ_CONFIG_PATHS)),
+        st.sampled_from(FUZZ_CONFIG_EDITS),
         st.tuples(st.just("manifest"), st.just(["scan"]),
                   st.sampled_from(FUZZ_MANIFEST_PATHS)),
     ),
@@ -2319,7 +2379,7 @@ def test_edited_documents_honour_exit_codes(recorded_scan_manifest, edit, value)
     target, argv, path = edit
     with tempfile.TemporaryDirectory() as directory:
         if target == "config":
-            document = _edited(FUZZ_CONFIG, path, value)
+            document = _edited(_projected(argv[0]), path, value)
             (Path(directory) / "cfg.json").write_text(json.dumps(document))
             argv = [*argv, "--config", "cfg.json", "--out", "out.dat"]
         else:

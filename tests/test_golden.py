@@ -40,45 +40,45 @@ GOLDEN = {
     "default": {
         "scan.csv": "4039c03ac525ed6dd5494254ea3b9e1314eaee583e7c26852d71549f7c20b1c5",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "5d286a0ab49f5a0a217fb3bd89fbd046b585bc6984e660309f64129f709e8c05",
+        "scan.csv.manifest.json": "b447b807f8ee21923872122f4b48b6edcb9ca4bfd5e27b0deae27221a52bc0e7",
     },
     "long_trains": {
         "scan.csv": "e5d43a1364c60fef9d626e660979300f90cea5fd15986a6685262e3bfe191e06",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "10890ef8c38cc4dac771f87e46964fedad2e5ef6c56374feb9f9bbce57f49046",
+        "scan.csv.manifest.json": "feb0dbb4a521aa111685f7a62922dddb35335cba49bbf1fdd03bd53a9154b672",
     },
     "three_threads": {
         "scan.csv": "4039c03ac525ed6dd5494254ea3b9e1314eaee583e7c26852d71549f7c20b1c5",
         "scan_curve.csv": "201f301173518ef36f5068c92e21d6f5d8f80fac8f8c5f7128f60658f736f6cf",
-        "scan.csv.manifest.json": "4a20e177fb6f51ab347c3e9aa0d1a5ddf31c1a180acd994d583256444114a420",
+        "scan.csv.manifest.json": "9e1be25d5d03a67175cdaf7c1959ea5a49118919fb9177f96ef80db6284fe3fa",
     },
     "fit": {
         "fit.json": "d48f873f27406a52d6bfc2d06adf9d725563aed12a61fbb099a5784c21bd22e4",
-        "fit.json.manifest.json": "0939cd26d7b27dfab8f92536c731a9973cfe4dface7af0b6aac6eb39e01359e0",
+        "fit.json.manifest.json": "2572a0a914076dc7ab5596681d015a152c55380e8cd6f3e080d333408900d481",
     },
     "budget": {
         "budget.json": "d13a7cf565a070eb21d998cc3b8574c0f1aa89253d06306827f3cc6ea98bb788",
-        "budget.json.manifest.json": "615730b8cf6a29ad7c70af642c9dd9f87a513de21d5b063f47993165d766097a",
+        "budget.json.manifest.json": "7eed65be42b12ae58829f69250ab851899c2e244929d8888ebab7f44d8720352",
     },
     "decay_simulate": {
         "decay.csv": "272846036b07eb42a982151e5e36ce1b52db97d4eb39c0666c2ceceb4a6ea5a1",
-        "decay.csv.manifest.json": "6695c8fa62add1cf5c3ac578bdd6e0303ee1edcc4d50134c2ea7c5e1e9dc5f9b",
+        "decay.csv.manifest.json": "3d5af75e2be6ebba89f8a70039f68968832840e91088a898690ca2fede0cc10c",
     },
     "decay_fit": {
         "decay_fit.json": "c7c95804cc9ebe48dba2a128c390b178a74a3bba52a41064bb5431e2d251832e",
-        "decay_fit.json.manifest.json": "ea7c726e7b6f7f548657ed17df3c5e5f4861d5038e780805430f669b187525c1",
+        "decay_fit.json.manifest.json": "d2c73dc858797fe105d2ed7b2e5035838b4f908c1facc35f0ec2c50366983fd6",
     },
     "tof_simulate": {
         "tof.csv": "286b949fc63fa969fb095f7b04b772ac5f62901966e6f664a5cf83df974d573b",
-        "tof.csv.manifest.json": "44ce75ecf03097074f367f4177f43d4cd5a42091e587e97d2db1ee72eb053105",
+        "tof.csv.manifest.json": "3a799b744bf3f47594700ef81498970971e774c6279af33cd8117ca9935781d8",
     },
     "tof_fit": {
         "tof_fit.json": "bca7cf0427183479f16871f21cedc0765cc0058e09c305efa9a4af457ae2cd30",
-        "tof_fit.json.manifest.json": "7854c7678284add527bd679fbcd3a0801f0336753ffe112380eabfb949820d25",
+        "tof_fit.json.manifest.json": "a5e560d45a37200959301b260d22b1dc1749853acb29fda9e39ca5b54a8ec93c",
     },
     "pulse_noisy": {
         "pulse.csv": "c0fb5808201d464e22f50e6abbc90c09df33f43f072ede436c015edfef5d7cf3",
-        "pulse.csv.manifest.json": "151c9a6d13b10698360522d459efd58a3868efaba8333b1a4668902d8d8f5d45",
+        "pulse.csv.manifest.json": "a39354cd34edad19ffe316fcc9c3741e20c91cfbc7e0b99a0906fde14abe3f0c",
     },
 }
 # the shipped example config spells out the default scan, byte for byte

@@ -76,6 +76,13 @@ def test_detuning_factor_rejects_bad_arguments():
         detuning_factor(-1.6e9, 0, SPEC, guard_linewidths=-1.0)
 
 
+@pytest.mark.parametrize("f_prime", [1.0, 0.0, True])
+def test_detuning_factor_refuses_an_f_prime_that_is_no_int(f_prime):
+    # F' indexes the splittings, so it is an int, and a bool names no level
+    with pytest.raises(ValidationError, match=f"f_prime must be 0, 1, or 2, got {f_prime!r}"):
+        detuning_factor(-1e9, f_prime, SPEC)
+
+
 def test_guard_zero_admits_any_off_pole_detuning():
     value = detuning_factor(1.0, 0, SPEC, guard_linewidths=0.0)
     assert value == 1.0
